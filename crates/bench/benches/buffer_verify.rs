@@ -10,11 +10,7 @@
 //! picker: sample the instance, choose, sweep under the chosen flags —
 //! the deterministic one-off decision is made outside the measured
 //! loop, and the series must land within 10% of the best hand-picked
-//! mode. The `bounded_*_incr` series (F8) pins incremental restriction
-//! checking on (`IncrCheck::On`); the unsuffixed series run the default
-//! `IncrCheck::Auto`, which already rides the incremental path on these
-//! specs, so the F8 win shows up in the plain series' trajectory and
-//! `_incr` vs plain isolates the mode-pinning delta (expected ≈0).
+//! mode.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gem_core::Computation;
@@ -23,7 +19,7 @@ use gem_problems::{bounded, one_slot};
 use gem_spec::Specification;
 use gem_verify::auto::{self, Strategy};
 use gem_verify::{
-    check_computation, sample_evidence, verify_system, Correspondence, IncrCheck, VerifyOptions,
+    check_computation, sample_evidence, verify_system, Correspondence, VerifyOptions,
 };
 
 const ITEMS: &[i64] = &[10, 20, 30];
@@ -40,7 +36,6 @@ fn bench_one<S>(
     extract: impl Fn(&S::State) -> Computation + Copy,
     dedup: bool,
     reduce: bool,
-    incr: IncrCheck,
 ) where
     S: System + Sync,
     S::State: Send,
@@ -52,7 +47,6 @@ fn bench_one<S>(
             reduce,
             ..Explorer::default()
         },
-        incr_check: incr,
         ..VerifyOptions::default()
     };
     c.bench_function(name, |b| {
@@ -108,7 +102,6 @@ fn bench_auto<S>(
         extract,
         decision.strategy == Strategy::Dedup,
         decision.strategy == Strategy::Por,
-        IncrCheck::Auto,
     );
 }
 
@@ -127,7 +120,6 @@ fn bench_buffers(c: &mut Criterion) {
             |s| sys.computation(s).unwrap(),
             false,
             false,
-            IncrCheck::Auto,
         );
         let sys = one_slot::csp_solution(ITEMS);
         let corr = one_slot::csp_correspondence(&sys, &problem);
@@ -140,7 +132,6 @@ fn bench_buffers(c: &mut Criterion) {
             |s| sys.computation(s).unwrap(),
             false,
             false,
-            IncrCheck::Auto,
         );
         let sys = one_slot::ada_solution(ITEMS);
         let corr = one_slot::ada_correspondence(&sys, &problem);
@@ -153,18 +144,16 @@ fn bench_buffers(c: &mut Criterion) {
             |s| sys.computation(s).unwrap(),
             false,
             false,
-            IncrCheck::Auto,
         );
     }
     // E5: Bounded Buffer, capacity 2 — plus the F6 dedup and F7 POR
     // ablations.
     {
         let problem = bounded::bounded_spec(BITEMS.len(), CAP);
-        for (suffix, dedup, reduce, incr) in [
-            ("", false, false, IncrCheck::Auto),
-            ("_dedup", true, false, IncrCheck::Auto),
-            ("_por", false, true, IncrCheck::Auto),
-            ("_incr", false, false, IncrCheck::On),
+        for (suffix, dedup, reduce) in [
+            ("", false, false),
+            ("_dedup", true, false),
+            ("_por", false, true),
         ] {
             let sys = bounded::monitor_solution(BITEMS, CAP);
             let corr = bounded::monitor_correspondence(&sys, &problem, CAP);
@@ -177,7 +166,6 @@ fn bench_buffers(c: &mut Criterion) {
                 |s| sys.computation(s).unwrap(),
                 dedup,
                 reduce,
-                incr,
             );
             let sys = bounded::csp_solution(BITEMS, CAP);
             let corr = bounded::csp_correspondence(&sys, &problem, CAP);
@@ -190,7 +178,6 @@ fn bench_buffers(c: &mut Criterion) {
                 |s| sys.computation(s).unwrap(),
                 dedup,
                 reduce,
-                incr,
             );
             let sys = bounded::ada_solution(BITEMS, CAP);
             let corr = bounded::ada_correspondence(&sys, &problem, CAP);
@@ -203,7 +190,6 @@ fn bench_buffers(c: &mut Criterion) {
                 |s| sys.computation(s).unwrap(),
                 dedup,
                 reduce,
-                incr,
             );
         }
         // The picker, on the substrate where dedup is a known 3.4×

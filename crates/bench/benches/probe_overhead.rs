@@ -14,10 +14,10 @@
 //! * `sweep_noop` / `sweep_recorder` — a small full exploration sweep
 //!   under each probe; the delta is the real-world recorder overhead.
 //! * `expr_eval/{interpreted,compiled}` — 1000 evaluations of a mixed
-//!   arithmetic/boolean expression through the tree-walking
-//!   `Expr::eval` over a `VarStore` vs the postfix Code IR over slot
-//!   vectors (ISSUE 10): the per-step win the `--compile` path is built
-//!   on, pinned at micro scale.
+//!   arithmetic/boolean expression through `Expr::eval`, the reference
+//!   evaluator, over a `VarStore` vs the postfix Code IR over slot
+//!   vectors: the per-step win compiled step execution is built on,
+//!   pinned at micro scale.
 
 use std::ops::ControlFlow;
 

@@ -20,12 +20,6 @@
 //!   the measured loop (it is deterministic per instance and amortised
 //!   over a sweep); the series must land within 10% of the best
 //!   hand-picked mode above.
-//! * `*_incr` — F8: incremental restriction checking pinned on
-//!   (`IncrCheck::On`). The unsuffixed series run the default
-//!   (`IncrCheck::Auto`), which already takes the incremental path on
-//!   these specs, so `_incr` vs plain isolates the mode-pinning delta
-//!   (expected ≈0) while plain vs the `before`/`after` trajectory in
-//!   `BENCH_verify.json` captures the F8 win itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gem_lang::monitor::{entries_sequential, readers_writers_monitor};
@@ -34,7 +28,7 @@ use gem_problems::readers_writers::{
     rw_correspondence, rw_program, rw_spec, writers_priority_monitor, RwVariant,
 };
 use gem_verify::auto::{self, Strategy};
-use gem_verify::{check_computation, sample_evidence, verify_system, IncrCheck, VerifyOptions};
+use gem_verify::{check_computation, sample_evidence, verify_system, VerifyOptions};
 use std::ops::ControlFlow;
 
 #[allow(clippy::too_many_arguments)] // bench table row, not an API
@@ -48,7 +42,6 @@ fn verify_bench(
     variant: RwVariant,
     dedup: bool,
     reduce: bool,
-    incr: IncrCheck,
 ) {
     let sys = rw_program(monitor, readers, writers, with_data);
     let problem = rw_spec(readers + writers, with_data, variant);
@@ -59,7 +52,6 @@ fn verify_bench(
             reduce,
             ..Explorer::default()
         },
-        incr_check: incr,
         ..VerifyOptions::default()
     };
     c.bench_function(name, |b| {
@@ -137,14 +129,13 @@ fn verify_bench_auto(
 fn bench_rw(c: &mut Criterion) {
     // (suffix, dedup, reduce): the plain sweep, F6 dedup, F7 sleep-set
     // POR, and the two combined.
-    const MODES: [(&str, bool, bool, IncrCheck); 5] = [
-        ("", false, false, IncrCheck::Auto),
-        ("_dedup", true, false, IncrCheck::Auto),
-        ("_por", false, true, IncrCheck::Auto),
-        ("_por_dedup", true, true, IncrCheck::Auto),
-        ("_incr", false, false, IncrCheck::On),
+    const MODES: [(&str, bool, bool); 4] = [
+        ("", false, false),
+        ("_dedup", true, false),
+        ("_por", false, true),
+        ("_por_dedup", true, true),
     ];
-    for (suffix, dedup, reduce, incr) in MODES {
+    for (suffix, dedup, reduce) in MODES {
         verify_bench(
             c,
             &format!("rw_verify/mutex_with_data_1r1w{suffix}"),
@@ -155,7 +146,6 @@ fn bench_rw(c: &mut Criterion) {
             RwVariant::MutexOnly,
             dedup,
             reduce,
-            incr,
         );
         verify_bench(
             c,
@@ -167,7 +157,6 @@ fn bench_rw(c: &mut Criterion) {
             RwVariant::ReadersPriority,
             dedup,
             reduce,
-            incr,
         );
         verify_bench(
             c,
@@ -179,7 +168,6 @@ fn bench_rw(c: &mut Criterion) {
             RwVariant::WritersPriority,
             dedup,
             reduce,
-            incr,
         );
     }
     // The strategy picker on the two instances where hand-picked flags

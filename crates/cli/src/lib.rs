@@ -73,7 +73,7 @@ use std::time::Duration;
 
 use gem_lang::monitor::readers_writers_monitor;
 use gem_lang::monitor::SignalSemantics;
-use gem_lang::{CompileMode, Explorer, System};
+use gem_lang::{Explorer, System};
 use gem_obs::json::JsonValue;
 use gem_obs::{
     fingerprint_words, install_crash_sink, write_atomic, ChromeTraceProbe, CollapseEstimator,
@@ -162,8 +162,11 @@ impl Params {
 }
 
 /// A problem instance resolvable to a spec + system + correspondence.
+/// Monitor sweeps are bounded at 1 000 000 runs; the other substrates
+/// carry their own bound.
 #[allow(clippy::large_enum_variant)] // one short-lived instance per invocation
-enum Instance {
+#[allow(missing_docs)] // fields: the system, its problem spec, their correspondence
+pub enum Instance {
     Monitor {
         sys: gem_lang::monitor::MonitorSystem,
         spec: Specification,
@@ -194,7 +197,12 @@ fn parse_rw_variant(s: &str) -> Result<RwVariant, CliError> {
     })
 }
 
-fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
+/// Builds `problem` with parameters `p`, as every command does.
+///
+/// # Errors
+///
+/// Returns [`CliError`] for an unknown problem or a bad parameter.
+pub fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
     match problem {
         "one-slot" => {
             let n = p.usize("items", 3)?;
@@ -374,7 +382,6 @@ struct ObsFlags {
     por: bool,
     auto: bool,
     incr_check: IncrCheck,
-    compile: CompileMode,
     explain: bool,
     artifacts: Option<String>,
     recorder_cap: Option<usize>,
@@ -386,9 +393,9 @@ struct ObsFlags {
 
 /// Splits `--stats` / `--stats-json` / `--trace` / `--trace-out` /
 /// `--heartbeat` / `--jobs` / `--dedup` / `--por` / `--incr-check` /
-/// `--compile` / `--explain` / `--artifacts` / `--recorder-cap` / `--json` (either `--flag value`
-/// or `--flag=value`) out of `args`, leaving positional arguments and
-/// `key=value` parameters untouched.
+/// `--explain` / `--artifacts` / `--recorder-cap` / `--json` (either
+/// `--flag value` or `--flag=value`) out of `args`, leaving positional
+/// arguments and `key=value` parameters untouched.
 fn split_flags(args: &[String]) -> Result<(Vec<String>, ObsFlags), CliError> {
     let mut flags = ObsFlags::default();
     let mut rest = Vec::new();
@@ -456,19 +463,6 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, ObsFlags), CliError> {
                     other => {
                         return Err(err(format!(
                             "--incr-check must be auto, on, or off, got {other:?}"
-                        )))
-                    }
-                };
-            }
-            "--compile" => {
-                let v = value("--compile")?;
-                flags.compile = match v.as_str() {
-                    "auto" => CompileMode::Auto,
-                    "on" => CompileMode::On,
-                    "off" => CompileMode::Off,
-                    other => {
-                        return Err(err(format!(
-                            "--compile must be auto, on, or off, got {other:?}"
                         )))
                     }
                 };
@@ -681,9 +675,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
             .to_owned(),
         );
-        report
-            .config
-            .insert("compile".to_owned(), flags.compile.as_str().to_owned());
         // `verify --auto` records its decision and the full estimator
         // evidence, so a strategy choice is always auditable from the
         // stats report alone.
@@ -833,37 +824,21 @@ fn dispatch(args: &[String], obs: &ObsSetup, flags: &mut ObsFlags) -> Result<Str
                 .split_first()
                 .ok_or_else(|| err(format!("{cmd} needs a problem name; try `gem list`")))?;
             let params = Params::parse(raw_params)?;
-            let mut inst = instance(problem, &params)?;
-            // Compiled step execution is the default; `--compile off`
-            // falls back to the tree-walking interpreter (the
-            // differential oracle). Outputs are identical either way.
-            let compile_on = flags.compile.enabled();
-            let code_stats = match &mut inst {
-                Instance::Monitor { sys, .. } => {
-                    sys.set_compile(compile_on);
-                    sys.code_stats()
-                }
-                Instance::Csp { sys, .. } => {
-                    sys.set_compile(compile_on);
-                    sys.code_stats()
-                }
-                Instance::Ada { sys, .. } => {
-                    sys.set_compile(compile_on);
-                    sys.code_stats()
-                }
+            let inst = instance(problem, &params)?;
+            let code_stats = match &inst {
+                Instance::Monitor { sys, .. } => sys.code_stats(),
+                Instance::Csp { sys, .. } => sys.code_stats(),
+                Instance::Ada { sys, .. } => sys.code_stats(),
             };
-            if compile_on {
-                probe.add("code.exprs", code_stats.exprs);
-                probe.add("code.ops", code_stats.ops);
-                probe.add("code.consts", code_stats.consts);
-                probe.add("code.programs", code_stats.programs);
-                probe.add("code.slots", code_stats.slots);
-                // A measured wall-clock value: recorded as a `_ns`
-                // histogram (one sample), not a counter, so reports
-                // stay deterministic under `without_timings()`.
-                probe.record("explore.compile_ns", code_stats.compile_ns);
-            }
-            let inst = inst;
+            probe.add("code.exprs", code_stats.exprs);
+            probe.add("code.ops", code_stats.ops);
+            probe.add("code.consts", code_stats.consts);
+            probe.add("code.programs", code_stats.programs);
+            probe.add("code.slots", code_stats.slots);
+            // A measured wall-clock value: recorded as a `_ns` histogram
+            // (one sample), not a counter, so reports stay deterministic
+            // under `without_timings()`.
+            probe.record("explore.compile_ns", code_stats.compile_ns);
             match cmd.as_str() {
                 "render" => {
                     let spec = match &inst {
@@ -2075,9 +2050,6 @@ pub fn usage() -> String {
      \x20                            DFS tree: auto (default; on when the spec\n\
      \x20                            is in the supported fragment), on, off;\n\
      \x20                            verdicts identical in every mode\n\
-     \x20 --compile <mode>           step execution: auto (default, compiled\n\
-     \x20                            slot/IR programs), on, off (tree-walking\n\
-     \x20                            interpreter); outputs byte-identical\n\
      \x20 --auto                     on verify: sample the instance and pick\n\
      \x20                            plain/dedup/por from the estimated collapse\n\
      \x20                            ratio and oracle grant rate (overrides\n\
@@ -2491,6 +2463,40 @@ mod tests {
             .get("metrics")
             .and_then(|m| m.get("verify"))
             .is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compile_flag_is_gone() {
+        // Compiled step execution is the only step path: the old switch
+        // is an ordinary unknown flag, rejected with usage, not a panic.
+        let e = runv(&["verify", "one-slot", "items=2", "--compile", "off"]).unwrap_err();
+        assert!(
+            e.to_string().starts_with("unknown flag \"--compile\""),
+            "{e}"
+        );
+        let dir = std::env::temp_dir().join("gem-cli-test-code-stats");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stats.json");
+        let path_s = path.to_str().unwrap().to_owned();
+        runv(&[
+            "verify",
+            "one-slot",
+            "items=2",
+            "--stats-json",
+            &path_s,
+            "--heartbeat",
+            "0",
+        ])
+        .unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        let report = gem_obs::Report::from_json(&json).unwrap();
+        assert!(report.counters.get("code.programs").copied().unwrap_or(0) > 0);
+        assert!(
+            !report.config.contains_key("compile"),
+            "{:?}",
+            report.config
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

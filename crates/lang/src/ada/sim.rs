@@ -28,8 +28,7 @@ use gem_core::{
     Structure, Value,
 };
 
-use crate::ada::def::{AcceptArm, AdaProgram, AdaStmt, SelectBranch};
-use crate::ast::VarStore;
+use crate::ada::def::{AcceptArm, AdaProgram, AdaStmt};
 use crate::code::{CodeStats, CondKind, ExprId, ExprPool, SlotLayout};
 use crate::explore::System;
 use std::time::Instant;
@@ -47,13 +46,8 @@ pub struct AdaSystem {
     assign: ClassId,
     flow_els: Vec<ElementId>,
     entry_els: Vec<BTreeMap<String, ElementId>>,
-    var_els: Vec<BTreeMap<String, ElementId>>,
-    /// Compiled per-task programs (built unconditionally; `compiled`
-    /// selects the execution path).
+    /// Compiled per-task programs, built once at construction.
     code: Arc<AdaCode>,
-    /// Execute compiled programs (default) or the tree-walking
-    /// interpreter (the differential oracle).
-    compiled: bool,
 }
 
 /// Compiled form of an ADA program: slot-resolved task-local scopes,
@@ -106,7 +100,7 @@ enum AOp {
         expr: ExprId,
     },
     /// Assignment to an undeclared local: evaluate (surfacing expression
-    /// errors first, like the interpreter), then panic.
+    /// errors first), then panic.
     AssignUnknown {
         name: String,
         expr: ExprId,
@@ -317,22 +311,18 @@ enum TStatus {
     ReadyToCall,
     /// Call issued; suspended in the callee's entry queue / rendezvous.
     InCall,
-    /// Blocked at accept/select with the given open arms.
-    AtAccept(Vec<AcceptArm>),
-    /// Compiled mode: blocked at accept/select with the given open arm
-    /// indices into the task's [`AProg::arms`].
-    AtAcceptC(Vec<u32>),
+    /// Blocked at accept/select with the given open arm indices into the
+    /// task's [`AProg::arms`].
+    AtAccept(Vec<u32>),
     /// Task body finished.
     Done,
 }
 
 #[derive(Clone, Debug)]
 struct TaskState {
-    locals: VarStore,
-    frames: Vec<VecDeque<AdaStmt>>,
-    /// Compiled mode: slot-indexed locals (unbound = `None`).
+    /// Slot-indexed locals (unbound = `None`).
     lslots: Vec<Option<Value>>,
-    /// Compiled mode: program counter into the task's [`AProg`].
+    /// Program counter into the task's [`AProg`].
     pc: u32,
     status: TStatus,
     last: Option<EventId>,
@@ -356,7 +346,6 @@ pub struct AdaState {
     /// Shared handle to the compiled code, so accessors can translate
     /// names to slots without the system in hand.
     code: Arc<AdaCode>,
-    compiled: bool,
 }
 
 /// Rollback record for the exploration fast path: task control state and
@@ -556,23 +545,8 @@ impl AdaSystem {
             assign,
             flow_els,
             entry_els,
-            var_els,
             code,
-            compiled: true,
         }
-    }
-
-    /// Switch between compiled execution (default) and the tree-walking
-    /// interpreter.
-    pub fn set_compile(&mut self, on: bool) {
-        self.compiled = on;
-    }
-
-    /// Builder-style [`AdaSystem::set_compile`].
-    #[must_use]
-    pub fn with_compile(mut self, on: bool) -> Self {
-        self.set_compile(on);
-        self
     }
 
     /// Compilation statistics for this system's [code](crate::code).
@@ -673,125 +647,37 @@ impl AdaSystem {
         e
     }
 
-    /// Runs local statements of `tid` until a blocking point.
-    fn run(&self, state: &mut AdaState, tid: usize) {
-        loop {
-            while matches!(state.tasks[tid].frames.last(), Some(f) if f.is_empty()) {
-                state.tasks[tid].frames.pop();
-            }
-            let Some(stmt) = state.tasks[tid]
-                .frames
-                .last_mut()
-                .and_then(VecDeque::pop_front)
-            else {
-                state.tasks[tid].status = TStatus::Done;
-                return;
-            };
-            match stmt {
-                AdaStmt::Assign(var, expr) => {
-                    let v = expr
-                        .eval(&state.tasks[tid].locals)
-                        .unwrap_or_else(|e| panic!("ADA runtime error: {e}"));
-                    state.tasks[tid].locals.set(var.clone(), v.clone());
-                    let el = *self.var_els[tid]
-                        .get(&var)
-                        .unwrap_or_else(|| panic!("undeclared local {var:?}"));
-                    self.emit(state, tid, el, self.assign, vec![v], &[]);
-                }
-                AdaStmt::If(cond, t, e) => {
-                    let b = cond
-                        .eval(&state.tasks[tid].locals)
-                        .unwrap_or_else(|e| panic!("ADA runtime error: {e}"))
-                        .as_bool()
-                        .expect("IF condition must be boolean");
-                    state.tasks[tid]
-                        .frames
-                        .push(if b { t } else { e }.into_iter().collect());
-                }
-                AdaStmt::While(cond, body) => {
-                    let b = cond
-                        .eval(&state.tasks[tid].locals)
-                        .unwrap_or_else(|e| panic!("ADA runtime error: {e}"))
-                        .as_bool()
-                        .expect("WHILE condition must be boolean");
-                    if b {
-                        let mut frame: VecDeque<AdaStmt> = body.iter().cloned().collect();
-                        frame.push_back(AdaStmt::While(cond, body));
-                        state.tasks[tid].frames.push(frame);
-                    }
-                }
-                AdaStmt::EntryCall { task, entry, args } => {
-                    // Re-queue the statement; the scheduler issues it.
-                    state.tasks[tid]
-                        .frames
-                        .last_mut()
-                        .expect("frame exists")
-                        .push_front(AdaStmt::EntryCall { task, entry, args });
-                    state.tasks[tid].status = TStatus::ReadyToCall;
-                    return;
-                }
-                AdaStmt::Accept(arm) => {
-                    state.tasks[tid].status = TStatus::AtAccept(vec![arm]);
-                    return;
-                }
-                AdaStmt::Select(branches) => {
-                    let mut arms = Vec::new();
-                    for SelectBranch { guard, accept } in branches {
-                        let open = match &guard {
-                            None => true,
-                            Some(g) => g
-                                .eval(&state.tasks[tid].locals)
-                                .unwrap_or_else(|e| panic!("ADA runtime error: {e}"))
-                                .as_bool()
-                                .expect("guard must be boolean"),
-                        };
-                        if open {
-                            arms.push(accept);
-                        }
-                    }
-                    assert!(
-                        !arms.is_empty(),
-                        "select with all guards closed (task {:?})",
-                        self.program.tasks[tid].name
-                    );
-                    state.tasks[tid].status = TStatus::AtAccept(arms);
-                    return;
-                }
-            }
-        }
-    }
-
-    fn eval_c(&self, state: &AdaState, tid: usize, id: ExprId) -> Value {
+    fn eval(&self, state: &AdaState, tid: usize, id: ExprId) -> Value {
         self.code
             .pool
             .eval(id, &[], &state.tasks[tid].lslots)
             .unwrap_or_else(|e| panic!("ADA runtime error: {e}"))
     }
 
-    /// Compiled counterpart of [`AdaSystem::run`]: steps the flat program
-    /// until it blocks at a `Call` (pc parked on the op through
-    /// `ReadyToCall` and `InCall`; the rendezvous advances it when
-    /// `Returned` fires) or an `Accept`/`Select`, or hits `End`.
-    fn run_c(&self, state: &mut AdaState, tid: usize) {
+    /// Runs task `tid` through its flat program until it blocks at a
+    /// `Call` (pc parked on the op through `ReadyToCall` and `InCall`; the
+    /// rendezvous advances it when `Returned` fires) or an
+    /// `Accept`/`Select`, or hits `End`.
+    fn run(&self, state: &mut AdaState, tid: usize) {
         let prog = &self.code.progs[tid];
         let mut pc = state.tasks[tid].pc as usize;
         loop {
             match &prog.ops[pc] {
                 AOp::Assign { slot, el, expr } => {
-                    let v = self.eval_c(state, tid, *expr);
+                    let v = self.eval(state, tid, *expr);
                     state.tasks[tid].lslots[*slot as usize] = Some(v.clone());
                     self.emit(state, tid, *el, self.assign, vec![v], &[]);
                     pc += 1;
                 }
                 AOp::AssignUnknown { name, expr } => {
-                    // Evaluate first so expression errors surface exactly
-                    // like the interpreter's eval-then-lookup order.
-                    let _ = self.eval_c(state, tid, *expr);
+                    // Evaluate first so expression errors surface before
+                    // the undeclared-local panic.
+                    let _ = self.eval(state, tid, *expr);
                     panic!("undeclared local {name:?}");
                 }
                 AOp::JumpIfFalse { cond, target, kind } => {
                     let b = self
-                        .eval_c(state, tid, *cond)
+                        .eval(state, tid, *cond)
                         .as_bool()
                         .unwrap_or_else(|| panic!("{}", kind.expect_msg()));
                     pc = if b { pc + 1 } else { *target as usize };
@@ -804,7 +690,7 @@ impl AdaSystem {
                 }
                 AOp::Accept(arm) => {
                     state.tasks[tid].pc = pc as u32;
-                    state.tasks[tid].status = TStatus::AtAcceptC(vec![*arm]);
+                    state.tasks[tid].status = TStatus::AtAccept(vec![*arm]);
                     return;
                 }
                 AOp::Select(arms) => {
@@ -813,7 +699,7 @@ impl AdaSystem {
                         let is_open = match guard {
                             None => true,
                             Some(g) => self
-                                .eval_c(state, tid, *g)
+                                .eval(state, tid, *g)
                                 .as_bool()
                                 .expect("guard must be boolean"),
                         };
@@ -827,7 +713,7 @@ impl AdaSystem {
                         self.program.tasks[tid].name
                     );
                     state.tasks[tid].pc = pc as u32;
-                    state.tasks[tid].status = TStatus::AtAcceptC(open);
+                    state.tasks[tid].status = TStatus::AtAccept(open);
                     return;
                 }
                 AOp::EndBody => unreachable!("EndBody outside a rendezvous"),
@@ -840,27 +726,26 @@ impl AdaSystem {
         }
     }
 
-    /// Compiled counterpart of [`AdaSystem::run_body`]: executes a
-    /// rendezvous-body region from `body_pc` to its `EndBody`. Validation
-    /// guarantees the region is local-only.
-    fn run_body_c(&self, state: &mut AdaState, tid: usize, body_pc: u32) {
+    /// Executes a rendezvous-body region from `body_pc` to its `EndBody`.
+    /// Validation guarantees the region is local-only.
+    fn run_body(&self, state: &mut AdaState, tid: usize, body_pc: u32) {
         let prog = &self.code.progs[tid];
         let mut pc = body_pc as usize;
         loop {
             match &prog.ops[pc] {
                 AOp::Assign { slot, el, expr } => {
-                    let v = self.eval_c(state, tid, *expr);
+                    let v = self.eval(state, tid, *expr);
                     state.tasks[tid].lslots[*slot as usize] = Some(v.clone());
                     self.emit(state, tid, *el, self.assign, vec![v], &[]);
                     pc += 1;
                 }
                 AOp::AssignUnknown { name, expr } => {
-                    let _ = self.eval_c(state, tid, *expr);
+                    let _ = self.eval(state, tid, *expr);
                     panic!("undeclared local {name:?}");
                 }
                 AOp::JumpIfFalse { cond, target, kind } => {
                     let b = self
-                        .eval_c(state, tid, *cond)
+                        .eval(state, tid, *cond)
                         .as_bool()
                         .unwrap_or_else(|| panic!("{}", kind.expect_msg()));
                     pc = if b { pc + 1 } else { *target as usize };
@@ -884,29 +769,11 @@ impl System for AdaSystem {
         let mut state = AdaState {
             builder: ComputationBuilder::new(self.structure_arc()),
             tasks: self
-                .program
-                .tasks
+                .code
+                .progs
                 .iter()
-                .enumerate()
-                .map(|(tid, t)| TaskState {
-                    locals: if self.compiled {
-                        VarStore::default()
-                    } else {
-                        t.locals
-                            .iter()
-                            .map(|(n, v)| (n.clone(), v.clone()))
-                            .collect()
-                    },
-                    frames: if self.compiled {
-                        Vec::new()
-                    } else {
-                        vec![t.body.iter().cloned().collect()]
-                    },
-                    lslots: if self.compiled {
-                        self.code.progs[tid].init.clone()
-                    } else {
-                        Vec::new()
-                    },
+                .map(|prog| TaskState {
+                    lslots: prog.init.clone(),
                     pc: 0,
                     status: TStatus::Done,
                     last: None,
@@ -914,14 +781,9 @@ impl System for AdaSystem {
                 .collect(),
             queues: BTreeMap::new(),
             code: Arc::clone(&self.code),
-            compiled: self.compiled,
         };
         for tid in 0..self.program.tasks.len() {
-            if self.compiled {
-                self.run_c(&mut state, tid);
-            } else {
-                self.run(&mut state, tid);
-            }
+            self.run(&mut state, tid);
         }
         state
     }
@@ -931,18 +793,7 @@ impl System for AdaSystem {
         for (tid, t) in state.tasks.iter().enumerate() {
             match &t.status {
                 TStatus::ReadyToCall => actions.push(AdaAction::IssueCall(tid)),
-                TStatus::AtAccept(arms) => {
-                    for arm in arms {
-                        let key = (tid, arm.entry.clone());
-                        if state.queues.get(&key).is_some_and(|q| !q.is_empty()) {
-                            actions.push(AdaAction::Rendezvous {
-                                tid,
-                                entry: arm.entry.clone(),
-                            });
-                        }
-                    }
-                }
-                TStatus::AtAcceptC(open) => {
+                TStatus::AtAccept(open) => {
                     let arms = &self.code.progs[tid].arms;
                     for &i in open {
                         let entry = &arms[i as usize].entry;
@@ -967,215 +818,107 @@ impl System for AdaSystem {
         match action {
             AdaAction::IssueCall(tid) => {
                 let tid = *tid;
-                if self.compiled {
-                    let pc = state.tasks[tid].pc as usize;
-                    let AOp::Call {
-                        callee,
-                        entry,
-                        entry_el,
-                        args,
-                        callee_params,
-                    } = &self.code.progs[tid].ops[pc]
-                    else {
-                        panic!("IssueCall on a non-call statement");
-                    };
-                    let arg_values: Vec<Value> =
-                        args.iter().map(|&a| self.eval_c(state, tid, a)).collect();
-                    self.emit(
-                        state,
-                        tid,
-                        self.flow_els[tid],
-                        self.call_sent,
-                        callee_params.to_vec(),
-                        &[],
-                    );
-                    let call_ev = self.emit(
-                        state,
-                        tid,
-                        *entry_el,
-                        self.call,
-                        vec![self.code.name_values[tid].clone()],
-                        &[],
-                    );
-                    state
-                        .queues
-                        .entry((*callee, entry.clone()))
-                        .or_default()
-                        .push_back(QueuedCall {
-                            caller: tid,
-                            args: arg_values,
-                            call_event: call_ev,
-                        });
-                    // pc stays parked on the Call op until Returned.
-                    state.tasks[tid].status = TStatus::InCall;
-                    crate::explore::record_apply_ns(t0);
-                    return;
-                }
-                let AdaStmt::EntryCall { task, entry, args } = state.tasks[tid]
-                    .frames
-                    .last_mut()
-                    .expect("frame exists")
-                    .pop_front()
-                    .expect("pending call statement")
+                let pc = state.tasks[tid].pc as usize;
+                let AOp::Call {
+                    callee,
+                    entry,
+                    entry_el,
+                    args,
+                    callee_params,
+                } = &self.code.progs[tid].ops[pc]
                 else {
                     panic!("IssueCall on a non-call statement");
                 };
-                let callee = self.program.task_index(&task).expect("validated");
-                let arg_values: Vec<Value> = args
-                    .iter()
-                    .map(|a| {
-                        a.eval(&state.tasks[tid].locals)
-                            .unwrap_or_else(|e| panic!("ADA runtime error: {e}"))
-                    })
-                    .collect();
+                let arg_values: Vec<Value> =
+                    args.iter().map(|&a| self.eval(state, tid, a)).collect();
                 self.emit(
                     state,
                     tid,
                     self.flow_els[tid],
                     self.call_sent,
-                    vec![Value::Str(task.clone()), Value::Str(entry.clone())],
+                    callee_params.to_vec(),
                     &[],
                 );
-                let caller_name = self.program.tasks[tid].name.clone();
                 let call_ev = self.emit(
                     state,
                     tid,
-                    self.entry_els[callee][&entry],
+                    *entry_el,
                     self.call,
-                    vec![Value::Str(caller_name)],
+                    vec![self.code.name_values[tid].clone()],
                     &[],
                 );
                 state
                     .queues
-                    .entry((callee, entry))
+                    .entry((*callee, entry.clone()))
                     .or_default()
                     .push_back(QueuedCall {
                         caller: tid,
                         args: arg_values,
                         call_event: call_ev,
                     });
+                // pc stays parked on the Call op until Returned.
                 state.tasks[tid].status = TStatus::InCall;
             }
             AdaAction::Rendezvous { tid, entry } => {
                 let tid = *tid;
-                if self.compiled {
-                    let TStatus::AtAcceptC(open) =
-                        std::mem::replace(&mut state.tasks[tid].status, TStatus::Done)
-                    else {
-                        panic!("Rendezvous on a non-accepting task");
-                    };
-                    let arms = &self.code.progs[tid].arms;
-                    let arm = open
-                        .iter()
-                        .map(|&i| &arms[i as usize])
-                        .find(|a| a.entry == *entry)
-                        .expect("entry among open arms");
-                    let queued = state
-                        .queues
-                        .get_mut(&(tid, entry.clone()))
-                        .and_then(VecDeque::pop_front)
-                        .expect("queue non-empty");
-                    let caller_param = self.code.name_values[queued.caller].clone();
-                    // Accept: enabled by the call and the callee's chain.
-                    self.emit(
-                        state,
-                        tid,
-                        arm.entry_el,
-                        self.accept,
-                        vec![caller_param.clone()],
-                        &[queued.call_event],
-                    );
-                    // Bind formals into slots and run the body region.
-                    for (&slot, v) in arm.param_slots.iter().zip(queued.args.iter()) {
-                        state.tasks[tid].lslots[slot as usize] = Some(v.clone());
-                    }
-                    self.run_body_c(state, tid, arm.body_pc);
-                    let complete_ev = self.emit(
-                        state,
-                        tid,
-                        arm.entry_el,
-                        self.complete,
-                        vec![caller_param],
-                        &[],
-                    );
-                    // Caller resumes: Returned enabled by its Call (chain)
-                    // and the Complete; params come off its parked Call op.
-                    let caller = queued.caller;
-                    let caller_pc = state.tasks[caller].pc as usize;
-                    let AOp::Call { callee_params, .. } = &self.code.progs[caller].ops[caller_pc]
-                    else {
-                        unreachable!("caller parked on its call op");
-                    };
-                    self.emit(
-                        state,
-                        caller,
-                        self.flow_els[caller],
-                        self.returned,
-                        callee_params.to_vec(),
-                        &[complete_ev],
-                    );
-                    state.tasks[caller].pc += 1;
-                    state.tasks[tid].pc = arm.cont_pc;
-                    self.run_c(state, caller);
-                    self.run_c(state, tid);
-                    crate::explore::record_apply_ns(t0);
-                    return;
-                }
-                let TStatus::AtAccept(arms) =
+                let TStatus::AtAccept(open) =
                     std::mem::replace(&mut state.tasks[tid].status, TStatus::Done)
                 else {
                     panic!("Rendezvous on a non-accepting task");
                 };
-                let arm = arms
-                    .into_iter()
-                    .find(|a| &a.entry == entry)
+                let arms = &self.code.progs[tid].arms;
+                let arm = open
+                    .iter()
+                    .map(|&i| &arms[i as usize])
+                    .find(|a| a.entry == *entry)
                     .expect("entry among open arms");
                 let queued = state
                     .queues
                     .get_mut(&(tid, entry.clone()))
                     .and_then(VecDeque::pop_front)
                     .expect("queue non-empty");
-                let caller_name = self.program.tasks[queued.caller].name.clone();
-                let entry_el = self.entry_els[tid][entry];
+                let caller_param = self.code.name_values[queued.caller].clone();
                 // Accept: enabled by the call and the callee's chain.
                 self.emit(
                     state,
                     tid,
-                    entry_el,
+                    arm.entry_el,
                     self.accept,
-                    vec![Value::Str(caller_name.clone())],
+                    vec![caller_param.clone()],
                     &[queued.call_event],
                 );
-                // Bind formals and execute the body inline (local only).
-                for (p, v) in arm.params.iter().zip(queued.args.iter()) {
-                    state.tasks[tid].locals.set(p.clone(), v.clone());
+                // Bind formals into slots and run the body region inline:
+                // it may not block (validated).
+                for (&slot, v) in arm.param_slots.iter().zip(queued.args.iter()) {
+                    state.tasks[tid].lslots[slot as usize] = Some(v.clone());
                 }
-                state.tasks[tid]
-                    .frames
-                    .push(arm.body.iter().cloned().collect());
-                // Body statements execute as part of the rendezvous; they
-                // may not block (validated), so run them inline.
-                self.run_body(state, tid);
+                self.run_body(state, tid, arm.body_pc);
                 let complete_ev = self.emit(
                     state,
                     tid,
-                    entry_el,
+                    arm.entry_el,
                     self.complete,
-                    vec![Value::Str(caller_name)],
+                    vec![caller_param],
                     &[],
                 );
                 // Caller resumes: Returned enabled by its Call (chain) and
-                // the Complete.
+                // the Complete; params come off its parked Call op.
                 let caller = queued.caller;
-                let callee_name = self.program.tasks[tid].name.clone();
+                let caller_pc = state.tasks[caller].pc as usize;
+                let AOp::Call { callee_params, .. } = &self.code.progs[caller].ops[caller_pc]
+                else {
+                    unreachable!("caller parked on its call op");
+                };
                 self.emit(
                     state,
                     caller,
                     self.flow_els[caller],
                     self.returned,
-                    vec![Value::Str(callee_name), Value::Str(entry.clone())],
+                    callee_params.to_vec(),
                     &[complete_ev],
                 );
+                state.tasks[caller].pc += 1;
+                state.tasks[tid].pc = arm.cont_pc;
                 self.run(state, caller);
                 self.run(state, tid);
             }
@@ -1193,18 +936,9 @@ impl System for AdaSystem {
     fn control_key(&self, state: &AdaState) -> Option<u64> {
         let mut h = DefaultHasher::new();
         for t in &state.tasks {
-            if self.compiled {
-                // Slot-indexed locals plus pc key control state exactly;
-                // no name or statement-tree hashing in the hot path.
-                format!("{:?}", t.lslots).hash(&mut h);
-                t.pc.hash(&mut h);
-            } else {
-                for (n, v) in t.locals.iter() {
-                    n.hash(&mut h);
-                    format!("{v:?}").hash(&mut h);
-                }
-                format!("{:?}", t.frames).hash(&mut h);
-            }
+            // Slot-indexed locals plus pc key control state exactly.
+            format!("{:?}", t.lslots).hash(&mut h);
+            t.pc.hash(&mut h);
             std::mem::discriminant(&t.status).hash(&mut h);
         }
         for ((tid, e), q) in &state.queues {
@@ -1282,82 +1016,11 @@ impl System for AdaSystem {
 
 impl AdaSystem {
     /// The `(callee index, entry name)` a `ReadyToCall` task's pending
-    /// call targets, peeked from the re-queued call statement at the
-    /// front of its top frame.
-    fn pending_call_target<'a>(
-        &'a self,
-        state: &'a AdaState,
-        tid: usize,
-    ) -> Option<(usize, &'a str)> {
-        if self.compiled {
-            return match &self.code.progs[tid].ops[state.tasks[tid].pc as usize] {
-                AOp::Call { callee, entry, .. } => Some((*callee, entry.as_str())),
-                _ => None,
-            };
-        }
-        match state.tasks[tid].frames.last()?.front()? {
-            AdaStmt::EntryCall { task, entry, .. } => {
-                Some((self.program.task_index(task)?, entry.as_str()))
-            }
+    /// call targets, read off the call op its pc is parked on.
+    fn pending_call_target(&self, state: &AdaState, tid: usize) -> Option<(usize, &str)> {
+        match &self.code.progs[tid].ops[state.tasks[tid].pc as usize] {
+            AOp::Call { callee, entry, .. } => Some((*callee, entry.as_str())),
             _ => None,
-        }
-    }
-
-    /// Runs rendezvous-body statements (local only) of `tid` until its
-    /// body frame is exhausted, leaving outer frames untouched.
-    fn run_body(&self, state: &mut AdaState, tid: usize) {
-        let depth = state.tasks[tid].frames.len();
-        loop {
-            while state.tasks[tid].frames.len() >= depth
-                && matches!(state.tasks[tid].frames.last(), Some(f) if f.is_empty())
-            {
-                state.tasks[tid].frames.pop();
-            }
-            if state.tasks[tid].frames.len() < depth {
-                return;
-            }
-            let Some(stmt) = state.tasks[tid]
-                .frames
-                .last_mut()
-                .and_then(VecDeque::pop_front)
-            else {
-                return;
-            };
-            match stmt {
-                AdaStmt::Assign(var, expr) => {
-                    let v = expr
-                        .eval(&state.tasks[tid].locals)
-                        .unwrap_or_else(|e| panic!("ADA runtime error: {e}"));
-                    state.tasks[tid].locals.set(var.clone(), v.clone());
-                    let el = *self.var_els[tid]
-                        .get(&var)
-                        .unwrap_or_else(|| panic!("undeclared local {var:?}"));
-                    self.emit(state, tid, el, self.assign, vec![v], &[]);
-                }
-                AdaStmt::If(cond, t, e) => {
-                    let b = cond
-                        .eval(&state.tasks[tid].locals)
-                        .unwrap_or_else(|e| panic!("ADA runtime error: {e}"))
-                        .as_bool()
-                        .expect("IF condition must be boolean");
-                    state.tasks[tid]
-                        .frames
-                        .push(if b { t } else { e }.into_iter().collect());
-                }
-                AdaStmt::While(cond, body) => {
-                    let b = cond
-                        .eval(&state.tasks[tid].locals)
-                        .unwrap_or_else(|e| panic!("ADA runtime error: {e}"))
-                        .as_bool()
-                        .expect("WHILE condition must be boolean");
-                    if b {
-                        let mut frame: VecDeque<AdaStmt> = body.iter().cloned().collect();
-                        frame.push_back(AdaStmt::While(cond, body));
-                        state.tasks[tid].frames.push(frame);
-                    }
-                }
-                other => panic!("rendezvous body may contain only local statements: {other:?}"),
-            }
         }
     }
 }
@@ -1370,19 +1033,15 @@ impl AdaState {
 
     /// A local variable of task `tid`.
     pub fn local(&self, tid: usize, var: &str) -> Option<&Value> {
-        if self.compiled {
-            let slot = self.code.progs[tid].locals.get(var)?;
-            self.tasks[tid].lslots[slot as usize].as_ref()
-        } else {
-            self.tasks[tid].locals.get(var)
-        }
+        let slot = self.code.progs[tid].locals.get(var)?;
+        self.tasks[tid].lslots[slot as usize].as_ref()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ada::def::AdaTask;
+    use crate::ada::def::{AdaTask, SelectBranch};
     use crate::explore::{find_deadlock, Explorer};
     use crate::Expr;
     use gem_core::is_legal;
@@ -1574,17 +1233,10 @@ mod tests {
         assert!(outcomes.contains(&(Some(Value::Int(2)), Some(Value::Int(1)))));
     }
 
-    /// All (fingerprint, event-count) pairs over every explored run.
-    fn fingerprints(sys: &AdaSystem) -> Vec<(u64, usize)> {
-        let mut out = Vec::new();
-        Explorer::default().for_each_run(sys, |state, _| {
-            let c = sys.computation(state).unwrap();
-            out.push((c.fingerprint(), state.event_count()));
-            ControlFlow::Continue(())
-        });
-        out
-    }
-
+    /// Every run of these programs, in DFS order and including every
+    /// event parameter, matches what the tree-walking interpreter this
+    /// execution path replaced produced (the `unit/ada/*` rows of
+    /// `tests/golden/step_semantics.json`).
     #[test]
     fn compiled_matches_interpreted() {
         let select_server = || {
@@ -1648,17 +1300,20 @@ mod tests {
             let c2 = AdaTask::new("c2", vec![AdaStmt::call("server", "E", vec![Expr::int(2)])]);
             AdaProgram::new().task(server).task(c1).task(c2)
         };
-        // Deadlocking: the call is never accepted; runs truncate alike.
+        // Deadlocking: the call is never accepted.
         let stuck = || {
             let server = AdaTask::new("server", vec![]).entry("E");
             let client = AdaTask::new("client", vec![AdaStmt::call("server", "E", vec![])]);
             AdaProgram::new().task(server).task(client)
         };
-        for prog in [put_get_server(), select_server(), fifo(), stuck()] {
-            let compiled = fingerprints(&AdaSystem::new(prog.clone()).with_compile(true));
-            let interpreted = fingerprints(&AdaSystem::new(prog).with_compile(false));
-            assert_eq!(compiled, interpreted);
-            assert!(!compiled.is_empty());
+        for (name, prog) in [
+            ("unit/ada/put-get", put_get_server()),
+            ("unit/ada/select", select_server()),
+            ("unit/ada/fifo", fifo()),
+            ("unit/ada/stuck", stuck()),
+        ] {
+            let sys = AdaSystem::new(prog);
+            crate::golden::assert_golden(name, &sys, |s| sys.computation(s).expect("acyclic"));
         }
     }
 

@@ -1,12 +1,8 @@
 //! Compiled step execution: slot-resolved environments and a flat code IR.
 //!
-//! The substrate simulators originally evaluated every guard and
-//! assignment by walking the [`Expr`] tree against a name-keyed
-//! [`VarStore`](crate::VarStore) — and the monitor simulator rebuilt that
-//! environment by *cloning the whole global map plus locals for every
-//! single statement*. This module is the compilation layer that removes
-//! both costs. It runs once at system-build time and is used by every
-//! `enabled`/`apply` step:
+//! The substrate simulators never walk statement or expression trees at
+//! run time. This module is the compilation layer they share; it runs
+//! once at system-build time and is used by every `enabled`/`apply` step:
 //!
 //! * **Slot resolution** ([`SlotLayout`]): every variable name is
 //!   interned to a numeric slot in a two-scope layout — one global scope
@@ -17,9 +13,8 @@
 //! * **Expression IR** ([`ExprPool`]): each [`Expr`] compiles to a flat
 //!   postfix instruction span over a shared constant pool, evaluated on a
 //!   reusable scratch stack. Evaluation order, results, and
-//!   [`RuntimeError`]s are bit-for-bit identical to [`Expr::eval`] — the
-//!   tree interpreter stays available as the differential oracle behind
-//!   `--compile=off`.
+//!   [`RuntimeError`]s are bit-for-bit identical to [`Expr::eval`], the
+//!   reference evaluator the expression tests compare against.
 //!
 //! Statement bodies compile to substrate-specific flat basic-block
 //! programs (jump targets instead of cloned `VecDeque` frames); those op
@@ -31,36 +26,6 @@ use std::collections::BTreeMap;
 use gem_core::Value;
 
 use crate::ast::{apply_bin, Expr, RuntimeError};
-
-/// Whether the simulators execute compiled programs or the tree-walking
-/// interpreter. `Auto` resolves to compiled — the interpreter exists as a
-/// differential oracle, not a fallback the compiler ever needs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CompileMode {
-    /// Let the system choose (currently always compiled).
-    #[default]
-    Auto,
-    /// Force compiled step execution.
-    On,
-    /// Force the tree-walking interpreter (the differential oracle).
-    Off,
-}
-
-impl CompileMode {
-    /// True when this mode selects compiled execution.
-    pub fn enabled(self) -> bool {
-        !matches!(self, CompileMode::Off)
-    }
-
-    /// The flag spelling (`"auto"` / `"on"` / `"off"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CompileMode::Auto => "auto",
-            CompileMode::On => "on",
-            CompileMode::Off => "off",
-        }
-    }
-}
 
 /// Slot sentinel: the name is absent from the scope.
 pub const SLOT_NONE: u32 = u32::MAX;
@@ -121,8 +86,8 @@ impl SlotLayout {
     }
 }
 
-/// Which construct demanded a boolean, for the exact interpreter panic
-/// message when a compiled condition evaluates to a non-boolean.
+/// Which construct demanded a boolean, for the panic message when a
+/// compiled condition evaluates to a non-boolean.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CondKind {
     /// An `IF` condition.
@@ -134,7 +99,7 @@ pub enum CondKind {
 }
 
 impl CondKind {
-    /// The interpreter's `expect` message for a non-boolean condition.
+    /// The panic message for a non-boolean condition.
     pub fn expect_msg(self) -> &'static str {
         match self {
             CondKind::If => "IF condition must be boolean",
@@ -208,8 +173,8 @@ impl ExprPool {
     }
 
     /// Compiles `expr` against the given scopes. `locals` wins over
-    /// `globals` when a bound local shadows a global name — exactly the
-    /// interpreter's overlay environment.
+    /// `globals` when a bound local shadows a global name, as when
+    /// [`Expr::eval`] runs over globals overlaid with the bound locals.
     pub fn compile(&mut self, expr: &Expr, locals: &SlotLayout, globals: &SlotLayout) -> ExprId {
         let start = u32::try_from(self.code.len()).expect("code size fits u32");
         self.emit(expr, locals, globals);
@@ -265,7 +230,7 @@ impl ExprPool {
     /// Evaluates a compiled expression against flat scopes. `globals` is
     /// fully populated (every global slot holds a value); `locals` may
     /// have unbound (`None`) slots — an unbound local falls through to
-    /// the global scope, matching the interpreter's environment overlay.
+    /// the global scope, matching [`Expr::eval`] over the overlaid scopes.
     ///
     /// # Errors
     ///
@@ -440,7 +405,7 @@ mod tests {
     #[test]
     fn unbound_local_falls_through_to_global() {
         // "x" is a local slot but unbound, so the global (3) shows
-        // through — the interpreter's overlay semantics.
+        // through, as in the overlaid tree-eval environment.
         let (tree, compiled) = both(&Expr::var("x"));
         assert_eq!(compiled, Ok(Value::Int(3)));
         assert_eq!(tree, compiled);

@@ -23,7 +23,7 @@
 //! never enable an `End` — CSP offer withdrawal.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -32,9 +32,8 @@ use gem_core::{
     Structure, Value,
 };
 
-use crate::ast::VarStore;
 use crate::code::{CodeStats, CondKind, ExprId, ExprPool, SlotLayout};
-use crate::csp::def::{AltBranch, Comm, CspProgram, CspStmt};
+use crate::csp::def::{Comm, CspProgram, CspStmt};
 use crate::explore::System;
 use std::time::Instant;
 
@@ -50,13 +49,8 @@ pub struct CspSystem {
     assign: ClassId,
     out_els: Vec<ElementId>,
     in_els: Vec<ElementId>,
-    var_els: Vec<BTreeMap<String, ElementId>>,
-    /// Compiled per-process programs (built unconditionally; `compiled`
-    /// selects the execution path).
+    /// Compiled per-process programs, built once at construction.
     code: Arc<CspCode>,
-    /// Execute compiled programs (default) or the tree-walking
-    /// interpreter (the differential oracle).
-    compiled: bool,
 }
 
 /// Compiled form of a CSP program: slot-resolved per-process local
@@ -68,7 +62,7 @@ struct CspCode {
     progs: Vec<CProg>,
     /// `Value::Str(process_name)` per process, cloned into `OutReq` /
     /// `InReq` / `OutEnd` / `InEnd` params instead of re-allocating the
-    /// name on every emit (used by both execution modes).
+    /// name on every emit.
     name_values: Vec<Value>,
     stats: CodeStats,
 }
@@ -86,8 +80,7 @@ struct CProg {
 }
 
 /// A compiled communication: everything `publish_offer` needs, plus the
-/// continuation pc to resume at once the offer commits (replacing the
-/// interpreter's cloned branch-body frames).
+/// continuation pc to resume at once the offer commits.
 #[derive(Clone, Debug)]
 struct CommTpl {
     is_send: bool,
@@ -116,7 +109,7 @@ enum COp {
         expr: ExprId,
     },
     /// Assignment to an undeclared local: evaluate (surfacing expression
-    /// errors first, like the interpreter), then panic.
+    /// errors first), then panic.
     AssignUnknown {
         name: String,
         expr: ExprId,
@@ -145,8 +138,7 @@ fn patch_cjump(ops: &mut [COp], at: usize, to: u32) {
 
 /// Interns every receive-target variable of `stmts` into `layout`, so
 /// expression compilation sees a complete local scope up front (a read
-/// before the receive binds stays an `UndefinedVariable` at evaluation,
-/// exactly like the interpreter's absent key).
+/// before the receive binds stays an `UndefinedVariable` at evaluation).
 fn collect_recv_targets(stmts: &[CspStmt], layout: &mut SlotLayout) {
     for st in stmts {
         match st {
@@ -312,16 +304,11 @@ pub struct Offer {
     pub partner: usize,
     /// For sends: the value offered (evaluated at offer time).
     pub value: Option<Value>,
-    /// For receives: the variable to bind.
-    pub var: Option<String>,
     /// The request event published for this offer.
     pub req_event: EventId,
-    /// Statements to run when this offer commits (alt branch body).
-    /// Empty in compiled mode, which resumes at [`Offer::cont_pc`].
-    pub body: Vec<CspStmt>,
-    /// Compiled mode: pc to resume at when this offer commits.
+    /// The pc to resume at when this offer commits.
     pub(crate) cont_pc: u32,
-    /// Compiled mode: receive-target slot instead of [`Offer::var`].
+    /// For receives: the slot of the variable to bind.
     pub(crate) var_slot: Option<u32>,
 }
 
@@ -333,11 +320,9 @@ enum PStatus {
 
 #[derive(Clone, Debug)]
 struct ProcState {
-    locals: VarStore,
-    frames: Vec<VecDeque<CspStmt>>,
-    /// Compiled mode: slot-indexed locals (unbound = `None`).
+    /// Slot-indexed locals (unbound = `None`).
     lslots: Vec<Option<Value>>,
-    /// Compiled mode: program counter into the process's [`CProg`].
+    /// Program counter into the process's [`CProg`].
     pc: u32,
     status: PStatus,
     last: Option<EventId>,
@@ -351,7 +336,6 @@ pub struct CspState {
     /// Shared handle to the compiled code, so accessors can translate
     /// names to slots without the system in hand.
     code: Arc<CspCode>,
-    compiled: bool,
 }
 
 /// Rollback record for the exploration fast path: the per-process control
@@ -517,23 +501,8 @@ impl CspSystem {
             assign,
             out_els,
             in_els,
-            var_els,
             code,
-            compiled: true,
         }
-    }
-
-    /// Switch between compiled execution (default) and the tree-walking
-    /// interpreter.
-    pub fn set_compile(&mut self, on: bool) {
-        self.compiled = on;
-    }
-
-    /// Builder-style [`CspSystem::set_compile`].
-    #[must_use]
-    pub fn with_compile(mut self, on: bool) -> Self {
-        self.set_compile(on);
-        self
     }
 
     /// Compilation statistics for this system's [code](crate::code).
@@ -615,179 +584,43 @@ impl CspSystem {
         e
     }
 
-    /// Runs process `pid` until it blocks at a communication point or
-    /// finishes, publishing offer request events at the block.
-    fn run(&self, state: &mut CspState, pid: usize) {
-        loop {
-            while matches!(state.procs[pid].frames.last(), Some(f) if f.is_empty()) {
-                state.procs[pid].frames.pop();
-            }
-            let Some(stmt) = state.procs[pid]
-                .frames
-                .last_mut()
-                .and_then(VecDeque::pop_front)
-            else {
-                state.procs[pid].status = PStatus::Done;
-                return;
-            };
-            match stmt {
-                CspStmt::Assign(var, expr) => {
-                    let v = expr
-                        .eval(&state.procs[pid].locals)
-                        .unwrap_or_else(|e| panic!("CSP runtime error: {e}"));
-                    state.procs[pid].locals.set(var.clone(), v.clone());
-                    let el = *self.var_els[pid]
-                        .get(&var)
-                        .unwrap_or_else(|| panic!("undeclared local {var:?}"));
-                    self.emit(state, pid, el, self.assign, vec![v], &[]);
-                }
-                CspStmt::If(cond, t, e) => {
-                    let b = cond
-                        .eval(&state.procs[pid].locals)
-                        .unwrap_or_else(|e| panic!("CSP runtime error: {e}"))
-                        .as_bool()
-                        .expect("IF condition must be boolean");
-                    state.procs[pid]
-                        .frames
-                        .push(if b { t } else { e }.into_iter().collect());
-                }
-                CspStmt::While(cond, body) => {
-                    let b = cond
-                        .eval(&state.procs[pid].locals)
-                        .unwrap_or_else(|e| panic!("CSP runtime error: {e}"))
-                        .as_bool()
-                        .expect("WHILE condition must be boolean");
-                    if b {
-                        let mut frame: VecDeque<CspStmt> = body.iter().cloned().collect();
-                        frame.push_back(CspStmt::While(cond, body));
-                        state.procs[pid].frames.push(frame);
-                    }
-                }
-                CspStmt::Comm(c) => {
-                    let offer = self.publish_offer(state, pid, &c, Vec::new());
-                    state.procs[pid].status = PStatus::Blocked(vec![offer]);
-                    return;
-                }
-                CspStmt::Alt(branches) => {
-                    let mut offers = Vec::new();
-                    for AltBranch { guard, comm, body } in branches {
-                        let open = match &guard {
-                            None => true,
-                            Some(g) => g
-                                .eval(&state.procs[pid].locals)
-                                .unwrap_or_else(|e| panic!("CSP runtime error: {e}"))
-                                .as_bool()
-                                .expect("guard must be boolean"),
-                        };
-                        if open {
-                            offers.push(self.publish_offer(state, pid, &comm, body));
-                        }
-                    }
-                    assert!(
-                        !offers.is_empty(),
-                        "alternative with all guards closed (process {:?})",
-                        self.program.processes[pid].name
-                    );
-                    state.procs[pid].status = PStatus::Blocked(offers);
-                    return;
-                }
-            }
-        }
-    }
-
-    fn publish_offer(
-        &self,
-        state: &mut CspState,
-        pid: usize,
-        comm: &Comm,
-        body: Vec<CspStmt>,
-    ) -> Offer {
-        match comm {
-            Comm::Send { to, expr } => {
-                let partner = self.program.process_index(to).expect("validated");
-                let value = expr
-                    .eval(&state.procs[pid].locals)
-                    .unwrap_or_else(|e| panic!("CSP runtime error: {e}"));
-                let req = self.emit(
-                    state,
-                    pid,
-                    self.out_els[pid],
-                    self.out_req,
-                    vec![self.code.name_values[partner].clone()],
-                    &[],
-                );
-                Offer {
-                    is_send: true,
-                    partner,
-                    value: Some(value),
-                    var: None,
-                    req_event: req,
-                    body,
-                    cont_pc: 0,
-                    var_slot: None,
-                }
-            }
-            Comm::Recv { from, var } => {
-                let partner = self.program.process_index(from).expect("validated");
-                let req = self.emit(
-                    state,
-                    pid,
-                    self.in_els[pid],
-                    self.in_req,
-                    vec![self.code.name_values[partner].clone()],
-                    &[],
-                );
-                Offer {
-                    is_send: false,
-                    partner,
-                    value: None,
-                    var: Some(var.clone()),
-                    req_event: req,
-                    body,
-                    cont_pc: 0,
-                    var_slot: None,
-                }
-            }
-        }
-    }
-
-    fn eval_c(&self, state: &CspState, pid: usize, id: ExprId) -> Value {
+    fn eval(&self, state: &CspState, pid: usize, id: ExprId) -> Value {
         self.code
             .pool
             .eval(id, &[], &state.procs[pid].lslots)
             .unwrap_or_else(|e| panic!("CSP runtime error: {e}"))
     }
 
-    /// Compiled counterpart of [`CspSystem::run`]: steps the flat program
-    /// until it blocks at a `Comm`/`Alt` (pc parked on the op; `apply`
-    /// resumes at the committed offer's `cont_pc`) or hits `End`.
-    fn run_c(&self, state: &mut CspState, pid: usize) {
+    /// Runs process `pid` through its flat program until it blocks at a
+    /// `Comm`/`Alt` (pc parked on the op, offer request events published;
+    /// `apply` resumes at the committed offer's `cont_pc`) or hits `End`.
+    fn run(&self, state: &mut CspState, pid: usize) {
         let prog = &self.code.progs[pid];
         let mut pc = state.procs[pid].pc as usize;
         loop {
             match &prog.ops[pc] {
                 COp::Assign { slot, el, expr } => {
-                    let v = self.eval_c(state, pid, *expr);
+                    let v = self.eval(state, pid, *expr);
                     state.procs[pid].lslots[*slot as usize] = Some(v.clone());
                     self.emit(state, pid, *el, self.assign, vec![v], &[]);
                     pc += 1;
                 }
                 COp::AssignUnknown { name, expr } => {
-                    // Evaluate first so expression errors surface exactly
-                    // like the interpreter's eval-then-lookup order.
-                    let _ = self.eval_c(state, pid, *expr);
+                    // Evaluate first so expression errors surface before
+                    // the undeclared-local panic.
+                    let _ = self.eval(state, pid, *expr);
                     panic!("undeclared local {name:?}");
                 }
                 COp::JumpIfFalse { cond, target, kind } => {
                     let b = self
-                        .eval_c(state, pid, *cond)
+                        .eval(state, pid, *cond)
                         .as_bool()
                         .unwrap_or_else(|| panic!("{}", kind.expect_msg()));
                     pc = if b { pc + 1 } else { *target as usize };
                 }
                 COp::Jump(t) => pc = *t as usize,
                 COp::Comm(tpl) => {
-                    let offer = self.publish_offer_c(state, pid, tpl);
+                    let offer = self.publish_offer(state, pid, tpl);
                     state.procs[pid].pc = pc as u32;
                     state.procs[pid].status = PStatus::Blocked(vec![offer]);
                     return;
@@ -798,12 +631,12 @@ impl CspSystem {
                         let open = match arm.guard {
                             None => true,
                             Some(g) => self
-                                .eval_c(state, pid, g)
+                                .eval(state, pid, g)
                                 .as_bool()
                                 .expect("guard must be boolean"),
                         };
                         if open {
-                            offers.push(self.publish_offer_c(state, pid, &arm.tpl));
+                            offers.push(self.publish_offer(state, pid, &arm.tpl));
                         }
                     }
                     assert!(
@@ -824,11 +657,10 @@ impl CspSystem {
         }
     }
 
-    /// Compiled counterpart of [`CspSystem::publish_offer`]: no statement
-    /// clones, no name re-allocation — the offer carries a resume pc.
-    fn publish_offer_c(&self, state: &mut CspState, pid: usize, tpl: &CommTpl) -> Offer {
+    /// Publishes the request event of one communication offer.
+    fn publish_offer(&self, state: &mut CspState, pid: usize, tpl: &CommTpl) -> Offer {
         if tpl.is_send {
-            let value = self.eval_c(state, pid, tpl.expr.expect("send offer has expr"));
+            let value = self.eval(state, pid, tpl.expr.expect("send offer has expr"));
             let req = self.emit(
                 state,
                 pid,
@@ -841,9 +673,7 @@ impl CspSystem {
                 is_send: true,
                 partner: tpl.partner,
                 value: Some(value),
-                var: None,
                 req_event: req,
-                body: Vec::new(),
                 cont_pc: tpl.cont_pc,
                 var_slot: None,
             }
@@ -860,9 +690,7 @@ impl CspSystem {
                 is_send: false,
                 partner: tpl.partner,
                 value: None,
-                var: None,
                 req_event: req,
-                body: Vec::new(),
                 cont_pc: tpl.cont_pc,
                 var_slot: tpl.var_slot,
             }
@@ -879,43 +707,20 @@ impl System for CspSystem {
         let mut state = CspState {
             builder: ComputationBuilder::new(self.structure_arc()),
             procs: self
-                .program
-                .processes
+                .code
+                .progs
                 .iter()
-                .enumerate()
-                .map(|(pid, p)| ProcState {
-                    locals: if self.compiled {
-                        VarStore::default()
-                    } else {
-                        p.locals
-                            .iter()
-                            .map(|(n, v)| (n.clone(), v.clone()))
-                            .collect()
-                    },
-                    frames: if self.compiled {
-                        Vec::new()
-                    } else {
-                        vec![p.body.iter().cloned().collect()]
-                    },
-                    lslots: if self.compiled {
-                        self.code.progs[pid].init.clone()
-                    } else {
-                        Vec::new()
-                    },
+                .map(|prog| ProcState {
+                    lslots: prog.init.clone(),
                     pc: 0,
                     status: PStatus::Done, // set by run below
                     last: None,
                 })
                 .collect(),
             code: Arc::clone(&self.code),
-            compiled: self.compiled,
         };
         for pid in 0..self.program.processes.len() {
-            if self.compiled {
-                self.run_c(&mut state, pid);
-            } else {
-                self.run(&mut state, pid);
-            }
+            self.run(&mut state, pid);
         }
         state
     }
@@ -993,27 +798,13 @@ impl System for CspSystem {
             vec![value.clone(), self.code.name_values[p].clone()],
             &[so.req_event],
         );
-        if self.compiled {
-            if let Some(slot) = ro.var_slot {
-                state.procs[q].lslots[slot as usize] = Some(value);
-            }
-            state.procs[p].pc = so.cont_pc;
-            state.procs[q].pc = ro.cont_pc;
-            self.run_c(state, p);
-            self.run_c(state, q);
-        } else {
-            if let Some(var) = &ro.var {
-                state.procs[q].locals.set(var.clone(), value);
-            }
-            if !so.body.is_empty() {
-                state.procs[p].frames.push(so.body.into_iter().collect());
-            }
-            if !ro.body.is_empty() {
-                state.procs[q].frames.push(ro.body.into_iter().collect());
-            }
-            self.run(state, p);
-            self.run(state, q);
+        if let Some(slot) = ro.var_slot {
+            state.procs[q].lslots[slot as usize] = Some(value);
         }
+        state.procs[p].pc = so.cont_pc;
+        state.procs[q].pc = ro.cont_pc;
+        self.run(state, p);
+        self.run(state, q);
         crate::explore::record_apply_ns(t0);
     }
 
@@ -1027,18 +818,9 @@ impl System for CspSystem {
     fn control_key(&self, state: &CspState) -> Option<u64> {
         let mut h = DefaultHasher::new();
         for p in &state.procs {
-            if self.compiled {
-                // Slot-indexed locals plus pc key control state exactly;
-                // no name or statement-tree hashing in the hot path.
-                format!("{:?}", p.lslots).hash(&mut h);
-                p.pc.hash(&mut h);
-            } else {
-                for (n, v) in p.locals.iter() {
-                    n.hash(&mut h);
-                    format!("{v:?}").hash(&mut h);
-                }
-                format!("{:?}", p.frames).hash(&mut h);
-            }
+            // Slot-indexed locals plus pc key control state exactly.
+            format!("{:?}", p.lslots).hash(&mut h);
+            p.pc.hash(&mut h);
             match &p.status {
                 PStatus::Done => 0u8.hash(&mut h),
                 PStatus::Blocked(offers) => {
@@ -1101,19 +883,15 @@ impl CspState {
 
     /// A local variable of process `pid`.
     pub fn local(&self, pid: usize, var: &str) -> Option<&Value> {
-        if self.compiled {
-            let slot = self.code.progs[pid].locals.get(var)?;
-            self.procs[pid].lslots[slot as usize].as_ref()
-        } else {
-            self.procs[pid].locals.get(var)
-        }
+        let slot = self.code.progs[pid].locals.get(var)?;
+        self.procs[pid].lslots[slot as usize].as_ref()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csp::def::CspProcess;
+    use crate::csp::def::{AltBranch, CspProcess};
     use crate::explore::{find_deadlock, Explorer};
     use crate::Expr;
     use gem_core::is_legal;
@@ -1324,17 +1102,10 @@ mod tests {
         }
     }
 
-    /// All (fingerprint, event-count) pairs over every explored run.
-    fn fingerprints(sys: &CspSystem) -> Vec<(u64, usize)> {
-        let mut out = Vec::new();
-        Explorer::default().for_each_run(sys, |state, _| {
-            let c = sys.computation(state).unwrap();
-            out.push((c.fingerprint(), state.event_count()));
-            ControlFlow::Continue(())
-        });
-        out
-    }
-
+    /// Every run of these programs, in DFS order and including every
+    /// event parameter, matches what the tree-walking interpreter this
+    /// execution path replaced produced (the `unit/csp/*` rows of
+    /// `tests/golden/step_semantics.json`).
     #[test]
     fn compiled_matches_interpreted() {
         let merger = || {
@@ -1396,17 +1167,20 @@ mod tests {
                     CspProcess::new("sink", vec![CspStmt::recv("w", "got")]).local("got", 0i64),
                 )
         };
-        // Deadlocking mismatch: both runs truncate at the same point.
+        // Deadlocking mismatch: the run stops at the first exchange.
         let mismatch = || {
             CspProgram::new()
                 .process(CspProcess::new("a", vec![CspStmt::recv("b", "x")]).local("x", 0i64))
                 .process(CspProcess::new("b", vec![CspStmt::recv("a", "y")]).local("y", 0i64))
         };
-        for prog in [ping_pong(), merger(), loops(), mismatch()] {
-            let compiled = fingerprints(&CspSystem::new(prog.clone()).with_compile(true));
-            let interpreted = fingerprints(&CspSystem::new(prog).with_compile(false));
-            assert_eq!(compiled, interpreted);
-            assert!(!compiled.is_empty());
+        for (name, prog) in [
+            ("unit/csp/ping-pong", ping_pong()),
+            ("unit/csp/merger", merger()),
+            ("unit/csp/loops", loops()),
+            ("unit/csp/mismatch", mismatch()),
+        ] {
+            let sys = CspSystem::new(prog);
+            crate::golden::assert_golden(name, &sys, |s| sys.computation(s).expect("acyclic"));
         }
     }
 

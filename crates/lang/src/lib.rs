@@ -19,6 +19,8 @@
 
 mod ast;
 mod explore;
+#[cfg(test)]
+mod golden;
 mod par;
 
 pub mod ada;
@@ -27,5 +29,5 @@ pub mod csp;
 pub mod monitor;
 
 pub use ast::{BinOp, Expr, RuntimeError, VarStore};
-pub use code::{CodeStats, CompileMode};
+pub use code::CodeStats;
 pub use explore::{find_deadlock, ExploreStats, Explorer, RunSample, System, TruncationReason};

@@ -38,7 +38,6 @@ use gem_core::{
     Structure, Value,
 };
 
-use crate::ast::VarStore;
 use crate::code::{CodeStats, CondKind, ExprId, ExprPool, SlotLayout};
 use crate::explore::System;
 use crate::monitor::def::{MonitorProgram, ScriptStep, SignalSemantics, Stmt};
@@ -89,18 +88,14 @@ pub struct MonitorSystem {
     /// entries over disjoint variables commute with unrelated script
     /// steps instead of conflicting through a global union.
     entry_footprints: Vec<(BTreeSet<String>, BTreeSet<String>)>,
-    /// Compiled form of every entry body, script step, and expression
-    /// (built unconditionally at construction; `compiled` selects which
-    /// execution path uses it).
+    /// Compiled form of every entry body, script step, and expression,
+    /// built once at construction.
     code: Arc<MonitorCode>,
-    /// Execute compiled programs (`true`, the default) or the
-    /// tree-walking interpreter (the differential oracle).
-    compiled: bool,
 }
 
-/// Everything the compiled execution path needs, built once per system:
-/// slot layouts, postfix expression code, flat entry-body programs with
-/// jump targets, per-step codes, and pre-materialized event parameters.
+/// Everything step execution needs, built once per system: slot
+/// layouts, postfix expression code, flat entry-body programs with jump
+/// targets, per-step codes, and pre-materialized event parameters.
 #[derive(Clone, Debug)]
 struct MonitorCode {
     pool: ExprPool,
@@ -113,9 +108,7 @@ struct MonitorCode {
     entries: Vec<EntryProg>,
     /// Per (process, script position) compiled step.
     steps: Vec<Vec<StepCode>>,
-    /// `[entry][pid]` → `[Str(entry_name), Int(pid)]` event parameters,
-    /// shared by both execution modes so emitted computations stay
-    /// byte-identical.
+    /// `[entry][pid]` → `[Str(entry_name), Int(pid)]` event parameters.
     entry_params: Vec<Vec<[Value; 2]>>,
     /// `[pid]` → `[Str(""), Int(pid)]` for shared-variable accesses
     /// outside any entry.
@@ -134,8 +127,7 @@ struct EntryProg {
     param_slots: Vec<u32>,
 }
 
-/// One flat monitor-entry instruction. Jump targets replace the
-/// interpreter's cloned `VecDeque` statement frames.
+/// One flat monitor-entry instruction; `IF`/`WHILE` become jumps.
 #[derive(Clone, Debug)]
 enum MOp {
     /// Evaluate and store to a global slot, emitting `Assign`.
@@ -145,7 +137,7 @@ enum MOp {
         expr: ExprId,
     },
     /// Assignment to an undeclared variable: evaluate (surfacing any
-    /// expression error first, like the interpreter), then panic.
+    /// expression error first), then panic.
     AssignUnknown {
         name: String,
         expr: ExprId,
@@ -173,8 +165,8 @@ enum MOp {
         target: u32,
     },
     /// A statement naming an undeclared condition — panics at execution
-    /// with the interpreter's message (`queue_probe` distinguishes the
-    /// `IF queue` probe from `WAIT`/`SIGNAL` element lookup).
+    /// (`queue_probe` distinguishes the `IF queue` probe from
+    /// `WAIT`/`SIGNAL` element lookup).
     UnknownCond {
         name: String,
         queue_probe: bool,
@@ -400,14 +392,10 @@ enum Status {
 struct ProcRuntime {
     script_pos: usize,
     status: Status,
-    frames: Vec<VecDeque<Stmt>>,
     entry: Option<usize>,
-    locals: VarStore,
-    /// Compiled mode: entry-parameter slots (`None` = unbound, global
-    /// shows through), replacing `locals`.
+    /// Entry-parameter slots (`None` = unbound, global shows through).
     lslots: Vec<Option<Value>>,
-    /// Compiled mode: program counter into the entry's flat ops,
-    /// replacing `frames`.
+    /// Program counter into the entry's flat ops.
     pc: u32,
     pending_args: Vec<Value>,
     last: Option<EventId>,
@@ -423,9 +411,8 @@ struct ProcRuntime {
 #[derive(Clone, Debug)]
 pub struct MonitorState {
     builder: ComputationBuilder,
-    vars: VarStore,
-    /// Compiled mode: global scope read/written in place by slot,
-    /// replacing `vars`.
+    /// Global scope (monitor and shared variables), read and written in
+    /// place by slot.
     gslots: Vec<Value>,
     procs: Vec<ProcRuntime>,
     lock: Option<usize>,
@@ -444,7 +431,6 @@ pub struct MonitorState {
 #[derive(Clone, Debug)]
 pub struct MonitorCheckpoint {
     mark: BuilderMark,
-    vars: VarStore,
     gslots: Vec<Value>,
     procs: Vec<ProcRuntime>,
     lock: Option<usize>,
@@ -741,23 +727,7 @@ impl MonitorSystem {
             step_class,
             entry_footprints,
             code,
-            compiled: true,
         }
-    }
-
-    /// Selects compiled (slot/IR) or interpreted (tree-walking) step
-    /// execution. Both modes produce byte-identical computations; the
-    /// interpreter is retained as the differential oracle behind
-    /// `--compile=off`.
-    pub fn set_compile(&mut self, on: bool) {
-        self.compiled = on;
-    }
-
-    /// Builder-style [`MonitorSystem::set_compile`].
-    #[must_use]
-    pub fn with_compile(mut self, on: bool) -> Self {
-        self.set_compile(on);
-        self
     }
 
     /// Build-time statistics of the compiled code (the `code.*` and
@@ -766,17 +736,12 @@ impl MonitorSystem {
         self.code.stats
     }
 
-    /// Reads monitor/shared variable `name` from `state`, resolving
-    /// through slots in compiled mode and the name-keyed store otherwise.
+    /// Reads monitor/shared variable `name` from `state`.
     pub fn global<'a>(&self, state: &'a MonitorState, name: &str) -> Option<&'a Value> {
-        if self.compiled {
-            self.code
-                .globals
-                .get(name)
-                .map(|s| &state.gslots[s as usize])
-        } else {
-            state.vars.get(name)
-        }
+        self.code
+            .globals
+            .get(name)
+            .map(|s| &state.gslots[s as usize])
     }
 
     /// The program being executed.
@@ -905,165 +870,6 @@ impl MonitorSystem {
         e
     }
 
-    fn eval_env(&self, state: &MonitorState, pid: usize) -> VarStore {
-        let mut env = state.vars.clone();
-        env.extend(
-            state.procs[pid]
-                .locals
-                .iter()
-                .map(|(n, v)| (n.to_owned(), v.clone())),
-        );
-        env
-    }
-
-    /// Runs process `pid` (which holds the monitor) until it waits,
-    /// signals a non-empty condition, or finishes its entry.
-    fn run(&self, state: &mut MonitorState, pid: usize) {
-        loop {
-            // Drop exhausted frames.
-            while matches!(state.procs[pid].frames.last(), Some(f) if f.is_empty()) {
-                state.procs[pid].frames.pop();
-            }
-            let Some(stmt) = state.procs[pid]
-                .frames
-                .last_mut()
-                .and_then(VecDeque::pop_front)
-            else {
-                self.finish_entry(state, pid);
-                return;
-            };
-            match stmt {
-                Stmt::Assign(var, expr) => {
-                    let env = self.eval_env(state, pid);
-                    let v = expr
-                        .eval(&env)
-                        .unwrap_or_else(|e| panic!("monitor runtime error: {e}"));
-                    state.vars.set(var.clone(), v.clone());
-                    let [p_entry, p_pid] = self.entry_param_pair(state, pid);
-                    self.emit(
-                        state,
-                        Some(pid),
-                        self.var_element(&var),
-                        self.cls.assign,
-                        vec![v, p_entry, p_pid],
-                        &[],
-                    );
-                }
-                Stmt::If(cond, then_branch, else_branch) => {
-                    let env = self.eval_env(state, pid);
-                    let b = cond
-                        .eval(&env)
-                        .unwrap_or_else(|e| panic!("monitor runtime error: {e}"))
-                        .as_bool()
-                        .expect("IF condition must be boolean");
-                    let branch = if b { then_branch } else { else_branch };
-                    state.procs[pid].frames.push(branch.into_iter().collect());
-                }
-                Stmt::While(cond, body) => {
-                    let env = self.eval_env(state, pid);
-                    let b = cond
-                        .eval(&env)
-                        .unwrap_or_else(|e| panic!("monitor runtime error: {e}"))
-                        .as_bool()
-                        .expect("WHILE condition must be boolean");
-                    if b {
-                        let mut frame: VecDeque<Stmt> = body.iter().cloned().collect();
-                        frame.push_back(Stmt::While(cond, body));
-                        state.procs[pid].frames.push(frame);
-                    }
-                }
-                Stmt::Wait(cond) => {
-                    // Join the condition queue inside the monitor, then
-                    // release the lock. The Wait event is remembered so
-                    // the eventual Resume is enabled by it (alongside the
-                    // Signal and the chain's Release).
-                    let wait_ev = self.emit(
-                        state,
-                        Some(pid),
-                        self.cond_element(&cond),
-                        self.cls.wait,
-                        vec![Value::Int(pid as i64)],
-                        &[],
-                    );
-                    state.procs[pid].wait_event = Some(wait_ev);
-                    let rel = self.emit(
-                        state,
-                        Some(pid),
-                        self.lock_el,
-                        self.cls.release,
-                        vec![Value::Int(pid as i64)],
-                        &[],
-                    );
-                    let _ = rel;
-                    state
-                        .queues
-                        .get_mut(&cond)
-                        .expect("known condition")
-                        .push_back(pid);
-                    state.procs[pid].status = Status::Waiting;
-                    state.lock = None;
-                    self.pop_urgent(state);
-                    return;
-                }
-                Stmt::Signal(cond) => {
-                    let sig = self.emit(
-                        state,
-                        Some(pid),
-                        self.cond_element(&cond),
-                        self.cls.signal,
-                        vec![Value::Int(pid as i64)],
-                        &[],
-                    );
-                    let waiter = state
-                        .queues
-                        .get_mut(&cond)
-                        .expect("known condition")
-                        .pop_front();
-                    if let Some(w) = waiter {
-                        match self.program.semantics {
-                            SignalSemantics::Hoare => {
-                                // Monitor passes to the waiter; signaller
-                                // parks on the urgent stack.
-                                state.urgent.push(pid);
-                                state.procs[pid].status = Status::Urgent;
-                                state.lock = Some(w);
-                                state.procs[w].status = Status::Ready;
-                                let mut extra = vec![sig];
-                                if let Some(we) = state.procs[w].wait_event.take() {
-                                    extra.push(we);
-                                }
-                                self.emit(
-                                    state,
-                                    Some(w),
-                                    self.cond_element(&cond),
-                                    self.cls.resume,
-                                    vec![Value::Int(w as i64)],
-                                    &extra,
-                                );
-                                self.run(state, w);
-                                return;
-                            }
-                            SignalSemantics::Mesa => {
-                                // Signal-and-continue: the waiter merely
-                                // becomes eligible to re-acquire; the
-                                // signaller keeps running, and new
-                                // entrants may overtake the waiter.
-                                state.procs[w].status = Status::ReAcquire;
-                                state.procs[w].pending_signal = Some(sig);
-                                state.procs[w].resume_cond = Some(cond.clone());
-                            }
-                        }
-                    }
-                }
-                Stmt::IfQueue(cond, then_branch, else_branch) => {
-                    let nonempty = !state.queues.get(&cond).expect("known condition").is_empty();
-                    let branch = if nonempty { then_branch } else { else_branch };
-                    state.procs[pid].frames.push(branch.into_iter().collect());
-                }
-            }
-        }
-    }
-
     /// Resolves the commutativity class of `action` in `state`: monitor
     /// code (`Enter`/`Resume`) or the script step a `Step` will perform.
     fn action_class<'a>(&'a self, state: &MonitorState, action: &MonitorAction) -> ActionClass<'a> {
@@ -1170,21 +976,10 @@ impl MonitorSystem {
         }
     }
 
-    /// The `[entry, pid]` event-parameter pair for `pid`'s current
-    /// context — pre-materialized at build time (inside an entry:
-    /// `[Str(entry_name), Int(pid)]`; outside: `[Str(""), Int(pid)]`).
-    fn entry_param_pair(&self, state: &MonitorState, pid: usize) -> [Value; 2] {
-        match state.procs[pid].entry {
-            Some(i) => self.code.entry_params[i][pid].clone(),
-            None => self.code.shared_params[pid].clone(),
-        }
-    }
-
-    /// Compiled counterpart of [`MonitorSystem::run`]: executes `pid`'s
-    /// flat entry program from its saved `pc` until it waits, hands off
-    /// on a signal, or finishes. Event emission and state transitions
-    /// mirror the interpreter statement for statement.
-    fn run_c(&self, state: &mut MonitorState, pid: usize) {
+    /// Runs process `pid` (which holds the monitor) through its entry's
+    /// flat program from its saved `pc` until it waits, hands off on a
+    /// signal to a waiter, or finishes the entry.
+    fn run(&self, state: &mut MonitorState, pid: usize) {
         loop {
             let entry_idx = state.procs[pid].entry.expect("running inside an entry");
             let prog = &self.code.entries[entry_idx];
@@ -1209,8 +1004,8 @@ impl MonitorSystem {
                     state.procs[pid].pc = pc as u32 + 1;
                 }
                 MOp::AssignUnknown { name, expr } => {
-                    // Interpreter order: the expression error (if any)
-                    // surfaces before the unknown-variable panic.
+                    // The expression error (if any) surfaces before the
+                    // unknown-variable panic.
                     let _ = self
                         .code
                         .pool
@@ -1294,7 +1089,7 @@ impl MonitorSystem {
                                     vec![Value::Int(w as i64)],
                                     &extra,
                                 );
-                                self.run_c(state, w);
+                                self.run(state, w);
                                 return;
                             }
                             SignalSemantics::Mesa => {
@@ -1315,7 +1110,7 @@ impl MonitorSystem {
                 }
                 MOp::UnknownCond { name, queue_probe } => {
                     if *queue_probe {
-                        // The interpreter's `queues.get(..).expect(..)`.
+                        // The queue lookup's `expect` message.
                         panic!("known condition");
                     }
                     panic!("unknown condition {name:?}");
@@ -1357,7 +1152,6 @@ impl MonitorSystem {
         );
         let proc = &mut state.procs[pid];
         proc.entry = None;
-        proc.locals = VarStore::new();
         proc.lslots.clear();
         proc.pc = 0;
         proc.script_pos += 1;
@@ -1391,11 +1185,7 @@ impl MonitorSystem {
                 vec![Value::Int(s as i64)],
                 &[],
             );
-            if self.compiled {
-                self.run_c(state, s);
-            } else {
-                self.run(state, s);
-            }
+            self.run(state, s);
         }
     }
 }
@@ -1408,12 +1198,7 @@ impl System for MonitorSystem {
     fn initial(&self) -> MonitorState {
         let mut state = MonitorState {
             builder: ComputationBuilder::new(self.structure_arc()),
-            vars: VarStore::new(),
-            gslots: if self.compiled {
-                self.code.init_gslots.clone()
-            } else {
-                Vec::new()
-            },
+            gslots: self.code.init_gslots.clone(),
             procs: self
                 .program
                 .processes
@@ -1425,9 +1210,7 @@ impl System for MonitorSystem {
                     } else {
                         Status::Ready
                     },
-                    frames: Vec::new(),
                     entry: None,
-                    locals: VarStore::new(),
                     lslots: Vec::new(),
                     pc: 0,
                     pending_args: Vec::new(),
@@ -1458,9 +1241,6 @@ impl System for MonitorSystem {
         let mut last_internal = init_ev;
         let monitor_vars: Vec<(String, Value)> = self.program.monitor.vars.clone();
         for (name, value) in monitor_vars {
-            if !self.compiled {
-                state.vars.set(name.clone(), value.clone());
-            }
             last_internal = self.emit(
                 &mut state,
                 None,
@@ -1473,9 +1253,6 @@ impl System for MonitorSystem {
         let mut last_shared = init_ev;
         let shared_vars: Vec<(String, Value)> = self.program.shared_vars.clone();
         for (name, value) in shared_vars {
-            if !self.compiled {
-                state.vars.set(name.clone(), value.clone());
-            }
             last_shared = self.emit(
                 &mut state,
                 None,
@@ -1540,20 +1317,11 @@ impl System for MonitorSystem {
                         self.emit(state, Some(pid), self.user_els[pid], cid, params, &[]);
                         self.advance_script(state, pid);
                     }
-                    ScriptStep::ReadShared { var } => {
-                        let (value, el) = if self.compiled {
-                            let StepCode::Read { gslot, el } = self.code.steps[pid][pos] else {
-                                unreachable!("step codes mirror the script");
-                            };
-                            (state.gslots[gslot as usize].clone(), el)
-                        } else {
-                            let value = state
-                                .vars
-                                .get(var)
-                                .cloned()
-                                .expect("shared variable initialized");
-                            (value, self.var_element(var))
+                    ScriptStep::ReadShared { .. } => {
+                        let StepCode::Read { gslot, el } = self.code.steps[pid][pos] else {
+                            unreachable!("step codes mirror the script");
                         };
+                        let value = state.gslots[gslot as usize].clone();
                         let [p_empty, p_pid] = self.code.shared_params[pid].clone();
                         self.emit(
                             state,
@@ -1565,27 +1333,16 @@ impl System for MonitorSystem {
                         );
                         self.advance_script(state, pid);
                     }
-                    ScriptStep::WriteShared { var, value } => {
-                        let (v, el) = if self.compiled {
-                            let StepCode::Write { gslot, el, expr } = self.code.steps[pid][pos]
-                            else {
-                                unreachable!("step codes mirror the script");
-                            };
-                            let v = self
-                                .code
-                                .pool
-                                .eval(expr, &state.gslots, &[])
-                                .unwrap_or_else(|e| panic!("monitor runtime error: {e}"));
-                            state.gslots[gslot as usize] = v.clone();
-                            (v, el)
-                        } else {
-                            let env = self.eval_env(state, pid);
-                            let v = value
-                                .eval(&env)
-                                .unwrap_or_else(|e| panic!("monitor runtime error: {e}"));
-                            state.vars.set(var.clone(), v.clone());
-                            (v, self.var_element(var))
+                    ScriptStep::WriteShared { .. } => {
+                        let StepCode::Write { gslot, el, expr } = self.code.steps[pid][pos] else {
+                            unreachable!("step codes mirror the script");
                         };
+                        let v = self
+                            .code
+                            .pool
+                            .eval(expr, &state.gslots, &[])
+                            .unwrap_or_else(|e| panic!("monitor runtime error: {e}"));
+                        state.gslots[gslot as usize] = v.clone();
                         let [p_empty, p_pid] = self.code.shared_params[pid].clone();
                         self.emit(
                             state,
@@ -1634,32 +1391,19 @@ impl System for MonitorSystem {
                     &[],
                 );
                 let args = std::mem::take(&mut state.procs[pid].pending_args);
-                if self.compiled {
-                    let prog = &self.code.entries[entry_idx];
-                    let mut lslots = vec![None; prog.params.len()];
-                    // Positional bind; a short args list leaves trailing
-                    // params unbound (the global scope shows through).
-                    for (&slot, arg) in prog.param_slots.iter().zip(args) {
-                        lslots[slot as usize] = Some(arg);
-                    }
-                    let proc = &mut state.procs[pid];
-                    proc.lslots = lslots;
-                    proc.pc = 0;
-                    proc.entry = Some(entry_idx);
-                    proc.status = Status::Ready; // running now
-                    self.run_c(state, pid);
-                } else {
-                    let def = &self.program.monitor.entries[entry_idx];
-                    let mut locals = VarStore::new();
-                    for (param, arg) in def.params.iter().zip(args) {
-                        locals.set(param.clone(), arg);
-                    }
-                    state.procs[pid].locals = locals;
-                    state.procs[pid].entry = Some(entry_idx);
-                    state.procs[pid].frames = vec![def.body.iter().cloned().collect()];
-                    state.procs[pid].status = Status::Ready; // running now
-                    self.run(state, pid);
+                let prog = &self.code.entries[entry_idx];
+                let mut lslots = vec![None; prog.params.len()];
+                // Positional bind; a short args list leaves trailing
+                // params unbound (the global scope shows through).
+                for (&slot, arg) in prog.param_slots.iter().zip(args) {
+                    lslots[slot as usize] = Some(arg);
                 }
+                let proc = &mut state.procs[pid];
+                proc.lslots = lslots;
+                proc.pc = 0;
+                proc.entry = Some(entry_idx);
+                proc.status = Status::Ready; // running now
+                self.run(state, pid);
             }
             MonitorAction::Resume(pid) => {
                 // Mesa re-acquisition: the waiter takes the free lock and
@@ -1695,11 +1439,7 @@ impl System for MonitorSystem {
                     vec![Value::Int(pid as i64)],
                     &extra,
                 );
-                if self.compiled {
-                    self.run_c(state, pid);
-                } else {
-                    self.run(state, pid);
-                }
+                self.run(state, pid);
             }
         }
         crate::explore::record_apply_ns(t0);
@@ -1711,32 +1451,17 @@ impl System for MonitorSystem {
 
     fn control_key(&self, state: &MonitorState) -> Option<u64> {
         let mut h = DefaultHasher::new();
-        if self.compiled {
-            // Slot order is a fixed function of the program, so hashing
-            // slots positionally is as stable as hashing names. This key
-            // only feeds `--prune` visited-set lookups; it need not match
-            // the interpreted mode's key.
-            for v in &state.gslots {
-                format!("{v:?}").hash(&mut h);
-            }
-            for p in &state.procs {
-                p.script_pos.hash(&mut h);
-                p.status.hash(&mut h);
-                p.entry.hash(&mut h);
-                p.pc.hash(&mut h);
-                format!("{:?}", p.lslots).hash(&mut h);
-            }
-        } else {
-            for (n, v) in state.vars.iter() {
-                n.hash(&mut h);
-                format!("{v:?}").hash(&mut h);
-            }
-            for p in &state.procs {
-                p.script_pos.hash(&mut h);
-                p.status.hash(&mut h);
-                p.entry.hash(&mut h);
-                format!("{:?}", p.frames).hash(&mut h);
-            }
+        // Slot order is a fixed function of the program, so hashing
+        // slots positionally is as stable as hashing names.
+        for v in &state.gslots {
+            format!("{v:?}").hash(&mut h);
+        }
+        for p in &state.procs {
+            p.script_pos.hash(&mut h);
+            p.status.hash(&mut h);
+            p.entry.hash(&mut h);
+            p.pc.hash(&mut h);
+            format!("{:?}", p.lslots).hash(&mut h);
         }
         state.lock.hash(&mut h);
         state.urgent.hash(&mut h);
@@ -1747,7 +1472,6 @@ impl System for MonitorSystem {
     fn checkpoint(&self, state: &MonitorState) -> Option<MonitorCheckpoint> {
         Some(MonitorCheckpoint {
             mark: state.builder.mark(),
-            vars: state.vars.clone(),
             gslots: state.gslots.clone(),
             procs: state.procs.clone(),
             lock: state.lock,
@@ -1761,7 +1485,6 @@ impl System for MonitorSystem {
         let before = state.builder.event_count();
         state.builder.truncate_to(&cp.mark);
         crate::explore::record_undo_depth(before - state.builder.event_count());
-        state.vars = cp.vars;
         state.gslots = cp.gslots;
         state.procs = cp.procs;
         state.lock = cp.lock;
@@ -2054,77 +1777,54 @@ mod tests {
         let _ = MonitorSystem::new(prog);
     }
 
-    /// Per-run event streams must be byte-identical between compiled and
-    /// interpreted execution: same run order, same `Debug` rendering of
-    /// every sealed computation (events, params, edges).
+    /// Every run of these programs, in DFS order and including every
+    /// event parameter, matches what the tree-walking interpreter this
+    /// execution path replaced produced (the `unit/monitor/*` rows of
+    /// `tests/golden/step_semantics.json`). The gate program parks and
+    /// resumes through a Hoare handoff.
     #[test]
     fn compiled_matches_interpreted() {
+        let gate = MonitorDef::new("Gate")
+            .var("ready", Value::Bool(false))
+            .condition("go")
+            .entry(
+                "Open",
+                &[],
+                vec![Stmt::assign("ready", Expr::bool(true)), Stmt::signal("go")],
+            )
+            .entry(
+                "Pass",
+                &[],
+                vec![Stmt::While(
+                    Expr::var("ready").not(),
+                    vec![Stmt::wait("go")],
+                )],
+            );
         let programs = [
-            counter_program(2, 2),
-            MonitorProgram::new(readers_writers_monitor())
-                .process(ProcessDef::new(
-                    "r0",
-                    vec![call("StartRead"), call("EndRead")],
-                ))
-                .process(ProcessDef::new(
-                    "w0",
-                    vec![call("StartWrite"), call("EndWrite")],
-                )),
+            ("unit/monitor/counter", counter_program(2, 2)),
+            (
+                "unit/monitor/readers-writers",
+                MonitorProgram::new(readers_writers_monitor())
+                    .process(ProcessDef::new(
+                        "r0",
+                        vec![call("StartRead"), call("EndRead")],
+                    ))
+                    .process(ProcessDef::new(
+                        "w0",
+                        vec![call("StartWrite"), call("EndWrite")],
+                    )),
+            ),
+            (
+                "unit/monitor/wait-signal",
+                MonitorProgram::new(gate)
+                    .process(ProcessDef::new("consumer", vec![call("Pass")]))
+                    .process(ProcessDef::new("producer", vec![call("Open")])),
+            ),
         ];
-        for prog in programs {
-            let mut renders: Vec<Vec<(u64, usize)>> = Vec::new();
-            for on in [true, false] {
-                let sys = MonitorSystem::new(prog.clone()).with_compile(on);
-                let mut runs = Vec::new();
-                Explorer::default().for_each_run(&sys, |state, _| {
-                    let c = sys.computation(state).expect("acyclic");
-                    runs.push((c.fingerprint(), state.event_count()));
-                    ControlFlow::Continue(())
-                });
-                renders.push(runs);
-            }
-            assert_eq!(renders[0], renders[1]);
+        for (name, prog) in programs {
+            let sys = MonitorSystem::new(prog);
+            crate::golden::assert_golden(name, &sys, |s| sys.computation(s).expect("acyclic"));
         }
-    }
-
-    /// Both modes agree on a waiting/signalling (Hoare handoff) program,
-    /// where the compiled path parks and resumes via `pc` instead of
-    /// statement frames.
-    #[test]
-    fn compiled_matches_interpreted_across_wait_signal() {
-        let make = || {
-            let monitor = MonitorDef::new("Gate")
-                .var("ready", Value::Bool(false))
-                .condition("go")
-                .entry(
-                    "Open",
-                    &[],
-                    vec![Stmt::assign("ready", Expr::bool(true)), Stmt::signal("go")],
-                )
-                .entry(
-                    "Pass",
-                    &[],
-                    vec![Stmt::While(
-                        Expr::var("ready").not(),
-                        vec![Stmt::wait("go")],
-                    )],
-                );
-            MonitorProgram::new(monitor)
-                .process(ProcessDef::new("consumer", vec![call("Pass")]))
-                .process(ProcessDef::new("producer", vec![call("Open")]))
-        };
-        let mut renders: Vec<Vec<(u64, usize)>> = Vec::new();
-        for on in [true, false] {
-            let sys = MonitorSystem::new(make()).with_compile(on);
-            let mut runs = Vec::new();
-            Explorer::default().for_each_run(&sys, |state, _| {
-                let c = sys.computation(state).expect("acyclic");
-                runs.push((c.fingerprint(), state.event_count()));
-                ControlFlow::Continue(())
-            });
-            renders.push(runs);
-        }
-        assert_eq!(renders[0], renders[1]);
     }
 
     #[test]

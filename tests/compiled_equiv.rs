@@ -1,407 +1,317 @@
-//! Differential harness: compiled step execution must be observationally
-//! invisible.
+//! Golden step semantics: the compiled simulators must reproduce, run for
+//! run, the computations of the tree-walking interpreters they replaced.
 //!
-//! `--compile auto|on` replaces the tree-walking statement/expression
-//! interpreter in the substrate simulators with slot-resolved
-//! environments and a flat Code IR — but verdicts, failure details,
-//! deadlock counts, artifacts, and the exploration-level counters of
-//! `--stats-json` must be byte-identical to `--compile off` across every
-//! substrate (monitor, CSP, ADA), worker count, reduction strategy, and
-//! incremental-check mode, on holding, failing, and deadlocking
-//! instances alike. Only `code.*` and `explore.compile_ns` (emitted by
-//! the CLI when compilation is on) may differ: they describe the
-//! compiled programs themselves.
+//! `tests/golden/step_semantics.json` was captured from those interpreters
+//! before they were deleted. Its rows cover every `gem list` problem on
+//! every substrate the CLI builds it on, each swept plainly and with
+//! `--por` at one job (`life` plainly only: a reduced sweep never reaches
+//! its 50-run bound in useful time). Each row pins:
+//!
+//! * the run and deadlock counts, the truncation, and the verdict with
+//!   the names of the violated restrictions;
+//! * an order-sensitive digest of the DFS-ordered
+//!   `(Computation::fingerprint, event count)` sequence. The fingerprint
+//!   hashes every event's parameters, so a wrongly computed value fails
+//!   the row, not only a changed event shape;
+//! * the `gem verify` stdout, a digest of every counterexample artifact
+//!   file, and the `--stats-json` report with timings stripped. `code.*`
+//!   and `explore.compile_ns` describe the compiled programs themselves,
+//!   which the interpreters did not have, so they are not pinned.
+//!
+//! Rows named `unit/...` hold the simulators' own unit-test programs and
+//! are replayed by those unit tests.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gem::core::Computation;
-use gem::lang::monitor::readers_writers_monitor;
 use gem::lang::{Explorer, System};
-use gem::obs::StatsProbe;
-use gem::problems::readers_writers::{
-    rw_correspondence, rw_program, rw_spec, writers_priority_monitor, RwVariant,
-};
-use gem::problems::{bounded, one_slot, philosophers};
+use gem::obs::fingerprint_words;
+use gem::obs::json::{self, JsonValue};
 use gem::spec::Specification;
-use gem::verify::{verify_system, Correspondence, IncrCheck, VerifyOptions, VerifyOutcome};
+use gem::verify::{verify_system, Correspondence, VerifyOptions};
+use gem_cli::{instance, Instance, Params};
 
-/// One probed sweep with the given knobs.
-#[allow(clippy::too_many_arguments)] // differential-matrix row, not an API
+const GOLDEN: &str = include_str!("golden/step_semantics.json");
+
+fn hex(word: u64) -> JsonValue {
+    JsonValue::Str(format!("{word:#018x}"))
+}
+
+fn num(n: usize) -> JsonValue {
+    JsonValue::Num(n as f64)
+}
+
+/// The library-level fields of a row: one `verify_system` sweep for the
+/// verdict, one explorer sweep for the computation digest.
 fn sweep<S>(
     sys: &S,
     spec: &Specification,
     corr: &Correspondence,
-    extract: impl Fn(&S::State) -> Computation,
-    jobs: usize,
-    dedup: bool,
+    max_runs: usize,
     por: bool,
-    incr: IncrCheck,
-) -> (VerifyOutcome, gem::obs::Report)
+    computation: impl Fn(&S::State) -> Computation,
+) -> Vec<(String, JsonValue)>
 where
     S: System + Sync,
     S::State: Send,
     S::Action: Send,
 {
-    let probe = Arc::new(StatsProbe::new());
-    let outcome = verify_system(
-        sys,
-        spec,
-        corr,
-        extract,
-        &VerifyOptions {
-            probe: probe.clone(),
-            explorer: Explorer {
-                jobs,
-                split_depth: 3,
-                reduce: por,
-                dedup_computations: dedup,
-                ..Explorer::default()
-            },
-            incr_check: incr,
-            ..VerifyOptions::default()
-        },
-    )
-    .expect("projection");
-    (outcome, probe.report())
-}
-
-/// The counters that must be invariant under compiled execution:
-/// everything the explorer reports, plus the deadlock tally. (The
-/// library sweeps here never emit `code.*`/`explore.compile_ns` — those
-/// are CLI-level telemetry — so no exclusion is needed.)
-fn curated(report: &gem::obs::Report) -> BTreeMap<String, u64> {
-    report
-        .counters
+    let explorer = Explorer {
+        reduce: por,
+        ..Explorer::with_max_runs(max_runs)
+    };
+    let options = VerifyOptions {
+        explorer,
+        ..VerifyOptions::default()
+    };
+    let outcome = verify_system(sys, spec, corr, &computation, &options).expect("projection");
+    let mut words = Vec::new();
+    explorer.for_each_run(sys, |state, _| {
+        let c = computation(state);
+        words.extend([c.fingerprint(), c.event_count() as u64]);
+        ControlFlow::Continue(())
+    });
+    let violated: BTreeSet<&str> = outcome
+        .failures
         .iter()
-        .filter(|(k, _)| k.starts_with("explore.") || *k == "verify.deadlocks")
-        .map(|(k, v)| (k.clone(), *v))
-        .collect()
+        .flat_map(|f| f.violated.iter().map(String::as_str))
+        .collect();
+    vec![
+        ("runs".into(), num(outcome.runs)),
+        ("deadlocks".into(), num(outcome.deadlocks)),
+        (
+            "truncation".into(),
+            outcome
+                .truncation
+                .map_or(JsonValue::Null, |t| JsonValue::Str(t.to_string())),
+        ),
+        (
+            "verdict".into(),
+            JsonValue::Str(if outcome.ok() { "HOLDS" } else { "FAILS" }.into()),
+        ),
+        (
+            "violated".into(),
+            JsonValue::Arr(
+                violated
+                    .into_iter()
+                    .map(|v| JsonValue::Str(v.into()))
+                    .collect(),
+            ),
+        ),
+        ("digest".into(), hex(fingerprint_words(&words))),
+    ]
 }
 
-/// True when CI widens this suite's matrix (`GEM_TEST_COMPILE=1`): the
-/// strategy grid gains the combined dedup+por mode and the worker sweep
-/// gains jobs=2. Mirrors `GEM_TEST_INCR` / `GEM_TEST_JOBS` / etc.
-fn compile_env() -> bool {
-    std::env::var("GEM_TEST_COMPILE").is_ok_and(|v| v.trim() == "1")
+/// The CLI-level fields of a row: `gem verify` stdout, artifact digests,
+/// and the timing-free stats report.
+fn cli(line: &str, por: bool) -> Vec<(String, JsonValue)> {
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "gem-golden-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let art = dir.join("artifacts");
+    let stats = dir.join("stats.json");
+    let art_s = art.to_str().expect("utf-8").to_owned();
+    let stats_s = stats.to_str().expect("utf-8").to_owned();
+    let mut args: Vec<String> = std::iter::once("verify")
+        .chain(line.split_whitespace())
+        .chain(["--jobs", "1", "--heartbeat", "0", "--artifacts", &art_s])
+        .chain(["--stats-json", &stats_s])
+        .map(str::to_owned)
+        .collect();
+    if por {
+        args.push("--por".to_owned());
+    }
+    let stdout = gem_cli::run(&args)
+        .expect("cli run")
+        .replace(&art_s, "<artifacts>");
+    let text = std::fs::read_to_string(&stats).expect("stats written");
+    let mut report = gem::obs::Report::from_json(&text)
+        .expect("valid report")
+        .without_timings();
+    report.counters.retain(|k, _| !k.starts_with("code."));
+    report.hists.remove("explore.compile_ns");
+    let mut artifacts = Vec::new();
+    let mut entries: Vec<_> = std::fs::read_dir(&art)
+        .expect("artifact dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        let bytes = std::fs::read(&path).expect("artifact file");
+        let words: Vec<u64> = bytes.iter().map(|&b| u64::from(b)).collect();
+        let name = path.file_name().expect("file name").to_string_lossy();
+        artifacts.push((name.into_owned(), hex(fingerprint_words(&words))));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    vec![
+        ("stdout".into(), JsonValue::Str(stdout)),
+        ("artifacts".into(), JsonValue::Obj(artifacts)),
+        (
+            "report".into(),
+            json::parse(&report.to_json()).expect("report JSON"),
+        ),
+    ]
 }
 
-/// Asserts the compiled system agrees with the interpreted one on
-/// outcome and curated counters across reduction strategies,
-/// incremental-check modes, and worker counts.
-#[allow(clippy::too_many_arguments)] // differential-matrix row, not an API
-fn assert_equiv<S>(
-    on: &S,
-    off: &S,
-    spec: &Specification,
-    corr_on: &Correspondence,
-    corr_off: &Correspondence,
-    extract: impl Fn(&S, &S::State) -> Computation + Copy,
-    what: &str,
-    jobs_list: &[usize],
-) where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
-    let mut rows = vec![
-        (false, false, IncrCheck::Auto),
-        (true, false, IncrCheck::Auto),
-        (false, true, IncrCheck::Auto),
-        (false, false, IncrCheck::On),
-        (false, false, IncrCheck::Off),
+/// Replays one golden row with the current simulators.
+fn replay(line: &str, mode: &str) -> JsonValue {
+    let por = match mode {
+        "plain" => false,
+        "por" => true,
+        other => panic!("unknown mode {other:?}"),
+    };
+    let mut words = line.split_whitespace().map(str::to_owned);
+    let problem = words.next().expect("problem name");
+    let params = Params::parse(&words.collect::<Vec<_>>()).expect("key=value params");
+    let mut fields = vec![
+        ("instance".into(), JsonValue::Str(line.into())),
+        ("mode".into(), JsonValue::Str(mode.into())),
     ];
-    let mut jobs_sweep = jobs_list.to_vec();
-    if compile_env() {
-        rows.push((true, true, IncrCheck::Auto));
-        if jobs_list.len() > 1 && !jobs_sweep.contains(&2) {
-            jobs_sweep.push(2);
+    fields.extend(match &instance(&problem, &params).expect("instance") {
+        Instance::Monitor { sys, spec, corr } => sweep(sys, spec, corr, 1_000_000, por, |st| {
+            sys.computation(st).expect("acyclic")
+        }),
+        Instance::Csp {
+            sys,
+            spec,
+            corr,
+            max_runs,
+        } => sweep(sys, spec, corr, *max_runs, por, |st| {
+            sys.computation(st).expect("acyclic")
+        }),
+        Instance::Ada {
+            sys,
+            spec,
+            corr,
+            max_runs,
+        } => sweep(sys, spec, corr, *max_runs, por, |st| {
+            sys.computation(st).expect("acyclic")
+        }),
+    });
+    fields.extend(cli(line, por));
+    JsonValue::Obj(fields)
+}
+
+/// Appends one line per differing leaf between `want` and `got`.
+fn diff(path: &str, want: &JsonValue, got: &JsonValue, out: &mut Vec<String>) {
+    match (want, got) {
+        (JsonValue::Obj(w), JsonValue::Obj(g)) => {
+            for (k, wv) in w {
+                match got.get(k) {
+                    Some(gv) => diff(&format!("{path}.{k}"), wv, gv, out),
+                    None => out.push(format!("{path}.{k}: missing, golden {wv:?}")),
+                }
+            }
+            for (k, gv) in g {
+                if want.get(k).is_none() {
+                    out.push(format!("{path}.{k}: not in golden, got {gv:?}"));
+                }
+            }
         }
-    }
-    for (dedup, por, incr) in rows {
-        for &jobs in &jobs_sweep {
-            let (out_off, rep_off) = sweep(
-                off,
-                spec,
-                corr_off,
-                |s| extract(off, s),
-                jobs,
-                dedup,
-                por,
-                incr,
-            );
-            let (out_on, rep_on) = sweep(
-                on,
-                spec,
-                corr_on,
-                |s| extract(on, s),
-                jobs,
-                dedup,
-                por,
-                incr,
-            );
-            assert_eq!(
-                out_off, out_on,
-                "{what}: outcome diverges at jobs={jobs} dedup={dedup} por={por} {incr:?}"
-            );
-            assert_eq!(
-                curated(&rep_off),
-                curated(&rep_on),
-                "{what}: counters diverge at jobs={jobs} dedup={dedup} por={por} {incr:?}"
-            );
+        (JsonValue::Arr(w), JsonValue::Arr(g)) if w.len() == g.len() => {
+            for (i, (wv, gv)) in w.iter().zip(g).enumerate() {
+                diff(&format!("{path}[{i}]"), wv, gv, out);
+            }
         }
+        _ if want != got => out.push(format!("{path}: golden {want:?}, got {got:?}")),
+        _ => {}
     }
 }
+
+fn golden_rows() -> Vec<JsonValue> {
+    let golden = json::parse(GOLDEN).expect("golden JSON");
+    golden
+        .get("rows")
+        .and_then(JsonValue::as_arr)
+        .expect("rows array")
+        .to_vec()
+}
+
+fn field<'a>(row: &'a JsonValue, key: &str) -> &'a str {
+    row.get(key)
+        .and_then(JsonValue::as_str)
+        .expect("string field")
+}
+
+/// Replays every golden row whose instance satisfies `select` and fails
+/// with each differing instance, mode and field.
+fn assert_golden(select: impl Fn(&str) -> bool) {
+    let mut mismatches = Vec::new();
+    let mut replayed = 0;
+    for want in golden_rows() {
+        let line = field(&want, "instance");
+        if line.starts_with("unit/") || !select(line) {
+            continue;
+        }
+        let mode = field(&want, "mode");
+        diff(
+            &format!("{line} [{mode}]"),
+            &want,
+            &replay(line, mode),
+            &mut mismatches,
+        );
+        replayed += 1;
+    }
+    assert!(replayed > 0, "no golden row selected");
+    assert!(
+        mismatches.is_empty(),
+        "step semantics diverge from tests/golden/step_semantics.json:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// The instances the named tests below replay; `golden_matrix_agrees`
+/// replays every other row.
+const NAMED: [&str; 6] = [HOLDING, FAILING, WAIT_SIGNAL, CSP, ADA, DEADLOCKING];
+const HOLDING: &str = "rw readers=1 writers=1 variant=mutex";
+/// Readers-priority monitor against the writers-priority spec: FAILS.
+const FAILING: &str = "rw readers=1 writers=2 variant=writers";
+/// Writers-priority monitor against the readers-priority spec: Hoare
+/// signal chains, urgent-queue handoff and condition queues.
+const WAIT_SIGNAL: &str = "rw readers=2 writers=1 monitor=writers variant=readers";
+const CSP: &str = "bounded items=2 cap=1 substrate=csp";
+const ADA: &str = "one-slot items=2 substrate=ada";
+/// Naive-order philosophers deadlock.
+const DEADLOCKING: &str = "philosophers n=2 order=naive";
 
 #[test]
 fn monitor_holding_instance_agrees() {
-    let on = rw_program(readers_writers_monitor(), 1, 1, false);
-    let off = rw_program(readers_writers_monitor(), 1, 1, false).with_compile(false);
-    let spec = rw_spec(2, false, RwVariant::MutexOnly);
-    let corr_on = rw_correspondence(&on, &spec, false);
-    let corr_off = rw_correspondence(&off, &spec, false);
-    assert_equiv(
-        &on,
-        &off,
-        &spec,
-        &corr_on,
-        &corr_off,
-        |sys, s| sys.computation(s).expect("acyclic"),
-        "rw 1r1w mutex",
-        &[1, 4],
-    );
+    assert_golden(|line| line == HOLDING);
 }
 
 #[test]
 fn monitor_failing_instance_agrees() {
-    // Readers-priority monitor checked against the writers-priority spec:
-    // the sweep FAILS, and the failure list (run indices, violated
-    // restriction names, rendered details) must be identical.
-    let on = rw_program(readers_writers_monitor(), 1, 2, false);
-    let off = rw_program(readers_writers_monitor(), 1, 2, false).with_compile(false);
-    let spec = rw_spec(3, false, RwVariant::WritersPriority);
-    let corr_on = rw_correspondence(&on, &spec, false);
-    let corr_off = rw_correspondence(&off, &spec, false);
-    let extract =
-        |sys: &gem::lang::monitor::MonitorSystem, s: &_| sys.computation(s).expect("acyclic");
-    assert_equiv(
-        &on,
-        &off,
-        &spec,
-        &corr_on,
-        &corr_off,
-        extract,
-        "rw 1r2w writers",
-        &[1, 4],
-    );
-    let (outcome, _) = sweep(
-        &on,
-        &spec,
-        &corr_on,
-        |s| extract(&on, s),
-        1,
-        false,
-        false,
-        IncrCheck::Auto,
-    );
-    assert!(!outcome.ok(), "{outcome}");
-    assert!(!outcome.failures.is_empty());
+    assert_golden(|line| line == FAILING);
 }
 
 #[test]
 fn monitor_wait_signal_heavy_instance_agrees() {
-    // The writers-priority monitor against the readers-priority spec:
-    // exercises Hoare signal chains, urgent-queue handoff, and condition
-    // queues through the compiled entry programs.
-    let on = rw_program(writers_priority_monitor(), 2, 1, false);
-    let off = rw_program(writers_priority_monitor(), 2, 1, false).with_compile(false);
-    let spec = rw_spec(3, false, RwVariant::ReadersPriority);
-    let corr_on = rw_correspondence(&on, &spec, false);
-    let corr_off = rw_correspondence(&off, &spec, false);
-    assert_equiv(
-        &on,
-        &off,
-        &spec,
-        &corr_on,
-        &corr_off,
-        |sys, s| sys.computation(s).expect("acyclic"),
-        "rw 2r1w readers-on-writers",
-        &[1, 4],
-    );
+    assert_golden(|line| line == WAIT_SIGNAL);
 }
 
 #[test]
 fn csp_substrate_agrees() {
-    let items: Vec<i64> = vec![1, 2];
-    let spec = bounded::bounded_spec(items.len(), 1);
-    let on = bounded::csp_solution(&items, 1);
-    let off = bounded::csp_solution(&items, 1).with_compile(false);
-    let corr_on = bounded::csp_correspondence(&on, &spec, 1);
-    let corr_off = bounded::csp_correspondence(&off, &spec, 1);
-    assert_equiv(
-        &on,
-        &off,
-        &spec,
-        &corr_on,
-        &corr_off,
-        |sys, s| sys.computation(s).expect("acyclic"),
-        "bounded csp",
-        &[1, 4],
-    );
+    assert_golden(|line| line == CSP);
 }
 
 #[test]
 fn ada_substrate_agrees() {
-    let items: Vec<i64> = vec![10, 20];
-    let spec = one_slot::one_slot_spec();
-    let on = one_slot::ada_solution(&items);
-    let off = one_slot::ada_solution(&items).with_compile(false);
-    let corr_on = one_slot::ada_correspondence(&on, &spec);
-    let corr_off = one_slot::ada_correspondence(&off, &spec);
-    assert_equiv(
-        &on,
-        &off,
-        &spec,
-        &corr_on,
-        &corr_off,
-        |sys, s| sys.computation(s).expect("acyclic"),
-        "one-slot ada",
-        &[1, 4],
-    );
+    assert_golden(|line| line == ADA);
 }
 
 #[test]
 fn deadlocking_instance_agrees() {
-    // Naive-order philosophers deadlock; truncated runs and the deadlock
-    // tally must match between execution modes.
-    let on = philosophers::philosophers_program(2, 1, philosophers::ForkOrder::Naive);
-    let off = philosophers::philosophers_program(2, 1, philosophers::ForkOrder::Naive)
-        .with_compile(false);
-    let spec = philosophers::philosophers_spec(2);
-    let corr_on = philosophers::philosophers_correspondence(&on, &spec, 2);
-    let corr_off = philosophers::philosophers_correspondence(&off, &spec, 2);
-    let extract = |sys: &gem::lang::ada::AdaSystem, s: &_| sys.computation(s).expect("acyclic");
-    assert_equiv(
-        &on,
-        &off,
-        &spec,
-        &corr_on,
-        &corr_off,
-        extract,
-        "philosophers naive",
-        &[1, 4],
-    );
-    let (outcome, _) = sweep(
-        &on,
-        &spec,
-        &corr_on,
-        |s| extract(&on, s),
-        1,
-        false,
-        false,
-        IncrCheck::Auto,
-    );
-    assert!(outcome.deadlocks > 0, "{outcome}");
+    assert_golden(|line| line == DEADLOCKING);
 }
 
 #[test]
-fn cli_artifacts_and_stats_agree_across_modes() {
-    // Full CLI path on the failing instance with artifacts: stdout, every
-    // counterexample artifact file, and the stats report (minus timers,
-    // `code.*`, and `explore.compile_ns`) must match `--compile off`.
-    let dir = std::env::temp_dir().join(format!("gem-compile-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let run_mode = |mode: &str| -> (String, String, BTreeMap<String, String>) {
-        let art = dir.join(format!("artifacts-{mode}"));
-        let stats = dir.join(format!("stats-{mode}.json"));
-        let args: Vec<String> = [
-            "verify",
-            "rw",
-            "readers=1",
-            "writers=2",
-            "variant=writers",
-            "--compile",
-            mode,
-            "--artifacts",
-            art.to_str().expect("utf-8"),
-            "--stats-json",
-            stats.to_str().expect("utf-8"),
-            "--heartbeat",
-            "0",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        // Artifact paths differ per mode; normalise them out of stdout.
-        let stdout = gem_cli::run(&args)
-            .expect("cli run")
-            .replace(art.to_str().expect("utf-8"), "<artifacts>");
-        let report =
-            gem::obs::Report::from_json(&std::fs::read_to_string(&stats).expect("stats written"))
-                .expect("valid report");
-        // `code.*` describes the compiled programs and only exists when
-        // compilation is on; everything else must match `off` exactly.
-        // (`explore.compile_ns` is a `_ns` histogram, not a counter, so
-        // it never enters this map.)
-        let kept: BTreeMap<String, u64> = report
-            .counters
-            .iter()
-            .filter(|(k, _)| !k.starts_with("code."))
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        let mut files = BTreeMap::new();
-        for entry in std::fs::read_dir(&art).expect("artifact dir") {
-            let entry = entry.expect("dir entry");
-            let name = entry.file_name().to_string_lossy().into_owned();
-            files.insert(
-                name,
-                std::fs::read_to_string(entry.path()).expect("artifact file"),
-            );
-        }
-        (stdout, format!("{kept:?}"), files)
-    };
-    let (off_out, off_counters, off_files) = run_mode("off");
-    for mode in ["auto", "on"] {
-        let (out, counters, files) = run_mode(mode);
-        assert_eq!(off_out, out, "stdout diverges in mode {mode}");
-        assert_eq!(off_counters, counters, "counters diverge in mode {mode}");
-        assert_eq!(
-            off_files.keys().collect::<Vec<_>>(),
-            files.keys().collect::<Vec<_>>(),
-            "artifact file set diverges in mode {mode}"
-        );
-        for (name, body) in &off_files {
-            assert_eq!(
-                body, &files[name],
-                "artifact {name} diverges in mode {mode}"
-            );
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn cli_substrates_agree_across_modes() {
-    // Verdict lines on CSP and ADA instances must not depend on the
-    // compile mode either.
-    for problem in [
-        vec!["verify", "bounded", "items=2", "cap=1", "substrate=csp"],
-        vec!["verify", "one-slot", "items=2", "substrate=ada"],
-    ] {
-        let run_mode = |mode: &str| {
-            let mut args: Vec<String> = problem.iter().map(|s| (*s).to_owned()).collect();
-            args.extend([
-                "--compile".to_owned(),
-                mode.to_owned(),
-                "--heartbeat".to_owned(),
-                "0".to_owned(),
-            ]);
-            gem_cli::run(&args).expect("cli run")
-        };
-        let off = run_mode("off");
-        assert_eq!(off, run_mode("auto"), "{problem:?}");
-        assert_eq!(off, run_mode("on"), "{problem:?}");
-    }
+fn golden_matrix_agrees() {
+    assert_golden(|line| !NAMED.contains(&line));
 }
 
 mod expr_codegen {

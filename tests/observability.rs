@@ -462,8 +462,10 @@ fn probed_parallel_verify_feeds_a_lintable_series() {
     let text = render_openmetrics(&snaps);
     let summary = lint_openmetrics(&text).expect("exposition must lint clean");
     assert!(summary.snapshots >= 2, "{summary:?}");
+    // Workers pull items, so under load any one worker (worker 0
+    // included) may finish without leaves; some worker always has them.
     assert!(
-        text.contains("gem_worker_leaves_total{worker=\"0\"}"),
+        text.contains("gem_worker_leaves_total{worker=\""),
         "worker-labelled families missing:\n{text}"
     );
 }
@@ -484,6 +486,8 @@ fn noop_probe_leaves_ambient_inactive() {
     )
     .expect("projection");
     assert!(outcome.ok());
-    assert!(!gem::obs::ambient::active());
+    // This thread's slot, not the process-wide `ambient::active()`:
+    // sibling tests install probes while this one runs.
+    assert!(gem::obs::ambient::snapshot().is_none());
     assert!(!VerifyOptions::default().probe.enabled());
 }
