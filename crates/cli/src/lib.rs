@@ -64,21 +64,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gem_lang::monitor::readers_writers_monitor;
-use gem_lang::monitor::SignalSemantics;
-use gem_lang::{Explorer, System};
+use gem_core::Computation;
+use gem_lang::ada::AdaSystem;
+use gem_lang::csp::CspSystem;
+use gem_lang::monitor::{readers_writers_monitor, MonitorSystem, SignalSemantics};
+use gem_lang::{CodeStats, Explorer, System};
 use gem_obs::json::JsonValue;
 use gem_obs::{
-    fingerprint_words, install_crash_sink, write_atomic, ChromeTraceProbe, CollapseEstimator,
-    FanoutProbe, HeartbeatProbe, KnuthEstimator, NoopProbe, PhaseProfile, Probe, RecorderProbe,
-    SeriesProbe, Span, StatsProbe, TraceProbe,
+    install_crash_sink, write_atomic, ChromeTraceProbe, FanoutProbe, HeartbeatProbe, NoopProbe,
+    PhaseProfile, Probe, RecorderProbe, SeriesProbe, Span, StatsProbe, TraceProbe,
 };
 use gem_problems::readers_writers::{
     mesa_safe_readers_writers_monitor, rw_correspondence, rw_program_with_semantics,
@@ -86,10 +88,10 @@ use gem_problems::readers_writers::{
 };
 use gem_problems::{bounded, db_update, life, one_slot};
 use gem_spec::{render_specification, Specification};
-use gem_verify::auto::{self, StrategyDecision};
+use gem_verify::auto::{self, StrategyDecision, StrategyEvidence};
 use gem_verify::{
-    canonical_key, check_computation, sample_evidence, verify_system, ArtifactSink, Correspondence,
-    IncrCheck, ProjectError, RunFailure, VerifyOptions, VerifyOutcome,
+    check_computation, sample_evidence, verify_system, ArtifactSink, Correspondence, IncrCheck,
+    RunFailure, VerifyOptions, VerifyOutcome,
 };
 
 /// A CLI usage or execution error.
@@ -108,9 +110,13 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Parsed `key=value` parameters.
+/// Parsed `key=value` parameters. Every lookup records its key, so a
+/// parameter nothing asked for can be reported instead of ignored.
 #[derive(Clone, Debug, Default)]
-pub struct Params(BTreeMap<String, String>);
+pub struct Params {
+    values: BTreeMap<String, String>,
+    asked: RefCell<BTreeSet<String>>,
+}
 
 impl Params {
     /// Parses trailing `key=value` arguments.
@@ -119,72 +125,120 @@ impl Params {
     ///
     /// Returns an error for arguments without `=`.
     pub fn parse(args: &[String]) -> Result<Self, CliError> {
-        let mut map = BTreeMap::new();
+        let mut values = BTreeMap::new();
         for a in args {
             let (k, v) = a
                 .split_once('=')
                 .ok_or_else(|| err(format!("expected key=value, got {a:?}")))?;
-            map.insert(k.to_owned(), v.to_owned());
+            values.insert(k.to_owned(), v.to_owned());
         }
-        Ok(Self(map))
+        Ok(Self {
+            values,
+            asked: RefCell::default(),
+        })
+    }
+
+    fn get(&self, key: &str) -> Option<&String> {
+        self.asked.borrow_mut().insert(key.to_owned());
+        self.values.get(key)
+    }
+
+    fn parsed<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+        what: &str,
+    ) -> Result<T, CliError> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| err(format!("{key} must be {what}, got {v:?}"))),
+        }
     }
 
     fn usize(&self, key: &str, default: usize) -> Result<usize, CliError> {
-        match self.0.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| err(format!("{key} must be a number, got {v:?}"))),
-        }
+        self.parsed(key, default, "a number")
     }
 
     fn str<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.0.get(key).map(String::as_str).unwrap_or(default)
+        self.get(key).map(String::as_str).unwrap_or(default)
     }
 
     fn f64(&self, key: &str, default: f64) -> Result<f64, CliError> {
-        match self.0.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| err(format!("{key} must be a number, got {v:?}"))),
-        }
+        self.parsed(key, default, "a number")
     }
 
     fn bool(&self, key: &str, default: bool) -> Result<bool, CliError> {
-        match self.0.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| err(format!("{key} must be true/false, got {v:?}"))),
+        self.parsed(key, default, "true/false")
+    }
+
+    /// Fails on the first parameter no lookup asked for: a misspelled or
+    /// inapplicable key would otherwise silently run the default.
+    fn reject_unasked(&self, problem: &str) -> Result<(), CliError> {
+        let asked = self.asked.borrow();
+        match self.values.iter().find(|(k, _)| !asked.contains(*k)) {
+            None => Ok(()),
+            Some((k, v)) => Err(err(format!(
+                "unknown parameter {k}={v} for {problem}; it takes {}",
+                asked.iter().cloned().collect::<Vec<_>>().join(", ")
+            ))),
         }
     }
 }
 
-/// A problem instance resolvable to a spec + system + correspondence.
-/// Monitor sweeps are bounded at 1 000 000 runs; the other substrates
-/// carry their own bound.
+/// The program of a problem instance, on one of the three substrates.
 #[allow(clippy::large_enum_variant)] // one short-lived instance per invocation
-#[allow(missing_docs)] // fields: the system, its problem spec, their correspondence
-pub enum Instance {
-    Monitor {
-        sys: gem_lang::monitor::MonitorSystem,
-        spec: Specification,
-        corr: Correspondence,
-    },
-    Csp {
-        sys: gem_lang::csp::CspSystem,
-        spec: Specification,
-        corr: Correspondence,
-        max_runs: usize,
-    },
-    Ada {
-        sys: gem_lang::ada::AdaSystem,
-        spec: Specification,
-        corr: Correspondence,
-        max_runs: usize,
-    },
+pub enum Program {
+    /// A monitor program.
+    Monitor(MonitorSystem),
+    /// A CSP program.
+    Csp(CspSystem),
+    /// An ADA tasking program.
+    Ada(AdaSystem),
 }
+
+/// A problem instance: the program, its problem specification, the
+/// correspondence between their events, and the sweep's run bound.
+pub struct Instance {
+    /// The program under verification.
+    pub program: Program,
+    /// The problem specification.
+    pub spec: Specification,
+    /// Program events ↦ problem events.
+    pub corr: Correspondence,
+    /// Sweeps stop after this many runs.
+    pub max_runs: usize,
+}
+
+/// The run bound of every sweep whose problem does not set its own.
+const MAX_RUNS: usize = 1_000_000;
+
+/// A substrate simulator as the commands drive it. Implemented once for
+/// each of the three simulators, so every command is written once.
+trait Substrate: System<State: Send, Action: Send> + Sync {
+    /// Seals the computation accumulated in `state`.
+    fn seal(&self, state: &Self::State) -> Computation;
+    /// What compiling the program at system build produced.
+    fn code_stats(&self) -> CodeStats;
+}
+
+macro_rules! substrate {
+    ($($t:ty),*) => {$(
+        impl Substrate for $t {
+            fn seal(&self, state: &Self::State) -> Computation {
+                // Cannot fire: the simulators only add edges into the
+                // newest event, so a sealed trace cannot contain a cycle.
+                self.computation(state).expect("simulator traces are acyclic")
+            }
+
+            fn code_stats(&self) -> CodeStats {
+                <$t>::code_stats(self)
+            }
+        }
+    )*};
+}
+substrate!(MonitorSystem, CspSystem, AdaSystem);
 
 fn parse_rw_variant(s: &str) -> Result<RwVariant, CliError> {
     Ok(match s {
@@ -201,9 +255,12 @@ fn parse_rw_variant(s: &str) -> Result<RwVariant, CliError> {
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] for an unknown problem or a bad parameter.
+/// Returns [`CliError`] for an unknown problem, a bad parameter, or a
+/// parameter the problem does not take.
 pub fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
-    match problem {
+    let unknown_substrate = |other: &str| err(format!("unknown substrate {other:?}"));
+    let mut max_runs = MAX_RUNS;
+    let (program, spec, corr) = match problem {
         "one-slot" => {
             let n = p.usize("items", 3)?;
             let items: Vec<i64> = (1..=n as i64).map(|i| i * 10).collect();
@@ -212,29 +269,19 @@ pub fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
                 "monitor" => {
                     let sys = one_slot::monitor_solution(&items);
                     let corr = one_slot::monitor_correspondence(&sys, &spec);
-                    Ok(Instance::Monitor { sys, spec, corr })
+                    (Program::Monitor(sys), spec, corr)
                 }
                 "csp" => {
                     let sys = one_slot::csp_solution(&items);
                     let corr = one_slot::csp_correspondence(&sys, &spec);
-                    Ok(Instance::Csp {
-                        sys,
-                        spec,
-                        corr,
-                        max_runs: 1_000_000,
-                    })
+                    (Program::Csp(sys), spec, corr)
                 }
                 "ada" => {
                     let sys = one_slot::ada_solution(&items);
                     let corr = one_slot::ada_correspondence(&sys, &spec);
-                    Ok(Instance::Ada {
-                        sys,
-                        spec,
-                        corr,
-                        max_runs: 1_000_000,
-                    })
+                    (Program::Ada(sys), spec, corr)
                 }
-                other => Err(err(format!("unknown substrate {other:?}"))),
+                other => return Err(unknown_substrate(other)),
             }
         }
         "bounded" => {
@@ -246,29 +293,19 @@ pub fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
                 "monitor" => {
                     let sys = bounded::monitor_solution(&items, cap);
                     let corr = bounded::monitor_correspondence(&sys, &spec, cap);
-                    Ok(Instance::Monitor { sys, spec, corr })
+                    (Program::Monitor(sys), spec, corr)
                 }
                 "csp" => {
                     let sys = bounded::csp_solution(&items, cap);
                     let corr = bounded::csp_correspondence(&sys, &spec, cap);
-                    Ok(Instance::Csp {
-                        sys,
-                        spec,
-                        corr,
-                        max_runs: 1_000_000,
-                    })
+                    (Program::Csp(sys), spec, corr)
                 }
                 "ada" => {
                     let sys = bounded::ada_solution(&items, cap);
                     let corr = bounded::ada_correspondence(&sys, &spec, cap);
-                    Ok(Instance::Ada {
-                        sys,
-                        spec,
-                        corr,
-                        max_runs: 1_000_000,
-                    })
+                    (Program::Ada(sys), spec, corr)
                 }
-                other => Err(err(format!("unknown substrate {other:?}"))),
+                other => return Err(unknown_substrate(other)),
             }
         }
         "rw" => {
@@ -303,7 +340,7 @@ pub fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
             };
             let spec = rw_spec(readers + writers, with_data, variant);
             let corr = rw_correspondence(&sys, &spec, with_data);
-            Ok(Instance::Monitor { sys, spec, corr })
+            (Program::Monitor(sys), spec, corr)
         }
         "db-update" => {
             let clients = p.usize("clients", 3)?;
@@ -311,12 +348,7 @@ pub fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
             let sys = db_update::db_update_program(clients, sites);
             let spec = db_update::db_update_spec(sites, clients);
             let corr = db_update::db_update_correspondence(&sys, &spec, sites);
-            Ok(Instance::Csp {
-                sys,
-                spec,
-                corr,
-                max_runs: 1_000_000,
-            })
+            (Program::Csp(sys), spec, corr)
         }
         "philosophers" => {
             let n = p.usize("n", 3)?;
@@ -329,12 +361,8 @@ pub fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
             let sys = gem_problems::philosophers::philosophers_program(n, meals, order);
             let spec = gem_problems::philosophers::philosophers_spec(n);
             let corr = gem_problems::philosophers::philosophers_correspondence(&sys, &spec, n);
-            Ok(Instance::Ada {
-                sys,
-                spec,
-                corr,
-                max_runs: 20_000,
-            })
+            max_runs = 20_000;
+            (Program::Ada(sys), spec, corr)
         }
         "life" => {
             let gens = p.usize("gens", 2)?;
@@ -346,15 +374,18 @@ pub fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
             let sys = life::life_program(&grid, gens);
             let spec = life::life_spec(&grid, gens);
             let corr = life::life_correspondence(&sys, &spec, &grid);
-            Ok(Instance::Csp {
-                sys,
-                spec,
-                corr,
-                max_runs: 50, // life's schedule space is astronomical
-            })
+            max_runs = 50; // life's schedule space is astronomical
+            (Program::Csp(sys), spec, corr)
         }
-        other => Err(err(format!("unknown problem {other:?}; try `gem list`"))),
-    }
+        other => return Err(err(format!("unknown problem {other:?}; try `gem list`"))),
+    };
+    p.reject_unasked(problem)?;
+    Ok(Instance {
+        program,
+        spec,
+        corr,
+        max_runs,
+    })
 }
 
 /// The problems `gem list` reports.
@@ -794,17 +825,28 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 }
 
 fn dispatch(args: &[String], obs: &ObsSetup, flags: &mut ObsFlags) -> Result<String, CliError> {
-    let probe = &obs.probe;
-    let jobs = flags.jobs.unwrap_or(1);
-    let dedup = flags.dedup;
     let (cmd, rest) = args.split_first().ok_or_else(|| err(usage()))?;
+    if let Some(command) = Command::named(cmd) {
+        let (problem, params) = rest
+            .split_first()
+            .ok_or_else(|| err(format!("{cmd} needs a problem name; try `gem list`")))?;
+        let inst = instance(problem, &Params::parse(params)?)?;
+        return Ctx {
+            inst: &inst,
+            problem,
+            params,
+            probe: &obs.probe,
+            flags,
+        }
+        .exec(command);
+    }
     match cmd.as_str() {
         "list" => Ok(PROBLEMS.join("\n")),
         "replay" => {
             let dir = rest
                 .first()
                 .ok_or_else(|| err("replay needs an artifact directory"))?;
-            replay_cmd(Path::new(dir))
+            replay_cmd(Path::new(dir), &obs.probe, flags)
         }
         "bench-diff" => bench_diff_cmd(rest, flags.json_out.as_deref()),
         "metrics-lint" => {
@@ -819,502 +861,327 @@ fn dispatch(args: &[String], obs: &ObsSetup, flags: &mut ObsFlags) -> Result<Str
                 s.families, s.samples, s.snapshots
             ))
         }
-        "render" | "verify" | "profile" | "top" | "explore" | "dot" | "deadlock" => {
-            let (problem, raw_params) = rest
-                .split_first()
-                .ok_or_else(|| err(format!("{cmd} needs a problem name; try `gem list`")))?;
-            let params = Params::parse(raw_params)?;
-            let inst = instance(problem, &params)?;
-            let code_stats = match &inst {
-                Instance::Monitor { sys, .. } => sys.code_stats(),
-                Instance::Csp { sys, .. } => sys.code_stats(),
-                Instance::Ada { sys, .. } => sys.code_stats(),
-            };
-            probe.add("code.exprs", code_stats.exprs);
-            probe.add("code.ops", code_stats.ops);
-            probe.add("code.consts", code_stats.consts);
-            probe.add("code.programs", code_stats.programs);
-            probe.add("code.slots", code_stats.slots);
-            // A measured wall-clock value: recorded as a `_ns` histogram
-            // (one sample), not a counter, so reports stay deterministic
-            // under `without_timings()`.
-            probe.record("explore.compile_ns", code_stats.compile_ns);
-            match cmd.as_str() {
-                "render" => {
-                    let spec = match &inst {
-                        Instance::Monitor { spec, .. }
-                        | Instance::Csp { spec, .. }
-                        | Instance::Ada { spec, .. } => spec,
-                    };
-                    Ok(render_specification(spec))
-                }
-                "verify" => {
-                    // `--auto`: sample the instance first and pick the
-                    // reduction strategy from the evidence, overriding
-                    // any explicit `--dedup`/`--por`. The decision is
-                    // carried back on `flags` so the stats report's
-                    // config section records it.
-                    if flags.auto {
-                        let decision = match &inst {
-                            Instance::Monitor { sys, spec, corr } => auto_decide(
-                                sys,
-                                spec,
-                                corr,
-                                |s| sys.computation(s).expect("acyclic"),
-                                probe.as_ref(),
-                            ),
-                            Instance::Csp {
-                                sys, spec, corr, ..
-                            } => auto_decide(
-                                sys,
-                                spec,
-                                corr,
-                                |s| sys.computation(s).expect("acyclic"),
-                                probe.as_ref(),
-                            ),
-                            Instance::Ada {
-                                sys, spec, corr, ..
-                            } => auto_decide(
-                                sys,
-                                spec,
-                                corr,
-                                |s| sys.computation(s).expect("acyclic"),
-                                probe.as_ref(),
-                            ),
-                        };
-                        flags.dedup = decision.strategy == auto::Strategy::Dedup;
-                        flags.por = decision.strategy == auto::Strategy::Por;
-                        flags.strategy = Some(decision);
-                    }
-                    let dedup = flags.dedup;
-                    // `meta.json` records exactly what `gem replay` needs
-                    // to rebuild this instance.
-                    // The recorded schedule is exact either way, but
-                    // under `--por` it is one sleep-set *representative*
-                    // of its computation, not necessarily the first
-                    // failing schedule of the unreduced sweep — `gem
-                    // replay` surfaces the flags so a diverging
-                    // reproduction can be read in context.
-                    let sink = flags.artifacts.as_ref().map(|dir| {
-                        ArtifactSink::new(dir)
-                            .meta("problem", problem.as_str())
-                            .meta("params", raw_params.join(" "))
-                            .meta("por", if flags.por { "true" } else { "false" })
-                            .meta("dedup", if dedup { "true" } else { "false" })
-                    });
-                    let options = |max_runs: usize| VerifyOptions {
-                        explorer: Explorer {
-                            jobs,
-                            reduce: flags.por,
-                            dedup_computations: dedup,
-                            ..Explorer::with_max_runs(max_runs)
-                        },
-                        probe: probe.clone(),
-                        artifacts: sink.clone(),
-                        incr_check: flags.incr_check,
-                        ..VerifyOptions::default()
-                    };
-                    // Under `--explain`, sample the run tree first so the
-                    // report carries search-space estimates (and the
-                    // heartbeat can show % explored / ETA).
-                    let estimates = flags.explain;
-                    let outcome = match &inst {
-                        Instance::Monitor { sys, spec, corr } => verify_with_estimates(
-                            sys,
-                            spec,
-                            corr,
-                            |s| sys.computation(s).expect("acyclic"),
-                            &options(1_000_000),
-                            estimates,
-                        ),
-                        Instance::Csp {
-                            sys,
-                            spec,
-                            corr,
-                            max_runs,
-                        } => verify_with_estimates(
-                            sys,
-                            spec,
-                            corr,
-                            |s| sys.computation(s).expect("acyclic"),
-                            &options(*max_runs),
-                            estimates,
-                        ),
-                        Instance::Ada {
-                            sys,
-                            spec,
-                            corr,
-                            max_runs,
-                        } => verify_with_estimates(
-                            sys,
-                            spec,
-                            corr,
-                            |s| sys.computation(s).expect("acyclic"),
-                            &options(*max_runs),
-                            estimates,
-                        ),
-                    }
-                    .map_err(|e| err(format!("projection failed: {e}")))?;
-                    let mut out = format_outcome(&outcome);
-                    if let Some(d) = &flags.strategy {
-                        out.push_str(&format!("\nstrategy: {} (auto)", d.strategy.name()));
-                    }
-                    if let Some(dir) = &flags.artifacts {
-                        out.push_str(&format!("\nartifacts: {dir}"));
-                    }
-                    Ok(out)
-                }
-                "profile" => {
-                    // A dedicated stats sink so the phase table can be
-                    // rendered regardless of `--stats*`; the session's
-                    // probe still sees everything through the fanout.
-                    let stats = Arc::new(StatsProbe::new());
-                    let combined: Arc<dyn Probe> = if probe.enabled() {
-                        Arc::new(FanoutProbe::new(vec![
-                            stats.clone() as Arc<dyn Probe>,
-                            probe.clone(),
-                        ]))
-                    } else {
-                        stats.clone()
-                    };
-                    let options = |max_runs: usize| VerifyOptions {
-                        explorer: Explorer {
-                            jobs,
-                            reduce: flags.por,
-                            dedup_computations: dedup,
-                            ..Explorer::with_max_runs(max_runs)
-                        },
-                        probe: combined.clone(),
-                        incr_check: flags.incr_check,
-                        ..VerifyOptions::default()
-                    };
-                    let outcome = match &inst {
-                        Instance::Monitor { sys, spec, corr } => verify_with_estimates(
-                            sys,
-                            spec,
-                            corr,
-                            |s| sys.computation(s).expect("acyclic"),
-                            &options(1_000_000),
-                            true,
-                        ),
-                        Instance::Csp {
-                            sys,
-                            spec,
-                            corr,
-                            max_runs,
-                        } => verify_with_estimates(
-                            sys,
-                            spec,
-                            corr,
-                            |s| sys.computation(s).expect("acyclic"),
-                            &options(*max_runs),
-                            true,
-                        ),
-                        Instance::Ada {
-                            sys,
-                            spec,
-                            corr,
-                            max_runs,
-                        } => verify_with_estimates(
-                            sys,
-                            spec,
-                            corr,
-                            |s| sys.computation(s).expect("acyclic"),
-                            &options(*max_runs),
-                            true,
-                        ),
-                    }
-                    .map_err(|e| err(format!("projection failed: {e}")))?;
-                    let report = stats.report();
-                    let mut out = format_outcome(&outcome);
-                    out.push_str("\n\n");
-                    match PhaseProfile::from_report(&report) {
-                        Some(profile) => out.push_str(&profile.render()),
-                        None => out.push_str("no phase timers recorded\n"),
-                    }
-                    let spec = match &inst {
-                        Instance::Monitor { spec, .. }
-                        | Instance::Csp { spec, .. }
-                        | Instance::Ada { spec, .. } => spec,
-                    };
-                    out.push('\n');
-                    out.push_str(&restriction_breakdown(spec, &report));
-                    // Only present when the parallel explorer actually
-                    // ran with telemetry, i.e. `--jobs > 1` split work
-                    // beyond the frontier.
-                    if let Some(table) = worker_table(&report) {
-                        out.push('\n');
-                        out.push_str(&table);
-                    }
-                    let verdicts = gem_obs::explain(&report);
-                    if !verdicts.is_empty() {
-                        out.push('\n');
-                        for line in verdicts {
-                            out.push_str(&line);
-                            out.push('\n');
-                        }
-                    }
-                    Ok(out)
-                }
-                "top" => {
-                    // Live single-screen dashboard: a ticker thread
-                    // repaints runs/steps rates, progress toward the
-                    // sampled search-space estimate, worker utilization
-                    // and phase shares on stderr while the verify sweep
-                    // runs on this thread. The final frame plus the
-                    // verdict is the stdout result, so `gem top` stays
-                    // scriptable.
-                    let stats = Arc::new(StatsProbe::new());
-                    let combined: Arc<dyn Probe> = if probe.enabled() {
-                        Arc::new(FanoutProbe::new(vec![
-                            stats.clone() as Arc<dyn Probe>,
-                            probe.clone(),
-                        ]))
-                    } else {
-                        stats.clone()
-                    };
-                    let options = |max_runs: usize| VerifyOptions {
-                        explorer: Explorer {
-                            jobs,
-                            reduce: flags.por,
-                            dedup_computations: dedup,
-                            ..Explorer::with_max_runs(max_runs)
-                        },
-                        probe: combined.clone(),
-                        incr_check: flags.incr_check,
-                        ..VerifyOptions::default()
-                    };
-                    // Repaint on the heartbeat cadence (default 1s here:
-                    // a dashboard wants to move), 0 still disables.
-                    let refresh = flags.heartbeat.unwrap_or(1.0);
-                    let started = std::time::Instant::now();
-                    let done = std::sync::atomic::AtomicBool::new(false);
-                    let outcome = std::thread::scope(|scope| {
-                        if refresh > 0.0 {
-                            scope.spawn(|| {
-                                let tick = Duration::from_millis(50);
-                                let mut since = Duration::ZERO;
-                                while !done.load(std::sync::atomic::Ordering::Acquire) {
-                                    std::thread::sleep(tick);
-                                    since += tick;
-                                    if since.as_secs_f64() >= refresh {
-                                        since = Duration::ZERO;
-                                        let frame = render_top(&stats.report(), started.elapsed());
-                                        eprint!("\x1b[2J\x1b[H{frame}");
-                                    }
-                                }
-                            });
-                        }
-                        let outcome = match &inst {
-                            Instance::Monitor { sys, spec, corr } => verify_with_estimates(
-                                sys,
-                                spec,
-                                corr,
-                                |s| sys.computation(s).expect("acyclic"),
-                                &options(1_000_000),
-                                true,
-                            ),
-                            Instance::Csp {
-                                sys,
-                                spec,
-                                corr,
-                                max_runs,
-                            } => verify_with_estimates(
-                                sys,
-                                spec,
-                                corr,
-                                |s| sys.computation(s).expect("acyclic"),
-                                &options(*max_runs),
-                                true,
-                            ),
-                            Instance::Ada {
-                                sys,
-                                spec,
-                                corr,
-                                max_runs,
-                            } => verify_with_estimates(
-                                sys,
-                                spec,
-                                corr,
-                                |s| sys.computation(s).expect("acyclic"),
-                                &options(*max_runs),
-                                true,
-                            ),
-                        };
-                        done.store(true, std::sync::atomic::Ordering::Release);
-                        outcome
-                    })
-                    .map_err(|e| err(format!("projection failed: {e}")))?;
-                    let mut out = render_top(&stats.report(), started.elapsed());
-                    out.push('\n');
-                    out.push_str(&format_outcome(&outcome));
-                    Ok(out)
-                }
-                "explore" => {
-                    fn explore<S>(
-                        sys: &S,
-                        extract: impl Fn(&S::State) -> gem_core::Computation,
-                        max_runs: usize,
-                        probe: &Arc<dyn Probe>,
-                        jobs: usize,
-                        dedup: bool,
-                        reduce: bool,
-                    ) -> String
-                    where
-                        S: System + Sync,
-                        S::State: Send,
-                        S::Action: Send,
-                    {
-                        let _ambient = probe
-                            .enabled()
-                            .then(|| gem_obs::ambient::install(probe.clone()));
-                        let mut deadlocks = 0usize;
-                        // Fingerprint-bucketed exact dedup, mirroring
-                        // verify_system: the free rolling hash indexes,
-                        // the closure-free confirmation key decides.
-                        let mut seen: std::collections::HashMap<
-                            u64,
-                            Vec<gem_verify::CanonicalKey>,
-                        > = std::collections::HashMap::new();
-                        let (mut hits, mut misses) = (0u64, 0u64);
-                        let explorer = Explorer {
-                            jobs,
-                            reduce,
-                            dedup_computations: dedup,
-                            ..Explorer::with_max_runs(max_runs)
-                        };
-                        let mut stats =
-                            explorer.par_for_each_run_probed(sys, probe.as_ref(), |state, _| {
-                                if !sys.is_complete(state) {
-                                    deadlocks += 1;
-                                }
-                                if dedup {
-                                    let comp = extract(state);
-                                    let bucket = seen.entry(comp.fingerprint()).or_default();
-                                    let key = gem_verify::confirm_key(&comp);
-                                    if bucket.contains(&key) {
-                                        hits += 1;
-                                    } else {
-                                        bucket.push(key);
-                                        misses += 1;
-                                    }
-                                }
-                                ControlFlow::Continue(())
-                            });
-                        probe.add("verify.deadlocks", deadlocks as u64);
-                        let mut dedup_note = String::new();
-                        if dedup {
-                            stats.dedup_hits = hits as usize;
-                            stats.dedup_misses = misses as usize;
-                            probe.add("explore.dedup.hits", hits);
-                            probe.add("explore.dedup.misses", misses);
-                            dedup_note = format!("  distinct computations: {misses}");
-                        }
-                        let por_note = if reduce {
-                            format!("  slept branches: {}", stats.sleep_skipped)
-                        } else {
-                            String::new()
-                        };
-                        format!(
-                            "schedules: {}{}  steps: {}  deadlocks: {deadlocks}{dedup_note}{por_note}",
-                            stats.runs,
-                            if stats.truncated() {
-                                "+ (truncated)"
-                            } else {
-                                ""
-                            },
-                            stats.steps,
-                        )
-                    }
-                    Ok(match &inst {
-                        Instance::Monitor { sys, .. } => explore(
-                            sys,
-                            |s| sys.computation(s).expect("acyclic"),
-                            1_000_000,
-                            probe,
-                            jobs,
-                            dedup,
-                            flags.por,
-                        ),
-                        Instance::Csp { sys, max_runs, .. } => explore(
-                            sys,
-                            |s| sys.computation(s).expect("acyclic"),
-                            *max_runs,
-                            probe,
-                            jobs,
-                            dedup,
-                            flags.por,
-                        ),
-                        Instance::Ada { sys, max_runs, .. } => explore(
-                            sys,
-                            |s| sys.computation(s).expect("acyclic"),
-                            *max_runs,
-                            probe,
-                            jobs,
-                            dedup,
-                            flags.por,
-                        ),
-                    })
-                }
-                "deadlock" => {
-                    // Deadlock is a state property, so control-state
-                    // pruning is sound — and necessary, since DFS order
-                    // visits near-sequential schedules first.
-                    fn hunt<S>(sys: &S) -> String
-                    where
-                        S: System + Sync,
-                        S::State: Send,
-                        S::Action: Send,
-                    {
-                        // The parallel explorer falls back to this serial
-                        // path for pruned searches, so `jobs` is moot.
-                        let explorer = Explorer {
-                            prune: true,
-                            ..Explorer::default()
-                        };
-                        match gem_lang::find_deadlock(sys, &explorer) {
-                            Some(path) => {
-                                format!("DEADLOCK after {} action(s):\n{path:#?}", path.len())
-                            }
-                            None => "no deadlock (pruned state search)".to_owned(),
-                        }
-                    }
-                    Ok(match &inst {
-                        Instance::Monitor { sys, .. } => hunt(sys),
-                        Instance::Csp { sys, .. } => hunt(sys),
-                        Instance::Ada { sys, .. } => hunt(sys),
-                    })
-                }
-                "dot" => {
-                    fn first_dot<S: System>(
-                        sys: &S,
-                        extract: impl Fn(&S::State) -> gem_core::Computation,
-                    ) -> String {
-                        let mut out = String::new();
-                        Explorer::with_max_runs(1).for_each_run(sys, |state, _| {
-                            out = gem_core::to_dot(&extract(state));
-                            ControlFlow::Break(())
-                        });
-                        out
-                    }
-                    Ok(match &inst {
-                        Instance::Monitor { sys, .. } => {
-                            first_dot(sys, |s| sys.computation(s).expect("acyclic"))
-                        }
-                        Instance::Csp { sys, .. } => {
-                            first_dot(sys, |s| sys.computation(s).expect("acyclic"))
-                        }
-                        Instance::Ada { sys, .. } => {
-                            first_dot(sys, |s| sys.computation(s).expect("acyclic"))
-                        }
-                    })
-                }
-                _ => unreachable!(),
-            }
-        }
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(err(format!("unknown command {other:?}\n{}", usage()))),
     }
+}
+
+/// A command that runs on a problem instance.
+enum Command<'a> {
+    Render,
+    Verify,
+    Profile,
+    Top,
+    Explore,
+    Deadlock,
+    Dot,
+    /// `gem replay`: re-run a counterexample artifact's recorded run.
+    Replay(&'a Recorded),
+}
+
+impl Command<'_> {
+    /// The command a command-line name selects, if it takes a problem.
+    fn named(name: &str) -> Option<Self> {
+        Some(match name {
+            "render" => Self::Render,
+            "verify" => Self::Verify,
+            "profile" => Self::Profile,
+            "top" => Self::Top,
+            "explore" => Self::Explore,
+            "deadlock" => Self::Deadlock,
+            "dot" => Self::Dot,
+            _ => return None,
+        })
+    }
+}
+
+/// What a [`Command`] runs on: the instance as the command line named it,
+/// and the command line's probe and flags.
+struct Ctx<'a> {
+    inst: &'a Instance,
+    problem: &'a str,
+    params: &'a [String],
+    probe: &'a Arc<dyn Probe>,
+    flags: &'a mut ObsFlags,
+}
+
+impl Ctx<'_> {
+    /// Hands the instance's concrete system to [`command`]: the one place
+    /// the CLI tells the substrates apart.
+    fn exec(mut self, cmd: Command) -> Result<String, CliError> {
+        let inst = self.inst;
+        match &inst.program {
+            Program::Monitor(sys) => command(sys, cmd, &mut self),
+            Program::Csp(sys) => command(sys, cmd, &mut self),
+            Program::Ada(sys) => command(sys, cmd, &mut self),
+        }
+    }
+
+    /// The explorer of a full sweep: the instance's run bound and the
+    /// command line's `--jobs`/`--por`/`--dedup`.
+    fn explorer(&self) -> Explorer {
+        Explorer {
+            jobs: self.flags.jobs.unwrap_or(1),
+            reduce: self.flags.por,
+            dedup_computations: self.flags.dedup,
+            ..Explorer::with_max_runs(self.inst.max_runs)
+        }
+    }
+
+    /// The options of a `verify`, `profile` or `top` sweep reporting to
+    /// `probe`.
+    fn verify_options(&self, probe: Arc<dyn Probe>) -> VerifyOptions {
+        VerifyOptions {
+            explorer: self.explorer(),
+            probe,
+            incr_check: self.flags.incr_check,
+            ..VerifyOptions::default()
+        }
+    }
+}
+
+fn command<S: Substrate>(sys: &S, cmd: Command, cx: &mut Ctx) -> Result<String, CliError> {
+    // `replay` re-checks one recorded run; its report has no build
+    // statistics.
+    if !matches!(cmd, Command::Replay(_)) {
+        let code = sys.code_stats();
+        cx.probe.add("code.exprs", code.exprs);
+        cx.probe.add("code.ops", code.ops);
+        cx.probe.add("code.consts", code.consts);
+        cx.probe.add("code.programs", code.programs);
+        cx.probe.add("code.slots", code.slots);
+        // A measured wall-clock value: recorded as a `_ns` histogram (one
+        // sample), not a counter, so reports stay deterministic under
+        // `without_timings()`.
+        cx.probe.record("explore.compile_ns", code.compile_ns);
+    }
+    match cmd {
+        Command::Render => Ok(render_specification(&cx.inst.spec)),
+        Command::Verify => verify(sys, cx),
+        Command::Profile => profile(sys, cx),
+        Command::Top => top(sys, cx),
+        Command::Explore => Ok(explore(sys, cx)),
+        Command::Deadlock => Ok(deadlock(sys)),
+        Command::Dot => Ok(first_dot(sys)),
+        Command::Replay(recorded) => replay(sys, cx.inst, recorded),
+    }
+}
+
+fn verify<S: Substrate>(sys: &S, cx: &mut Ctx) -> Result<String, CliError> {
+    // `--auto`: sample the instance first and pick the reduction strategy
+    // from the evidence, overriding any explicit `--dedup`/`--por`. The
+    // decision is carried back on `flags` so the stats report's config
+    // section records it.
+    if cx.flags.auto {
+        let decision = auto_decide(sys, cx.inst, cx.probe.as_ref());
+        cx.flags.dedup = decision.strategy == auto::Strategy::Dedup;
+        cx.flags.por = decision.strategy == auto::Strategy::Por;
+        cx.flags.strategy = Some(decision);
+    }
+    let flags = &*cx.flags;
+    // `meta.json` records exactly what `gem replay` needs to rebuild this
+    // instance. The recorded schedule is exact either way, but under
+    // `--por` it is one sleep-set *representative* of its computation,
+    // not necessarily the first failing schedule of the unreduced sweep —
+    // `gem replay` surfaces the flags so a diverging reproduction can be
+    // read in context.
+    let bool_str = |b: bool| if b { "true" } else { "false" };
+    let options = VerifyOptions {
+        artifacts: flags.artifacts.as_ref().map(|dir| {
+            ArtifactSink::new(dir)
+                .meta("problem", cx.problem)
+                .meta("params", cx.params.join(" "))
+                .meta("por", bool_str(flags.por))
+                .meta("dedup", bool_str(flags.dedup))
+        }),
+        ..cx.verify_options(cx.probe.clone())
+    };
+    // Under `--explain`, sample the run tree first so the report carries
+    // search-space estimates (and the heartbeat can show % explored /
+    // ETA); `--auto` has sampled it already.
+    let evidence = flags.explain.then(|| match &flags.strategy {
+        Some(decision) => decision.evidence.clone(),
+        None => sample(sys, cx.inst),
+    });
+    let outcome = sweep(sys, cx.inst, &options, evidence.as_ref())?;
+    let mut out = format_outcome(&outcome);
+    if let Some(d) = &flags.strategy {
+        out.push_str(&format!("\nstrategy: {} (auto)", d.strategy.name()));
+    }
+    if let Some(dir) = &flags.artifacts {
+        out.push_str(&format!("\nartifacts: {dir}"));
+    }
+    Ok(out)
+}
+
+/// A stats sink of its own for `profile` and `top`, which render from it
+/// whatever `--stats*` asked for, and the probe that feeds it alongside
+/// the session's.
+fn own_stats(probe: &Arc<dyn Probe>) -> (Arc<StatsProbe>, Arc<dyn Probe>) {
+    let stats = Arc::new(StatsProbe::new());
+    let combined: Arc<dyn Probe> = if probe.enabled() {
+        Arc::new(FanoutProbe::new(vec![
+            stats.clone() as Arc<dyn Probe>,
+            probe.clone(),
+        ]))
+    } else {
+        stats.clone()
+    };
+    (stats, combined)
+}
+
+fn profile<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
+    let (stats, probe) = own_stats(cx.probe);
+    let outcome = sweep(
+        sys,
+        cx.inst,
+        &cx.verify_options(probe),
+        Some(&sample(sys, cx.inst)),
+    )?;
+    let report = stats.report();
+    let mut out = format_outcome(&outcome);
+    out.push_str("\n\n");
+    match PhaseProfile::from_report(&report) {
+        Some(profile) => out.push_str(&profile.render()),
+        None => out.push_str("no phase timers recorded\n"),
+    }
+    out.push('\n');
+    out.push_str(&restriction_breakdown(&cx.inst.spec, &report));
+    // Only present when the parallel explorer actually ran with
+    // telemetry, i.e. `--jobs > 1` split work beyond the frontier.
+    if let Some(table) = worker_table(&report) {
+        out.push('\n');
+        out.push_str(&table);
+    }
+    let verdicts = gem_obs::explain(&report);
+    if !verdicts.is_empty() {
+        out.push('\n');
+        for line in verdicts {
+            out.push_str(&line);
+            out.push('\n');
+        }
+    }
+    Ok(out)
+}
+
+/// Live single-screen dashboard: a ticker thread repaints runs/steps
+/// rates, progress toward the sampled search-space estimate, worker
+/// utilization and phase shares on stderr while the verify sweep runs on
+/// this thread. The final frame plus the verdict is the stdout result, so
+/// `gem top` stays scriptable.
+fn top<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
+    let (stats, probe) = own_stats(cx.probe);
+    let options = cx.verify_options(probe);
+    // Repaint on the heartbeat cadence (default 1s here: a dashboard
+    // wants to move), 0 still disables.
+    let refresh = cx.flags.heartbeat.unwrap_or(1.0);
+    let started = std::time::Instant::now();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let outcome = std::thread::scope(|scope| {
+        if refresh > 0.0 {
+            scope.spawn(|| {
+                let tick = Duration::from_millis(50);
+                let mut since = Duration::ZERO;
+                while !done.load(std::sync::atomic::Ordering::Acquire) {
+                    std::thread::sleep(tick);
+                    since += tick;
+                    if since.as_secs_f64() >= refresh {
+                        since = Duration::ZERO;
+                        let frame = render_top(&stats.report(), started.elapsed());
+                        eprint!("\x1b[2J\x1b[H{frame}");
+                    }
+                }
+            });
+        }
+        let outcome = sweep(sys, cx.inst, &options, Some(&sample(sys, cx.inst)));
+        done.store(true, std::sync::atomic::Ordering::Release);
+        outcome
+    })?;
+    let mut out = render_top(&stats.report(), started.elapsed());
+    out.push('\n');
+    out.push_str(&format_outcome(&outcome));
+    Ok(out)
+}
+
+fn explore<S: Substrate>(sys: &S, cx: &Ctx) -> String {
+    let probe = cx.probe;
+    let dedup = cx.flags.dedup;
+    let _ambient = probe
+        .enabled()
+        .then(|| gem_obs::ambient::install(probe.clone()));
+    let mut deadlocks = 0usize;
+    // Fingerprint-bucketed exact dedup, mirroring verify_system: the free
+    // rolling hash indexes, the closure-free confirmation key decides.
+    let mut seen: std::collections::HashMap<u64, Vec<gem_verify::CanonicalKey>> =
+        std::collections::HashMap::new();
+    let (mut hits, mut misses) = (0u64, 0u64);
+    let mut stats = cx
+        .explorer()
+        .par_for_each_run_probed(sys, probe.as_ref(), |state, _| {
+            if !sys.is_complete(state) {
+                deadlocks += 1;
+            }
+            if dedup {
+                let comp = sys.seal(state);
+                let bucket = seen.entry(comp.fingerprint()).or_default();
+                let key = gem_verify::confirm_key(&comp);
+                if bucket.contains(&key) {
+                    hits += 1;
+                } else {
+                    bucket.push(key);
+                    misses += 1;
+                }
+            }
+            ControlFlow::Continue(())
+        });
+    probe.add("verify.deadlocks", deadlocks as u64);
+    let mut dedup_note = String::new();
+    if dedup {
+        stats.dedup_hits = hits as usize;
+        stats.dedup_misses = misses as usize;
+        probe.add("explore.dedup.hits", hits);
+        probe.add("explore.dedup.misses", misses);
+        dedup_note = format!("  distinct computations: {misses}");
+    }
+    let por_note = if cx.flags.por {
+        format!("  slept branches: {}", stats.sleep_skipped)
+    } else {
+        String::new()
+    };
+    format!(
+        "schedules: {}{}  steps: {}  deadlocks: {deadlocks}{dedup_note}{por_note}",
+        stats.runs,
+        if stats.truncated() {
+            "+ (truncated)"
+        } else {
+            ""
+        },
+        stats.steps,
+    )
+}
+
+/// Deadlock is a state property, so control-state pruning is sound — and
+/// necessary, since DFS order visits near-sequential schedules first.
+fn deadlock<S: Substrate>(sys: &S) -> String {
+    // The parallel explorer falls back to this serial path for pruned
+    // searches, so `jobs` is moot.
+    let explorer = Explorer {
+        prune: true,
+        ..Explorer::default()
+    };
+    match gem_lang::find_deadlock(sys, &explorer) {
+        Some(path) => format!("DEADLOCK after {} action(s):\n{path:#?}", path.len()),
+        None => "no deadlock (pruned state search)".to_owned(),
+    }
+}
+
+fn first_dot<S: Substrate>(sys: &S) -> String {
+    let mut out = String::new();
+    Explorer::with_max_runs(1).for_each_run(sys, |state, _| {
+        out = gem_core::to_dot(&sys.seal(state));
+        ControlFlow::Break(())
+    });
+    out
 }
 
 /// Renders nanoseconds with a readable unit for the breakdown table.
@@ -1495,46 +1362,46 @@ fn restriction_breakdown(spec: &Specification, report: &gem_obs::Report) -> Stri
     out
 }
 
-/// Samples the instance and picks the exploration strategy for
-/// `verify --auto` ([`gem_verify::auto`]), posting the evidence on the
-/// probe (`auto.*` counters, gauges, and the `auto.key` / `auto.check`
-/// cost timers) so heartbeats and stats reports see what the decision
-/// was based on. Sampling happens before the `verify` span opens and
-/// emits nothing into the phase timers.
-fn auto_decide<S, F>(
-    sys: &S,
-    spec: &Specification,
-    corr: &Correspondence,
-    extract: F,
-    probe: &dyn Probe,
-) -> StrategyDecision
-where
-    S: System,
-    F: Fn(&S::State) -> gem_core::Computation,
-{
+/// Samples random runs of `sys` with the shared sampler
+/// ([`sample_evidence`]): the evidence both `verify --auto` decides on and
+/// the `estimate.*` keys report.
+fn sample<S: Substrate>(sys: &S, inst: &Instance) -> StrategyEvidence {
     let defaults = VerifyOptions::default();
-    let mut evidence = sample_evidence(
+    sample_evidence(
         &defaults.explorer,
         sys,
-        extract,
+        |s| sys.seal(s),
         |comp| {
             let _ = check_computation(
                 comp,
-                spec,
-                corr,
+                &inst.spec,
+                &inst.corr,
                 defaults.strategy,
                 defaults.check_program_legality,
             );
         },
         auto::AUTO_SAMPLES,
         auto::AUTO_CHECKS,
-    );
+    )
+}
+
+/// Samples the instance and picks the exploration strategy for
+/// `verify --auto` ([`gem_verify::auto`]), posting the evidence on the
+/// probe (`auto.*` counters, gauges, and the `auto.key` / `auto.check`
+/// cost timers) so heartbeats and stats reports see what the decision
+/// was based on. Sampling happens before the `verify` span opens and
+/// emits nothing into the phase timers.
+fn auto_decide<S: Substrate>(sys: &S, inst: &Instance, probe: &dyn Probe) -> StrategyDecision {
+    let mut evidence = sample(sys, inst);
     // When the spec compiles for incremental checking, the sweep's clean
     // leaves skip batch checks entirely — the chooser must not credit
     // dedup with savings the incremental path already banks.
-    evidence.incr_supported =
-        !gem_verify::IncrChecker::new(spec, corr, defaults.check_program_legality)
-            .global_fallback();
+    evidence.incr_supported = !gem_verify::IncrChecker::new(
+        &inst.spec,
+        &inst.corr,
+        VerifyOptions::default().check_program_legality,
+    )
+    .global_fallback();
     probe.add("auto.incr_supported", u64::from(evidence.incr_supported));
     probe.add("auto.samples", evidence.samples as u64);
     probe.add("auto.oracle_grants", evidence.oracle_grants);
@@ -1548,98 +1415,36 @@ where
     auto::choose(evidence)
 }
 
-/// Random root-to-leaf walks taken by the pre-sweep estimators.
-const ESTIMATE_SAMPLES: u64 = 64;
-/// How many sampled computations are also checked, to price a check.
-const ESTIMATE_CHECKS: usize = 6;
-
-/// Samples the run tree before a sweep and posts search-space estimates
-/// on the probe:
+/// Runs the verification sweep, first posting the search-space estimates
+/// of `evidence` when given:
 ///
-/// * `estimate.total_runs` (gauge) — Knuth weighted-backtrack estimate
-///   of the number of maximal runs; the heartbeat turns it into
+/// * `estimate.total_runs` (gauge) — Knuth weighted-backtrack estimate of
+///   the number of maximal runs; the heartbeat turns it into
 ///   `% explored` / ETA.
 /// * `estimate.distinct_computations` (gauge) — capture-recapture
-///   estimate of the distinct canonical keys (the collapse ratio).
-/// * `estimate.canonical_key` / `estimate.check` (timers) — sampled
-///   per-run hashing and checking costs, which price the predicted
-///   dedup verdict in `--explain` when dedup is off.
-fn estimate_instance<S, F>(
+///   estimate of the distinct computations (the collapse ratio).
+/// * `estimate.key` / `estimate.check` (timers) — sampled per-run keying
+///   and checking costs, which price the predicted dedup verdict in
+///   `--explain` when dedup is off.
+///
+/// Sampling happens *before* the `verify` span opens, so the phase table
+/// still partitions the sweep's wall time.
+fn sweep<S: Substrate>(
     sys: &S,
-    extract: &F,
-    spec: &Specification,
-    corr: &Correspondence,
-    explorer: &Explorer,
-    probe: &dyn Probe,
-) where
-    S: System,
-    F: Fn(&S::State) -> gem_core::Computation,
-{
-    let elapsed_ns = |t: std::time::Instant| -> u64 {
-        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    };
-    let defaults = VerifyOptions::default();
-    let mut knuth = KnuthEstimator::new();
-    let mut collapse = CollapseEstimator::new();
-    let mut checks = 0usize;
-    for seed in 0..ESTIMATE_SAMPLES {
-        let sample = explorer.sample_run(sys, seed);
-        knuth.record(sample.tree_product);
-        let comp = extract(&sample.state);
-        let started = std::time::Instant::now();
-        let key = canonical_key(&comp);
-        probe.time_ns("estimate.canonical_key", elapsed_ns(started));
-        collapse.record(fingerprint_words(&key));
-        if checks < ESTIMATE_CHECKS {
-            checks += 1;
-            let started = std::time::Instant::now();
-            let _ = check_computation(
-                &comp,
-                spec,
-                corr,
-                defaults.strategy,
-                defaults.check_program_legality,
-            );
-            probe.time_ns("estimate.check", elapsed_ns(started));
-        }
-    }
-    probe.add("estimate.samples", ESTIMATE_SAMPLES);
-    if let Some(runs) = knuth.estimate_runs() {
-        probe.gauge_set("estimate.total_runs", runs);
-    }
-    if let Some(distinct) = collapse.estimate() {
-        probe.gauge_set("estimate.distinct_computations", distinct);
-    }
-}
-
-/// Runs [`estimate_instance`] (when asked and the probe is live) and then
-/// the verification sweep. Sampling happens *before* the `verify` span
-/// opens, so the phase table still partitions the sweep's wall time.
-fn verify_with_estimates<S, F>(
-    sys: &S,
-    spec: &Specification,
-    corr: &Correspondence,
-    extract: F,
+    inst: &Instance,
     options: &VerifyOptions,
-    estimates: bool,
-) -> Result<VerifyOutcome, ProjectError>
-where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-    F: Fn(&S::State) -> gem_core::Computation,
-{
-    if estimates && options.probe.enabled() {
-        estimate_instance(
-            sys,
-            &extract,
-            spec,
-            corr,
-            &options.explorer,
-            options.probe.as_ref(),
-        );
+    evidence: Option<&StrategyEvidence>,
+) -> Result<VerifyOutcome, CliError> {
+    if let Some(e) = evidence {
+        let probe = options.probe.as_ref();
+        probe.add("estimate.samples", e.samples as u64);
+        probe.gauge_set("estimate.total_runs", (e.est_runs.round() as u64).max(1));
+        probe.gauge_set("estimate.distinct_computations", e.est_distinct);
+        probe.time_ns("estimate.key", e.key_ns);
+        probe.time_ns("estimate.check", e.check_ns);
     }
-    verify_system(sys, spec, corr, &extract, options)
+    verify_system(sys, &inst.spec, &inst.corr, |s| sys.seal(s), options)
+        .map_err(|e| err(format!("projection failed: {e}")))
 }
 
 fn artifact_json(dir: &Path, name: &str) -> Result<JsonValue, CliError> {
@@ -1716,18 +1521,64 @@ fn outcome_from_json(v: &JsonValue, file: &str) -> Result<VerifyOutcome, CliErro
     })
 }
 
+/// A counterexample artifact's recorded run, as `gem replay` reads it.
+struct Recorded {
+    /// The schedule: each step's enabled-action index and action text.
+    steps: Vec<(usize, String)>,
+    /// The outcome the recording sweep judged the run to have.
+    expected: VerifyOutcome,
+    /// Whether the sweep ran under `--por`.
+    por: bool,
+}
+
+fn replay_cmd(
+    dir: &Path,
+    probe: &Arc<dyn Probe>,
+    flags: &mut ObsFlags,
+) -> Result<String, CliError> {
+    let meta = artifact_json(dir, "meta.json")?;
+    let problem = meta
+        .get("problem")
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| err("meta.json: missing \"problem\" (was the artifact written by `gem verify --artifacts`?)"))?;
+    let raw_params: Vec<String> = meta
+        .get("params")
+        .and_then(JsonValue::as_str)
+        .unwrap_or("")
+        .split_whitespace()
+        .map(str::to_owned)
+        .collect();
+    let params = Params::parse(&raw_params)?;
+    let steps = schedule_from_json(&artifact_json(dir, "schedule.json")?, "schedule.json")?;
+    let outcome_doc = artifact_json(dir, "outcome.json")?;
+    let expected = outcome_doc
+        .get("replay")
+        .filter(|v| !matches!(v, JsonValue::Null))
+        .ok_or_else(|| {
+            err("outcome.json has no replay section (clean sweep — nothing to reproduce)")
+        })?;
+    let recorded = Recorded {
+        steps,
+        expected: outcome_from_json(expected, "outcome.json#replay")?,
+        por: meta.get("por").and_then(JsonValue::as_str) == Some("true"),
+    };
+    let inst = instance(problem, &params)?;
+    Ctx {
+        inst: &inst,
+        problem,
+        params: &raw_params,
+        probe,
+        flags,
+    }
+    .exec(Command::Replay(&recorded))
+}
+
 /// Replays a recorded schedule on a freshly-built system: every step must
 /// match the recorded action's `Debug` text, so a drifted problem build
 /// diverges loudly rather than silently checking a different run.
-fn replay_run<S: System>(
-    sys: &S,
-    spec: &Specification,
-    corr: &Correspondence,
-    extract: impl Fn(&S::State) -> gem_core::Computation,
-    steps: &[(usize, String)],
-) -> Result<VerifyOutcome, CliError> {
+fn replay<S: Substrate>(sys: &S, inst: &Instance, recorded: &Recorded) -> Result<String, CliError> {
     let mut state = sys.initial();
-    for (i, (index, recorded)) in steps.iter().enumerate() {
+    for (i, (index, action_text)) in recorded.steps.iter().enumerate() {
         let enabled = sys.enabled(&state);
         let action = enabled.get(*index).cloned().ok_or_else(|| {
             err(format!(
@@ -1736,9 +1587,9 @@ fn replay_run<S: System>(
             ))
         })?;
         let actual = format!("{action:?}");
-        if actual != *recorded {
+        if actual != *action_text {
             return Err(err(format!(
-                "replay step {i}: recorded action {recorded:?}, but index {index} is {actual:?}"
+                "replay step {i}: recorded action {action_text:?}, but index {index} is {actual:?}"
             )));
         }
         sys.apply(&mut state, &action);
@@ -1746,14 +1597,14 @@ fn replay_run<S: System>(
     let deadlocked = !sys.is_complete(&state);
     let defaults = VerifyOptions::default();
     let check = check_computation(
-        &extract(&state),
-        spec,
-        corr,
+        &sys.seal(&state),
+        &inst.spec,
+        &inst.corr,
         defaults.strategy,
         defaults.check_program_legality,
     )
     .map_err(|e| err(format!("projection failed during replay: {e}")))?;
-    Ok(VerifyOutcome {
+    let got = VerifyOutcome {
         runs: 1,
         deadlocks: usize::from(deadlocked),
         failures: check
@@ -1767,70 +1618,18 @@ fn replay_run<S: System>(
             })
             .unwrap_or_default(),
         truncation: None,
-    })
-}
-
-fn replay_cmd(dir: &Path) -> Result<String, CliError> {
-    let meta = artifact_json(dir, "meta.json")?;
-    let problem = meta
-        .get("problem")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| err("meta.json: missing \"problem\" (was the artifact written by `gem verify --artifacts`?)"))?;
-    let params_args: Vec<String> = meta
-        .get("params")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("")
-        .split_whitespace()
-        .map(str::to_owned)
-        .collect();
-    let params = Params::parse(&params_args)?;
-    let schedule = schedule_from_json(&artifact_json(dir, "schedule.json")?, "schedule.json")?;
-    let outcome_doc = artifact_json(dir, "outcome.json")?;
-    let expected = outcome_doc
-        .get("replay")
-        .filter(|v| !matches!(v, JsonValue::Null))
-        .ok_or_else(|| {
-            err("outcome.json has no replay section (clean sweep — nothing to reproduce)")
-        })?;
-    let expected = outcome_from_json(expected, "outcome.json#replay")?;
-    let inst = instance(problem, &params)?;
-    let got = match &inst {
-        Instance::Monitor { sys, spec, corr } => replay_run(
-            sys,
-            spec,
-            corr,
-            |s| sys.computation(s).expect("acyclic"),
-            &schedule,
-        )?,
-        Instance::Csp {
-            sys, spec, corr, ..
-        } => replay_run(
-            sys,
-            spec,
-            corr,
-            |s| sys.computation(s).expect("acyclic"),
-            &schedule,
-        )?,
-        Instance::Ada {
-            sys, spec, corr, ..
-        } => replay_run(
-            sys,
-            spec,
-            corr,
-            |s| sys.computation(s).expect("acyclic"),
-            &schedule,
-        )?,
     };
     // A schedule recorded under `--por` is a sleep-set representative of
     // its computation. Replaying it is exact all the same, but the note
     // tells the reader the run index context: it need not be the first
     // failing schedule of an unreduced sweep.
-    let por_note = if meta.get("por").and_then(JsonValue::as_str) == Some("true") {
+    let por_note = if recorded.por {
         "\nnote: schedule is a --por sleep-set representative"
     } else {
         ""
     };
-    if got == expected {
+    let expected = &recorded.expected;
+    if got == *expected {
         Ok(format!("REPRODUCED: {got}{por_note}"))
     } else {
         Err(err(format!(
@@ -1923,7 +1722,7 @@ fn bench_diff_cmd(rest: &[String], json_out: Option<&str>) -> Result<String, Cli
     // keeps a once-regressing series on a shorter leash than the noise
     // allowance the rest of the table gets.
     let mut limits: BTreeMap<String, f64> = BTreeMap::new();
-    for (k, v) in &params.0 {
+    for (k, v) in &params.values {
         if let Some(metric) = k.strip_prefix("limit:") {
             let pct = v
                 .parse()
@@ -2145,6 +1944,30 @@ mod tests {
         assert!(runv(&["verify", "nope"]).is_err());
         assert!(runv(&["verify", "rw", "noequals"]).is_err());
         assert!(runv(&["verify"]).is_err());
+    }
+
+    #[test]
+    fn misspelled_param_rejected() {
+        // Not a silent sweep of the default `items=4`.
+        let e = runv(&["explore", "bounded", "itmes=2", "--heartbeat", "0"]).unwrap_err();
+        assert!(e.to_string().contains("itmes=2"), "{e}");
+        assert!(e.to_string().contains("items"), "{e}");
+    }
+
+    #[test]
+    fn inapplicable_param_rejected() {
+        // Philosophers exist on ADA only: `substrate=csp` must not run
+        // the ADA program as if it had been honoured.
+        let e = runv(&[
+            "explore",
+            "philosophers",
+            "n=2",
+            "substrate=csp",
+            "--heartbeat",
+            "0",
+        ])
+        .unwrap_err();
+        assert!(e.to_string().contains("substrate=csp"), "{e}");
     }
 
     #[test]
@@ -2703,5 +2526,36 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("auto: chose "), "{out}");
+    }
+
+    #[test]
+    fn explain_estimate_sees_no_collapse_on_bounded_monitor() {
+        // Every run of the bounded monitor seals a distinct computation
+        // (`explore --dedup` counts 6297 of 6297): random walks that
+        // resample one path must not pass for runs that collapse.
+        let dir = std::env::temp_dir().join("gem-cli-test-estimate");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stats.json");
+        let path_s = path.to_str().unwrap().to_owned();
+        runv(&[
+            "verify",
+            "bounded",
+            "items=4",
+            "cap=2",
+            "--explain",
+            "--stats-json",
+            &path_s,
+            "--heartbeat",
+            "0",
+        ])
+        .unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        let report = gem_obs::Report::from_json(&json).unwrap();
+        let gauge = |k: &str| report.gauges.get(k).copied().expect(k);
+        let runs = gauge("estimate.total_runs");
+        let distinct = gauge("estimate.distinct_computations");
+        assert!(2 * distinct >= runs, "{distinct} distinct of {runs} runs");
+        assert!(report.timers.contains_key("estimate.key"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -216,7 +216,7 @@ pub fn explain(report: &Report) -> Vec<String> {
         let est_distinct = report.gauges["estimate.distinct_computations"].max(1);
         if est_runs > 0 {
             let hit_rate = 1.0 - (est_distinct.min(est_runs) as f64 / est_runs as f64);
-            let key_ns = t_mean("estimate.canonical_key");
+            let key_ns = t_mean("estimate.key");
             let check_ns = t_mean("estimate.check");
             let cost = (est_runs as f64) * (key_ns as f64);
             let saved = (est_runs as f64) * hit_rate * (check_ns as f64);
@@ -382,8 +382,7 @@ mod tests {
         let mut r = phased_report();
         r.gauges.insert("estimate.total_runs".into(), 800);
         r.gauges.insert("estimate.distinct_computations".into(), 25);
-        r.timers
-            .insert("estimate.canonical_key".into(), timer(16, 16_000));
+        r.timers.insert("estimate.key".into(), timer(16, 16_000));
         r.timers
             .insert("estimate.check".into(), timer(16, 1_600_000));
         let lines = explain(&r);

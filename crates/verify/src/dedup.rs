@@ -62,6 +62,10 @@ fn push_value(key: &mut Vec<u64>, v: &Value) {
 /// Cost is `O(n²/64)` in the event count (the temporal-order relation is
 /// serialised from the closure's bitset rows), far below one projection +
 /// restriction check — the work a cache hit saves.
+///
+/// No sweep calls it: they key their caches by the builder's rolling
+/// fingerprint plus [`confirm_key`]. It stays as the reference those keys
+/// are tested against.
 pub fn canonical_key(comp: &Computation) -> CanonicalKey {
     // Rank events by (element, seq): unique per event, and invariant under
     // the insertion order a particular schedule happened to produce.

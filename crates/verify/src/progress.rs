@@ -19,7 +19,7 @@ use gem_core::Computation;
 use gem_lang::{Explorer, System, TruncationReason};
 use gem_logic::{check, Formula, Strategy};
 
-use crate::dedup::{canonical_key, CanonicalKey};
+use crate::dedup::{confirm_key, CanonicalKey};
 
 /// Result of a liveness sweep over all runs.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -68,11 +68,13 @@ where
     let mut runs = 0usize;
     let mut failing_runs = Vec::new();
     let dedup = explorer.dedup_computations;
-    let mut verdicts: HashMap<CanonicalKey, bool> = HashMap::new();
+    // Keyed like `verify_system`'s cache: the builder's rolling
+    // fingerprint plus the closure-free confirmation key.
+    let mut verdicts: HashMap<(u64, CanonicalKey), bool> = HashMap::new();
     let (mut dedup_hits, mut dedup_misses) = (0u64, 0u64);
     let stats = explorer.par_for_each_run(sys, |state, _| {
         let c = extract(state);
-        let key = dedup.then(|| canonical_key(&c));
+        let key = dedup.then(|| (c.fingerprint(), confirm_key(&c)));
         let holds = match key.as_ref().and_then(|k| verdicts.get(k)) {
             Some(&cached) => {
                 dedup_hits += 1;

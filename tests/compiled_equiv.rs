@@ -16,7 +16,14 @@
 //! * the `gem verify` stdout, a digest of every counterexample artifact
 //!   file, and the `--stats-json` report with timings stripped. `code.*`
 //!   and `explore.compile_ns` describe the compiled programs themselves,
-//!   which the interpreters did not have, so they are not pinned.
+//!   which the interpreters did not have, so they are not pinned;
+//! * under `commands`, a digest of the stdout bytes of `render`, `dot`,
+//!   `deadlock` (not for `life`, whose unbounded state search does not
+//!   finish in useful time), and `explore` plain and with `--dedup`, both
+//!   with `--por` in the `por` rows. These were captured later, from the
+//!   compiled simulators at the commit that deleted the interpreters,
+//!   before the CLI's per-substrate dispatch was folded into one generic
+//!   path.
 //!
 //! Rows named `unit/...` hold the simulators' own unit-test programs and
 //! are replayed by those unit tests.
@@ -31,7 +38,7 @@ use gem::obs::fingerprint_words;
 use gem::obs::json::{self, JsonValue};
 use gem::spec::Specification;
 use gem::verify::{verify_system, Correspondence, VerifyOptions};
-use gem_cli::{instance, Instance, Params};
+use gem_cli::{instance, Instance, Params, Program};
 
 const GOLDEN: &str = include_str!("golden/step_semantics.json");
 
@@ -158,6 +165,38 @@ fn cli(line: &str, por: bool) -> Vec<(String, JsonValue)> {
     ]
 }
 
+/// Digests of the other commands' stdout on the row's instance:
+/// `explore` and `explore --dedup` under the row's mode, and `render`,
+/// `dot` and `deadlock`, which have no mode.
+fn commands(line: &str, por: bool) -> Vec<(String, JsonValue)> {
+    let digest = |cmd: &str, flags: &[&str]| {
+        let mut args: Vec<String> = std::iter::once(cmd)
+            .chain(line.split_whitespace())
+            .chain(["--heartbeat", "0"])
+            .chain(flags.iter().copied())
+            .map(str::to_owned)
+            .collect();
+        if por && cmd == "explore" {
+            args.push("--por".to_owned());
+        }
+        let stdout = gem_cli::run(&args).expect("cli run");
+        let words: Vec<u64> = stdout.bytes().map(u64::from).collect();
+        hex(fingerprint_words(&words))
+    };
+    let mut digests = vec![
+        ("render".into(), digest("render", &[])),
+        ("explore".into(), digest("explore", &[])),
+        ("explore --dedup".into(), digest("explore", &["--dedup"])),
+        ("dot".into(), digest("dot", &[])),
+    ];
+    // `deadlock` searches the whole state space with no run bound, which
+    // `life` does not finish in useful time.
+    if !line.starts_with("life") {
+        digests.push(("deadlock".into(), digest("deadlock", &[])));
+    }
+    vec![("commands".into(), JsonValue::Obj(digests))]
+}
+
 /// Replays one golden row with the current simulators.
 fn replay(line: &str, mode: &str) -> JsonValue {
     let por = match mode {
@@ -172,28 +211,25 @@ fn replay(line: &str, mode: &str) -> JsonValue {
         ("instance".into(), JsonValue::Str(line.into())),
         ("mode".into(), JsonValue::Str(mode.into())),
     ];
-    fields.extend(match &instance(&problem, &params).expect("instance") {
-        Instance::Monitor { sys, spec, corr } => sweep(sys, spec, corr, 1_000_000, por, |st| {
+    let Instance {
+        program,
+        spec,
+        corr,
+        max_runs,
+    } = &instance(&problem, &params).expect("instance");
+    fields.extend(match program {
+        Program::Monitor(sys) => sweep(sys, spec, corr, *max_runs, por, |st| {
             sys.computation(st).expect("acyclic")
         }),
-        Instance::Csp {
-            sys,
-            spec,
-            corr,
-            max_runs,
-        } => sweep(sys, spec, corr, *max_runs, por, |st| {
+        Program::Csp(sys) => sweep(sys, spec, corr, *max_runs, por, |st| {
             sys.computation(st).expect("acyclic")
         }),
-        Instance::Ada {
-            sys,
-            spec,
-            corr,
-            max_runs,
-        } => sweep(sys, spec, corr, *max_runs, por, |st| {
+        Program::Ada(sys) => sweep(sys, spec, corr, *max_runs, por, |st| {
             sys.computation(st).expect("acyclic")
         }),
     });
     fields.extend(cli(line, por));
+    fields.extend(commands(line, por));
     JsonValue::Obj(fields)
 }
 
