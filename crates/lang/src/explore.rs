@@ -8,7 +8,14 @@
 //!
 //! A [`System`] exposes its nondeterminism as a set of enabled actions per
 //! state; [`Explorer::for_each_run`] drives a depth-first search over all
-//! maximal action sequences. No state pruning is performed by default:
+//! maximal action sequences. That search is written once, as the private
+//! `walk`: run cap at node entry, the `enabled` scan, the leaf and
+//! depth-limit decision, the sleep-set partition, the step cap before each
+//! edge, the child-sleep filter and the checkpoint-or-clone edge. What a
+//! search does with budgets and leaves is a `Walk` impl — the serial
+//! sweep here, the parallel frontier and workers in `par` — so serial and
+//! parallel sweeps take the same decisions in the same order by
+//! construction. No state pruning is performed by default:
 //! restrictions depend on the *computation* (the full event past), so two
 //! schedules reaching the same control state must still both be checked.
 //! A state-hash pruning mode is available for pure state properties such
@@ -16,7 +23,7 @@
 //!
 //! Two opt-in fast paths cut the cost of the default full sweep without
 //! giving up its guarantees. Systems that implement
-//! [`System::checkpoint`]/[`System::undo`] let the DFS mutate one shared
+//! [`System::checkpoint`]/[`System::undo`] let the walk mutate one shared
 //! state along the schedule and roll it back on backtrack, instead of
 //! cloning the whole accumulated trace per edge. And
 //! [`Explorer::dedup_computations`] lets *computation-aware* drivers (the
@@ -48,9 +55,9 @@ use rand::Rng;
 /// Records one `enabled`-scan width sample (`explore.step.enabled_width`)
 /// on the ambient probe. Substrate simulators call this from
 /// [`System::enabled`] for non-empty scans only, so the histogram counts
-/// exactly one sample per branching node regardless of `jobs` (the
-/// parallel frontier walk re-scans dead-end nodes it hands to workers;
-/// skipping empty scans keeps those from double-counting).
+/// exactly one sample per branching node regardless of `jobs` (a worker
+/// re-scans the dead-end nodes the parallel frontier hands it as one-leaf
+/// items; skipping empty scans keeps those from double-counting).
 pub(crate) fn record_enabled_width(n: usize) {
     if n > 0 {
         ambient::record("explore.step.enabled_width", n as u64);
@@ -76,10 +83,10 @@ pub(crate) fn record_apply_ns(t0: Option<Instant>) {
 
 /// Records one checkpoint-rewind depth sample
 /// (`explore.step.undo_depth`): how many trace events a [`System::undo`]
-/// rolled back. Serial sweeps undo every edge; parallel sweeps only undo
-/// inside worker subtrees (the frontier walk clones instead), so sample
-/// counts are invariant across `jobs ≥ 2` at a fixed split depth but
-/// lower than serial by the frontier edge count.
+/// rolled back. Every sweep undoes every edge it applies on the
+/// checkpoint fast path — the parallel frontier above the split depth,
+/// each worker inside its subtree — so the sample count is the same at
+/// every `jobs`.
 pub(crate) fn record_undo_depth(events_truncated: usize) {
     ambient::record("explore.step.undo_depth", events_truncated as u64);
 }
@@ -325,7 +332,8 @@ pub struct Explorer {
     /// Depth at which [`Explorer::par_for_each_run`] splits the DFS
     /// frontier into subtree work items. Larger values produce more,
     /// smaller work items (better load balance, more splitting overhead);
-    /// `0` degenerates to a single work item (serial via one worker).
+    /// `0` makes the whole trie one work item, which one worker explores
+    /// while the calling thread commits its runs.
     pub split_depth: usize,
     /// If true, computation-aware drivers (the verify layer, the CLI)
     /// skip the per-run property check when the run's sealed computation
@@ -390,230 +398,24 @@ impl Explorer {
         &self,
         sys: &S,
         probe: &dyn Probe,
-        mut visit: impl FnMut(&S::State, &[S::Action]) -> ControlFlow<()>,
+        visit: impl FnMut(&S::State, &[S::Action]) -> ControlFlow<()>,
     ) -> ExploreStats {
-        let mut stats = ExploreStats::default();
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut path: Vec<S::Action> = Vec::new();
-        let mut flushed_steps = 0usize;
-        let mut state = sys.initial();
-        let _ = self.dfs(
+        let mut serial = Serial::new(self, sys, probe, visit);
+        let _ = walk(
+            self,
             sys,
-            &mut state,
-            &mut path,
+            &mut serial,
+            &mut sys.initial(),
+            &mut Vec::new(),
             Vec::new(),
-            &mut stats,
-            &mut seen,
-            probe,
-            &mut flushed_steps,
-            &mut visit,
         );
-        if probe.enabled() {
-            flush_final(probe, &stats, flushed_steps);
-        }
-        stats
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal recursion carries the whole search state
-    fn dfs<S: System>(
-        &self,
-        sys: &S,
-        state: &mut S::State,
-        path: &mut Vec<S::Action>,
-        sleep: Vec<S::Action>,
-        stats: &mut ExploreStats,
-        seen: &mut HashSet<u64>,
-        probe: &dyn Probe,
-        flushed_steps: &mut usize,
-        visit: &mut impl FnMut(&S::State, &[S::Action]) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if self.prune {
-            if let Some(key) = sys.control_key(state) {
-                if !seen.insert(key) {
-                    stats.prune_hits += 1;
-                    return ControlFlow::Continue(());
-                }
-                stats.prune_misses += 1;
-            }
-        }
-        // The run cap is checked at node entry (every node leads to at
-        // least one more maximal run), but the step cap is checked just
-        // before each edge application below: a space with exactly
-        // `max_runs` runs or `max_steps` steps is exhausted, not
-        // truncated. (Under `reduce` a fully-slept node yields no run, so
-        // an exact run budget may be flagged as truncated spuriously —
-        // the safe direction.)
-        if stats.runs >= self.max_runs {
-            stats.truncation = Some(TruncationReason::RunLimit);
-            return ControlFlow::Break(());
-        }
-        let actions = sys.enabled(state);
-        if actions.is_empty() || path.len() >= self.max_depth {
-            if path.len() >= self.max_depth && !actions.is_empty() {
-                stats.depth_limited_runs += 1;
-                if stats.truncation.is_none() {
-                    stats.truncation = Some(TruncationReason::DepthLimit);
-                }
-            }
-            stats.runs += 1;
-            if self.reduce {
-                stats.por_runs += 1;
-            }
-            stats.max_depth_seen = stats.max_depth_seen.max(path.len());
-            if probe.enabled() {
-                // Batched flush: one counter update per maximal run keeps
-                // the instrumented hot path within noise of the bare one.
-                flush_run(probe, stats, flushed_steps);
-            }
-            return visit(state, path);
-        }
-        // Sleep-set partition: actions in the sleep set were already
-        // explored (up to independent commutations) by an earlier sibling
-        // branch, so skipping them here loses no computation. Incoming
-        // entries are filtered to the still-enabled actions first — a
-        // slept action that got disabled on the way down can no longer
-        // occur and keeping it would only slow the membership tests.
-        let (awake, mut cur_sleep) = if self.reduce {
-            let cur_sleep: Vec<S::Action> =
-                sleep.into_iter().filter(|b| actions.contains(b)).collect();
-            let awake: Vec<S::Action> = actions
-                .iter()
-                .filter(|a| !cur_sleep.contains(a))
-                .cloned()
-                .collect();
-            stats.sleep_skipped += actions.len() - awake.len();
-            if awake.is_empty() {
-                // Every continuation is covered elsewhere: prune the whole
-                // node without counting a run.
-                return ControlFlow::Continue(());
-            }
-            (awake, cur_sleep)
-        } else {
-            (actions, Vec::new())
-        };
-        for action in awake {
-            if stats.steps >= self.max_steps {
-                stats.truncation = Some(TruncationReason::StepLimit);
-                return ControlFlow::Break(());
-            }
-            // The child's sleep set keeps only entries that commute with
-            // the action being taken — computed against the *pre-apply*
-            // state (the state where both are enabled), before the
-            // checkpoint fast path mutates it in place. Each oracle
-            // answer is attributed so reduction payoff is explainable
-            // per instance.
-            let child_sleep: Vec<S::Action> = if self.reduce {
-                let mut granted = Vec::with_capacity(cur_sleep.len());
-                for b in &cur_sleep {
-                    if sys.independent(state, &action, b) {
-                        stats.oracle_grants += 1;
-                        granted.push(b.clone());
-                    } else {
-                        stats.oracle_denials += 1;
-                    }
-                }
-                granted
-            } else {
-                Vec::new()
-            };
-            let flow = if let Some(cp) = sys.checkpoint(state) {
-                // Fast path: mutate the one shared state down the edge and
-                // roll it back afterwards — no clone of the accumulated
-                // trace.
-                sys.apply(state, &action);
-                stats.steps += 1;
-                path.push(action);
-                let flow = self.dfs(
-                    sys,
-                    state,
-                    path,
-                    child_sleep,
-                    stats,
-                    seen,
-                    probe,
-                    flushed_steps,
-                    visit,
-                );
-                let action = path.pop().expect("path underflow");
-                sys.undo(state, cp);
-                if self.reduce {
-                    cur_sleep.push(action);
-                }
-                flow
-            } else {
-                let mut next = state.clone();
-                sys.apply(&mut next, &action);
-                stats.steps += 1;
-                path.push(action);
-                let flow = self.dfs(
-                    sys,
-                    &mut next,
-                    path,
-                    child_sleep,
-                    stats,
-                    seen,
-                    probe,
-                    flushed_steps,
-                    visit,
-                );
-                let action = path.pop().expect("path underflow");
-                if self.reduce {
-                    cur_sleep.push(action);
-                }
-                flow
-            };
-            flow?;
-        }
-        ControlFlow::Continue(())
+        serial.finish()
     }
 
     /// Runs one random schedule to completion (or the depth bound),
     /// returning the terminal state and the actions taken.
     pub fn random_run<S: System>(&self, sys: &S, rng: &mut impl Rng) -> (S::State, Vec<S::Action>) {
-        self.random_run_probed(sys, rng, &NoopProbe)
-    }
-
-    /// [`Explorer::random_run`] with instrumentation: reports the sampled
-    /// run through `probe` with the same counter keys as the exhaustive
-    /// DFS (`explore.runs`, `explore.steps`, prune totals, the depth
-    /// high-water mark, and a depth-limit truncation cause when the run
-    /// was cut off with actions still enabled) — so sampled and
-    /// exhaustive runs are comparable in JSON reports.
-    pub fn random_run_probed<S: System>(
-        &self,
-        sys: &S,
-        rng: &mut impl Rng,
-        probe: &dyn Probe,
-    ) -> (S::State, Vec<S::Action>) {
-        let mut state = sys.initial();
-        let mut path = Vec::new();
-        let mut depth_limited = false;
-        loop {
-            let actions = sys.enabled(&state);
-            if actions.is_empty() {
-                break;
-            }
-            if path.len() >= self.max_depth {
-                depth_limited = true;
-                break;
-            }
-            let action = actions[rng.gen_range(0..actions.len())].clone();
-            sys.apply(&mut state, &action);
-            path.push(action);
-        }
-        if probe.enabled() {
-            let stats = ExploreStats {
-                runs: 1,
-                steps: path.len(),
-                truncation: depth_limited.then_some(TruncationReason::DepthLimit),
-                depth_limited_runs: usize::from(depth_limited),
-                max_depth_seen: path.len(),
-                ..ExploreStats::default()
-            };
-            let mut flushed_steps = 0;
-            flush_run(probe, &stats, &mut flushed_steps);
-            flush_final(probe, &stats, flushed_steps);
-        }
+        let (state, path, _) = self.descend(sys, |n| rng.gen_range(0..n));
         (state, path)
     }
 
@@ -631,29 +433,41 @@ impl Explorer {
     /// sample *before* a sweep without perturbing its report.
     pub fn sample_run<S: System>(&self, sys: &S, seed: u64) -> RunSample<S> {
         let mut rng = gem_obs::estimate::SplitMix64::new(seed);
-        let mut state = sys.initial();
-        let mut path = Vec::new();
         let mut tree_product = 1.0f64;
-        let mut depth_limited = false;
-        loop {
-            let actions = sys.enabled(&state);
-            if actions.is_empty() {
-                break;
-            }
-            if path.len() >= self.max_depth {
-                depth_limited = true;
-                break;
-            }
-            tree_product *= actions.len() as f64;
-            let action = actions[rng.below(actions.len())].clone();
-            sys.apply(&mut state, &action);
-            path.push(action);
-        }
+        let (state, path, depth_limited) = self.descend(sys, |n| {
+            tree_product *= n as f64;
+            rng.below(n)
+        });
         RunSample {
             state,
             path,
             tree_product,
             depth_limited,
+        }
+    }
+
+    /// One schedule from the initial state, taking the action at index
+    /// `pick(n)` among the `n` enabled ones until none is enabled or the
+    /// depth bound is reached. Returns the terminal state, the actions
+    /// taken, and whether the depth bound cut the run short.
+    fn descend<S: System>(
+        &self,
+        sys: &S,
+        mut pick: impl FnMut(usize) -> usize,
+    ) -> (S::State, Vec<S::Action>, bool) {
+        let mut state = sys.initial();
+        let mut path = Vec::new();
+        loop {
+            let actions = sys.enabled(&state);
+            if actions.is_empty() {
+                return (state, path, false);
+            }
+            if path.len() >= self.max_depth {
+                return (state, path, true);
+            }
+            let action = actions[pick(actions.len())].clone();
+            sys.apply(&mut state, &action);
+            path.push(action);
         }
     }
 }
@@ -673,36 +487,275 @@ pub struct RunSample<S: System> {
     pub depth_limited: bool,
 }
 
-/// Per-run probe flush: one `explore.runs` increment and the step delta
-/// accumulated since the previous flush. Shared by the serial DFS and the
-/// parallel committer so both emit byte-identical counter sequences.
-pub(crate) fn flush_run(probe: &dyn Probe, stats: &ExploreStats, flushed_steps: &mut usize) {
-    probe.add("explore.runs", 1);
-    probe.add("explore.steps", (stats.steps - *flushed_steps) as u64);
-    *flushed_steps = stats.steps;
+/// What one schedule walk does at the points where the serial sweep, the
+/// parallel frontier and a parallel worker differ: node entry, budgets,
+/// leaves, and the accounting of skips and edges. [`walk`] owns the node
+/// discipline itself, so all three take the same decisions in the same
+/// order.
+pub(crate) trait Walk<S: System> {
+    /// Why the walk stopped early.
+    type Stop;
+
+    /// Node entry, before the run cap: `Continue(false)` skips the node
+    /// (a prune hit, a frontier cut), `Break` stops the walk. `sleep` is
+    /// the node's inherited sleep set, not yet filtered by `enabled`.
+    fn enter(
+        &mut self,
+        state: &S::State,
+        path: &[S::Action],
+        sleep: &[S::Action],
+    ) -> ControlFlow<Self::Stop, bool>;
+
+    /// The run cap, checked at node entry (every node leads to at least
+    /// one more maximal run). Uncapped by default.
+    fn run_cap(&mut self) -> ControlFlow<Self::Stop> {
+        ControlFlow::Continue(())
+    }
+
+    /// The step cap, checked just before each edge application.
+    /// Uncapped by default.
+    fn step_cap(&mut self) -> ControlFlow<Self::Stop> {
+        ControlFlow::Continue(())
+    }
+
+    /// A maximal run ends at `state`; `depth_limited` if it was cut at
+    /// [`Explorer::max_depth`] with actions still enabled.
+    fn leaf(
+        &mut self,
+        state: &S::State,
+        path: &[S::Action],
+        depth_limited: bool,
+    ) -> ControlFlow<Self::Stop>;
+
+    /// `n > 0` enabled actions were skipped by the sleep set at one node.
+    fn skips(&mut self, n: usize);
+
+    /// One edge was applied; its child-sleep filter got `grants`
+    /// "independent" and `denials` "dependent" oracle answers.
+    fn edge(&mut self, grants: usize, denials: usize);
 }
 
-/// Final flush: steps of a truncated tail run, pruning totals (emitted
-/// even when zero so reports are comparable), the depth high-water mark,
-/// and the truncation cause.
-pub(crate) fn flush_final(probe: &dyn Probe, stats: &ExploreStats, flushed_steps: usize) {
-    probe.add("explore.steps", (stats.steps - flushed_steps) as u64);
-    probe.add("explore.prune.hits", stats.prune_hits as u64);
-    probe.add("explore.prune.misses", stats.prune_misses as u64);
-    probe.add("explore.sleep_skipped", stats.sleep_skipped as u64);
-    probe.add("explore.por_runs", stats.por_runs as u64);
-    probe.add("explore.oracle.grants", stats.oracle_grants as u64);
-    probe.add("explore.oracle.denials", stats.oracle_denials as u64);
-    probe.gauge_max("explore.depth_high_water", stats.max_depth_seen as u64);
-    if let Some(reason) = stats.truncation {
-        probe.add(
-            match reason {
-                TruncationReason::RunLimit => "explore.truncation.run_limit",
-                TruncationReason::StepLimit => "explore.truncation.step_limit",
-                TruncationReason::DepthLimit => "explore.truncation.depth_limit",
-            },
-            1,
-        );
+/// The schedule walk: depth-first from `state`, whose path from the
+/// initial state is `path` and whose inherited sleep set is `sleep`.
+/// Every exploration — serial, the parallel frontier, each parallel
+/// worker — is this function with a different [`Walk`].
+pub(crate) fn walk<S: System, W: Walk<S>>(
+    explorer: &Explorer,
+    sys: &S,
+    w: &mut W,
+    state: &mut S::State,
+    path: &mut Vec<S::Action>,
+    sleep: Vec<S::Action>,
+) -> ControlFlow<W::Stop> {
+    if !w.enter(state, path, &sleep)? {
+        return ControlFlow::Continue(());
+    }
+    // The run cap is checked at node entry, but the step cap just before
+    // each edge application below: a space with exactly `max_runs` runs
+    // or `max_steps` steps is exhausted, not truncated. (Under `reduce` a
+    // fully-slept node yields no run, so an exact run budget may be
+    // flagged as truncated spuriously — the safe direction.)
+    w.run_cap()?;
+    let actions = sys.enabled(state);
+    if actions.is_empty() || path.len() >= explorer.max_depth {
+        return w.leaf(state, path, !actions.is_empty());
+    }
+    // Sleep-set partition: actions in the sleep set were already
+    // explored (up to independent commutations) by an earlier sibling
+    // branch, so skipping them here loses no computation. Incoming
+    // entries are filtered to the still-enabled actions first — a slept
+    // action that got disabled on the way down can no longer occur and
+    // keeping it would only slow the membership tests.
+    let (awake, mut cur_sleep) = if explorer.reduce {
+        let cur_sleep: Vec<S::Action> = sleep.into_iter().filter(|b| actions.contains(b)).collect();
+        let awake: Vec<S::Action> = actions
+            .iter()
+            .filter(|a| !cur_sleep.contains(a))
+            .cloned()
+            .collect();
+        if awake.len() < actions.len() {
+            w.skips(actions.len() - awake.len());
+        }
+        if awake.is_empty() {
+            // Every continuation is covered elsewhere: prune the whole
+            // node without counting a run.
+            return ControlFlow::Continue(());
+        }
+        (awake, cur_sleep)
+    } else {
+        (actions, Vec::new())
+    };
+    for action in awake {
+        w.step_cap()?;
+        // The child's sleep set keeps only entries that commute with the
+        // action being taken — computed against the *pre-apply* state
+        // (the state where both are enabled), before the checkpoint fast
+        // path mutates it in place. Each oracle answer is attributed so
+        // reduction payoff is explainable per instance.
+        let mut child_sleep = Vec::new();
+        let mut denials = 0;
+        for b in &cur_sleep {
+            if sys.independent(state, &action, b) {
+                child_sleep.push(b.clone());
+            } else {
+                denials += 1;
+            }
+        }
+        let grants = child_sleep.len();
+        let flow = if let Some(cp) = sys.checkpoint(state) {
+            // Fast path: mutate the one shared state down the edge and
+            // roll it back afterwards — no clone of the accumulated trace.
+            sys.apply(state, &action);
+            w.edge(grants, denials);
+            path.push(action);
+            let flow = walk(explorer, sys, w, state, path, child_sleep);
+            sys.undo(state, cp);
+            flow
+        } else {
+            let mut next = state.clone();
+            sys.apply(&mut next, &action);
+            w.edge(grants, denials);
+            path.push(action);
+            walk(explorer, sys, w, &mut next, path, child_sleep)
+        };
+        let action = path.pop().expect("path underflow");
+        if explorer.reduce {
+            cur_sleep.push(action);
+        }
+        flow?;
+    }
+    ControlFlow::Continue(())
+}
+
+/// The serial sweep's [`Walk`]: [`ExploreStats`] accounting, control-key
+/// pruning, per-run probe flushes and the visitor. The parallel committer
+/// replays worker streams through the same hooks, so both report alike.
+pub(crate) struct Serial<'a, S: System, V> {
+    explorer: &'a Explorer,
+    sys: &'a S,
+    probe: &'a dyn Probe,
+    visit: V,
+    stats: ExploreStats,
+    seen: HashSet<u64>,
+    /// `stats.steps` at the last per-run probe flush.
+    flushed_steps: usize,
+}
+
+impl<'a, S: System, V> Serial<'a, S, V>
+where
+    V: FnMut(&S::State, &[S::Action]) -> ControlFlow<()>,
+{
+    pub(crate) fn new(explorer: &'a Explorer, sys: &'a S, probe: &'a dyn Probe, visit: V) -> Self {
+        Self {
+            explorer,
+            sys,
+            probe,
+            visit,
+            stats: ExploreStats::default(),
+            seen: HashSet::new(),
+            flushed_steps: 0,
+        }
+    }
+
+    /// Final flush: steps of a truncated tail run, pruning totals
+    /// (emitted even when zero so reports are comparable), the depth
+    /// high-water mark, and the truncation cause.
+    pub(crate) fn finish(self) -> ExploreStats {
+        let (probe, stats) = (self.probe, self.stats);
+        if probe.enabled() {
+            probe.add("explore.steps", (stats.steps - self.flushed_steps) as u64);
+            probe.add("explore.prune.hits", stats.prune_hits as u64);
+            probe.add("explore.prune.misses", stats.prune_misses as u64);
+            probe.add("explore.sleep_skipped", stats.sleep_skipped as u64);
+            probe.add("explore.por_runs", stats.por_runs as u64);
+            probe.add("explore.oracle.grants", stats.oracle_grants as u64);
+            probe.add("explore.oracle.denials", stats.oracle_denials as u64);
+            probe.gauge_max("explore.depth_high_water", stats.max_depth_seen as u64);
+            if let Some(reason) = stats.truncation {
+                probe.add(&format!("explore.truncation.{}", reason.key()), 1);
+            }
+        }
+        stats
+    }
+}
+
+impl<S: System, V> Walk<S> for Serial<'_, S, V>
+where
+    V: FnMut(&S::State, &[S::Action]) -> ControlFlow<()>,
+{
+    type Stop = ();
+
+    fn enter(
+        &mut self,
+        state: &S::State,
+        _: &[S::Action],
+        _: &[S::Action],
+    ) -> ControlFlow<(), bool> {
+        if self.explorer.prune {
+            if let Some(key) = self.sys.control_key(state) {
+                if !self.seen.insert(key) {
+                    self.stats.prune_hits += 1;
+                    return ControlFlow::Continue(false);
+                }
+                self.stats.prune_misses += 1;
+            }
+        }
+        ControlFlow::Continue(true)
+    }
+
+    fn run_cap(&mut self) -> ControlFlow<()> {
+        if self.stats.runs >= self.explorer.max_runs {
+            self.stats.truncation = Some(TruncationReason::RunLimit);
+            return ControlFlow::Break(());
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn step_cap(&mut self) -> ControlFlow<()> {
+        if self.stats.steps >= self.explorer.max_steps {
+            self.stats.truncation = Some(TruncationReason::StepLimit);
+            return ControlFlow::Break(());
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn leaf(
+        &mut self,
+        state: &S::State,
+        path: &[S::Action],
+        depth_limited: bool,
+    ) -> ControlFlow<()> {
+        let stats = &mut self.stats;
+        if depth_limited {
+            stats.depth_limited_runs += 1;
+            if stats.truncation.is_none() {
+                stats.truncation = Some(TruncationReason::DepthLimit);
+            }
+        }
+        stats.runs += 1;
+        if self.explorer.reduce {
+            stats.por_runs += 1;
+        }
+        stats.max_depth_seen = stats.max_depth_seen.max(path.len());
+        if self.probe.enabled() {
+            // Batched flush: one counter update per maximal run keeps the
+            // instrumented hot path within noise of the bare one.
+            self.probe.add("explore.runs", 1);
+            self.probe
+                .add("explore.steps", (stats.steps - self.flushed_steps) as u64);
+            self.flushed_steps = stats.steps;
+        }
+        (self.visit)(state, path)
+    }
+
+    fn skips(&mut self, n: usize) {
+        self.stats.sleep_skipped += n;
+    }
+
+    fn edge(&mut self, grants: usize, denials: usize) {
+        self.stats.oracle_grants += grants;
+        self.stats.oracle_denials += denials;
+        self.stats.steps += 1;
     }
 }
 
@@ -1041,33 +1094,6 @@ mod tests {
             assert_eq!(a, b, "{explorer:?}");
             assert_eq!(sa, sb, "{explorer:?}");
         }
-    }
-
-    #[test]
-    fn random_run_probed_reports_like_dfs() {
-        use gem_obs::StatsProbe;
-        use rand::SeedableRng;
-        let sys = Counters { n: 2, stuck: false };
-        let probe = StatsProbe::new();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let (_, path) = Explorer::default().random_run_probed(&sys, &mut rng, &probe);
-        let report = probe.report();
-        assert_eq!(report.counters["explore.runs"], 1);
-        assert_eq!(report.counters["explore.steps"], path.len() as u64);
-        assert_eq!(report.counters["explore.prune.hits"], 0);
-        assert_eq!(report.counters["explore.prune.misses"], 0);
-        assert_eq!(report.gauges["explore.depth_high_water"], path.len() as u64);
-        // A depth-capped sample is flagged exactly like a depth-limited run.
-        let probe = StatsProbe::new();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let capped = Explorer {
-            max_depth: 1,
-            ..Explorer::default()
-        };
-        let (_, path) = capped.random_run_probed(&sys, &mut rng, &probe);
-        assert_eq!(path.len(), 1);
-        let report = probe.report();
-        assert_eq!(report.counters["explore.truncation.depth_limit"], 1);
     }
 
     /// `Counters` with a full independence oracle: distinct counters

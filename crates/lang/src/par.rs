@@ -1,38 +1,41 @@
 //! Parallel schedule exploration with serial-identical results.
 //!
-//! [`Explorer::par_for_each_run`] splits the DFS frontier at
+//! [`Explorer::par_for_each_run`] splits the schedule trie at
 //! [`Explorer::split_depth`] into subtree work items and drains them with
-//! a `std::thread` work pool of [`Explorer::jobs`] workers. Equivalence
-//! with the serial oracle is by construction — an *ordered commit*
-//! protocol:
+//! a `std::thread` work pool of [`Explorer::jobs`] workers. Every walk
+//! involved is the one schedule walker of the `explore` module; this
+//! module only adds two `Walk` impls and an *ordered commit* protocol,
+//! which makes the result equal to the serial oracle by construction:
 //!
-//! * The calling thread walks the schedule trie down to the split depth
-//!   in DFS order, so work items are indexed by the lexicographic
-//!   position of their subtree root, and records the accounting ops
-//!   (trie edges and, under [`Explorer::reduce`], sleep-set skips) it
-//!   performed between consecutive items (each item's `lead`). Under
-//!   reduction each item also carries the sleep set inherited at its
-//!   subtree root, so workers resume the sleep-set discipline exactly
-//!   where the frontier walk left off.
-//! * Workers claim items in index order, explore each subtree
-//!   speculatively with purely *local* budgets, and stream every maximal
-//!   run — terminal state, full action path, and the ops performed
-//!   since the previous run — over a bounded per-item channel.
-//! * The calling thread *commits* items strictly in index order,
-//!   replaying the serial explorer's accounting edge for edge: step and
-//!   run budgets, truncation causes, the depth high-water mark, per-run
-//!   probe flushes, and the visitor itself all execute on the calling
-//!   thread in exactly the order the serial DFS would produce them.
+//! * The **frontier** walk runs on the calling thread, uncapped, down to
+//!   the split depth in DFS order. It undoes its edges like the serial
+//!   walk and clones state only when it cuts a subtree into a work item,
+//!   so items are indexed by the lexicographic position of their subtree
+//!   root. Each item carries the accounting ops (trie edges and, under
+//!   [`Explorer::reduce`], sleep-set skips) the walk performed since the
+//!   previous item (its `lead`), and the sleep set inherited at its root.
+//! * **Workers** claim items in index order and walk each subtree
+//!   speculatively with purely *local* budgets, streaming every maximal
+//!   run — terminal state, full action path, and the ops performed since
+//!   the previous run — over a bounded per-item channel.
+//! * The calling thread *commits* items strictly in index order by
+//!   replaying the streams through the serial walk's own accounting:
+//!   step and run budgets, truncation causes, the depth high-water mark,
+//!   per-run probe flushes, and the visitor itself all execute on the
+//!   calling thread in exactly the order the serial walk produces them.
 //!
 //! Consequences: the visited run multiset (and order), [`ExploreStats`],
 //! early-abort behaviour, and the probe counter sequence are identical to
 //! [`Explorer::for_each_run`] for every `jobs`/`split_depth` setting, and
-//! the visitor needs no `Send`/`Sync` bound. Speculative work past a
-//! global budget is cut short by a cancellation flag plus channel
-//! hang-up. State pruning (`prune: true`) needs a shared seen-set whose
-//! hit pattern is schedule-order-dependent, so it falls back to the
-//! serial path.
+//! the visitor needs no `Send`/`Sync` bound. Since every trie edge is
+//! applied, and undone, exactly once by either the frontier or one worker,
+//! system-internal step histograms match the serial sweep's too.
+//! Speculative work past a global budget is cut short by a cancellation
+//! flag plus channel hang-up. State pruning (`prune: true`) needs a
+//! shared seen-set whose hit pattern is schedule-order-dependent, so it
+//! falls back to the serial path.
 
+use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, SyncSender};
@@ -41,7 +44,7 @@ use std::time::Instant;
 
 use gem_obs::{ambient, set_thread_label, NoopProbe, Probe};
 
-use crate::explore::{flush_final, flush_run, ExploreStats, Explorer, System, TruncationReason};
+use crate::explore::{walk, ExploreStats, Explorer, Serial, System, Walk};
 
 /// Worker stacks match the serial caller's headroom: the subtree DFS
 /// recurses up to `max_depth` frames (10k by default).
@@ -98,29 +101,6 @@ fn edge_op(grants: usize, denials: usize) -> ReplayOp {
             denials: denials as u32,
         }
     }
-}
-
-/// Child-sleep filter shared by the frontier walk and the workers:
-/// keeps the sleep entries independent of `action` at `state` (the
-/// pre-apply state, exactly like the serial DFS), returning the
-/// grant/denial counts for op-stream attribution.
-fn filter_sleep<S: System>(
-    sys: &S,
-    state: &S::State,
-    action: &S::Action,
-    cur_sleep: &[S::Action],
-) -> (Vec<S::Action>, usize, usize) {
-    let mut granted = Vec::with_capacity(cur_sleep.len());
-    let (mut grants, mut denials) = (0, 0);
-    for b in cur_sleep {
-        if sys.independent(state, action, b) {
-            grants += 1;
-            granted.push(b.clone());
-        } else {
-            denials += 1;
-        }
-    }
-    (granted, grants, denials)
 }
 
 /// One deferred gauge write from worker-side system code (see
@@ -278,80 +258,77 @@ enum Msg<S: System> {
 /// one item's `lead` or to the tail, so the committer's replayed sequence
 /// equals the serial explorer's.
 fn build_frontier<S: System>(explorer: &Explorer, sys: &S) -> (Vec<WorkItem<S>>, Vec<ReplayOp>) {
-    let mut items = Vec::new();
-    let mut path = Vec::new();
-    let mut ops = Vec::new();
-    frontier_dfs(
+    let mut frontier = Frontier {
+        explorer,
+        ops: Vec::new(),
+        items: Vec::new(),
+    };
+    let _ = walk(
         explorer,
         sys,
-        sys.initial(),
-        &mut path,
+        &mut frontier,
+        &mut sys.initial(),
+        &mut Vec::new(),
         Vec::new(),
-        &mut ops,
-        &mut items,
     );
-    (items, ops)
+    (frontier.items, frontier.ops)
 }
 
-fn frontier_dfs<S: System>(
-    explorer: &Explorer,
-    sys: &S,
-    state: S::State,
-    path: &mut Vec<S::Action>,
-    sleep: Vec<S::Action>,
-    ops: &mut Vec<ReplayOp>,
-    items: &mut Vec<WorkItem<S>>,
-) {
-    if path.len() < explorer.split_depth && path.len() < explorer.max_depth {
-        let actions = sys.enabled(&state);
-        if !actions.is_empty() {
-            // Sleep-set partition, mirroring the serial DFS node entry.
-            let (awake, mut cur_sleep) = if explorer.reduce {
-                let cur_sleep: Vec<S::Action> =
-                    sleep.into_iter().filter(|b| actions.contains(b)).collect();
-                let awake: Vec<S::Action> = actions
-                    .iter()
-                    .filter(|a| !cur_sleep.contains(a))
-                    .cloned()
-                    .collect();
-                let skipped = actions.len() - awake.len();
-                if skipped > 0 {
-                    push_op(ops, ReplayOp::Skips(skipped));
-                }
-                if awake.is_empty() {
-                    // Fully-slept node: no item, no run — the charged
-                    // skips ride with the next item (or the tail).
-                    return;
-                }
-                (awake, cur_sleep)
-            } else {
-                (actions, Vec::new())
-            };
-            for action in awake {
-                let (child_sleep, grants, denials) = if explorer.reduce {
-                    filter_sleep(sys, &state, &action, &cur_sleep)
-                } else {
-                    (Vec::new(), 0, 0)
-                };
-                let mut next = state.clone();
-                sys.apply(&mut next, &action);
-                push_op(ops, edge_op(grants, denials));
-                path.push(action);
-                frontier_dfs(explorer, sys, next, path, child_sleep, ops, items);
-                let action = path.pop().expect("path underflow");
-                if explorer.reduce {
-                    cur_sleep.push(action);
-                }
-            }
-            return;
-        }
+/// The frontier's [`Walk`]: uncapped (the committer replays budgets),
+/// recording its ops, and cut into a work item at the split depth, at
+/// the depth bound, or at a leaf above both.
+struct Frontier<'a, S: System> {
+    explorer: &'a Explorer,
+    /// Ops since the last emitted item.
+    ops: Vec<ReplayOp>,
+    items: Vec<WorkItem<S>>,
+}
+
+impl<S: System> Frontier<'_, S> {
+    /// Emits the subtree at `state` as the next work item; the one clone
+    /// of the frontier's state.
+    fn emit(&mut self, state: &S::State, path: &[S::Action], sleep: Vec<S::Action>) {
+        self.items.push(WorkItem {
+            state: state.clone(),
+            prefix: path.to_vec(),
+            lead: std::mem::take(&mut self.ops),
+            sleep,
+        });
     }
-    items.push(WorkItem {
-        state,
-        prefix: path.clone(),
-        lead: std::mem::take(ops),
-        sleep,
-    });
+}
+
+impl<S: System> Walk<S> for Frontier<'_, S> {
+    type Stop = Infallible;
+
+    fn enter(
+        &mut self,
+        state: &S::State,
+        path: &[S::Action],
+        sleep: &[S::Action],
+    ) -> ControlFlow<Infallible, bool> {
+        // Cut before the `enabled` scan: the worker makes it, and a second
+        // scan here would double the node's probe samples.
+        if path.len() >= self.explorer.split_depth || path.len() >= self.explorer.max_depth {
+            self.emit(state, path, sleep.to_vec());
+            return ControlFlow::Continue(false);
+        }
+        ControlFlow::Continue(true)
+    }
+
+    fn leaf(&mut self, state: &S::State, path: &[S::Action], _: bool) -> ControlFlow<Infallible> {
+        // A dead end above the split depth: its run is committed in DFS
+        // order like any other, so it travels as a (one-leaf) item.
+        self.emit(state, path, Vec::new());
+        ControlFlow::Continue(())
+    }
+
+    fn skips(&mut self, n: usize) {
+        push_op(&mut self.ops, ReplayOp::Skips(n));
+    }
+
+    fn edge(&mut self, grants: usize, denials: usize) {
+        push_op(&mut self.ops, edge_op(grants, denials));
+    }
 }
 
 /// Why a worker's subtree walk ended early.
@@ -362,9 +339,10 @@ enum Stop {
     Abort,
 }
 
-/// Per-item worker state: local budgets counted from the subtree root.
-/// Local caps equal the global caps, so a worker always streams at least
-/// as many runs as the committer's global replay can consume.
+/// A worker's [`Walk`] over one item: local budgets counted from the
+/// subtree root, charged ops, and leaves streamed to the committer. Local
+/// caps equal the global caps, so a worker always streams at least as
+/// many runs as the committer's global replay can consume.
 struct Worker<'a, S: System> {
     explorer: &'a Explorer,
     sys: &'a S,
@@ -389,7 +367,8 @@ impl<S: System> Worker<'_, S> {
         let started = self.telemetry.then(Instant::now);
         let mut path = item.prefix;
         let mut state = item.state;
-        let finished = match self.subtree(&mut state, &mut path, item.sleep) {
+        let (explorer, sys) = (self.explorer, self.sys);
+        let finished = match walk(explorer, sys, &mut self, &mut state, &mut path, item.sleep) {
             ControlFlow::Continue(()) => true,
             ControlFlow::Break(Stop::Truncated) => false,
             ControlFlow::Break(Stop::Abort) => return,
@@ -418,158 +397,99 @@ impl<S: System> Worker<'_, S> {
             gauges: defer.map(DeferGauges::drain).unwrap_or_default(),
         });
     }
+}
 
-    fn charge(&mut self, op: ReplayOp) {
-        push_op(&mut self.pending_ops, op);
-    }
+impl<S: System> Walk<S> for Worker<'_, S> {
+    type Stop = Stop;
 
-    /// Mirrors the serial `Explorer::dfs` exactly (minus pruning, which
-    /// forces the serial path): run check at node entry, sleep-set
-    /// partition, step check before each edge application, leaves
-    /// streamed in DFS order. Like the serial DFS, checkpoint-capable
-    /// systems walk one shared state with apply/undo (one clone per
-    /// *leaf* for the streamed message) instead of one clone per edge.
-    fn subtree(
-        &mut self,
-        state: &mut S::State,
-        path: &mut Vec<S::Action>,
-        sleep: Vec<S::Action>,
-    ) -> ControlFlow<Stop> {
+    fn enter(&mut self, _: &S::State, _: &[S::Action], _: &[S::Action]) -> ControlFlow<Stop, bool> {
         if self.cancel.load(Ordering::Relaxed) {
             return ControlFlow::Break(Stop::Abort);
         }
+        ControlFlow::Continue(true)
+    }
+
+    fn run_cap(&mut self) -> ControlFlow<Stop> {
         if self.runs >= self.explorer.max_runs {
             return ControlFlow::Break(Stop::Truncated);
         }
-        let actions = self.sys.enabled(state);
-        if actions.is_empty() || path.len() >= self.explorer.max_depth {
-            let depth_limited = path.len() >= self.explorer.max_depth && !actions.is_empty();
-            let msg = Msg::Leaf {
-                pre: std::mem::take(&mut self.pending_ops),
-                depth_limited,
-                path: path.clone(),
-                state: state.clone(),
-            };
-            if self.telemetry {
-                // Commit lag: how long this leaf blocked on the bounded
-                // channel waiting for the committer to catch up.
-                let t0 = Instant::now();
-                if self.tx.send(msg).is_err() {
-                    return ControlFlow::Break(Stop::Abort);
-                }
-                let lag = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.idle_ns = self.idle_ns.saturating_add(lag);
-                self.lag_ns.push(lag);
-            } else if self.tx.send(msg).is_err() {
-                return ControlFlow::Break(Stop::Abort);
-            }
-            self.runs += 1;
-            return ControlFlow::Continue(());
-        }
-        let (awake, mut cur_sleep) = if self.explorer.reduce {
-            let cur_sleep: Vec<S::Action> =
-                sleep.into_iter().filter(|b| actions.contains(b)).collect();
-            let awake: Vec<S::Action> = actions
-                .iter()
-                .filter(|a| !cur_sleep.contains(a))
-                .cloned()
-                .collect();
-            let skipped = actions.len() - awake.len();
-            if skipped > 0 {
-                self.charge(ReplayOp::Skips(skipped));
-            }
-            if awake.is_empty() {
-                return ControlFlow::Continue(());
-            }
-            (awake, cur_sleep)
-        } else {
-            (actions, Vec::new())
-        };
-        for action in awake {
-            if self.steps >= self.explorer.max_steps {
-                return ControlFlow::Break(Stop::Truncated);
-            }
-            // Child sleep against the pre-apply state, exactly like the
-            // serial DFS (see there for why).
-            let (child_sleep, grants, denials) = if self.explorer.reduce {
-                filter_sleep(self.sys, state, &action, &cur_sleep)
-            } else {
-                (Vec::new(), 0, 0)
-            };
-            let flow = if let Some(cp) = self.sys.checkpoint(state) {
-                self.sys.apply(state, &action);
-                self.steps += 1;
-                self.charge(edge_op(grants, denials));
-                path.push(action);
-                let flow = self.subtree(state, path, child_sleep);
-                let action = path.pop().expect("path underflow");
-                self.sys.undo(state, cp);
-                if self.explorer.reduce {
-                    cur_sleep.push(action);
-                }
-                flow
-            } else {
-                let mut next = state.clone();
-                self.sys.apply(&mut next, &action);
-                self.steps += 1;
-                self.charge(edge_op(grants, denials));
-                path.push(action);
-                let flow = self.subtree(&mut next, path, child_sleep);
-                let action = path.pop().expect("path underflow");
-                if self.explorer.reduce {
-                    cur_sleep.push(action);
-                }
-                flow
-            };
-            flow?;
+        ControlFlow::Continue(())
+    }
+
+    fn step_cap(&mut self) -> ControlFlow<Stop> {
+        if self.steps >= self.explorer.max_steps {
+            return ControlFlow::Break(Stop::Truncated);
         }
         ControlFlow::Continue(())
     }
+
+    fn leaf(
+        &mut self,
+        state: &S::State,
+        path: &[S::Action],
+        depth_limited: bool,
+    ) -> ControlFlow<Stop> {
+        let msg = Msg::Leaf {
+            pre: std::mem::take(&mut self.pending_ops),
+            depth_limited,
+            path: path.to_vec(),
+            state: state.clone(),
+        };
+        if self.telemetry {
+            // Commit lag: how long this leaf blocked on the bounded
+            // channel waiting for the committer to catch up.
+            let t0 = Instant::now();
+            if self.tx.send(msg).is_err() {
+                return ControlFlow::Break(Stop::Abort);
+            }
+            let lag = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.idle_ns = self.idle_ns.saturating_add(lag);
+            self.lag_ns.push(lag);
+        } else if self.tx.send(msg).is_err() {
+            return ControlFlow::Break(Stop::Abort);
+        }
+        self.runs += 1;
+        ControlFlow::Continue(())
+    }
+
+    fn skips(&mut self, n: usize) {
+        push_op(&mut self.pending_ops, ReplayOp::Skips(n));
+    }
+
+    fn edge(&mut self, grants: usize, denials: usize) {
+        self.steps += 1;
+        push_op(&mut self.pending_ops, edge_op(grants, denials));
+    }
 }
 
-/// Replays one trie edge in the committer: step check before the edge is
-/// charged, then the edge's oracle answers (serial counts them between
-/// the step check and the application), run check at entry to the node
-/// it leads into — the exact serial order.
-fn consume_edge(explorer: &Explorer, stats: &mut ExploreStats) -> ControlFlow<()> {
-    consume_oracle_edge(explorer, stats, 0, 0)
-}
-
-fn consume_oracle_edge(
-    explorer: &Explorer,
-    stats: &mut ExploreStats,
-    grants: u32,
-    denials: u32,
+/// Replays one trie edge on the committer's serial accounting, in the
+/// walker's order: step cap before the edge, the edge with its oracle
+/// answers, then the run cap at entry to the node it leads into.
+fn replay_edge<S: System>(
+    c: &mut impl Walk<S, Stop = ()>,
+    grants: usize,
+    denials: usize,
 ) -> ControlFlow<()> {
-    if stats.steps >= explorer.max_steps {
-        stats.truncation = Some(TruncationReason::StepLimit);
-        return ControlFlow::Break(());
-    }
-    stats.oracle_grants += grants as usize;
-    stats.oracle_denials += denials as usize;
-    stats.steps += 1;
-    if stats.runs >= explorer.max_runs {
-        stats.truncation = Some(TruncationReason::RunLimit);
-        return ControlFlow::Break(());
-    }
-    ControlFlow::Continue(())
+    c.step_cap()?;
+    c.edge(grants, denials);
+    c.run_cap()
 }
 
 /// Replays an op stream: edges debit budgets (and may fire a bound, which
 /// stops the replay exactly where serial would have stopped — any trailing
 /// ops belong to nodes serial never reached); skips only credit
 /// `sleep_skipped`, never a budget event, matching the serial partition.
-fn consume_ops(explorer: &Explorer, stats: &mut ExploreStats, ops: &[ReplayOp]) -> ControlFlow<()> {
+fn replay_ops<S: System>(c: &mut impl Walk<S, Stop = ()>, ops: &[ReplayOp]) -> ControlFlow<()> {
     for op in ops {
         match *op {
             ReplayOp::Edges(n) => {
                 for _ in 0..n {
-                    consume_edge(explorer, stats)?;
+                    replay_edge(c, 0, 0)?;
                 }
             }
-            ReplayOp::Skips(n) => stats.sleep_skipped += n,
+            ReplayOp::Skips(n) => c.skips(n),
             ReplayOp::OracleEdge { grants, denials } => {
-                consume_oracle_edge(explorer, stats, grants, denials)?;
+                replay_edge(c, grants as usize, denials as usize)?;
             }
         }
     }
@@ -648,7 +568,7 @@ impl Explorer {
         &self,
         sys: &S,
         probe: &dyn Probe,
-        mut visit: impl FnMut(&S::State, &[S::Action]) -> ControlFlow<()>,
+        visit: impl FnMut(&S::State, &[S::Action]) -> ControlFlow<()>,
     ) -> ExploreStats
     where
         S: System + Sync,
@@ -658,14 +578,11 @@ impl Explorer {
         let jobs = self.effective_jobs();
         // Pruning shares a seen-set across the whole schedule order;
         // a zero run budget never reaches a worker. Both take the serial
-        // path, as does a frontier too small to share.
+        // path.
         if jobs <= 1 || self.prune || self.max_runs == 0 {
             return self.for_each_run_probed(sys, probe, visit);
         }
         let (mut items, tail_ops) = build_frontier(self, sys);
-        if items.len() <= 1 {
-            return self.for_each_run_probed(sys, probe, visit);
-        }
 
         let leads: Vec<Vec<ReplayOp>> = items
             .iter_mut()
@@ -687,9 +604,9 @@ impl Explorer {
         let ambient_probe = ambient::snapshot();
         let workers = jobs.min(slots.len());
         let telemetry = probe.enabled();
-
-        let mut stats = ExploreStats::default();
-        let mut flushed_steps = 0usize;
+        // The committer's accounting is the serial walk's, fed from the
+        // item streams instead of from its own recursion.
+        let mut committer = Serial::new(self, sys, probe, visit);
 
         if telemetry {
             // Frontier-walk attribution: edges the calling thread applied
@@ -763,7 +680,7 @@ impl Explorer {
             let mut stopped = false;
             'items: for (idx, rx) in receivers.into_iter().enumerate() {
                 last_unfinished = false;
-                if consume_ops(self, &mut stats, &leads[idx]).is_break() {
+                if replay_ops(&mut committer, &leads[idx]).is_break() {
                     stopped = true;
                     break 'items;
                 }
@@ -775,25 +692,9 @@ impl Explorer {
                             path,
                             state,
                         }) => {
-                            if consume_ops(self, &mut stats, &pre).is_break() {
-                                stopped = true;
-                                break 'items;
-                            }
-                            if depth_limited {
-                                stats.depth_limited_runs += 1;
-                                if stats.truncation.is_none() {
-                                    stats.truncation = Some(TruncationReason::DepthLimit);
-                                }
-                            }
-                            stats.runs += 1;
-                            if self.reduce {
-                                stats.por_runs += 1;
-                            }
-                            stats.max_depth_seen = stats.max_depth_seen.max(path.len());
-                            if probe.enabled() {
-                                flush_run(probe, &stats, &mut flushed_steps);
-                            }
-                            if visit(&state, &path).is_break() {
+                            if replay_ops(&mut committer, &pre).is_break()
+                                || committer.leaf(&state, &path, depth_limited).is_break()
+                            {
                                 stopped = true;
                                 break 'items;
                             }
@@ -816,7 +717,7 @@ impl Explorer {
                             if let Some(t) = &telemetry {
                                 emit_telemetry(probe, t);
                             }
-                            if consume_ops(self, &mut stats, &post).is_break() {
+                            if replay_ops(&mut committer, &post).is_break() {
                                 stopped = true;
                                 break 'items;
                             }
@@ -837,24 +738,20 @@ impl Explorer {
                 // The last worker stopped on a local budget with edges
                 // left in its subtree: serial would attempt exactly one
                 // more edge there before its own bound fires.
-                let _ = consume_edge(self, &mut stats);
+                let _ = replay_edge(&mut committer, 0, 0);
             } else if !stopped {
                 // Ops the frontier walk performed after the last item —
                 // edges into (and skips at) trailing fully-slept nodes
                 // that produced no work item. Serial walks them after the
                 // last run; a truncated or aborted commit never gets
                 // there.
-                let _ = consume_ops(self, &mut stats, &tail_ops);
+                let _ = replay_ops(&mut committer, &tail_ops);
             }
             cancel.store(true, Ordering::Relaxed);
             // Unconsumed receivers were dropped by the loop, so blocked
             // workers fail their next send and exit promptly.
         });
-
-        if probe.enabled() {
-            flush_final(probe, &stats, flushed_steps);
-        }
-        stats
+        committer.finish()
     }
 }
 

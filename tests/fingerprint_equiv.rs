@@ -43,7 +43,7 @@ const JOBS: [usize; 2] = [1, 4];
 /// True when CI routes every instance in this suite through the
 /// `--auto` preservation check as well (`GEM_TEST_AUTO=1`); without the
 /// env the check still runs on the flagship bounded-monitor instance.
-/// Mirrors `GEM_TEST_JOBS` / `GEM_TEST_DEDUP` / `GEM_TEST_POR`.
+/// Mirrors `GEM_TEST_DEDUP` / `GEM_TEST_POR`.
 fn auto_env() -> bool {
     std::env::var("GEM_TEST_AUTO").is_ok_and(|v| v.trim() == "1")
 }

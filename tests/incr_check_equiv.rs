@@ -81,8 +81,8 @@ fn curated(report: &gem::obs::Report) -> BTreeMap<String, u64> {
 
 /// True when CI widens this suite's matrix (`GEM_TEST_INCR=1`): the
 /// strategy grid gains the combined dedup+por mode and the worker sweep
-/// gains jobs=2. Mirrors `GEM_TEST_JOBS` / `GEM_TEST_DEDUP` /
-/// `GEM_TEST_POR` / `GEM_TEST_AUTO`.
+/// gains jobs=2. Mirrors `GEM_TEST_DEDUP` / `GEM_TEST_POR` /
+/// `GEM_TEST_AUTO`.
 fn incr_env() -> bool {
     std::env::var("GEM_TEST_INCR").is_ok_and(|v| v.trim() == "1")
 }

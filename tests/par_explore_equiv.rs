@@ -5,8 +5,7 @@
 //! readers/writers instances — the parallel explorer is checked to yield
 //! the exact multiset (in fact, the exact sequence) of maximal runs as
 //! `Explorer::for_each_run`, with equal `ExploreStats`, across
-//! `jobs ∈ {1, 2, 4}` (plus `GEM_TEST_JOBS`, which CI sets to exercise a
-//! wider pool) and split depths `{0, 1, 3}`, including under
+//! `jobs ∈ {1, 2, 4}` and split depths `{0, 1, 3}`, including under
 //! `max_runs`/`max_steps`/`max_depth` truncation. Verification outcomes —
 //! first failure, counterexample schedules, witnesses — are compared as
 //! whole values.
@@ -22,19 +21,8 @@ use gem::problems::readers_writers::{
 use gem::spec::Specification;
 use gem::verify::{verify_system, Correspondence, VerifyOptions};
 
-/// Worker counts to sweep: the satellite set {1, 2, 4} plus whatever CI
-/// injects through `GEM_TEST_JOBS`.
-fn job_counts() -> Vec<usize> {
-    let mut jobs = vec![1, 2, 4];
-    if let Ok(v) = std::env::var("GEM_TEST_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if !jobs.contains(&n) {
-                jobs.push(n);
-            }
-        }
-    }
-    jobs
-}
+/// Worker counts to sweep.
+const JOBS: [usize; 3] = [1, 2, 4];
 
 /// True when CI asks the verify sweeps to run with computation-level
 /// deduplication (`GEM_TEST_DEDUP=1`). Dedup must never change an
@@ -78,7 +66,7 @@ where
         serial_runs.push(format!("{path:?}"));
         ControlFlow::Continue(())
     });
-    for jobs in job_counts() {
+    for jobs in JOBS {
         for split_depth in SPLIT_DEPTHS {
             let par_explorer = Explorer {
                 jobs,
@@ -243,7 +231,7 @@ fn verify_outcome_identical_on_failing_instance() {
     let serial = outcome_at(1);
     assert!(!serial.ok(), "expected a failing instance: {serial}");
     assert!(!serial.failures.is_empty());
-    for jobs in job_counts() {
+    for jobs in JOBS {
         let par = outcome_at(jobs);
         assert_eq!(serial, par, "VerifyOutcome diverges at jobs={jobs}");
     }
@@ -275,7 +263,7 @@ fn verify_outcome_identical_on_passing_instance_with_truncation() {
     let exhaustive = outcome_at(1, usize::MAX);
     for max_runs in [7, exhaustive.runs, usize::MAX] {
         let serial = outcome_at(1, max_runs);
-        for jobs in job_counts() {
+        for jobs in JOBS {
             assert_eq!(
                 serial,
                 outcome_at(jobs, max_runs),
@@ -393,21 +381,19 @@ fn dedup_outcome_identical_on_failing_instance() {
 }
 
 /// Removes the deliberately jobs-dependent attribution telemetry from a
-/// report: `worker.<k>.*` counters and histograms, the
-/// frontier-vs-worker step split, and the undo-depth histogram (the
-/// frontier walk clones instead of undoing, so its sample count differs
-/// from serial). `explore.step.enabled_width` stays — it is a
-/// deterministic, jobs-invariant histogram, so it participates in the
-/// byte-comparison; `explore.step.apply_ns` stays too because
-/// `without_timings` reduces `_ns` histograms to their (jobs-invariant)
-/// sample counts.
+/// report: `worker.<k>.*` counters and histograms and the
+/// frontier-vs-worker step split. The step-cost histograms stay:
+/// `explore.step.enabled_width` and `explore.step.undo_depth` are
+/// deterministic and jobs-invariant (the frontier walk scans, applies and
+/// undoes every edge above the split depth exactly once, like the serial
+/// walk), so they participate in the byte-comparison;
+/// `explore.step.apply_ns` stays too because `without_timings` reduces
+/// `_ns` histograms to their (jobs-invariant) sample counts.
 fn strip_attribution(report: &mut gem::obs::Report) {
     report
         .counters
         .retain(|k, _| !k.starts_with("worker.") && !k.starts_with("explore.frontier."));
-    report
-        .hists
-        .retain(|k, _| !k.starts_with("worker.") && k != "explore.step.undo_depth");
+    report.hists.retain(|k, _| !k.starts_with("worker."));
     report.timers.retain(|k, _| !k.starts_with("worker."));
 }
 
@@ -462,62 +448,68 @@ fn comparable_json(mut report: gem::obs::Report) -> String {
 
 #[test]
 fn cli_stats_json_identical_across_jobs() {
-    // The full CLI path: `gem verify rw … --jobs N --stats-json <file>`
+    // The full CLI path: `gem verify … --jobs N --stats-json <file>`
     // must print the same verdict and aggregate the same report for
     // every worker count — modulo timing measurements, the config
     // block's record of the worker count, and the per-worker
     // attribution telemetry, which is *about* the worker split and is
-    // held to its sum identities instead of byte equality.
+    // held to its sum identities instead of byte equality. The small rw
+    // instance yields a single frontier item, whose frontier work must
+    // not be repeated; the bounded one walks most of its edges in the
+    // frontier, which must undo them like the serial walk does.
     let dir = std::env::temp_dir().join(format!("gem-par-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let run_at = |jobs: usize| {
-        let path = dir.join(format!("stats-jobs{jobs}.json"));
-        let args: Vec<String> = [
-            "verify",
-            "rw",
-            "readers=1",
-            "writers=2",
-            "--jobs",
-            &jobs.to_string(),
-            "--stats-json",
-            path.to_str().expect("utf-8 temp path"),
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        let stdout = gem_cli::run(&args).expect("cli run");
-        let json = std::fs::read_to_string(&path).expect("stats file written");
-        let report = gem::obs::Report::from_json(&json).expect("parseable report");
-        (stdout, report)
-    };
-    let (serial_out, serial_report) = run_at(1);
-    assert!(
-        serial_report.counters.contains_key("explore.runs"),
-        "report carries explorer counters"
-    );
-    // Step-cost attribution flows in serial sweeps too.
-    for hist in [
-        "explore.step.enabled_width",
-        "explore.step.apply_ns",
-        "explore.step.undo_depth",
+    for instance in [
+        ["rw", "readers=1", "writers=2"],
+        ["rw", "readers=1", "writers=0"],
+        ["bounded", "items=1", "cap=1"],
     ] {
+        let what = instance.join(" ");
+        let run_at = |jobs: usize| {
+            let path = dir.join(format!("stats-jobs{jobs}.json"));
+            let jobs = jobs.to_string();
+            let mut args = vec!["verify"];
+            args.extend(instance);
+            args.extend(["--jobs", &jobs, "--stats-json"]);
+            args.push(path.to_str().expect("utf-8 temp path"));
+            let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+            let stdout = gem_cli::run(&args).expect("cli run");
+            let json = std::fs::read_to_string(&path).expect("stats file written");
+            let report = gem::obs::Report::from_json(&json).expect("parseable report");
+            (stdout, report)
+        };
+        let (serial_out, serial_report) = run_at(1);
         assert!(
-            serial_report.hists.contains_key(hist),
-            "serial report missing {hist} histogram"
+            serial_report.counters.contains_key("explore.runs"),
+            "{what}: report carries explorer counters"
         );
-    }
-    let serial_comparable = comparable_json(serial_report);
-    for jobs in job_counts() {
-        let (par_out, par_report) = run_at(jobs);
-        assert_eq!(serial_out, par_out, "stdout diverges at --jobs {jobs}");
-        if jobs > 1 {
-            assert_attribution_sums(&par_report, &format!("--jobs {jobs}"));
+        // Step-cost attribution flows in serial sweeps too.
+        for hist in [
+            "explore.step.enabled_width",
+            "explore.step.apply_ns",
+            "explore.step.undo_depth",
+        ] {
+            assert!(
+                serial_report.hists.contains_key(hist),
+                "{what}: serial report missing {hist} histogram"
+            );
         }
-        assert_eq!(
-            serial_comparable,
-            comparable_json(par_report),
-            "stats report diverges at --jobs {jobs}"
-        );
+        let serial_comparable = comparable_json(serial_report);
+        for jobs in JOBS {
+            let (par_out, par_report) = run_at(jobs);
+            assert_eq!(
+                serial_out, par_out,
+                "{what}: stdout diverges at --jobs {jobs}"
+            );
+            if jobs > 1 {
+                assert_attribution_sums(&par_report, &format!("{what} --jobs {jobs}"));
+            }
+            assert_eq!(
+                serial_comparable,
+                comparable_json(par_report),
+                "{what}: stats report diverges at --jobs {jobs}"
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -573,7 +565,7 @@ fn phase_profile_aggregation_identical_across_jobs() {
         );
     }
     let serial_stripped = comparable_json(serial);
-    for jobs in job_counts() {
+    for jobs in JOBS {
         let par = report_at(jobs);
         if jobs > 1 {
             assert_attribution_sums(&par, &format!("profile jobs={jobs}"));
@@ -595,7 +587,7 @@ fn deadlock_witness_identical() {
     let sys = philosophers_program(2, 1, ForkOrder::Naive);
     let serial = find_deadlock(&sys, &base_explorer());
     let serial_rendered = serial.as_ref().map(|p| format!("{p:?}"));
-    for jobs in job_counts() {
+    for jobs in JOBS {
         let par = find_deadlock(
             &sys,
             &Explorer {

@@ -43,7 +43,7 @@ use gem::verify::{
 const JOBS: [usize; 2] = [1, 4];
 
 /// True when CI forces partial-order reduction across the whole tier-1
-/// suite (`GEM_TEST_POR=1`). Mirrors `GEM_TEST_JOBS` / `GEM_TEST_DEDUP`.
+/// suite (`GEM_TEST_POR=1`). Mirrors `GEM_TEST_DEDUP`.
 /// This suite compares reduce-on against reduce-off directly, so the hook
 /// only widens the baseline: under it the "full" sweeps also run reduced,
 /// which must be a fixed point (reducing twice changes nothing).
