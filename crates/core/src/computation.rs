@@ -66,35 +66,58 @@ fn fp_mix(z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hashes one fingerprint item — a short, domain-tagged word sequence —
-/// into a single well-mixed word. Items combine by wrapping addition,
-/// which is what makes the rolling fingerprint schedule-independent: two
-/// schedules produce the same *set* of items in different orders.
-fn fp_item(words: &[u64]) -> u64 {
-    let mut h = 0x517c_c1b7_2722_0a95;
-    for &w in words {
-        h = fp_mix(h ^ w);
+/// The hash of one fingerprint item — a short, domain-tagged word
+/// sequence — folded word by word into a single well-mixed word. Items
+/// combine by wrapping addition, which is what makes the rolling
+/// fingerprint schedule-independent: two schedules produce the same *set*
+/// of items in different orders.
+struct FpItem(u64);
+
+impl FpItem {
+    fn new() -> Self {
+        Self(0x517c_c1b7_2722_0a95)
     }
-    h
+
+    fn word(&mut self, w: u64) {
+        self.0 = fp_mix(self.0 ^ w);
+    }
+
+    /// Serialises a parameter value into the item (same variant-tag scheme
+    /// as the exact canonical key, so distinct values never alias).
+    fn value(&mut self, v: &Value) {
+        match v {
+            Value::Unit => self.word(0),
+            Value::Bool(b) => {
+                self.word(1);
+                self.word(u64::from(*b));
+            }
+            Value::Int(i) => {
+                self.word(2);
+                self.word(*i as u64);
+            }
+            Value::Str(s) => {
+                self.word(3);
+                self.word(s.len() as u64);
+                for b in s.bytes() {
+                    self.word(u64::from(b));
+                }
+            }
+            Value::Pair(a, b) => {
+                self.word(4);
+                self.value(a);
+                self.value(b);
+            }
+        }
+    }
 }
 
-/// Serialises a parameter value into fingerprint words (same variant-tag
-/// scheme as the exact canonical key, so distinct values never alias).
-fn fp_value(words: &mut Vec<u64>, v: &Value) {
-    match v {
-        Value::Unit => words.push(0),
-        Value::Bool(b) => words.extend([1, u64::from(*b)]),
-        Value::Int(i) => words.extend([2, *i as u64]),
-        Value::Str(s) => {
-            words.extend([3, s.len() as u64]);
-            words.extend(s.bytes().map(u64::from));
-        }
-        Value::Pair(a, b) => {
-            words.push(4);
-            fp_value(words, a);
-            fp_value(words, b);
-        }
+/// Hashes one fingerprint item given as a word slice.
+fn fp_item(words: &[u64]) -> u64 {
+    let mut item = FpItem::new();
+    for &w in words {
+        item.word(w);
     }
+    item.0
 }
 
 /// The schedule-independent coordinate of an event: its element and its
@@ -143,6 +166,10 @@ pub struct ComputationBuilder {
     enables: Vec<(EventId, EventId)>,
     precedences: Vec<(EventId, EventId)>,
     memberships: Vec<Membership>,
+    /// Per event, the `enables` and `precedences` journal lengths when it
+    /// was added: an edge into the event can only sit past those indices,
+    /// so the duplicate scans in `enable`/`add_precedence` start there.
+    journal_at: Vec<(usize, usize)>,
     /// Reachability maintained edge-by-edge so sealing needs no O(n·m)
     /// closure rebuild (the explore→seal hot path, DESIGN.md §4).
     order: IncrementalOrder,
@@ -203,6 +230,7 @@ impl ComputationBuilder {
             enables: Vec::new(),
             precedences: Vec::new(),
             memberships: Vec::new(),
+            journal_at: Vec::new(),
             order: IncrementalOrder::new(),
             tag_log: Vec::new(),
             fp: 0,
@@ -241,14 +269,18 @@ impl ComputationBuilder {
         let chain = &self.element_events[element.index()];
         let seq = chain.len() as u32;
         let prev = chain.last().copied();
-        let mut words = Vec::with_capacity(4 + 2 * params.len());
-        words.extend([FP_EVENT, fp_coord(element, seq), u64::from(class.as_raw())]);
-        words.push(params.len() as u64);
+        let mut item = FpItem::new();
+        item.word(FP_EVENT);
+        item.word(fp_coord(element, seq));
+        item.word(u64::from(class.as_raw()));
+        item.word(params.len() as u64);
         for p in &params {
-            fp_value(&mut words, p);
+            item.value(p);
         }
-        self.fp = self.fp.wrapping_add(fp_item(&words));
+        self.fp = self.fp.wrapping_add(item.0);
         self.element_events[element.index()].push(id);
+        self.journal_at
+            .push((self.enables.len(), self.precedences.len()));
         self.events.push(Event {
             id,
             element,
@@ -282,7 +314,8 @@ impl ComputationBuilder {
         // may contribute to the fingerprint — otherwise two schedules
         // emitting the same edge set with different multiplicities would
         // fingerprint the same computation differently.
-        if !self.enables.contains(&(from, to)) {
+        let since = self.journal_at[to.index()].0;
+        if !self.enables[since..].contains(&(from, to)) {
             self.fp = self.fp.wrapping_add(fp_item(&[
                 FP_ENABLE,
                 self.event_fp_coord(from),
@@ -324,7 +357,8 @@ impl ComputationBuilder {
         if after.index() >= self.events.len() {
             return Err(BuildError::UnknownEvent(after));
         }
-        if !self.precedences.contains(&(before, after)) {
+        let since = self.journal_at[after.index()].1;
+        if !self.precedences[since..].contains(&(before, after)) {
             self.fp = self.fp.wrapping_add(fp_item(&[
                 FP_PRECEDENCE,
                 self.event_fp_coord(before),
@@ -509,6 +543,7 @@ impl ComputationBuilder {
             .chain(&self.precedences[mark.precedences..])
             .all(|&(_, to)| to.index() >= mark.events);
         self.events.truncate(mark.events);
+        self.journal_at.truncate(mark.events);
         self.enables.truncate(mark.enables);
         self.precedences.truncate(mark.precedences);
         self.memberships.truncate(mark.memberships);

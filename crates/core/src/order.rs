@@ -197,8 +197,13 @@ const WORD_BITS: usize = 64;
 /// [`CycleError`] and ignores all further edges, which `seal` reports.
 ///
 /// Rows are raw `u64` word vectors (not [`DenseBitSet`]) so capacity can
-/// grow geometrically without per-event reallocation and so exploration can
-/// roll rows back cheaply via [`IncrementalOrder::truncate_to`].
+/// grow geometrically without per-event reallocation. Rows `[..len]` are
+/// live; rows past `len` are zeroed spares left by
+/// [`IncrementalOrder::truncate_to`], which [`IncrementalOrder::push_node`]
+/// reuses before it allocates. Together with the two scratch rows
+/// [`IncrementalOrder::add_edge`] copies its endpoint sets into, this makes
+/// the grow/roll-back/regrow cycle of exploration allocation-free once the
+/// deepest schedule has been seen.
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalOrder {
     len: usize,
@@ -206,6 +211,9 @@ pub struct IncrementalOrder {
     words: usize,
     succ: Vec<Vec<u64>>,
     pred: Vec<Vec<u64>>,
+    /// `add_edge` scratch: P = {a} ∪ pred(a) and S = {b} ∪ succ(b).
+    p_scratch: Vec<u64>,
+    s_scratch: Vec<u64>,
     cycle: Option<CycleError>,
 }
 
@@ -248,6 +256,7 @@ impl IncrementalOrder {
     }
 
     /// Appends a new node with no edges; its id is the previous `len()`.
+    /// Reuses a zeroed spare row pair when one is left from a truncation.
     pub fn push_node(&mut self) {
         let needed = (self.len + 1).div_ceil(WORD_BITS);
         if needed > self.words {
@@ -257,14 +266,30 @@ impl IncrementalOrder {
             }
             self.words = new_words;
         }
-        self.succ.push(vec![0; self.words]);
-        self.pred.push(vec![0; self.words]);
+        if self.len == self.succ.len() {
+            self.succ.push(vec![0; self.words]);
+            self.pred.push(vec![0; self.words]);
+        }
         self.len += 1;
     }
 
     #[inline]
     fn row_contains(row: &[u64], i: usize) -> bool {
         row[i / WORD_BITS] & (1u64 << (i % WORD_BITS)) != 0
+    }
+
+    /// ORs `src` into `rows[i]` for every bit `i` set in `members`.
+    fn union_into_rows(rows: &mut [Vec<u64>], members: &[u64], src: &[u64]) {
+        for (w, &word) in members.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = w * WORD_BITS + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                for (dst, &s) in rows[i].iter_mut().zip(src) {
+                    *dst |= s;
+                }
+            }
+        }
     }
 
     /// Adds the edge `a → b`, updating all reachability rows.
@@ -287,31 +312,17 @@ impl IncrementalOrder {
             return; // already implied
         }
         // P = {a} ∪ pred(a), S = {b} ∪ succ(b); then succ(p) ∪= S for p ∈ P
-        // and pred(s) ∪= P for s ∈ S.
-        let mut p_row = self.pred[ai].clone();
-        p_row[ai / WORD_BITS] |= 1u64 << (ai % WORD_BITS);
-        let mut s_row = self.succ[bi].clone();
-        s_row[bi / WORD_BITS] |= 1u64 << (bi % WORD_BITS);
-        for (w, &word) in p_row.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let p = w * WORD_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                for (dst, &src) in self.succ[p].iter_mut().zip(&s_row) {
-                    *dst |= src;
-                }
-            }
-        }
-        for (w, &word) in s_row.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let s = w * WORD_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                for (dst, &src) in self.pred[s].iter_mut().zip(&p_row) {
-                    *dst |= src;
-                }
-            }
-        }
+        // and pred(s) ∪= P for s ∈ S. Columns past `len` are zero, so only
+        // the live words are copied and merged.
+        let live = self.len.div_ceil(WORD_BITS);
+        self.p_scratch.clear();
+        self.p_scratch.extend_from_slice(&self.pred[ai][..live]);
+        self.p_scratch[ai / WORD_BITS] |= 1u64 << (ai % WORD_BITS);
+        self.s_scratch.clear();
+        self.s_scratch.extend_from_slice(&self.succ[bi][..live]);
+        self.s_scratch[bi / WORD_BITS] |= 1u64 << (bi % WORD_BITS);
+        Self::union_into_rows(&mut self.succ, &self.p_scratch, &self.s_scratch);
+        Self::union_into_rows(&mut self.pred, &self.s_scratch, &self.p_scratch);
     }
 
     /// True if `a ⇒ b` under the edges applied so far. Meaningless once
@@ -320,7 +331,9 @@ impl IncrementalOrder {
         Self::row_contains(&self.succ[a.index()], b.index())
     }
 
-    /// Rolls back to the first `n` nodes, keeping row allocations.
+    /// Rolls back to the first `n` nodes. The rolled-back rows are zeroed
+    /// and kept as spares for [`IncrementalOrder::push_node`]; the
+    /// surviving rows lose their columns `≥ n`.
     ///
     /// Sound only if every edge added since node `n` existed pointed *at* a
     /// node `≥ n` (then masking those columns removes exactly the rolled-back
@@ -329,16 +342,33 @@ impl IncrementalOrder {
     /// restored by the caller from its mark.
     pub fn truncate_to(&mut self, n: usize, cycle: Option<CycleError>) {
         debug_assert!(n <= self.len);
-        self.succ.truncate(n);
-        self.pred.truncate(n);
+        let live = self.len.div_ceil(WORD_BITS);
         let full_words = n / WORD_BITS;
-        let rem = n % WORD_BITS;
-        for row in self.succ.iter_mut().chain(self.pred.iter_mut()) {
-            for word in row.iter_mut().skip(full_words + 1) {
-                *word = 0;
+        let keep = (1u64 << (n % WORD_BITS)) - 1;
+        // Under that invariant no edge leads from a rolled-back node back
+        // below `n`, so surviving pred rows have no columns `≥ n`, and the
+        // only surviving succ rows that do are those of the rolled-back
+        // nodes' predecessors: collect them while zeroing the dead rows.
+        self.p_scratch.clear();
+        self.p_scratch.resize(full_words + 1, 0);
+        for x in n..self.len {
+            for (acc, &word) in self.p_scratch.iter_mut().zip(&self.pred[x]) {
+                *acc |= word;
             }
-            if let Some(word) = row.get_mut(full_words) {
-                *word &= if rem == 0 { 0 } else { (1u64 << rem) - 1 };
+            self.pred[x][..live].fill(0);
+            self.succ[x][..live].fill(0);
+        }
+        self.p_scratch[full_words] &= keep;
+        for (w, &word) in self.p_scratch.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let p = w * WORD_BITS + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let row = &mut self.succ[p];
+                row[full_words] &= keep;
+                for word in &mut row[full_words + 1..live] {
+                    *word = 0;
+                }
             }
         }
         self.len = n;
@@ -351,18 +381,15 @@ impl IncrementalOrder {
         self.cycle = cycle;
     }
 
-    /// Converts the rows into [`DenseBitSet`] form for [`Closure`],
+    /// Converts the live rows into [`DenseBitSet`] form for [`Closure`],
     /// trimming each row to exactly `len` capacity.
     pub(crate) fn closure_rows(&self) -> (Vec<DenseBitSet>, Vec<DenseBitSet>) {
         let n = self.len;
         let exact = n.div_ceil(WORD_BITS);
         let to_sets = |rows: &[Vec<u64>]| {
-            rows.iter()
-                .map(|row| {
-                    let mut words = row.clone();
-                    words.truncate(exact);
-                    DenseBitSet::from_words(words, n)
-                })
+            rows[..n]
+                .iter()
+                .map(|row| DenseBitSet::from_words(row[..exact].to_vec(), n))
                 .collect()
         };
         (to_sets(&self.succ), to_sets(&self.pred))

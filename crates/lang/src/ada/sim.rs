@@ -60,6 +60,9 @@ struct AdaCode {
     /// `Value::Str(task_name)` per task, cloned into `Call` / `Accept` /
     /// `Complete` params instead of re-allocating the name per emit.
     name_values: Vec<Value>,
+    /// Number of `(task, entry)` queue slots (every task's entries, in
+    /// task then declaration order).
+    queue_slots: usize,
     stats: CodeStats,
 }
 
@@ -82,6 +85,8 @@ struct AProg {
 struct ArmTpl {
     entry: String,
     entry_el: ElementId,
+    /// Queue slot of `(this task, entry)`.
+    slot: u32,
     /// Slots the queued call's arguments bind to.
     param_slots: Vec<u32>,
     /// Start of the body region (runs to [`AOp::EndBody`]).
@@ -118,6 +123,8 @@ enum AOp {
         callee: usize,
         entry: String,
         entry_el: ElementId,
+        /// Queue slot of `(callee, entry)`.
+        slot: u32,
         args: Vec<ExprId>,
         /// `[Str(callee_name), Str(entry)]`, the params of both the
         /// `CallSent` and the `Returned` events.
@@ -177,6 +184,8 @@ struct AdaCompiler<'a> {
     globals: &'a SlotLayout,
     var_els: &'a BTreeMap<String, ElementId>,
     entry_els: &'a [BTreeMap<String, ElementId>],
+    /// First queue slot of each task.
+    slot_base: &'a [u32],
     program: &'a AdaProgram,
     tid: usize,
     ops: Vec<AOp>,
@@ -191,6 +200,16 @@ impl<'a> AdaCompiler<'a> {
         self.pool.compile(e, self.locals, self.globals)
     }
 
+    /// The queue slot of `(task, entry)`.
+    fn slot(&self, task: usize, entry: &str) -> u32 {
+        let pos = self.program.tasks[task]
+            .entries
+            .iter()
+            .position(|e| e == entry)
+            .expect("validated");
+        self.slot_base[task] + pos as u32
+    }
+
     fn arm(&mut self, arm: &'a AcceptArm, cont_pc: u32) -> u32 {
         let idx = self.arms.len() as u32;
         let param_slots = arm
@@ -201,6 +220,7 @@ impl<'a> AdaCompiler<'a> {
         self.arms.push(ArmTpl {
             entry: arm.entry.clone(),
             entry_el: self.entry_els[self.tid][&arm.entry],
+            slot: self.slot(self.tid, &arm.entry),
             param_slots,
             body_pc: 0, // patched in finish()
             cont_pc,
@@ -267,6 +287,7 @@ impl<'a> AdaCompiler<'a> {
                         callee,
                         entry: entry.clone(),
                         entry_el: self.entry_els[callee][entry],
+                        slot: self.slot(callee, entry),
                         args,
                         callee_params: [Value::Str(task.clone()), Value::Str(entry.clone())],
                     });
@@ -341,8 +362,8 @@ struct QueuedCall {
 pub struct AdaState {
     builder: ComputationBuilder,
     tasks: Vec<TaskState>,
-    /// Entry queues: `(task, entry) → FIFO of queued calls`.
-    queues: BTreeMap<(usize, String), VecDeque<QueuedCall>>,
+    /// Entry queues: FIFO of queued calls per `(task, entry)` slot.
+    queues: Vec<VecDeque<QueuedCall>>,
     /// Shared handle to the compiled code, so accessors can translate
     /// names to slots without the system in hand.
     code: Arc<AdaCode>,
@@ -355,7 +376,7 @@ pub struct AdaState {
 pub struct AdaCheckpoint {
     mark: BuilderMark,
     tasks: Vec<TaskState>,
-    queues: BTreeMap<(usize, String), VecDeque<QueuedCall>>,
+    queues: Vec<VecDeque<QueuedCall>>,
 }
 
 /// A scheduler choice for an ADA program.
@@ -483,6 +504,12 @@ impl AdaSystem {
         let empty = SlotLayout::new();
         let mut pool = ExprPool::default();
         let mut progs = Vec::with_capacity(program.tasks.len());
+        let mut slot_base = Vec::with_capacity(program.tasks.len());
+        let mut queue_slots = 0;
+        for t in &program.tasks {
+            slot_base.push(queue_slots as u32);
+            queue_slots += t.entries.len();
+        }
         for (tid, t) in program.tasks.iter().enumerate() {
             let mut locals = SlotLayout::new();
             for (n, _) in &t.locals {
@@ -499,6 +526,7 @@ impl AdaSystem {
                 globals: &empty,
                 var_els: &var_els[tid],
                 entry_els: &entry_els,
+                slot_base: &slot_base,
                 program: &program,
                 tid,
                 ops: Vec::new(),
@@ -531,6 +559,7 @@ impl AdaSystem {
             pool,
             progs,
             name_values,
+            queue_slots,
             stats,
         });
 
@@ -779,7 +808,7 @@ impl System for AdaSystem {
                     last: None,
                 })
                 .collect(),
-            queues: BTreeMap::new(),
+            queues: vec![VecDeque::new(); self.code.queue_slots],
             code: Arc::clone(&self.code),
         };
         for tid in 0..self.program.tasks.len() {
@@ -796,12 +825,11 @@ impl System for AdaSystem {
                 TStatus::AtAccept(open) => {
                     let arms = &self.code.progs[tid].arms;
                     for &i in open {
-                        let entry = &arms[i as usize].entry;
-                        let key = (tid, entry.clone());
-                        if state.queues.get(&key).is_some_and(|q| !q.is_empty()) {
+                        let arm = &arms[i as usize];
+                        if !state.queues[arm.slot as usize].is_empty() {
                             actions.push(AdaAction::Rendezvous {
                                 tid,
-                                entry: entry.clone(),
+                                entry: arm.entry.clone(),
                             });
                         }
                     }
@@ -820,11 +848,11 @@ impl System for AdaSystem {
                 let tid = *tid;
                 let pc = state.tasks[tid].pc as usize;
                 let AOp::Call {
-                    callee,
-                    entry,
                     entry_el,
+                    slot,
                     args,
                     callee_params,
+                    ..
                 } = &self.code.progs[tid].ops[pc]
                 else {
                     panic!("IssueCall on a non-call statement");
@@ -847,15 +875,11 @@ impl System for AdaSystem {
                     vec![self.code.name_values[tid].clone()],
                     &[],
                 );
-                state
-                    .queues
-                    .entry((*callee, entry.clone()))
-                    .or_default()
-                    .push_back(QueuedCall {
-                        caller: tid,
-                        args: arg_values,
-                        call_event: call_ev,
-                    });
+                state.queues[*slot as usize].push_back(QueuedCall {
+                    caller: tid,
+                    args: arg_values,
+                    call_event: call_ev,
+                });
                 // pc stays parked on the Call op until Returned.
                 state.tasks[tid].status = TStatus::InCall;
             }
@@ -872,10 +896,8 @@ impl System for AdaSystem {
                     .map(|&i| &arms[i as usize])
                     .find(|a| a.entry == *entry)
                     .expect("entry among open arms");
-                let queued = state
-                    .queues
-                    .get_mut(&(tid, entry.clone()))
-                    .and_then(VecDeque::pop_front)
+                let queued = state.queues[arm.slot as usize]
+                    .pop_front()
                     .expect("queue non-empty");
                 let caller_param = self.code.name_values[queued.caller].clone();
                 // Accept: enabled by the call and the callee's chain.
@@ -937,13 +959,12 @@ impl System for AdaSystem {
         let mut h = DefaultHasher::new();
         for t in &state.tasks {
             // Slot-indexed locals plus pc key control state exactly.
-            format!("{:?}", t.lslots).hash(&mut h);
+            t.lslots.hash(&mut h);
             t.pc.hash(&mut h);
             std::mem::discriminant(&t.status).hash(&mut h);
         }
-        for ((tid, e), q) in &state.queues {
-            tid.hash(&mut h);
-            e.hash(&mut h);
+        for q in &state.queues {
+            q.len().hash(&mut h);
             for c in q {
                 c.caller.hash(&mut h);
             }

@@ -819,7 +819,7 @@ impl System for CspSystem {
         let mut h = DefaultHasher::new();
         for p in &state.procs {
             // Slot-indexed locals plus pc key control state exactly.
-            format!("{:?}", p.lslots).hash(&mut h);
+            p.lslots.hash(&mut h);
             p.pc.hash(&mut h);
             match &p.status {
                 PStatus::Done => 0u8.hash(&mut h),

@@ -102,9 +102,9 @@ struct MonitorCode {
     globals: SlotLayout,
     /// Initial global-scope values in slot order.
     init_gslots: Vec<Value>,
-    /// Condition names in declaration order (`MOp` indexes into this to
-    /// key the wait queues).
-    conds: Vec<String>,
+    /// Condition elements in declaration order; the condition index an
+    /// `MOp` carries indexes this and the wait queues.
+    cond_els: Vec<ElementId>,
     entries: Vec<EntryProg>,
     /// Per (process, script position) compiled step.
     steps: Vec<Vec<StepCode>>,
@@ -402,8 +402,8 @@ struct ProcRuntime {
     wait_event: Option<EventId>,
     /// Mesa: the signal that woke this process, pending its re-acquire.
     pending_signal: Option<EventId>,
-    /// Mesa: the condition this process is resuming from.
-    resume_cond: Option<String>,
+    /// Mesa: the index of the condition this process is resuming from.
+    resume_cond: Option<u32>,
 }
 
 /// Full execution state of a monitor program, including the computation
@@ -420,7 +420,8 @@ pub struct MonitorState {
     /// acquisition (the monitor cannot run before it is initialized).
     init_done: Option<EventId>,
     urgent: Vec<usize>,
-    queues: BTreeMap<String, VecDeque<usize>>,
+    /// Wait queue per condition, in declaration order.
+    queues: Vec<VecDeque<usize>>,
 }
 
 /// Rollback record for the exploration fast path
@@ -436,7 +437,7 @@ pub struct MonitorCheckpoint {
     lock: Option<usize>,
     init_done: Option<EventId>,
     urgent: Vec<usize>,
-    queues: BTreeMap<String, VecDeque<usize>>,
+    queues: Vec<VecDeque<usize>>,
 }
 
 /// A scheduler choice for a monitor program.
@@ -628,7 +629,7 @@ impl MonitorSystem {
         for (v, value) in program.monitor.vars.iter().chain(&program.shared_vars) {
             init_gslots[globals.get(v).expect("interned above") as usize] = value.clone();
         }
-        let conds: Vec<String> = program.monitor.conditions.clone();
+        let conds = &program.monitor.conditions;
         let entries: Vec<EntryProg> = program
             .monitor
             .entries
@@ -641,7 +642,7 @@ impl MonitorSystem {
                     params: &params,
                     globals: &globals,
                     var_els: &var_els,
-                    conds: &conds,
+                    conds,
                     cond_els: &cond_els,
                     ops: Vec::new(),
                 };
@@ -705,7 +706,7 @@ impl MonitorSystem {
             pool,
             globals,
             init_gslots,
-            conds,
+            cond_els: conds.iter().map(|c| cond_els[c]).collect(),
             entries,
             steps,
             entry_params,
@@ -1042,11 +1043,7 @@ impl MonitorSystem {
                         vec![Value::Int(pid as i64)],
                         &[],
                     );
-                    state
-                        .queues
-                        .get_mut(&self.code.conds[*cond as usize])
-                        .expect("known condition")
-                        .push_back(pid);
+                    state.queues[*cond as usize].push_back(pid);
                     state.procs[pid].status = Status::Waiting;
                     // Resume point: the op after the WAIT.
                     state.procs[pid].pc = pc as u32 + 1;
@@ -1063,12 +1060,7 @@ impl MonitorSystem {
                         vec![Value::Int(pid as i64)],
                         &[],
                     );
-                    let cond_name = &self.code.conds[*cond as usize];
-                    let waiter = state
-                        .queues
-                        .get_mut(cond_name)
-                        .expect("known condition")
-                        .pop_front();
+                    let waiter = state.queues[*cond as usize].pop_front();
                     state.procs[pid].pc = pc as u32 + 1;
                     if let Some(w) = waiter {
                         match self.program.semantics {
@@ -1095,17 +1087,13 @@ impl MonitorSystem {
                             SignalSemantics::Mesa => {
                                 state.procs[w].status = Status::ReAcquire;
                                 state.procs[w].pending_signal = Some(sig);
-                                state.procs[w].resume_cond = Some(cond_name.clone());
+                                state.procs[w].resume_cond = Some(*cond);
                             }
                         }
                     }
                 }
                 MOp::JumpIfQueueEmpty { cond, target } => {
-                    let nonempty = !state
-                        .queues
-                        .get(&self.code.conds[*cond as usize])
-                        .expect("known condition")
-                        .is_empty();
+                    let nonempty = !state.queues[*cond as usize].is_empty();
                     state.procs[pid].pc = if nonempty { pc as u32 + 1 } else { *target };
                 }
                 MOp::UnknownCond { name, queue_probe } => {
@@ -1223,13 +1211,7 @@ impl System for MonitorSystem {
             lock: None,
             init_done: None,
             urgent: Vec::new(),
-            queues: self
-                .program
-                .monitor
-                .conditions
-                .iter()
-                .map(|c| (c.clone(), VecDeque::new()))
-                .collect(),
+            queues: vec![VecDeque::new(); self.code.cond_els.len()],
         };
         // Initialization code: an Init event followed by the initial
         // assignments. Monitor variables form one chain inside the
@@ -1358,14 +1340,14 @@ impl System for MonitorSystem {
             }
             MonitorAction::Enter(pid) => {
                 let ScriptStep::Call { entry, .. } =
-                    self.program.processes[pid].script[state.procs[pid].script_pos].clone()
+                    &self.program.processes[pid].script[state.procs[pid].script_pos]
                 else {
                     panic!("Enter on a non-call step");
                 };
                 let entry_idx = self
                     .program
                     .monitor
-                    .entry_index(&entry)
+                    .entry_index(entry)
                     .expect("validated at construction");
                 state.lock = Some(pid);
                 // Lock handoff is ordering, not causality: the acquire is
@@ -1434,7 +1416,7 @@ impl System for MonitorSystem {
                 self.emit(
                     state,
                     Some(pid),
-                    self.cond_element(&cond),
+                    self.code.cond_els[cond as usize],
                     self.cls.resume,
                     vec![Value::Int(pid as i64)],
                     &extra,
@@ -1453,19 +1435,17 @@ impl System for MonitorSystem {
         let mut h = DefaultHasher::new();
         // Slot order is a fixed function of the program, so hashing
         // slots positionally is as stable as hashing names.
-        for v in &state.gslots {
-            format!("{v:?}").hash(&mut h);
-        }
+        state.gslots.hash(&mut h);
         for p in &state.procs {
             p.script_pos.hash(&mut h);
             p.status.hash(&mut h);
             p.entry.hash(&mut h);
             p.pc.hash(&mut h);
-            format!("{:?}", p.lslots).hash(&mut h);
+            p.lslots.hash(&mut h);
         }
         state.lock.hash(&mut h);
         state.urgent.hash(&mut h);
-        format!("{:?}", state.queues).hash(&mut h);
+        state.queues.hash(&mut h);
         Some(h.finish())
     }
 

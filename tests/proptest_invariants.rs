@@ -8,9 +8,9 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use gem::core::{
-    check_legality, for_each_history, for_each_linearization, Closure, Computation,
-    ComputationBuilder, DenseBitSet, EventId, History, HistorySequence, IncrementalOrder,
-    Structure,
+    check_legality, for_each_history, for_each_linearization, BuilderMark, ClassId, Closure,
+    Computation, ComputationBuilder, DenseBitSet, ElementId, EventId, History, HistorySequence,
+    IncrementalOrder, Structure,
 };
 use gem::logic::{holds_on_computation, EventSel, Formula};
 
@@ -40,6 +40,94 @@ fn computation_strategy(max_el: usize, max_ev: usize) -> impl Strategy<Value = C
             b.seal().expect("forward edges are acyclic")
         })
     })
+}
+
+/// One builder operation a rollback script can leave standing.
+#[derive(Clone, Copy, Debug)]
+enum BuildOp {
+    Event(usize),
+    Enable(u32, u32),
+    Precede(u32, u32),
+}
+
+fn apply_build_op(b: &mut ComputationBuilder, els: &[ElementId], op: BuildOp) {
+    let e = EventId::from_raw;
+    match op {
+        BuildOp::Event(el) => {
+            b.add_event(els[el], ClassId::from_raw(0), vec![])
+                .expect("event");
+        }
+        BuildOp::Enable(x, y) => b.enable(e(x), e(y)).expect("edge"),
+        BuildOp::Precede(x, y) => b.add_precedence(e(x), e(y)).expect("edge"),
+    }
+}
+
+/// Asserts that `a` (grown, rolled back and regrown) is indistinguishable
+/// from a builder that only ever saw `survivors`, with repeated edges
+/// dropped (a duplicate must leave the fingerprint unchanged).
+fn assert_same_as_replayed(
+    a: &ComputationBuilder,
+    els: &[ElementId],
+    survivors: &[BuildOp],
+) -> Result<(), TestCaseError> {
+    let e = EventId::from_raw;
+    let (mut enables, mut precedences) = (Vec::new(), Vec::new());
+    let mut b = ComputationBuilder::new(a.structure().clone());
+    for &op in survivors {
+        let (journal, edge) = match op {
+            BuildOp::Event(_) => {
+                apply_build_op(&mut b, els, op);
+                continue;
+            }
+            BuildOp::Enable(x, y) => (&mut enables, (e(x), e(y))),
+            BuildOp::Precede(x, y) => (&mut precedences, (e(x), e(y))),
+        };
+        if !journal.contains(&edge) {
+            apply_build_op(&mut b, els, op);
+        }
+        journal.push(edge);
+    }
+    prop_assert_eq!(a.event_count(), b.event_count());
+    prop_assert_eq!(a.fingerprint(), b.fingerprint());
+    prop_assert_eq!(a.enable_journal(), &enables[..]);
+    prop_assert_eq!(a.precedence_journal(), &precedences[..]);
+    match (a.seal_ref(), b.seal_ref()) {
+        (Ok(ca), Ok(cb)) => {
+            prop_assert_eq!(ca.events(), cb.events());
+            prop_assert_eq!(
+                ca.enable_edges().collect::<Vec<_>>(),
+                cb.enable_edges().collect::<Vec<_>>()
+            );
+            // Rows, not `Closure` equality: the topological order Kahn
+            // picks may differ with repeated edges.
+            for x in ca.event_ids() {
+                prop_assert_eq!(ca.closure().successors(x), cb.closure().successors(x));
+                prop_assert_eq!(ca.closure().predecessors(x), cb.closure().predecessors(x));
+            }
+            prop_assert_eq!(ca.fingerprint(), cb.fingerprint());
+            let n = a.event_count() as u32;
+            for x in 0..n {
+                for y in 0..n {
+                    let (x, y) = (EventId::from_raw(x), EventId::from_raw(y));
+                    prop_assert_eq!(
+                        a.order_precedes(x, y),
+                        b.order_precedes(x, y),
+                        "order_precedes diverges at ({}, {})",
+                        x,
+                        y
+                    );
+                }
+            }
+        }
+        (Err(ea), Err(eb)) => prop_assert_eq!(format!("{ea}"), format!("{eb}")),
+        (ra, rb) => prop_assert!(
+            false,
+            "cycle verdicts diverge: {:?} vs {:?}",
+            ra.is_ok(),
+            rb.is_ok()
+        ),
+    }
+    Ok(())
 }
 
 proptest! {
@@ -175,6 +263,89 @@ proptest! {
             (ra, rb) => prop_assert!(false,
                 "seal verdicts diverge after rollback: {:?} vs {:?}", ra.is_ok(), rb.is_ok()),
         }
+    }
+
+    /// Rolling back whole events, not just edges: random scripts grow up
+    /// to 150 events in rounds (crossing the 64- and 128-event row-word
+    /// boundaries), add forward, duplicate, retroactive and cycle-closing
+    /// edges, take marks and truncate to any of them, then regrow over the
+    /// rows the rollback left behind. After every truncate and at the end
+    /// the builder must match one that saw only the surviving operations.
+    #[test]
+    fn builder_rollback_of_events_equals_replay(
+        (n_el, rounds) in (1usize..=3).prop_flat_map(|n_el| {
+            // Per round: events to add, an edge seed, extra edges, whether
+            // to mark first, and which mark to truncate to (if any).
+            let round = (1usize..60, any::<u64>(), 0usize..6, 0u8..3, 0usize..8);
+            (Just(n_el), proptest::collection::vec(round, 2..10))
+        })
+    ) {
+        let mut s = Structure::new();
+        let act = s.add_class("Act", &[]).expect("class");
+        let els: Vec<_> = (0..n_el)
+            .map(|i| s.add_element(format!("P{i}"), &[act]).expect("element"))
+            .collect();
+        let mut a = ComputationBuilder::new(s);
+        let mut log: Vec<BuildOp> = Vec::new();
+        let mut marks: Vec<(BuilderMark, usize)> = Vec::new();
+        for (grow, mut seed, extra, mark_first, target) in rounds {
+            let mut next = move |bound: u32| {
+                seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((seed >> 33) % u64::from(bound.max(1))) as u32
+            };
+            if mark_first > 0 {
+                marks.push((a.mark(), log.len()));
+            }
+            for _ in 0..grow.min(150usize.saturating_sub(a.event_count())) {
+                let n = a.event_count() as u32;
+                let mut ops = vec![BuildOp::Event(next(n_el as u32) as usize)];
+                if n > 0 {
+                    // The step's chain edge, sometimes twice (a duplicate
+                    // the fingerprint must not count), plus an occasional
+                    // second enabler.
+                    ops.push(BuildOp::Enable(n - 1, n));
+                    if next(4) == 0 {
+                        ops.push(BuildOp::Enable(n - 1, n));
+                    }
+                    if next(3) == 0 {
+                        ops.push(BuildOp::Enable(next(n), n));
+                    }
+                }
+                for op in ops {
+                    apply_build_op(&mut a, &els, op);
+                    log.push(op);
+                }
+            }
+            let n = a.event_count() as u32;
+            for k in 0..extra {
+                if n < 2 {
+                    break;
+                }
+                let (x, y) = (next(n), next(n));
+                // Forward edges, a repeat of any earlier operation (a
+                // duplicate edge far from its first sighting, or one more
+                // event), and a retroactive or cycle-closing edge (the
+                // rebuild path and the latched-cycle rollback).
+                let op = match k % 4 {
+                    0 if x != y => BuildOp::Enable(x.min(y), x.max(y)),
+                    1 if x != y => BuildOp::Precede(x.min(y), x.max(y)),
+                    2 if !log.is_empty() => log[next(log.len() as u32) as usize],
+                    _ => BuildOp::Enable(x, y),
+                };
+                apply_build_op(&mut a, &els, op);
+                log.push(op);
+            }
+            if target < marks.len() {
+                let (mark, kept) = marks[target].clone();
+                marks.truncate(target + 1);
+                a.truncate_to(&mark);
+                log.truncate(kept);
+                assert_same_as_replayed(&a, &els, &log)?;
+            }
+        }
+        assert_same_as_replayed(&a, &els, &log)?;
     }
 
     /// Concurrency is symmetric and excludes ordered pairs; element order
