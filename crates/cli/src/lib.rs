@@ -123,14 +123,17 @@ impl Params {
     ///
     /// # Errors
     ///
-    /// Returns an error for arguments without `=`.
+    /// Returns an error for arguments without `=` and for a key given
+    /// twice.
     pub fn parse(args: &[String]) -> Result<Self, CliError> {
         let mut values = BTreeMap::new();
         for a in args {
             let (k, v) = a
                 .split_once('=')
                 .ok_or_else(|| err(format!("expected key=value, got {a:?}")))?;
-            values.insert(k.to_owned(), v.to_owned());
+            if values.insert(k.to_owned(), v.to_owned()).is_some() {
+                return Err(err(format!("parameter {k} given more than once")));
+            }
         }
         Ok(Self {
             values,
@@ -159,6 +162,15 @@ impl Params {
 
     fn usize(&self, key: &str, default: usize) -> Result<usize, CliError> {
         self.parsed(key, default, "a number")
+    }
+
+    /// A number no smaller than `min`, the least the problem is built for.
+    fn usize_min(&self, key: &str, default: usize, min: usize) -> Result<usize, CliError> {
+        let n = self.usize(key, default)?;
+        if n < min {
+            return Err(err(format!("{key} must be at least {min}, got {n}")));
+        }
+        Ok(n)
     }
 
     fn str<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
@@ -286,7 +298,7 @@ pub fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
         }
         "bounded" => {
             let n = p.usize("items", 4)?;
-            let cap = p.usize("cap", 2)?;
+            let cap = p.usize_min("cap", 2, 1)?;
             let items: Vec<i64> = (1..=n as i64).collect();
             let spec = bounded::bounded_spec(items.len(), cap);
             match p.str("substrate", "monitor") {
@@ -344,14 +356,14 @@ pub fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
         }
         "db-update" => {
             let clients = p.usize("clients", 3)?;
-            let sites = p.usize("sites", 2)?;
+            let sites = p.usize_min("sites", 2, 1)?;
             let sys = db_update::db_update_program(clients, sites);
             let spec = db_update::db_update_spec(sites, clients);
             let corr = db_update::db_update_correspondence(&sys, &spec, sites);
             (Program::Csp(sys), spec, corr)
         }
         "philosophers" => {
-            let n = p.usize("n", 3)?;
+            let n = p.usize_min("n", 3, 2)?;
             let meals = p.usize("meals", 1)?;
             let order = match p.str("order", "asymmetric") {
                 "naive" => gem_problems::philosophers::ForkOrder::Naive,
@@ -1952,6 +1964,25 @@ mod tests {
         let e = runv(&["explore", "bounded", "itmes=2", "--heartbeat", "0"]).unwrap_err();
         assert!(e.to_string().contains("itmes=2"), "{e}");
         assert!(e.to_string().contains("items"), "{e}");
+        // Nor a silent sweep of the last of two values.
+        let e = runv(&["verify", "bounded", "items=2", "items=3"]).unwrap_err();
+        assert!(e.to_string().contains("items"), "{e}");
+    }
+
+    #[test]
+    fn degenerate_bounds_are_errors_not_panics() {
+        for (args, key) in [
+            (["verify", "bounded", "cap=0"], "cap"),
+            (["verify", "philosophers", "n=0"], "n"),
+            (["verify", "philosophers", "n=1"], "n"),
+            (["verify", "db-update", "sites=0"], "sites"),
+        ] {
+            let e = runv(&args).unwrap_err().to_string();
+            assert!(
+                e.starts_with(&format!("{key} must be at least")),
+                "{args:?}: {e}"
+            );
+        }
     }
 
     #[test]

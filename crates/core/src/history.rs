@@ -11,9 +11,11 @@
 //!
 //! Enumeration helpers are provided for the verification layer:
 //! [`for_each_history`] walks every prefix (order ideal) of a computation
-//! exactly once, and [`for_each_linearization`] walks every total
-//! interleaving. Both accept visit limits because the counts are
-//! exponential in the width of the partial order.
+//! exactly once, [`for_each_linearization`] walks every total interleaving
+//! and [`for_each_step_sequence`] every maximal vhs. All accept visit
+//! limits because the counts are exponential in the width of the partial
+//! order; the sequence enumerators report whether the limit cut the family
+//! ([`Enumerated::truncated`]).
 
 use std::fmt;
 use std::ops::ControlFlow;
@@ -469,29 +471,50 @@ pub fn for_each_history(
     visited
 }
 
+/// How a bounded sequence enumeration ended.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Enumerated {
+    /// Number of sequences visited.
+    pub visited: usize,
+    /// True if a (`limit`+1)-th sequence exists and was left unvisited: the
+    /// family was cut by the limit, not enumerated in full.
+    pub truncated: bool,
+}
+
+impl Enumerated {
+    /// Accounts for reaching one more complete sequence: `Break` (and
+    /// marks the enumeration truncated) when `limit` are already visited.
+    fn reach(&mut self, limit: usize) -> ControlFlow<()> {
+        if self.visited >= limit {
+            self.truncated = true;
+            return ControlFlow::Break(());
+        }
+        self.visited += 1;
+        ControlFlow::Continue(())
+    }
+}
+
 /// Visits every linearization (topological order / total interleaving) of
-/// the computation. Returns the number visited; `limit` bounds it.
+/// the computation, at most `limit` of them.
 ///
 /// Each visit receives the full order of all events. The visitor may stop
-/// enumeration early by returning [`ControlFlow::Break`].
+/// enumeration early by returning [`ControlFlow::Break`]; that does not
+/// count as truncation.
 pub fn for_each_linearization(
     computation: &Computation,
     limit: usize,
     mut visit: impl FnMut(&[EventId]) -> ControlFlow<()>,
-) -> usize {
+) -> Enumerated {
     fn rec(
         computation: &Computation,
         current: &mut History,
         order: &mut Vec<EventId>,
-        visited: &mut usize,
+        done: &mut Enumerated,
         limit: usize,
         visit: &mut impl FnMut(&[EventId]) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         if order.len() == computation.event_count() {
-            if *visited >= limit {
-                return ControlFlow::Break(());
-            }
-            *visited += 1;
+            done.reach(limit)?;
             return visit(order);
         }
         for e in current.frontier(computation) {
@@ -499,7 +522,7 @@ pub fn for_each_linearization(
                 .try_insert(computation, e)
                 .expect("frontier event is insertable");
             order.push(e);
-            let flow = rec(computation, current, order, visited, limit, visit);
+            let flow = rec(computation, current, order, done, limit, visit);
             order.pop();
             current.set.remove(e.index());
             flow?;
@@ -507,19 +530,19 @@ pub fn for_each_linearization(
         ControlFlow::Continue(())
     }
 
-    let mut visited = 0;
+    let mut done = Enumerated::default();
     let mut current = History::empty(computation);
     let mut order = Vec::new();
     let _ = rec(
         computation,
         &mut current,
         &mut order,
-        &mut visited,
+        &mut done,
         limit,
         &mut visit,
     );
-    gem_obs::ambient::add("core.history.linearizations", visited as u64);
-    visited
+    gem_obs::ambient::add("core.history.linearizations", done.visited as u64);
+    done
 }
 
 /// Visits every *maximal valid history sequence* of the computation whose
@@ -530,12 +553,12 @@ pub fn for_each_linearization(
 /// This is the fully general vhs semantics; the number of sequences grows
 /// doubly exponentially, so `limit` bounds the number of complete
 /// sequences visited. Every sequence starts with the empty history and
-/// ends with the complete history. Returns the number visited.
+/// ends with the complete history.
 pub fn for_each_step_sequence(
     computation: &Computation,
     limit: usize,
     mut visit: impl FnMut(&[History]) -> ControlFlow<()>,
-) -> usize {
+) -> Enumerated {
     fn antichain_subsets(
         computation: &Computation,
         frontier: &[EventId],
@@ -561,17 +584,14 @@ pub fn for_each_step_sequence(
     fn rec(
         computation: &Computation,
         seq: &mut Vec<History>,
-        visited: &mut usize,
+        done: &mut Enumerated,
         limit: usize,
         visit: &mut impl FnMut(&[History]) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let current = seq.last().expect("sequence starts non-empty").clone();
         let frontier = current.frontier(computation);
         if frontier.is_empty() {
-            if *visited >= limit {
-                return ControlFlow::Break(());
-            }
-            *visited += 1;
+            done.reach(limit)?;
             return visit(seq);
         }
         let mut steps = Vec::new();
@@ -583,17 +603,17 @@ pub fn for_each_step_sequence(
                     .expect("antichain of frontier events is insertable");
             }
             seq.push(next);
-            let flow = rec(computation, seq, visited, limit, visit);
+            let flow = rec(computation, seq, done, limit, visit);
             seq.pop();
             flow?;
         }
         ControlFlow::Continue(())
     }
 
-    let mut visited = 0;
+    let mut done = Enumerated::default();
     let mut seq = vec![History::empty(computation)];
-    let _ = rec(computation, &mut seq, &mut visited, limit, &mut visit);
-    visited
+    let _ = rec(computation, &mut seq, &mut done, limit, &mut visit);
+    done
 }
 
 /// Counts the histories of a computation (up to `limit`).
@@ -603,7 +623,7 @@ pub fn history_count(computation: &Computation, limit: usize) -> usize {
 
 /// Counts the linearizations of a computation (up to `limit`).
 pub fn linearization_count(computation: &Computation, limit: usize) -> usize {
-    for_each_linearization(computation, limit, |_| ControlFlow::Continue(()))
+    for_each_linearization(computation, limit, |_| ControlFlow::Continue(())).visited
 }
 
 #[cfg(test)]
@@ -787,7 +807,8 @@ mod tests {
             assert!(HistorySequence::new(&c, seq.to_vec()).is_ok());
             ControlFlow::Continue(())
         });
-        assert_eq!(n, 3);
+        assert_eq!(n.visited, 3);
+        assert!(!n.truncated);
         assert_eq!(count, 3);
     }
 
@@ -802,7 +823,7 @@ mod tests {
         b.add_event(el, act, vec![]).unwrap();
         let c = b.seal().unwrap();
         assert_eq!(
-            for_each_step_sequence(&c, usize::MAX, |_| ControlFlow::Continue(())),
+            for_each_step_sequence(&c, usize::MAX, |_| ControlFlow::Continue(())).visited,
             1
         );
     }
@@ -810,10 +831,14 @@ mod tests {
     #[test]
     fn step_sequences_limit() {
         let (c, _) = diamond();
-        assert_eq!(
-            for_each_step_sequence(&c, 2, |_| ControlFlow::Continue(())),
-            2
-        );
+        let cut = for_each_step_sequence(&c, 2, |_| ControlFlow::Continue(()));
+        assert_eq!((cut.visited, cut.truncated), (2, true));
+        // Exactly the family's size: every sequence visited, none cut.
+        let all = for_each_step_sequence(&c, 3, |_| ControlFlow::Continue(()));
+        assert_eq!((all.visited, all.truncated), (3, false));
+        // A visitor's own Break is not truncation.
+        let stopped = for_each_linearization(&c, 1, |_| ControlFlow::Break(()));
+        assert_eq!((stopped.visited, stopped.truncated), (1, false));
     }
 
     #[test]

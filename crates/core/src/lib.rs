@@ -73,7 +73,7 @@ pub use dot::{to_dot, to_dot_with, DotOptions};
 pub use event::Event;
 pub use history::{
     for_each_history, for_each_linearization, for_each_step_sequence, history_count,
-    linearization_count, History, HistorySequence, PrefixError, VhsError,
+    linearization_count, Enumerated, History, HistorySequence, PrefixError, VhsError,
 };
 pub use ids::{ClassId, ElementId, EventId, GroupId, ThreadTag, ThreadTypeId};
 pub use legality::{check_legality, is_legal, Violation};

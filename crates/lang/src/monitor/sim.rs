@@ -1477,8 +1477,8 @@ impl System for MonitorSystem {
     /// most one enabled action per state, so the two actions always
     /// belong to distinct processes; they commute when their
     /// commutativity classes touch disjoint elements and variables (see
-    /// [`MonitorSystem::entry_commutes_with`] /
-    /// [`MonitorSystem::steps_commute`]).
+    /// `MonitorSystem::entry_commutes_with` /
+    /// `MonitorSystem::steps_commute`).
     fn trace_builder<'a>(&self, state: &'a MonitorState) -> Option<&'a ComputationBuilder> {
         // Every edge the simulation emits targets the event it just
         // added, so the builder satisfies the monotone-journal contract.

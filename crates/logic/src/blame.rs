@@ -14,7 +14,7 @@
 
 use gem_core::{Computation, EventId, History};
 
-use crate::eval::{eval, Env, EvalError};
+use crate::eval::{eval, eval_bound, event_id, Env, EvalError};
 use crate::Formula;
 
 /// One step of the falsification path, from the root restriction down to
@@ -112,11 +112,11 @@ pub fn blame_on_computation(
 
 /// Walks the falsifying path of `formula`, which is known to evaluate to
 /// `!expect`, appending one frame per node.
-fn descend(
-    formula: &Formula,
+fn descend<'f>(
+    formula: &'f Formula,
     computation: &Computation,
     seq: &[History],
-    env: &mut Env,
+    env: &mut Env<'f>,
     expect: bool,
     frames: &mut Vec<BlameFrame>,
 ) -> Result<(), EvalError> {
@@ -142,14 +142,18 @@ fn descend(
         Formula::Atom(_) => {
             // The deciding leaf: record the bindings in scope so the
             // atom's variables are resolvable to concrete events.
-            frame.witnesses = env.bindings.clone();
+            frame.witnesses = env
+                .bindings
+                .iter()
+                .map(|&(v, e)| (v.to_owned(), event_id(e)))
+                .collect();
             let bound = if env.bindings.is_empty() {
                 String::new()
             } else {
                 let pairs: Vec<String> = env
                     .bindings
                     .iter()
-                    .map(|(v, e)| format!("{v} = {}", label(*e)))
+                    .map(|&(v, e)| format!("{v} = {}", label(event_id(e))))
                     .collect();
                 format!(" under [{}]", pairs.join(", "))
             };
@@ -253,19 +257,17 @@ fn descend(
                 let candidates: Vec<EventId> = sel.select(computation).collect();
                 let total = candidates.len();
                 for e in candidates {
-                    env.bindings.push((var.clone(), e));
-                    let ok = eval(body, computation, seq, env)?;
-                    if !ok {
+                    if !eval_bound(var, e.index(), body, computation, seq, env)? {
                         frame.kind = "forall";
                         frame.note =
                             format!("fails for {var} = {} (of {total} candidates)", label(e));
                         frame.witnesses.push((var.clone(), e));
                         frames.push(frame);
+                        env.bindings.push((var, e.index()));
                         let result = descend(body, computation, seq, env, true, frames);
                         env.bindings.pop();
                         return result;
                     }
-                    env.bindings.pop();
                 }
                 leaf!(
                     "forall",
@@ -282,18 +284,16 @@ fn descend(
             }
             let candidates: Vec<EventId> = sel.select(computation).collect();
             for e in candidates {
-                env.bindings.push((var.clone(), e));
-                let ok = eval(body, computation, seq, env)?;
-                if ok {
+                if eval_bound(var, e.index(), body, computation, seq, env)? {
                     frame.kind = "exists";
                     frame.note = format!("witness {var} = {}", label(e));
                     frame.witnesses.push((var.clone(), e));
                     frames.push(frame);
+                    env.bindings.push((var, e.index()));
                     let result = descend(body, computation, seq, env, false, frames);
                     env.bindings.pop();
                     return result;
                 }
-                env.bindings.pop();
             }
             leaf!("exists", "no witness found (evaluation raced?)".into());
         }
@@ -308,10 +308,7 @@ fn descend(
             let total = candidates.len();
             let mut witnesses = Vec::new();
             for e in candidates {
-                env.bindings.push((var.clone(), e));
-                let ok = eval(body, computation, seq, env)?;
-                env.bindings.pop();
-                if ok {
+                if eval_bound(var, e.index(), body, computation, seq, env)? {
                     witnesses.push(e);
                     if witnesses.len() > 2 {
                         break;

@@ -11,12 +11,143 @@
 //! * Quantified variables range over all events of the computation (the
 //!   predicates `occurred`, `potential` etc. distinguish what has
 //!   happened in the current history).
+//!
+//! There is one evaluator. It reads the computation through the [`World`]
+//! trait and the current history through [`Occurred`], so the same code
+//! decides a restriction on a sealed [`Computation`] and on the
+//! incremental checker's projection of a computation still being built.
 
 use std::fmt;
 
-use gem_core::{Computation, EventId, History, Value};
+use gem_core::{ClassId, Computation, ElementId, EventId, History, Structure, ThreadTypeId, Value};
 
-use crate::{Atom, EventTerm, Formula, ParamRef, ValueTerm};
+use crate::{Atom, EventSel, EventTerm, Formula, ParamRef, ValueTerm};
+
+/// A computation as the evaluator reads it. Implemented for a sealed
+/// [`Computation`] and by the verification driver over its
+/// prefix-synchronised projection state.
+///
+/// Events are addressed by dense indices in emission order. For a world
+/// still being built, all order queries must be final for
+/// already-emitted pairs (true for simulation-grown computations, where
+/// every edge targets the newest event).
+pub trait World {
+    /// Number of events emitted so far.
+    fn event_count(&self) -> usize;
+    /// Element of event `e`.
+    fn element_of(&self, e: usize) -> ElementId;
+    /// Class of event `e`.
+    fn class_of(&self, e: usize) -> ClassId;
+    /// Occurrence number of `e` at its element.
+    fn seq_of(&self, e: usize) -> u32;
+    /// Parameters of event `e`.
+    fn params_of(&self, e: usize) -> &[Value];
+    /// The instance of the thread tag of type `ty` on `e`, if any. Equal
+    /// instances mean the same thread; a world that renumbers instances
+    /// must keep that equality (and have at most one tag per type).
+    fn thread_instance(&self, e: usize, ty: ThreadTypeId) -> Option<u32>;
+    /// True if `sel` matches event `e`.
+    fn matches(&self, sel: &EventSel, e: usize) -> bool;
+    /// Temporal order `a ⇒ b`.
+    fn precedes(&self, a: usize, b: usize) -> bool;
+    /// Direct enable edge `a ⊳ b`.
+    fn enables(&self, a: usize, b: usize) -> bool;
+    /// Events directly enabled by `e`.
+    fn enabled_from(&self, e: usize) -> impl Iterator<Item = usize> + '_;
+    /// The `i`-th event at `element`, if emitted.
+    fn nth_at(&self, element: ElementId, i: usize) -> Option<usize>;
+    /// The structure declaring the classes (for named parameters).
+    fn structure(&self) -> &Structure;
+    /// True if some event of `history` follows `e`.
+    fn followed_in(&self, e: usize, history: &impl Occurred) -> bool {
+        (0..self.event_count()).any(|s| history.occurred(s) && self.precedes(e, s))
+    }
+    /// True if every event preceding `e` is in `history`.
+    fn preceded_within(&self, e: usize, history: &impl Occurred) -> bool {
+        (0..self.event_count()).all(|p| !self.precedes(p, e) || history.occurred(p))
+    }
+}
+
+/// The events of the history an atom is read at.
+pub trait Occurred {
+    /// True if event `e` has occurred.
+    fn occurred(&self, e: usize) -> bool;
+}
+
+impl Occurred for History {
+    fn occurred(&self, e: usize) -> bool {
+        self.contains(event_id(e))
+    }
+}
+
+/// The complete history of a world: every emitted event has occurred.
+#[derive(Clone, Copy, Debug)]
+pub struct FullHistory;
+
+impl Occurred for FullHistory {
+    fn occurred(&self, _: usize) -> bool {
+        true
+    }
+}
+
+pub(crate) fn event_id(e: usize) -> EventId {
+    EventId::from_raw(e as u32)
+}
+
+/// A sealed computation: order queries read its closure, so `new` and
+/// `potential` walk the successor and predecessor bitsets.
+impl World for Computation {
+    fn event_count(&self) -> usize {
+        Computation::event_count(self)
+    }
+    fn element_of(&self, e: usize) -> ElementId {
+        self.events()[e].element()
+    }
+    fn class_of(&self, e: usize) -> ClassId {
+        self.events()[e].class()
+    }
+    fn seq_of(&self, e: usize) -> u32 {
+        self.events()[e].seq()
+    }
+    fn params_of(&self, e: usize) -> &[Value] {
+        self.events()[e].params()
+    }
+    fn thread_instance(&self, e: usize, ty: ThreadTypeId) -> Option<u32> {
+        self.events()[e].thread_of_type(ty).map(|t| t.instance())
+    }
+    fn matches(&self, sel: &EventSel, e: usize) -> bool {
+        sel.matches(&self.events()[e])
+    }
+    fn precedes(&self, a: usize, b: usize) -> bool {
+        self.temporally_precedes(event_id(a), event_id(b))
+    }
+    fn enables(&self, a: usize, b: usize) -> bool {
+        Computation::enables(self, event_id(a), event_id(b))
+    }
+    fn enabled_from(&self, e: usize) -> impl Iterator<Item = usize> + '_ {
+        Computation::enabled_from(self, event_id(e))
+            .iter()
+            .map(|s| s.index())
+    }
+    fn nth_at(&self, element: ElementId, i: usize) -> Option<usize> {
+        Computation::nth_at(self, element, i).map(EventId::index)
+    }
+    fn structure(&self) -> &Structure {
+        Computation::structure(self)
+    }
+    fn followed_in(&self, e: usize, history: &impl Occurred) -> bool {
+        self.closure()
+            .successors(event_id(e))
+            .iter()
+            .any(|s| history.occurred(s))
+    }
+    fn preceded_within(&self, e: usize, history: &impl Occurred) -> bool {
+        self.closure()
+            .predecessors(event_id(e))
+            .iter()
+            .all(|p| history.occurred(p))
+    }
+}
 
 /// Errors raised during evaluation (programming errors in the formula, not
 /// properties of the computation).
@@ -59,21 +190,20 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Variable bindings, innermost last.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Env {
-    pub(crate) bindings: Vec<(String, EventId)>,
-    /// Formula nodes visited; flushed to the ambient probe in one batch
-    /// per evaluation, so the recursion itself stays probe-free.
+/// Variable bindings, innermost last; names borrow from the formula.
+#[derive(Debug, Default)]
+pub(crate) struct Env<'f> {
+    pub(crate) bindings: Vec<(&'f str, usize)>,
+    /// Formula nodes visited, for the `logic.eval.nodes` counter.
     pub(crate) nodes: u64,
 }
 
-impl Env {
-    fn lookup(&self, name: &str) -> Option<EventId> {
+impl Env<'_> {
+    fn lookup(&self, name: &str) -> Option<usize> {
         self.bindings
             .iter()
             .rev()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|&(_, e)| e)
     }
 }
@@ -90,16 +220,7 @@ pub fn holds_on_sequence(
     computation: &Computation,
     seq: &[History],
 ) -> Result<bool, EvalError> {
-    if seq.is_empty() {
-        return Err(EvalError::EmptySequence);
-    }
-    let mut env = Env::default();
-    let result = eval(formula, computation, seq, &mut env);
-    if gem_obs::ambient::active() {
-        gem_obs::ambient::add("logic.eval.calls", 1);
-        gem_obs::ambient::add("logic.eval.nodes", env.nodes);
-    }
-    result
+    holds_on(formula, computation, seq, &mut 0)
 }
 
 /// True if `formula` holds of the single history `history` (as the
@@ -113,93 +234,110 @@ pub fn holds_on_history(
     computation: &Computation,
     history: &History,
 ) -> Result<bool, EvalError> {
-    holds_on_sequence(formula, computation, std::slice::from_ref(history))
+    holds_on(formula, computation, std::slice::from_ref(history), &mut 0)
 }
 
-/// True if `formula` holds of the *complete* computation — evaluation on
-/// the full history. This is the interpretation of computation-level
-/// (non-temporal) restrictions.
+/// True if `formula` holds of the *complete* computation `world` —
+/// evaluation on its full history, where every event has occurred. This
+/// is the interpretation of computation-level (non-temporal)
+/// restrictions.
 ///
 /// # Errors
 ///
 /// Returns [`EvalError`] for malformed formulae.
-pub fn holds_on_computation(
-    formula: &Formula,
-    computation: &Computation,
-) -> Result<bool, EvalError> {
-    holds_on_history(formula, computation, &History::full(computation))
+pub fn holds_on_computation(formula: &Formula, world: &impl World) -> Result<bool, EvalError> {
+    holds_on(formula, world, &[FullHistory], &mut 0)
 }
 
-fn resolve(
-    term: &EventTerm,
-    computation: &Computation,
-    env: &Env,
-) -> Result<Option<EventId>, EvalError> {
+/// Evaluates `formula` on `seq`, adding the formula nodes visited to
+/// `nodes`.
+pub(crate) fn holds_on(
+    formula: &Formula,
+    world: &impl World,
+    seq: &[impl Occurred],
+    nodes: &mut u64,
+) -> Result<bool, EvalError> {
+    if seq.is_empty() {
+        return Err(EvalError::EmptySequence);
+    }
+    let mut env = Env::default();
+    let result = eval(formula, world, seq, &mut env);
+    *nodes += env.nodes;
+    result
+}
+
+fn resolve(term: &EventTerm, world: &impl World, env: &Env) -> Result<Option<usize>, EvalError> {
     match term {
         EventTerm::Var(name) => env
             .lookup(name)
             .map(Some)
             .ok_or_else(|| EvalError::UnboundVariable(name.clone())),
-        EventTerm::Fixed(id) => Ok(if id.index() < computation.event_count() {
-            Some(*id)
-        } else {
-            None
-        }),
-        EventTerm::NthAt(el, i) => Ok(computation.nth_at(*el, *i)),
+        EventTerm::Fixed(id) => Ok((id.index() < world.event_count()).then_some(id.index())),
+        EventTerm::NthAt(el, i) => Ok(world.nth_at(*el, *i)),
     }
+}
+
+/// The parameter `p` of event `e`.
+///
+/// # Errors
+///
+/// [`EvalError::UnknownParam`] / [`EvalError::ParamOutOfRange`] when the
+/// event's class does not declare it.
+pub(crate) fn param_value(world: &impl World, e: usize, p: &ParamRef) -> Result<Value, EvalError> {
+    let index = match p {
+        ParamRef::Index(i) => *i,
+        ParamRef::Named(name) => {
+            let info = world.structure().class_info(world.class_of(e));
+            info.param_index(name)
+                .ok_or_else(|| EvalError::UnknownParam {
+                    name: name.clone(),
+                    class: info.name().to_owned(),
+                })?
+        }
+    };
+    let params = world.params_of(e);
+    params
+        .get(index)
+        .cloned()
+        .ok_or(EvalError::ParamOutOfRange {
+            index,
+            arity: params.len(),
+        })
 }
 
 fn resolve_value(
     term: &ValueTerm,
-    computation: &Computation,
+    world: &impl World,
     env: &Env,
 ) -> Result<Option<Value>, EvalError> {
     match term {
         ValueTerm::Const(v) => Ok(Some(v.clone())),
-        ValueTerm::SeqOf(e) => Ok(resolve(e, computation, env)?
-            .map(|id| Value::Int(i64::from(computation.event(id).seq())))),
-        ValueTerm::Param(e, p) => {
-            let Some(id) = resolve(e, computation, env)? else {
-                return Ok(None);
-            };
-            let ev = computation.event(id);
-            let index = match p {
-                ParamRef::Index(i) => *i,
-                ParamRef::Named(name) => {
-                    let info = computation.structure().class_info(ev.class());
-                    info.param_index(name)
-                        .ok_or_else(|| EvalError::UnknownParam {
-                            name: name.clone(),
-                            class: info.name().to_owned(),
-                        })?
-                }
-            };
-            ev.param(index)
-                .cloned()
-                .map(Some)
-                .ok_or(EvalError::ParamOutOfRange {
-                    index,
-                    arity: ev.params().len(),
-                })
+        ValueTerm::SeqOf(e) => {
+            Ok(resolve(e, world, env)?.map(|id| Value::Int(i64::from(world.seq_of(id)))))
         }
+        ValueTerm::Param(e, p) => match resolve(e, world, env)? {
+            Some(id) => param_value(world, id, p).map(Some),
+            None => Ok(None),
+        },
     }
 }
 
-pub(crate) fn eval(
-    formula: &Formula,
-    computation: &Computation,
-    seq: &[History],
-    env: &mut Env,
+/// Evaluates `formula` on the history sequence `seq` of `world`.
+pub(crate) fn eval<'f>(
+    formula: &'f Formula,
+    world: &impl World,
+    seq: &[impl Occurred],
+    env: &mut Env<'f>,
 ) -> Result<bool, EvalError> {
     env.nodes += 1;
     match formula {
         Formula::True => Ok(true),
         Formula::False => Ok(false),
-        Formula::Atom(a) => eval_atom(a, computation, &seq[0], env),
-        Formula::Not(f) => Ok(!eval(f, computation, seq, env)?),
+        Formula::Atom(a) => eval_atom(a, world, &seq[0], env),
+        Formula::Not(f) => Ok(!eval(f, world, seq, env)?),
         Formula::And(fs) => {
             for f in fs {
-                if !eval(f, computation, seq, env)? {
+                if !eval(f, world, seq, env)? {
                     return Ok(false);
                 }
             }
@@ -207,77 +345,45 @@ pub(crate) fn eval(
         }
         Formula::Or(fs) => {
             for f in fs {
-                if eval(f, computation, seq, env)? {
+                if eval(f, world, seq, env)? {
                     return Ok(true);
                 }
             }
             Ok(false)
         }
-        Formula::Implies(a, b) => {
-            Ok(!eval(a, computation, seq, env)? || eval(b, computation, seq, env)?)
-        }
-        Formula::Iff(a, b) => {
-            Ok(eval(a, computation, seq, env)? == eval(b, computation, seq, env)?)
-        }
+        Formula::Implies(a, b) => Ok(!eval(a, world, seq, env)? || eval(b, world, seq, env)?),
+        Formula::Iff(a, b) => Ok(eval(a, world, seq, env)? == eval(b, world, seq, env)?),
         Formula::ForAll(var, sel, body) => {
-            let candidates: Vec<EventId> = sel.select(computation).collect();
-            for e in candidates {
-                env.bindings.push((var.clone(), e));
-                let ok = eval(body, computation, seq, env)?;
-                env.bindings.pop();
-                if !ok {
+            for e in 0..world.event_count() {
+                if world.matches(sel, e) && !eval_bound(var, e, body, world, seq, env)? {
                     return Ok(false);
                 }
             }
             Ok(true)
         }
         Formula::Exists(var, sel, body) => {
-            let candidates: Vec<EventId> = sel.select(computation).collect();
-            for e in candidates {
-                env.bindings.push((var.clone(), e));
-                let ok = eval(body, computation, seq, env)?;
-                env.bindings.pop();
-                if ok {
+            for e in 0..world.event_count() {
+                if world.matches(sel, e) && eval_bound(var, e, body, world, seq, env)? {
                     return Ok(true);
                 }
             }
             Ok(false)
         }
-        Formula::ExistsUnique(var, sel, body) => {
+        Formula::ExistsUnique(var, sel, body) | Formula::AtMostOne(var, sel, body) => {
             let mut count = 0usize;
-            let candidates: Vec<EventId> = sel.select(computation).collect();
-            for e in candidates {
-                env.bindings.push((var.clone(), e));
-                let ok = eval(body, computation, seq, env)?;
-                env.bindings.pop();
-                if ok {
+            for e in 0..world.event_count() {
+                if world.matches(sel, e) && eval_bound(var, e, body, world, seq, env)? {
                     count += 1;
                     if count > 1 {
                         return Ok(false);
                     }
                 }
             }
-            Ok(count == 1)
-        }
-        Formula::AtMostOne(var, sel, body) => {
-            let mut count = 0usize;
-            let candidates: Vec<EventId> = sel.select(computation).collect();
-            for e in candidates {
-                env.bindings.push((var.clone(), e));
-                let ok = eval(body, computation, seq, env)?;
-                env.bindings.pop();
-                if ok {
-                    count += 1;
-                    if count > 1 {
-                        return Ok(false);
-                    }
-                }
-            }
-            Ok(true)
+            Ok(count == 1 || matches!(formula, Formula::AtMostOne(..)))
         }
         Formula::Henceforth(f) => {
             for i in 0..seq.len() {
-                if !eval(f, computation, &seq[i..], env)? {
+                if !eval(f, world, &seq[i..], env)? {
                     return Ok(false);
                 }
             }
@@ -285,7 +391,7 @@ pub(crate) fn eval(
         }
         Formula::Eventually(f) => {
             for i in 0..seq.len() {
-                if eval(f, computation, &seq[i..], env)? {
+                if eval(f, world, &seq[i..], env)? {
                     return Ok(true);
                 }
             }
@@ -294,107 +400,95 @@ pub(crate) fn eval(
     }
 }
 
+/// Evaluates `body` with `var` bound to event `e`.
+pub(crate) fn eval_bound<'f>(
+    var: &'f str,
+    e: usize,
+    body: &'f Formula,
+    world: &impl World,
+    seq: &[impl Occurred],
+    env: &mut Env<'f>,
+) -> Result<bool, EvalError> {
+    env.bindings.push((var, e));
+    let ok = eval(body, world, seq, env);
+    env.bindings.pop();
+    ok
+}
+
 fn eval_atom(
     atom: &Atom,
-    computation: &Computation,
-    history: &History,
+    world: &impl World,
+    history: &impl Occurred,
     env: &Env,
 ) -> Result<bool, EvalError> {
     // Helper: resolve or decide the atom is false.
     macro_rules! ev {
         ($t:expr) => {
-            match resolve($t, computation, env)? {
+            match resolve($t, world, env)? {
                 Some(id) => id,
                 None => return Ok(false),
             }
         };
     }
+    let occurred = |e: usize| history.occurred(e);
     match atom {
-        Atom::Occurred(t) => Ok(history.contains(ev!(t))),
-        Atom::AtElement(t, el) => {
-            let e = ev!(t);
-            Ok(computation.event(e).element() == *el)
-        }
-        Atom::InClass(t, c) => {
-            let e = ev!(t);
-            Ok(computation.event(e).class() == *c)
-        }
-        Atom::Matches(t, sel) => {
-            let e = ev!(t);
-            Ok(sel.matches(computation.event(e)))
-        }
+        Atom::Occurred(t) => Ok(occurred(ev!(t))),
+        Atom::AtElement(t, el) => Ok(world.element_of(ev!(t)) == *el),
+        Atom::InClass(t, c) => Ok(world.class_of(ev!(t)) == *c),
+        Atom::Matches(t, sel) => Ok(world.matches(sel, ev!(t))),
         Atom::Enables(t1, t2) => {
             let (a, b) = (ev!(t1), ev!(t2));
-            Ok(history.contains(a) && history.contains(b) && computation.enables(a, b))
+            Ok(occurred(a) && occurred(b) && world.enables(a, b))
         }
         Atom::ElementPrecedes(t1, t2) => {
             let (a, b) = (ev!(t1), ev!(t2));
-            Ok(history.contains(a) && history.contains(b) && computation.element_precedes(a, b))
+            Ok(occurred(a)
+                && occurred(b)
+                && world.element_of(a) == world.element_of(b)
+                && world.seq_of(a) < world.seq_of(b))
         }
         Atom::TemporallyPrecedes(t1, t2) => {
             let (a, b) = (ev!(t1), ev!(t2));
-            Ok(history.contains(a) && history.contains(b) && computation.temporally_precedes(a, b))
+            Ok(occurred(a) && occurred(b) && world.precedes(a, b))
         }
         Atom::Concurrent(t1, t2) => {
             let (a, b) = (ev!(t1), ev!(t2));
-            Ok(history.contains(a) && history.contains(b) && computation.concurrent(a, b))
+            Ok(occurred(a)
+                && occurred(b)
+                && a != b
+                && !world.precedes(a, b)
+                && !world.precedes(b, a))
         }
-        Atom::EventEq(t1, t2) => {
-            let (a, b) = (ev!(t1), ev!(t2));
-            Ok(a == b)
-        }
+        Atom::EventEq(t1, t2) => Ok(ev!(t1) == ev!(t2)),
         Atom::AtControlPoint(t, sel) => {
             let e = ev!(t);
-            if !history.contains(e) {
-                return Ok(false);
-            }
-            Ok(!computation
-                .enabled_from(e)
-                .iter()
-                .any(|&s| history.contains(s) && sel.matches(computation.event(s))))
+            Ok(occurred(e)
+                && !world
+                    .enabled_from(e)
+                    .any(|s| occurred(s) && world.matches(sel, s)))
         }
         Atom::New(t) => {
             let e = ev!(t);
-            if !history.contains(e) {
-                return Ok(false);
-            }
-            Ok(!computation
-                .closure()
-                .successors(e)
-                .iter()
-                .any(|s| history.contains(EventId::from_raw(s as u32))))
+            Ok(occurred(e) && !world.followed_in(e, history))
         }
         Atom::Potential(t) => {
             let e = ev!(t);
-            if history.contains(e) {
-                return Ok(false);
-            }
-            Ok(computation
-                .closure()
-                .predecessors(e)
-                .iter()
-                .all(|p| history.contains(EventId::from_raw(p as u32))))
+            Ok(!occurred(e) && world.preceded_within(e, history))
         }
-        Atom::SameThread(t1, t2, ty) => {
+        Atom::SameThread(t1, t2, ty) | Atom::DistinctThreads(t1, t2, ty) => {
             let (a, b) = (ev!(t1), ev!(t2));
-            let (ta, tb) = (
-                computation.event(a).thread_of_type(*ty),
-                computation.event(b).thread_of_type(*ty),
-            );
-            Ok(matches!((ta, tb), (Some(x), Some(y)) if x == y))
-        }
-        Atom::DistinctThreads(t1, t2, ty) => {
-            let (a, b) = (ev!(t1), ev!(t2));
-            let (ta, tb) = (
-                computation.event(a).thread_of_type(*ty),
-                computation.event(b).thread_of_type(*ty),
-            );
-            Ok(matches!((ta, tb), (Some(x), Some(y)) if x != y))
+            let same = matches!(atom, Atom::SameThread(..));
+            Ok(
+                match (world.thread_instance(a, *ty), world.thread_instance(b, *ty)) {
+                    (Some(x), Some(y)) => (x == y) == same,
+                    _ => false,
+                },
+            )
         }
         Atom::ValueCmp(op, v1, v2) => {
             let (Some(a), Some(b)) = (
-                resolve_value(v1, computation, env)?,
-                resolve_value(v2, computation, env)?,
+                resolve_value(v1, world, env)?,
+                resolve_value(v2, world, env)?,
             ) else {
                 return Ok(false);
             };

@@ -1,6 +1,6 @@
 //! Incremental restriction evaluation along a growing computation prefix.
 //!
-//! The batch checkers ([`check`](crate::check) / [`check_many`]) decide a
+//! The batch checker ([`check_many`](crate::check_many)) decides a
 //! temporal restriction by enumerating history sequences of a *finished*
 //! computation — O(sequences × formula) per run. During state-space
 //! exploration the runs share prefixes along the DFS tree, and almost all
@@ -16,8 +16,10 @@
 //! 1. **Leaf** — non-temporal restrictions. These are immediate
 //!    assertions evaluated on the single full history
 //!    (`Strategy::Complete` semantics), so nothing per-prefix is needed:
-//!    [`eval_full`] decides them structurally at the leaf from the
-//!    incremental projection state, skipping seal/projection entirely.
+//!    the caller runs the one formula evaluator,
+//!    [`holds_on_computation`](crate::holds_on_computation), at the leaf
+//!    over a [`World`] backed by its incremental projection state,
+//!    skipping seal/projection entirely. Nothing is compiled for them.
 //! 2. **Box** — `◻ ∀x̄ · body` with a quantifier-free (after rewriting)
 //!    body. The negated body is put in disjunctive normal form; each
 //!    conjunct is a set of *In* events (must have occurred), *Out*
@@ -52,44 +54,10 @@
 
 use std::fmt;
 
-use gem_core::{ClassId, ElementId, ThreadTypeId, Value};
+use gem_core::{ThreadTypeId, Value};
 
-use crate::{Atom, CmpOp, EventSel, EventTerm, Formula, ParamRef, ValueTerm};
-
-/// The oracle an incremental evaluator reads: a view of the (projected)
-/// computation built so far. Implemented by the verification driver over
-/// its prefix-synchronised projection state.
-///
-/// Events are addressed by dense indices in emission order. All order
-/// queries must be final for already-emitted pairs (true for
-/// simulation-grown computations, where every edge targets the newest
-/// event).
-pub trait IncrWorld {
-    /// Number of events emitted so far.
-    fn event_count(&self) -> usize;
-    /// Element of event `e`.
-    fn element_of(&self, e: usize) -> ElementId;
-    /// Class of event `e`.
-    fn class_of(&self, e: usize) -> ClassId;
-    /// Occurrence number of `e` at its element.
-    fn seq_of(&self, e: usize) -> u32;
-    /// Parameters of event `e`.
-    fn params_of(&self, e: usize) -> &[Value];
-    /// The canonical instance of the unique thread tag of type `ty` on
-    /// `e`, if any. The driver must guarantee at most one tag per type
-    /// (falling back otherwise), so instance equality is well defined.
-    fn thread_instance(&self, e: usize, ty: ThreadTypeId) -> Option<u32>;
-    /// Temporal order (final for emitted pairs).
-    fn precedes(&self, a: usize, b: usize) -> bool;
-    /// Direct enable edge.
-    fn enables(&self, a: usize, b: usize) -> bool;
-    /// Events directly enabled by `e` (emitted so far).
-    fn enabled_from(&self, e: usize) -> &[u32];
-    /// The `i`-th event at `element`, if emitted.
-    fn nth_at(&self, element: ElementId, i: usize) -> Option<usize>;
-    /// Positional index of named parameter `name` in `class`.
-    fn param_index(&self, class: ClassId, name: &str) -> Option<usize>;
-}
+use crate::eval::param_value;
+use crate::{Atom, CmpOp, EvalError, EventSel, EventTerm, Formula, ParamRef, ValueTerm, World};
 
 /// Why a restriction could not be compiled incrementally. Recorded per
 /// restriction under `logic.incr.*` so fallbacks are attributable.
@@ -134,18 +102,12 @@ impl fmt::Display for FallbackReason {
     }
 }
 
-/// Evaluation failed at run time (parameter reference errors — exactly
-/// the conditions under which the batch evaluator raises
-/// [`EvalError`](crate::EvalError)). The caller falls back to batch for
-/// the run so error reporting stays identical.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct IncrEvalError;
-
 /// A compiled restriction.
 #[derive(Clone, Debug)]
 pub enum Compiled {
     /// Non-temporal: evaluate the original formula at the leaf with
-    /// [`eval_full`].
+    /// [`holds_on_computation`](crate::holds_on_computation) over the
+    /// caller's [`World`].
     Leaf,
     /// `◻∀*` shape: check bindings incrementally with
     /// [`BoxShape::check_event`].
@@ -271,7 +233,8 @@ const DNF_BUDGET: usize = 128;
 /// # Errors
 ///
 /// Returns the [`FallbackReason`] for unsupported shapes; the caller
-/// records it and keeps using `check`/`check_many` for this restriction.
+/// records it and keeps using [`check_many`](crate::check_many) for this
+/// restriction.
 pub fn compile(formula: &Formula) -> Result<Compiled, FallbackReason> {
     if !formula.is_temporal() {
         check_leaf_supported(formula, &mut Vec::new())?;
@@ -333,10 +296,11 @@ pub fn compile(formula: &Formula) -> Result<Compiled, FallbackReason> {
     Ok(Compiled::Boxed(BoxShape { vars, pairs }))
 }
 
-/// Rejects leaf (non-temporal) formulas the structural evaluator cannot
-/// reproduce exactly: unbound variables (batch raises an error),
-/// thread-instance selectors (instance numbering is assignment-local),
-/// and fixed event ids (global numbering is world-dependent).
+/// Rejects leaf (non-temporal) formulas an incremental world cannot
+/// decide: unbound variables (every leaf would only reproduce the batch
+/// error), thread-instance selectors (instance numbering is
+/// assignment-local), and fixed event ids (global numbering is
+/// world-dependent).
 fn check_leaf_supported<'a>(
     f: &'a Formula,
     bound: &mut Vec<&'a str>,
@@ -801,9 +765,9 @@ impl BoxShape {
     ///
     /// # Errors
     ///
-    /// [`IncrEvalError`] mirrors the batch evaluator's parameter errors;
-    /// the caller should fall back to batch for this run.
-    pub fn check_event(&self, world: &impl IncrWorld, n: usize) -> Result<bool, IncrEvalError> {
+    /// The [`EvalError`] the batch evaluator raises for a bad parameter
+    /// reference; the caller should fall back to batch for this run.
+    pub fn check_event(&self, world: &impl World, n: usize) -> Result<bool, EvalError> {
         let mut binding = vec![0usize; self.vars.len()];
         if self.vars.is_empty() {
             // No prefix: the body is variable-free; check it once, at the
@@ -820,12 +784,12 @@ impl BoxShape {
 
     fn enumerate(
         &self,
-        world: &impl IncrWorld,
+        world: &impl World,
         n: usize,
         depth: usize,
         used_n: bool,
         binding: &mut Vec<usize>,
-    ) -> Result<bool, IncrEvalError> {
+    ) -> Result<bool, EvalError> {
         if depth == self.vars.len() {
             return if used_n {
                 self.check_binding(world, binding)
@@ -837,7 +801,7 @@ impl BoxShape {
         let must_use_n = !used_n && depth + 1 == self.vars.len();
         let lo = if must_use_n { n } else { 0 };
         for e in lo..=n {
-            if !sel_matches(world, sel, e) {
+            if !world.matches(sel, e) {
                 continue;
             }
             binding[depth] = e;
@@ -848,11 +812,7 @@ impl BoxShape {
         Ok(false)
     }
 
-    fn check_binding(
-        &self,
-        world: &impl IncrWorld,
-        binding: &[usize],
-    ) -> Result<bool, IncrEvalError> {
+    fn check_binding(&self, world: &impl World, binding: &[usize]) -> Result<bool, EvalError> {
         if gem_obs::ambient::active() {
             gem_obs::ambient::add("logic.incr.bindings_checked", 1);
         }
@@ -868,11 +828,11 @@ impl BoxShape {
     /// minimal witnesses `D₁ = down(In₁)`, `D₂ = down(In₁ ∪ In₂)`?
     fn pair_realizable(
         &self,
-        world: &impl IncrWorld,
+        world: &impl World,
         binding: &[usize],
         c1: &Conjunct,
         c2: &Conjunct,
-    ) -> Result<bool, IncrEvalError> {
+    ) -> Result<bool, EvalError> {
         for s in c1.statics.iter().chain(&c2.statics) {
             if !eval_static(world, s, binding, None)? {
                 return Ok(false);
@@ -907,16 +867,15 @@ impl BoxShape {
             match ao {
                 AllOut::Control { var, sel } => {
                     let x = binding[usize::from(*var)];
-                    for &y in world.enabled_from(x) {
-                        let y = y as usize;
-                        if sel_matches(world, sel, y) && in_down(y, down) {
+                    for y in world.enabled_from(x) {
+                        if world.matches(sel, y) && in_down(y, down) {
                             return Ok(false);
                         }
                     }
                 }
                 AllOut::NoMatch { sel, statics } => {
                     for y in 0..world.event_count() {
-                        if !sel_matches(world, sel, y) || !in_down(y, down) {
+                        if !world.matches(sel, y) || !in_down(y, down) {
                             continue;
                         }
                         let mut all = true;
@@ -937,22 +896,14 @@ impl BoxShape {
     }
 }
 
-fn sel_matches(world: &impl IncrWorld, sel: &EventSel, e: usize) -> bool {
-    sel.element.is_none_or(|el| world.element_of(e) == el)
-        && sel.class.is_none_or(|c| world.class_of(e) == c)
-        && sel
-            .params
-            .iter()
-            .all(|(i, v)| world.params_of(e).get(*i).is_some_and(|p| p == v))
-    // sel.thread is rejected at compile time.
-}
-
+/// Evaluates a frozen literal under `binding` (selectors never constrain
+/// a thread instance: the compiler rejects them).
 fn eval_static(
-    world: &impl IncrWorld,
+    world: &impl World,
     lit: &StaticLit,
     binding: &[usize],
     fresh: Option<usize>,
-) -> Result<bool, IncrEvalError> {
+) -> Result<bool, EvalError> {
     let ev = |v: VarIx| -> usize {
         if v == FRESH {
             fresh.expect("fresh var only inside All-out bodies")
@@ -969,7 +920,7 @@ fn eval_static(
                     world.element_of(a) == world.element_of(b) && world.seq_of(a) < world.seq_of(b)
                 }
                 RelKind::TemporallyPrecedes => world.precedes(a, b),
-                RelKind::Concurrent => !world.precedes(a, b) && !world.precedes(b, a),
+                RelKind::Concurrent => a != b && !world.precedes(a, b) && !world.precedes(b, a),
             };
             holds != *neg
         }
@@ -997,22 +948,13 @@ fn eval_static(
             holds != *neg
         }
         StaticLit::Eq { a, b, neg } => (ev(*a) == ev(*b)) != *neg,
-        StaticLit::Shape { a, sel, neg } => sel_matches(world, sel, ev(*a)) != *neg,
+        StaticLit::Shape { a, sel, neg } => world.matches(sel, ev(*a)) != *neg,
         StaticLit::Cmp { op, lhs, rhs, neg } => {
-            let resolve = |t: &VTerm| -> Result<Value, IncrEvalError> {
+            let resolve = |t: &VTerm| -> Result<Value, EvalError> {
                 Ok(match t {
                     VTerm::Const(v) => v.clone(),
                     VTerm::SeqOf(v) => Value::Int(i64::from(world.seq_of(ev(*v)))),
-                    VTerm::Param(v, p) => {
-                        let e = ev(*v);
-                        let idx = match p {
-                            ParamRef::Index(i) => *i,
-                            ParamRef::Named(name) => world
-                                .param_index(world.class_of(e), name)
-                                .ok_or(IncrEvalError)?,
-                        };
-                        world.params_of(e).get(idx).cloned().ok_or(IncrEvalError)?
-                    }
+                    VTerm::Param(v, p) => param_value(world, ev(*v), p)?,
                 })
             };
             (op.apply(&resolve(lhs)?, &resolve(rhs)?)) != *neg
@@ -1021,322 +963,14 @@ fn eval_static(
     Ok(raw)
 }
 
-// ---------------------------------------------------------------------------
-// Leaf (non-temporal) evaluation on the full history
-// ---------------------------------------------------------------------------
-
-/// Evaluates a non-temporal restriction on the *complete* computation —
-/// the [`Strategy::Complete`](crate::Strategy::Complete) semantics —
-/// structurally from the incremental world, with no sealing or
-/// projection. Exact mirror of the batch evaluator on the full history:
-/// unresolvable terms make atoms false, parameter errors become
-/// [`IncrEvalError`] (the batch path raises
-/// [`EvalError`](crate::EvalError) in the same situations).
-///
-/// # Errors
-///
-/// [`IncrEvalError`] on parameter-reference errors; the caller falls
-/// back to batch so error reporting is identical.
-pub fn eval_full(formula: &Formula, world: &impl IncrWorld) -> Result<bool, IncrEvalError> {
-    let mut env: Vec<(String, usize)> = Vec::new();
-    eval_full_rec(formula, world, &mut env)
-}
-
-fn resolve_full(
-    t: &EventTerm,
-    world: &impl IncrWorld,
-    env: &[(String, usize)],
-) -> Result<Option<usize>, IncrEvalError> {
-    Ok(match t {
-        EventTerm::Var(name) => Some(
-            env.iter()
-                .rev()
-                .find(|(n, _)| n == name)
-                .map(|&(_, e)| e)
-                .ok_or(IncrEvalError)?,
-        ),
-        EventTerm::Fixed(id) => {
-            if id.index() < world.event_count() {
-                Some(id.index())
-            } else {
-                None
-            }
-        }
-        EventTerm::NthAt(el, i) => world.nth_at(*el, *i),
-    })
-}
-
-fn eval_full_rec(
-    f: &Formula,
-    world: &impl IncrWorld,
-    env: &mut Vec<(String, usize)>,
-) -> Result<bool, IncrEvalError> {
-    Ok(match f {
-        Formula::True => true,
-        Formula::False => false,
-        Formula::Not(g) => !eval_full_rec(g, world, env)?,
-        Formula::And(fs) => {
-            for g in fs {
-                if !eval_full_rec(g, world, env)? {
-                    return Ok(false);
-                }
-            }
-            true
-        }
-        Formula::Or(fs) => {
-            for g in fs {
-                if eval_full_rec(g, world, env)? {
-                    return Ok(true);
-                }
-            }
-            false
-        }
-        Formula::Implies(a, b) => !eval_full_rec(a, world, env)? || eval_full_rec(b, world, env)?,
-        Formula::Iff(a, b) => eval_full_rec(a, world, env)? == eval_full_rec(b, world, env)?,
-        // On a single history the temporal operators degenerate (the
-        // compiler only emits Leaf for non-temporal formulas; this keeps
-        // the mirror total).
-        Formula::Henceforth(g) | Formula::Eventually(g) => eval_full_rec(g, world, env)?,
-        Formula::ForAll(var, sel, body) => {
-            for e in 0..world.event_count() {
-                if !sel_full_matches(world, sel, e) {
-                    continue;
-                }
-                env.push((var.clone(), e));
-                let ok = eval_full_rec(body, world, env)?;
-                env.pop();
-                if !ok {
-                    return Ok(false);
-                }
-            }
-            true
-        }
-        Formula::Exists(var, sel, body) => {
-            for e in 0..world.event_count() {
-                if !sel_full_matches(world, sel, e) {
-                    continue;
-                }
-                env.push((var.clone(), e));
-                let ok = eval_full_rec(body, world, env)?;
-                env.pop();
-                if ok {
-                    return Ok(true);
-                }
-            }
-            false
-        }
-        Formula::ExistsUnique(var, sel, body) | Formula::AtMostOne(var, sel, body) => {
-            let unique = matches!(f, Formula::ExistsUnique(..));
-            let mut count = 0usize;
-            for e in 0..world.event_count() {
-                if !sel_full_matches(world, sel, e) {
-                    continue;
-                }
-                env.push((var.clone(), e));
-                let ok = eval_full_rec(body, world, env)?;
-                env.pop();
-                if ok {
-                    count += 1;
-                    if count > 1 {
-                        return Ok(false);
-                    }
-                }
-            }
-            if unique {
-                count == 1
-            } else {
-                true
-            }
-        }
-        Formula::Atom(atom) => eval_atom_full(atom, world, env)?,
-    })
-}
-
-/// Selector match for leaf evaluation. `sel.thread` is rejected at
-/// compile time (instance numbering is assignment-local).
-fn sel_full_matches(world: &impl IncrWorld, sel: &EventSel, e: usize) -> bool {
-    sel_matches(world, sel, e)
-}
-
-fn eval_atom_full(
-    atom: &Atom,
-    world: &impl IncrWorld,
-    env: &[(String, usize)],
-) -> Result<bool, IncrEvalError> {
-    macro_rules! ev {
-        ($t:expr) => {
-            match resolve_full($t, world, env)? {
-                Some(e) => e,
-                None => return Ok(false),
-            }
-        };
-    }
-    Ok(match atom {
-        // Full history: every emitted event has occurred.
-        Atom::Occurred(t) => {
-            let _ = ev!(t);
-            true
-        }
-        Atom::AtElement(t, el) => world.element_of(ev!(t)) == *el,
-        Atom::InClass(t, c) => world.class_of(ev!(t)) == *c,
-        Atom::Matches(t, sel) => sel_full_matches(world, sel, ev!(t)),
-        Atom::Enables(t1, t2) => {
-            let (a, b) = (ev!(t1), ev!(t2));
-            world.enables(a, b)
-        }
-        Atom::ElementPrecedes(t1, t2) => {
-            let (a, b) = (ev!(t1), ev!(t2));
-            world.element_of(a) == world.element_of(b) && world.seq_of(a) < world.seq_of(b)
-        }
-        Atom::TemporallyPrecedes(t1, t2) => {
-            let (a, b) = (ev!(t1), ev!(t2));
-            world.precedes(a, b)
-        }
-        Atom::Concurrent(t1, t2) => {
-            let (a, b) = (ev!(t1), ev!(t2));
-            !world.precedes(a, b) && !world.precedes(b, a)
-        }
-        Atom::EventEq(t1, t2) => ev!(t1) == ev!(t2),
-        Atom::AtControlPoint(t, sel) => {
-            let e = ev!(t);
-            !world
-                .enabled_from(e)
-                .iter()
-                .any(|&s| sel_full_matches(world, sel, s as usize))
-        }
-        // Full history: `new(e)` ⟺ e is temporally maximal.
-        Atom::New(t) => {
-            let e = ev!(t);
-            !(0..world.event_count()).any(|s| world.precedes(e, s))
-        }
-        // Full history contains every event, so nothing is potential.
-        Atom::Potential(t) => {
-            let _ = ev!(t);
-            false
-        }
-        Atom::SameThread(t1, t2, ty) | Atom::DistinctThreads(t1, t2, ty) => {
-            let same = matches!(atom, Atom::SameThread(..));
-            let (a, b) = (ev!(t1), ev!(t2));
-            match (world.thread_instance(a, *ty), world.thread_instance(b, *ty)) {
-                (Some(x), Some(y)) => {
-                    if same {
-                        x == y
-                    } else {
-                        x != y
-                    }
-                }
-                _ => false,
-            }
-        }
-        Atom::ValueCmp(op, v1, v2) => {
-            let resolve = |t: &ValueTerm| -> Result<Option<Value>, IncrEvalError> {
-                Ok(match t {
-                    ValueTerm::Const(v) => Some(v.clone()),
-                    ValueTerm::SeqOf(e) => resolve_full(e, world, env)?
-                        .map(|id| Value::Int(i64::from(world.seq_of(id)))),
-                    ValueTerm::Param(e, p) => match resolve_full(e, world, env)? {
-                        None => None,
-                        Some(id) => {
-                            let idx = match p {
-                                ParamRef::Index(i) => *i,
-                                ParamRef::Named(name) => world
-                                    .param_index(world.class_of(id), name)
-                                    .ok_or(IncrEvalError)?,
-                            };
-                            Some(world.params_of(id).get(idx).cloned().ok_or(IncrEvalError)?)
-                        }
-                    },
-                })
-            };
-            let (Some(a), Some(b)) = (resolve(v1)?, resolve(v2)?) else {
-                return Ok(false);
-            };
-            op.apply(&a, &b)
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gem_core::{Computation, ComputationBuilder, EventId, Structure};
-    use std::collections::HashMap;
-
-    /// A test world backed by a sealed computation (tags included), so
-    /// incremental verdicts can be compared against the batch evaluator.
-    struct CompWorld<'a> {
-        c: &'a Computation,
-        enabled: Vec<Vec<u32>>,
-        /// Canonical thread instances: (ty, instance) → arbitrary-but-
-        /// consistent canonical id.
-        canon: HashMap<(ThreadTypeId, u32), u32>,
-    }
-
-    impl<'a> CompWorld<'a> {
-        fn new(c: &'a Computation) -> Self {
-            let enabled = (0..c.event_count())
-                .map(|e| {
-                    c.enabled_from(EventId::from_raw(e as u32))
-                        .iter()
-                        .map(|id| id.index() as u32)
-                        .collect()
-                })
-                .collect();
-            let mut canon = HashMap::new();
-            for ev in c.events() {
-                for t in ev.threads() {
-                    let next = canon.len() as u32;
-                    canon.entry((t.thread_type(), t.instance())).or_insert(next);
-                }
-            }
-            Self { c, enabled, canon }
-        }
-    }
-
-    impl IncrWorld for CompWorld<'_> {
-        fn event_count(&self) -> usize {
-            self.c.event_count()
-        }
-        fn element_of(&self, e: usize) -> ElementId {
-            self.c.event(EventId::from_raw(e as u32)).element()
-        }
-        fn class_of(&self, e: usize) -> ClassId {
-            self.c.event(EventId::from_raw(e as u32)).class()
-        }
-        fn seq_of(&self, e: usize) -> u32 {
-            self.c.event(EventId::from_raw(e as u32)).seq()
-        }
-        fn params_of(&self, e: usize) -> &[Value] {
-            self.c.event(EventId::from_raw(e as u32)).params()
-        }
-        fn thread_instance(&self, e: usize, ty: ThreadTypeId) -> Option<u32> {
-            self.c
-                .event(EventId::from_raw(e as u32))
-                .thread_of_type(ty)
-                .map(|t| self.canon[&(ty, t.instance())])
-        }
-        fn precedes(&self, a: usize, b: usize) -> bool {
-            self.c
-                .temporally_precedes(EventId::from_raw(a as u32), EventId::from_raw(b as u32))
-        }
-        fn enables(&self, a: usize, b: usize) -> bool {
-            self.c
-                .enables(EventId::from_raw(a as u32), EventId::from_raw(b as u32))
-        }
-        fn enabled_from(&self, e: usize) -> &[u32] {
-            &self.enabled[e]
-        }
-        fn nth_at(&self, el: ElementId, i: usize) -> Option<usize> {
-            self.c.nth_at(el, i).map(|id| id.index())
-        }
-        fn param_index(&self, class: ClassId, name: &str) -> Option<usize> {
-            self.c.structure().class_info(class).param_index(name)
-        }
-    }
 
     /// Feed every event through a BoxShape in emission order; true if
     /// any violation is found.
-    fn replay(shape: &BoxShape, world: &CompWorld<'_>) -> bool {
+    fn replay(shape: &BoxShape, world: &Computation) -> bool {
         (0..world.event_count()).any(|n| shape.check_event(world, n).unwrap())
     }
 
@@ -1429,8 +1063,7 @@ mod tests {
             let Compiled::Boxed(shape) = compile(&f).unwrap() else {
                 panic!("expected Box shape");
             };
-            let world = CompWorld::new(&c);
-            let incr_violated = replay(&shape, &world);
+            let incr_violated = replay(&shape, &c);
             let batch =
                 crate::check(&f, &c, crate::Strategy::Linearizations { limit: 100_000 }).unwrap();
             assert_eq!(
@@ -1482,8 +1115,7 @@ mod tests {
             let Compiled::Boxed(shape) = compile(&f).unwrap() else {
                 panic!("expected Box shape");
             };
-            let world = CompWorld::new(&c);
-            let incr_violated = replay(&shape, &world);
+            let incr_violated = replay(&shape, &c);
             let batch =
                 crate::check(&f, &c, crate::Strategy::Linearizations { limit: 100_000 }).unwrap();
             assert_eq!(
@@ -1511,11 +1143,12 @@ mod tests {
         );
         let compiled = compile(&f).unwrap();
         assert!(compiled.is_leaf());
-        let world = CompWorld::new(&c);
-        let incr = eval_full(&f, &world).unwrap();
+        // The leaf check reads the full-history scope; it agrees with the
+        // complete-history sequence a batch check evaluates.
+        let leaf = crate::holds_on_computation(&f, &c).unwrap();
         let batch = crate::check(&f, &c, crate::Strategy::Complete).unwrap();
-        assert_eq!(incr, batch.holds);
-        assert!(incr);
+        assert_eq!(leaf, batch.holds);
+        assert!(leaf);
     }
 
     #[test]
@@ -1582,12 +1215,46 @@ mod tests {
         let Compiled::Boxed(shape) = compile(&f).unwrap() else {
             panic!("expected Box shape");
         };
-        let world = CompWorld::new(&c);
-        let incr_violated = replay(&shape, &world);
+        let incr_violated = replay(&shape, &c);
         let batch =
             crate::check(&f, &c, crate::Strategy::Linearizations { limit: 100_000 }).unwrap();
         assert_eq!(incr_violated, !batch.holds);
         assert!(incr_violated, "chains exist, so some downset orders a pair");
+    }
+
+    #[test]
+    fn no_event_is_concurrent_with_itself() {
+        // ◻∀a∀b (occurred(a) ∧ occurred(b) ⊃ concurrent(a, b)) fails as
+        // soon as one event occurs: a = b is a binding, and an event is
+        // not concurrent with itself. The two events sit at distinct
+        // elements with no edge, so no other binding falsifies it.
+        let mut s = Structure::new();
+        let act = s.add_class("Act", &[]).unwrap();
+        let p = s.add_element("P", &[act]).unwrap();
+        let q = s.add_element("Q", &[act]).unwrap();
+        let mut b = ComputationBuilder::new(s);
+        b.add_event(p, act, vec![]).unwrap();
+        b.add_event(q, act, vec![]).unwrap();
+        let c = b.seal().unwrap();
+        let f = Formula::forall(
+            "a",
+            EventSel::any(),
+            Formula::forall(
+                "b",
+                EventSel::any(),
+                Formula::occurred("a")
+                    .and(Formula::occurred("b"))
+                    .implies(Formula::concurrent("a", "b")),
+            ),
+        )
+        .henceforth();
+        let Compiled::Boxed(shape) = compile(&f).unwrap() else {
+            panic!("expected Box shape");
+        };
+        let batch =
+            crate::check(&f, &c, crate::Strategy::Linearizations { limit: 100_000 }).unwrap();
+        assert!(!batch.holds);
+        assert!(replay(&shape, &c), "the incremental check must see it too");
     }
 
     #[test]

@@ -9,9 +9,14 @@
 //! * Build restrictions with the constructors on [`Formula`].
 //! * Evaluate them with [`holds_on_computation`] (computation-level
 //!   immediate assertions), [`holds_on_history`], or
-//!   [`holds_on_sequence`].
-//! * Decide whether a restriction holds of *all* history sequences of a
-//!   computation with [`check`] under a [`Strategy`].
+//!   [`holds_on_sequence`]. One evaluator serves all three, and any
+//!   [`World`] besides a sealed computation: the incremental checker reads
+//!   its projection of a computation still being built through it.
+//! * Decide whether restrictions hold of *all* history sequences of a
+//!   computation with [`check_many`] (or [`check`] for one) under a
+//!   [`Strategy`]: one shared walk over the sequences.
+//! * [`incr`] compiles `◻∀*` restrictions into per-event evaluators for
+//!   prefix-sharing exploration.
 //!
 //! ## Example: a safety restriction over all interleavings
 //!
@@ -49,7 +54,9 @@ mod strategy;
 mod term;
 
 pub use blame::{blame_on_computation, blame_on_sequence, Blame, BlameFrame};
-pub use eval::{holds_on_computation, holds_on_history, holds_on_sequence, EvalError};
+pub use eval::{
+    holds_on_computation, holds_on_history, holds_on_sequence, EvalError, Occurred, World,
+};
 pub use formula::{Atom, Formula};
 pub use simplify::{formula_size, simplify};
 pub use strategy::{

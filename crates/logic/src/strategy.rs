@@ -3,7 +3,7 @@
 //!
 //! The paper's semantics quantifies restrictions over all valid history
 //! sequences of a computation. The number of vhs is (doubly) exponential,
-//! so [`check`] approximates the set by a [`Strategy`]:
+//! so [`check_many`] approximates the set by a [`Strategy`]:
 //!
 //! * [`Strategy::Complete`] — a single sequence containing the complete
 //!   history. Exact for non-temporal (computation-level) restrictions.
@@ -15,6 +15,14 @@
 //! * [`Strategy::RandomLinearizations`] — seeded sample of linearizations;
 //!   sound for *refuting* (a found violation is real) but not exhaustive.
 //! * [`Strategy::GreedySteps`] — the single maximal-parallelism vhs.
+//!
+//! [`check_many`] is the one loop over a strategy's sequences: it decides
+//! temporal-free formulas once on the complete history and walks the
+//! sequences once for all temporal formulas. [`check`] is its
+//! one-formula case.
+
+use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,7 +31,8 @@ use gem_core::{
     for_each_linearization, for_each_step_sequence, Computation, EventId, History, HistorySequence,
 };
 
-use crate::{holds_on_sequence, EvalError, Formula};
+use crate::eval::holds_on;
+use crate::{EvalError, Formula};
 
 /// How to enumerate the history sequences a formula is checked against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -133,7 +142,8 @@ impl CheckReport {
 }
 
 /// Checks `formula` against `computation` under `strategy`: the formula
-/// must hold of every generated history sequence.
+/// must hold of every generated history sequence. The one-formula case of
+/// [`check_many`].
 ///
 /// # Errors
 ///
@@ -162,119 +172,10 @@ pub fn check(
     computation: &Computation,
     strategy: Strategy,
 ) -> Result<CheckReport, EvalError> {
-    // A temporal-free restriction is an *immediate assertion* about the
-    // computation (§8): evaluating it at the front of every history
-    // sequence would test the empty history. Dispatch it to the complete
-    // computation regardless of the requested strategy; to assert an
-    // immediate property of every history, wrap it in `◻` explicitly.
-    let strategy = if formula.is_temporal() {
-        strategy
-    } else {
-        Strategy::Complete
-    };
-    match strategy {
-        Strategy::Complete => {
-            let seq = [History::full(computation)];
-            if holds_on_sequence(formula, computation, &seq)? {
-                Ok(CheckReport::passing(1, true))
-            } else {
-                Ok(CheckReport {
-                    holds: false,
-                    sequences_checked: 1,
-                    exhaustive: true,
-                    counterexample: Some(Counterexample::from_histories(&seq)),
-                })
-            }
-        }
-        Strategy::GreedySteps => {
-            let seq = HistorySequence::greedy_steps(computation);
-            if holds_on_sequence(formula, computation, seq.histories())? {
-                Ok(CheckReport::passing(1, true))
-            } else {
-                Ok(CheckReport {
-                    holds: false,
-                    sequences_checked: 1,
-                    exhaustive: true,
-                    counterexample: Some(Counterexample::from_histories(seq.histories())),
-                })
-            }
-        }
-        Strategy::Linearizations { limit } => {
-            let mut checked = 0usize;
-            let mut failure: Option<Counterexample> = None;
-            let mut error: Option<EvalError> = None;
-            let visited = for_each_linearization(computation, limit, |order| {
-                checked += 1;
-                let seq = HistorySequence::from_linearization(computation, order);
-                match holds_on_sequence(formula, computation, seq.histories()) {
-                    Ok(true) => std::ops::ControlFlow::Continue(()),
-                    Ok(false) => {
-                        failure = Some(Counterexample::from_histories(seq.histories()));
-                        std::ops::ControlFlow::Break(())
-                    }
-                    Err(e) => {
-                        error = Some(e);
-                        std::ops::ControlFlow::Break(())
-                    }
-                }
-            });
-            if let Some(e) = error {
-                return Err(e);
-            }
-            let exhaustive = failure.is_some() || visited < limit;
-            Ok(CheckReport {
-                holds: failure.is_none(),
-                sequences_checked: checked,
-                exhaustive,
-                counterexample: failure,
-            })
-        }
-        Strategy::StepSequences { limit } => {
-            let mut checked = 0usize;
-            let mut failure: Option<Counterexample> = None;
-            let mut error: Option<EvalError> = None;
-            let visited = for_each_step_sequence(computation, limit, |seq| {
-                checked += 1;
-                match holds_on_sequence(formula, computation, seq) {
-                    Ok(true) => std::ops::ControlFlow::Continue(()),
-                    Ok(false) => {
-                        failure = Some(Counterexample::from_histories(seq));
-                        std::ops::ControlFlow::Break(())
-                    }
-                    Err(e) => {
-                        error = Some(e);
-                        std::ops::ControlFlow::Break(())
-                    }
-                }
-            });
-            if let Some(e) = error {
-                return Err(e);
-            }
-            let exhaustive = failure.is_some() || visited < limit;
-            Ok(CheckReport {
-                holds: failure.is_none(),
-                sequences_checked: checked,
-                exhaustive,
-                counterexample: failure,
-            })
-        }
-        Strategy::RandomLinearizations { count, seed } => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            for i in 0..count {
-                let order = random_linearization(computation, &mut rng);
-                let seq = HistorySequence::from_linearization(computation, &order);
-                if !holds_on_sequence(formula, computation, seq.histories())? {
-                    return Ok(CheckReport {
-                        holds: false,
-                        sequences_checked: i + 1,
-                        exhaustive: false,
-                        counterexample: Some(Counterexample::from_histories(seq.histories())),
-                    });
-                }
-            }
-            Ok(CheckReport::passing(count, false))
-        }
-    }
+    check_many(&[formula], computation, strategy)
+        .pop()
+        .expect("one outcome per formula")
+        .report
 }
 
 /// Per-formula outcome of [`check_many`].
@@ -282,194 +183,213 @@ pub fn check(
 pub struct MultiCheck {
     /// The report (or error), exactly as [`check`] would have produced it.
     pub report: Result<CheckReport, EvalError>,
-    /// Nanoseconds this formula spent in evaluation, for per-restriction
-    /// timing attribution. Tracked only while an ambient probe is active;
-    /// 0 otherwise.
+    /// Nanoseconds this formula spent in evaluation, excluding the shared
+    /// enumeration of sequences, for per-restriction timing attribution.
+    /// Tracked only while an ambient probe is active; 0 otherwise.
     pub eval_ns: u64,
+}
+
+/// One formula's state during [`check_many`].
+struct Pending<'f> {
+    formula: &'f Formula,
+    /// `p` when the formula is `◻ p` with an immediate `p`: such a formula
+    /// holds on a sequence iff `p` holds at each of its histories, and
+    /// `p`'s verdict at a history does not depend on the sequence around
+    /// it, so verdicts are memoized per history in `memo`.
+    safety_body: Option<&'f Formula>,
+    memo: HashMap<History, bool>,
+    /// The report once decided (a failure, an error, or a non-temporal
+    /// verdict); undecided formulas pass.
+    outcome: Option<Result<CheckReport, EvalError>>,
+    eval_ns: u64,
+}
+
+/// Evaluations made and formula nodes visited, for `logic.eval.*`.
+#[derive(Default)]
+struct EvalTally {
+    calls: u64,
+    nodes: u64,
+}
+
+impl EvalTally {
+    fn holds_on(
+        &mut self,
+        formula: &Formula,
+        computation: &Computation,
+        seq: &[History],
+    ) -> Result<bool, EvalError> {
+        self.calls += 1;
+        holds_on(formula, computation, seq, &mut self.nodes)
+    }
+}
+
+impl Pending<'_> {
+    /// Evaluates the formula on `seq`, the `checked`-th sequence, and
+    /// records a failure or an error as its outcome. True if that decided
+    /// it.
+    fn decide(
+        &mut self,
+        probing: bool,
+        tally: &mut EvalTally,
+        computation: &Computation,
+        seq: &[History],
+        checked: usize,
+        exhaustive: bool,
+    ) -> bool {
+        let started = probing.then(std::time::Instant::now);
+        let verdict = self.holds_on(tally, computation, seq);
+        if let Some(started) = started {
+            self.eval_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        }
+        self.outcome = match verdict {
+            Ok(true) => return false,
+            Ok(false) => Some(Ok(CheckReport {
+                holds: false,
+                sequences_checked: checked,
+                exhaustive,
+                counterexample: Some(Counterexample::from_histories(seq)),
+            })),
+            Err(e) => Some(Err(e)),
+        };
+        true
+    }
+
+    fn holds_on(
+        &mut self,
+        tally: &mut EvalTally,
+        computation: &Computation,
+        seq: &[History],
+    ) -> Result<bool, EvalError> {
+        let Some(p) = self.safety_body else {
+            return tally.holds_on(self.formula, computation, seq);
+        };
+        for h in seq {
+            let holds = match self.memo.get(h) {
+                Some(&v) => v,
+                None => {
+                    let v = tally.holds_on(p, computation, std::slice::from_ref(h))?;
+                    self.memo.insert(h.clone(), v);
+                    v
+                }
+            };
+            if !holds {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
 }
 
 /// Checks several formulas against *one shared enumeration* of history
 /// sequences.
 ///
-/// [`check`]ing each restriction separately re-enumerates the same
-/// linearizations and rebuilds the same prefix histories once per
-/// formula; on check-dominated sweeps that enumeration is the hot path.
-/// This variant walks the sequence space once, constructs each
-/// [`HistorySequence`] once, and evaluates every still-undecided formula
-/// on it. Each returned report is identical to what a standalone
-/// [`check`] call would produce: the enumeration order is deterministic,
-/// a formula stops counting at its first failing sequence, and a passing
-/// formula sees the full enumeration.
+/// A temporal-free formula is an *immediate assertion* about the
+/// computation (§8): evaluating it at the front of every history sequence
+/// would test the empty history. It is decided once, on the complete
+/// history, regardless of the strategy (to assert an immediate property
+/// of every history, wrap it in `◻`). The temporal formulas share one walk
+/// over the strategy's sequences: each [`HistorySequence`] is built once
+/// and every still-undecided formula is evaluated on it. A formula stops
+/// counting at its first failing sequence, a passing formula sees the
+/// whole enumeration, and the walk stops early once every formula has
+/// failed. With no temporal formula nothing is enumerated.
 ///
-/// Sharing applies to [`Strategy::Linearizations`] and
-/// [`Strategy::StepSequences`] when every formula is temporal; any other
-/// input falls back to per-formula [`check`] calls (still with faithful
-/// reports — only the sharing is lost).
+/// Each report is the one a single-formula call would produce: the
+/// enumeration order is deterministic and does not depend on the other
+/// formulas.
 pub fn check_many(
     formulas: &[&Formula],
     computation: &Computation,
     strategy: Strategy,
 ) -> Vec<MultiCheck> {
-    let sharable = formulas.len() > 1
-        && formulas.iter().all(|f| f.is_temporal())
-        && matches!(
-            strategy,
-            Strategy::Linearizations { .. } | Strategy::StepSequences { .. }
-        );
-    if !sharable {
-        return formulas
-            .iter()
-            .map(|f| MultiCheck {
-                report: check(f, computation, strategy),
-                eval_ns: 0,
-            })
-            .collect();
-    }
-
     let probing = gem_obs::ambient::active();
-    let n = formulas.len();
-    // A decided formula stops participating: either (sequences counted at
-    // the failure, counterexample) or an evaluation error.
-    let mut failures: Vec<Option<(usize, Counterexample)>> = vec![None; n];
-    let mut errors: Vec<Option<EvalError>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut eval_ns = vec![0u64; n];
-    let mut undecided = n;
-    let mut checked = 0usize;
-
-    // `◻ p` with an immediate (non-temporal) `p` — the shape of every
-    // safety pattern (`mutual_exclusion`, `priority` bodies, …) — holds
-    // on a sequence iff `p` holds at each of its histories, and `p`'s
-    // verdict at a history is independent of the sequence around it. The
-    // same few downsets recur across exponentially many sequences, so
-    // those verdicts are memoized per history: the verdict, failing
-    // sequence index, and counterexample stay byte-identical while the
-    // evaluator runs once per *distinct history* instead of once per
-    // sequence position.
-    let body_if_safety: Vec<Option<&Formula>> = formulas
+    let mut pending: Vec<Pending> = formulas
         .iter()
-        .map(|f| match f {
-            Formula::Henceforth(inner) if !inner.is_temporal() => Some(inner.as_ref()),
-            _ => None,
+        .map(|&formula| Pending {
+            formula,
+            safety_body: match formula {
+                Formula::Henceforth(p) if !p.is_temporal() => Some(p),
+                _ => None,
+            },
+            memo: HashMap::new(),
+            outcome: None,
+            eval_ns: 0,
         })
         .collect();
-    let mut memo: Vec<std::collections::HashMap<History, bool>> =
-        std::iter::repeat_with(std::collections::HashMap::new)
-            .take(n)
-            .collect();
-
-    // Evaluates formula `i` on the current sequence: `seq()` materializes
-    // the histories (cheap for step sequences, a prefix build for
-    // linearizations); safety formulas walk `histories()` one at a time
-    // through the memo instead.
-    enum SeqVerdict {
-        Holds,
-        Fails,
-        Error(EvalError),
+    let mut tally = EvalTally::default();
+    let full = [History::full(computation)];
+    for f in pending.iter_mut().filter(|f| !f.formula.is_temporal()) {
+        if !f.decide(probing, &mut tally, computation, &full, 1, true) {
+            f.outcome = Some(Ok(CheckReport::passing(1, true)));
+        }
     }
-    let mut eval_formula =
-        |i: usize, f: &Formula, body: Option<&Formula>, histories: &[History]| -> SeqVerdict {
-            let started = probing.then(std::time::Instant::now);
-            let verdict = match body {
-                Some(p) => {
-                    let mut verdict = SeqVerdict::Holds;
-                    for h in histories {
-                        let cached = memo[i].get(h).copied();
-                        let v = match cached {
-                            Some(v) => v,
-                            None => match crate::holds_on_history(p, computation, h) {
-                                Ok(v) => {
-                                    memo[i].insert(h.clone(), v);
-                                    v
-                                }
-                                Err(e) => {
-                                    verdict = SeqVerdict::Error(e);
-                                    break;
-                                }
-                            },
-                        };
-                        if !v {
-                            verdict = SeqVerdict::Fails;
-                            break;
-                        }
-                    }
-                    verdict
-                }
-                None => match holds_on_sequence(f, computation, histories) {
-                    Ok(true) => SeqVerdict::Holds,
-                    Ok(false) => SeqVerdict::Fails,
-                    Err(e) => SeqVerdict::Error(e),
-                },
-            };
-            if let Some(started) = started {
-                eval_ns[i] += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            }
-            verdict
-        };
 
-    let mut on_sequence = |histories: &[History]| {
+    // Random samples are never exhaustive, not even when they refute.
+    let sampled = matches!(strategy, Strategy::RandomLinearizations { .. });
+    let mut undecided = pending.iter().filter(|f| f.outcome.is_none()).count();
+    let temporal = undecided;
+    let mut checked = 0usize;
+    let mut on_sequence = |seq: &[History]| {
         checked += 1;
-        for (i, f) in formulas.iter().enumerate() {
-            if failures[i].is_some() || errors[i].is_some() {
-                continue;
-            }
-            match eval_formula(i, f, body_if_safety[i], histories) {
-                SeqVerdict::Holds => {}
-                SeqVerdict::Fails => {
-                    failures[i] = Some((checked, Counterexample::from_histories(histories)));
-                    undecided -= 1;
-                }
-                SeqVerdict::Error(e) => {
-                    errors[i] = Some(e);
-                    undecided -= 1;
-                }
+        for f in pending.iter_mut().filter(|f| f.outcome.is_none()) {
+            if f.decide(probing, &mut tally, computation, seq, checked, !sampled) {
+                undecided -= 1;
             }
         }
         if undecided == 0 {
-            std::ops::ControlFlow::Break(())
+            ControlFlow::Break(())
         } else {
-            std::ops::ControlFlow::Continue(())
+            ControlFlow::Continue(())
         }
     };
+    let truncated = temporal > 0
+        && match strategy {
+            Strategy::Complete => {
+                let _ = on_sequence(&full);
+                false
+            }
+            Strategy::GreedySteps => {
+                let _ = on_sequence(HistorySequence::greedy_steps(computation).histories());
+                false
+            }
+            Strategy::RandomLinearizations { count, seed } => {
+                let mut rng = StdRng::seed_from_u64(seed);
+                for _ in 0..count {
+                    let order = random_linearization(computation, &mut rng);
+                    let seq = HistorySequence::from_linearization(computation, &order);
+                    if on_sequence(seq.histories()).is_break() {
+                        break;
+                    }
+                }
+                false
+            }
+            Strategy::Linearizations { limit } => {
+                for_each_linearization(computation, limit, |order| {
+                    on_sequence(HistorySequence::from_linearization(computation, order).histories())
+                })
+                .truncated
+            }
+            Strategy::StepSequences { limit } => {
+                for_each_step_sequence(computation, limit, on_sequence).truncated
+            }
+        };
 
-    let (visited, limit) = match strategy {
-        Strategy::Linearizations { limit } => (
-            for_each_linearization(computation, limit, |order| {
-                let seq = HistorySequence::from_linearization(computation, order);
-                on_sequence(seq.histories())
-            }),
-            limit,
-        ),
-        Strategy::StepSequences { limit } => (
-            for_each_step_sequence(computation, limit, |seq| on_sequence(seq)),
-            limit,
-        ),
-        _ => unreachable!("sharable is limited to the enumerating strategies"),
-    };
-
-    if probing {
+    if probing && tally.calls > 0 {
+        gem_obs::ambient::add("logic.eval.calls", tally.calls);
+        gem_obs::ambient::add("logic.eval.nodes", tally.nodes);
+    }
+    if probing && temporal > 0 {
         gem_obs::ambient::add("logic.check_many.calls", 1);
-        gem_obs::ambient::add("logic.check_many.formulas", n as u64);
+        gem_obs::ambient::add("logic.check_many.formulas", temporal as u64);
         gem_obs::ambient::add("logic.check_many.sequences", checked as u64);
     }
-
-    (0..n)
-        .map(|i| {
-            let report = if let Some(e) = errors[i].take() {
-                Err(e)
-            } else if let Some((at, cex)) = failures[i].take() {
-                Ok(CheckReport {
-                    holds: false,
-                    sequences_checked: at,
-                    exhaustive: true,
-                    counterexample: Some(cex),
-                })
-            } else {
-                Ok(CheckReport::passing(checked, visited < limit))
-            };
-            MultiCheck {
-                report,
-                eval_ns: eval_ns[i],
-            }
+    pending
+        .into_iter()
+        .map(|f| MultiCheck {
+            report: f
+                .outcome
+                .unwrap_or(Ok(CheckReport::passing(checked, !sampled && !truncated))),
+            eval_ns: f.eval_ns,
         })
         .collect()
 }
@@ -578,13 +498,16 @@ mod tests {
             .implies(Formula::occurred(e[2]))
             .henceforth();
         let holds_liveness = Formula::occurred(e[3]).eventually();
-        let formulas = [&holds_safety, &fails, &holds_liveness];
+        // An immediate assertion rides along, decided on the complete
+        // history under every strategy.
+        let immediate = Formula::occurred(e[0]);
+        let formulas = [&holds_safety, &fails, &holds_liveness, &immediate];
         for strategy in [
             Strategy::Linearizations { limit: 100 },
             Strategy::StepSequences { limit: 10_000 },
-            // Non-sharing strategies exercise the fallback path.
             Strategy::GreedySteps,
             Strategy::Complete,
+            Strategy::RandomLinearizations { count: 20, seed: 7 },
         ] {
             let many = check_many(&formulas, &c, strategy);
             for (f, outcome) in formulas.iter().zip(many) {
@@ -663,6 +586,54 @@ mod tests {
         assert!(r.holds);
         assert!(!r.exhaustive);
         assert_eq!(r.sequences_checked, 2);
+    }
+
+    #[test]
+    fn a_family_of_exactly_limit_sequences_is_exhaustive() {
+        let (c, _) = two_chains();
+        let f = Formula::True.henceforth();
+        // Two independent 2-chains: C(4,2) = 6 linearizations and the
+        // Delannoy number D(2,2) = 13 step sequences.
+        for (family, strategy) in [
+            (6, Strategy::Linearizations { limit: 6 }),
+            (13, Strategy::StepSequences { limit: 13 }),
+        ] {
+            let r = check(&f, &c, strategy).unwrap();
+            assert_eq!(
+                (r.sequences_checked, r.exhaustive),
+                (family, true),
+                "{strategy:?}"
+            );
+        }
+        for (limit, strategy) in [
+            (5, Strategy::Linearizations { limit: 5 }),
+            (12, Strategy::StepSequences { limit: 12 }),
+        ] {
+            let r = check(&f, &c, strategy).unwrap();
+            assert_eq!(
+                (r.sequences_checked, r.exhaustive),
+                (limit, false),
+                "{strategy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn check_many_enumerates_nothing_without_a_temporal_formula() {
+        use gem_obs::StatsProbe;
+        use std::sync::Arc;
+        let (c, e) = two_chains();
+        let probe = Arc::new(StatsProbe::new());
+        let _guard = gem_obs::ambient::install(probe.clone());
+        let many = check_many(
+            &[&Formula::occurred(e[0])],
+            &c,
+            Strategy::Linearizations { limit: 100 },
+        );
+        let report = many[0].report.as_ref().unwrap();
+        assert_eq!((report.sequences_checked, report.exhaustive), (1, true));
+        assert_eq!(probe.counter("core.history.linearizations"), 0);
+        assert_eq!(probe.counter("logic.check_many.calls"), 0);
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl ChromeTraceProbe {
     }
 
     /// Serialises the collected events with thread-name metadata for
-    /// labelled lanes ([`chrome_trace_json_with_labels`]).
+    /// labelled lanes (`chrome_trace_json_with_labels`).
     pub fn to_json(&self) -> String {
         let (events, labels) = {
             let inner = self.inner.lock().expect("chrome trace poisoned");

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use gem_core::{check_legality, Computation, History, Structure, Violation};
 use gem_logic::{
-    blame_on_computation, blame_on_sequence, check, check_many, Blame, CheckReport, EvalError,
-    Formula, MultiCheck, Strategy,
+    blame_on_computation, blame_on_sequence, check_many, Blame, CheckReport, EvalError, Formula,
+    Strategy,
 };
 
 use crate::thread::{infer_threads, ThreadSpec};
@@ -117,59 +117,18 @@ impl Specification {
         let legality = check_legality(target);
         let probing = gem_obs::ambient::active();
 
-        // Temporal restrictions share one enumeration of history
-        // sequences (`check_many`): re-enumerating identical
-        // linearizations once per restriction dominates check-bound
-        // sweeps. Reports are identical to per-restriction `check` calls.
-        let temporal: Vec<usize> = (0..self.restrictions.len())
-            .filter(|&i| self.restrictions[i].formula.is_temporal())
-            .collect();
-        let share = temporal.len() > 1
-            && matches!(
-                strategy,
-                Strategy::Linearizations { .. } | Strategy::StepSequences { .. }
-            );
-        let mut batched: Vec<Option<MultiCheck>> = if share {
-            let formulas: Vec<&Formula> = temporal
-                .iter()
-                .map(|&i| &self.restrictions[i].formula)
-                .collect();
-            check_many(&formulas, target, strategy)
-                .into_iter()
-                .map(Some)
-                .collect()
-        } else {
-            Vec::new()
-        };
-
+        // One `check_many` call: immediate restrictions are decided on the
+        // complete computation, temporal ones share one enumeration of
+        // history sequences under `strategy`.
+        let formulas: Vec<&Formula> = self.restrictions.iter().map(|r| &r.formula).collect();
+        let outcomes = check_many(&formulas, target, strategy);
         let mut results = Vec::with_capacity(self.restrictions.len());
-        for (i, r) in self.restrictions.iter().enumerate() {
-            let started = if probing {
-                Some(std::time::Instant::now())
-            } else {
-                None
-            };
-            let (report, batched_ns) = match temporal.iter().position(|&t| t == i) {
-                Some(slot) if !batched.is_empty() => {
-                    let outcome = batched[slot].take().expect("each slot consumed once");
-                    (outcome.report?, Some(outcome.eval_ns))
-                }
-                _ => {
-                    let effective = if r.formula.is_temporal() {
-                        strategy
-                    } else {
-                        Strategy::Complete
-                    };
-                    (check(&r.formula, target, effective)?, None)
-                }
-            };
-            if let Some(started) = started {
-                // Batched restrictions report their attributed evaluation
-                // time; the shared enumeration cost is deliberately
-                // uncounted (it no longer belongs to any one restriction).
-                let ns = batched_ns.unwrap_or_else(|| {
-                    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                });
+        for (i, (r, outcome)) in self.restrictions.iter().zip(outcomes).enumerate() {
+            let report = outcome.report?;
+            if probing {
+                // Evaluation time only: the shared enumeration belongs to
+                // no one restriction.
+                let ns = outcome.eval_ns;
                 gem_obs::ambient::add("restriction.evals", 1);
                 gem_obs::ambient::add(&format!("restriction.{}.evals", r.name), 1);
                 gem_obs::ambient::time_ns(&format!("restriction.{}.check", r.name), ns);

@@ -186,7 +186,7 @@ pub fn choose(evidence: StrategyEvidence) -> StrategyDecision {
 /// `checks` samples to price `check_ns`. The oracle grant rate is probed
 /// by replaying a few sampled schedules and querying
 /// [`System::independent`] on enabled pairs before each step, capped at
-/// [`ORACLE_QUERY_CAP`] total queries.
+/// `ORACLE_QUERY_CAP` total queries.
 pub fn sample_evidence<S: System>(
     explorer: &Explorer,
     sys: &S,

@@ -10,7 +10,7 @@
 //! * `schedule.json` — the run's schedule as indices into each state's
 //!   `enabled()` list (plus the action's `Debug` text for validation),
 //!   the only faithful serialization available for arbitrary
-//!   [`System::Action`](gem_lang::System::Action) types.
+//!   [`System::Action`] types.
 //! * `computation.json` — the sealed program computation: events with
 //!   element/class/seq/params/threads, and the enable relation.
 //! * `blame.json` — per-restriction falsification paths from

@@ -37,8 +37,8 @@
 use std::sync::Arc;
 
 use gem_core::{ClassId, ComputationBuilder, ElementId, EventId, Structure, ThreadTypeId, Value};
-use gem_logic::incr::{compile, eval_full, Compiled, IncrWorld};
-use gem_logic::{EventSel, Formula};
+use gem_logic::incr::{compile, Compiled};
+use gem_logic::{holds_on_computation, EventSel, Formula, World};
 use gem_spec::{Specification, ThreadSpec};
 
 use crate::correspondence::{Correspondence, Pair};
@@ -318,17 +318,15 @@ impl IncrChecker {
             return LeafStatus::Fallback;
         }
         // Non-temporal restrictions: immediate assertions on the one full
-        // history, decided structurally at the leaf.
+        // history, decided at the leaf by the batch evaluator reading the
+        // synced projection.
         let world = SpecWorld { chk: self, b };
         for r in &self.restrictions {
-            if matches!(r.compiled, Some(Compiled::Leaf)) {
-                match eval_full(&r.formula, &world) {
-                    Ok(true) => {}
-                    Ok(false) | Err(_) => {
-                        obs_add("logic.incr.leaf_fallback", 1);
-                        return LeafStatus::Fallback;
-                    }
-                }
+            if matches!(r.compiled, Some(Compiled::Leaf))
+                && holds_on_computation(&r.formula, &world) != Ok(true)
+            {
+                obs_add("logic.incr.leaf_fallback", 1);
+                return LeafStatus::Fallback;
             }
         }
         obs_add("logic.incr.leaf_clean", 1);
@@ -646,7 +644,7 @@ fn divergence_bound(mine: &[(u32, u32)], theirs: &[(EventId, EventId)]) -> Optio
     (mine.len() > n).then(|| mine[n].1 as usize)
 }
 
-/// [`IncrWorld`] view over the synced projection, with order queries
+/// [`World`] view over the synced projection, with order queries
 /// delegated to the program builder's incrementally maintained
 /// reachability (the projected temporal order *is* the program order
 /// restricted to significant events).
@@ -655,7 +653,7 @@ struct SpecWorld<'a> {
     b: &'a ComputationBuilder,
 }
 
-impl IncrWorld for SpecWorld<'_> {
+impl World for SpecWorld<'_> {
     fn event_count(&self) -> usize {
         self.chk.spec.len()
     }
@@ -677,6 +675,9 @@ impl IncrWorld for SpecWorld<'_> {
             .find(|(si, _, _, _)| self.chk.threads[*si as usize].ty == ty)
             .map(|&(_, _, _, head)| head)
     }
+    fn matches(&self, sel: &EventSel, e: usize) -> bool {
+        self.chk.sel_matches_spec(sel, e)
+    }
     fn precedes(&self, a: usize, b: usize) -> bool {
         self.b.order_precedes(
             EventId::from_raw(self.chk.spec.prog_of[a]),
@@ -686,8 +687,8 @@ impl IncrWorld for SpecWorld<'_> {
     fn enables(&self, a: usize, b: usize) -> bool {
         self.chk.spec.enables_out[a].contains(&(b as u32))
     }
-    fn enabled_from(&self, e: usize) -> &[u32] {
-        &self.chk.spec.enables_out[e]
+    fn enabled_from(&self, e: usize) -> impl Iterator<Item = usize> + '_ {
+        self.chk.spec.enables_out[e].iter().map(|&s| s as usize)
     }
     fn nth_at(&self, element: ElementId, i: usize) -> Option<usize> {
         self.chk
@@ -697,7 +698,60 @@ impl IncrWorld for SpecWorld<'_> {
             .get(i)
             .map(|&s| s as usize)
     }
-    fn param_index(&self, class: ClassId, name: &str) -> Option<usize> {
-        self.chk.problem.class_info(class).param_index(name)
+    fn structure(&self) -> &Structure {
+        &self.chk.problem
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gem_logic::Strategy;
+    use gem_spec::{ElementType, SpecBuilder};
+
+    /// The incremental leaf status and the batch verdict of a computation
+    /// over two `Act` elements `P` and `Q` under "every event has a
+    /// concurrent partner", a leaf restriction. The builder emits one
+    /// event per flag, at `Q` when it is set and at `P` otherwise.
+    fn leaf_verdicts(at_q: &[bool]) -> (LeafStatus, bool) {
+        let ty = ElementType::new("Proc").event("Act", &[]);
+        let mut sb = SpecBuilder::new("Pair");
+        let p = sb.instantiate_element(&ty, "P").unwrap();
+        let q = sb.instantiate_element(&ty, "Q").unwrap();
+        sb.add_restriction(
+            "has-concurrent-partner",
+            Formula::forall(
+                "a",
+                EventSel::any(),
+                Formula::exists("b", EventSel::any(), Formula::concurrent("a", "b")),
+            ),
+        );
+        let spec = sb.finish();
+        let corr = Correspondence::new()
+            .map(p.sel("Act"), p.id(), p.class("Act"))
+            .map(q.sel("Act"), q.id(), q.class("Act"));
+        let mut b = ComputationBuilder::new(spec.structure_arc());
+        for &on_q in at_q {
+            let el = if on_q { &q } else { &p };
+            b.add_event(el.id(), el.class("Act"), vec![]).unwrap();
+        }
+        let mut chk = IncrChecker::new(&spec, &corr, false);
+        let status = chk.sync_to(&b);
+        let sealed = b.seal().unwrap();
+        let projected = crate::project(&sealed, spec.structure_arc(), &corr).unwrap();
+        let batch = spec.check(&projected, Strategy::default()).unwrap();
+        (status, batch.is_legal())
+    }
+
+    #[test]
+    fn leaf_restrictions_are_judged_as_the_batch_checker_judges_them() {
+        // One event at each element: concurrent, so the leaf is clean.
+        assert_eq!(leaf_verdicts(&[false, true]), (LeafStatus::Clean, true));
+        // Two events at P are ordered, and no event is concurrent with
+        // itself: the restriction fails, so the leaf must not be clean.
+        assert_eq!(
+            leaf_verdicts(&[false, false]),
+            (LeafStatus::Fallback, false)
+        );
     }
 }

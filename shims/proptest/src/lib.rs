@@ -3,11 +3,12 @@
 //!
 //! The build environment has no registry access, so this workspace vendors
 //! the slice of the proptest 1.x API its property tests use: the
-//! [`Strategy`] trait with `prop_map` / `prop_flat_map` / `prop_recursive`
-//! / `boxed`, [`Just`], [`any`], range and tuple strategies,
-//! [`collection::vec`], the [`prop_oneof!`] / [`proptest!`] /
+//! [`Strategy`](strategy::Strategy) trait with `prop_map` /
+//! `prop_flat_map` / `prop_recursive` / `boxed`,
+//! [`Just`](strategy::Just), [`any`](arbitrary::any), range and tuple
+//! strategies, [`collection::vec`], the [`prop_oneof!`] / [`proptest!`] /
 //! [`prop_assert!`] / [`prop_assert_eq!`] macros, and
-//! [`ProptestConfig::with_cases`].
+//! [`ProptestConfig::with_cases`](test_runner::ProptestConfig::with_cases).
 //!
 //! Differences from real proptest, deliberately accepted for a test shim:
 //!

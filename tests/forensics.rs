@@ -3,13 +3,21 @@
 //! flight recorder, and the `gem bench-diff` regression gate.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gem::lang::monitor::readers_writers_monitor;
 use gem::obs::json::{parse, JsonValue};
 use gem::obs::{clear_crash_sink, install_crash_sink, RecorderProbe};
 use gem::problems::readers_writers::{rw_correspondence, rw_program, rw_spec, RwVariant};
 use gem::verify::{verify_system, VerifyOptions};
+
+/// The crash sink is process-wide and `--artifacts` retargets it, so a
+/// test arming it (directly or through the CLI) holds this lock: another
+/// test's sweep must not redirect its crash dump.
+fn crash_sink_lock() -> MutexGuard<'static, ()> {
+    static ARMED: Mutex<()> = Mutex::new(());
+    ARMED.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gem-forensics-{tag}-{}", std::process::id()));
@@ -34,6 +42,7 @@ fn read_json(path: &Path) -> JsonValue {
 /// reproduces the identical single-run `VerifyOutcome`.
 #[test]
 fn failing_verify_writes_artifacts_and_replay_reproduces() {
+    let _sink = crash_sink_lock();
     let dir = temp_dir("replay");
     let dir_s = dir.to_str().unwrap();
     let out = runv(&[
@@ -117,6 +126,7 @@ fn failing_verify_writes_artifacts_and_replay_reproduces() {
 /// check a different run.
 #[test]
 fn replay_diverges_on_tampered_schedule() {
+    let _sink = crash_sink_lock();
     let dir = temp_dir("tamper");
     let dir_s = dir.to_str().unwrap();
     runv(&[
@@ -148,6 +158,7 @@ fn replay_diverges_on_tampered_schedule() {
 /// `gem verify rw readers=1 writers=2 variant=writers --artifacts <dir>`.
 #[test]
 fn golden_counterexample_dot() {
+    let _sink = crash_sink_lock();
     let dir = temp_dir("golden");
     let dir_s = dir.to_str().unwrap();
     runv(&[
@@ -183,6 +194,7 @@ fn golden_counterexample_dot() {
 /// artifact, marked as a deadlock, whose replay reproduces the deadlock.
 #[test]
 fn deadlock_artifact_and_replay() {
+    let _sink = crash_sink_lock();
     let dir = temp_dir("deadlock");
     let dir_s = dir.to_str().unwrap();
     let out = runv(&[
@@ -214,6 +226,7 @@ fn deadlock_artifact_and_replay() {
 /// probe events per thread and the live span stacks.
 #[test]
 fn panic_mid_sweep_dumps_flight_recorder() {
+    let _sink = crash_sink_lock();
     let dir = temp_dir("crash");
     let crash = dir.join("crash.json");
     let recorder = Arc::new(RecorderProbe::new(64));
