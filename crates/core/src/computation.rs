@@ -10,6 +10,7 @@
 //! computations can be constructed and diagnosed.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::order::{topo_from_edges, Closure, CycleError, IncrementalOrder};
@@ -128,6 +129,45 @@ fn fp_coord(element: ElementId, seq: u32) -> u64 {
     (u64::from(element.as_raw()) << 32) | u64::from(seq)
 }
 
+/// Stamps a builder draws from the process-wide source at a time.
+const STAMP_BLOCK: u64 = 1 << 20;
+
+/// The process-wide source of change-stamp blocks: every block is handed
+/// out once, so no two builders (clones included) ever issue one stamp.
+static STAMP_BLOCKS: AtomicU64 = AtomicU64::new(0);
+
+/// A builder's private range of unissued change stamps. A clone starts
+/// with an empty range, so the first stamp it issues draws a fresh block
+/// and it never repeats a stamp its original issues after the clone.
+#[derive(Debug)]
+struct StampSource {
+    next: u64,
+    end: u64,
+}
+
+impl StampSource {
+    fn new() -> Self {
+        Self { next: 0, end: 0 }
+    }
+
+    fn fresh(&mut self) -> u64 {
+        if self.next == self.end {
+            // `Relaxed` suffices: the counter publishes no other data, and
+            // every `fetch_add` still returns a distinct block.
+            self.next = STAMP_BLOCKS.fetch_add(STAMP_BLOCK, Ordering::Relaxed);
+            self.end = self.next + STAMP_BLOCK;
+        }
+        self.next += 1;
+        self.next - 1
+    }
+}
+
+impl Clone for StampSource {
+    fn clone(&self) -> Self {
+        Self::new()
+    }
+}
+
 /// Incremental constructor for [`Computation`].
 ///
 /// # Examples
@@ -170,6 +210,10 @@ pub struct ComputationBuilder {
     /// was added: an edge into the event can only sit past those indices,
     /// so the duplicate scans in `enable`/`add_precedence` start there.
     journal_at: Vec<(usize, usize)>,
+    /// Per event, its change stamp; see
+    /// [`ComputationBuilder::event_stamps`].
+    stamps: Vec<u64>,
+    stamp_source: StampSource,
     /// Reachability maintained edge-by-edge so sealing needs no O(n·m)
     /// closure rebuild (the explore→seal hot path, DESIGN.md §4).
     order: IncrementalOrder,
@@ -231,6 +275,8 @@ impl ComputationBuilder {
             precedences: Vec::new(),
             memberships: Vec::new(),
             journal_at: Vec::new(),
+            stamps: Vec::new(),
+            stamp_source: StampSource::new(),
             order: IncrementalOrder::new(),
             tag_log: Vec::new(),
             fp: 0,
@@ -281,6 +327,7 @@ impl ComputationBuilder {
         self.element_events[element.index()].push(id);
         self.journal_at
             .push((self.enables.len(), self.precedences.len()));
+        self.stamps.push(self.stamp_source.fresh());
         self.events.push(Event {
             id,
             element,
@@ -323,6 +370,7 @@ impl ComputationBuilder {
             ]));
         }
         self.enables.push((from, to));
+        self.stamps[to.index()] = self.stamp_source.fresh();
         self.order.add_edge(from, to);
         Ok(())
     }
@@ -366,6 +414,7 @@ impl ComputationBuilder {
             ]));
         }
         self.precedences.push((before, after));
+        self.stamps[after.index()] = self.stamp_source.fresh();
         self.order.add_edge(before, after);
         Ok(())
     }
@@ -442,7 +491,8 @@ impl ComputationBuilder {
 
     /// The events added so far, in emission order (index = raw event id).
     ///
-    /// Together with [`ComputationBuilder::enable_journal`] and
+    /// Together with [`ComputationBuilder::event_stamps`],
+    /// [`ComputationBuilder::journal_at`], the edge journals and
     /// [`ComputationBuilder::order_precedes`] this lets incremental
     /// observers (e.g. prefix-sharing restriction checkers) read the
     /// computation-under-construction without sealing it.
@@ -450,8 +500,32 @@ impl ComputationBuilder {
         &self.events
     }
 
+    /// One change stamp per event, in emission order. An event gets a
+    /// fresh stamp when it is added and whenever an enable or precedence
+    /// edge into it is added or rolled back, and no stamp is ever issued
+    /// twice, by this builder or any other (clones included). So two
+    /// builders with equal stamps at index `k` hold the same event `k`
+    /// with the same incoming edges, and an observer that remembers the
+    /// stamps it has seen finds what changed without comparing contents.
+    pub fn event_stamps(&self) -> &[u64] {
+        &self.stamps
+    }
+
+    /// The enable and precedence journal lengths when event `i` was
+    /// added: every edge into event `i` or a later event sits at or past
+    /// these positions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if event `i` has not been added.
+    pub fn journal_at(&self, i: usize) -> (usize, usize) {
+        self.journal_at[i]
+    }
+
     /// The enable edges in insertion order (the builder's undo journal;
     /// may contain duplicates that [`Computation::enables`] would drop).
+    /// For simulation-grown builders each edge targets the newest event
+    /// when it is added, so the targets are non-decreasing.
     pub fn enable_journal(&self) -> &[(EventId, EventId)] {
         &self.enables
     }
@@ -512,7 +586,8 @@ impl ComputationBuilder {
     /// the case for simulation-grown computations, where each step's edges
     /// all target the event it just emitted. Retroactive edges between
     /// pre-mark events trigger a full rebuild from the surviving edges
-    /// instead, so the rollback is correct for arbitrary builders.
+    /// instead, so the rollback is correct for arbitrary builders; the
+    /// pre-mark events those edges pointed at get fresh change stamps.
     ///
     /// # Panics
     ///
@@ -542,6 +617,18 @@ impl ComputationBuilder {
             .iter()
             .chain(&self.precedences[mark.precedences..])
             .all(|&(_, to)| to.index() >= mark.events);
+        self.stamps.truncate(mark.events);
+        if !fast {
+            // Surviving events that lose an incoming edge change.
+            for &(_, to) in self.enables[mark.enables..]
+                .iter()
+                .chain(&self.precedences[mark.precedences..])
+            {
+                if to.index() < mark.events {
+                    self.stamps[to.index()] = self.stamp_source.fresh();
+                }
+            }
+        }
         self.events.truncate(mark.events);
         self.journal_at.truncate(mark.events);
         self.enables.truncate(mark.enables);
@@ -1345,6 +1432,49 @@ mod tests {
             build(1, false, true, false),
             "enable vs precedence over the same endpoints"
         );
+    }
+
+    #[test]
+    fn stamps_change_with_an_event_or_its_incoming_edges() {
+        let (s, p, q, step) = two_element_structure();
+        let mut b = ComputationBuilder::new(s);
+        let p0 = b.add_event(p, step, vec![]).unwrap();
+        let mark = b.mark();
+        let q0 = b.add_event(q, step, vec![]).unwrap();
+        let grown = b.event_stamps().to_vec();
+        assert_ne!(grown[0], grown[1]);
+        // An edge restamps its target only.
+        b.enable(p0, q0).unwrap();
+        assert_eq!(b.event_stamps()[0], grown[0]);
+        assert_ne!(b.event_stamps()[1], grown[1]);
+        // Regrowing the same event after a rollback never reuses a stamp.
+        b.truncate_to(&mark);
+        assert_eq!(b.event_stamps(), &grown[..1]);
+        b.add_event(q, step, vec![]).unwrap();
+        assert!(!grown.contains(&b.event_stamps()[1]));
+        // Rolling back a retroactive edge restamps the event it entered.
+        let before = b.event_stamps().to_vec();
+        let mark = b.mark();
+        b.add_precedence(q0, p0).unwrap();
+        b.truncate_to(&mark);
+        assert_ne!(b.event_stamps()[0], before[0]);
+        assert_eq!(b.event_stamps()[1], before[1]);
+        assert_eq!(b.journal_at(1), (0, 0));
+    }
+
+    #[test]
+    fn clones_never_issue_the_same_stamp() {
+        let (s, p, q, step) = two_element_structure();
+        let mut a = ComputationBuilder::new(s);
+        let p0 = a.add_event(p, step, vec![]).unwrap();
+        let mut c = a.clone();
+        assert_eq!(c.event_stamps(), a.event_stamps());
+        let qa = a.add_event(q, step, vec![]).unwrap();
+        let qc = c.add_event(q, step, vec![]).unwrap();
+        assert_ne!(a.event_stamps()[1], c.event_stamps()[1]);
+        a.enable(p0, qa).unwrap();
+        c.enable(p0, qc).unwrap();
+        assert_ne!(a.event_stamps()[1], c.event_stamps()[1]);
     }
 
     #[test]

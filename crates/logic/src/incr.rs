@@ -763,23 +763,32 @@ impl BoxShape {
     /// falsifies the restriction. Call once per emitted event, in order;
     /// violations are final and sticky for the subtree below.
     ///
+    /// `binding` is scratch space the caller owns, so that checking an
+    /// event allocates nothing once it has grown to the prefix length.
+    ///
     /// # Errors
     ///
     /// The [`EvalError`] the batch evaluator raises for a bad parameter
     /// reference; the caller should fall back to batch for this run.
-    pub fn check_event(&self, world: &impl World, n: usize) -> Result<bool, EvalError> {
-        let mut binding = vec![0usize; self.vars.len()];
+    pub fn check_event(
+        &self,
+        world: &impl World,
+        n: usize,
+        binding: &mut Vec<usize>,
+    ) -> Result<bool, EvalError> {
+        binding.clear();
+        binding.resize(self.vars.len(), 0);
         if self.vars.is_empty() {
             // No prefix: the body is variable-free; check it once, at the
             // first event (downsets exist from the empty history on, and
             // variable-free realizability never changes).
             return if n == 0 {
-                self.check_binding(world, &binding)
+                self.check_binding(world, binding)
             } else {
                 Ok(false)
             };
         }
-        self.enumerate(world, n, 0, false, &mut binding)
+        self.enumerate(world, n, 0, false, binding)
     }
 
     fn enumerate(
@@ -788,7 +797,7 @@ impl BoxShape {
         n: usize,
         depth: usize,
         used_n: bool,
-        binding: &mut Vec<usize>,
+        binding: &mut [usize],
     ) -> Result<bool, EvalError> {
         if depth == self.vars.len() {
             return if used_n {
@@ -971,7 +980,8 @@ mod tests {
     /// Feed every event through a BoxShape in emission order; true if
     /// any violation is found.
     fn replay(shape: &BoxShape, world: &Computation) -> bool {
-        (0..world.event_count()).any(|n| shape.check_event(world, n).unwrap())
+        let mut binding = Vec::new();
+        (0..world.event_count()).any(|n| shape.check_event(world, n, &mut binding).unwrap())
     }
 
     /// Two users with Req → Start → End chains, tagged by inference-like

@@ -4,12 +4,18 @@
 //! checkpoint/undo DFS whose leaves share long prefixes, yet the batch
 //! pipeline re-does the whole seal → project → check chain per leaf. The
 //! [`IncrChecker`] keeps a *projection-and-verdict state synchronised
-//! with the growing program builder*: at each leaf it rewinds to the
-//! longest agreed prefix (found by diffing the builder's event list and
-//! undo journals) and replays only the fresh suffix — matching the
-//! correspondence, projecting enable edges through insignificant events,
-//! assigning thread tags, and advancing every compiled restriction
-//! ([`gem_logic::incr`]) by O(formula) per event.
+//! with the growing program builder*. It remembers the builder's change
+//! stamp of every event it has processed
+//! ([`ComputationBuilder::event_stamps`]); at each leaf it rewinds to the
+//! first event whose stamp differs — the point the last undo went back
+//! to, or an event that gained an edge since — and replays the suffix
+//! from there, consuming the builder's edge journals from
+//! [`ComputationBuilder::journal_at`]. Replaying an event matches the
+//! correspondence, projects enable edges through insignificant events,
+//! assigns thread tags, and advances every compiled restriction
+//! ([`gem_logic::incr`]) by O(formula). The per-event rows rewound at an
+//! undo stay allocated as spares, so a replay without string parameters
+//! allocates nothing once the deepest leaf has been seen.
 //!
 //! A leaf that finishes **clean** — no incremental violation, no
 //! condition the incremental pipeline cannot reproduce — is guaranteed to
@@ -29,11 +35,15 @@
 //! newest event arrives — and a clean verdict at the leaf means *no*
 //! binding over *any* downset falsifies, which implies the batch checker
 //! (which samples history sequences of the same computation) also finds
-//! no counterexample. Builders that violate the monotone-journal
-//! discipline (retroactive edges) are detected and disable the checker
-//! for the rest of the sweep; builders carrying memberships or foreign
-//! thread tags fall back per leaf.
+//! no counterexample. Equal stamps mean the same event with the same
+//! incoming edges, in any builder (clones draw their own stamps), so the
+//! state kept for the events before the first differing stamp is exactly
+//! the state a fresh replay would build. A journal whose targets run out
+//! of order (a retroactive edge) is detected during replay and disables
+//! the checker for the rest of the sweep; builders carrying memberships
+//! or foreign thread tags fall back per leaf.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use gem_core::{ClassId, ComputationBuilder, ElementId, EventId, Structure, ThreadTypeId, Value};
@@ -78,18 +88,58 @@ struct CompiledRestriction {
     compiled: Option<Compiled>,
 }
 
-/// Synced copy of one program event's identity, for prefix diffing.
-struct ProgMeta {
-    element: ElementId,
-    class: ClassId,
-    params: Vec<Value>,
+/// One row per event. Rewinding keeps the dropped rows allocated (and
+/// empty) as spares for the next replay.
+struct Rows<T> {
+    rows: Vec<Vec<T>>,
+    len: usize,
 }
 
-impl ProgMeta {
-    fn matches(&self, ev: &gem_core::Event) -> bool {
-        self.element == ev.element() && self.class == ev.class() && self.params == ev.params()
+impl<T> Default for Rows<T> {
+    fn default() -> Self {
+        Self {
+            rows: Vec::new(),
+            len: 0,
+        }
     }
 }
+
+impl<T> Rows<T> {
+    /// Appends an empty row, reusing a spare when there is one.
+    fn push(&mut self) -> &mut Vec<T> {
+        if self.len == self.rows.len() {
+            self.rows.push(Vec::new());
+        }
+        self.len += 1;
+        &mut self.rows[self.len - 1]
+    }
+
+    /// Keeps the first `n` rows; the rest become empty spares.
+    fn truncate(&mut self, n: usize) {
+        for row in &mut self.rows[n.min(self.len)..self.len] {
+            row.clear();
+        }
+        self.len = self.len.min(n);
+    }
+}
+
+impl<T> Deref for Rows<T> {
+    type Target = [Vec<T>];
+    fn deref(&self) -> &[Vec<T>] {
+        &self.rows[..self.len]
+    }
+}
+
+impl<T> DerefMut for Rows<T> {
+    fn deref_mut(&mut self) -> &mut [Vec<T>] {
+        &mut self.rows[..self.len]
+    }
+}
+
+/// A thread-path match on a projected event: `(thread spec, path, stage,
+/// head spec id)`. The head id is the canonical instance — equal head ⇔
+/// equal instance, which is all the thread predicates observe.
+type Tag = (u16, u16, u16, u32);
 
 /// Dense parallel arrays over the incrementally projected (spec-side)
 /// events, in emission order.
@@ -99,13 +149,10 @@ struct SpecEvents {
     element: Vec<ElementId>,
     class: Vec<ClassId>,
     seq: Vec<u32>,
-    params: Vec<Vec<Value>>,
-    /// Thread-path matches: `(thread spec, path, stage, head spec id)`.
-    /// The head id is the canonical instance — equal head ⇔ equal
-    /// instance, which is all the thread predicates observe.
-    tags: Vec<Vec<(u16, u16, u16, u32)>>,
-    enables_out: Vec<Vec<u32>>,
-    enablers_in: Vec<Vec<u32>>,
+    params: Rows<Value>,
+    tags: Rows<Tag>,
+    enables_out: Rows<u32>,
+    enablers_in: Rows<u32>,
     /// Spec enable edges in insertion order; targets are non-decreasing
     /// (each edge lands while its target is the newest spec event).
     edge_journal: Vec<(u32, u32)>,
@@ -117,9 +164,20 @@ impl SpecEvents {
     fn len(&self) -> usize {
         self.prog_of.len()
     }
+
+    /// Selector match over a projected event (thread constraints are
+    /// excluded at construction).
+    fn matches(&self, sel: &EventSel, t: usize) -> bool {
+        sel.element.is_none_or(|el| self.element[t] == el)
+            && sel.class.is_none_or(|c| self.class[t] == c)
+            && sel
+                .params
+                .iter()
+                .all(|(i, v)| self.params[t].get(*i) == Some(v))
+    }
 }
 
-/// The prefix-synchronised incremental checker; see the module docs.
+/// The stamp-synchronised incremental checker; see the module docs.
 pub struct IncrChecker {
     problem: Arc<Structure>,
     pairs: Vec<Pair>,
@@ -129,18 +187,17 @@ pub struct IncrChecker {
     /// Set at construction when any restriction (or thread declaration)
     /// cannot be handled: the whole sweep uses batch checking.
     global_fallback: bool,
-    /// Sticky runtime disable: a non-monotone undo journal broke the
+    /// Sticky runtime disable: an out-of-order journal entry broke the
     /// prefix-finality assumption, so no later leaf may trust the state.
     disabled: bool,
 
     // Program-side synced state.
-    prog: Vec<ProgMeta>,
-    enables: Vec<(u32, u32)>,
-    precedences: Vec<(u32, u32)>,
+    /// The builder's change stamp of every synced program event.
+    stamps: Vec<u64>,
     spec_of: Vec<Option<u32>>,
     /// For insignificant events: the significant spec events that reach
     /// them through insignificant-only enable paths.
-    bridge: Vec<Vec<u32>>,
+    bridge: Rows<u32>,
 
     spec: SpecEvents,
     /// Per restriction: program-event indices where an incremental
@@ -150,6 +207,10 @@ pub struct IncrChecker {
     /// batch pipeline reproduces (legality/projection failures, ambiguous
     /// thread tags, evaluation errors). Ascending.
     batch_required: Vec<u32>,
+
+    // Scratch buffers, kept so that replay does not allocate.
+    tag_scratch: Vec<Tag>,
+    binding: Vec<usize>,
 }
 
 fn obs_add(key: &str, n: u64) {
@@ -216,17 +277,17 @@ impl IncrChecker {
             restrictions,
             global_fallback,
             disabled: false,
-            prog: Vec::new(),
-            enables: Vec::new(),
-            precedences: Vec::new(),
+            stamps: Vec::new(),
             spec_of: Vec::new(),
-            bridge: Vec::new(),
+            bridge: Rows::default(),
             spec: SpecEvents {
                 by_element: vec![Vec::new(); problem.structure().element_count()],
                 ..SpecEvents::default()
             },
             violations: vec![Vec::new(); n_restrictions],
             batch_required: Vec::new(),
+            tag_scratch: Vec::new(),
+            binding: Vec::new(),
         }
     }
 
@@ -238,8 +299,9 @@ impl IncrChecker {
     }
 
     /// Synchronises the checker with the builder's current (leaf) state:
-    /// rewinds to the agreed prefix, replays the fresh suffix, and
-    /// reports whether the leaf is provably clean.
+    /// rewinds to the first event whose change stamp differs from the one
+    /// synced last, replays the suffix, and reports whether the leaf is
+    /// provably clean.
     pub fn sync_to(&mut self, b: &ComputationBuilder) -> LeafStatus {
         if self.global_fallback || self.disabled {
             obs_add("logic.incr.leaf_fallback", 1);
@@ -247,35 +309,31 @@ impl IncrChecker {
         }
         obs_add("logic.incr.syncs", 1);
 
-        let bev = b.events();
-        // Longest common prefix of the event lists…
-        let mut estar = {
-            let max = self.prog.len().min(bev.len());
-            let mut l = 0usize;
-            while l < max && self.prog[l].matches(&bev[l]) {
-                l += 1;
-            }
-            l
-        };
-        // …capped by the first divergence of either undo journal: every
-        // synced entry at or beyond the divergent target must be undone.
-        if let Some(t) = divergence_bound(&self.enables, b.enable_journal()) {
-            estar = estar.min(t);
-        }
-        if let Some(t) = divergence_bound(&self.precedences, b.precedence_journal()) {
-            estar = estar.min(t);
-        }
-
+        // A linear scan, not a binary search: a retroactive edge restamps
+        // an older event, so stamp equality is not prefix-closed.
+        let stamps = b.event_stamps();
+        let estar = self
+            .stamps
+            .iter()
+            .zip(stamps)
+            .take_while(|(mine, theirs)| mine == theirs)
+            .count();
         self.rewind(estar);
+        self.stamps.extend_from_slice(&stamps[estar..]);
         obs_add("logic.incr.events_reused", estar as u64);
-        obs_add("logic.incr.events_replayed", (bev.len() - estar) as u64);
+        obs_add("logic.incr.events_replayed", (stamps.len() - estar) as u64);
 
-        // Replay the fresh suffix, consuming journal entries by target.
-        let mut epos = self.enables.len();
-        let mut ppos = self.precedences.len();
+        // Replay the suffix, consuming journal entries by target. Every
+        // edge into a rewound event sits past the journal lengths recorded
+        // when the first of them was added.
         let bej = b.enable_journal();
         let bpj = b.precedence_journal();
-        for i in estar..bev.len() {
+        let (mut epos, mut ppos) = if estar < stamps.len() {
+            b.journal_at(estar)
+        } else {
+            (bej.len(), bpj.len())
+        };
+        for i in estar..stamps.len() {
             self.process_event(b, i);
             // Enable edges landing on the event just emitted.
             while epos < bej.len() && bej[epos].1.index() == i {
@@ -290,11 +348,9 @@ impl IncrChecker {
                 return self.disable();
             }
             while ppos < bpj.len() && bpj[ppos].1.index() == i {
-                let from = bpj[ppos].0.index();
-                if from >= i {
+                if bpj[ppos].0.index() >= i {
                     return self.disable();
                 }
-                self.precedences.push((from as u32, i as u32));
                 ppos += 1;
             }
             if ppos < bpj.len() && bpj[ppos].1.index() < i {
@@ -320,7 +376,12 @@ impl IncrChecker {
         // Non-temporal restrictions: immediate assertions on the one full
         // history, decided at the leaf by the batch evaluator reading the
         // synced projection.
-        let world = SpecWorld { chk: self, b };
+        let world = SpecWorld {
+            spec: &self.spec,
+            threads: &self.threads,
+            problem: &self.problem,
+            b,
+        };
         for r in &self.restrictions {
             if matches!(r.compiled, Some(Compiled::Leaf))
                 && holds_on_computation(&r.formula, &world) != Ok(true)
@@ -354,20 +415,6 @@ impl IncrChecker {
         {
             self.batch_required.pop();
         }
-        while self
-            .enables
-            .last()
-            .is_some_and(|&(_, t)| t as usize >= estar)
-        {
-            self.enables.pop();
-        }
-        while self
-            .precedences
-            .last()
-            .is_some_and(|&(_, t)| t as usize >= estar)
-        {
-            self.precedences.pop();
-        }
         // Spec events are appended in program order, so the survivors are
         // a prefix.
         let sstar = self.spec.prog_of.partition_point(|&p| (p as usize) < estar);
@@ -394,7 +441,7 @@ impl IncrChecker {
         self.spec.tags.truncate(sstar);
         self.spec.enables_out.truncate(sstar);
         self.spec.enablers_in.truncate(sstar);
-        self.prog.truncate(estar);
+        self.stamps.truncate(estar);
         self.spec_of.truncate(estar);
         self.bridge.truncate(estar);
     }
@@ -405,15 +452,10 @@ impl IncrChecker {
         }
     }
 
-    /// Registers program event `i`: identity copy, program legality, and
-    /// the correspondence match (creating the projected event).
+    /// Registers program event `i`: program legality and the
+    /// correspondence match (creating the projected event).
     fn process_event(&mut self, b: &ComputationBuilder, i: usize) {
         let ev = &b.events()[i];
-        self.prog.push(ProgMeta {
-            element: ev.element(),
-            class: ev.class(),
-            params: ev.params().to_vec(),
-        });
         if self.check_program_legality {
             let ps = b.structure();
             if !ps.element_info(ev.element()).allows(ev.class())
@@ -422,16 +464,16 @@ impl IncrChecker {
                 self.push_batch(i);
             }
         }
-        let Some(pair_ix) = self.pairs.iter().position(|p| p.program.matches(ev)) else {
+        let Some(pair) = self.pairs.iter().find(|p| p.program.matches(ev)) else {
             self.spec_of.push(None);
-            self.bridge.push(Vec::new());
+            self.bridge.push();
             return;
         };
-        let pair = &self.pairs[pair_ix];
         let el = pair.problem_element;
         let cl = pair.problem_class;
         let arity = self.problem.class_info(cl).arity();
-        let mut params = vec![Value::Unit; arity];
+        let params = self.spec.params.push();
+        params.resize(arity, Value::Unit);
         let mut bad_param = false;
         for &(prog_idx, prob_idx) in &pair.params {
             match ev.param(prog_idx) {
@@ -451,13 +493,12 @@ impl IncrChecker {
         self.spec
             .seq
             .push(self.spec.by_element[el.index()].len() as u32);
-        self.spec.params.push(params);
-        self.spec.tags.push(Vec::new());
-        self.spec.enables_out.push(Vec::new());
-        self.spec.enablers_in.push(Vec::new());
+        self.spec.tags.push();
+        self.spec.enables_out.push();
+        self.spec.enablers_in.push();
         self.spec.by_element[el.index()].push(sid);
         self.spec_of.push(Some(sid));
-        self.bridge.push(Vec::new());
+        self.bridge.push();
         if bad_param || !legal {
             self.push_batch(i);
         }
@@ -468,7 +509,6 @@ impl IncrChecker {
     /// bridged through insignificant events exactly as
     /// [`project`](crate::project) does.
     fn consume_enable(&mut self, b: &ComputationBuilder, from: usize, i: usize) {
-        self.enables.push((from as u32, i as u32));
         if self.check_program_legality {
             let ps = b.structure();
             let (ef, et) = (&b.events()[from], &b.events()[i]);
@@ -476,16 +516,16 @@ impl IncrChecker {
                 self.push_batch(i);
             }
         }
-        let sources: Vec<u32> = match self.spec_of[from] {
-            Some(s) => vec![s],
-            None => self.bridge[from].clone(),
+        // The sources are `from` itself when it is significant, else the
+        // significant events bridged into it.
+        let n_sources = match self.spec_of[from] {
+            Some(_) => 1,
+            None => self.bridge[from].len(),
         };
-        if sources.is_empty() {
-            return;
-        }
-        match self.spec_of[i] {
-            Some(t) => {
-                for s in sources {
+        for k in 0..n_sources {
+            let s = self.spec_of[from].unwrap_or_else(|| self.bridge[from][k]);
+            match self.spec_of[i] {
+                Some(t) => {
                     if self.spec.enables_out[s as usize].contains(&t) {
                         continue;
                     }
@@ -500,9 +540,7 @@ impl IncrChecker {
                     self.spec.enablers_in[t as usize].push(s);
                     self.spec.edge_journal.push((s, t));
                 }
-            }
-            None => {
-                for s in sources {
+                None => {
                     if !self.bridge[i].contains(&s) {
                         self.bridge[i].push(s);
                     }
@@ -534,23 +572,22 @@ impl IncrChecker {
         // event (first matching path), propagated along enable edges that
         // continue the path. The head's spec id is the canonical
         // instance.
-        let mut entries: Vec<(u16, u16, u16, u32)> = Vec::new();
+        let entries = &mut self.tag_scratch;
+        entries.clear();
         for (si, ts) in self.threads.iter().enumerate() {
             for (pi, path) in ts.paths.iter().enumerate() {
                 let Some(head) = path.first() else { continue };
-                if self.sel_matches_spec(head, t) {
+                if self.spec.matches(head, t) {
                     entries.push((si as u16, pi as u16, 0, t as u32));
                     break;
                 }
             }
         }
-        for ei in 0..self.spec.enablers_in[t].len() {
-            let s = self.spec.enablers_in[t][ei] as usize;
-            for ti in 0..self.spec.tags[s].len() {
-                let (si, pi, stage, head) = self.spec.tags[s][ti];
+        for &s in &self.spec.enablers_in[t] {
+            for &(si, pi, stage, head) in &self.spec.tags[s as usize] {
                 let path = &self.threads[si as usize].paths[pi as usize];
                 let next = stage as usize + 1;
-                if next < path.len() && self.sel_matches_spec(&path[next], t) {
+                if next < path.len() && self.spec.matches(&path[next], t) {
                     let e = (si, pi, next as u16, head);
                     if !entries.contains(&e) {
                         entries.push(e);
@@ -561,18 +598,15 @@ impl IncrChecker {
         // Two distinct instances of one thread type on one event make
         // `thread_instance` ambiguous — only the full assignment
         // disambiguates.
-        let mut ambiguous = false;
-        for (si, _, _, head) in &entries {
+        let ambiguous = entries.iter().any(|(si, _, _, head)| {
             let ty = self.threads[*si as usize].ty;
-            if entries
+            entries
                 .iter()
                 .any(|(sj, _, _, h2)| self.threads[*sj as usize].ty == ty && h2 != head)
-            {
-                ambiguous = true;
-                break;
-            }
-        }
-        self.spec.tags[t] = entries;
+        });
+        let tags = &mut self.spec.tags[t];
+        tags.clear();
+        tags.extend_from_slice(entries);
         if ambiguous {
             self.push_batch(i);
         }
@@ -584,64 +618,33 @@ impl IncrChecker {
         if !self.batch_required.is_empty() {
             return;
         }
-        let mut found: Vec<usize> = Vec::new();
+        let world = SpecWorld {
+            spec: &self.spec,
+            threads: &self.threads,
+            problem: &self.problem,
+            b,
+        };
         let mut errored = false;
-        {
-            let world = SpecWorld { chk: self, b };
-            for (ri, r) in self.restrictions.iter().enumerate() {
-                if !self.violations[ri].is_empty() {
-                    continue;
-                }
-                if let Some(Compiled::Boxed(shape)) = &r.compiled {
-                    match shape.check_event(&world, t) {
-                        Ok(true) => found.push(ri),
-                        Ok(false) => {}
-                        Err(_) => errored = true,
+        for (ri, r) in self.restrictions.iter().enumerate() {
+            if !self.violations[ri].is_empty() {
+                continue;
+            }
+            if let Some(Compiled::Boxed(shape)) = &r.compiled {
+                match shape.check_event(&world, t, &mut self.binding) {
+                    Ok(true) => {
+                        obs_add("logic.incr.violations", 1);
+                        obs_add(&format!("logic.incr.restriction.{}.violations", r.name), 1);
+                        self.violations[ri].push(i as u32);
                     }
+                    Ok(false) => {}
+                    Err(_) => errored = true,
                 }
             }
-        }
-        for ri in found {
-            obs_add("logic.incr.violations", 1);
-            obs_add(
-                &format!(
-                    "logic.incr.restriction.{}.violations",
-                    self.restrictions[ri].name
-                ),
-                1,
-            );
-            self.violations[ri].push(i as u32);
         }
         if errored {
             self.push_batch(i);
         }
     }
-
-    /// Selector match over a projected event (thread constraints are
-    /// excluded at construction).
-    fn sel_matches_spec(&self, sel: &EventSel, t: usize) -> bool {
-        sel.element.is_none_or(|el| self.spec.element[t] == el)
-            && sel.class.is_none_or(|c| self.spec.class[t] == c)
-            && sel
-                .params
-                .iter()
-                .all(|(i, v)| self.spec.params[t].get(*i) == Some(v))
-    }
-}
-
-/// First journal index where the synced copy and the builder disagree,
-/// mapped to the smallest event index that must be rewound; `None` when
-/// the copy is a prefix of the builder's journal.
-fn divergence_bound(mine: &[(u32, u32)], theirs: &[(EventId, EventId)]) -> Option<usize> {
-    let n = mine.len().min(theirs.len());
-    for j in 0..n {
-        let (mf, mt) = mine[j];
-        let (tf, tt) = theirs[j];
-        if mf as usize != tf.index() || mt as usize != tt.index() {
-            return Some((mt as usize).min(tt.index()));
-        }
-    }
-    (mine.len() > n).then(|| mine[n].1 as usize)
 }
 
 /// [`World`] view over the synced projection, with order queries
@@ -649,57 +652,58 @@ fn divergence_bound(mine: &[(u32, u32)], theirs: &[(EventId, EventId)]) -> Optio
 /// reachability (the projected temporal order *is* the program order
 /// restricted to significant events).
 struct SpecWorld<'a> {
-    chk: &'a IncrChecker,
+    spec: &'a SpecEvents,
+    threads: &'a [ThreadSpec],
+    problem: &'a Structure,
     b: &'a ComputationBuilder,
 }
 
 impl World for SpecWorld<'_> {
     fn event_count(&self) -> usize {
-        self.chk.spec.len()
+        self.spec.len()
     }
     fn element_of(&self, e: usize) -> ElementId {
-        self.chk.spec.element[e]
+        self.spec.element[e]
     }
     fn class_of(&self, e: usize) -> ClassId {
-        self.chk.spec.class[e]
+        self.spec.class[e]
     }
     fn seq_of(&self, e: usize) -> u32 {
-        self.chk.spec.seq[e]
+        self.spec.seq[e]
     }
     fn params_of(&self, e: usize) -> &[Value] {
-        &self.chk.spec.params[e]
+        &self.spec.params[e]
     }
     fn thread_instance(&self, e: usize, ty: ThreadTypeId) -> Option<u32> {
-        self.chk.spec.tags[e]
+        self.spec.tags[e]
             .iter()
-            .find(|(si, _, _, _)| self.chk.threads[*si as usize].ty == ty)
+            .find(|(si, _, _, _)| self.threads[*si as usize].ty == ty)
             .map(|&(_, _, _, head)| head)
     }
     fn matches(&self, sel: &EventSel, e: usize) -> bool {
-        self.chk.sel_matches_spec(sel, e)
+        self.spec.matches(sel, e)
     }
     fn precedes(&self, a: usize, b: usize) -> bool {
         self.b.order_precedes(
-            EventId::from_raw(self.chk.spec.prog_of[a]),
-            EventId::from_raw(self.chk.spec.prog_of[b]),
+            EventId::from_raw(self.spec.prog_of[a]),
+            EventId::from_raw(self.spec.prog_of[b]),
         )
     }
     fn enables(&self, a: usize, b: usize) -> bool {
-        self.chk.spec.enables_out[a].contains(&(b as u32))
+        self.spec.enables_out[a].contains(&(b as u32))
     }
     fn enabled_from(&self, e: usize) -> impl Iterator<Item = usize> + '_ {
-        self.chk.spec.enables_out[e].iter().map(|&s| s as usize)
+        self.spec.enables_out[e].iter().map(|&s| s as usize)
     }
     fn nth_at(&self, element: ElementId, i: usize) -> Option<usize> {
-        self.chk
-            .spec
+        self.spec
             .by_element
             .get(element.index())?
             .get(i)
             .map(|&s| s as usize)
     }
     fn structure(&self) -> &Structure {
-        &self.chk.problem
+        self.problem
     }
 }
 
@@ -709,31 +713,40 @@ mod tests {
     use gem_logic::Strategy;
     use gem_spec::{ElementType, SpecBuilder};
 
-    /// The incremental leaf status and the batch verdict of a computation
-    /// over two `Act` elements `P` and `Q` under "every event has a
-    /// concurrent partner", a leaf restriction. The builder emits one
-    /// event per flag, at `Q` when it is set and at `P` otherwise.
-    fn leaf_verdicts(at_q: &[bool]) -> (LeafStatus, bool) {
+    /// A specification over two `Act` elements `P` and `Q` with the one
+    /// restriction `restriction(P.Act, Q.Act)`, the identity
+    /// correspondence, and the ids of `P`, `Q` and `Act`.
+    fn pair_spec(
+        name: &str,
+        restriction: impl FnOnce(EventSel, EventSel) -> Formula,
+    ) -> (Specification, Correspondence, ElementId, ElementId, ClassId) {
         let ty = ElementType::new("Proc").event("Act", &[]);
         let mut sb = SpecBuilder::new("Pair");
         let p = sb.instantiate_element(&ty, "P").unwrap();
         let q = sb.instantiate_element(&ty, "Q").unwrap();
-        sb.add_restriction(
-            "has-concurrent-partner",
-            Formula::forall(
-                "a",
-                EventSel::any(),
-                Formula::exists("b", EventSel::any(), Formula::concurrent("a", "b")),
-            ),
-        );
+        sb.add_restriction(name, restriction(p.sel("Act"), q.sel("Act")));
         let spec = sb.finish();
         let corr = Correspondence::new()
             .map(p.sel("Act"), p.id(), p.class("Act"))
             .map(q.sel("Act"), q.id(), q.class("Act"));
+        (spec, corr, p.id(), q.id(), p.class("Act"))
+    }
+
+    /// The incremental leaf status and the batch verdict of a computation
+    /// over `P` and `Q` under "every event has a concurrent partner", a
+    /// leaf restriction. The builder emits one event per flag, at `Q` when
+    /// it is set and at `P` otherwise.
+    fn leaf_verdicts(at_q: &[bool]) -> (LeafStatus, bool) {
+        let (spec, corr, p, q, act) = pair_spec("has-concurrent-partner", |_, _| {
+            Formula::forall(
+                "a",
+                EventSel::any(),
+                Formula::exists("b", EventSel::any(), Formula::concurrent("a", "b")),
+            )
+        });
         let mut b = ComputationBuilder::new(spec.structure_arc());
         for &on_q in at_q {
-            let el = if on_q { &q } else { &p };
-            b.add_event(el.id(), el.class("Act"), vec![]).unwrap();
+            b.add_event(if on_q { q } else { p }, act, vec![]).unwrap();
         }
         let mut chk = IncrChecker::new(&spec, &corr, false);
         let status = chk.sync_to(&b);
@@ -753,5 +766,94 @@ mod tests {
             leaf_verdicts(&[false, false]),
             (LeafStatus::Fallback, false)
         );
+    }
+
+    /// [`pair_spec`] with one `◻∀` restriction: no `P` event directly
+    /// enables a `Q` event.
+    fn p_never_enables_q() -> (Specification, Correspondence, ElementId, ElementId, ClassId) {
+        pair_spec("p-never-enables-q", |p, q| {
+            Formula::forall(
+                "a",
+                p,
+                Formula::forall("b", q, Formula::enables("a", "b").not()),
+            )
+            .henceforth()
+        })
+    }
+
+    #[test]
+    fn syncing_across_clones_equals_a_fresh_sync() {
+        let (spec, corr, p, q, act) = p_never_enables_q();
+        let fresh = |b: &ComputationBuilder| IncrChecker::new(&spec, &corr, false).sync_to(b);
+        let mut ancestor = ComputationBuilder::new(spec.structure_arc());
+        let p0 = ancestor.add_event(p, act, vec![]).unwrap();
+        // Both clones add one event and one edge into it, so they issue
+        // the same number of stamps: only their distinct stamp ranges
+        // tell the second events apart.
+        let mut violating = ancestor.clone();
+        let q1 = violating.add_event(q, act, vec![]).unwrap();
+        violating.enable(p0, q1).unwrap();
+        let mut clean = ancestor.clone();
+        let p1 = clean.add_event(p, act, vec![]).unwrap();
+        clean.enable(p0, p1).unwrap();
+        assert_eq!(fresh(&violating), LeafStatus::Fallback);
+        assert_eq!(fresh(&clean), LeafStatus::Clean);
+        for (first, second) in [(&clean, &violating), (&violating, &clean)] {
+            let mut chk = IncrChecker::new(&spec, &corr, false);
+            assert_eq!(chk.sync_to(first), fresh(first));
+            assert_eq!(chk.sync_to(second), fresh(second));
+        }
+    }
+
+    #[test]
+    fn an_edge_into_the_newest_synced_event_is_replayed() {
+        let (spec, corr, p, q, act) = p_never_enables_q();
+        let stats = Arc::new(gem_obs::StatsProbe::new());
+        let _ambient = gem_obs::ambient::install(stats.clone());
+        let mut b = ComputationBuilder::new(spec.structure_arc());
+        let p0 = b.add_event(p, act, vec![]).unwrap();
+        let q1 = b.add_event(q, act, vec![]).unwrap();
+        let mut chk = IncrChecker::new(&spec, &corr, false);
+        assert_eq!(chk.sync_to(&b), LeafStatus::Clean);
+        // No new event, only a new edge into the newest one.
+        let mark = b.mark();
+        b.enable(p0, q1).unwrap();
+        assert_eq!(chk.sync_to(&b), LeafStatus::Fallback);
+        assert_eq!(stats.counter("logic.incr.events_reused"), 1);
+        assert_eq!(stats.counter("logic.incr.events_replayed"), 2 + 1);
+        // Rolling that edge back changes the event again.
+        b.truncate_to(&mark);
+        assert_eq!(chk.sync_to(&b), LeafStatus::Clean);
+        assert_eq!(stats.counter("logic.incr.events_replayed"), 2 + 1 + 1);
+        assert_eq!(stats.counter("logic.incr.disabled"), 0);
+    }
+
+    #[test]
+    fn a_retroactive_edge_disables_the_checker_for_good() {
+        let (spec, corr, p, q, act) = p_never_enables_q();
+        let fresh = |b: &ComputationBuilder| IncrChecker::new(&spec, &corr, false).sync_to(b);
+        let stats = Arc::new(gem_obs::StatsProbe::new());
+        let _ambient = gem_obs::ambient::install(stats.clone());
+        let mut b = ComputationBuilder::new(spec.structure_arc());
+        let q0 = b.add_event(q, act, vec![]).unwrap();
+        let q1 = b.add_event(q, act, vec![]).unwrap();
+        let p2 = b.add_event(p, act, vec![]).unwrap();
+        b.enable(q0, p2).unwrap();
+        let mut chk = IncrChecker::new(&spec, &corr, false);
+        assert_eq!(chk.sync_to(&b), LeafStatus::Clean);
+        // An edge into `q1` after `p2` was added: its journal entry is out
+        // of target order, which breaks prefix finality.
+        let mark = b.mark();
+        b.enable(q0, q1).unwrap();
+        assert_eq!(chk.sync_to(&b), LeafStatus::Fallback);
+        assert_eq!(stats.counter("logic.incr.disabled"), 1);
+        // Rolling the edge back does not re-enable the checker.
+        b.truncate_to(&mark);
+        assert_eq!(chk.sync_to(&b), LeafStatus::Fallback);
+        let p3 = b.add_event(p, act, vec![]).unwrap();
+        b.enable(p2, p3).unwrap();
+        assert_eq!(chk.sync_to(&b), LeafStatus::Fallback);
+        assert_eq!(fresh(&b), LeafStatus::Clean);
+        assert_eq!(stats.counter("logic.incr.disabled"), 1);
     }
 }

@@ -1,16 +1,22 @@
-//! Allocation guard for the trace builder's append path.
+//! Allocation guards for the trace builder's append path and the
+//! incremental checker's replay.
 //!
 //! Exploration grows one computation along a schedule, rolls it back to a
 //! mark and regrows the next sibling branch. Once the deepest branch has
 //! been grown, regrowing a suffix of the same shape must not touch the
 //! heap: the builder's journals keep their capacity, the reachability rows
 //! rolled back stay allocated as spares and the edge update works in
-//! scratch buffers the order owns.
+//! scratch buffers the order owns. Likewise, once the incremental checker
+//! has synced to the deepest leaf, replaying a regrown suffix of the same
+//! shape works in the rows and scratch buffers it kept.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use gem::core::{ComputationBuilder, ElementId, EventId, Structure};
+use gem::core::{ClassId, ComputationBuilder, ElementId, EventId, Structure, Value};
+use gem::logic::{CmpOp, Formula, ValueTerm};
+use gem::spec::{ElementType, SpecBuilder};
+use gem::verify::{Correspondence, IncrChecker, LeafStatus};
 
 /// Counts allocations per thread, so tests running in parallel on other
 /// threads cannot perturb a measurement.
@@ -59,7 +65,7 @@ fn allocs() -> u64 {
 /// Appends `n` events round-robin over `els` (empty params), each enabled
 /// by the previous event and every third one also by the event three back
 /// — one or two enable edges per event, the shape a simulator step emits.
-fn grow(b: &mut ComputationBuilder, els: &[ElementId], class: gem::core::ClassId, n: usize) {
+fn grow(b: &mut ComputationBuilder, els: &[ElementId], class: ClassId, n: usize) {
     for i in 0..n {
         let before = b.event_count();
         let e = b
@@ -104,4 +110,85 @@ fn regrowing_a_rolled_back_suffix_does_not_allocate() {
     );
     assert_eq!(b.fingerprint(), grown_fp);
     assert_eq!(b.event_count(), 120);
+}
+
+/// Appends `n` hand-offs of value `v + i`: a `Put` at `P`, a relay `Put`
+/// at the insignificant `R`, and a `Get` at `Q`, each enabled by the
+/// event before it.
+fn hand_off(
+    b: &mut ComputationBuilder,
+    [p, r, q]: [ElementId; 3],
+    [put, get]: [ClassId; 2],
+    v: i64,
+    n: usize,
+) {
+    for i in 0..n {
+        let value = Value::Int(v + i as i64);
+        let mut prev = None;
+        for (el, class) in [(p, put), (r, put), (q, get)] {
+            let e = b.add_event(el, class, vec![value.clone()]).expect("event");
+            if let Some(prev) = prev {
+                b.enable(prev, e).expect("edge");
+            }
+            prev = Some(e);
+        }
+    }
+}
+
+#[test]
+fn replaying_a_regrown_suffix_does_not_allocate() {
+    let ty = ElementType::new("Node")
+        .event("Put", &["v"])
+        .event("Get", &["v"]);
+    let mut sb = SpecBuilder::new("HandOff");
+    let p = sb.instantiate_element(&ty, "P").expect("element");
+    let q = sb.instantiate_element(&ty, "Q").expect("element");
+    let r = sb.instantiate_element(&ty, "R").expect("element");
+    // ◻∀a:P.Put ∀b:Q.Get (a ⊳ b ⊃ b.v = a.v): a get returns the value of
+    // the put that enabled it (through the relay, once projected).
+    sb.add_restriction(
+        "get-returns-put",
+        Formula::forall(
+            "a",
+            p.sel("Put"),
+            Formula::forall(
+                "b",
+                q.sel("Get"),
+                Formula::enables("a", "b").implies(Formula::value_cmp(
+                    CmpOp::Eq,
+                    ValueTerm::param("b", 0),
+                    ValueTerm::param("a", 0),
+                )),
+            ),
+        )
+        .henceforth(),
+    );
+    let spec = sb.finish();
+    let corr = Correspondence::new()
+        .map_with_params(p.sel("Put"), p.id(), p.class("Put"), &[(0, 0)])
+        .map_with_params(q.sel("Get"), q.id(), q.class("Get"), &[(0, 0)]);
+    let els = [p.id(), r.id(), q.id()];
+    let classes = [p.class("Put"), p.class("Get")];
+    let mut b = ComputationBuilder::new(spec.structure_arc());
+    let mut chk = IncrChecker::new(&spec, &corr, false);
+    hand_off(&mut b, els, classes, 0, 5);
+    let mark = b.mark();
+
+    // The deepest leaf: the checker grows its rows and scratch buffers.
+    hand_off(&mut b, els, classes, 100, 20);
+    assert_eq!(chk.sync_to(&b), LeafStatus::Clean);
+    b.truncate_to(&mark);
+
+    // A sibling leaf of the same shape with other values: a 60-event
+    // replay over the rows the rewind kept.
+    hand_off(&mut b, els, classes, 200, 20);
+    let before = allocs();
+    let status = chk.sync_to(&b);
+    let during = allocs() - before;
+    assert_eq!(status, LeafStatus::Clean);
+    assert_eq!(
+        during, 0,
+        "replaying a 60-event suffix allocated {during} time(s)"
+    );
+    assert_eq!(IncrChecker::new(&spec, &corr, false).sync_to(&b), status);
 }

@@ -3,6 +3,7 @@
 
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -13,6 +14,9 @@ use gem::core::{
     IncrementalOrder, Structure,
 };
 use gem::logic::{holds_on_computation, EventSel, Formula};
+use gem::obs::StatsProbe;
+use gem::spec::{ElementType, SpecBuilder, Specification};
+use gem::verify::{project, Correspondence, IncrChecker, LeafStatus};
 
 /// Strategy: a random DAG computation over up to `max_el` elements and
 /// `max_ev` events; edges only point from lower to higher event ids, so
@@ -128,6 +132,135 @@ fn assert_same_as_replayed(
         ),
     }
     Ok(())
+}
+
+/// One round of a rollback script: events to add, an edge seed, extra
+/// edges, whether to mark first, and which mark to truncate to (if any).
+type Round = (usize, u64, usize, u8, usize);
+
+/// Rollback scripts over one to three elements.
+fn rollback_scripts() -> impl Strategy<Value = (usize, Vec<Round>)> {
+    (1usize..=3).prop_flat_map(|n_el| {
+        let round = (1usize..60, any::<u64>(), 0usize..6, 0u8..3, 0usize..8);
+        (Just(n_el), proptest::collection::vec(round, 2..10))
+    })
+}
+
+/// Plays `rounds` on `a`, whose elements are `els`, and hands the builder
+/// and the operations that still stand to `check` twice a round: after
+/// the events grew, and after the extra edges and the truncate.
+fn play_rollback_script(
+    a: &mut ComputationBuilder,
+    els: &[ElementId],
+    rounds: Vec<Round>,
+    mut check: impl FnMut(&ComputationBuilder, &[BuildOp]) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    let n_el = els.len();
+    let mut log: Vec<BuildOp> = Vec::new();
+    let mut marks: Vec<(BuilderMark, usize)> = Vec::new();
+    for (grow, mut seed, extra, mark_first, target) in rounds {
+        let mut next = move |bound: u32| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((seed >> 33) % u64::from(bound.max(1))) as u32
+        };
+        if mark_first > 0 {
+            marks.push((a.mark(), log.len()));
+        }
+        for _ in 0..grow.min(150usize.saturating_sub(a.event_count())) {
+            let n = a.event_count() as u32;
+            let mut ops = vec![BuildOp::Event(next(n_el as u32) as usize)];
+            if n > 0 {
+                // The step's chain edge, sometimes twice (a duplicate the
+                // fingerprint must not count), plus an occasional second
+                // enabler.
+                ops.push(BuildOp::Enable(n - 1, n));
+                if next(4) == 0 {
+                    ops.push(BuildOp::Enable(n - 1, n));
+                }
+                if next(3) == 0 {
+                    ops.push(BuildOp::Enable(next(n), n));
+                }
+            }
+            for op in ops {
+                apply_build_op(a, els, op);
+                log.push(op);
+            }
+        }
+        check(a, &log)?;
+        let n = a.event_count() as u32;
+        for k in 0..extra {
+            if n < 2 {
+                break;
+            }
+            let (x, y) = (next(n), next(n));
+            // Forward edges, a repeat of any earlier operation (a duplicate
+            // edge far from its first sighting, or one more event), and a
+            // retroactive or cycle-closing edge (the rebuild path and the
+            // latched-cycle rollback).
+            let op = match k % 4 {
+                0 if x != y => BuildOp::Enable(x.min(y), x.max(y)),
+                1 if x != y => BuildOp::Precede(x.min(y), x.max(y)),
+                2 if !log.is_empty() => log[next(log.len() as u32) as usize],
+                _ => BuildOp::Enable(x, y),
+            };
+            apply_build_op(a, els, op);
+            log.push(op);
+        }
+        if target < marks.len() {
+            let (mark, kept) = marks[target].clone();
+            marks.truncate(target + 1);
+            a.truncate_to(&mark);
+            log.truncate(kept);
+        }
+        check(a, &log)?;
+    }
+    Ok(())
+}
+
+/// A specification over elements `P0..P{n-1}` of one type with the one
+/// event `Act` (class 0, the class rollback scripts emit). Its one `◻∀`
+/// restriction says no `P0` event directly enables two distinct events
+/// at the last element. The correspondence leaves a middle element
+/// insignificant, so that edges through it are bridged.
+fn fan_out_spec(n_el: usize) -> (Specification, Correspondence, Vec<ElementId>) {
+    let ty = ElementType::new("Proc").event("Act", &[]);
+    let mut sb = SpecBuilder::new("FanOut");
+    let els: Vec<_> = (0..n_el)
+        .map(|i| {
+            sb.instantiate_element(&ty, format!("P{i}"))
+                .expect("element")
+        })
+        .collect();
+    let (first, last) = (&els[0], &els[n_el - 1]);
+    sb.add_restriction(
+        "no-fan-out",
+        Formula::forall(
+            "a",
+            first.sel("Act"),
+            Formula::forall(
+                "b",
+                last.sel("Act"),
+                Formula::forall(
+                    "c",
+                    last.sel("Act"),
+                    Formula::enables("a", "b")
+                        .and(Formula::enables("a", "c"))
+                        .and(Formula::event_eq("b", "c").not())
+                        .not(),
+                ),
+            ),
+        )
+        .henceforth(),
+    );
+    let spec = sb.finish();
+    assert_eq!(first.class("Act"), ClassId::from_raw(0));
+    let corr = Correspondence::new()
+        .map(first.sel("Act"), first.id(), first.class("Act"))
+        .map(last.sel("Act"), last.id(), last.class("Act"));
+    let ids = els.iter().map(|el| el.id()).collect();
+    (spec, corr, ids)
 }
 
 proptest! {
@@ -269,83 +402,57 @@ proptest! {
     /// to 150 events in rounds (crossing the 64- and 128-event row-word
     /// boundaries), add forward, duplicate, retroactive and cycle-closing
     /// edges, take marks and truncate to any of them, then regrow over the
-    /// rows the rollback left behind. After every truncate and at the end
-    /// the builder must match one that saw only the surviving operations.
+    /// rows the rollback left behind. Twice a round the builder must
+    /// match one that saw only the surviving operations.
     #[test]
-    fn builder_rollback_of_events_equals_replay(
-        (n_el, rounds) in (1usize..=3).prop_flat_map(|n_el| {
-            // Per round: events to add, an edge seed, extra edges, whether
-            // to mark first, and which mark to truncate to (if any).
-            let round = (1usize..60, any::<u64>(), 0usize..6, 0u8..3, 0usize..8);
-            (Just(n_el), proptest::collection::vec(round, 2..10))
-        })
-    ) {
+    fn builder_rollback_of_events_equals_replay((n_el, rounds) in rollback_scripts()) {
         let mut s = Structure::new();
         let act = s.add_class("Act", &[]).expect("class");
         let els: Vec<_> = (0..n_el)
             .map(|i| s.add_element(format!("P{i}"), &[act]).expect("element"))
             .collect();
         let mut a = ComputationBuilder::new(s);
-        let mut log: Vec<BuildOp> = Vec::new();
-        let mut marks: Vec<(BuilderMark, usize)> = Vec::new();
-        for (grow, mut seed, extra, mark_first, target) in rounds {
-            let mut next = move |bound: u32| {
-                seed = seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((seed >> 33) % u64::from(bound.max(1))) as u32
+        play_rollback_script(&mut a, &els, rounds, |a, log| assert_same_as_replayed(a, &els, log))?;
+    }
+
+    /// The incremental checker's leg of the same scripts. At every check
+    /// point, a checker synced to the builder at every earlier one must
+    /// report what a fresh checker synced once reports, unless an
+    /// out-of-order edge has disabled it; a disabled checker is replaced
+    /// by a new long-lived one. A clean leaf must pass the batch pipeline.
+    #[test]
+    fn long_lived_checker_agrees_with_a_fresh_one_under_rollback(
+        (n_el, rounds) in rollback_scripts()
+    ) {
+        let (spec, corr, els) = fan_out_spec(n_el);
+        let mut a = ComputationBuilder::new(spec.structure_arc());
+        let mut chk = IncrChecker::new(&spec, &corr, false);
+        // Only the long-lived checker syncs under this probe, so its
+        // `disabled` counter is that checker's alone.
+        let mut stats = Arc::new(StatsProbe::new());
+        play_rollback_script(&mut a, &els, rounds, |a, _| {
+            let status = {
+                let _ambient = gem::obs::ambient::install(stats.clone());
+                chk.sync_to(a)
             };
-            if mark_first > 0 {
-                marks.push((a.mark(), log.len()));
+            let fresh = IncrChecker::new(&spec, &corr, false).sync_to(a);
+            if stats.counter("logic.incr.disabled") == 0 {
+                prop_assert_eq!(status, fresh);
+            } else {
+                chk = IncrChecker::new(&spec, &corr, false);
+                stats = Arc::new(StatsProbe::new());
             }
-            for _ in 0..grow.min(150usize.saturating_sub(a.event_count())) {
-                let n = a.event_count() as u32;
-                let mut ops = vec![BuildOp::Event(next(n_el as u32) as usize)];
-                if n > 0 {
-                    // The step's chain edge, sometimes twice (a duplicate
-                    // the fingerprint must not count), plus an occasional
-                    // second enabler.
-                    ops.push(BuildOp::Enable(n - 1, n));
-                    if next(4) == 0 {
-                        ops.push(BuildOp::Enable(n - 1, n));
-                    }
-                    if next(3) == 0 {
-                        ops.push(BuildOp::Enable(next(n), n));
-                    }
-                }
-                for op in ops {
-                    apply_build_op(&mut a, &els, op);
-                    log.push(op);
-                }
+            if status == LeafStatus::Clean {
+                let sealed = a.seal_ref().expect("a clean leaf is acyclic");
+                let projected = project(&sealed, spec.structure_arc(), &corr)
+                    .expect("a clean leaf projects");
+                // A few sampled schedules: a long chain has many.
+                let strategy = gem::logic::Strategy::RandomLinearizations { count: 8, seed: 1 };
+                let batch = spec.check(&projected, strategy).expect("batch check");
+                prop_assert!(batch.is_legal(), "clean leaf fails the batch check");
             }
-            let n = a.event_count() as u32;
-            for k in 0..extra {
-                if n < 2 {
-                    break;
-                }
-                let (x, y) = (next(n), next(n));
-                // Forward edges, a repeat of any earlier operation (a
-                // duplicate edge far from its first sighting, or one more
-                // event), and a retroactive or cycle-closing edge (the
-                // rebuild path and the latched-cycle rollback).
-                let op = match k % 4 {
-                    0 if x != y => BuildOp::Enable(x.min(y), x.max(y)),
-                    1 if x != y => BuildOp::Precede(x.min(y), x.max(y)),
-                    2 if !log.is_empty() => log[next(log.len() as u32) as usize],
-                    _ => BuildOp::Enable(x, y),
-                };
-                apply_build_op(&mut a, &els, op);
-                log.push(op);
-            }
-            if target < marks.len() {
-                let (mark, kept) = marks[target].clone();
-                marks.truncate(target + 1);
-                a.truncate_to(&mark);
-                log.truncate(kept);
-                assert_same_as_replayed(&a, &els, &log)?;
-            }
-        }
-        assert_same_as_replayed(&a, &els, &log)?;
+            Ok(())
+        })?;
     }
 
     /// Concurrency is symmetric and excludes ordered pairs; element order
