@@ -377,7 +377,7 @@ pub fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
             (Program::Ada(sys), spec, corr)
         }
         "life" => {
-            let gens = p.usize("gens", 2)?;
+            let gens = p.usize_min("gens", 2, 1)?;
             let grid = match p.str("grid", "block") {
                 "block" => life::block(),
                 "blinker" => life::blinker(),
@@ -1976,6 +1976,7 @@ mod tests {
             (["verify", "philosophers", "n=0"], "n"),
             (["verify", "philosophers", "n=1"], "n"),
             (["verify", "db-update", "sites=0"], "sites"),
+            (["verify", "life", "gens=0"], "gens"),
         ] {
             let e = runv(&args).unwrap_err().to_string();
             assert!(

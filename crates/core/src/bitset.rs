@@ -58,6 +58,17 @@ impl DenseBitSet {
         Self { words, capacity }
     }
 
+    /// The backing words, `capacity.div_ceil(64)` of them.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The backing words, mutably; the caller keeps bits at or above
+    /// `capacity` clear.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Creates a set containing every index in `0..capacity`.
     pub fn full(capacity: usize) -> Self {
         let mut set = Self::new(capacity);

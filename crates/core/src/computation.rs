@@ -665,8 +665,9 @@ impl ComputationBuilder {
     }
 
     /// Computes the temporal order from the incrementally-maintained rows:
-    /// one Kahn pass for the topological order / cycle report, then a
-    /// straight copy of the reachability rows — no per-row union sweep.
+    /// one Kahn pass for the topological order / cycle report, then a copy
+    /// of the predecessor rows and one blocked transpose for the successor
+    /// rows — no per-row union sweep.
     fn build_closure(&self) -> Result<Closure, BuildError> {
         let started = gem_obs::ambient::active().then(std::time::Instant::now);
         let n = self.events.len();

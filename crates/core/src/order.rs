@@ -51,7 +51,8 @@ pub struct Closure {
 
 impl Closure {
     /// Builds the closure of the relation given by `edges` over events
-    /// `0..n`.
+    /// `0..n`: successor rows by one sweep in reverse topological order,
+    /// predecessor rows as their blocked bit transpose.
     ///
     /// # Errors
     ///
@@ -65,19 +66,13 @@ impl Closure {
         let mut succ = vec![DenseBitSet::new(n); n];
         for &v in topo.iter().rev() {
             let mut row = DenseBitSet::new(n);
-            for &w in &out[v.index()] {
+            for &w in out.targets_of(v.index()) {
                 row.insert(w as usize);
                 row.union_with(&succ[w as usize]);
             }
             succ[v.index()] = row;
         }
-        // pred is the transpose.
-        let mut pred = vec![DenseBitSet::new(n); n];
-        for (i, row) in succ.iter().enumerate() {
-            for j in row.iter() {
-                pred[j].insert(i);
-            }
-        }
+        let pred = transpose(&succ);
         let closure = Self::from_parts(succ, pred, topo);
         if let Some(started) = started {
             gem_obs::ambient::time_ns(
@@ -90,8 +85,9 @@ impl Closure {
 
     /// Assembles a closure from already-computed reachability rows and a
     /// topological order, emitting the same probes as [`Closure::from_edges`].
-    /// Rows come either from the reverse-topo sweep above or from an
-    /// [`IncrementalOrder`] maintained while the computation was built.
+    /// Rows come either from the reverse-topo sweep above or from the
+    /// predecessor rows of an [`IncrementalOrder`] maintained while the
+    /// computation was built.
     pub(crate) fn from_parts(
         succ: Vec<DenseBitSet>,
         pred: Vec<DenseBitSet>,
@@ -147,17 +143,50 @@ impl Closure {
     }
 }
 
+/// Direct edges in compressed rows: the targets of `v` are
+/// `targets[start[v]..start[v + 1]]`, in insertion order. Two buffers
+/// instead of one list per event keep a seal's allocations independent of
+/// the event count.
+#[derive(Clone, Debug)]
+pub(crate) struct Adjacency {
+    start: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl Adjacency {
+    fn new(n: usize, edges: &[(EventId, EventId)]) -> Self {
+        let mut start = vec![0; n + 1];
+        for &(a, b) in edges {
+            debug_assert!(a.index() < n && b.index() < n, "edge endpoint out of range");
+            start[a.index()] += 1;
+        }
+        // Running sums make `start[v]` the end of v's range; filling from
+        // the last edge backwards moves it to the beginning.
+        for v in 1..=n {
+            start[v] += start[v - 1];
+        }
+        let mut targets = vec![0; edges.len()];
+        for &(a, b) in edges.iter().rev() {
+            start[a.index()] -= 1;
+            targets[start[a.index()]] = b.as_raw();
+        }
+        Self { start, targets }
+    }
+
+    fn targets_of(&self, v: usize) -> &[u32] {
+        &self.targets[self.start[v]..self.start[v + 1]]
+    }
+}
+
 /// Kahn's algorithm over `edges`: a topological order of `0..n` plus the
-/// adjacency lists, or the same [`CycleError`] the closure build reports.
+/// adjacency, or the same [`CycleError`] the closure build reports.
 pub(crate) fn topo_from_edges(
     n: usize,
     edges: &[(EventId, EventId)],
-) -> Result<(Vec<EventId>, Vec<Vec<u32>>), CycleError> {
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
+) -> Result<(Vec<EventId>, Adjacency), CycleError> {
+    let out = Adjacency::new(n, edges);
     let mut indegree = vec![0u32; n];
-    for &(a, b) in edges {
-        debug_assert!(a.index() < n && b.index() < n, "edge endpoint out of range");
-        out[a.index()].push(b.as_raw());
+    for &(_, b) in edges {
         indegree[b.index()] += 1;
     }
     let mut stack: Vec<u32> = (0..n as u32)
@@ -166,7 +195,7 @@ pub(crate) fn topo_from_edges(
     let mut topo = Vec::with_capacity(n);
     while let Some(v) = stack.pop() {
         topo.push(EventId::from_raw(v));
-        for &w in &out[v as usize] {
+        for &w in out.targets_of(v as usize) {
             indegree[w as usize] -= 1;
             if indegree[w as usize] == 0 {
                 stack.push(w);
@@ -185,23 +214,75 @@ pub(crate) fn topo_from_edges(
 
 const WORD_BITS: usize = 64;
 
+/// Transposes a 64×64 bit block in place: afterwards bit `c` of `a[r]` is
+/// what bit `r` of `a[c]` was. Recursive block swap (Hacker's Delight
+/// §7-3), six rounds of 32 masked exchanges.
+fn transpose64(a: &mut [u64; WORD_BITS]) {
+    let mut j = 32;
+    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        let mut k = 0;
+        while k < WORD_BITS {
+            let t = ((a[k] >> j) ^ a[k + j]) & m;
+            a[k] ^= t << j;
+            a[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        m ^= m << j;
+    }
+}
+
+/// The transpose of the square relation whose row `i` is `rows[i]`:
+/// `j ∈ out[i]` iff `i ∈ rows[j]`. Turns predecessor rows into successor
+/// rows and back, one 64×64 block at a time, skipping all-zero blocks.
+pub(crate) fn transpose(rows: &[DenseBitSet]) -> Vec<DenseBitSet> {
+    let n = rows.len();
+    let words = n.div_ceil(WORD_BITS);
+    let mut out: Vec<DenseBitSet> = (0..n).map(|_| DenseBitSet::new(n)).collect();
+    let mut block = [0u64; WORD_BITS];
+    for (bi, band) in rows.chunks(WORD_BITS).enumerate() {
+        for bj in 0..words {
+            let mut any = 0;
+            for (slot, row) in block.iter_mut().zip(band) {
+                *slot = row.words()[bj];
+                any |= *slot;
+            }
+            if any == 0 {
+                continue;
+            }
+            block[band.len()..].fill(0);
+            transpose64(&mut block);
+            for (row, &word) in out[bj * WORD_BITS..].iter_mut().zip(&block) {
+                row.words_mut()[bi] = word;
+            }
+        }
+    }
+    out
+}
+
 /// Incrementally-maintained reachability over a growing event set.
 ///
 /// The [`ComputationBuilder`](crate::ComputationBuilder) keeps one of these
 /// alive across the whole run: every `add_event`/`enable`/`add_precedence`
-/// updates the pred/succ rows in place (Italiano-style: on a fresh edge
-/// `a → b`, every predecessor of `a` gains every successor of `b`), so
-/// sealing no longer pays a from-scratch O(n·m) closure rebuild — it only
-/// converts the rows it already has. Cycle detection is preserved: an edge
-/// closing a cycle is *not* applied; instead the order latches a
-/// [`CycleError`] and ignores all further edges, which `seal` reports.
+/// updates the rows in place, so sealing no longer pays a from-scratch
+/// O(n·m) closure rebuild. Only predecessor rows are stored. A simulator
+/// grows a computation by adding maximal events, so every edge it draws
+/// points at the newest event, which has no successors yet: such an edge
+/// is one OR of `{a} ∪ pred(a)` into `pred(b)`. The `has_succ` bitset marks
+/// every event that may have a successor; only an edge into a marked event
+/// (a retroactive edge, or a projection builder's) scans the live rows for
+/// the descendants of `b`. Successor rows are built once, at seal, by a
+/// blocked bit transpose. Cycle detection is preserved: an edge closing a
+/// cycle is *not* applied; instead the order latches a [`CycleError`] and
+/// ignores all further edges, which `seal` reports.
 ///
 /// Rows are raw `u64` word vectors (not [`DenseBitSet`]) so capacity can
 /// grow geometrically without per-event reallocation. Rows `[..len]` are
 /// live; rows past `len` are zeroed spares left by
 /// [`IncrementalOrder::truncate_to`], which [`IncrementalOrder::push_node`]
-/// reuses before it allocates. Together with the two scratch rows
-/// [`IncrementalOrder::add_edge`] copies its endpoint sets into, this makes
+/// reuses before it allocates. Together with the scratch row
+/// [`IncrementalOrder::add_edge`] copies its source set into, this makes
 /// the grow/roll-back/regrow cycle of exploration allocation-free once the
 /// deepest schedule has been seen.
 #[derive(Clone, Debug, Default)]
@@ -209,11 +290,12 @@ pub struct IncrementalOrder {
     len: usize,
     /// Allocated words per row (`≥ len.div_ceil(64)`, grows by doubling).
     words: usize,
-    succ: Vec<Vec<u64>>,
+    /// `pred[j]` = set of `i` with `i ⇒ j`.
     pred: Vec<Vec<u64>>,
-    /// `add_edge` scratch: P = {a} ∪ pred(a) and S = {b} ∪ succ(b).
+    /// A superset of the events with at least one successor.
+    has_succ: Vec<u64>,
+    /// `add_edge` scratch: P = {a} ∪ pred(a).
     p_scratch: Vec<u64>,
-    s_scratch: Vec<u64>,
     cycle: Option<CycleError>,
 }
 
@@ -256,18 +338,18 @@ impl IncrementalOrder {
     }
 
     /// Appends a new node with no edges; its id is the previous `len()`.
-    /// Reuses a zeroed spare row pair when one is left from a truncation.
+    /// Reuses a zeroed spare row when one is left from a truncation.
     pub fn push_node(&mut self) {
         let needed = (self.len + 1).div_ceil(WORD_BITS);
         if needed > self.words {
             let new_words = needed.max(self.words * 2);
-            for row in self.succ.iter_mut().chain(self.pred.iter_mut()) {
+            for row in self.pred.iter_mut() {
                 row.resize(new_words, 0);
             }
+            self.has_succ.resize(new_words, 0);
             self.words = new_words;
         }
-        if self.len == self.succ.len() {
-            self.succ.push(vec![0; self.words]);
+        if self.len == self.pred.len() {
             self.pred.push(vec![0; self.words]);
         }
         self.len += 1;
@@ -278,17 +360,10 @@ impl IncrementalOrder {
         row[i / WORD_BITS] & (1u64 << (i % WORD_BITS)) != 0
     }
 
-    /// ORs `src` into `rows[i]` for every bit `i` set in `members`.
-    fn union_into_rows(rows: &mut [Vec<u64>], members: &[u64], src: &[u64]) {
-        for (w, &word) in members.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let i = w * WORD_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                for (dst, &s) in rows[i].iter_mut().zip(src) {
-                    *dst |= s;
-                }
-            }
+    #[inline]
+    fn union_into(dst: &mut [u64], src: &[u64]) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d |= s;
         }
     }
 
@@ -308,68 +383,56 @@ impl IncrementalOrder {
             self.cycle = Some(CycleError { on_cycle: a });
             return;
         }
-        if Self::row_contains(&self.succ[ai], bi) {
+        if Self::row_contains(&self.pred[bi], ai) {
             return; // already implied
         }
-        // P = {a} ∪ pred(a), S = {b} ∪ succ(b); then succ(p) ∪= S for p ∈ P
-        // and pred(s) ∪= P for s ∈ S. Columns past `len` are zero, so only
-        // the live words are copied and merged.
+        // P = {a} ∪ pred(a) now precedes b and everything b precedes.
+        // Columns past `len` are zero, so only the live words are touched.
         let live = self.len.div_ceil(WORD_BITS);
         self.p_scratch.clear();
         self.p_scratch.extend_from_slice(&self.pred[ai][..live]);
         self.p_scratch[ai / WORD_BITS] |= 1u64 << (ai % WORD_BITS);
-        self.s_scratch.clear();
-        self.s_scratch.extend_from_slice(&self.succ[bi][..live]);
-        self.s_scratch[bi / WORD_BITS] |= 1u64 << (bi % WORD_BITS);
-        Self::union_into_rows(&mut self.succ, &self.p_scratch, &self.s_scratch);
-        Self::union_into_rows(&mut self.pred, &self.s_scratch, &self.p_scratch);
+        if Self::row_contains(&self.has_succ, bi) {
+            // b may have successors: every row holding b gains P. The row
+            // of a is not among them, since b ⇒ a would be a cycle.
+            for row in &mut self.pred[..self.len] {
+                if Self::row_contains(row, bi) {
+                    Self::union_into(&mut row[..live], &self.p_scratch);
+                }
+            }
+        }
+        Self::union_into(&mut self.has_succ[..live], &self.p_scratch);
+        Self::union_into(&mut self.pred[bi][..live], &self.p_scratch);
     }
 
     /// True if `a ⇒ b` under the edges applied so far. Meaningless once
     /// [`IncrementalOrder::cycle`] is latched (rows are frozen).
     pub fn precedes(&self, a: EventId, b: EventId) -> bool {
-        Self::row_contains(&self.succ[a.index()], b.index())
+        Self::row_contains(&self.pred[b.index()], a.index())
     }
 
     /// Rolls back to the first `n` nodes. The rolled-back rows are zeroed
-    /// and kept as spares for [`IncrementalOrder::push_node`]; the
-    /// surviving rows lose their columns `≥ n`.
+    /// and kept as spares for [`IncrementalOrder::push_node`], and the
+    /// successor marks of the rolled-back nodes are cleared.
     ///
     /// Sound only if every edge added since node `n` existed pointed *at* a
-    /// node `≥ n` (then masking those columns removes exactly the rolled-back
-    /// edges' contributions). The builder checks that invariant and falls
-    /// back to [`IncrementalOrder::from_edges`] when it fails; `cycle` is
-    /// restored by the caller from its mark.
+    /// node `≥ n`. Then no surviving row holds a rolled-back node, and no
+    /// rolled-back edge changed a surviving row. The builder checks that
+    /// invariant and falls back to [`IncrementalOrder::from_edges`] when it
+    /// fails; `cycle` is restored by the caller from its mark. A surviving
+    /// node whose only successors were rolled back stays marked in
+    /// `has_succ`: the stale mark costs one row scan on a later edge into
+    /// it, never a wrong answer.
     pub fn truncate_to(&mut self, n: usize, cycle: Option<CycleError>) {
         debug_assert!(n <= self.len);
         let live = self.len.div_ceil(WORD_BITS);
-        let full_words = n / WORD_BITS;
-        let keep = (1u64 << (n % WORD_BITS)) - 1;
-        // Under that invariant no edge leads from a rolled-back node back
-        // below `n`, so surviving pred rows have no columns `≥ n`, and the
-        // only surviving succ rows that do are those of the rolled-back
-        // nodes' predecessors: collect them while zeroing the dead rows.
-        self.p_scratch.clear();
-        self.p_scratch.resize(full_words + 1, 0);
-        for x in n..self.len {
-            for (acc, &word) in self.p_scratch.iter_mut().zip(&self.pred[x]) {
-                *acc |= word;
-            }
-            self.pred[x][..live].fill(0);
-            self.succ[x][..live].fill(0);
+        for row in &mut self.pred[n..self.len] {
+            row[..live].fill(0);
         }
-        self.p_scratch[full_words] &= keep;
-        for (w, &word) in self.p_scratch.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let p = w * WORD_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let row = &mut self.succ[p];
-                row[full_words] &= keep;
-                for word in &mut row[full_words + 1..live] {
-                    *word = 0;
-                }
-            }
+        let full_words = n / WORD_BITS;
+        if full_words < live {
+            self.has_succ[full_words] &= (1u64 << (n % WORD_BITS)) - 1;
+            self.has_succ[full_words + 1..live].fill(0);
         }
         self.len = n;
         self.cycle = cycle;
@@ -381,18 +444,17 @@ impl IncrementalOrder {
         self.cycle = cycle;
     }
 
-    /// Converts the live rows into [`DenseBitSet`] form for [`Closure`],
-    /// trimming each row to exactly `len` capacity.
+    /// The successor and predecessor rows for [`Closure`], each trimmed to
+    /// exactly `len` capacity: a copy of the live predecessor rows, and
+    /// their [`transpose`].
     pub(crate) fn closure_rows(&self) -> (Vec<DenseBitSet>, Vec<DenseBitSet>) {
         let n = self.len;
         let exact = n.div_ceil(WORD_BITS);
-        let to_sets = |rows: &[Vec<u64>]| {
-            rows[..n]
-                .iter()
-                .map(|row| DenseBitSet::from_words(row[..exact].to_vec(), n))
-                .collect()
-        };
-        (to_sets(&self.succ), to_sets(&self.pred))
+        let pred: Vec<DenseBitSet> = self.pred[..n]
+            .iter()
+            .map(|row| DenseBitSet::from_words(row[..exact].to_vec(), n))
+            .collect();
+        (transpose(&pred), pred)
     }
 }
 
@@ -400,7 +462,7 @@ impl IncrementalOrder {
 /// counterpart of [`Closure`] (no precomputation, O(V+E) per query).
 #[derive(Clone, Debug)]
 pub struct DfsReachability {
-    out: Vec<Vec<u32>>,
+    out: Adjacency,
     /// Epoch-stamped visited marks + DFS stack, reused across queries so a
     /// query allocates nothing after the first (`RefCell`: queries take
     /// `&self`).
@@ -420,12 +482,8 @@ impl DfsReachability {
     /// Unlike [`Closure::from_edges`], this performs no cycle check; pair
     /// it with `Closure` when legality matters.
     pub fn from_edges(n: usize, edges: &[(EventId, EventId)]) -> Self {
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for &(a, b) in edges {
-            out[a.index()].push(b.as_raw());
-        }
         Self {
-            out,
+            out: Adjacency::new(n, edges),
             scratch: std::cell::RefCell::new(DfsScratch {
                 stamp: vec![0; n],
                 epoch: 0,
@@ -440,7 +498,7 @@ impl DfsReachability {
     /// paths run an iterative DFS over the reusable stamp buffer.
     pub fn precedes(&self, a: EventId, b: EventId) -> bool {
         let target = b.as_raw();
-        let direct = &self.out[a.index()];
+        let direct = self.out.targets_of(a.index());
         if direct.contains(&target) {
             return true;
         }
@@ -458,7 +516,7 @@ impl DfsReachability {
         scratch.stack.push(a.as_raw());
         scratch.stamp[a.index()] = epoch;
         while let Some(v) = scratch.stack.pop() {
-            for &w in &self.out[v as usize] {
+            for &w in self.out.targets_of(v as usize) {
                 if w == target {
                     scratch.stack.clear();
                     return true;
@@ -593,18 +651,9 @@ mod tests {
                 }
             }
         }
-        let c = Closure::from_edges(n, &edges).unwrap();
         let inc = incremental_from(n, &edges);
         assert!(inc.cycle().is_none());
-        for i in 0..n as u32 {
-            for j in 0..n as u32 {
-                assert_eq!(
-                    c.precedes(e(i), e(j)),
-                    inc.precedes(e(i), e(j)),
-                    "mismatch at ({i}, {j})"
-                );
-            }
-        }
+        assert_same_order(&inc, n, &edges);
     }
 
     #[test]
@@ -678,13 +727,86 @@ mod tests {
     #[test]
     fn incremental_closure_rows_roundtrip() {
         let edges = [(e(0), e(1)), (e(0), e(2)), (e(1), e(3)), (e(2), e(3))];
-        let inc = incremental_from(4, &edges);
-        let (succ, pred) = inc.closure_rows();
-        let c = Closure::from_edges(4, &edges).unwrap();
-        for i in 0..4u32 {
-            assert_eq!(&succ[i as usize], c.successors(e(i)));
-            assert_eq!(&pred[i as usize], c.predecessors(e(i)));
+        assert_same_order(&incremental_from(4, &edges), 4, &edges);
+    }
+
+    fn assert_same_order(inc: &IncrementalOrder, n: usize, edges: &[(EventId, EventId)]) {
+        let c = Closure::from_edges(n, edges).unwrap();
+        for i in 0..n as u32 {
+            for j in 0..n as u32 {
+                assert_eq!(
+                    c.precedes(e(i), e(j)),
+                    inc.precedes(e(i), e(j)),
+                    "mismatch at ({i}, {j})"
+                );
+            }
         }
+        let (succ, pred) = inc.closure_rows();
+        for i in 0..n {
+            assert_eq!(&succ[i], c.successors(e(i as u32)), "successors of {i}");
+            assert_eq!(&pred[i], c.predecessors(e(i as u32)), "predecessors of {i}");
+        }
+    }
+
+    #[test]
+    fn transpose_matches_bitwise_transpose() {
+        let mut seed = 0x2545f4914f6cdd1du64;
+        for n in [1usize, 63, 64, 65, 129, 200] {
+            // Rows of varying density, with whole 64×64 blocks left empty.
+            let rows: Vec<DenseBitSet> = (0..n)
+                .map(|i| {
+                    let mut row = DenseBitSet::new(n);
+                    for j in 0..n {
+                        seed ^= seed << 13;
+                        seed ^= seed >> 7;
+                        seed ^= seed << 17;
+                        let empty_block = (i / 64 + j / 64) % 3 == 1;
+                        if !empty_block && seed.is_multiple_of(1 + (i % 5) as u64) {
+                            row.insert(j);
+                        }
+                    }
+                    row
+                })
+                .collect();
+            let t = transpose(&rows);
+            assert_eq!(t.len(), n);
+            for (i, col) in t.iter().enumerate() {
+                assert_eq!(col.capacity(), n);
+                for (j, row) in rows.iter().enumerate() {
+                    assert_eq!(col.contains(j), row.contains(i), "n={n} ({i}, {j})");
+                }
+            }
+            assert_eq!(transpose(&t), rows, "n={n}: transposing twice is identity");
+        }
+    }
+
+    #[test]
+    fn stale_successor_mark_keeps_the_order_exact() {
+        // Grow a → b → c, roll c back: b keeps a stale successor mark.
+        let (a, b, c) = (e(0), e(1), e(2));
+        let mut inc = IncrementalOrder::new();
+        inc.push_node();
+        inc.push_node();
+        inc.add_edge(a, b);
+        inc.push_node();
+        inc.add_edge(b, c);
+        inc.truncate_to(2, None);
+        assert!(
+            IncrementalOrder::row_contains(&inc.has_succ, 1),
+            "mark is stale"
+        );
+        assert!(!IncrementalOrder::row_contains(&inc.has_succ, 2));
+        // A retroactive edge into b takes the scan path over the stale mark.
+        inc.push_node();
+        inc.push_node();
+        inc.add_edge(e(2), e(3));
+        inc.add_edge(e(3), b);
+        assert_same_order(&inc, 4, &[(a, b), (e(2), e(3)), (e(3), b)]);
+        // The rollback kept the mark of a, whose successor b survived: an
+        // edge into a still reaches b.
+        inc.push_node();
+        inc.add_edge(e(4), a);
+        assert_same_order(&inc, 5, &[(a, b), (e(2), e(3)), (e(3), b), (e(4), a)]);
     }
 
     #[test]

@@ -292,22 +292,43 @@ proptest! {
     /// The incremental reachability index agrees with the batch closure
     /// build on arbitrary edge sets: same pairwise reachability when the
     /// edges are acyclic, and cycle rejection in exactly the same cases
-    /// (including self-loops).
+    /// (including self-loops). Rows span up to three words, and edges
+    /// arrive in arbitrary order, so an edge into an event that already
+    /// has successors takes the row-scan path. A builder fed the same
+    /// edges seals to the batch closure's successor and predecessor rows.
     #[test]
     fn incremental_order_matches_batch_closure(
-        (n, edges) in (1usize..=20).prop_flat_map(|n| {
-            (Just(n), proptest::collection::vec((0..n, 0..n), 0..n * 3))
+        (n, edges, forward) in (1usize..=150).prop_flat_map(|n| {
+            (Just(n), proptest::collection::vec((0..n, 0..n), 0..n * 3), any::<bool>())
         })
     ) {
         let e = |i: usize| EventId::from_raw(i as u32);
-        let edge_ids: Vec<(EventId, EventId)> =
-            edges.iter().map(|&(a, b)| (e(a), e(b))).collect();
+        // Half the cases point every edge at the higher id, which keeps
+        // them acyclic in any arrival order; the rest keep the raw pairs.
+        let edge_ids: Vec<(EventId, EventId)> = edges
+            .iter()
+            .filter(|&&(a, b)| !forward || a != b)
+            .map(|&(a, b)| if forward { (e(a.min(b)), e(a.max(b))) } else { (e(a), e(b)) })
+            .collect();
         let mut inc = IncrementalOrder::new();
         for _ in 0..n {
             inc.push_node();
         }
         for &(a, b) in &edge_ids {
             inc.add_edge(a, b);
+        }
+        // One event per element, so the builder adds no element order.
+        let mut s = Structure::new();
+        let act = s.add_class("Act", &[]).expect("class");
+        let els: Vec<_> = (0..n)
+            .map(|i| s.add_element(format!("P{i}"), &[act]).expect("element"))
+            .collect();
+        let mut builder = ComputationBuilder::new(s);
+        for &el in &els {
+            builder.add_event(el, act, vec![]).expect("event");
+        }
+        for &(x, y) in &edge_ids {
+            builder.add_precedence(x, y).expect("edge");
         }
         match Closure::from_edges(n, &edge_ids) {
             Ok(closure) => {
@@ -322,9 +343,19 @@ proptest! {
                         );
                     }
                 }
+                let sealed = builder.seal().expect("acyclic edges seal");
+                for i in 0..n {
+                    prop_assert_eq!(sealed.closure().successors(e(i)), closure.successors(e(i)),
+                        "sealed successors of {} diverge", i);
+                    prop_assert_eq!(sealed.closure().predecessors(e(i)), closure.predecessors(e(i)),
+                        "sealed predecessors of {} diverge", i);
+                }
             }
-            Err(_) => prop_assert!(inc.cycle().is_some(),
-                "batch build rejected a cycle the incremental path missed"),
+            Err(_) => {
+                prop_assert!(inc.cycle().is_some(),
+                    "batch build rejected a cycle the incremental path missed");
+                prop_assert!(builder.seal().is_err(), "the builder sealed a cyclic edge set");
+            }
         }
     }
 
