@@ -1,8 +1,8 @@
 //! Probe hot-path overhead guard (ISSUE 4).
 //!
 //! The instrumentation layer promises that an uninstrumented run pays
-//! only a disabled-probe check. This bench pins that promise so a
-//! regression shows up in the perf trajectory:
+//! only a disabled-probe check. This bench times that promise, so a
+//! regression shows up in its printed medians:
 //!
 //! * `noop_add/1000` — 1000 counter increments through `&dyn Probe` on
 //!   [`NoopProbe`]: should stay in the few-ns-per-call range.

@@ -9,7 +9,6 @@
 //! gem dot <problem>              emit one schedule's computation as Graphviz
 //! gem list                       list the available problems
 //! gem replay <dir>               reproduce a recorded counterexample artifact
-//! gem bench-diff <old> <new>     compare two benchmark reports, gate regressions
 //! gem metrics-lint <file>        validate an OpenMetrics exposition file
 //! ```
 //!
@@ -55,8 +54,6 @@
 //! * `--explain` — append reduction cost/benefit verdicts (dedup
 //!   measured/predicted, POR attribution, incremental-check coverage)
 //!   after the command output
-//! * `--json <path>` — on `bench-diff`, also write the comparison as
-//!   machine-readable JSON
 //!
 //! The command dispatch lives in this library so it can be tested; the
 //! `gem` binary is a thin wrapper.
@@ -175,10 +172,6 @@ impl Params {
 
     fn str<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
         self.get(key).map(String::as_str).unwrap_or(default)
-    }
-
-    fn f64(&self, key: &str, default: f64) -> Result<f64, CliError> {
-        self.parsed(key, default, "a number")
     }
 
     fn bool(&self, key: &str, default: bool) -> Result<bool, CliError> {
@@ -428,7 +421,6 @@ struct ObsFlags {
     explain: bool,
     artifacts: Option<String>,
     recorder_cap: Option<usize>,
-    json_out: Option<String>,
     /// Filled in by `verify --auto`: the sampled decision, carried back
     /// so the stats report's config section can record it.
     strategy: Option<StrategyDecision>,
@@ -436,7 +428,7 @@ struct ObsFlags {
 
 /// Splits `--stats` / `--stats-json` / `--trace` / `--trace-out` /
 /// `--heartbeat` / `--jobs` / `--dedup` / `--por` / `--incr-check` /
-/// `--explain` / `--artifacts` / `--recorder-cap` / `--json` (either
+/// `--explain` / `--artifacts` / `--recorder-cap` (either
 /// `--flag value` or `--flag=value`) out of `args`, leaving positional
 /// arguments and `key=value` parameters untouched.
 fn split_flags(args: &[String]) -> Result<(Vec<String>, ObsFlags), CliError> {
@@ -521,7 +513,6 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, ObsFlags), CliError> {
                 })?;
                 flags.recorder_cap = Some(cap);
             }
-            "--json" => flags.json_out = Some(value("--json")?),
             "--heartbeat" => {
                 let v = value("--heartbeat")?;
                 let secs: f64 = v
@@ -579,7 +570,36 @@ fn recorder_capacity(flags: &ObsFlags) -> Result<usize, CliError> {
     }
 }
 
+/// Fails when a flag that writes its file after the command names a
+/// directory that does not exist, so a bad path costs no sweep.
+fn check_output_dirs(flags: &ObsFlags) -> Result<(), CliError> {
+    let outputs = [
+        ("--stats-json", &flags.stats_json),
+        ("--trace-out", &flags.trace_out),
+        ("--metrics-out", &flags.metrics_out),
+    ];
+    for (flag, path) in outputs {
+        let Some(path) = path else { continue };
+        let dir = match Path::new(path).parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        if !dir.is_dir() {
+            return Err(err(format!(
+                "{flag} {path:?}: directory {dir:?} does not exist"
+            )));
+        }
+    }
+    Ok(())
+}
+
 fn obs_setup(flags: &ObsFlags) -> Result<ObsSetup, CliError> {
+    // The artifact directory comes first: another output may live in it.
+    if let Some(dir) = &flags.artifacts {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| err(format!("cannot create artifact dir {dir:?}: {e}")))?;
+    }
+    check_output_dirs(flags)?;
     // `--explain` derives its verdicts from the aggregated report, so it
     // implies a stats sink even without `--stats`.
     let stats_sink = if flags.stats || flags.stats_json.is_some() || flags.explain {
@@ -626,8 +646,6 @@ fn obs_setup(flags: &ObsFlags) -> Result<ObsSetup, CliError> {
     // `--recorder-cap` probe events per thread plus live span stacks are
     // dumped to <dir>/crash.json if the process panics mid-sweep.
     if let Some(dir) = &flags.artifacts {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| err(format!("cannot create artifact dir {dir:?}: {e}")))?;
         let recorder = Arc::new(RecorderProbe::new(recorder_capacity(flags)?));
         install_crash_sink(recorder.clone(), Path::new(dir).join("crash.json"));
         sinks.push(recorder);
@@ -860,7 +878,6 @@ fn dispatch(args: &[String], obs: &ObsSetup, flags: &mut ObsFlags) -> Result<Str
                 .ok_or_else(|| err("replay needs an artifact directory"))?;
             replay_cmd(Path::new(dir), &obs.probe, flags)
         }
-        "bench-diff" => bench_diff_cmd(rest, flags.json_out.as_deref()),
         "metrics-lint" => {
             let path = rest.first().ok_or_else(|| {
                 err("metrics-lint needs an OpenMetrics file: gem metrics-lint <file>")
@@ -1650,170 +1667,6 @@ fn replay<S: Substrate>(sys: &S, inst: &Instance, recorded: &Recorded) -> Result
     }
 }
 
-/// Flattens a benchmark JSON file into `metric -> mean ns`. Accepts both
-/// gem-obs reports (criterion-shim output, `"timers"` section) and the
-/// committed `BENCH_*.json` trajectory files (their `"after"` section is
-/// the baseline).
-fn bench_metrics(v: &JsonValue, file: &str) -> Result<BTreeMap<String, f64>, CliError> {
-    let mut out = BTreeMap::new();
-    if let Some(timers) = v.get("timers").and_then(JsonValue::as_obj) {
-        for (name, t) in timers {
-            if let Some(mean) = t.get("mean_ns").and_then(JsonValue::as_f64) {
-                out.insert(name.clone(), mean);
-            }
-        }
-    } else if let Some(after) = v.get("after").and_then(JsonValue::as_obj) {
-        for (_bench, metrics) in after {
-            if let Some(metrics) = metrics.as_obj() {
-                for (name, ns) in metrics {
-                    if let Some(ns) = ns.as_f64() {
-                        out.insert(name.clone(), ns);
-                    }
-                }
-            }
-        }
-    }
-    if out.is_empty() {
-        return Err(err(format!(
-            "{file}: no timer metrics found (expected a gem-obs report with \"timers\" \
-             or a BENCH trajectory with \"after\")"
-        )));
-    }
-    Ok(out)
-}
-
-/// Serialises a bench-diff comparison as deterministic JSON (metrics in
-/// `BTreeMap` order) for CI consumption.
-fn bench_diff_json(
-    threshold: f64,
-    old: &BTreeMap<String, f64>,
-    new: &BTreeMap<String, f64>,
-    regressions: &[String],
-) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"threshold_pct\": {threshold},\n"));
-    out.push_str(&format!("  \"regressions\": {},\n", regressions.len()));
-    out.push_str("  \"metrics\": {\n");
-    let mut first = true;
-    for (name, old_ns) in old {
-        let Some(new_ns) = new.get(name) else {
-            continue;
-        };
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let delta = if *old_ns > 0.0 {
-            (new_ns - old_ns) / old_ns * 100.0
-        } else {
-            0.0
-        };
-        let mut entry = String::new();
-        gem_obs::json::push_json_str(&mut entry, name);
-        out.push_str(&format!(
-            "    {entry}: {{\"baseline_ns\": {old_ns:.0}, \"current_ns\": {new_ns:.0}, \
-             \"delta_pct\": {delta:.2}, \"regressed\": {}}}",
-            delta > threshold
-        ));
-    }
-    out.push_str("\n  }\n}\n");
-    out
-}
-
-fn bench_diff_cmd(rest: &[String], json_out: Option<&str>) -> Result<String, CliError> {
-    let usage = "bench-diff needs two report files: \
-                 gem bench-diff <baseline.json> <current.json> [threshold=25] \
-                 [limit:<metric>=<pct> ...] [--json <path>]";
-    let (old_path, rest) = rest.split_first().ok_or_else(|| err(usage))?;
-    let (new_path, rest) = rest.split_first().ok_or_else(|| err(usage))?;
-    let params = Params::parse(rest)?;
-    let threshold = params.f64("threshold", 25.0)?;
-    // Per-metric overrides tighten (or relax) the global threshold for
-    // named series — e.g. `limit:rw_verify/readers_priority_1r2w_dedup=50`
-    // keeps a once-regressing series on a shorter leash than the noise
-    // allowance the rest of the table gets.
-    let mut limits: BTreeMap<String, f64> = BTreeMap::new();
-    for (k, v) in &params.values {
-        if let Some(metric) = k.strip_prefix("limit:") {
-            let pct = v
-                .parse()
-                .map_err(|_| err(format!("{k} must be a number, got {v:?}")))?;
-            limits.insert(metric.to_owned(), pct);
-        }
-    }
-    let load = |path: &str| -> Result<BTreeMap<String, f64>, CliError> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-        let v = gem_obs::json::parse(&text).map_err(|e| err(format!("{path}: {e}")))?;
-        bench_metrics(&v, path)
-    };
-    let old = load(old_path)?;
-    let new = load(new_path)?;
-    let mut table = format!(
-        "{:<48} {:>14} {:>14} {:>9}\n",
-        "metric", "baseline_ns", "current_ns", "delta"
-    );
-    let mut regressions = Vec::new();
-    let mut shared = 0usize;
-    for (name, old_ns) in &old {
-        match new.get(name) {
-            None => table.push_str(&format!(
-                "{name:<48} {old_ns:>14.0} {:>14} {:>9}\n",
-                "-", "gone"
-            )),
-            Some(new_ns) => {
-                shared += 1;
-                let delta = if *old_ns > 0.0 {
-                    (new_ns - old_ns) / old_ns * 100.0
-                } else {
-                    0.0
-                };
-                table.push_str(&format!(
-                    "{name:<48} {old_ns:>14.0} {new_ns:>14.0} {delta:>+8.1}%\n"
-                ));
-                let limit = limits.get(name).copied().unwrap_or(threshold);
-                if delta > limit {
-                    regressions.push(format!("{name}: {delta:+.1}% (limit +{limit:.0}%)"));
-                }
-            }
-        }
-    }
-    for (name, new_ns) in &new {
-        if !old.contains_key(name) {
-            table.push_str(&format!(
-                "{name:<48} {:>14} {new_ns:>14.0} {:>9}\n",
-                "-", "new"
-            ));
-        }
-    }
-    if shared == 0 {
-        return Err(err(format!(
-            "{table}no shared metrics between {old_path} and {new_path} — nothing to gate"
-        )));
-    }
-    // The machine-readable summary is written in the regression case too
-    // — a failing gate is exactly when CI wants the numbers.
-    if let Some(path) = json_out {
-        write_atomic(
-            Path::new(path),
-            &bench_diff_json(threshold, &old, &new, &regressions),
-        )
-        .map_err(|e| err(format!("cannot write bench-diff JSON to {path:?}: {e}")))?;
-    }
-    if regressions.is_empty() {
-        Ok(format!(
-            "{table}no regression beyond +{threshold:.0}% across {shared} shared metric(s)"
-        ))
-    } else {
-        Err(err(format!(
-            "{table}REGRESSION: {} metric(s) past their limit (default +{threshold:.0}%):\n  {}",
-            regressions.len(),
-            regressions.join("\n  ")
-        )))
-    }
-}
-
 /// The usage string.
 pub fn usage() -> String {
     "usage: gem <command> [problem] [key=value ...] [flags]\n\
@@ -1831,9 +1684,6 @@ pub fn usage() -> String {
      \x20 dot <problem> [params]     emit one computation as Graphviz dot\n\
      \x20 replay <dir>               re-run a counterexample artifact's schedule\n\
      \x20                            and check it reproduces the recorded outcome\n\
-     \x20 bench-diff <old> <new> [threshold=25] [limit:<metric>=<pct> ...]\n\
-     \x20                            compare two bench/report JSON files; exits\n\
-     \x20                            nonzero past the regression threshold\n\
      \x20 metrics-lint <file>        validate an OpenMetrics exposition file\n\
      \x20                            (as written by --metrics-out)\n\
      flags (allowed anywhere on the command line):\n\
@@ -1870,8 +1720,6 @@ pub fn usage() -> String {
      \x20                            arm a crash-dump flight recorder\n\
      \x20 --recorder-cap <n>         flight-recorder events kept per thread\n\
      \x20                            (default 256; env GEM_RECORDER_CAP)\n\
-     \x20 --json <path>              on bench-diff, also write the comparison\n\
-     \x20                            as machine-readable JSON\n\
      problems: one-slot, bounded, rw, db-update, life, philosophers\n\
      examples:\n\
      \x20 gem verify rw readers=1 writers=2 variant=readers\n\
@@ -2294,30 +2142,24 @@ mod tests {
     }
 
     #[test]
-    fn bench_diff_json_flag_writes_machine_summary() {
-        let dir = std::env::temp_dir().join("gem-cli-test-bench-diff");
+    fn output_flags_fail_before_the_sweep() {
+        // A missing directory is reported up front, naming the flag, and
+        // the 6297-run bounded sweep never starts: the `--trace` stream,
+        // opened after the check, is never created.
+        let dir = std::env::temp_dir().join("gem-cli-test-output-dirs");
         std::fs::create_dir_all(&dir).unwrap();
-        let report = dir.join("report.json");
-        let out_json = dir.join("diff.json");
-        std::fs::write(
-            &report,
-            "{\"timers\": {\"verify\": {\"count\": 1, \"total_ns\": 100, \
-             \"min_ns\": 100, \"max_ns\": 100, \"mean_ns\": 100}}}",
-        )
-        .unwrap();
-        let report_s = report.to_str().unwrap().to_owned();
-        let out_s = out_json.to_str().unwrap().to_owned();
-        runv(&["bench-diff", &report_s, &report_s, "--json", &out_s]).unwrap();
-        let text = std::fs::read_to_string(&out_json).unwrap();
-        let parsed = gem_obs::json::parse(&text).unwrap();
-        assert_eq!(
-            parsed.get("regressions").and_then(JsonValue::as_u64),
-            Some(0)
-        );
-        assert!(parsed
-            .get("metrics")
-            .and_then(|m| m.get("verify"))
-            .is_some());
+        let trace = dir.join("trace.jsonl");
+        std::fs::remove_file(&trace).ok();
+        let trace_s = trace.to_str().unwrap().to_owned();
+        let missing = dir.join("missing").join("x.json");
+        let missing = missing.to_str().unwrap();
+        for flag in ["--stats-json", "--trace-out", "--metrics-out"] {
+            let args = ["verify", "bounded", flag, missing, "--trace", &trace_s];
+            let msg = runv(&args).unwrap_err().to_string();
+            assert!(msg.starts_with(flag), "{msg}");
+            assert!(msg.contains("does not exist"), "{msg}");
+            assert!(!trace.exists(), "{flag}: the sweep ran first");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -45,8 +45,8 @@
 //!   thread a probe argument through (formula evaluation, closure
 //!   construction, history materialization). Inactive cost is one atomic
 //!   load.
-//! * [`json`] — serde-free JSON emission + parsing used by reports,
-//!   forensic artifacts, and `gem bench-diff`.
+//! * [`json`] — serde-free JSON emission + parsing used by reports and
+//!   forensic artifacts.
 //! * [`write_atomic`] — temp-file + rename emission so CI never reads a
 //!   half-written report.
 //!

@@ -4,9 +4,10 @@
 //! repaid: `--dedup` pays a confirmation-key serialisation per run and
 //! wins only when many runs collapse to few computations; `--por` prunes
 //! whole subtrees but only when the independence oracle actually grants
-//! commutations. BENCH_verify.json shows both flags *regressing* on the
-//! wrong instances (bounded_monitor_dedup 3.4× slower than plain), so a
-//! fixed default cannot be right.
+//! commutations. The F7 measurements in EXPERIMENTS.md show both flags
+//! *regressing* on the wrong instances (`--dedup` made the bounded
+//! monitor sweep 3.4× slower than plain), so a fixed default cannot be
+//! right.
 //!
 //! [`sample_evidence`] runs a few hundred [`Explorer::sample_run`] Knuth
 //! probes — deterministic, probe-silent, and cheap relative to a sweep —

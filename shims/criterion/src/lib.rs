@@ -8,23 +8,14 @@
 //! `bench_with_input` / `bench_function`, [`BenchmarkId`], and
 //! `Bencher::iter`.
 //!
-//! Measurements are real wall-clock samples (median-reported), not
-//! criterion's bootstrapped statistics. Every run also appends its
-//! timings to a [`gem_obs::Report`] and writes
-//! `target/gem-bench-reports/<benchmark-binary>.json` (override the
-//! directory with `GEM_BENCH_REPORT_DIR`), so bench runs populate the
-//! same machine-readable perf trajectory as `gem --stats-json`. Reports
-//! are written atomically, so a concurrent reader never sees a torn
-//! file. Setting `GEM_BENCH_QUICK=1` clamps sample counts and time
-//! budgets to a smoke-test scale for CI gates.
+//! Measurements are real wall-clock samples, and each benchmark prints
+//! its median per iteration, not criterion's bootstrapped statistics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
 use std::time::{Duration, Instant};
-
-use gem_obs::Report;
 
 /// Identifies one benchmark within a group: `function_id/parameter`.
 #[derive(Clone, Debug)]
@@ -90,10 +81,6 @@ impl Bencher<'_> {
     }
 }
 
-/// Budgets applied by `GEM_BENCH_QUICK` (see [`Criterion::apply_cli_args`]).
-const QUICK_MEASUREMENT: Duration = Duration::from_millis(50);
-const QUICK_WARM_UP: Duration = Duration::from_millis(10);
-
 #[derive(Clone, Debug)]
 struct Config {
     sample_size: usize,
@@ -111,12 +98,12 @@ impl Default for Config {
     }
 }
 
-/// The harness: collects benchmark results and writes the JSON report.
+/// The harness: runs the benchmarks that pass the filter and prints
+/// their medians.
 #[derive(Debug, Default)]
 pub struct Criterion {
     config: Config,
     filter: Option<String>,
-    report: Report,
 }
 
 impl Criterion {
@@ -153,15 +140,6 @@ impl Criterion {
                 self.filter = Some(a);
             }
         }
-        // GEM_BENCH_QUICK clamps every budget so a full `cargo bench`
-        // sweep finishes in seconds — a smoke/regression-gate mode, not a
-        // measurement mode. Set by CI; numbers are NOT comparable to
-        // committed BENCH baselines.
-        if std::env::var_os("GEM_BENCH_QUICK").is_some() {
-            self.config.sample_size = self.config.sample_size.min(3);
-            self.config.measurement_time = self.config.measurement_time.min(QUICK_MEASUREMENT);
-            self.config.warm_up_time = self.config.warm_up_time.min(QUICK_WARM_UP);
-        }
     }
 
     /// Starts a named benchmark group.
@@ -181,7 +159,7 @@ impl Criterion {
         self
     }
 
-    fn run_one<F>(&mut self, full_id: &str, f: F)
+    fn run_one<F>(&self, full_id: &str, f: F)
     where
         F: FnOnce(&mut Bencher<'_>),
     {
@@ -196,178 +174,8 @@ impl Criterion {
         };
         f(&mut b);
         match b.result_ns {
-            Some(ns) => {
-                println!("{full_id:<48} {:>14}/iter", format_ns(ns));
-                self.report
-                    .timers
-                    .entry(full_id.to_owned())
-                    .or_default()
-                    .record(ns);
-            }
+            Some(ns) => println!("{full_id:<48} {:>14}/iter", format_ns(ns)),
             None => println!("{full_id:<48} (no measurement)"),
-        }
-    }
-
-    /// Writes the accumulated report (called by `criterion_main!`).
-    pub fn finalize(&mut self) {
-        if self.report.timers.is_empty() {
-            return;
-        }
-        let binary = std::env::args()
-            .next()
-            .and_then(|p| {
-                std::path::Path::new(&p)
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-            })
-            .unwrap_or_else(|| "bench".to_owned());
-        // Cargo suffixes bench binaries with a metadata hash; drop it so
-        // report paths are stable across rebuilds.
-        let name = match binary.rsplit_once('-') {
-            Some((stem, hash))
-                if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) =>
-            {
-                stem.to_owned()
-            }
-            _ => binary,
-        };
-        self.report.meta.insert("benchmark".into(), name.clone());
-        // Cargo runs bench binaries with cwd = the package directory, so a
-        // bare relative default would scatter reports; anchor the default
-        // to the target dir the binary itself lives in
-        // (`target/<profile>/deps/<bin>` → `target`).
-        let dir = std::env::var("GEM_BENCH_REPORT_DIR").unwrap_or_else(|_| {
-            std::env::args()
-                .next()
-                .and_then(|p| {
-                    std::path::Path::new(&p)
-                        .ancestors()
-                        .nth(3)
-                        .map(|t| t.join("gem-bench-reports").to_string_lossy().into_owned())
-                })
-                .unwrap_or_else(|| "target/gem-bench-reports".to_owned())
-        });
-        let path = std::path::Path::new(&dir).join(format!("{name}.json"));
-        if std::fs::create_dir_all(&dir).is_ok() {
-            // Atomic so `gem bench-diff` can never read a half-written
-            // report from a concurrent bench run.
-            match gem_obs::write_atomic(&path, &self.report.to_json()) {
-                Ok(()) => println!("report: {}", path.display()),
-                Err(e) => eprintln!("criterion shim: cannot write {}: {e}", path.display()),
-            }
-        }
-        // GEM_BENCH_TRAJECTORY=<BENCH_*.json> folds this run's means into
-        // the committed trajectory file's "after" section, keyed by the
-        // bench binary name — the bridge between ad-hoc bench runs and
-        // the repo-root baselines `gem bench-diff` gates against (see
-        // docs/PERFORMANCE.md, "Benchmark report contract").
-        if let Some(traj) = std::env::var_os("GEM_BENCH_TRAJECTORY") {
-            let traj = std::path::PathBuf::from(traj);
-            match merge_trajectory(&traj, &name, &self.report) {
-                Ok(()) => println!("trajectory: {} (after.{name})", traj.display()),
-                Err(e) => eprintln!(
-                    "criterion shim: cannot update trajectory {}: {e}",
-                    traj.display()
-                ),
-            }
-        }
-    }
-}
-
-/// Replaces the `after.<bench>` entries matching this run's timer ids in
-/// the trajectory file at `path`, preserving everything else (meta,
-/// before, other benches, timers not re-measured this run). The file must
-/// already exist with an object root — trajectory files are committed
-/// artifacts with hand-written meta, not something a bench run invents.
-fn merge_trajectory(path: &std::path::Path, bench: &str, report: &Report) -> Result<(), String> {
-    use gem_obs::json::JsonValue;
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = gem_obs::json::parse(&text)?;
-    let JsonValue::Obj(mut root) = doc else {
-        return Err("trajectory root is not an object".into());
-    };
-    let after = match root.iter_mut().find(|(k, _)| k == "after") {
-        Some((_, v)) => v,
-        None => {
-            root.push(("after".into(), JsonValue::Obj(Vec::new())));
-            &mut root.last_mut().expect("just pushed").1
-        }
-    };
-    let JsonValue::Obj(benches) = after else {
-        return Err("\"after\" is not an object".into());
-    };
-    let entries = match benches.iter_mut().find(|(k, _)| k == bench) {
-        Some((_, v)) => v,
-        None => {
-            benches.push((bench.to_owned(), JsonValue::Obj(Vec::new())));
-            &mut benches.last_mut().expect("just pushed").1
-        }
-    };
-    let JsonValue::Obj(entries) = entries else {
-        return Err(format!("\"after\".{bench:?} is not an object"));
-    };
-    for (id, stat) in &report.timers {
-        let mean = JsonValue::Num(stat.mean_ns() as f64);
-        match entries.iter_mut().find(|(k, _)| k == id) {
-            Some((_, v)) => *v = mean,
-            None => entries.push((id.clone(), mean)),
-        }
-    }
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = String::new();
-    render_json(&JsonValue::Obj(root), 0, &mut out);
-    out.push('\n');
-    gem_obs::write_atomic(path, &out).map_err(|e| e.to_string())
-}
-
-/// Pretty-prints a [`gem_obs::json::JsonValue`] with two-space indents —
-/// the layout of the committed `BENCH_*.json` files, so merged updates
-/// diff cleanly against their history.
-fn render_json(v: &gem_obs::json::JsonValue, indent: usize, out: &mut String) {
-    use gem_obs::json::JsonValue;
-    let pad = "  ".repeat(indent);
-    match v {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
-        }
-        JsonValue::Str(s) => gem_obs::json::push_json_str(out, s),
-        JsonValue::Arr(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                out.push_str(&pad);
-                out.push_str("  ");
-                render_json(item, indent + 1, out);
-                out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-            }
-            out.push_str(&pad);
-            out.push(']');
-        }
-        JsonValue::Obj(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            for (i, (k, val)) in fields.iter().enumerate() {
-                out.push_str(&pad);
-                out.push_str("  ");
-                gem_obs::json::push_json_str(out, k);
-                out.push_str(": ");
-                render_json(val, indent + 1, out);
-                out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-            }
-            out.push_str(&pad);
-            out.push('}');
         }
     }
 }
@@ -430,7 +238,6 @@ macro_rules! criterion_group {
             let mut c: $crate::Criterion = $config;
             c.apply_cli_args();
             $($target(&mut c);)+
-            c.finalize();
         }
     };
     ($name:ident, $($target:path),+ $(,)?) => {
@@ -457,7 +264,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bencher_measures_and_reports() {
+    fn bencher_runs_the_routine() {
         let mut c = Criterion::default()
             .sample_size(3)
             .measurement_time(Duration::from_millis(20))
@@ -471,7 +278,6 @@ mod tests {
         });
         group.finish();
         assert!(calls > 0, "routine actually ran");
-        assert!(c.report.timers.contains_key("g/inc/1"));
     }
 
     #[test]
@@ -487,71 +293,10 @@ mod tests {
             b.iter(|| ());
         });
         assert!(!ran);
-        assert!(c.report.timers.is_empty());
     }
 
     #[test]
     fn benchmark_id_renders() {
         assert_eq!(BenchmarkId::new("build", 42).to_string(), "build/42");
-    }
-
-    #[test]
-    fn merge_trajectory_updates_only_matching_after_entries() {
-        let dir = std::env::temp_dir().join(format!("gem-shim-traj-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_test.json");
-        std::fs::write(
-            &path,
-            r#"{
-  "meta": {"headline": "unchanged"},
-  "before": {"rw": {"rw/a": 100}},
-  "after": {"rw": {"rw/a": 50, "rw/b": 70}, "other": {"other/x": 9}}
-}"#,
-        )
-        .unwrap();
-        let mut report = Report::default();
-        report.timers.entry("rw/a".into()).or_default().record(42);
-        report.timers.entry("rw/c".into()).or_default().record(7);
-        merge_trajectory(&path, "rw", &report).unwrap();
-        let doc = gem_obs::json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let rw = doc.get("after").unwrap().get("rw").unwrap();
-        assert_eq!(rw.get("rw/a").unwrap().as_u64(), Some(42), "remeasured");
-        assert_eq!(rw.get("rw/b").unwrap().as_u64(), Some(70), "untouched");
-        assert_eq!(rw.get("rw/c").unwrap().as_u64(), Some(7), "new series");
-        assert_eq!(
-            doc.get("after")
-                .unwrap()
-                .get("other")
-                .unwrap()
-                .get("other/x")
-                .unwrap()
-                .as_u64(),
-            Some(9),
-            "other benches preserved"
-        );
-        assert_eq!(
-            doc.get("before")
-                .unwrap()
-                .get("rw")
-                .unwrap()
-                .get("rw/a")
-                .unwrap()
-                .as_u64(),
-            Some(100),
-            "before section never touched"
-        );
-        assert_eq!(
-            doc.get("meta").unwrap().get("headline").unwrap().as_str(),
-            Some("unchanged")
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn merge_trajectory_requires_an_existing_file() {
-        let missing = std::env::temp_dir().join("gem-shim-traj-missing/BENCH_none.json");
-        let mut report = Report::default();
-        report.timers.entry("x".into()).or_default().record(1);
-        assert!(merge_trajectory(&missing, "rw", &report).is_err());
     }
 }

@@ -409,6 +409,48 @@ fn cli_artifacts_and_stats_agree_across_modes() {
 }
 
 #[test]
+fn cli_incremental_checker_proves_every_leaf_clean() {
+    // The fast path itself, not only its invisibility: on these holding
+    // instances the incremental checker judges every leaf, so no leaf is
+    // sealed and batch-checked. The run counts pin the instances.
+    let cases: [(&[&str], u64); 4] = [
+        (&["rw", "readers=1", "writers=2", "variant=readers"], 2_070),
+        (
+            &[
+                "rw",
+                "readers=2",
+                "writers=1",
+                "monitor=writers",
+                "variant=writers",
+            ],
+            5_394,
+        ),
+        (&["bounded", "items=4", "cap=2"], 6_297),
+        (&["bounded", "items=4", "cap=2", "substrate=ada"], 2_008),
+    ];
+    let dir = std::env::temp_dir().join(format!("gem-incr-clean-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let stats = dir.join("stats.json");
+    for (instance, runs) in cases {
+        let mut args = vec!["verify"];
+        args.extend_from_slice(instance);
+        args.extend(["--stats-json", stats.to_str().expect("utf-8")]);
+        args.extend(["--heartbeat", "0"]);
+        let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+        let out = gem_cli::run(&args).expect("cli run");
+        assert!(out.contains("HOLDS"), "{instance:?}: {out}");
+        let report =
+            gem::obs::Report::from_json(&std::fs::read_to_string(&stats).expect("stats written"))
+                .expect("valid report");
+        let counter = |name: &str| report.counters.get(name).copied();
+        assert_eq!(counter("explore.runs"), Some(runs), "{instance:?}");
+        assert_eq!(counter("logic.incr.leaf_clean"), Some(runs), "{instance:?}");
+        assert_eq!(counter("logic.incr.leaf_fallback"), None, "{instance:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cli_auto_strategy_agrees_across_modes() {
     // `--auto` picks the strategy before the sweep; whatever it picks,
     // the verdict line must not depend on the incr mode.
