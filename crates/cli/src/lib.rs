@@ -316,7 +316,7 @@ pub fn instance(problem: &str, p: &Params) -> Result<Instance, CliError> {
         "rw" => {
             let readers = p.usize("readers", 1)?;
             let writers = p.usize("writers", 2)?;
-            let rounds = p.usize("rounds", 1)?;
+            let rounds = p.usize_min("rounds", 1, 1)?;
             let with_data = p.bool("data", false)?;
             let variant = parse_rw_variant(p.str("variant", "readers"))?;
             let monitor = match p.str("monitor", "readers") {
@@ -1825,6 +1825,7 @@ mod tests {
             (["verify", "philosophers", "n=1"], "n"),
             (["verify", "db-update", "sites=0"], "sites"),
             (["verify", "life", "gens=0"], "gens"),
+            (["verify", "rw", "rounds=0"], "rounds"),
         ] {
             let e = runv(&args).unwrap_err().to_string();
             assert!(

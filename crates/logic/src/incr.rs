@@ -13,10 +13,11 @@
 //!
 //! Three shapes are supported (everything else falls back to batch):
 //!
-//! 1. **Leaf** — non-temporal restrictions. These are immediate
-//!    assertions evaluated on the single full history
-//!    (`Strategy::Complete` semantics), so nothing per-prefix is needed:
-//!    the caller runs the one formula evaluator,
+//! 1. **Leaf** — restrictions with one value on every history sequence
+//!    of a computation: non-temporal ones (immediate assertions,
+//!    `Strategy::Complete` semantics) and history-stable temporal ones
+//!    (below). Nothing per-prefix is needed: the caller runs the one
+//!    formula evaluator,
 //!    [`holds_on_computation`](crate::holds_on_computation), at the leaf
 //!    over a [`World`] backed by its incremental projection state,
 //!    skipping seal/projection entirely. Nothing is compiled for them.
@@ -33,6 +34,28 @@
 //!    downsets `D₁ ⊆ D₂` with `γ` at `D₁` and `¬δ` at `D₂`; the minimal
 //!    witnesses are `down(In₁)` and `down(In₁ ∪ In₂)`.
 //!
+//! ## History-stable restrictions
+//!
+//! A temporal restriction is a leaf when every temporal operator is a
+//! `◇g` whose body `g` is non-temporal and upward-closed in the history,
+//! and every atom outside the `◇`s is history-independent. In `g`,
+//! `occurred`, `⊳`, `⇒ₑ`, `⇒` and `concurrent` appear only in positive
+//! position; `@`, `:`, selector match, `=`, the thread atoms and value
+//! comparisons in either; `∃!` and at-most-one only over
+//! history-independent bodies; `at`, `new` and `potential` not at all.
+//! Quantifiers range over all events, so they keep `g` upward-closed.
+//! The argument: every valid history sequence grows from the empty
+//! history to the complete one (§7), so an upward-closed `g` holds at
+//! some history of any suffix exactly when it holds at the complete
+//! history. `◇g` is therefore `g` at the complete history on every
+//! suffix of every sequence, the history-independent atoms around it
+//! read the same at every history, and the restriction has one value on
+//! all sequences: the value the full-history evaluation gives, where
+//! `◇g` is `g` at the one complete history. The outer condition is
+//! needed: in `∀r (occurred(r) ⊃ ◇φ)` the batch checker reads the outer
+//! `occurred` at the empty first history and finds the formula vacuously
+//! true, while the full history would judge `◇φ` for every `r`.
+//!
 //! ## Why once-per-event is enough
 //!
 //! For simulation-grown computations every edge targets the newest
@@ -45,7 +68,7 @@
 //! exactly once — when its newest event arrives — and violations are
 //! sticky for the whole DFS subtree below that point.
 //!
-//! Unsupported constructs inside a temporal body (positive `∃`, inner
+//! Unsupported constructs inside a `◻` body (positive `∃`, inner
 //! `∀`/`◇`, `new`/`potential`, non-variable event terms, thread-instance
 //! selectors, order atoms under an `∃`) make the truth of a fixed-downset
 //! body time-dependent or require re-visiting old bindings; [`compile`]
@@ -63,13 +86,16 @@ use crate::{Atom, CmpOp, EvalError, EventSel, EventTerm, Formula, ParamRef, Valu
 /// restriction under `logic.incr.*` so fallbacks are attributable.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum FallbackReason {
-    /// Temporal structure other than `◻∀*(body)` / `◻∀*(γ ⊃ ◻δ)` — e.g.
-    /// `◇`, nested quantifier/temporal mixes.
+    /// Temporal structure other than `◻∀*(body)`, `◻∀*(γ ⊃ ◻δ)` or a
+    /// history-stable `◇` — e.g. `◻` and `◇` in one restriction, a `◇`
+    /// body that is not upward-closed (`◇¬occurred(e)`), or an
+    /// occurrence atom outside the `◇`s.
     TemporalShape,
     /// A positive existential (or negated universal) inside a temporal
     /// body — would require re-checking old bindings as witnesses arrive.
     PositiveExists,
-    /// `new` / `potential` — time-dependent at a fixed downset.
+    /// `new` / `potential` — time-dependent at a fixed downset — or, in a
+    /// `◇` restriction, also `at`: none of them is upward-closed.
     TimeDependentAtom,
     /// A non-variable event term (`EL^i` / fixed id) inside a temporal
     /// body — its resolution changes as events arrive.
@@ -105,7 +131,8 @@ impl fmt::Display for FallbackReason {
 /// A compiled restriction.
 #[derive(Clone, Debug)]
 pub enum Compiled {
-    /// Non-temporal: evaluate the original formula at the leaf with
+    /// Non-temporal or history-stable (see the module docs): evaluate the
+    /// original formula at the leaf with
     /// [`holds_on_computation`](crate::holds_on_computation) over the
     /// caller's [`World`].
     Leaf,
@@ -115,7 +142,7 @@ pub enum Compiled {
 }
 
 impl Compiled {
-    /// True for the non-temporal leaf shape.
+    /// True for the leaf shape.
     pub fn is_leaf(&self) -> bool {
         matches!(self, Compiled::Leaf)
     }
@@ -236,12 +263,12 @@ const DNF_BUDGET: usize = 128;
 /// records it and keeps using [`check_many`](crate::check_many) for this
 /// restriction.
 pub fn compile(formula: &Formula) -> Result<Compiled, FallbackReason> {
-    if !formula.is_temporal() {
-        check_leaf_supported(formula, &mut Vec::new())?;
-        return Ok(Compiled::Leaf);
-    }
     let Formula::Henceforth(body) = formula else {
-        return Err(FallbackReason::TemporalShape);
+        check_leaf_supported(formula, &mut Vec::new())?;
+        if formula.is_temporal() {
+            history_stable(formula, false, None)?;
+        }
+        return Ok(Compiled::Leaf);
     };
     // Peel the ∀ prefix.
     let mut vars: Vec<QVar> = Vec::new();
@@ -372,6 +399,70 @@ fn check_leaf_supported<'a>(
             bound.pop();
             r
         }
+    }
+}
+
+/// Accepts a formula whose value is the same on every history sequence
+/// of a computation: every temporal operator is a `◇g` with `g`
+/// non-temporal and upward-closed in the history, and every atom outside
+/// the `◇`s is history-independent. `in_eventually` is true below a `◇`;
+/// `pol` is the polarity there (`Some(true)` positive, `Some(false)`
+/// negative, `None` both, as under `⟺`, `∃!` and at-most-one). Outside a
+/// `◇` every position counts as both polarities.
+fn history_stable(
+    f: &Formula,
+    in_eventually: bool,
+    pol: Option<bool>,
+) -> Result<(), FallbackReason> {
+    match f {
+        Formula::True | Formula::False => Ok(()),
+        // No wildcard: a new atom must be classified here, because a
+        // wrong "history-independent" turns a violation into a clean leaf.
+        Formula::Atom(a) => match a {
+            Atom::New(_) | Atom::Potential(_) | Atom::AtControlPoint(..) => {
+                Err(FallbackReason::TimeDependentAtom)
+            }
+            // Occurrence and the order atoms only grow with the history,
+            // so they may appear where a larger history can only help.
+            Atom::Occurred(_)
+            | Atom::Enables(..)
+            | Atom::ElementPrecedes(..)
+            | Atom::TemporallyPrecedes(..)
+            | Atom::Concurrent(..) => {
+                if in_eventually && pol == Some(true) {
+                    Ok(())
+                } else {
+                    Err(FallbackReason::TemporalShape)
+                }
+            }
+            Atom::AtElement(..)
+            | Atom::InClass(..)
+            | Atom::Matches(..)
+            | Atom::EventEq(..)
+            | Atom::SameThread(..)
+            | Atom::DistinctThreads(..)
+            | Atom::ValueCmp(..) => Ok(()),
+        },
+        Formula::Not(g) => history_stable(g, in_eventually, pol.map(|p| !p)),
+        Formula::And(fs) | Formula::Or(fs) => fs
+            .iter()
+            .try_for_each(|g| history_stable(g, in_eventually, pol)),
+        Formula::Implies(a, b) => {
+            history_stable(a, in_eventually, pol.map(|p| !p))?;
+            history_stable(b, in_eventually, pol)
+        }
+        Formula::Iff(a, b) => {
+            history_stable(a, in_eventually, None)?;
+            history_stable(b, in_eventually, None)
+        }
+        Formula::ForAll(_, _, g) | Formula::Exists(_, _, g) => {
+            history_stable(g, in_eventually, pol)
+        }
+        Formula::ExistsUnique(_, _, g) | Formula::AtMostOne(_, _, g) => {
+            history_stable(g, in_eventually, None)
+        }
+        Formula::Eventually(g) if !in_eventually => history_stable(g, true, Some(true)),
+        Formula::Eventually(_) | Formula::Henceforth(_) => Err(FallbackReason::TemporalShape),
     }
 }
 
@@ -1161,13 +1252,183 @@ mod tests {
         assert!(leaf);
     }
 
+    /// `∀r:Req ◇ ∃s:sel (same_thread(r, s) ∧ occurred(s))`, the shape of
+    /// the readers/writers progress restrictions.
+    fn eventually_serviced(c: &Computation, sel: EventSel) -> Formula {
+        let req = c.structure().class("Req").unwrap();
+        let ty = ThreadTypeId::from_raw(0);
+        Formula::forall(
+            "r",
+            EventSel::of_class(req),
+            Formula::exists(
+                "s",
+                sel,
+                Formula::same_thread("r", "s", ty).and(Formula::occurred("s")),
+            )
+            .eventually(),
+        )
+    }
+
     #[test]
-    fn eventually_falls_back() {
-        let f = Formula::occurred("e").eventually();
-        assert!(matches!(
-            compile(&Formula::forall("e", EventSel::any(), f).henceforth()),
-            Err(FallbackReason::TemporalShape)
-        ));
+    fn history_stable_eventually_is_a_leaf_and_matches_batch() {
+        for interleave in [false, true] {
+            let c = two_user_comp(interleave);
+            let s = c.structure();
+            let (start, end) = (s.class("Start").unwrap(), s.class("End").unwrap());
+            let u2 = s.element("U2").unwrap();
+            // Every request starts: holds. Every request ends at U2: fails
+            // for user 1's request, whose thread ends at U1.
+            let holding = eventually_serviced(&c, EventSel::of_class(start));
+            let failing = eventually_serviced(&c, EventSel::of_class(end).at(u2));
+            for (f, expect) in [(holding, true), (failing, false)] {
+                assert!(compile(&f).unwrap().is_leaf(), "{f:?}");
+                let leaf = crate::holds_on_computation(&f, &c).unwrap();
+                assert_eq!(leaf, expect, "interleave={interleave}");
+                for strategy in [
+                    crate::Strategy::Linearizations { limit: 100_000 },
+                    crate::Strategy::StepSequences { limit: 100_000 },
+                ] {
+                    let batch = crate::check(&f, &c, strategy).unwrap();
+                    assert_eq!(batch.holds, leaf, "interleave={interleave} {strategy:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn history_stable_rule_rejections() {
+        use FallbackReason::{
+            TemporalShape, ThreadInstanceSel, TimeDependentAtom, UnboundVariable,
+        };
+        let all = |v: &str, f: Formula| Formula::forall(v, EventSel::any(), f);
+        let all2 = |f: Formula| all("a", all("b", f));
+        let occ = || Formula::occurred("e");
+        let tag = gem_core::ThreadTag::new(ThreadTypeId::from_raw(0), 0);
+        let cases = [
+            // ◻ beside ◇, and a ◇ inside a ◇.
+            (all("e", occ().eventually()).henceforth(), TemporalShape),
+            (all("e", occ().eventually().eventually()), TemporalShape),
+            // Occurrence and order atoms in negative position under ◇.
+            (all("e", occ().not().eventually()), TemporalShape),
+            (
+                all2(Formula::precedes("a", "b").not().eventually()),
+                TemporalShape,
+            ),
+            (
+                all2(Formula::enables("a", "b").not().eventually()),
+                TemporalShape,
+            ),
+            (
+                all2(Formula::element_precedes("a", "b").not().eventually()),
+                TemporalShape,
+            ),
+            (
+                all2(Formula::concurrent("a", "b").not().eventually()),
+                TemporalShape,
+            ),
+            (
+                all("e", occ().implies(Formula::False).eventually()),
+                TemporalShape,
+            ),
+            // Both polarities: ⟺, and ∃!/at-most-one over a
+            // history-dependent body.
+            (
+                all("e", occ().iff(Formula::False).eventually()),
+                TemporalShape,
+            ),
+            (
+                Formula::exists_unique("e", EventSel::any(), occ()).eventually(),
+                TemporalShape,
+            ),
+            (
+                Formula::at_most_one("e", EventSel::any(), occ()).eventually(),
+                TemporalShape,
+            ),
+            // Atoms that are not upward-closed.
+            (
+                all("e", Formula::is_new("e").eventually()),
+                TimeDependentAtom,
+            ),
+            (
+                all("e", Formula::potential("e").eventually()),
+                TimeDependentAtom,
+            ),
+            (
+                all("e", Formula::at_control("e", EventSel::any()).eventually()),
+                TimeDependentAtom,
+            ),
+            // A history-dependent atom outside the ◇s.
+            (all("e", occ().implies(occ().eventually())), TemporalShape),
+            (
+                all2(Formula::enables("a", "b").and(Formula::occurred("b").eventually())),
+                TemporalShape,
+            ),
+            // The leaf checks still apply.
+            (Formula::occurred("ghost").eventually(), UnboundVariable),
+            (
+                Formula::forall("e", EventSel::any().in_thread(tag), occ().eventually()),
+                ThreadInstanceSel,
+            ),
+        ];
+        for (f, reason) in cases {
+            assert_eq!(compile(&f).err(), Some(reason), "{f:?}");
+        }
+        // What the rule allows: history-independent atoms in either
+        // polarity on both sides of ◇, ∃! over a history-independent
+        // body, and a ◇ in negative position.
+        let accepted = [
+            all2(
+                Formula::event_eq("a", "b").not().implies(
+                    Formula::occurred("a")
+                        .and(Formula::event_eq("a", "b").not())
+                        .eventually(),
+                ),
+            ),
+            Formula::exists_unique("e", EventSel::any(), Formula::event_eq("e", "e"))
+                .and(Formula::True)
+                .eventually(),
+            all2(
+                Formula::precedes("a", "b")
+                    .or(Formula::concurrent("a", "b"))
+                    .eventually()
+                    .not(),
+            ),
+            all(
+                "e",
+                Formula::exists("f", EventSel::any(), Formula::enables("e", "f")).eventually(),
+            ),
+        ];
+        for f in accepted {
+            assert!(compile(&f).unwrap().is_leaf(), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn outer_occurrence_is_vacuous_in_batch_but_not_at_the_full_history() {
+        // One request with no start. `∀r (occurred(r) ⊃ ◇∃s …)` is read at
+        // the empty first history of every sequence, so batch finds it
+        // vacuously true; the full history would judge the ◇ and fail it.
+        // That disagreement is why the rule rejects it.
+        use gem_core::ThreadTag;
+        let mut s = Structure::new();
+        let req = s.add_class("Req", &[]).unwrap();
+        let start = s.add_class("Start", &[]).unwrap();
+        let u = s.add_element("U", &[req, start]).unwrap();
+        let mut b = ComputationBuilder::new(s);
+        let r = b.add_event(u, req, vec![]).unwrap();
+        b.tag_thread(r, ThreadTag::new(ThreadTypeId::from_raw(0), 0))
+            .unwrap();
+        let c = b.seal().unwrap();
+        let Formula::ForAll(v, sel, body) = eventually_serviced(&c, EventSel::of_class(start))
+        else {
+            unreachable!("a ∀ prefix");
+        };
+        let f = Formula::forall(v.clone(), sel, Formula::occurred(v.as_str()).implies(*body));
+        assert_eq!(compile(&f).err(), Some(FallbackReason::TemporalShape));
+        let batch =
+            crate::check(&f, &c, crate::Strategy::Linearizations { limit: 100_000 }).unwrap();
+        assert!(batch.holds);
+        assert!(!crate::holds_on_computation(&f, &c).unwrap());
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   computation with [`check_many`] (or [`check`] for one) under a
 //!   [`Strategy`]: one shared walk over the sequences.
 //! * [`incr`] compiles `◻∀*` restrictions into per-event evaluators for
-//!   prefix-sharing exploration.
+//!   prefix-sharing exploration, and marks the restrictions with one value
+//!   on every history sequence (non-temporal, or history-stable `◇`) for
+//!   a single evaluation at the leaf.
 //!
 //! ## Example: a safety restriction over all interleavings
 //!

@@ -35,7 +35,9 @@
 //! newest event arrives — and a clean verdict at the leaf means *no*
 //! binding over *any* downset falsifies, which implies the batch checker
 //! (which samples history sequences of the same computation) also finds
-//! no counterexample. Equal stamps mean the same event with the same
+//! no counterexample. Leaf restrictions have the same value on every
+//! history sequence ([`gem_logic::incr`]), so judging them once on the
+//! complete leaf computation is exact. Equal stamps mean the same event with the same
 //! incoming edges, in any builder (clones draw their own stamps), so the
 //! state kept for the events before the first differing stamp is exactly
 //! the state a fresh replay would build. A journal whose targets run out
@@ -373,9 +375,9 @@ impl IncrChecker {
             obs_add("logic.incr.leaf_fallback", 1);
             return LeafStatus::Fallback;
         }
-        // Non-temporal restrictions: immediate assertions on the one full
-        // history, decided at the leaf by the batch evaluator reading the
-        // synced projection.
+        // Leaf restrictions (non-temporal or history-stable `◇`) have one
+        // value on every history sequence: the one the batch evaluator
+        // gives on the full history, reading the synced projection.
         let world = SpecWorld {
             spec: &self.spec,
             threads: &self.threads,

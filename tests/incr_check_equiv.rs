@@ -18,13 +18,16 @@ use std::sync::Arc;
 use gem::core::Computation;
 use gem::lang::monitor::readers_writers_monitor;
 use gem::lang::{Explorer, System};
+use gem::logic::Formula;
 use gem::obs::StatsProbe;
 use gem::problems::readers_writers::{
-    rw_correspondence, rw_program, rw_spec, writers_priority_monitor, RwVariant,
+    rw_correspondence, rw_program, rw_spec, writers_priority_monitor, RwVariant, PI_RW,
 };
 use gem::problems::{bounded, one_slot, philosophers};
-use gem::spec::Specification;
-use gem::verify::{verify_system, Correspondence, IncrCheck, VerifyOptions, VerifyOutcome};
+use gem::spec::{ElementInstance, ElementType, SpecBuilder, Specification};
+use gem::verify::{
+    verify_system, ArtifactSink, Correspondence, IncrCheck, VerifyOptions, VerifyOutcome,
+};
 
 /// One probed sweep with the given knobs.
 #[allow(clippy::too_many_arguments)] // differential-matrix row, not an API
@@ -254,26 +257,103 @@ fn deadlocking_instance_agrees() {
     );
 }
 
+/// The control-only readers/writers structure and `πRW` thread type of
+/// `rw_spec`, with `restrictions` over the control element in place of
+/// the variant's, so that `rw_correspondence` maps the monitor onto it.
+fn rw_control_spec(
+    restrictions: impl FnOnce(&ElementInstance) -> Vec<(&'static str, Formula)>,
+) -> Specification {
+    let control_t = ElementType::new("RWControl")
+        .event("ReqRead", &[])
+        .event("StartRead", &[])
+        .event("EndRead", &[])
+        .event("ReqWrite", &[])
+        .event("StartWrite", &[])
+        .event("EndWrite", &[]);
+    let mut sb = SpecBuilder::new("RWControl");
+    let control = sb
+        .instantiate_element(&control_t, "control")
+        .expect("fresh spec");
+    let path = |events: [&str; 3]| events.map(|e| control.sel(e)).to_vec();
+    let pi_rw = sb.declare_thread(
+        "pi_RW",
+        vec![
+            path(["ReqRead", "StartRead", "EndRead"]),
+            path(["ReqWrite", "StartWrite", "EndWrite"]),
+        ],
+    );
+    assert_eq!(pi_rw, PI_RW);
+    for (name, formula) in restrictions(&control) {
+        sb.add_restriction(name, formula);
+    }
+    sb.finish()
+}
+
 #[test]
 fn forced_fallback_formula_agrees_and_is_reported() {
-    // The Progress variant adds eventual-service liveness restrictions
-    // whose temporal shape the incremental fragment excludes: the whole
-    // sweep falls back globally, per-restriction reasons land in the
-    // report, and the outcome still matches `Off` exactly.
+    // "No read transaction starts twice" as `◻∀s ¬∃t (…)`: the `∃` is
+    // positive in the falsifying conjuncts, which the incremental
+    // fragment excludes. One such restriction makes the whole sweep fall
+    // back globally, the history-stable progress restrictions beside it
+    // included; the reason lands in the report, and the outcome still
+    // matches `Off` exactly.
     let sys = rw_program(readers_writers_monitor(), 1, 1, false);
-    let spec = rw_spec(2, false, RwVariant::Progress);
+    let spec = rw_control_spec(|control| {
+        let start = control.sel("StartRead");
+        let serviced = |r: &str, s: &str| {
+            Formula::forall(
+                "r",
+                control.sel(r),
+                Formula::exists(
+                    "s",
+                    control.sel(s),
+                    Formula::same_thread("r", "s", PI_RW).and(Formula::occurred("s")),
+                )
+                .eventually(),
+            )
+        };
+        let starts_once = Formula::forall(
+            "s",
+            start.clone(),
+            Formula::exists(
+                "t",
+                start,
+                Formula::occurred("t")
+                    .and(Formula::event_eq("s", "t").not())
+                    .and(Formula::same_thread("s", "t", PI_RW)),
+            )
+            .not(),
+        )
+        .henceforth();
+        vec![
+            ("every-read-serviced", serviced("ReqRead", "StartRead")),
+            ("every-write-serviced", serviced("ReqWrite", "StartWrite")),
+            ("read-starts-once", starts_once),
+        ]
+    });
     let corr = rw_correspondence(&sys, &spec, false);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "rw progress (fallback)", &[1]);
+    assert_modes_agree(
+        &sys,
+        &spec,
+        &corr,
+        extract,
+        "rw positive-exists (fallback)",
+        &[1],
+    );
     // `On` forces per-leaf accounting even under global fallback, so the
     // fallback decision is visible per restriction.
     let (outcome, rep) = sweep(&sys, &spec, &corr, extract, 1, false, false, IncrCheck::On);
     assert!(outcome.ok(), "{outcome}");
-    assert!(
-        rep.counters
-            .keys()
-            .any(|k| k.starts_with("logic.incr.restriction.") && k.contains(".fallback.")),
-        "expected per-restriction fallback reasons: {:?}",
+    let fallbacks: Vec<_> = rep
+        .counters
+        .keys()
+        .filter(|k| k.starts_with("logic.incr.restriction.") && k.contains(".fallback."))
+        .collect();
+    assert_eq!(
+        fallbacks,
+        ["logic.incr.restriction.read-starts-once.fallback.positive-exists"],
+        "expected exactly the one per-restriction fallback reason: {:?}",
         rep.counters
     );
     assert_eq!(
@@ -293,6 +373,104 @@ fn forced_fallback_formula_agrees_and_is_reported() {
         IncrCheck::Auto,
     );
     assert_eq!(rep.counters.get("logic.incr.syncs").copied(), None);
+}
+
+#[test]
+fn violated_eventually_restriction_falls_back_per_leaf() {
+    // "Every read request is followed by a started write" is a
+    // history-stable `∀◇` restriction, judged at the leaf. The writer can
+    // start before the reader asks, so it fails on some complete,
+    // deadlock-free leaves and holds on others: the failing leaves fall
+    // back to batch, whose outcome, failure details and artifacts (blame
+    // included) must match `Off` in every mode.
+    let sys = rw_program(readers_writers_monitor(), 1, 1, false);
+    let spec = rw_control_spec(|control| {
+        vec![(
+            "write-follows-read",
+            Formula::forall(
+                "r",
+                control.sel("ReqRead"),
+                Formula::exists(
+                    "s",
+                    control.sel("StartWrite"),
+                    Formula::occurred("s").and(Formula::precedes("r", "s")),
+                )
+                .eventually(),
+            ),
+        )]
+    });
+    let corr = rw_correspondence(&sys, &spec, false);
+    let extract = |s: &_| sys.computation(s).expect("acyclic");
+    assert_modes_agree(
+        &sys,
+        &spec,
+        &corr,
+        extract,
+        "rw write-follows-read",
+        &[1, 4],
+    );
+    let (outcome, rep) = sweep(
+        &sys,
+        &spec,
+        &corr,
+        extract,
+        1,
+        false,
+        false,
+        IncrCheck::Auto,
+    );
+    assert_eq!(outcome.deadlocks, 0, "{outcome}");
+    assert!(!outcome.failures.is_empty(), "{outcome}");
+    for failure in &outcome.failures {
+        assert_eq!(failure.violated, ["write-follows-read"], "{failure:?}");
+    }
+    let counter = |name: &str| rep.counters.get(name).copied().unwrap_or(0);
+    assert!(counter("logic.incr.leaf_clean") > 0, "{:?}", rep.counters);
+    assert!(
+        counter("logic.incr.leaf_fallback") > 0,
+        "{:?}",
+        rep.counters
+    );
+    assert_eq!(
+        counter("logic.incr.leaf_clean") + counter("logic.incr.leaf_fallback"),
+        counter("explore.runs"),
+        "every leaf is judged one way or the other"
+    );
+
+    let dir = std::env::temp_dir().join(format!("gem-incr-eventually-{}", std::process::id()));
+    let artifacts = |incr: IncrCheck| -> BTreeMap<String, String> {
+        let art = dir.join(format!("{incr:?}"));
+        verify_system(
+            &sys,
+            &spec,
+            &corr,
+            extract,
+            &VerifyOptions {
+                incr_check: incr,
+                artifacts: Some(ArtifactSink::new(&art)),
+                ..VerifyOptions::default()
+            },
+        )
+        .expect("projection");
+        std::fs::read_dir(&art)
+            .expect("artifact dir")
+            .map(|entry| {
+                let entry = entry.expect("dir entry");
+                let body = std::fs::read_to_string(entry.path()).expect("artifact file");
+                (entry.file_name().to_string_lossy().into_owned(), body)
+            })
+            .collect()
+    };
+    let off = artifacts(IncrCheck::Off);
+    assert!(
+        off.get("blame.json")
+            .is_some_and(|b| b.contains("write-follows-read")),
+        "{off:?}"
+    );
+    for incr in [IncrCheck::Auto, IncrCheck::On] {
+        assert_eq!(off, artifacts(incr), "artifacts diverge in mode {incr:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -413,8 +591,9 @@ fn cli_incremental_checker_proves_every_leaf_clean() {
     // The fast path itself, not only its invisibility: on these holding
     // instances the incremental checker judges every leaf, so no leaf is
     // sealed and batch-checked. The run counts pin the instances.
-    let cases: [(&[&str], u64); 4] = [
+    let cases: [(&[&str], u64); 6] = [
         (&["rw", "readers=1", "writers=2", "variant=readers"], 2_070),
+        (&["rw", "readers=1", "writers=2", "variant=progress"], 2_070),
         (
             &[
                 "rw",
@@ -422,6 +601,16 @@ fn cli_incremental_checker_proves_every_leaf_clean() {
                 "writers=1",
                 "monitor=writers",
                 "variant=writers",
+            ],
+            5_394,
+        ),
+        (
+            &[
+                "rw",
+                "readers=2",
+                "writers=1",
+                "monitor=writers",
+                "variant=progress",
             ],
             5_394,
         ),

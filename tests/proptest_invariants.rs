@@ -1145,6 +1145,166 @@ proptest! {
     }
 }
 
+/// An atom over the prefix variables `x` and `y` whose truth does not
+/// depend on the history.
+fn history_independent_atom() -> BoxedStrategy<Formula> {
+    prop_oneof![
+        Just(Formula::event_eq("x", "y")),
+        (0..3u32, any::<bool>()).prop_map(|(el, on_x)| {
+            Formula::at_element(if on_x { "x" } else { "y" }, ElementId::from_raw(el))
+        }),
+    ]
+    .boxed()
+}
+
+/// An atom over `x` and `y` that can only become true as the history
+/// grows; the quantified ones range over all events.
+fn upward_atom() -> BoxedStrategy<Formula> {
+    prop_oneof![
+        Just(Formula::occurred("x")),
+        Just(Formula::occurred("y")),
+        Just(Formula::precedes("x", "y")),
+        Just(Formula::enables("x", "y")),
+        Just(Formula::element_precedes("x", "y")),
+        Just(Formula::concurrent("x", "y")),
+        Just(Formula::exists(
+            "z",
+            EventSel::any(),
+            Formula::occurred("z").and(Formula::precedes("z", "x")),
+        )),
+        (0..3u32).prop_map(|el| Formula::forall(
+            "z",
+            EventSel::at_element(ElementId::from_raw(el)),
+            Formula::occurred("z"),
+        )),
+    ]
+    .boxed()
+}
+
+/// A `◇` body atom that is not upward-closed, or not accepted as such:
+/// a negated occurrence or order atom (also as the left side of `⊃`),
+/// `new`, `potential`, `at`, and `∃!`/`⟺` over a history-dependent body.
+fn non_upward_atom() -> BoxedStrategy<Formula> {
+    prop_oneof![
+        upward_atom().prop_map(Formula::not),
+        Just(Formula::is_new("x")),
+        Just(Formula::potential("y")),
+        Just(Formula::at_control("x", EventSel::any())),
+        Just(Formula::exists_unique(
+            "z",
+            EventSel::any(),
+            Formula::occurred("z"),
+        )),
+        upward_atom().prop_map(|a| a.iff(Formula::False)),
+        upward_atom().prop_map(|a| a.implies(Formula::False)),
+    ]
+    .boxed()
+}
+
+/// A `◇` body under `∧`/`∨`: upward-closed with `strict`, otherwise
+/// about one leaf in three comes from [`non_upward_atom`].
+fn eventually_body(strict: bool) -> BoxedStrategy<Formula> {
+    let upward = prop_oneof![
+        upward_atom(),
+        history_independent_atom(),
+        history_independent_atom().prop_map(Formula::not),
+        (history_independent_atom(), upward_atom()).prop_map(|(a, b)| a.implies(b)),
+        Just(Formula::exists_unique(
+            "z",
+            EventSel::any(),
+            Formula::event_eq("z", "x"),
+        )),
+    ];
+    let leaf = if strict {
+        upward.boxed()
+    } else {
+        prop_oneof![upward.clone(), upward, non_upward_atom()].boxed()
+    };
+    leaf.prop_recursive(3, 16, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+        ]
+    })
+    .boxed()
+}
+
+/// `Q x Q y · M`, where `M` joins a `◇` to a combination of `◇` bodies
+/// and history-independent atoms under `∧`/`∨`/`¬`. Unless `strict`, `M`
+/// may also read `occurred` outside the `◇`s, and one in four sits under
+/// a `◻`.
+fn eventually_restriction(strict: bool) -> BoxedStrategy<Formula> {
+    let eventually = || eventually_body(strict).prop_map(Formula::eventually);
+    let stable = prop_oneof![eventually(), history_independent_atom()];
+    let leaf = if strict {
+        stable.boxed()
+    } else {
+        prop_oneof![stable.clone(), stable, Just(Formula::occurred("x"))].boxed()
+    };
+    let matrix = leaf.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            inner.clone().prop_map(Formula::not),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+        ]
+    });
+    let matrix = (eventually(), matrix, 0..3u8).prop_map(|(e, m, join)| match join {
+        0 => e,
+        1 => e.and(m),
+        _ => e.not().or(m),
+    });
+    (any::<bool>(), any::<bool>(), 0..4u8, matrix)
+        .prop_map(move |(ex, ey, boxed, m)| {
+            let q = |exists: bool, v: &str, body: Formula| {
+                if exists {
+                    Formula::exists(v, EventSel::any(), body)
+                } else {
+                    Formula::forall(v, EventSel::any(), body)
+                }
+            };
+            let f = q(ex, "x", q(ey, "y", m));
+            if boxed == 0 && !strict {
+                f.henceforth()
+            } else {
+                f
+            }
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A restriction `compile` judges at the leaf has one value on every
+    /// history sequence, so the full-history evaluation the incremental
+    /// checker runs equals the batch verdict, under exact step sequences
+    /// and under linearizations. Upward-closed `◇` bodies with
+    /// history-independent atoms around them are always accepted.
+    #[test]
+    fn history_stable_leaf_matches_batch(
+        c in computation_strategy(3, 5),
+        (strict, f) in any::<bool>()
+            .prop_flat_map(|strict| (Just(strict), eventually_restriction(strict))),
+    ) {
+        use gem::logic::incr::compile;
+        use gem::logic::{check, Strategy};
+        let leaf = compile(&f).is_ok_and(|compiled| compiled.is_leaf());
+        prop_assert!(leaf || !strict, "an upward-closed restriction was rejected: {f:?}");
+        if !leaf {
+            return Ok(());
+        }
+        let full = holds_on_computation(&f, &c).unwrap();
+        for strategy in [
+            Strategy::StepSequences { limit: 50_000 },
+            Strategy::Linearizations { limit: 50_000 },
+        ] {
+            let batch = check(&f, &c, strategy).unwrap();
+            prop_assert!(batch.exhaustive, "{strategy:?} truncated");
+            prop_assert_eq!(batch.holds, full, "{:?} disagrees on {:?}", strategy, f);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
