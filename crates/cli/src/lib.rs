@@ -74,6 +74,7 @@ use gem_lang::ada::AdaSystem;
 use gem_lang::csp::CspSystem;
 use gem_lang::monitor::{readers_writers_monitor, MonitorSystem, SignalSemantics};
 use gem_lang::{CodeStats, Explorer, System};
+use gem_logic::incr::compile;
 use gem_obs::json::JsonValue;
 use gem_obs::{
     install_crash_sink, write_atomic, ChromeTraceProbe, FanoutProbe, HeartbeatProbe, NoopProbe,
@@ -1336,7 +1337,10 @@ fn render_top(report: &gem_obs::Report, elapsed: Duration) -> String {
 /// it consumed (`logic.check.by_restriction.*` series), and whether the
 /// incremental checker covered it or why it fell back to batch checking.
 /// With incremental checking active on a clean sweep the batch columns
-/// collapse to zero — that collapse *is* the speedup being attributed.
+/// collapse to zero — that collapse *is* the speedup being attributed. A
+/// restriction the incremental checker judges once per leaf is tagged
+/// `[leaf]` and also shows those evaluations and their time
+/// (`logic.incr.leaf_eval.by_restriction.*`).
 fn restriction_breakdown(spec: &Specification, report: &gem_obs::Report) -> String {
     let wall = report
         .timers
@@ -1346,25 +1350,19 @@ fn restriction_breakdown(spec: &Specification, report: &gem_obs::Report) -> Stri
         .unwrap_or(0);
     let s = spec.structure();
     let mut out = String::from("check breakdown by restriction:\n");
+    let counter = |key: String| report.counters.get(&key).copied().unwrap_or(0);
+    let timer = |key: String| report.timers.get(&key).map_or(0, |t| t.total_ns);
     for (i, r) in spec.restrictions().iter().enumerate() {
-        let evals = report
-            .counters
-            .get(&format!("logic.check.by_restriction.{i}.evals"))
-            .copied()
-            .unwrap_or(0);
-        let ns = report
-            .timers
-            .get(&format!("logic.check.by_restriction.{i}.ns"))
-            .map(|t| t.total_ns)
-            .unwrap_or(0);
+        let evals = counter(format!("logic.check.by_restriction.{i}.evals"));
+        let ns = timer(format!("logic.check.by_restriction.{i}.ns"));
+        let leaf_evals = counter(format!("logic.incr.leaf_eval.by_restriction.{i}.evals"));
+        let leaf_ns = timer(format!("logic.incr.leaf_eval.by_restriction.{i}.ns"));
+        let incremental = counter(format!("logic.incr.restriction.{}.incremental", r.name)) > 0;
+        let leaf = incremental && compile(&r.formula).is_ok_and(|c| c.is_leaf());
         let tag =
-            if report
-                .counters
-                .get(&format!("logic.incr.restriction.{}.incremental", r.name))
-                .copied()
-                .unwrap_or(0)
-                > 0
-            {
+            if leaf {
+                "leaf".to_owned()
+            } else if incremental {
                 "incremental".to_owned()
             } else if let Some(reason) = report.counters.keys().find_map(|k| {
                 k.strip_prefix(&format!("logic.incr.restriction.{}.fallback.", r.name))
@@ -1374,7 +1372,7 @@ fn restriction_breakdown(spec: &Specification, report: &gem_obs::Report) -> Stri
                 "batch".to_owned()
             };
         let pct = if wall > 0 {
-            ns as f64 * 100.0 / wall as f64
+            (ns + leaf_ns) as f64 * 100.0 / wall as f64
         } else {
             0.0
         };
@@ -1382,8 +1380,13 @@ fn restriction_breakdown(spec: &Specification, report: &gem_obs::Report) -> Stri
         if rendered.chars().count() > 64 {
             rendered = rendered.chars().take(63).collect::<String>() + "…";
         }
+        let leaf_cost = if leaf {
+            format!("{leaf_evals} leaf eval(s), {}; ", human_ns(leaf_ns))
+        } else {
+            String::new()
+        };
         out.push_str(&format!(
-            "  #{i} {} [{tag}] {evals} batch eval(s), {} ({pct:.1}% of wall)\n      {rendered}\n",
+            "  #{i} {} [{tag}] {leaf_cost}{evals} batch eval(s), {} ({pct:.1}% of wall)\n      {rendered}\n",
             r.name,
             human_ns(ns),
         ));
@@ -2001,13 +2004,15 @@ mod tests {
     fn profile_with_incremental_collapses_check_phase() {
         // Default `--incr-check auto` on an in-fragment spec: the batch
         // check phase disappears, phase.check_incr takes over, and the
-        // breakdown tags every restriction incremental with zero batch
-        // evals — the collapse the speedup comes from.
+        // breakdown tags every restriction leaf-judged, evaluated once on
+        // each of the 53 clean leaves, with zero batch evals — the
+        // collapse the speedup comes from.
         let out = runv(&["profile", "one-slot", "items=2", "--heartbeat", "0"]).unwrap();
         assert!(out.contains("HOLDS"), "{out}");
         assert!(out.contains("phase.check_incr"), "{out}");
         assert!(!out.contains("phase.seal"), "{out}");
-        assert!(out.contains("[incremental] 0 batch eval(s)"), "{out}");
+        assert_eq!(out.matches("[leaf] 53 leaf eval(s), ").count(), 3, "{out}");
+        assert_eq!(out.matches("; 0 batch eval(s)").count(), 3, "{out}");
         assert!(out.contains("incremental check: "), "{out}");
         assert!(out.contains("proven clean"), "{out}");
     }

@@ -870,14 +870,18 @@ impl Computation {
             .map(|e| e.id)
     }
 
-    /// Events at `element`, in element order.
+    /// Events at `element`, in element order (which is id order); empty
+    /// for an element outside the structure.
     pub fn events_at(&self, element: ElementId) -> &[EventId] {
-        &self.element_events[element.index()]
+        self.element_events
+            .get(element.index())
+            .map_or(&[], Vec::as_slice)
     }
 
-    /// The `i`-th event at `element` (the paper's `EL^i`), if it occurred.
+    /// The `i`-th event at `element` (the paper's `EL^i`), if it occurred;
+    /// `None` for an element outside the structure.
     pub fn nth_at(&self, element: ElementId, i: usize) -> Option<EventId> {
-        self.element_events[element.index()].get(i).copied()
+        self.events_at(element).get(i).copied()
     }
 
     /// True if `from ⊳ to` is a (direct) enable edge.
@@ -1083,6 +1087,10 @@ mod tests {
         assert_eq!(c.nth_at(var, 1), Some(a2));
         assert_eq!(c.nth_at(var, 2), None);
         assert_eq!(c.events_at(var), &[a1, a2]);
+        // An element of another structure names no event.
+        let foreign = ElementId::from_raw(7);
+        assert_eq!(c.nth_at(foreign, 0), None);
+        assert!(c.events_at(foreign).is_empty());
     }
 
     #[test]

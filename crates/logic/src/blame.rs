@@ -14,7 +14,7 @@
 
 use gem_core::{Computation, EventId, History};
 
-use crate::eval::{eval, eval_bound, event_id, Env, EvalError};
+use crate::eval::{eval, eval_bound, event_id, EvalError, Scope};
 use crate::Formula;
 
 /// One step of the falsification path, from the root restriction down to
@@ -87,12 +87,11 @@ pub fn blame_on_sequence(
     if seq.is_empty() {
         return Err(EvalError::EmptySequence);
     }
-    let mut env = Env::default();
-    if eval(formula, computation, seq, &mut env)? {
+    if eval(formula, computation, seq, &Scope::Empty, &mut 0)? {
         return Ok(None);
     }
     let mut frames = Vec::new();
-    descend(formula, computation, seq, &mut env, true, &mut frames)?;
+    descend(formula, computation, seq, &Scope::Empty, true, &mut frames)?;
     Ok(Some(Blame { frames }))
 }
 
@@ -112,11 +111,11 @@ pub fn blame_on_computation(
 
 /// Walks the falsifying path of `formula`, which is known to evaluate to
 /// `!expect`, appending one frame per node.
-fn descend<'f>(
-    formula: &'f Formula,
+fn descend(
+    formula: &Formula,
     computation: &Computation,
     seq: &[History],
-    env: &mut Env<'f>,
+    scope: &Scope,
     expect: bool,
     frames: &mut Vec<BlameFrame>,
 ) -> Result<(), EvalError> {
@@ -142,16 +141,15 @@ fn descend<'f>(
         Formula::Atom(_) => {
             // The deciding leaf: record the bindings in scope so the
             // atom's variables are resolvable to concrete events.
-            frame.witnesses = env
-                .bindings
+            let bindings = scope.bindings();
+            frame.witnesses = bindings
                 .iter()
                 .map(|&(v, e)| (v.to_owned(), event_id(e)))
                 .collect();
-            let bound = if env.bindings.is_empty() {
+            let bound = if bindings.is_empty() {
                 String::new()
             } else {
-                let pairs: Vec<String> = env
-                    .bindings
+                let pairs: Vec<String> = bindings
                     .iter()
                     .map(|&(v, e)| format!("{v} = {}", label(event_id(e))))
                     .collect();
@@ -172,16 +170,16 @@ fn descend<'f>(
                 if expect { "true" } else { "false" }
             );
             frames.push(frame);
-            descend(inner, computation, seq, env, !expect, frames)
+            descend(inner, computation, seq, scope, !expect, frames)
         }
         Formula::And(fs) => {
             if expect {
                 for (i, f) in fs.iter().enumerate() {
-                    if !eval(f, computation, seq, env)? {
+                    if !eval(f, computation, seq, scope, &mut 0)? {
                         frame.kind = "and";
                         frame.note = format!("conjunct {}/{} fails", i + 1, fs.len());
                         frames.push(frame);
-                        return descend(f, computation, seq, env, true, frames);
+                        return descend(f, computation, seq, scope, true, frames);
                     }
                 }
                 leaf!(
@@ -197,16 +195,16 @@ fn descend<'f>(
                 frame.note = format!("all {} disjuncts fail; expanding the first", fs.len());
                 frames.push(frame);
                 match fs.first() {
-                    Some(f) => descend(f, computation, seq, env, true, frames),
+                    Some(f) => descend(f, computation, seq, scope, true, frames),
                     None => Ok(()),
                 }
             } else {
                 for (i, f) in fs.iter().enumerate() {
-                    if eval(f, computation, seq, env)? {
+                    if eval(f, computation, seq, scope, &mut 0)? {
                         frame.kind = "or";
                         frame.note = format!("disjunct {}/{} holds", i + 1, fs.len());
                         frames.push(frame);
-                        return descend(f, computation, seq, env, false, frames);
+                        return descend(f, computation, seq, scope, false, frames);
                     }
                 }
                 leaf!("or", "no holding disjunct found (evaluation raced?)".into());
@@ -217,26 +215,26 @@ fn descend<'f>(
                 frame.kind = "implies";
                 frame.note = "antecedent holds but consequent fails".into();
                 frames.push(frame);
-                descend(b, computation, seq, env, true, frames)
+                descend(b, computation, seq, scope, true, frames)
             } else {
                 // The implication holds: either the antecedent fails or
                 // the consequent holds.
-                if !eval(a, computation, seq, env)? {
+                if !eval(a, computation, seq, scope, &mut 0)? {
                     frame.kind = "implies";
                     frame.note = "holds vacuously: antecedent fails".into();
                     frames.push(frame);
-                    descend(a, computation, seq, env, true, frames)
+                    descend(a, computation, seq, scope, true, frames)
                 } else {
                     frame.kind = "implies";
                     frame.note = "holds: consequent holds".into();
                     frames.push(frame);
-                    descend(b, computation, seq, env, false, frames)
+                    descend(b, computation, seq, scope, false, frames)
                 }
             }
         }
         Formula::Iff(a, b) => {
-            let va = eval(a, computation, seq, env)?;
-            let vb = eval(b, computation, seq, env)?;
+            let va = eval(a, computation, seq, scope, &mut 0)?;
+            let vb = eval(b, computation, seq, scope, &mut 0)?;
             if expect {
                 frame.kind = "iff";
                 frame.note = format!("sides disagree: lhs is {va}, rhs is {vb}");
@@ -244,9 +242,9 @@ fn descend<'f>(
                 // Expand the false side: showing why it fails pins the
                 // disagreement.
                 if va {
-                    descend(b, computation, seq, env, true, frames)
+                    descend(b, computation, seq, scope, true, frames)
                 } else {
-                    descend(a, computation, seq, env, true, frames)
+                    descend(a, computation, seq, scope, true, frames)
                 }
             } else {
                 leaf!("iff", format!("sides agree: both are {va}"));
@@ -257,16 +255,18 @@ fn descend<'f>(
                 let candidates: Vec<EventId> = sel.select(computation).collect();
                 let total = candidates.len();
                 for e in candidates {
-                    if !eval_bound(var, e.index(), body, computation, seq, env)? {
+                    if !eval_bound(var, e.index(), body, computation, seq, scope, &mut 0)? {
                         frame.kind = "forall";
                         frame.note =
                             format!("fails for {var} = {} (of {total} candidates)", label(e));
                         frame.witnesses.push((var.clone(), e));
                         frames.push(frame);
-                        env.bindings.push((var, e.index()));
-                        let result = descend(body, computation, seq, env, true, frames);
-                        env.bindings.pop();
-                        return result;
+                        let inner = Scope::Bound {
+                            var,
+                            event: e.index(),
+                            outer: scope,
+                        };
+                        return descend(body, computation, seq, &inner, true, frames);
                     }
                 }
                 leaf!(
@@ -284,15 +284,17 @@ fn descend<'f>(
             }
             let candidates: Vec<EventId> = sel.select(computation).collect();
             for e in candidates {
-                if eval_bound(var, e.index(), body, computation, seq, env)? {
+                if eval_bound(var, e.index(), body, computation, seq, scope, &mut 0)? {
                     frame.kind = "exists";
                     frame.note = format!("witness {var} = {}", label(e));
                     frame.witnesses.push((var.clone(), e));
                     frames.push(frame);
-                    env.bindings.push((var, e.index()));
-                    let result = descend(body, computation, seq, env, false, frames);
-                    env.bindings.pop();
-                    return result;
+                    let inner = Scope::Bound {
+                        var,
+                        event: e.index(),
+                        outer: scope,
+                    };
+                    return descend(body, computation, seq, &inner, false, frames);
                 }
             }
             leaf!("exists", "no witness found (evaluation raced?)".into());
@@ -308,7 +310,7 @@ fn descend<'f>(
             let total = candidates.len();
             let mut witnesses = Vec::new();
             for e in candidates {
-                if eval_bound(var, e.index(), body, computation, seq, env)? {
+                if eval_bound(var, e.index(), body, computation, seq, scope, &mut 0)? {
                     witnesses.push(e);
                     if witnesses.len() > 2 {
                         break;
@@ -340,7 +342,7 @@ fn descend<'f>(
         Formula::Henceforth(inner) => {
             if expect {
                 for i in 0..seq.len() {
-                    if !eval(inner, computation, &seq[i..], env)? {
+                    if !eval(inner, computation, &seq[i..], scope, &mut 0)? {
                         frame.kind = "henceforth";
                         frame.note = format!(
                             "fails at suffix {i} of {} (history sizes {:?})",
@@ -348,7 +350,7 @@ fn descend<'f>(
                             suffix_sizes(seq, i)
                         );
                         frames.push(frame);
-                        return descend(inner, computation, &seq[i..], env, true, frames);
+                        return descend(inner, computation, &seq[i..], scope, true, frames);
                     }
                 }
                 leaf!(
@@ -369,14 +371,14 @@ fn descend<'f>(
                     seq.len()
                 );
                 frames.push(frame);
-                descend(inner, computation, seq, env, true, frames)
+                descend(inner, computation, seq, scope, true, frames)
             } else {
                 for i in 0..seq.len() {
-                    if eval(inner, computation, &seq[i..], env)? {
+                    if eval(inner, computation, &seq[i..], scope, &mut 0)? {
                         frame.kind = "eventually";
                         frame.note = format!("holds at suffix {i} of {}", seq.len());
                         frames.push(frame);
-                        return descend(inner, computation, &seq[i..], env, false, frames);
+                        return descend(inner, computation, &seq[i..], scope, false, frames);
                     }
                 }
                 leaf!(

@@ -16,7 +16,22 @@
 //! trait and the current history through [`Occurred`], so the same code
 //! decides a restriction on a sealed [`Computation`] and on the
 //! incremental checker's projection of a computation still being built.
+//!
+//! A quantifier does not scan every event: it walks the world's
+//! [`candidates`](World::candidates) for its selector (the per-element
+//! event lists of a sealed computation, per-class rows in the incremental
+//! checker). An `∃`, `∃!` or at-most-one whose body, or its first
+//! conjunct, is `v ⊳ u` or `u ⊳ v` with `u` bound, and a `∀v (v ⊳ u ⊃ φ)`,
+//! walk `u`'s enablers or enabled events instead, since the body is false
+//! (the `∀` body true) off that adjacency. So the prerequisite
+//! `E1 → E2` costs O(|E2| · degree) rather than O(|E2| · n). Every list is
+//! ascending, so the verdict, the short-circuit points and the first
+//! [`EvalError`] are those of a scan over all events; only the formula
+//! nodes visited (`logic.eval.nodes`) fall. Bindings live in frames on the
+//! call stack and values are compared in place, so evaluation allocates
+//! nothing.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use gem_core::{ClassId, Computation, ElementId, EventId, History, Structure, ThreadTypeId, Value};
@@ -31,6 +46,19 @@ use crate::{Atom, EventSel, EventTerm, Formula, ParamRef, ValueTerm};
 /// still being built, all order queries must be final for
 /// already-emitted pairs (true for simulation-grown computations, where
 /// every edge targets the newest event).
+///
+/// ## Indexed domains
+///
+/// The evaluator never scans `0..event_count()` itself: a quantifier
+/// walks [`candidates`](World::candidates) of its selector, and one
+/// anchored on an enable edge walks [`enablers_of`](World::enablers_of)
+/// or [`enabled_from`](World::enabled_from). All three must be total (an
+/// element or class the world does not hold yields no candidate, never a
+/// panic) and ascending, without repeats. `candidates` may return a
+/// superset of the matching events, since every candidate is still
+/// tested with [`matches`](World::matches). Ascending order keeps
+/// short-circuiting and the first [`EvalError`] exactly those of a scan
+/// over every event. The defaults are those scans.
 pub trait World {
     /// Number of events emitted so far.
     fn event_count(&self) -> usize;
@@ -52,12 +80,21 @@ pub trait World {
     fn precedes(&self, a: usize, b: usize) -> bool;
     /// Direct enable edge `a ⊳ b`.
     fn enables(&self, a: usize, b: usize) -> bool;
-    /// Events directly enabled by `e`.
+    /// Events directly enabled by `e`, ascending.
     fn enabled_from(&self, e: usize) -> impl Iterator<Item = usize> + '_;
     /// The `i`-th event at `element`, if emitted.
     fn nth_at(&self, element: ElementId, i: usize) -> Option<usize>;
     /// The structure declaring the classes (for named parameters).
     fn structure(&self) -> &Structure;
+    /// An ascending superset of the events `sel` can match.
+    fn candidates(&self, sel: &EventSel) -> impl Iterator<Item = usize> + '_ {
+        let _ = sel;
+        0..self.event_count()
+    }
+    /// Events that directly enable `e`, ascending.
+    fn enablers_of(&self, e: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.event_count()).filter(move |&a| self.enables(a, e))
+    }
     /// True if some event of `history` follows `e`.
     fn followed_in(&self, e: usize, history: &impl Occurred) -> bool {
         (0..self.event_count()).any(|s| history.occurred(s) && self.precedes(e, s))
@@ -94,8 +131,28 @@ pub(crate) fn event_id(e: usize) -> EventId {
     EventId::from_raw(e as u32)
 }
 
+/// `list` as indices when it is ascending, else the events below `n`
+/// that `keep` accepts: an adjacency list of a computation built by hand
+/// need not be in id order.
+fn ascending<'a>(
+    list: &'a [EventId],
+    n: usize,
+    keep: impl Fn(usize) -> bool + 'a,
+) -> impl Iterator<Item = usize> + 'a {
+    let (list, scan) = if list.is_sorted() {
+        (list, 0..0)
+    } else {
+        (&[][..], 0..n)
+    };
+    list.iter()
+        .map(|e| e.index())
+        .chain(scan.filter(move |&x| keep(x)))
+}
+
 /// A sealed computation: order queries read its closure, so `new` and
-/// `potential` walk the successor and predecessor bitsets.
+/// `potential` walk the successor and predecessor bitsets. Element
+/// selectors draw their candidates from the per-element event lists, so
+/// sealing builds no index for the evaluator.
 impl World for Computation {
     fn event_count(&self) -> usize {
         Computation::event_count(self)
@@ -125,15 +182,29 @@ impl World for Computation {
         Computation::enables(self, event_id(a), event_id(b))
     }
     fn enabled_from(&self, e: usize) -> impl Iterator<Item = usize> + '_ {
-        Computation::enabled_from(self, event_id(e))
-            .iter()
-            .map(|s| s.index())
+        let list = Computation::enabled_from(self, event_id(e));
+        ascending(list, self.event_count(), move |s| {
+            World::enables(self, e, s)
+        })
     }
     fn nth_at(&self, element: ElementId, i: usize) -> Option<usize> {
         Computation::nth_at(self, element, i).map(EventId::index)
     }
     fn structure(&self) -> &Structure {
         Computation::structure(self)
+    }
+    fn candidates(&self, sel: &EventSel) -> impl Iterator<Item = usize> + '_ {
+        let (listed, all) = match sel.element {
+            Some(el) => (self.events_at(el), 0..0),
+            None => (&[][..], 0..Computation::event_count(self)),
+        };
+        listed.iter().map(|e| e.index()).chain(all)
+    }
+    fn enablers_of(&self, e: usize) -> impl Iterator<Item = usize> + '_ {
+        let list = Computation::enablers_of(self, event_id(e));
+        ascending(list, self.event_count(), move |a| {
+            World::enables(self, a, e)
+        })
     }
     fn followed_in(&self, e: usize, history: &impl Occurred) -> bool {
         self.closure()
@@ -190,21 +261,43 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Variable bindings, innermost last; names borrow from the formula.
-#[derive(Debug, Default)]
-pub(crate) struct Env<'f> {
-    pub(crate) bindings: Vec<(&'f str, usize)>,
-    /// Formula nodes visited, for the `logic.eval.nodes` counter.
-    pub(crate) nodes: u64,
+/// Variable bindings, innermost first. Each quantifier binds its
+/// variable in a frame on the evaluator's own call stack, so evaluation
+/// allocates nothing; names borrow from the formula.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Scope<'s> {
+    /// No variable bound.
+    Empty,
+    /// `var` bound to `event`, inside `outer`.
+    Bound {
+        var: &'s str,
+        event: usize,
+        outer: &'s Scope<'s>,
+    },
 }
 
-impl Env<'_> {
+impl<'s> Scope<'s> {
+    /// Every binding, outermost first.
+    pub(crate) fn bindings(&self) -> Vec<(&'s str, usize)> {
+        let mut out = Vec::new();
+        let mut scope = self;
+        while let Scope::Bound { var, event, outer } = scope {
+            out.push((*var, *event));
+            scope = outer;
+        }
+        out.reverse();
+        out
+    }
+
     fn lookup(&self, name: &str) -> Option<usize> {
-        self.bindings
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, e)| e)
+        let mut scope = self;
+        while let Scope::Bound { var, event, outer } = scope {
+            if *var == name {
+                return Some(*event);
+            }
+            scope = outer;
+        }
+        None
     }
 }
 
@@ -260,15 +353,16 @@ pub(crate) fn holds_on(
     if seq.is_empty() {
         return Err(EvalError::EmptySequence);
     }
-    let mut env = Env::default();
-    let result = eval(formula, world, seq, &mut env);
-    *nodes += env.nodes;
-    result
+    eval(formula, world, seq, &Scope::Empty, nodes)
 }
 
-fn resolve(term: &EventTerm, world: &impl World, env: &Env) -> Result<Option<usize>, EvalError> {
+fn resolve(
+    term: &EventTerm,
+    world: &impl World,
+    scope: &Scope,
+) -> Result<Option<usize>, EvalError> {
     match term {
-        EventTerm::Var(name) => env
+        EventTerm::Var(name) => scope
             .lookup(name)
             .map(Some)
             .ok_or_else(|| EvalError::UnboundVariable(name.clone())),
@@ -283,7 +377,11 @@ fn resolve(term: &EventTerm, world: &impl World, env: &Env) -> Result<Option<usi
 ///
 /// [`EvalError::UnknownParam`] / [`EvalError::ParamOutOfRange`] when the
 /// event's class does not declare it.
-pub(crate) fn param_value(world: &impl World, e: usize, p: &ParamRef) -> Result<Value, EvalError> {
+pub(crate) fn param_value<'w>(
+    world: &'w impl World,
+    e: usize,
+    p: &ParamRef,
+) -> Result<&'w Value, EvalError> {
     let index = match p {
         ParamRef::Index(i) => *i,
         ParamRef::Named(name) => {
@@ -296,48 +394,113 @@ pub(crate) fn param_value(world: &impl World, e: usize, p: &ParamRef) -> Result<
         }
     };
     let params = world.params_of(e);
-    params
-        .get(index)
-        .cloned()
-        .ok_or(EvalError::ParamOutOfRange {
-            index,
-            arity: params.len(),
-        })
+    params.get(index).ok_or(EvalError::ParamOutOfRange {
+        index,
+        arity: params.len(),
+    })
 }
 
-fn resolve_value(
-    term: &ValueTerm,
-    world: &impl World,
-    env: &Env,
-) -> Result<Option<Value>, EvalError> {
-    match term {
-        ValueTerm::Const(v) => Ok(Some(v.clone())),
+/// The value of `term`, borrowed from the formula or the world where it
+/// is stored there, so comparing values never copies a string.
+fn resolve_value<'a>(
+    term: &'a ValueTerm,
+    world: &'a impl World,
+    scope: &Scope,
+) -> Result<Option<Cow<'a, Value>>, EvalError> {
+    Ok(match term {
+        ValueTerm::Const(v) => Some(Cow::Borrowed(v)),
         ValueTerm::SeqOf(e) => {
-            Ok(resolve(e, world, env)?.map(|id| Value::Int(i64::from(world.seq_of(id)))))
+            resolve(e, world, scope)?.map(|id| Cow::Owned(Value::Int(i64::from(world.seq_of(id)))))
         }
-        ValueTerm::Param(e, p) => match resolve(e, world, env)? {
-            Some(id) => param_value(world, id, p).map(Some),
-            None => Ok(None),
+        ValueTerm::Param(e, p) => match resolve(e, world, scope)? {
+            Some(id) => Some(Cow::Borrowed(param_value(world, id, p)?)),
+            None => None,
         },
+    })
+}
+
+/// The enable adjacency a quantifier over `var` may walk instead of its
+/// selector's candidates. `filter` is the quantifier body for `∃`, `∃!`
+/// and at-most-one, or the antecedent of a `∀` body `filter ⊃ φ`; when
+/// it, or its first conjunct, is `var ⊳ u` or `u ⊳ var` with `u` bound
+/// in `scope`, the body is false (the `∀` body true) for every event off
+/// `u`'s adjacency, without an error: both terms resolve, so the atom is
+/// simply false. Skipping those events changes no verdict and no error.
+fn anchor(var: &str, filter: &Formula, scope: &Scope) -> Option<(bool, usize)> {
+    let atom = match filter {
+        Formula::And(fs) => fs.first()?,
+        f => f,
+    };
+    let Formula::Atom(Atom::Enables(EventTerm::Var(a), EventTerm::Var(b))) = atom else {
+        return None;
+    };
+    if a == var && b != var {
+        scope.lookup(b).map(|u| (true, u))
+    } else if b == var && a != var {
+        scope.lookup(a).map(|u| (false, u))
+    } else {
+        None
     }
 }
 
-/// Evaluates `formula` on the history sequence `seq` of `world`.
-pub(crate) fn eval<'f>(
-    formula: &'f Formula,
+/// The events a quantifier over `var:sel` visits, ascending: `u`'s
+/// enablers or enabled events when anchored, else the selector's
+/// candidates; only those `sel` matches.
+fn domain<'a>(
+    world: &'a impl World,
+    sel: &'a EventSel,
+    anchor: Option<(bool, usize)>,
+) -> impl Iterator<Item = usize> + 'a {
+    let events = match anchor {
+        Some((true, u)) => Domain::Enablers(world.enablers_of(u)),
+        Some((false, u)) => Domain::Enabled(world.enabled_from(u)),
+        None => Domain::Candidates(world.candidates(sel)),
+    };
+    events.filter(move |&e| world.matches(sel, e))
+}
+
+/// One of the three ascending event lists a quantifier can walk.
+enum Domain<A, B, C> {
+    Enablers(A),
+    Enabled(B),
+    Candidates(C),
+}
+
+impl<A, B, C> Iterator for Domain<A, B, C>
+where
+    A: Iterator<Item = usize>,
+    B: Iterator<Item = usize>,
+    C: Iterator<Item = usize>,
+{
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Domain::Enablers(it) => it.next(),
+            Domain::Enabled(it) => it.next(),
+            Domain::Candidates(it) => it.next(),
+        }
+    }
+}
+
+/// Evaluates `formula` on the history sequence `seq` of `world`, adding
+/// the formula nodes visited to `nodes`.
+pub(crate) fn eval(
+    formula: &Formula,
     world: &impl World,
     seq: &[impl Occurred],
-    env: &mut Env<'f>,
+    scope: &Scope,
+    nodes: &mut u64,
 ) -> Result<bool, EvalError> {
-    env.nodes += 1;
+    *nodes += 1;
     match formula {
         Formula::True => Ok(true),
         Formula::False => Ok(false),
-        Formula::Atom(a) => eval_atom(a, world, &seq[0], env),
-        Formula::Not(f) => Ok(!eval(f, world, seq, env)?),
+        Formula::Atom(a) => eval_atom(a, world, &seq[0], scope),
+        Formula::Not(f) => Ok(!eval(f, world, seq, scope, nodes)?),
         Formula::And(fs) => {
             for f in fs {
-                if !eval(f, world, seq, env)? {
+                if !eval(f, world, seq, scope, nodes)? {
                     return Ok(false);
                 }
             }
@@ -345,25 +508,33 @@ pub(crate) fn eval<'f>(
         }
         Formula::Or(fs) => {
             for f in fs {
-                if eval(f, world, seq, env)? {
+                if eval(f, world, seq, scope, nodes)? {
                     return Ok(true);
                 }
             }
             Ok(false)
         }
-        Formula::Implies(a, b) => Ok(!eval(a, world, seq, env)? || eval(b, world, seq, env)?),
-        Formula::Iff(a, b) => Ok(eval(a, world, seq, env)? == eval(b, world, seq, env)?),
+        Formula::Implies(a, b) => {
+            Ok(!eval(a, world, seq, scope, nodes)? || eval(b, world, seq, scope, nodes)?)
+        }
+        Formula::Iff(a, b) => {
+            Ok(eval(a, world, seq, scope, nodes)? == eval(b, world, seq, scope, nodes)?)
+        }
         Formula::ForAll(var, sel, body) => {
-            for e in 0..world.event_count() {
-                if world.matches(sel, e) && !eval_bound(var, e, body, world, seq, env)? {
+            let filter = match &**body {
+                Formula::Implies(a, _) => anchor(var, a, scope),
+                _ => None,
+            };
+            for e in domain(world, sel, filter) {
+                if !eval_bound(var, e, body, world, seq, scope, nodes)? {
                     return Ok(false);
                 }
             }
             Ok(true)
         }
         Formula::Exists(var, sel, body) => {
-            for e in 0..world.event_count() {
-                if world.matches(sel, e) && eval_bound(var, e, body, world, seq, env)? {
+            for e in domain(world, sel, anchor(var, body, scope)) {
+                if eval_bound(var, e, body, world, seq, scope, nodes)? {
                     return Ok(true);
                 }
             }
@@ -371,8 +542,8 @@ pub(crate) fn eval<'f>(
         }
         Formula::ExistsUnique(var, sel, body) | Formula::AtMostOne(var, sel, body) => {
             let mut count = 0usize;
-            for e in 0..world.event_count() {
-                if world.matches(sel, e) && eval_bound(var, e, body, world, seq, env)? {
+            for e in domain(world, sel, anchor(var, body, scope)) {
+                if eval_bound(var, e, body, world, seq, scope, nodes)? {
                     count += 1;
                     if count > 1 {
                         return Ok(false);
@@ -383,7 +554,7 @@ pub(crate) fn eval<'f>(
         }
         Formula::Henceforth(f) => {
             for i in 0..seq.len() {
-                if !eval(f, world, &seq[i..], env)? {
+                if !eval(f, world, &seq[i..], scope, nodes)? {
                     return Ok(false);
                 }
             }
@@ -391,7 +562,7 @@ pub(crate) fn eval<'f>(
         }
         Formula::Eventually(f) => {
             for i in 0..seq.len() {
-                if eval(f, world, &seq[i..], env)? {
+                if eval(f, world, &seq[i..], scope, nodes)? {
                     return Ok(true);
                 }
             }
@@ -400,31 +571,34 @@ pub(crate) fn eval<'f>(
     }
 }
 
-/// Evaluates `body` with `var` bound to event `e`.
-pub(crate) fn eval_bound<'f>(
-    var: &'f str,
+/// Evaluates `body` with `var` bound to event `e` inside `scope`.
+pub(crate) fn eval_bound(
+    var: &str,
     e: usize,
-    body: &'f Formula,
+    body: &Formula,
     world: &impl World,
     seq: &[impl Occurred],
-    env: &mut Env<'f>,
+    scope: &Scope,
+    nodes: &mut u64,
 ) -> Result<bool, EvalError> {
-    env.bindings.push((var, e));
-    let ok = eval(body, world, seq, env);
-    env.bindings.pop();
-    ok
+    let inner = Scope::Bound {
+        var,
+        event: e,
+        outer: scope,
+    };
+    eval(body, world, seq, &inner, nodes)
 }
 
 fn eval_atom(
     atom: &Atom,
     world: &impl World,
     history: &impl Occurred,
-    env: &Env,
+    scope: &Scope,
 ) -> Result<bool, EvalError> {
     // Helper: resolve or decide the atom is false.
     macro_rules! ev {
         ($t:expr) => {
-            match resolve($t, world, env)? {
+            match resolve($t, world, scope)? {
                 Some(id) => id,
                 None => return Ok(false),
             }
@@ -487,8 +661,8 @@ fn eval_atom(
         }
         Atom::ValueCmp(op, v1, v2) => {
             let (Some(a), Some(b)) = (
-                resolve_value(v1, world, env)?,
-                resolve_value(v2, world, env)?,
+                resolve_value(v1, world, scope)?,
+                resolve_value(v2, world, scope)?,
             ) else {
                 return Ok(false);
             };
@@ -496,6 +670,9 @@ fn eval_atom(
         }
     }
 }
+
+#[cfg(test)]
+mod indexed_equiv;
 
 #[cfg(test)]
 mod tests {

@@ -75,6 +75,7 @@
 //! rejects them with a [`FallbackReason`] and the caller keeps using the
 //! batch checker for that restriction.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use gem_core::{ThreadTypeId, Value};
@@ -898,9 +899,15 @@ impl BoxShape {
             };
         }
         let sel = &self.vars[depth].sel;
-        let must_use_n = !used_n && depth + 1 == self.vars.len();
-        let lo = if must_use_n { n } else { 0 };
-        for e in lo..=n {
+        if !used_n && depth + 1 == self.vars.len() {
+            // The last variable must take `n` itself.
+            if !world.matches(sel, n) {
+                return Ok(false);
+            }
+            binding[depth] = n;
+            return self.enumerate(world, n, depth + 1, true, binding);
+        }
+        for e in world.candidates(sel).take_while(|&e| e <= n) {
             if !world.matches(sel, e) {
                 continue;
             }
@@ -974,7 +981,7 @@ impl BoxShape {
                     }
                 }
                 AllOut::NoMatch { sel, statics } => {
-                    for y in 0..world.event_count() {
+                    for y in world.candidates(sel) {
                         if !world.matches(sel, y) || !in_down(y, down) {
                             continue;
                         }
@@ -1050,17 +1057,25 @@ fn eval_static(
         StaticLit::Eq { a, b, neg } => (ev(*a) == ev(*b)) != *neg,
         StaticLit::Shape { a, sel, neg } => world.matches(sel, ev(*a)) != *neg,
         StaticLit::Cmp { op, lhs, rhs, neg } => {
-            let resolve = |t: &VTerm| -> Result<Value, EvalError> {
-                Ok(match t {
-                    VTerm::Const(v) => v.clone(),
-                    VTerm::SeqOf(v) => Value::Int(i64::from(world.seq_of(ev(*v)))),
-                    VTerm::Param(v, p) => param_value(world, ev(*v), p)?,
-                })
-            };
-            (op.apply(&resolve(lhs)?, &resolve(rhs)?)) != *neg
+            let (lhs, rhs) = (vterm_value(world, lhs, ev)?, vterm_value(world, rhs, ev)?);
+            op.apply(&lhs, &rhs) != *neg
         }
     };
     Ok(raw)
+}
+
+/// The value of `t` under the binding `ev` reads, borrowed where it is
+/// stored.
+fn vterm_value<'a>(
+    world: &'a impl World,
+    t: &'a VTerm,
+    ev: impl Fn(VarIx) -> usize,
+) -> Result<Cow<'a, Value>, EvalError> {
+    Ok(match t {
+        VTerm::Const(v) => Cow::Borrowed(v),
+        VTerm::SeqOf(v) => Cow::Owned(Value::Int(i64::from(world.seq_of(ev(*v))))),
+        VTerm::Param(v, p) => Cow::Borrowed(param_value(world, ev(*v), p)?),
+    })
 }
 
 #[cfg(test)]

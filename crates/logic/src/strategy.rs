@@ -32,7 +32,7 @@ use gem_core::{
 };
 
 use crate::eval::holds_on;
-use crate::{EvalError, Formula};
+use crate::{EvalError, Formula, World};
 
 /// How to enumerate the history sequences a formula is checked against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -215,11 +215,11 @@ impl EvalTally {
     fn holds_on(
         &mut self,
         formula: &Formula,
-        computation: &Computation,
+        world: &impl World,
         seq: &[History],
     ) -> Result<bool, EvalError> {
         self.calls += 1;
-        holds_on(formula, computation, seq, &mut self.nodes)
+        holds_on(formula, world, seq, &mut self.nodes)
     }
 }
 
@@ -231,13 +231,13 @@ impl Pending<'_> {
         &mut self,
         probing: bool,
         tally: &mut EvalTally,
-        computation: &Computation,
+        world: &impl World,
         seq: &[History],
         checked: usize,
         exhaustive: bool,
     ) -> bool {
         let started = probing.then(std::time::Instant::now);
-        let verdict = self.holds_on(tally, computation, seq);
+        let verdict = self.holds_on(tally, world, seq);
         if let Some(started) = started {
             self.eval_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
@@ -257,17 +257,17 @@ impl Pending<'_> {
     fn holds_on(
         &mut self,
         tally: &mut EvalTally,
-        computation: &Computation,
+        world: &impl World,
         seq: &[History],
     ) -> Result<bool, EvalError> {
         let Some(p) = self.safety_body else {
-            return tally.holds_on(self.formula, computation, seq);
+            return tally.holds_on(self.formula, world, seq);
         };
         for h in seq {
             let holds = match self.memo.get(h) {
                 Some(&v) => v,
                 None => {
-                    let v = tally.holds_on(p, computation, std::slice::from_ref(h))?;
+                    let v = tally.holds_on(p, world, std::slice::from_ref(h))?;
                     self.memo.insert(h.clone(), v);
                     v
                 }
@@ -302,6 +302,17 @@ pub fn check_many(
     computation: &Computation,
     strategy: Strategy,
 ) -> Vec<MultiCheck> {
+    check_many_in(formulas, computation, computation, strategy)
+}
+
+/// [`check_many`] with the formulas read through `world`, a view of
+/// `computation`, whose history sequences are enumerated.
+pub(crate) fn check_many_in(
+    formulas: &[&Formula],
+    computation: &Computation,
+    world: &impl World,
+    strategy: Strategy,
+) -> Vec<MultiCheck> {
     let probing = gem_obs::ambient::active();
     let mut pending: Vec<Pending> = formulas
         .iter()
@@ -319,7 +330,7 @@ pub fn check_many(
     let mut tally = EvalTally::default();
     let full = [History::full(computation)];
     for f in pending.iter_mut().filter(|f| !f.formula.is_temporal()) {
-        if !f.decide(probing, &mut tally, computation, &full, 1, true) {
+        if !f.decide(probing, &mut tally, world, &full, 1, true) {
             f.outcome = Some(Ok(CheckReport::passing(1, true)));
         }
     }
@@ -332,7 +343,7 @@ pub fn check_many(
     let mut on_sequence = |seq: &[History]| {
         checked += 1;
         for f in pending.iter_mut().filter(|f| f.outcome.is_none()) {
-            if f.decide(probing, &mut tally, computation, seq, checked, !sampled) {
+            if f.decide(probing, &mut tally, world, seq, checked, !sampled) {
                 undecided -= 1;
             }
         }

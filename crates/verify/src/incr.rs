@@ -15,7 +15,10 @@
 //! assigns thread tags, and advances every compiled restriction
 //! ([`gem_logic::incr`]) by O(formula). The per-event rows rewound at an
 //! undo stay allocated as spares, so a replay without string parameters
-//! allocates nothing once the deepest leaf has been seen.
+//! allocates nothing once the deepest leaf has been seen, and neither does
+//! judging the leaf restrictions ([`gem_logic`]'s evaluator binds
+//! variables on the stack and walks the per-class and per-element rows
+//! kept here).
 //!
 //! A leaf that finishes **clean** — no incremental violation, no
 //! condition the incremental pipeline cannot reproduce — is guaranteed to
@@ -47,6 +50,7 @@
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
+use std::time::Instant;
 
 use gem_core::{ClassId, ComputationBuilder, ElementId, EventId, Structure, ThreadTypeId, Value};
 use gem_logic::incr::{compile, Compiled};
@@ -88,6 +92,9 @@ struct CompiledRestriction {
     name: String,
     formula: Formula,
     compiled: Option<Compiled>,
+    /// For a leaf restriction, its `logic.incr.leaf_eval.by_restriction`
+    /// counter and timer keys, formatted once.
+    leaf_keys: Option<[String; 2]>,
 }
 
 /// One row per event. Rewinding keeps the dropped rows allocated (and
@@ -160,6 +167,9 @@ struct SpecEvents {
     edge_journal: Vec<(u32, u32)>,
     /// Spec events per problem element, in element order.
     by_element: Vec<Vec<u32>>,
+    /// Spec events per problem class, ascending: the candidates of a
+    /// class selector.
+    by_class: Vec<Vec<u32>>,
 }
 
 impl SpecEvents {
@@ -234,7 +244,7 @@ impl IncrChecker {
         let mut compiled_n = 0u64;
         let mut fallback_n = 0u64;
         let mut global_fallback = false;
-        for r in problem.restrictions() {
+        for (i, r) in problem.restrictions().iter().enumerate() {
             let compiled = match compile(&r.formula) {
                 Ok(c) => {
                     compiled_n += 1;
@@ -251,10 +261,14 @@ impl IncrChecker {
                     None
                 }
             };
+            let leaf_keys = matches!(compiled, Some(Compiled::Leaf)).then(|| {
+                ["evals", "ns"].map(|k| format!("logic.incr.leaf_eval.by_restriction.{i}.{k}"))
+            });
             restrictions.push(CompiledRestriction {
                 name: r.name.clone(),
                 formula: r.formula.clone(),
                 compiled,
+                leaf_keys,
             });
         }
         // Thread-path selectors constraining a concrete instance would
@@ -284,6 +298,7 @@ impl IncrChecker {
             bridge: Rows::default(),
             spec: SpecEvents {
                 by_element: vec![Vec::new(); problem.structure().element_count()],
+                by_class: vec![Vec::new(); problem.structure().class_count()],
                 ..SpecEvents::default()
             },
             violations: vec![Vec::new(); n_restrictions],
@@ -384,10 +399,19 @@ impl IncrChecker {
             problem: &self.problem,
             b,
         };
+        let probing = gem_obs::ambient::active();
         for r in &self.restrictions {
-            if matches!(r.compiled, Some(Compiled::Leaf))
-                && holds_on_computation(&r.formula, &world) != Ok(true)
-            {
+            let Some([evals, ns]) = &r.leaf_keys else {
+                continue;
+            };
+            let started = probing.then(Instant::now);
+            let holds = holds_on_computation(&r.formula, &world) == Ok(true);
+            if let Some(started) = started {
+                let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                gem_obs::ambient::add(evals, 1);
+                gem_obs::ambient::time_ns(ns, elapsed);
+            }
+            if !holds {
                 obs_add("logic.incr.leaf_fallback", 1);
                 return LeafStatus::Fallback;
             }
@@ -434,6 +458,9 @@ impl IncrChecker {
             let el = self.spec.element[sid];
             let popped = self.spec.by_element[el.index()].pop();
             debug_assert_eq!(popped, Some(sid as u32), "element chains append-only");
+            let cl = self.spec.class[sid];
+            let popped = self.spec.by_class[cl.index()].pop();
+            debug_assert_eq!(popped, Some(sid as u32), "class rows append-only");
         }
         self.spec.prog_of.truncate(sstar);
         self.spec.element.truncate(sstar);
@@ -499,6 +526,7 @@ impl IncrChecker {
         self.spec.enables_out.push();
         self.spec.enablers_in.push();
         self.spec.by_element[el.index()].push(sid);
+        self.spec.by_class[cl.index()].push(sid);
         self.spec_of.push(Some(sid));
         self.bridge.push();
         if bad_param || !legal {
@@ -538,8 +566,11 @@ impl IncrChecker {
                     ) {
                         self.push_batch(i);
                     }
+                    // `t` is the newest spec event, so `enables_out` rows
+                    // stay ascending; the enablers are kept ascending too.
                     self.spec.enables_out[s as usize].push(t);
-                    self.spec.enablers_in[t as usize].push(s);
+                    let enablers = &mut self.spec.enablers_in[t as usize];
+                    enablers.insert(enablers.partition_point(|&x| x < s), s);
                     self.spec.edge_journal.push((s, t));
                 }
                 None => {
@@ -707,6 +738,22 @@ impl World for SpecWorld<'_> {
     fn structure(&self) -> &Structure {
         self.problem
     }
+    /// The class row of a class selector, the element row of an
+    /// element-only one, every event otherwise.
+    fn candidates(&self, sel: &EventSel) -> impl Iterator<Item = usize> + '_ {
+        fn row(rows: &[Vec<u32>], i: usize) -> &[u32] {
+            rows.get(i).map_or(&[], Vec::as_slice)
+        }
+        let (listed, all) = match (sel.class, sel.element) {
+            (Some(c), _) => (row(&self.spec.by_class, c.index()), 0..0),
+            (None, Some(el)) => (row(&self.spec.by_element, el.index()), 0..0),
+            (None, None) => (&[][..], 0..self.spec.len()),
+        };
+        listed.iter().map(|&s| s as usize).chain(all)
+    }
+    fn enablers_of(&self, e: usize) -> impl Iterator<Item = usize> + '_ {
+        self.spec.enablers_in[e].iter().map(|&s| s as usize)
+    }
 }
 
 #[cfg(test)]
@@ -781,6 +828,148 @@ mod tests {
             )
             .henceforth()
         })
+    }
+
+    /// A specification over elements `P` and `Q` with the classes
+    /// `Act()` and `Val(x)`, no restriction, the identity correspondence
+    /// (carrying `x`), and the ids of `P`, `Q`, `Act` and `Val`.
+    fn two_class_spec() -> (Specification, Correspondence, [ElementId; 2], [ClassId; 2]) {
+        let ty = ElementType::new("Proc")
+            .event("Act", &[])
+            .event("Val", &["x"]);
+        let mut sb = SpecBuilder::new("TwoClass");
+        let p = sb.instantiate_element(&ty, "P").unwrap();
+        let q = sb.instantiate_element(&ty, "Q").unwrap();
+        let spec = sb.finish();
+        let mut corr = Correspondence::new();
+        for el in [&p, &q] {
+            corr = corr
+                .map(el.sel("Act"), el.id(), el.class("Act"))
+                .map_with_params(el.sel("Val"), el.id(), el.class("Val"), &[(0, 0)]);
+        }
+        (
+            spec,
+            corr,
+            [p.id(), q.id()],
+            [p.class("Act"), p.class("Val")],
+        )
+    }
+
+    /// The leaf-evaluation world of `chk` synced to `b`.
+    fn spec_world<'a>(chk: &'a IncrChecker, b: &'a ComputationBuilder) -> SpecWorld<'a> {
+        SpecWorld {
+            spec: &chk.spec,
+            threads: &chk.threads,
+            problem: &chk.problem,
+            b,
+        }
+    }
+
+    /// Asserts that every formula of `fs` evaluates on the checker's
+    /// synced projection of `b` exactly as on the sealed projection,
+    /// errors included.
+    fn assert_worlds_agree(
+        chk: &mut IncrChecker,
+        b: &ComputationBuilder,
+        spec: &Specification,
+        corr: &Correspondence,
+        fs: &[Formula],
+    ) {
+        chk.sync_to(b);
+        let sealed = b.seal_ref().unwrap();
+        let projected = crate::project(&sealed, spec.structure_arc(), corr).unwrap();
+        let world = spec_world(chk, b);
+        for f in fs {
+            assert_eq!(
+                holds_on_computation(f, &world),
+                holds_on_computation(f, &projected),
+                "{f:?} on {} events",
+                projected.event_count()
+            );
+        }
+    }
+
+    #[test]
+    fn a_foreign_element_names_no_event_in_either_world() {
+        let (spec, corr, [p, q], [act, _]) = two_class_spec();
+        let mut b = ComputationBuilder::new(spec.structure_arc());
+        b.add_event(p, act, vec![]).unwrap();
+        b.add_event(q, act, vec![]).unwrap();
+        let foreign = ElementId::from_raw(7);
+        let fs = [
+            Formula::occurred(gem_logic::EventTerm::NthAt(foreign, 0)),
+            Formula::exists("e", EventSel::at_element(foreign), Formula::True),
+            Formula::exists("e", EventSel::of_class(ClassId::from_raw(7)), Formula::True),
+        ];
+        let mut chk = IncrChecker::new(&spec, &corr, false);
+        assert_worlds_agree(&mut chk, &b, &spec, &corr, &fs);
+        let world = spec_world(&chk, &b);
+        for f in &fs {
+            assert_eq!(holds_on_computation(f, &world), Ok(false), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn indexed_leaf_evaluation_matches_the_sealed_projection_across_rewinds() {
+        use gem_logic::ValueTerm;
+        let (spec, corr, [p, q], [act, val]) = two_class_spec();
+        let x = |n: i64| vec![Value::Int(n)];
+        let fs = [
+            // The newest event is the only `Val` with x = 2.
+            Formula::forall(
+                "v",
+                EventSel::of_class(val),
+                Formula::value_eq(ValueTerm::param("v", "x"), ValueTerm::lit(2i64)).not(),
+            ),
+            Formula::exists("e", EventSel::at_element(q), Formula::True),
+            // Anchored on the enablers of the `Val` with x = 2, which
+            // arrive out of order: in id order the `Val` with x = 1 is a
+            // witness before an `Act` raises `UnknownParam`.
+            Formula::forall(
+                "t",
+                EventSel::of_class(val).with_param(0, 2i64),
+                Formula::occurred("t").implies(Formula::exists(
+                    "s",
+                    EventSel::any(),
+                    Formula::enables("s", "t").and(Formula::value_eq(
+                        ValueTerm::param("s", "x"),
+                        ValueTerm::lit(1i64),
+                    )),
+                )),
+            ),
+            Formula::forall(
+                "s",
+                EventSel::of_class(val),
+                Formula::at_most_one("t", EventSel::any(), Formula::enables("s", "t")),
+            ),
+        ];
+        let mut chk = IncrChecker::new(&spec, &corr, false);
+        // Every leaf is totally ordered, so the projection numbers its
+        // events in emission order as the checker does, and both worlds
+        // visit the same candidates in the same order.
+        let mut b = ComputationBuilder::new(spec.structure_arc());
+        let v0 = b.add_event(p, val, x(1)).unwrap();
+        let a1 = b.add_event(q, act, vec![]).unwrap();
+        b.enable(v0, a1).unwrap();
+        assert_worlds_agree(&mut chk, &b, &spec, &corr, &fs);
+        let mark = b.mark();
+        let a2 = b.add_event(p, act, vec![]).unwrap();
+        b.enable(a1, a2).unwrap();
+        let v3 = b.add_event(q, val, x(2)).unwrap();
+        b.enable(a2, v3).unwrap();
+        b.enable(v0, v3).unwrap();
+        b.enable(a1, v3).unwrap();
+        assert_worlds_agree(&mut chk, &b, &spec, &corr, &fs);
+        // A sibling leaf: the rewind must drop the rolled-back events from
+        // every row the candidates are drawn from.
+        b.truncate_to(&mark);
+        let a2 = b.add_event(q, act, vec![]).unwrap();
+        b.enable(v0, a2).unwrap();
+        assert_worlds_agree(&mut chk, &b, &spec, &corr, &fs);
+        let v3 = b.add_event(p, val, x(2)).unwrap();
+        b.enable(a2, v3).unwrap();
+        b.enable(a1, v3).unwrap();
+        assert_worlds_agree(&mut chk, &b, &spec, &corr, &fs);
     }
 
     #[test]

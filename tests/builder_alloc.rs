@@ -8,14 +8,16 @@
 //! rolled back stay allocated as spares and the edge update works in
 //! scratch buffers the order owns. Likewise, once the incremental checker
 //! has synced to the deepest leaf, replaying a regrown suffix of the same
-//! shape works in the rows and scratch buffers it kept.
+//! shape works in the rows and scratch buffers it kept, and judging the
+//! leaf restrictions binds variables on the stack and compares values in
+//! place.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gem::core::{ClassId, ComputationBuilder, ElementId, EventId, Structure, Value};
 use gem::logic::{CmpOp, Formula, ValueTerm};
-use gem::spec::{ElementType, SpecBuilder};
+use gem::spec::{prerequisite, ElementInstance, ElementType, SpecBuilder};
 use gem::verify::{Correspondence, IncrChecker, LeafStatus};
 
 /// Counts allocations per thread, so tests running in parallel on other
@@ -135,8 +137,14 @@ fn hand_off(
     }
 }
 
-#[test]
-fn replaying_a_regrown_suffix_does_not_allocate() {
+/// Syncs an incremental checker to the deepest hand-off leaf, rolls the
+/// builder back, regrows a sibling leaf of the same shape with other
+/// values and returns the allocations the second sync made. Every
+/// restriction `restrictions` adds over the elements `P` (puts) and `Q`
+/// (gets) must hold of both leaves.
+fn replay_allocations(
+    restrictions: impl FnOnce(&mut SpecBuilder, &ElementInstance, &ElementInstance),
+) -> u64 {
     let ty = ElementType::new("Node")
         .event("Put", &["v"])
         .event("Get", &["v"]);
@@ -144,25 +152,7 @@ fn replaying_a_regrown_suffix_does_not_allocate() {
     let p = sb.instantiate_element(&ty, "P").expect("element");
     let q = sb.instantiate_element(&ty, "Q").expect("element");
     let r = sb.instantiate_element(&ty, "R").expect("element");
-    // ◻∀a:P.Put ∀b:Q.Get (a ⊳ b ⊃ b.v = a.v): a get returns the value of
-    // the put that enabled it (through the relay, once projected).
-    sb.add_restriction(
-        "get-returns-put",
-        Formula::forall(
-            "a",
-            p.sel("Put"),
-            Formula::forall(
-                "b",
-                q.sel("Get"),
-                Formula::enables("a", "b").implies(Formula::value_cmp(
-                    CmpOp::Eq,
-                    ValueTerm::param("b", 0),
-                    ValueTerm::param("a", 0),
-                )),
-            ),
-        )
-        .henceforth(),
-    );
+    restrictions(&mut sb, &p, &q);
     let spec = sb.finish();
     let corr = Correspondence::new()
         .map_with_params(p.sel("Put"), p.id(), p.class("Put"), &[(0, 0)])
@@ -186,9 +176,59 @@ fn replaying_a_regrown_suffix_does_not_allocate() {
     let status = chk.sync_to(&b);
     let during = allocs() - before;
     assert_eq!(status, LeafStatus::Clean);
+    assert_eq!(IncrChecker::new(&spec, &corr, false).sync_to(&b), status);
+    during
+}
+
+#[test]
+fn replaying_a_regrown_suffix_does_not_allocate() {
+    let during = replay_allocations(|sb, p, q| {
+        // ◻∀a:P.Put ∀b:Q.Get (a ⊳ b ⊃ b.v = a.v): a get returns the value
+        // of the put that enabled it (through the relay, once projected).
+        sb.add_restriction(
+            "get-returns-put",
+            Formula::forall(
+                "a",
+                p.sel("Put"),
+                Formula::forall(
+                    "b",
+                    q.sel("Get"),
+                    Formula::enables("a", "b").implies(Formula::value_cmp(
+                        CmpOp::Eq,
+                        ValueTerm::param("b", 0),
+                        ValueTerm::param("a", 0),
+                    )),
+                ),
+            )
+            .henceforth(),
+        );
+    });
     assert_eq!(
         during, 0,
         "replaying a 60-event suffix allocated {during} time(s)"
     );
-    assert_eq!(IncrChecker::new(&spec, &corr, false).sync_to(&b), status);
+}
+
+#[test]
+fn judging_leaf_restrictions_does_not_allocate() {
+    let during = replay_allocations(|sb, p, q| {
+        // Put → Get: every get is enabled by exactly one put, and every
+        // put enables at most one get. The leaf binds variables in nested
+        // quantifiers.
+        sb.add_restriction("put-get-chain", prerequisite(&p.sel("Put"), &q.sel("Get")));
+        // ∀a:P.Put (a.v ≠ "eof"): a comparison against a string, which
+        // the evaluator must read in place rather than copy.
+        sb.add_restriction(
+            "no-eof-put",
+            Formula::forall(
+                "a",
+                p.sel("Put"),
+                Formula::value_cmp(CmpOp::Ne, ValueTerm::param("a", "v"), ValueTerm::lit("eof")),
+            ),
+        );
+    });
+    assert_eq!(
+        during, 0,
+        "replaying a 60-event suffix and judging its leaf allocated {during} time(s)"
+    );
 }

@@ -16,7 +16,9 @@
 //! * the `gem verify` stdout, a digest of every counterexample artifact
 //!   file, and the `--stats-json` report with timings stripped. `code.*`
 //!   and `explore.compile_ns` describe the compiled programs themselves,
-//!   which the interpreters did not have, so they are not pinned;
+//!   which the interpreters did not have, so they are not pinned; nor are
+//!   the `logic.incr.leaf_eval.*` counters and timers, per-restriction
+//!   telemetry of the incremental checker added after the capture;
 //! * under `commands`, a digest of the stdout bytes of `render`, `dot`,
 //!   `deadlock` (not for `life`, whose unbounded state search does not
 //!   finish in useful time), and `explore` plain and with `--dedup`, both
@@ -41,6 +43,9 @@ use gem::verify::{verify_system, Correspondence, VerifyOptions};
 use gem_cli::{instance, Instance, Params, Program};
 
 const GOLDEN: &str = include_str!("golden/step_semantics.json");
+
+/// Prefix of the keys the golden reports do not pin.
+const LEAF_EVAL: &str = "logic.incr.leaf_eval.";
 
 fn hex(word: u64) -> JsonValue {
     JsonValue::Str(format!("{word:#018x}"))
@@ -140,7 +145,10 @@ fn cli(line: &str, por: bool) -> Vec<(String, JsonValue)> {
     let mut report = gem::obs::Report::from_json(&text)
         .expect("valid report")
         .without_timings();
-    report.counters.retain(|k, _| !k.starts_with("code."));
+    report
+        .counters
+        .retain(|k, _| !k.starts_with("code.") && !k.starts_with(LEAF_EVAL));
+    report.timers.retain(|k, _| !k.starts_with(LEAF_EVAL));
     report.hists.remove("explore.compile_ns");
     let mut artifacts = Vec::new();
     let mut entries: Vec<_> = std::fs::read_dir(&art)
