@@ -9,10 +9,11 @@
 //! * `noop_record/1000` / `stats_record/1000` — 1000 histogram samples
 //!   through `Probe::record`, disabled and into a live [`StatsProbe`]:
 //!   the log-bucket hot path must stay within noise of a counter add.
-//! * `recorder_add/1000` — the same through the flight-recorder ring,
-//!   the cost `--artifacts` opts into.
-//! * `sweep_noop` / `sweep_recorder` — a small full exploration sweep
-//!   under each probe; the delta is the real-world recorder overhead.
+//! * `event_log_add/1000` — the same through a full event-log buffer
+//!   (the flight-recorder steady state), the cost `--artifacts` opts
+//!   into.
+//! * `sweep_noop` / `sweep_event_log` — a small full exploration sweep
+//!   under each probe; the delta is the real-world event-log overhead.
 //! * `expr_eval/{interpreted,compiled}` — 1000 evaluations of a mixed
 //!   arithmetic/boolean expression through `Expr::eval`, the reference
 //!   evaluator, over a `VarStore` vs the postfix Code IR over slot
@@ -26,7 +27,7 @@ use gem_core::Value;
 use gem_lang::code::{ExprPool, SlotLayout};
 use gem_lang::monitor::{readers_writers_monitor, SignalSemantics};
 use gem_lang::{Explorer, Expr, VarStore};
-use gem_obs::{NoopProbe, Probe, RecorderProbe, StatsProbe};
+use gem_obs::{EventLog, NoopProbe, Probe, StatsProbe, CRASH_TAIL};
 use gem_problems::readers_writers::rw_program_with_semantics;
 
 fn bench_probe_overhead(c: &mut Criterion) {
@@ -65,17 +66,21 @@ fn bench_probe_overhead(c: &mut Criterion) {
         });
     });
 
-    let recorder = RecorderProbe::new(256);
-    let rec: &dyn Probe = &recorder;
-    group.bench_with_input(BenchmarkId::new("recorder_add", 1000), &1000u32, |b, &n| {
-        b.iter(|| {
-            for i in 0..n {
-                if rec.enabled() {
-                    rec.add("bench.counter", u64::from(i));
+    let log = EventLog::new(CRASH_TAIL);
+    let rec: &dyn Probe = &log;
+    group.bench_with_input(
+        BenchmarkId::new("event_log_add", 1000),
+        &1000u32,
+        |b, &n| {
+            b.iter(|| {
+                for i in 0..n {
+                    if rec.enabled() {
+                        rec.add("bench.counter", u64::from(i));
+                    }
                 }
-            }
-        });
-    });
+            });
+        },
+    );
 
     let sys = rw_program_with_semantics(
         readers_writers_monitor(),
@@ -90,11 +95,11 @@ fn bench_probe_overhead(c: &mut Criterion) {
                 .par_for_each_run_probed(&sys, &NoopProbe, |_, _| ControlFlow::Continue(()))
         });
     });
-    let sweep_recorder = RecorderProbe::new(256);
-    group.bench_function("sweep_recorder", |b| {
+    let sweep_log = EventLog::new(CRASH_TAIL);
+    group.bench_function("sweep_event_log", |b| {
         b.iter(|| {
             Explorer::default()
-                .par_for_each_run_probed(&sys, &sweep_recorder, |_, _| ControlFlow::Continue(()))
+                .par_for_each_run_probed(&sys, &sweep_log, |_, _| ControlFlow::Continue(()))
         });
     });
 

@@ -28,7 +28,8 @@
 //!
 //! * `--stats` — print a counter/timer table to stderr after the command
 //! * `--stats-json <path>` — write the same report as deterministic JSON
-//! * `--trace <path>` — stream every probe event as JSONL
+//! * `--trace <path>` — write every probe event as JSONL when the
+//!   command finishes
 //! * `--heartbeat <secs>` — progress line cadence on stderr (default 5;
 //!   0 disables)
 //! * `--jobs <n>` — explorer worker threads (default 1, 0 = auto)
@@ -43,9 +44,8 @@
 //! * `--artifacts <dir>` — on `verify`, dump the first failing or
 //!   deadlocked run as a self-contained counterexample artifact directory
 //!   (schedule, computation, blame, highlighted dot), and arm a flight
-//!   recorder that dumps `<dir>/crash.json` if the process panics
-//! * `--recorder-cap <n>` — flight-recorder events kept per thread
-//!   (default 256; also settable via `GEM_RECORDER_CAP`)
+//!   recorder that dumps `<dir>/crash.json` (the last 256 probe events
+//!   of each thread) if the process panics
 //! * `--trace-out <path>` — write a Chrome-trace (`chrome://tracing` /
 //!   Perfetto) JSON of timer spans and counter totals
 //! * `--metrics-out <path>` — sample cumulative counters/gauges once a
@@ -64,10 +64,12 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::io::Write;
 use std::ops::ControlFlow;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gem_core::Computation;
 use gem_lang::ada::AdaSystem;
@@ -77,8 +79,8 @@ use gem_lang::{CodeStats, Explorer, System};
 use gem_logic::incr::compile;
 use gem_obs::json::JsonValue;
 use gem_obs::{
-    install_crash_sink, write_atomic, ChromeTraceProbe, FanoutProbe, HeartbeatProbe, NoopProbe,
-    PhaseProfile, Probe, RecorderProbe, SeriesProbe, Span, StatsProbe, TraceProbe,
+    heartbeat_line, install_crash_sink, write_atomic, EventLog, FanoutProbe, NoopProbe,
+    PhaseProfile, Probe, Series, Span, StatsProbe, CRASH_TAIL,
 };
 use gem_problems::readers_writers::{
     mesa_safe_readers_writers_monitor, rw_correspondence, rw_program_with_semantics,
@@ -421,7 +423,6 @@ struct ObsFlags {
     incr_check: IncrCheck,
     explain: bool,
     artifacts: Option<String>,
-    recorder_cap: Option<usize>,
     /// Filled in by `verify --auto`: the sampled decision, carried back
     /// so the stats report's config section can record it.
     strategy: Option<StrategyDecision>,
@@ -429,7 +430,7 @@ struct ObsFlags {
 
 /// Splits `--stats` / `--stats-json` / `--trace` / `--trace-out` /
 /// `--heartbeat` / `--jobs` / `--dedup` / `--por` / `--incr-check` /
-/// `--explain` / `--artifacts` / `--recorder-cap` (either
+/// `--explain` / `--artifacts` (either
 /// `--flag value` or `--flag=value`) out of `args`, leaving positional
 /// arguments and `key=value` parameters untouched.
 fn split_flags(args: &[String]) -> Result<(Vec<String>, ObsFlags), CliError> {
@@ -507,20 +508,17 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, ObsFlags), CliError> {
             "--trace-out" => flags.trace_out = Some(value("--trace-out")?),
             "--metrics-out" => flags.metrics_out = Some(value("--metrics-out")?),
             "--artifacts" => flags.artifacts = Some(value("--artifacts")?),
-            "--recorder-cap" => {
-                let v = value("--recorder-cap")?;
-                let cap: usize = v.parse().map_err(|_| {
-                    err(format!("--recorder-cap must be an event count, got {v:?}"))
-                })?;
-                flags.recorder_cap = Some(cap);
-            }
             "--heartbeat" => {
                 let v = value("--heartbeat")?;
                 let secs: f64 = v
                     .parse()
                     .map_err(|_| err(format!("--heartbeat must be seconds, got {v:?}")))?;
-                if secs.is_nan() || secs < 0.0 {
-                    return Err(err(format!("--heartbeat must be >= 0, got {v:?}")));
+                // The ticker turns the cadence into a `Duration`; NaN,
+                // negative, infinite and overlong values have none.
+                if Duration::try_from_secs_f64(secs).is_err() {
+                    return Err(err(format!(
+                        "--heartbeat must be a finite number of seconds >= 0, got {v:?}"
+                    )));
                 }
                 flags.heartbeat = Some(secs);
             }
@@ -536,14 +534,15 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, ObsFlags), CliError> {
 }
 
 /// The probe sinks a command line asked for. Held separately from the
-/// composed probe so the stats sink can be read back after the command.
+/// composed probe so they can be read back during and after the command.
 struct ObsSetup {
     probe: Arc<dyn Probe>,
-    stats_sink: Option<Arc<StatsProbe>>,
-    trace_sink: Option<Arc<TraceProbe>>,
-    chrome_sink: Option<Arc<ChromeTraceProbe>>,
-    heartbeat_sink: Option<Arc<HeartbeatProbe>>,
-    series_sink: Option<Arc<SeriesProbe>>,
+    /// The command's one aggregator, when anything reads it: `--stats*`,
+    /// `--explain`, the heartbeat, `--metrics-out`, `profile` and `top`.
+    stats: Option<Arc<StatsProbe>>,
+    /// The command's one event log, behind `--trace`, `--trace-out` and
+    /// the `--artifacts` crash dump.
+    log: Option<Arc<EventLog>>,
 }
 
 /// Cadence of `--metrics-out` snapshots. Fixed rather than configurable:
@@ -551,31 +550,16 @@ struct ObsSetup {
 /// unconditional snapshot covers sweeps faster than one interval.
 const METRICS_INTERVAL: Duration = Duration::from_secs(1);
 
-/// Probe events kept per thread by the `--artifacts` flight recorder
-/// (override with `--recorder-cap` or `GEM_RECORDER_CAP`).
-const RECORDER_CAPACITY: usize = 256;
-
-/// Resolves the flight-recorder ring capacity: `--recorder-cap` wins,
-/// then the `GEM_RECORDER_CAP` environment variable, then the default.
-fn recorder_capacity(flags: &ObsFlags) -> Result<usize, CliError> {
-    if let Some(cap) = flags.recorder_cap {
-        return Ok(cap);
-    }
-    match std::env::var("GEM_RECORDER_CAP") {
-        Ok(v) => v.parse().map_err(|_| {
-            err(format!(
-                "GEM_RECORDER_CAP must be an event count, got {v:?}"
-            ))
-        }),
-        Err(_) => Ok(RECORDER_CAPACITY),
-    }
-}
+/// Events kept per thread when `--trace` or `--trace-out` asks for the
+/// whole log; past it the oldest are dropped and counted on stderr.
+const TRACE_EVENTS: usize = 1 << 20;
 
 /// Fails when a flag that writes its file after the command names a
 /// directory that does not exist, so a bad path costs no sweep.
 fn check_output_dirs(flags: &ObsFlags) -> Result<(), CliError> {
     let outputs = [
         ("--stats-json", &flags.stats_json),
+        ("--trace", &flags.trace),
         ("--trace-out", &flags.trace_out),
         ("--metrics-out", &flags.metrics_out),
     ];
@@ -594,75 +578,187 @@ fn check_output_dirs(flags: &ObsFlags) -> Result<(), CliError> {
     Ok(())
 }
 
-fn obs_setup(flags: &ObsFlags) -> Result<ObsSetup, CliError> {
+/// The sinks `command` reports to, and the ticker that reads the stats
+/// sink while it runs, if anything periodic is on.
+fn obs_setup(flags: &ObsFlags, command: &str) -> Result<(ObsSetup, Option<Ticker>), CliError> {
     // The artifact directory comes first: another output may live in it.
     if let Some(dir) = &flags.artifacts {
         std::fs::create_dir_all(dir)
             .map_err(|e| err(format!("cannot create artifact dir {dir:?}: {e}")))?;
     }
     check_output_dirs(flags)?;
-    // `--explain` derives its verdicts from the aggregated report, so it
-    // implies a stats sink even without `--stats`.
-    let stats_sink = if flags.stats || flags.stats_json.is_some() || flags.explain {
-        Some(Arc::new(StatsProbe::new()))
+    // The progress display: `gem top` repaints its dashboard every
+    // second by default, every other command prints a heartbeat line
+    // every five; `--heartbeat 0` turns it off.
+    let (default, view) = if command == "top" {
+        (1.0, View::Top)
     } else {
-        None
+        (5.0, View::Heartbeat)
     };
-    let trace_sink = match &flags.trace {
-        Some(path) => {
-            Some(Arc::new(TraceProbe::create(path).map_err(|e| {
-                err(format!("cannot create trace file {path:?}: {e}"))
-            })?))
-        }
-        None => None,
-    };
-    let chrome_sink = flags
-        .trace_out
-        .as_ref()
-        .map(|_| Arc::new(ChromeTraceProbe::new()));
-    let heartbeat_secs = flags.heartbeat.unwrap_or(5.0);
-    let heartbeat_sink = (heartbeat_secs > 0.0)
-        .then(|| Arc::new(HeartbeatProbe::new(Duration::from_secs_f64(heartbeat_secs))));
-    let series_sink = flags
+    let period = Duration::from_secs_f64(flags.heartbeat.unwrap_or(default));
+    let progress = (!period.is_zero()).then_some((period, view));
+    let series = flags
         .metrics_out
         .as_ref()
-        .map(|_| Arc::new(SeriesProbe::new(METRICS_INTERVAL)));
-    let mut sinks: Vec<Arc<dyn Probe>> = Vec::new();
-    if let Some(s) = &stats_sink {
-        sinks.push(s.clone());
-    }
-    if let Some(t) = &trace_sink {
-        sinks.push(t.clone());
-    }
-    if let Some(c) = &chrome_sink {
-        sinks.push(c.clone());
-    }
-    if let Some(h) = &heartbeat_sink {
-        sinks.push(h.clone());
-    }
-    if let Some(s) = &series_sink {
-        sinks.push(s.clone());
-    }
-    // With an artifact directory, arm the flight recorder: the last
-    // `--recorder-cap` probe events per thread plus live span stacks are
-    // dumped to <dir>/crash.json if the process panics mid-sweep.
-    if let Some(dir) = &flags.artifacts {
-        let recorder = Arc::new(RecorderProbe::new(recorder_capacity(flags)?));
-        install_crash_sink(recorder.clone(), Path::new(dir).join("crash.json"));
-        sinks.push(recorder);
-    }
-    let probe: Arc<dyn Probe> = match sinks.len() {
-        0 => Arc::new(NoopProbe),
-        1 => sinks.pop().expect("len checked"),
-        _ => Arc::new(FanoutProbe::new(sinks)),
+        .map(|_| Series::new(METRICS_INTERVAL));
+    let ticking = progress.is_some() || series.is_some();
+    // Reports, `--explain`, `profile` and `top` read timers and
+    // histograms; the ticker reads counters and gauges only, so alone it
+    // aggregates nothing else.
+    let reported = flags.stats
+        || flags.stats_json.is_some()
+        || flags.explain
+        || matches!(command, "profile" | "top");
+    let stats = if reported {
+        Some(Arc::new(StatsProbe::new()))
+    } else {
+        ticking.then(|| Arc::new(StatsProbe::counters_and_gauges()))
     };
-    Ok(ObsSetup {
-        probe,
-        stats_sink,
-        trace_sink,
-        chrome_sink,
-        heartbeat_sink,
-        series_sink,
+    let ticker = stats
+        .clone()
+        .filter(|_| ticking)
+        .map(|stats| Ticker::new(stats, progress, series));
+    let traced = flags.trace.is_some() || flags.trace_out.is_some();
+    let log = (traced || flags.artifacts.is_some()).then(|| {
+        Arc::new(EventLog::new(if traced {
+            TRACE_EVENTS
+        } else {
+            CRASH_TAIL
+        }))
+    });
+    // With an artifact directory, arm the flight recorder: the log's last
+    // events per thread plus live span stacks are dumped to
+    // <dir>/crash.json if the process panics mid-sweep.
+    if let (Some(log), Some(dir)) = (&log, &flags.artifacts) {
+        install_crash_sink(log.clone(), Path::new(dir).join("crash.json"));
+    }
+    let probe: Arc<dyn Probe> = match (&stats, &log) {
+        (None, None) => Arc::new(NoopProbe),
+        (Some(s), None) => s.clone(),
+        (None, Some(l)) => l.clone(),
+        (Some(s), Some(l)) => Arc::new(FanoutProbe::new(vec![s.clone(), l.clone()])),
+    };
+    Ok((ObsSetup { probe, stats, log }, ticker))
+}
+
+/// What the progress display shows each period.
+#[derive(Clone, Copy)]
+enum View {
+    /// One [`heartbeat_line`] per period.
+    Heartbeat,
+    /// A repainted [`render_top`] dashboard.
+    Top,
+}
+
+/// The periodic work of one command: the progress display and the
+/// `--metrics-out` snapshots, both read from the command's stats report
+/// at a time the caller passes in, so tests can drive it with any clock.
+struct Ticker {
+    stats: Arc<StatsProbe>,
+    progress: Option<(Duration, View)>,
+    next_progress: Duration,
+    series: Option<Series>,
+    next_snapshot: Duration,
+}
+
+impl Ticker {
+    fn new(
+        stats: Arc<StatsProbe>,
+        progress: Option<(Duration, View)>,
+        series: Option<Series>,
+    ) -> Self {
+        Self {
+            next_progress: progress.map_or(Duration::MAX, |(period, _)| period),
+            next_snapshot: series.as_ref().map_or(Duration::MAX, Series::interval),
+            stats,
+            progress,
+            series,
+        }
+    }
+
+    /// Does what falls due by `elapsed`, printing progress to `out`, and
+    /// returns how long until the next thing does.
+    fn tick(&mut self, elapsed: Duration, out: &mut dyn Write) -> Duration {
+        let mut report = None;
+        if let Some((period, view)) = self.progress {
+            if elapsed >= self.next_progress {
+                let r = self.stats.report();
+                match view {
+                    View::Heartbeat => {
+                        if let Some(line) = heartbeat_line(&r, elapsed, false) {
+                            let _ = writeln!(out, "{line}");
+                        }
+                    }
+                    View::Top => {
+                        let _ = write!(out, "\x1b[2J\x1b[H{}", render_top(&r, elapsed));
+                    }
+                }
+                let _ = out.flush();
+                self.next_progress = elapsed.saturating_add(period);
+                report = Some(r);
+            }
+        }
+        if let Some(series) = &mut self.series {
+            if elapsed >= self.next_snapshot {
+                series.push(elapsed, report.unwrap_or_else(|| self.stats.report()));
+                self.next_snapshot = elapsed.saturating_add(series.interval());
+            }
+        }
+        self.next_progress
+            .min(self.next_snapshot)
+            .saturating_sub(elapsed)
+    }
+
+    /// The end of the command: the final heartbeat line (any view) and
+    /// the final snapshot, which together with the baseline gives every
+    /// series at least two — enough for the lint's monotonicity check to
+    /// bite.
+    fn finish(mut self, elapsed: Duration, out: &mut dyn Write) -> Option<Series> {
+        let report = self.stats.report();
+        if self.progress.is_some() {
+            if let Some(line) = heartbeat_line(&report, elapsed, true) {
+                let _ = writeln!(out, "{line}");
+                let _ = out.flush();
+            }
+        }
+        if let Some(series) = &mut self.series {
+            series.push(elapsed, report);
+        }
+        self.series
+    }
+}
+
+/// Runs `work` while a second thread ticks `ticker` on the wall clock,
+/// then finishes the ticker and hands back its series.
+fn with_ticker<R>(ticker: Option<Ticker>, work: impl FnOnce() -> R) -> (R, Option<Series>) {
+    let Some(mut ticker) = ticker else {
+        return (work(), None);
+    };
+    let started = Instant::now();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                let wait = ticker.tick(started.elapsed(), &mut std::io::stderr());
+                std::thread::park_timeout(wait);
+            }
+            ticker
+        });
+        /// Stops the ticker however `work` ends, so a panic unwinds
+        /// through the scope instead of waiting on the thread forever.
+        struct Stop<'a>(&'a AtomicBool, std::thread::Thread);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+                self.1.unpark();
+            }
+        }
+        let stop = Stop(&done, handle.thread().clone());
+        let result = work();
+        drop(stop);
+        let ticker = handle.join().expect("ticker thread panicked");
+        let series = ticker.finish(started.elapsed(), &mut std::io::stderr());
+        (result, series)
     })
 }
 
@@ -692,19 +788,16 @@ fn format_outcome(outcome: &VerifyOutcome) -> String {
 /// unwritable stats/trace files.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let (args, mut flags) = split_flags(args)?;
-    let obs = obs_setup(&flags)?;
-    let mut result = {
+    let command = args.first().map_or("", String::as_str);
+    let (obs, ticker) = obs_setup(&flags, command)?;
+    let (mut result, series) = with_ticker(ticker, || {
         let _total = Span::enter(obs.probe.as_ref(), "total");
         dispatch(&args, &obs, &mut flags)
-    };
-    // The final heartbeat summary always flushes at end-of-sweep, even if
-    // the rate limiter swallowed every periodic line.
-    if let Some(hb) = &obs.heartbeat_sink {
-        hb.finish();
-    }
+    });
     // Reports are emitted even when the command failed: a truncated or
     // failing sweep's counters are exactly what one wants to inspect.
-    if let Some(stats) = &obs.stats_sink {
+    let reported = flags.stats || flags.stats_json.is_some() || flags.explain;
+    if let Some(stats) = obs.stats.as_ref().filter(|_| reported) {
         let mut report = stats.report();
         if let Some(cmd) = args.first() {
             report.meta.insert("command".to_owned(), cmd.clone());
@@ -787,12 +880,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             "heartbeat_secs".to_owned(),
             flags.heartbeat.unwrap_or(5.0).to_string(),
         );
-        if flags.artifacts.is_some() {
-            report.config.insert(
-                "recorder_cap".to_owned(),
-                recorder_capacity(&flags)?.to_string(),
-            );
-        }
         if flags.stats {
             eprintln!("{report}");
         }
@@ -815,25 +902,28 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
     }
-    if let Some(trace) = &obs.trace_sink {
-        trace.flush();
-    }
-    if let (Some(chrome), Some(path)) = (&obs.chrome_sink, &flags.trace_out) {
-        chrome
-            .write_to(Path::new(path))
-            .map_err(|e| err(format!("cannot write Chrome trace to {path:?}: {e}")))?;
-        if chrome.dropped() > 0 {
-            eprintln!(
-                "trace-out: {} event(s) dropped past the buffer cap",
-                chrome.dropped()
-            );
+    // The event log's two trace renderings, written whole (and
+    // atomically) now that the command is over.
+    if let Some(log) = &obs.log {
+        let write = |flag: &str, path: &str, text: String| {
+            write_atomic(Path::new(path), &text)
+                .map_err(|e| err(format!("cannot write --{flag} to {path:?}: {e}")))?;
+            if log.dropped() > 0 {
+                eprintln!(
+                    "{flag}: {} event(s) dropped past the buffer cap",
+                    log.dropped()
+                );
+            }
+            Ok::<(), CliError>(())
+        };
+        if let Some(path) = &flags.trace {
+            write("trace", path, log.to_jsonl())?;
+        }
+        if let Some(path) = &flags.trace_out {
+            write("trace-out", path, log.to_chrome_json())?;
         }
     }
-    if let (Some(series), Some(path)) = (&obs.series_sink, &flags.metrics_out) {
-        // The final snapshot is unconditional, so together with the
-        // construction-time baseline every export has >= 2 snapshots —
-        // enough for the lint's monotonicity check to bite.
-        series.finish();
+    if let (Some(series), Some(path)) = (&series, &flags.metrics_out) {
         let snaps = series.snapshots();
         write_atomic(Path::new(path), &gem_obs::render_openmetrics(&snaps))
             .map_err(|e| err(format!("cannot write metrics to {path:?}: {e}")))?;
@@ -866,7 +956,7 @@ fn dispatch(args: &[String], obs: &ObsSetup, flags: &mut ObsFlags) -> Result<Str
             inst: &inst,
             problem,
             params,
-            probe: &obs.probe,
+            obs,
             flags,
         }
         .exec(command);
@@ -877,7 +967,7 @@ fn dispatch(args: &[String], obs: &ObsSetup, flags: &mut ObsFlags) -> Result<Str
             let dir = rest
                 .first()
                 .ok_or_else(|| err("replay needs an artifact directory"))?;
-            replay_cmd(Path::new(dir), &obs.probe, flags)
+            replay_cmd(Path::new(dir), obs, flags)
         }
         "metrics-lint" => {
             let path = rest.first().ok_or_else(|| {
@@ -926,12 +1016,12 @@ impl Command<'_> {
 }
 
 /// What a [`Command`] runs on: the instance as the command line named it,
-/// and the command line's probe and flags.
+/// and the command line's probe sinks and flags.
 struct Ctx<'a> {
     inst: &'a Instance,
     problem: &'a str,
     params: &'a [String],
-    probe: &'a Arc<dyn Probe>,
+    obs: &'a ObsSetup,
     flags: &'a mut ObsFlags,
 }
 
@@ -959,11 +1049,11 @@ impl Ctx<'_> {
     }
 
     /// The options of a `verify`, `profile` or `top` sweep reporting to
-    /// `probe`.
-    fn verify_options(&self, probe: Arc<dyn Probe>) -> VerifyOptions {
+    /// the command line's probe.
+    fn verify_options(&self) -> VerifyOptions {
         VerifyOptions {
             explorer: self.explorer(),
-            probe,
+            probe: self.obs.probe.clone(),
             incr_check: self.flags.incr_check,
             ..VerifyOptions::default()
         }
@@ -975,15 +1065,16 @@ fn command<S: Substrate>(sys: &S, cmd: Command, cx: &mut Ctx) -> Result<String, 
     // statistics.
     if !matches!(cmd, Command::Replay(_)) {
         let code = sys.code_stats();
-        cx.probe.add("code.exprs", code.exprs);
-        cx.probe.add("code.ops", code.ops);
-        cx.probe.add("code.consts", code.consts);
-        cx.probe.add("code.programs", code.programs);
-        cx.probe.add("code.slots", code.slots);
+        let probe = &cx.obs.probe;
+        probe.add("code.exprs", code.exprs);
+        probe.add("code.ops", code.ops);
+        probe.add("code.consts", code.consts);
+        probe.add("code.programs", code.programs);
+        probe.add("code.slots", code.slots);
         // A measured wall-clock value: recorded as a `_ns` histogram (one
         // sample), not a counter, so reports stay deterministic under
         // `without_timings()`.
-        cx.probe.record("explore.compile_ns", code.compile_ns);
+        probe.record("explore.compile_ns", code.compile_ns);
     }
     match cmd {
         Command::Render => Ok(render_specification(&cx.inst.spec)),
@@ -1003,7 +1094,7 @@ fn verify<S: Substrate>(sys: &S, cx: &mut Ctx) -> Result<String, CliError> {
     // decision is carried back on `flags` so the stats report's config
     // section records it.
     if cx.flags.auto {
-        let decision = auto_decide(sys, cx.inst, cx.probe.as_ref());
+        let decision = auto_decide(sys, cx.inst, cx.obs.probe.as_ref());
         cx.flags.dedup = decision.strategy == auto::Strategy::Dedup;
         cx.flags.por = decision.strategy == auto::Strategy::Por;
         cx.flags.strategy = Some(decision);
@@ -1024,7 +1115,7 @@ fn verify<S: Substrate>(sys: &S, cx: &mut Ctx) -> Result<String, CliError> {
                 .meta("por", bool_str(flags.por))
                 .meta("dedup", bool_str(flags.dedup))
         }),
-        ..cx.verify_options(cx.probe.clone())
+        ..cx.verify_options()
     };
     // Under `--explain`, sample the run tree first so the report carries
     // search-space estimates (and the heartbeat can show % explored /
@@ -1044,31 +1135,24 @@ fn verify<S: Substrate>(sys: &S, cx: &mut Ctx) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// A stats sink of its own for `profile` and `top`, which render from it
-/// whatever `--stats*` asked for, and the probe that feeds it alongside
-/// the session's.
-fn own_stats(probe: &Arc<dyn Probe>) -> (Arc<StatsProbe>, Arc<dyn Probe>) {
-    let stats = Arc::new(StatsProbe::new());
-    let combined: Arc<dyn Probe> = if probe.enabled() {
-        Arc::new(FanoutProbe::new(vec![
-            stats.clone() as Arc<dyn Probe>,
-            probe.clone(),
-        ]))
-    } else {
-        stats.clone()
-    };
-    (stats, combined)
+/// The command's stats report so far; `obs_setup` always aggregates for
+/// `profile` and `top`, which render from it.
+fn stats_report(cx: &Ctx) -> gem_obs::Report {
+    cx.obs
+        .stats
+        .as_ref()
+        .expect("profile and top aggregate")
+        .report()
 }
 
 fn profile<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
-    let (stats, probe) = own_stats(cx.probe);
     let outcome = sweep(
         sys,
         cx.inst,
-        &cx.verify_options(probe),
+        &cx.verify_options(),
         Some(&sample(sys, cx.inst)),
     )?;
-    let report = stats.report();
+    let report = stats_report(cx);
     let mut out = format_outcome(&outcome);
     out.push_str("\n\n");
     match PhaseProfile::from_report(&report) {
@@ -1094,47 +1178,28 @@ fn profile<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Live single-screen dashboard: a ticker thread repaints runs/steps
-/// rates, progress toward the sampled search-space estimate, worker
-/// utilization and phase shares on stderr while the verify sweep runs on
-/// this thread. The final frame plus the verdict is the stdout result, so
-/// `gem top` stays scriptable.
+/// Live single-screen dashboard: the command's ticker thread repaints
+/// runs/steps rates, progress toward the sampled search-space estimate,
+/// worker utilization and phase shares on stderr (every `--heartbeat`
+/// seconds, default 1) while the verify sweep runs on this thread. The
+/// final frame plus the verdict is the stdout result, so `gem top` stays
+/// scriptable.
 fn top<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
-    let (stats, probe) = own_stats(cx.probe);
-    let options = cx.verify_options(probe);
-    // Repaint on the heartbeat cadence (default 1s here: a dashboard
-    // wants to move), 0 still disables.
-    let refresh = cx.flags.heartbeat.unwrap_or(1.0);
-    let started = std::time::Instant::now();
-    let done = std::sync::atomic::AtomicBool::new(false);
-    let outcome = std::thread::scope(|scope| {
-        if refresh > 0.0 {
-            scope.spawn(|| {
-                let tick = Duration::from_millis(50);
-                let mut since = Duration::ZERO;
-                while !done.load(std::sync::atomic::Ordering::Acquire) {
-                    std::thread::sleep(tick);
-                    since += tick;
-                    if since.as_secs_f64() >= refresh {
-                        since = Duration::ZERO;
-                        let frame = render_top(&stats.report(), started.elapsed());
-                        eprint!("\x1b[2J\x1b[H{frame}");
-                    }
-                }
-            });
-        }
-        let outcome = sweep(sys, cx.inst, &options, Some(&sample(sys, cx.inst)));
-        done.store(true, std::sync::atomic::Ordering::Release);
-        outcome
-    })?;
-    let mut out = render_top(&stats.report(), started.elapsed());
+    let started = Instant::now();
+    let outcome = sweep(
+        sys,
+        cx.inst,
+        &cx.verify_options(),
+        Some(&sample(sys, cx.inst)),
+    )?;
+    let mut out = render_top(&stats_report(cx), started.elapsed());
     out.push('\n');
     out.push_str(&format_outcome(&outcome));
     Ok(out)
 }
 
 fn explore<S: Substrate>(sys: &S, cx: &Ctx) -> String {
-    let probe = cx.probe;
+    let probe = &cx.obs.probe;
     let dedup = cx.flags.dedup;
     let _ambient = probe
         .enabled()
@@ -1563,11 +1628,7 @@ struct Recorded {
     por: bool,
 }
 
-fn replay_cmd(
-    dir: &Path,
-    probe: &Arc<dyn Probe>,
-    flags: &mut ObsFlags,
-) -> Result<String, CliError> {
+fn replay_cmd(dir: &Path, obs: &ObsSetup, flags: &mut ObsFlags) -> Result<String, CliError> {
     let meta = artifact_json(dir, "meta.json")?;
     let problem = meta
         .get("problem")
@@ -1599,7 +1660,7 @@ fn replay_cmd(
         inst: &inst,
         problem,
         params: &raw_params,
-        probe,
+        obs,
         flags,
     }
     .exec(Command::Replay(&recorded))
@@ -1692,7 +1753,7 @@ pub fn usage() -> String {
      flags (allowed anywhere on the command line):\n\
      \x20 --stats                    print an instrumentation table to stderr\n\
      \x20 --stats-json <path>        write the run report as deterministic JSON\n\
-     \x20 --trace <path>             stream probe events as JSON lines\n\
+     \x20 --trace <path>             write probe events as JSON lines at the end\n\
      \x20 --trace-out <path>         write a Chrome-trace JSON (chrome://tracing,\n\
      \x20                            Perfetto) of timer spans and counter totals\n\
      \x20 --metrics-out <path>       sample counters/gauges once a second and\n\
@@ -1721,8 +1782,6 @@ pub fn usage() -> String {
      \x20 --artifacts <dir>          dump the first failing/deadlocked run as a\n\
      \x20                            self-contained counterexample directory and\n\
      \x20                            arm a crash-dump flight recorder\n\
-     \x20 --recorder-cap <n>         flight-recorder events kept per thread\n\
-     \x20                            (default 256; env GEM_RECORDER_CAP)\n\
      problems: one-slot, bounded, rw, db-update, life, philosophers\n\
      examples:\n\
      \x20 gem verify rw readers=1 writers=2 variant=readers\n\
@@ -1941,6 +2000,9 @@ mod tests {
         assert!(runv(&["verify", "one-slot", "--stats-json"]).is_err());
         assert!(runv(&["verify", "one-slot", "--heartbeat", "abc"]).is_err());
         assert!(runv(&["verify", "one-slot", "--heartbeat", "-1"]).is_err());
+        // No `Duration` holds these: rejected, not a panic in the ticker.
+        assert!(runv(&["verify", "one-slot", "--heartbeat", "inf"]).is_err());
+        assert!(runv(&["verify", "one-slot", "--heartbeat", "1e300"]).is_err());
         assert!(runv(&["verify", "one-slot", "--stats=yes"]).is_err());
         assert!(runv(&["verify", "one-slot", "--dedup=yes"]).is_err());
         assert!(runv(&["verify", "one-slot", "--auto=yes"]).is_err());
@@ -2204,8 +2266,9 @@ mod tests {
     }
 
     #[test]
-    fn recorder_cap_flag_validated() {
-        assert!(runv(&["verify", "one-slot", "--recorder-cap", "abc"]).is_err());
+    fn recorder_cap_flag_is_gone() {
+        let e = runv(&["verify", "one-slot", "--recorder-cap", "256"]).unwrap_err();
+        assert!(e.to_string().contains("unknown flag"), "{e}");
         assert!(runv(&["verify", "one-slot", "--explain=yes"]).is_err());
     }
 
@@ -2348,6 +2411,67 @@ mod tests {
         std::fs::write(&path, "gem_x_total 1 0.000\n").unwrap();
         assert!(runv(&["metrics-lint", path.to_str().unwrap()]).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ticker_beats_on_the_clock_not_on_run_counts() {
+        // A sweep of 10 slow runs: the heartbeat is due by elapsed time
+        // alone. (A rate limiter that consults the clock once per 1000
+        // `explore.runs` increments never prints for it.)
+        let stats = Arc::new(StatsProbe::new());
+        let five = Duration::from_secs(5);
+        let mut ticker = Ticker::new(stats.clone(), Some((five, View::Heartbeat)), None);
+        let mut out = Vec::new();
+        stats.add("explore.runs", 10);
+        stats.add("explore.steps", 40);
+        assert_eq!(
+            ticker.tick(Duration::from_secs(1), &mut out),
+            Duration::from_secs(4)
+        );
+        assert!(out.is_empty(), "nothing due before one period");
+        assert_eq!(ticker.tick(five, &mut out), five);
+        stats.add("explore.runs", 10);
+        ticker.tick(Duration::from_secs(10), &mut out);
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "[gem] 10 run(s), 40 step(s), 5.0s elapsed (2 runs/s)\n\
+             [gem] 20 run(s), 40 step(s), 10.0s elapsed (2 runs/s)\n"
+        );
+        let mut out = Vec::new();
+        assert!(ticker.finish(Duration::from_secs(20), &mut out).is_none());
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "[gem] done: 20 run(s), 40 step(s), 20.0s elapsed (1 runs/s)\n"
+        );
+    }
+
+    #[test]
+    fn ticker_snapshots_the_series_and_repaints_top() {
+        let stats = Arc::new(StatsProbe::new());
+        let second = Duration::from_secs(1);
+        let series = Series::new(second);
+        let mut ticker = Ticker::new(stats.clone(), Some((second * 2, View::Top)), Some(series));
+        let mut out = Vec::new();
+        stats.add("explore.runs", 3);
+        assert_eq!(ticker.tick(second, &mut out), second, "snapshot due first");
+        assert!(out.is_empty());
+        ticker.tick(second * 2, &mut out);
+        let frame = String::from_utf8(out).unwrap();
+        assert!(
+            frame.starts_with("\x1b[2J\x1b[Hgem top — 2.0s elapsed"),
+            "{frame}"
+        );
+        stats.add("explore.runs", 4);
+        let series = ticker.finish(second * 3, &mut Vec::new()).unwrap();
+        let runs: Vec<(u64, Option<u64>)> = series
+            .snapshots()
+            .iter()
+            .map(|s| (s.at_ms, s.counters.get("explore.runs").copied()))
+            .collect();
+        assert_eq!(
+            runs,
+            vec![(0, None), (1000, Some(3)), (2000, Some(3)), (3000, Some(7))]
+        );
     }
 
     #[test]

@@ -39,10 +39,11 @@ use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use gem_obs::{ambient, set_thread_label, NoopProbe, Probe};
+use gem_obs::ambient::{self, GaugeWrite};
+use gem_obs::{set_thread_label, NoopProbe, Probe};
 
 use crate::explore::{walk, ExploreStats, Explorer, Serial, System, Walk};
 
@@ -100,83 +101,6 @@ fn edge_op(grants: usize, denials: usize) -> ReplayOp {
             grants: grants as u32,
             denials: denials as u32,
         }
-    }
-}
-
-/// One deferred gauge write from worker-side system code (see
-/// [`DeferGauges`]).
-#[derive(Clone, Debug)]
-enum GaugeOp {
-    /// `gauge_set(name, value)`.
-    Set(String, u64),
-    /// `gauge_max(name, value)`.
-    Max(String, u64),
-}
-
-/// Worker-side ambient wrapper fixing gauge fan-in semantics. Counters,
-/// timers, and histogram samples forward straight through — they are
-/// commutative totals, so arrival order cannot change the aggregate.
-/// Gauge writes are order-dependent (`gauge_set` is last-write-wins), so
-/// racing them from concurrently-exploring workers would make the final
-/// value depend on thread scheduling. Instead each worker defers its
-/// gauge writes and ships them with the item's tail; the committer
-/// replays them in item-commit (serial DFS) order, so on completed
-/// sweeps `gauge_set` resolves to last-commit-wins in DFS order and
-/// `gauge_max` to the max across workers — the serial outcome whenever
-/// the DFS-final write lies inside a committed subtree (frontier-walk
-/// writes replay eagerly, before any worker's, since they happen on the
-/// calling thread during [`build_frontier`]). Either way the result is a
-/// deterministic function of the schedule trie, never of thread timing.
-struct DeferGauges {
-    inner: Arc<dyn Probe>,
-    deferred: Mutex<Vec<GaugeOp>>,
-}
-
-impl DeferGauges {
-    fn new(inner: Arc<dyn Probe>) -> Self {
-        Self {
-            inner,
-            deferred: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Takes the gauge writes deferred since the last drain. Called at
-    /// each item boundary on the owning worker thread.
-    fn drain(&self) -> Vec<GaugeOp> {
-        std::mem::take(&mut *self.deferred.lock().expect("gauge defer poisoned"))
-    }
-}
-
-impl Probe for DeferGauges {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-    fn add(&self, name: &str, delta: u64) {
-        self.inner.add(name, delta);
-    }
-    fn time_ns(&self, name: &str, nanos: u64) {
-        self.inner.time_ns(name, nanos);
-    }
-    fn record(&self, name: &str, value: u64) {
-        self.inner.record(name, value);
-    }
-    fn span_enter(&self, name: &str) {
-        self.inner.span_enter(name);
-    }
-    fn span_exit(&self, name: &str, nanos: u64) {
-        self.inner.span_exit(name, nanos);
-    }
-    fn gauge_set(&self, name: &str, value: u64) {
-        self.deferred
-            .lock()
-            .expect("gauge defer poisoned")
-            .push(GaugeOp::Set(name.to_owned(), value));
-    }
-    fn gauge_max(&self, name: &str, value: u64) {
-        self.deferred
-            .lock()
-            .expect("gauge defer poisoned")
-            .push(GaugeOp::Max(name.to_owned(), value));
     }
 }
 
@@ -245,9 +169,10 @@ enum Msg<S: System> {
         /// Worker attribution for the item (`None` when the probe is
         /// disabled).
         telemetry: Option<ItemTelemetry>,
-        /// Gauge writes deferred by [`DeferGauges`], replayed by the
-        /// committer in item order (empty without an ambient probe).
-        gauges: Vec<GaugeOp>,
+        /// Gauge writes deferred by [`ambient::defer_gauges`], replayed
+        /// by the committer in item order (empty without an ambient
+        /// probe).
+        gauges: Vec<GaugeWrite>,
     },
 }
 
@@ -363,7 +288,7 @@ struct Worker<'a, S: System> {
 }
 
 impl<S: System> Worker<'_, S> {
-    fn run_item(mut self, item: WorkItem<S>, defer: Option<&DeferGauges>) {
+    fn run_item(mut self, item: WorkItem<S>) {
         let started = self.telemetry.then(Instant::now);
         let mut path = item.prefix;
         let mut state = item.state;
@@ -394,7 +319,7 @@ impl<S: System> Worker<'_, S> {
             post: std::mem::take(&mut self.pending_ops),
             finished,
             telemetry,
-            gauges: defer.map(DeferGauges::drain).unwrap_or_default(),
+            gauges: ambient::take_deferred_gauges(),
         });
     }
 }
@@ -631,12 +556,22 @@ impl Explorer {
                     .stack_size(WORKER_STACK)
                     .spawn_scoped(scope, move || {
                         set_thread_label(format!("worker-{w}"));
-                        // Wrap the inherited ambient probe so gauge
-                        // writes defer to the committer (see
-                        // `DeferGauges`); everything else fans straight
-                        // into the same sink.
-                        let defer = ambient_probe.map(|p| Arc::new(DeferGauges::new(p)));
-                        let _ambient = defer.clone().map(|d| ambient::install(d as Arc<dyn Probe>));
+                        // Inherit the ambient probe, holding gauge writes
+                        // back: each item ships them with its tail and the
+                        // committer replays them in item-commit (serial
+                        // DFS) order. On completed sweeps `gauge_set` then
+                        // resolves to last-commit-wins in DFS order and
+                        // `gauge_max` to the max across workers — the
+                        // serial outcome whenever the DFS-final write lies
+                        // inside a committed subtree (frontier-walk writes
+                        // replay eagerly, on the calling thread). Either
+                        // way the result is a deterministic function of
+                        // the schedule trie, never of thread timing.
+                        let _ambient = ambient_probe.map(|probe| {
+                            let guard = ambient::install(probe);
+                            ambient::defer_gauges();
+                            guard
+                        });
                         loop {
                             if cancel.load(Ordering::Relaxed) {
                                 break;
@@ -668,7 +603,7 @@ impl Explorer {
                                 idle_ns: 0,
                                 lag_ns: Vec::new(),
                             }
-                            .run_item(item, defer.as_deref());
+                            .run_item(item);
                         }
                     })
                     .expect("spawn explore worker");
@@ -710,8 +645,8 @@ impl Explorer {
                             // system code targeted.
                             for op in gauges {
                                 match op {
-                                    GaugeOp::Set(name, v) => ambient::gauge_set(&name, v),
-                                    GaugeOp::Max(name, v) => ambient::gauge_max(&name, v),
+                                    GaugeWrite::Set(name, v) => ambient::gauge_set(&name, v),
+                                    GaugeWrite::Max(name, v) => ambient::gauge_max(&name, v),
                                 }
                             }
                             if let Some(t) = &telemetry {
@@ -1239,7 +1174,7 @@ mod tests {
         use std::sync::Arc;
 
         /// Reports order-sensitive gauges from inside `apply` — the
-        /// racy-fan-in case `DeferGauges` exists for.
+        /// racy-fan-in case `ambient::defer_gauges` exists for.
         struct Gaugey;
         // POR: conservative — gauge fan-in toy, no oracle needed.
         impl System for Gaugey {
@@ -1295,7 +1230,7 @@ mod tests {
 
     #[test]
     fn workers_label_their_trace_lanes() {
-        use gem_obs::ChromeTraceProbe;
+        use gem_obs::EventLog;
         use std::sync::Arc;
 
         /// Emits a timer from inside `apply` so worker threads show up
@@ -1321,15 +1256,15 @@ mod tests {
             }
         }
 
-        let chrome = Arc::new(ChromeTraceProbe::new());
-        let _g = ambient::install(chrome.clone());
+        let log = Arc::new(EventLog::new(64));
+        let _g = ambient::install(log.clone());
         Explorer {
             jobs: 2,
             split_depth: 1,
             ..Explorer::default()
         }
         .par_for_each_run(&Timed, |_, _| ControlFlow::Continue(()));
-        let labels = chrome.labels();
+        let labels = log.labels();
         assert!(
             labels.values().any(|l| l.starts_with("worker-")),
             "worker lanes carry worker-<k> labels: {labels:?}"

@@ -1,8 +1,8 @@
 //! Chrome-trace (`chrome://tracing` / Perfetto) export.
 //!
-//! [`ChromeTraceProbe`] collects timer samples and counter updates with
-//! wall-clock timestamps; [`chrome_trace_json`] serialises them in the
-//! Trace Event Format — a `{"traceEvents": [...]}` document of complete
+//! [`crate::EventLog::chrome_events`] turns the logged timer samples and
+//! counter updates into [`ChromeEvent`]s; [`chrome_trace_json`]
+//! serialises them in the Trace Event Format — a `{"traceEvents": [...]}` document of complete
 //! (`"ph":"X"`) duration events and (`"ph":"C"`) counter events — which
 //! both `chrome://tracing` and <https://ui.perfetto.dev> open directly.
 //!
@@ -12,14 +12,8 @@
 //! be golden-file tested (`tests/observability.rs`).
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
-use std::sync::Mutex;
-use std::time::Instant;
 
 use crate::json::push_json_str;
-use crate::probe::Probe;
-use crate::tid::{thread_label, thread_ordinal};
 
 /// One event in a Chrome trace: a completed duration (`dur_us > 0` or
 /// `counter == None`) or a counter sample.
@@ -33,7 +27,7 @@ pub struct ChromeEvent {
     pub ts_us: u64,
     /// Duration in microseconds; `0` for instantaneous samples.
     pub dur_us: u64,
-    /// Emitting thread's [`thread_ordinal`].
+    /// Emitting thread's [`crate::thread_ordinal`].
     pub tid: u64,
     /// `Some(value)` renders a counter (`"ph":"C"`) event instead of a
     /// duration.
@@ -97,176 +91,6 @@ pub fn chrome_trace_json_with_labels(
     out
 }
 
-fn category_of(name: &str) -> String {
-    name.split('.').next().unwrap_or(name).to_owned()
-}
-
-/// A [`Probe`] that materialises every timer sample as a complete
-/// duration event (placed at `now − duration`) and every counter update
-/// as a running-total counter event, for export via
-/// [`chrome_trace_json`]. Span enters/exits are ignored — `Span` already
-/// mirrors each exit into `time_ns`, so durations arrive exactly once.
-///
-/// The buffer is bounded (default one million events); past the cap new
-/// events are dropped and counted, so a pathological sweep degrades to a
-/// truncated trace instead of unbounded memory.
-pub struct ChromeTraceProbe {
-    epoch: Instant,
-    max_events: usize,
-    inner: Mutex<ChromeInner>,
-}
-
-#[derive(Default)]
-struct ChromeInner {
-    events: Vec<ChromeEvent>,
-    counter_totals: BTreeMap<String, u64>,
-    /// tid -> lane label, captured from [`thread_label`] the first time
-    /// a labelled thread emits an event.
-    labels: BTreeMap<u64, String>,
-    dropped: u64,
-}
-
-impl ChromeInner {
-    fn note_label(&mut self, tid: u64) {
-        if let std::collections::btree_map::Entry::Vacant(slot) = self.labels.entry(tid) {
-            if let Some(label) = thread_label() {
-                slot.insert(label);
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for ChromeTraceProbe {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChromeTraceProbe")
-            .field("max_events", &self.max_events)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Default for ChromeTraceProbe {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ChromeTraceProbe {
-    /// A collector with the default event cap.
-    pub fn new() -> Self {
-        Self::with_max_events(1 << 20)
-    }
-
-    /// A collector keeping at most `max_events` events.
-    pub fn with_max_events(max_events: usize) -> Self {
-        Self {
-            epoch: Instant::now(),
-            max_events: max_events.max(1),
-            inner: Mutex::new(ChromeInner::default()),
-        }
-    }
-
-    fn now_us(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    fn push(&self, ev: ChromeEvent) {
-        let mut inner = self.inner.lock().expect("chrome trace poisoned");
-        inner.note_label(ev.tid);
-        if inner.events.len() >= self.max_events {
-            inner.dropped += 1;
-            return;
-        }
-        inner.events.push(ev);
-    }
-
-    /// Snapshot of collected events, in arrival order.
-    pub fn events(&self) -> Vec<ChromeEvent> {
-        self.inner
-            .lock()
-            .expect("chrome trace poisoned")
-            .events
-            .clone()
-    }
-
-    /// Events discarded because the buffer cap was hit.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("chrome trace poisoned").dropped
-    }
-
-    /// The lane labels captured so far (`tid -> label`).
-    pub fn labels(&self) -> BTreeMap<u64, String> {
-        self.inner
-            .lock()
-            .expect("chrome trace poisoned")
-            .labels
-            .clone()
-    }
-
-    /// Serialises the collected events with thread-name metadata for
-    /// labelled lanes (`chrome_trace_json_with_labels`).
-    pub fn to_json(&self) -> String {
-        let (events, labels) = {
-            let inner = self.inner.lock().expect("chrome trace poisoned");
-            (inner.events.clone(), inner.labels.clone())
-        };
-        chrome_trace_json_with_labels(&events, &labels)
-    }
-
-    /// Writes the trace to `path` atomically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the atomic write.
-    pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        crate::write_atomic(path, &self.to_json())
-    }
-}
-
-impl Probe for ChromeTraceProbe {
-    fn add(&self, name: &str, delta: u64) {
-        let ts_us = self.now_us();
-        let mut inner = self.inner.lock().expect("chrome trace poisoned");
-        inner.note_label(thread_ordinal());
-        let total = {
-            let slot = inner.counter_totals.entry(name.to_owned()).or_insert(0);
-            *slot = slot.saturating_add(delta);
-            *slot
-        };
-        if inner.events.len() >= self.max_events {
-            inner.dropped += 1;
-            return;
-        }
-        inner.events.push(ChromeEvent {
-            name: name.to_owned(),
-            cat: category_of(name),
-            ts_us,
-            dur_us: 0,
-            tid: thread_ordinal(),
-            counter: Some(total),
-        });
-    }
-
-    fn time_ns(&self, name: &str, nanos: u64) {
-        let dur_us = nanos / 1_000;
-        let now = self.now_us();
-        self.push(ChromeEvent {
-            name: name.to_owned(),
-            cat: category_of(name),
-            ts_us: now.saturating_sub(dur_us),
-            dur_us,
-            tid: thread_ordinal(),
-            counter: None,
-        });
-    }
-
-    fn record(&self, name: &str, value: u64) {
-        // Chrome traces have no histogram event; chart the running total
-        // of the samples as a counter track instead (and capture the
-        // emitting thread's lane label on the way).
-        self.add(name, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,72 +124,5 @@ mod tests {
              {\"name\": \"explore.runs\", \"cat\": \"explore\", \"ph\": \"C\", \
              \"ts\": 12, \"pid\": 1, \"tid\": 1, \"args\": {\"value\": 3}}\n]}\n"
         );
-    }
-
-    #[test]
-    fn probe_collects_timers_and_counter_totals() {
-        let p = ChromeTraceProbe::new();
-        p.time_ns("phase.check", 3_000);
-        p.add("explore.runs", 1);
-        p.add("explore.runs", 2);
-        let events = p.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].name, "phase.check");
-        assert_eq!(events[0].dur_us, 3);
-        assert_eq!(events[0].counter, None);
-        assert_eq!(events[1].counter, Some(1), "running total");
-        assert_eq!(events[2].counter, Some(3), "running total");
-        assert_eq!(events[2].cat, "explore");
-        assert_eq!(p.dropped(), 0);
-    }
-
-    #[test]
-    fn labelled_threads_render_thread_name_metadata() {
-        let p = std::sync::Arc::new(ChromeTraceProbe::new());
-        let worker = p.clone();
-        let tid = std::thread::spawn(move || {
-            crate::tid::set_thread_label("worker-0");
-            worker.time_ns("phase.explore", 2_000);
-            thread_ordinal()
-        })
-        .join()
-        .unwrap();
-        assert_eq!(p.labels().get(&tid).map(String::as_str), Some("worker-0"));
-        let json = p.to_json();
-        assert!(json.contains("\"ph\": \"M\""), "{json}");
-        assert!(json.contains("\"name\": \"thread_name\""), "{json}");
-        assert!(json.contains("\"name\": \"worker-0\""), "{json}");
-        assert!(
-            json.contains(&format!(
-                "\"tid\": {tid}, \"args\": {{\"name\": \"worker-0\"}}"
-            )),
-            "{json}"
-        );
-        crate::json::parse(&json).expect("valid JSON");
-        // Without labels the serialisation is unchanged (golden-stable).
-        assert_eq!(
-            chrome_trace_json(&p.events()),
-            chrome_trace_json_with_labels(&p.events(), &BTreeMap::new())
-        );
-    }
-
-    #[test]
-    fn cap_drops_and_counts() {
-        let p = ChromeTraceProbe::with_max_events(2);
-        for _ in 0..5 {
-            p.time_ns("x", 1);
-        }
-        assert_eq!(p.events().len(), 2);
-        assert_eq!(p.dropped(), 3);
-    }
-
-    #[test]
-    fn span_exits_are_not_double_counted() {
-        use crate::probe::Span;
-        let p = ChromeTraceProbe::new();
-        {
-            let _s = Span::enter(&p, "verify");
-        }
-        assert_eq!(p.events().len(), 1, "one duration event per span");
     }
 }

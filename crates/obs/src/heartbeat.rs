@@ -1,399 +1,207 @@
-//! Progress heartbeat for long sweeps.
+//! The progress heartbeat line for long sweeps.
 
-use std::io::Write;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::probe::Probe;
+use crate::report::Report;
 
-/// Prints a one-line progress report (to stderr by default) at a
-/// bounded rate.
+/// Renders one heartbeat line from a stats report: runs, steps, elapsed
+/// time and run rate. A periodic line (`done == false`) adds progress
+/// and an ETA when the report carries a pre-sweep Knuth estimate (the
+/// `estimate.total_runs` gauge). The final line (`done == true`) adds
+/// the computation-dedup hit-rate when dedup counters
+/// (`*.dedup.hits` / `*.dedup.misses`) are present, the share of leaves
+/// the incremental checker proved clean when it proved any, and the
+/// sleep-set reduction summary when `explore.sleep_skipped` is nonzero.
 ///
-/// The probe watches increments of a designated *run counter*
-/// (`explore.runs` by convention); every `check_every` increments it
-/// consults the clock, and if at least `interval` has elapsed since the
-/// last beat it prints accumulated runs/steps and the elapsed time. With
-/// the default 5-second interval, short sweeps stay silent and
-/// multi-minute exhaustive sweeps report a few times a minute.
-///
-/// Call [`HeartbeatProbe::finish`] at end-of-sweep: it always flushes a
-/// final summary line (even when the rate limiter would suppress it),
-/// including the computation-dedup hit-rate when dedup counters
-/// (`*.dedup.hits` / `*.dedup.misses`) were observed and the sleep-set
-/// reduction summary when `explore.sleep_skipped` was nonzero.
-pub struct HeartbeatProbe {
-    run_counter: &'static str,
-    step_counter: &'static str,
-    interval: Duration,
-    check_every: u64,
-    state: Mutex<HeartbeatState>,
-    out: Mutex<Box<dyn Write + Send>>,
-}
-
-impl std::fmt::Debug for HeartbeatProbe {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeartbeatProbe")
-            .field("run_counter", &self.run_counter)
-            .field("interval", &self.interval)
-            .field("check_every", &self.check_every)
-            .finish_non_exhaustive()
+/// `None` while nothing was counted, so heartbeat-enabled commands that
+/// don't sweep stay quiet.
+pub fn heartbeat_line(report: &Report, elapsed: Duration, done: bool) -> Option<String> {
+    let counter = |name: &str| report.counters.get(name).copied().unwrap_or(0);
+    let summed = |suffix: &str| -> u64 {
+        report
+            .counters
+            .iter()
+            .filter(|(k, _)| k.ends_with(suffix))
+            .map(|(_, v)| v)
+            .sum()
+    };
+    let runs = counter("explore.runs");
+    let steps = counter("explore.steps");
+    if runs == 0 && steps == 0 {
+        return None;
     }
-}
-
-#[derive(Debug)]
-struct HeartbeatState {
-    runs: u64,
-    steps: u64,
-    dedup_hits: u64,
-    dedup_misses: u64,
-    sleep_skipped: u64,
-    por_runs: u64,
-    incr_leaf_clean: u64,
-    est_total_runs: u64,
-    since_check: u64,
-    started: Instant,
-    last_beat: Instant,
-}
-
-impl HeartbeatProbe {
-    /// A heartbeat on the conventional `explore.runs` / `explore.steps`
-    /// counters, printing at most once per `interval`.
-    pub fn new(interval: Duration) -> Self {
-        let now = Instant::now();
-        Self {
-            run_counter: "explore.runs",
-            step_counter: "explore.steps",
-            interval,
-            check_every: 1000,
-            state: Mutex::new(HeartbeatState {
-                runs: 0,
-                steps: 0,
-                dedup_hits: 0,
-                dedup_misses: 0,
-                sleep_skipped: 0,
-                por_runs: 0,
-                incr_leaf_clean: 0,
-                est_total_runs: 0,
-                since_check: 0,
-                started: now,
-                last_beat: now,
-            }),
-            out: Mutex::new(Box::new(std::io::stderr())),
+    let elapsed = elapsed.as_secs_f64();
+    let rate = if elapsed > 0.0 {
+        runs as f64 / elapsed
+    } else {
+        0.0
+    };
+    let prefix = if done { "[gem] done:" } else { "[gem]" };
+    let mut line = format!(
+        "{prefix} {runs} run(s), {steps} step(s), {elapsed:.1}s elapsed ({rate:.0} runs/s)"
+    );
+    // The estimate turns the raw run count into progress: % explored and
+    // an ETA at the current rate. Suppressed on the final line — actuals
+    // say it better — and capped at 99% so the estimate never claims a
+    // finish it cannot know.
+    let est_total_runs = report
+        .gauges
+        .get("estimate.total_runs")
+        .copied()
+        .unwrap_or(0);
+    if !done && est_total_runs > 0 && runs > 0 {
+        let pct = (runs as f64 * 100.0 / est_total_runs as f64).min(99.0);
+        line.push_str(&format!(", ~{pct:.0}% explored (est)"));
+        if rate > 0.0 && est_total_runs > runs {
+            let eta = (est_total_runs - runs) as f64 / rate;
+            line.push_str(&format!(", ETA ~{eta:.0}s"));
         }
     }
-
-    /// Consults the clock every `n` run increments (default 1000);
-    /// lower it for workloads whose runs are individually slow.
-    #[must_use]
-    pub fn check_every(mut self, n: u64) -> Self {
-        self.check_every = n.max(1);
-        self
+    if !done {
+        return Some(line);
     }
-
-    /// Redirects heartbeat lines from stderr into `writer` (used by
-    /// tests to assert on output).
-    #[must_use]
-    pub fn writer(self, writer: impl Write + Send + 'static) -> Self {
-        *self.out.lock().expect("heartbeat poisoned") = Box::new(writer);
-        self
+    let dedup_hits = summed(".dedup.hits");
+    let dedup_total = dedup_hits + summed(".dedup.misses");
+    if dedup_total > 0 {
+        line.push_str(&format!(
+            ", dedup hit-rate {:.0}% ({dedup_hits}/{dedup_total})",
+            dedup_hits as f64 * 100.0 / dedup_total as f64,
+        ));
     }
-
-    fn emit(&self, state: &HeartbeatState, done: bool) {
-        let elapsed = state.started.elapsed().as_secs_f64();
-        let rate = if elapsed > 0.0 {
-            state.runs as f64 / elapsed
-        } else {
-            0.0
-        };
-        let prefix = if done { "[gem] done:" } else { "[gem]" };
-        let mut line = format!(
-            "{prefix} {} run(s), {} step(s), {elapsed:.1}s elapsed ({rate:.0} runs/s)",
-            state.runs, state.steps
-        );
-        // A pre-sweep Knuth estimate (`estimate.total_runs` gauge) turns
-        // the raw run count into progress: % explored and an ETA at the
-        // current rate. Suppressed on the final line — actuals say it
-        // better — and capped at 99% so the estimate never claims a
-        // finish it cannot know.
-        if !done && state.est_total_runs > 0 && state.runs > 0 {
-            let pct = (state.runs as f64 * 100.0 / state.est_total_runs as f64).min(99.0);
-            line.push_str(&format!(", ~{pct:.0}% explored (est)"));
-            if rate > 0.0 && state.est_total_runs > state.runs {
-                let eta = (state.est_total_runs - state.runs) as f64 / rate;
-                line.push_str(&format!(", ETA ~{eta:.0}s"));
-            }
-        }
-        let dedup_total = state.dedup_hits + state.dedup_misses;
-        if done && dedup_total > 0 {
-            line.push_str(&format!(
-                ", dedup hit-rate {:.0}% ({}/{dedup_total})",
-                state.dedup_hits as f64 * 100.0 / dedup_total as f64,
-                state.dedup_hits
-            ));
-        }
-        // Incremental checking's fast path mirrors dedup's: the share of
-        // leaves proven clean along the DFS (skipping seal/project/check
-        // entirely), over the runs the sweep completed.
-        if done && state.incr_leaf_clean > 0 && state.runs > 0 {
-            line.push_str(&format!(
-                ", incr clean-leaf rate {:.0}% ({}/{})",
-                state.incr_leaf_clean as f64 * 100.0 / state.runs as f64,
-                state.incr_leaf_clean,
-                state.runs
-            ));
-        }
-        if done && state.sleep_skipped > 0 {
-            line.push_str(&format!(
-                ", POR: {} representative(s), {} branch(es) slept",
-                state.por_runs, state.sleep_skipped
-            ));
-        }
-        let mut out = self.out.lock().expect("heartbeat poisoned");
-        let _ = writeln!(out, "{line}");
-        let _ = out.flush();
+    // Incremental checking's fast path mirrors dedup's: the share of
+    // leaves proven clean along the DFS (skipping seal/project/check
+    // entirely), over the runs the sweep completed.
+    let leaf_clean = counter("logic.incr.leaf_clean");
+    if leaf_clean > 0 && runs > 0 {
+        line.push_str(&format!(
+            ", incr clean-leaf rate {:.0}% ({leaf_clean}/{runs})",
+            leaf_clean as f64 * 100.0 / runs as f64,
+        ));
     }
-
-    /// Flushes the final summary line unconditionally (rate limiter
-    /// bypassed). Silent only when nothing was ever counted, so
-    /// heartbeat-enabled commands that don't sweep stay quiet.
-    pub fn finish(&self) {
-        let mut state = self.state.lock().expect("heartbeat poisoned");
-        if state.runs == 0 && state.steps == 0 {
-            return;
-        }
-        self.emit(&state, true);
-        state.last_beat = Instant::now();
+    let sleep_skipped = counter("explore.sleep_skipped");
+    if sleep_skipped > 0 {
+        line.push_str(&format!(
+            ", POR: {} representative(s), {sleep_skipped} branch(es) slept",
+            counter("explore.por_runs")
+        ));
     }
-}
-
-impl Probe for HeartbeatProbe {
-    fn gauge_set(&self, name: &str, value: u64) {
-        if name == "estimate.total_runs" {
-            let mut state = self.state.lock().expect("heartbeat poisoned");
-            state.est_total_runs = value;
-        }
-    }
-
-    fn add(&self, name: &str, delta: u64) {
-        if name == self.step_counter {
-            let mut state = self.state.lock().expect("heartbeat poisoned");
-            state.steps += delta;
-            return;
-        }
-        if name.ends_with(".dedup.hits") {
-            let mut state = self.state.lock().expect("heartbeat poisoned");
-            state.dedup_hits += delta;
-            return;
-        }
-        if name.ends_with(".dedup.misses") {
-            let mut state = self.state.lock().expect("heartbeat poisoned");
-            state.dedup_misses += delta;
-            return;
-        }
-        if name == "explore.sleep_skipped" {
-            let mut state = self.state.lock().expect("heartbeat poisoned");
-            state.sleep_skipped += delta;
-            return;
-        }
-        if name == "explore.por_runs" {
-            let mut state = self.state.lock().expect("heartbeat poisoned");
-            state.por_runs += delta;
-            return;
-        }
-        if name == "logic.incr.leaf_clean" {
-            let mut state = self.state.lock().expect("heartbeat poisoned");
-            state.incr_leaf_clean += delta;
-            return;
-        }
-        if name != self.run_counter {
-            return;
-        }
-        let mut state = self.state.lock().expect("heartbeat poisoned");
-        state.runs += delta;
-        state.since_check += delta;
-        if state.since_check >= self.check_every {
-            state.since_check = 0;
-            if state.last_beat.elapsed() >= self.interval {
-                self.emit(&state, false);
-                state.last_beat = Instant::now();
-            }
-        }
-    }
+    Some(line)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::probe::{Probe, StatsProbe};
 
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
+    fn report(counters: &[(&str, u64)]) -> Report {
+        let stats = StatsProbe::new();
+        for &(k, v) in counters {
+            stats.add(k, v);
         }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
+        stats.report()
     }
-    impl SharedBuf {
-        fn text(&self) -> String {
-            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
-        }
-    }
+
+    const TWO_SECONDS: Duration = Duration::from_secs(2);
 
     #[test]
-    fn counts_runs_and_steps_without_printing_early() {
-        // A long interval: the heartbeat only accumulates.
-        let buf = SharedBuf::default();
-        let hb = HeartbeatProbe::new(Duration::from_secs(3600))
-            .check_every(10)
-            .writer(buf.clone());
-        for _ in 0..25 {
-            hb.add("explore.runs", 1);
-            hb.add("explore.steps", 3);
-        }
-        hb.add("unrelated", 99);
-        {
-            let state = hb.state.lock().unwrap();
-            assert_eq!(state.runs, 25);
-            assert_eq!(state.steps, 75);
-            // 25 runs with check_every=10: clock checked twice, never beat.
-            assert_eq!(state.since_check, 5);
-        }
-        assert!(buf.text().is_empty(), "rate limiter suppresses output");
-    }
-
-    #[test]
-    fn zero_interval_beats_on_check() {
-        let buf = SharedBuf::default();
-        let hb = HeartbeatProbe::new(Duration::ZERO)
-            .check_every(5)
-            .writer(buf.clone());
-        for _ in 0..5 {
-            hb.add("explore.runs", 1);
-        }
-        let state = hb.state.lock().unwrap();
-        assert_eq!(state.since_check, 0, "check fired");
-        drop(state);
-        assert!(buf.text().contains("5 run(s)"), "{}", buf.text());
-    }
-
-    #[test]
-    fn finish_flushes_despite_rate_limiter() {
-        let buf = SharedBuf::default();
-        let hb = HeartbeatProbe::new(Duration::from_secs(3600)).writer(buf.clone());
-        for _ in 0..3 {
-            hb.add("explore.runs", 1);
-            hb.add("explore.steps", 4);
-        }
-        assert!(buf.text().is_empty(), "suppressed before finish");
-        hb.finish();
-        let text = buf.text();
-        assert!(text.contains("[gem] done: 3 run(s), 12 step(s)"), "{text}");
-        assert!(!text.contains("dedup"), "no dedup counters seen: {text}");
-    }
-
-    #[test]
-    fn finish_reports_dedup_hit_rate() {
-        let buf = SharedBuf::default();
-        let hb = HeartbeatProbe::new(Duration::from_secs(3600)).writer(buf.clone());
-        hb.add("explore.runs", 8);
-        hb.add("verify.dedup.hits", 6);
-        hb.add("verify.dedup.misses", 2);
-        hb.finish();
-        let text = buf.text();
-        assert!(text.contains("dedup hit-rate 75% (6/8)"), "{text}");
-    }
-
-    #[test]
-    fn finish_reports_incr_clean_leaf_rate() {
-        let buf = SharedBuf::default();
-        let hb = HeartbeatProbe::new(Duration::from_secs(3600)).writer(buf.clone());
-        hb.add("explore.runs", 8);
-        hb.add("logic.incr.leaf_clean", 6);
-        hb.finish();
-        let text = buf.text();
-        assert!(text.contains("incr clean-leaf rate 75% (6/8)"), "{text}");
-        // Both fast paths report side by side when both are active.
-        let buf2 = SharedBuf::default();
-        let hb2 = HeartbeatProbe::new(Duration::from_secs(3600)).writer(buf2.clone());
-        hb2.add("explore.runs", 4);
-        hb2.add("verify.dedup.hits", 1);
-        hb2.add("verify.dedup.misses", 3);
-        hb2.add("logic.incr.leaf_clean", 4);
-        hb2.finish();
-        let text2 = buf2.text();
-        assert!(text2.contains("dedup hit-rate 25% (1/4)"), "{text2}");
-        assert!(text2.contains("incr clean-leaf rate 100% (4/4)"), "{text2}");
-    }
-
-    #[test]
-    fn finish_omits_incr_rate_when_nothing_proved_clean() {
-        let buf = SharedBuf::default();
-        let hb = HeartbeatProbe::new(Duration::from_secs(3600)).writer(buf.clone());
-        hb.add("explore.runs", 4);
-        hb.add("logic.incr.leaf_clean", 0);
-        hb.finish();
-        assert!(!buf.text().contains("incr clean-leaf"), "{}", buf.text());
-    }
-
-    #[test]
-    fn finish_reports_sleep_set_reduction() {
-        let buf = SharedBuf::default();
-        let hb = HeartbeatProbe::new(Duration::from_secs(3600)).writer(buf.clone());
-        hb.add("explore.runs", 4);
-        hb.add("explore.por_runs", 4);
-        hb.add("explore.sleep_skipped", 11);
-        hb.finish();
-        let text = buf.text();
-        assert!(
-            text.contains("POR: 4 representative(s), 11 branch(es) slept"),
-            "{text}"
+    fn progress_line_reports_runs_steps_and_rate() {
+        let r = report(&[
+            ("explore.runs", 24),
+            ("explore.steps", 72),
+            ("unrelated", 99),
+        ]);
+        assert_eq!(
+            heartbeat_line(&r, TWO_SECONDS, false).unwrap(),
+            "[gem] 24 run(s), 72 step(s), 2.0s elapsed (12 runs/s)"
+        );
+        assert_eq!(
+            heartbeat_line(&r, TWO_SECONDS, true).unwrap(),
+            "[gem] done: 24 run(s), 72 step(s), 2.0s elapsed (12 runs/s)"
         );
     }
 
     #[test]
-    fn finish_omits_por_when_nothing_was_slept() {
+    fn silent_when_nothing_happened() {
+        assert_eq!(heartbeat_line(&report(&[]), TWO_SECONDS, true), None);
+        assert_eq!(
+            heartbeat_line(&report(&[("code.ops", 9)]), TWO_SECONDS, false),
+            None
+        );
+    }
+
+    #[test]
+    fn final_line_reports_dedup_hit_rate() {
+        let r = report(&[
+            ("explore.runs", 8),
+            ("verify.dedup.hits", 6),
+            ("verify.dedup.misses", 2),
+        ]);
+        assert_eq!(
+            heartbeat_line(&r, TWO_SECONDS, true).unwrap(),
+            "[gem] done: 8 run(s), 0 step(s), 2.0s elapsed (4 runs/s), dedup hit-rate 75% (6/8)"
+        );
+        assert!(!heartbeat_line(&r, TWO_SECONDS, false)
+            .unwrap()
+            .contains("dedup"));
+    }
+
+    #[test]
+    fn final_line_reports_incr_clean_leaf_rate() {
+        let r = report(&[("explore.runs", 8), ("logic.incr.leaf_clean", 6)]);
+        assert!(heartbeat_line(&r, TWO_SECONDS, true)
+            .unwrap()
+            .ends_with(", incr clean-leaf rate 75% (6/8)"));
+        // Both fast paths report side by side when both are active, and
+        // dedup counters of every layer are summed.
+        let r = report(&[
+            ("explore.runs", 4),
+            ("verify.dedup.hits", 1),
+            ("progress.dedup.misses", 3),
+            ("logic.incr.leaf_clean", 4),
+        ]);
+        assert!(heartbeat_line(&r, TWO_SECONDS, true)
+            .unwrap()
+            .ends_with(", dedup hit-rate 25% (1/4), incr clean-leaf rate 100% (4/4)"));
+        let r = report(&[("explore.runs", 4), ("logic.incr.leaf_clean", 0)]);
+        assert!(!heartbeat_line(&r, TWO_SECONDS, true)
+            .unwrap()
+            .contains("incr clean-leaf"));
+    }
+
+    #[test]
+    fn final_line_reports_sleep_set_reduction() {
+        let r = report(&[
+            ("explore.runs", 4),
+            ("explore.por_runs", 4),
+            ("explore.sleep_skipped", 11),
+        ]);
+        assert!(heartbeat_line(&r, TWO_SECONDS, true)
+            .unwrap()
+            .ends_with(", POR: 4 representative(s), 11 branch(es) slept"));
         // Zero-valued POR counters are emitted on every probed sweep;
-        // the summary must stay quiet about them.
-        let buf = SharedBuf::default();
-        let hb = HeartbeatProbe::new(Duration::from_secs(3600)).writer(buf.clone());
-        hb.add("explore.runs", 4);
-        hb.add("explore.por_runs", 0);
-        hb.add("explore.sleep_skipped", 0);
-        hb.finish();
-        let text = buf.text();
-        assert!(!text.contains("POR"), "{text}");
+        // the summary stays quiet about them.
+        let r = report(&[
+            ("explore.runs", 4),
+            ("explore.por_runs", 0),
+            ("explore.sleep_skipped", 0),
+        ]);
+        assert!(!heartbeat_line(&r, TWO_SECONDS, true)
+            .unwrap()
+            .contains("POR"));
     }
 
     #[test]
     fn estimate_gauge_adds_progress_and_eta() {
-        let buf = SharedBuf::default();
-        let hb = HeartbeatProbe::new(Duration::ZERO)
-            .check_every(5)
-            .writer(buf.clone());
-        hb.gauge_set("estimate.total_runs", 100);
-        for _ in 0..5 {
-            hb.add("explore.runs", 1);
-        }
-        let text = buf.text();
-        assert!(text.contains("~5% explored (est)"), "{text}");
-        assert!(text.contains("ETA ~"), "{text}");
+        let stats = StatsProbe::new();
+        stats.gauge_set("estimate.total_runs", 100);
+        stats.add("explore.runs", 5);
+        let r = stats.report();
+        assert_eq!(
+            heartbeat_line(&r, Duration::from_secs(1), false).unwrap(),
+            "[gem] 5 run(s), 0 step(s), 1.0s elapsed (5 runs/s), ~5% explored (est), ETA ~19s"
+        );
         // The final summary reports actuals, not the estimate.
-        hb.finish();
-        let last = buf.text();
-        let done_line = last.lines().last().unwrap();
-        assert!(done_line.starts_with("[gem] done:"), "{done_line}");
-        assert!(!done_line.contains("explored (est)"), "{done_line}");
-    }
-
-    #[test]
-    fn finish_is_silent_when_nothing_happened() {
-        let buf = SharedBuf::default();
-        let hb = HeartbeatProbe::new(Duration::ZERO).writer(buf.clone());
-        hb.finish();
-        assert!(buf.text().is_empty(), "{}", buf.text());
+        let done = heartbeat_line(&r, Duration::from_secs(1), true).unwrap();
+        assert!(!done.contains("explored (est)"), "{done}");
     }
 }

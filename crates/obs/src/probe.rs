@@ -1,13 +1,10 @@
 //! The [`Probe`] trait and its standard implementations.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::hist::Histogram;
-use crate::json::push_json_str;
 use crate::report::{Report, TimerStat};
 
 /// A sink for instrumentation events.
@@ -122,15 +119,37 @@ struct StatsInner {
 /// In-memory aggregation: counters summed, gauges kept, timers
 /// summarized. Thread-safe (a single mutex; hot layers batch their
 /// counts so contention is per-run, not per-step).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct StatsProbe {
     inner: Mutex<StatsInner>,
+    /// False when timer and histogram samples are dropped on arrival.
+    timings: bool,
+}
+
+impl Default for StatsProbe {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl StatsProbe {
     /// An empty stats probe.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            inner: Mutex::default(),
+            timings: true,
+        }
+    }
+
+    /// An empty stats probe that keeps counters and gauges only: timer
+    /// and histogram samples, which arrive per step and per leaf, are
+    /// dropped on arrival. For readers of counters and gauges alone, such
+    /// as the heartbeat and metrics snapshots.
+    pub fn counters_and_gauges() -> Self {
+        Self {
+            timings: false,
+            ..Self::new()
+        }
     }
 
     /// Snapshot of everything recorded so far.
@@ -159,150 +178,44 @@ impl StatsProbe {
     }
 }
 
+/// Applies `f` to the value under `name`, inserting a default first.
+/// The key is looked up before anything is allocated, so recording into
+/// an existing key does not touch the heap.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_owned()).or_default()),
+    }
+}
+
 impl Probe for StatsProbe {
     fn add(&self, name: &str, delta: u64) {
         let mut inner = self.inner.lock().expect("stats probe poisoned");
-        match inner.counters.get_mut(name) {
-            Some(v) => *v = v.saturating_add(delta),
-            None => {
-                inner.counters.insert(name.to_owned(), delta);
-            }
-        }
+        update(&mut inner.counters, name, |v| *v = v.saturating_add(delta));
     }
 
     fn gauge_set(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock().expect("stats probe poisoned");
-        inner.gauges.insert(name.to_owned(), value);
+        update(&mut inner.gauges, name, |v| *v = value);
     }
 
     fn gauge_max(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock().expect("stats probe poisoned");
-        match inner.gauges.get_mut(name) {
-            Some(v) => *v = (*v).max(value),
-            None => {
-                inner.gauges.insert(name.to_owned(), value);
-            }
-        }
+        update(&mut inner.gauges, name, |v| *v = (*v).max(value));
     }
 
     fn time_ns(&self, name: &str, nanos: u64) {
-        let mut inner = self.inner.lock().expect("stats probe poisoned");
-        inner
-            .timers
-            .entry(name.to_owned())
-            .or_default()
-            .record(nanos);
-    }
-
-    fn record(&self, name: &str, value: u64) {
-        let mut inner = self.inner.lock().expect("stats probe poisoned");
-        inner
-            .hists
-            .entry(name.to_owned())
-            .or_default()
-            .record(value);
-    }
-
-    fn span_exit(&self, name: &str, nanos: u64) {
-        // Spans double as timers; `Span` already mirrors into `time_ns`,
-        // so only count nesting-free span exits arriving directly.
-        let _ = (name, nanos);
-    }
-}
-
-/// Writes one JSONL event per probe call to a writer (typically a file):
-/// `{"us":<since-start>,"tid":<thread>,"ev":"counter","k":"explore.runs","v":1}`
-/// and `{"us":…,"tid":…,"ev":"enter"/"exit","k":"verify.run","ns":…}`.
-///
-/// Offsets are microseconds since probe construction. `tid` is the
-/// emitting thread's [`crate::thread_ordinal`], so traces merged from a
-/// `--jobs N` run partition cleanly by worker. The stream is
-/// line-buffered via `BufWriter` and flushed on drop.
-pub struct TraceProbe {
-    out: Mutex<BufWriter<Box<dyn Write + Send>>>,
-    epoch: Instant,
-}
-
-impl std::fmt::Debug for TraceProbe {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceProbe").finish_non_exhaustive()
-    }
-}
-
-impl TraceProbe {
-    /// Traces into `writer`.
-    pub fn new(writer: impl Write + Send + 'static) -> Self {
-        Self {
-            out: Mutex::new(BufWriter::new(Box::new(writer))),
-            epoch: Instant::now(),
+        if self.timings {
+            let mut inner = self.inner.lock().expect("stats probe poisoned");
+            update(&mut inner.timers, name, |t| t.record(nanos));
         }
     }
 
-    /// Creates (truncating) `path` and traces into it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation errors.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(Self::new(std::fs::File::create(path)?))
-    }
-
-    fn line(&self, ev: &str, key: &str, fields: &[(&str, u64)]) {
-        let us = u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let tid = crate::tid::thread_ordinal();
-        let mut line = String::with_capacity(64);
-        line.push_str(&format!(
-            "{{\"us\":{us},\"tid\":{tid},\"ev\":\"{ev}\",\"k\":"
-        ));
-        push_json_str(&mut line, key);
-        for (name, value) in fields {
-            line.push_str(&format!(",\"{name}\":{value}"));
-        }
-        line.push_str("}\n");
-        let mut out = self.out.lock().expect("trace probe poisoned");
-        let _ = out.write_all(line.as_bytes());
-    }
-
-    /// Flushes buffered events.
-    pub fn flush(&self) {
-        let mut out = self.out.lock().expect("trace probe poisoned");
-        let _ = out.flush();
-    }
-}
-
-impl Drop for TraceProbe {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-impl Probe for TraceProbe {
-    fn add(&self, name: &str, delta: u64) {
-        self.line("counter", name, &[("v", delta)]);
-    }
-
-    fn gauge_set(&self, name: &str, value: u64) {
-        self.line("gauge", name, &[("v", value)]);
-    }
-
-    fn gauge_max(&self, name: &str, value: u64) {
-        self.line("gauge_max", name, &[("v", value)]);
-    }
-
-    fn time_ns(&self, name: &str, nanos: u64) {
-        self.line("time", name, &[("ns", nanos)]);
-    }
-
     fn record(&self, name: &str, value: u64) {
-        self.line("record", name, &[("v", value)]);
-    }
-
-    fn span_enter(&self, name: &str) {
-        self.line("enter", name, &[]);
-    }
-
-    fn span_exit(&self, name: &str, nanos: u64) {
-        self.line("exit", name, &[("ns", nanos)]);
+        if self.timings {
+            let mut inner = self.inner.lock().expect("stats probe poisoned");
+            update(&mut inner.hists, name, |h| h.record(value));
+        }
     }
 }
 
@@ -420,6 +333,19 @@ mod tests {
     }
 
     #[test]
+    fn counters_and_gauges_drops_timings() {
+        let p = StatsProbe::counters_and_gauges();
+        p.add("runs", 2);
+        p.gauge_set("est", 9);
+        p.time_ns("check", 10);
+        p.record("width", 3);
+        let r = p.report();
+        assert_eq!(r.counters["runs"], 2);
+        assert_eq!(r.gauges["est"], 9);
+        assert!(r.timers.is_empty() && r.hists.is_empty(), "{r:?}");
+    }
+
+    #[test]
     fn record_fans_out() {
         let a = Arc::new(StatsProbe::new());
         let b = Arc::new(StatsProbe::new());
@@ -448,40 +374,6 @@ mod tests {
         let p = NoopProbe;
         let s = Span::enter(&p, "x");
         assert!(s.start.is_none());
-    }
-
-    #[test]
-    fn trace_writes_jsonl() {
-        #[derive(Clone)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
-        let p = TraceProbe::new(buf.clone());
-        p.add("explore.runs", 1);
-        {
-            let _s = Span::enter(&p, "verify");
-        }
-        p.flush();
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "counter + enter + exit + time: {text}");
-        let tid_field = format!("\"tid\":{}", crate::tid::thread_ordinal());
-        assert!(lines.iter().all(|l| l.contains(&tid_field)), "{text}");
-        assert!(lines[0].contains("\"ev\":\"counter\""), "{text}");
-        assert!(lines[0].contains("\"k\":\"explore.runs\""), "{text}");
-        assert!(lines[1].contains("\"ev\":\"enter\""), "{text}");
-        assert!(lines[2].contains("\"ev\":\"exit\""), "{text}");
-        for l in &lines {
-            assert!(l.starts_with('{') && l.ends_with('}'), "JSONL: {l}");
-        }
     }
 
     #[test]

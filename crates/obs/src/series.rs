@@ -1,29 +1,21 @@
 //! Periodic counter/gauge snapshots into a bounded ring.
 //!
-//! A [`SeriesProbe`] rides a probe fanout and keeps running counter and
-//! gauge totals; on a fixed cadence (checked every N counter batches,
-//! mirroring the heartbeat's clock discipline so hot paths never pay a
-//! syscall per event) it pushes a [`SeriesSnapshot`] of the cumulative
-//! totals into a bounded ring. The ring serializes to a `metrics.json`
+//! A [`Series`] is a plain ring of [`SeriesSnapshot`]s: whoever owns it
+//! (the CLI's ticker thread) pushes a snapshot of the command's stats
+//! report on a fixed cadence. The ring serializes to a `metrics.json`
 //! time-series and feeds the OpenMetrics exposition in
 //! [`crate::openmetrics`]. Snapshots hold *cumulative* totals, not
 //! deltas, so counters are monotone across snapshots — the property the
 //! OpenMetrics lint checks.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::probe::Probe;
+use crate::report::Report;
 
-/// How many counter batches go by between clock checks. Counter calls
-/// are already batched per-run by the hot layers, so this bounds clock
-/// reads to one per `CHECK_EVERY` runs-or-so.
-const CHECK_EVERY: u64 = 256;
-
-/// Default ring capacity: at the default 1s cadence, over an hour of
-/// sweep history before old snapshots fall off the front.
-const DEFAULT_CAP: usize = 4096;
+/// Ring capacity: at a 1s cadence, over an hour of sweep history before
+/// old snapshots fall off the front.
+const CAPACITY: usize = 4096;
 
 /// One point-in-time view of the cumulative counter and gauge totals.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,137 +28,59 @@ pub struct SeriesSnapshot {
     pub gauges: BTreeMap<String, u64>,
 }
 
+/// Snapshots taken every `interval`, the oldest dropped first past 4096.
+/// Construction takes the baseline (all-zero) snapshot, so together with
+/// a final push even a sweep faster than the cadence yields two
+/// snapshots.
 #[derive(Debug)]
-struct SeriesInner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
-    since_check: u64,
-    last_snap: Instant,
+pub struct Series {
+    interval: Duration,
     snaps: VecDeque<SeriesSnapshot>,
     dropped: u64,
 }
 
-/// A probe that samples cumulative counter/gauge totals on a fixed
-/// cadence into a bounded ring. Construction takes the baseline
-/// (all-zero) snapshot and [`SeriesProbe::finish`] takes the final one,
-/// so even a sweep faster than the cadence yields two snapshots.
-#[derive(Debug)]
-pub struct SeriesProbe {
-    inner: Mutex<SeriesInner>,
-    interval: Duration,
-    cap: usize,
-    started: Instant,
-}
-
-impl SeriesProbe {
-    /// A series sampling every `interval` with the default ring size.
+impl Series {
+    /// An empty series on `interval`: just the baseline snapshot.
     pub fn new(interval: Duration) -> Self {
-        Self::with_capacity(interval, DEFAULT_CAP)
-    }
-
-    /// A series sampling every `interval`, keeping at most `cap`
-    /// snapshots (oldest dropped first; capacity at least 2 so the
-    /// baseline and final snapshots always survive).
-    pub fn with_capacity(interval: Duration, cap: usize) -> Self {
-        let started = Instant::now();
         let baseline = SeriesSnapshot {
             at_ms: 0,
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
         };
-        let mut snaps = VecDeque::new();
-        snaps.push_back(baseline);
         Self {
-            inner: Mutex::new(SeriesInner {
-                counters: BTreeMap::new(),
-                gauges: BTreeMap::new(),
-                since_check: 0,
-                last_snap: started,
-                snaps,
-                dropped: 0,
-            }),
             interval,
-            cap: cap.max(2),
-            started,
+            snaps: VecDeque::from([baseline]),
+            dropped: 0,
         }
     }
 
-    fn snap_locked(&self, inner: &mut SeriesInner, now: Instant) {
-        let snap = SeriesSnapshot {
-            at_ms: u64::try_from(now.duration_since(self.started).as_millis()).unwrap_or(u64::MAX),
-            counters: inner.counters.clone(),
-            gauges: inner.gauges.clone(),
-        };
-        inner.last_snap = now;
-        inner.snaps.push_back(snap);
-        while inner.snaps.len() > self.cap {
-            inner.snaps.pop_front();
-            inner.dropped += 1;
+    /// Appends the counters and gauges of `report`, taken `at` since the
+    /// series began.
+    pub fn push(&mut self, at: Duration, report: Report) {
+        self.snaps.push_back(SeriesSnapshot {
+            at_ms: u64::try_from(at.as_millis()).unwrap_or(u64::MAX),
+            counters: report.counters,
+            gauges: report.gauges,
+        });
+        while self.snaps.len() > CAPACITY {
+            self.snaps.pop_front();
+            self.dropped += 1;
         }
-    }
-
-    fn maybe_snap(&self, inner: &mut SeriesInner) {
-        inner.since_check += 1;
-        if inner.since_check < CHECK_EVERY {
-            return;
-        }
-        inner.since_check = 0;
-        let now = Instant::now();
-        if now.duration_since(inner.last_snap) >= self.interval {
-            self.snap_locked(inner, now);
-        }
-    }
-
-    /// Takes the final snapshot unconditionally. Call once when the
-    /// sweep completes, before exporting.
-    pub fn finish(&self) {
-        let mut inner = self.inner.lock().expect("series probe poisoned");
-        let now = Instant::now();
-        self.snap_locked(&mut inner, now);
     }
 
     /// The snapshots taken so far, oldest first.
     pub fn snapshots(&self) -> Vec<SeriesSnapshot> {
-        let inner = self.inner.lock().expect("series probe poisoned");
-        inner.snaps.iter().cloned().collect()
+        self.snaps.iter().cloned().collect()
     }
 
     /// How many old snapshots fell off the ring.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("series probe poisoned").dropped
+        self.dropped
     }
 
     /// The cadence snapshots are taken at.
     pub fn interval(&self) -> Duration {
         self.interval
-    }
-}
-
-impl Probe for SeriesProbe {
-    fn add(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("series probe poisoned");
-        match inner.counters.get_mut(name) {
-            Some(v) => *v = v.saturating_add(delta),
-            None => {
-                inner.counters.insert(name.to_owned(), delta);
-            }
-        }
-        self.maybe_snap(&mut inner);
-    }
-
-    fn gauge_set(&self, name: &str, value: u64) {
-        let mut inner = self.inner.lock().expect("series probe poisoned");
-        inner.gauges.insert(name.to_owned(), value);
-    }
-
-    fn gauge_max(&self, name: &str, value: u64) {
-        let mut inner = self.inner.lock().expect("series probe poisoned");
-        match inner.gauges.get_mut(name) {
-            Some(v) => *v = (*v).max(value),
-            None => {
-                inner.gauges.insert(name.to_owned(), value);
-            }
-        }
     }
 }
 
@@ -214,58 +128,41 @@ pub fn series_json(interval: Duration, snaps: &[SeriesSnapshot]) -> String {
 mod tests {
     use super::*;
 
+    fn report(runs: u64, depth: u64) -> Report {
+        let stats = crate::StatsProbe::new();
+        crate::Probe::add(&stats, "explore.runs", runs);
+        crate::Probe::gauge_max(&stats, "depth", depth);
+        stats.report()
+    }
+
     #[test]
-    fn baseline_and_finish_bracket_the_series() {
-        let s = SeriesProbe::new(Duration::from_secs(3600));
-        s.add("explore.runs", 5);
-        s.add("explore.runs", 2);
-        s.gauge_set("estimate.total_runs", 100);
-        s.gauge_max("depth", 4);
-        s.gauge_max("depth", 2);
-        s.finish();
+    fn baseline_and_pushes_bracket_the_series() {
+        let mut s = Series::new(Duration::from_secs(3600));
+        s.push(Duration::from_millis(1500), report(7, 4));
         let snaps = s.snapshots();
-        assert_eq!(snaps.len(), 2, "baseline + final");
+        assert_eq!(snaps.len(), 2, "baseline + pushed");
         assert!(snaps[0].counters.is_empty());
+        assert_eq!(snaps[0].at_ms, 0);
+        assert_eq!(snaps[1].at_ms, 1500);
         assert_eq!(snaps[1].counters["explore.runs"], 7);
-        assert_eq!(snaps[1].gauges["estimate.total_runs"], 100);
         assert_eq!(snaps[1].gauges["depth"], 4);
-        assert!(snaps[1].at_ms >= snaps[0].at_ms);
         assert_eq!(s.dropped(), 0);
     }
 
     #[test]
-    fn zero_interval_snaps_on_cadence_checks() {
-        let s = SeriesProbe::new(Duration::ZERO);
-        for _ in 0..(CHECK_EVERY * 3) {
-            s.add("n", 1);
-        }
-        s.finish();
-        let snaps = s.snapshots();
-        assert!(snaps.len() >= 4, "baseline + 3 cadence + final");
-        // Cumulative totals are monotone across snapshots.
-        let mut last = 0;
-        for snap in &snaps {
-            let v = snap.counters.get("n").copied().unwrap_or(0);
-            assert!(v >= last);
-            last = v;
-        }
-        assert_eq!(last, CHECK_EVERY * 3);
-    }
-
-    #[test]
     fn ring_is_bounded_and_drops_oldest() {
-        let s = SeriesProbe::with_capacity(Duration::ZERO, 3);
-        for _ in 0..(CHECK_EVERY * 10) {
-            s.add("n", 1);
+        let mut s = Series::new(Duration::ZERO);
+        let pushes = CAPACITY as u64 + 9;
+        for i in 1..=pushes {
+            s.push(Duration::from_secs(i), report(i, 1));
         }
-        s.finish();
         let snaps = s.snapshots();
-        assert_eq!(snaps.len(), 3);
-        assert!(s.dropped() > 0);
+        assert_eq!(snaps.len(), CAPACITY);
+        assert_eq!(s.dropped(), 10);
         assert_eq!(
-            snaps.last().unwrap().counters["n"],
-            CHECK_EVERY * 10,
-            "the final snapshot survives the ring"
+            snaps.last().unwrap().counters["explore.runs"],
+            pushes,
+            "the newest snapshot survives the ring"
         );
     }
 

@@ -28,9 +28,10 @@ pub fn thread_ordinal() -> u64 {
 }
 
 /// Names the calling thread for trace exports (e.g. `worker-3`, the
-/// stable pool ordinal). Consumers like [`crate::ChromeTraceProbe`]
+/// stable pool ordinal). Chrome-trace exports of [`crate::EventLog`]
 /// render the label as the thread's lane name instead of the raw
-/// ordinal. Last set wins; the label dies with the thread.
+/// ordinal; a log reads it when the thread first logs, so set it before
+/// that. Last set wins; the label dies with the thread.
 pub fn set_thread_label(label: impl Into<String>) {
     let label = label.into();
     LABEL.with(|slot| *slot.borrow_mut() = Some(label));

@@ -16,6 +16,8 @@
 //! events are all insignificant becomes a direct enable edge in the
 //! projection).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use gem_core::{ClassId, Computation, ComputationBuilder, ElementId, EventId, Structure, Value};
@@ -139,6 +141,34 @@ impl fmt::Display for ProjectError {
 
 impl std::error::Error for ProjectError {}
 
+/// The events of `c` in least-id-first topological order: of the events
+/// whose predecessors are all placed, the one with the least id goes
+/// next. That is plain id order whenever every edge points at a newer
+/// event, as in every simulator-grown computation.
+fn least_id_topological(c: &Computation) -> Vec<EventId> {
+    let closure = c.closure();
+    let mut waiting: Vec<usize> = c
+        .event_ids()
+        .map(|e| closure.predecessors(e).len())
+        .collect();
+    let mut ready: BinaryHeap<Reverse<usize>> = (0..waiting.len())
+        .filter(|&i| waiting[i] == 0)
+        .map(Reverse)
+        .collect();
+    let mut order = Vec::with_capacity(waiting.len());
+    while let Some(Reverse(i)) = ready.pop() {
+        let e = EventId::from_raw(i as u32);
+        order.push(e);
+        for s in closure.successors(e).iter() {
+            waiting[s] -= 1;
+            if waiting[s] == 0 {
+                ready.push(Reverse(s));
+            }
+        }
+    }
+    order
+}
+
 /// Projects a program computation onto its significant objects, producing
 /// a computation over the problem structure.
 ///
@@ -159,14 +189,13 @@ pub fn project(
     corr: &Correspondence,
 ) -> Result<Computation, ProjectError> {
     let problem_structure = problem_structure.into();
-    // Significant events in topological order (so same-element events are
-    // appended in their temporal order).
-    let mut significant: Vec<(EventId, &Pair)> = Vec::new();
-    for &e in program.closure().topological() {
-        if let Some(pair) = corr.match_event(program, e) {
-            significant.push((e, pair));
-        }
-    }
+    // Significant events in least-id-first topological order, so
+    // same-element events are appended in their temporal order and the
+    // projection numbers events as the incremental checker does.
+    let significant: Vec<(EventId, &Pair)> = least_id_topological(program)
+        .into_iter()
+        .filter_map(|e| Some((e, corr.match_event(program, e)?)))
+        .collect();
 
     if gem_obs::ambient::active() {
         gem_obs::ambient::add("project.projections", 1);

@@ -944,9 +944,20 @@ mod tests {
             ),
         ];
         let mut chk = IncrChecker::new(&spec, &corr, false);
-        // Every leaf is totally ordered, so the projection numbers its
-        // events in emission order as the checker does, and both worlds
-        // visit the same candidates in the same order.
+        // Two concurrent minimal events, `Q.Act` first, both enabling the
+        // `Val` with x = 2. The projection numbers them least id first,
+        // as the checker does, so both worlds meet the `Act` before the
+        // witness and raise the same `UnknownParam`.
+        let mut b = ComputationBuilder::new(spec.structure_arc());
+        let a0 = b.add_event(q, act, vec![]).unwrap();
+        let v1 = b.add_event(p, val, x(1)).unwrap();
+        let v2 = b.add_event(p, val, x(2)).unwrap();
+        b.enable(a0, v2).unwrap();
+        b.enable(v1, v2).unwrap();
+        assert_worlds_agree(&mut chk, &b, &spec, &corr, &fs);
+        assert!(holds_on_computation(&fs[2], &spec_world(&chk, &b)).is_err());
+        // Totally ordered leaves, across rewinds.
+        let mut chk = IncrChecker::new(&spec, &corr, false);
         let mut b = ComputationBuilder::new(spec.structure_arc());
         let v0 = b.add_event(p, val, x(1)).unwrap();
         let a1 = b.add_event(q, act, vec![]).unwrap();

@@ -1,5 +1,5 @@
-//! Allocation guards for the trace builder's append path and the
-//! incremental checker's replay.
+//! Allocation guards for the trace builder's append path, the
+//! incremental checker's replay and the stats probe's recording.
 //!
 //! Exploration grows one computation along a schedule, rolls it back to a
 //! mark and regrows the next sibling branch. Once the deepest branch has
@@ -10,13 +10,15 @@
 //! has synced to the deepest leaf, replaying a regrown suffix of the same
 //! shape works in the rows and scratch buffers it kept, and judging the
 //! leaf restrictions binds variables on the stack and compares values in
-//! place.
+//! place. The stats probe, which backs the default heartbeat, looks a key
+//! up before it allocates one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gem::core::{ClassId, ComputationBuilder, ElementId, EventId, Structure, Value};
 use gem::logic::{CmpOp, Formula, ValueTerm};
+use gem::obs::{Probe, StatsProbe};
 use gem::spec::{prerequisite, ElementInstance, ElementType, SpecBuilder};
 use gem::verify::{Correspondence, IncrChecker, LeafStatus};
 
@@ -231,4 +233,29 @@ fn judging_leaf_restrictions_does_not_allocate() {
         during, 0,
         "replaying a 60-event suffix and judging its leaf allocated {during} time(s)"
     );
+}
+
+#[test]
+fn recording_into_existing_keys_does_not_allocate() {
+    let stats = StatsProbe::new();
+    let probe: &dyn Probe = &stats;
+    let record = |v: u64| {
+        probe.add("k.count", v);
+        probe.gauge_set("k.gauge", v);
+        probe.gauge_max("k.max", v);
+        probe.time_ns("k.time", v);
+        probe.record("k.hist", v);
+    };
+    // The first round inserts every key.
+    record(1);
+    let before = allocs();
+    for v in 0..100 {
+        record(v);
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "recording into existing keys allocated"
+    );
+    assert_eq!(stats.counter("k.count"), 1 + (0..100).sum::<u64>());
 }

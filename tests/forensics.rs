@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gem::lang::monitor::readers_writers_monitor;
 use gem::obs::json::{parse, JsonValue};
-use gem::obs::{clear_crash_sink, install_crash_sink, RecorderProbe};
+use gem::obs::{clear_crash_sink, install_crash_sink, EventLog};
 use gem::problems::readers_writers::{rw_correspondence, rw_program, rw_spec, RwVariant};
 use gem::verify::{verify_system, VerifyOptions};
 
@@ -229,7 +229,7 @@ fn panic_mid_sweep_dumps_flight_recorder() {
     let _sink = crash_sink_lock();
     let dir = temp_dir("crash");
     let crash = dir.join("crash.json");
-    let recorder = Arc::new(RecorderProbe::new(64));
+    let recorder = Arc::new(EventLog::new(64));
     install_crash_sink(recorder.clone(), crash.clone());
 
     let sys = rw_program(readers_writers_monitor(), 1, 1, false);
@@ -296,7 +296,7 @@ fn panic_mid_sweep_dumps_flight_recorder() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// TraceProbe lines carry a thread ordinal, and the lines partition by
+/// `--trace` lines carry a thread ordinal, and the lines partition by
 /// it: every event belongs to exactly one thread's stream.
 #[test]
 fn trace_lines_partition_by_thread_id() {
@@ -341,5 +341,137 @@ fn trace_lines_partition_by_thread_id() {
         })
         .sum();
     assert_eq!(per_tid, lines);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Per-thread `(kind, key)` sequences, keyed by thread ordinal.
+type Lanes = std::collections::BTreeMap<u64, Vec<(String, String)>>;
+
+/// `--trace`, `--trace-out` and the `--artifacts` crash dump render one
+/// event log, so on a `--jobs 2` run they agree on every thread's event
+/// order: the Chrome trace is the JSON lines' timer, counter and
+/// histogram events, and the crash dump is each thread's last events.
+#[test]
+fn trace_chrome_and_crash_dump_agree_per_thread() {
+    let _sink = crash_sink_lock();
+    let dir = temp_dir("three-renderings");
+    let (jsonl, chrome) = (dir.join("t.jsonl"), dir.join("t.json"));
+    let (jsonl_s, chrome_s) = (jsonl.to_str().unwrap(), chrome.to_str().unwrap());
+    let out = runv(&[
+        "verify",
+        "rw",
+        "readers=1",
+        "writers=1",
+        "--jobs",
+        "2",
+        "--trace",
+        jsonl_s,
+        "--trace-out",
+        chrome_s,
+        "--artifacts",
+        dir.to_str().unwrap(),
+        "--heartbeat",
+        "0",
+    ])
+    .unwrap();
+    assert!(out.contains("HOLDS"), "{out}");
+    // The run left its log armed as the crash sink; a panic now dumps
+    // the log exactly as the run finished it.
+    let panicked = std::panic::catch_unwind(|| panic!("induced after the run"));
+    clear_crash_sink();
+    assert!(panicked.is_err());
+
+    let mut lines = Lanes::new();
+    for line in std::fs::read_to_string(&jsonl).unwrap().lines() {
+        let v = parse(line).unwrap();
+        let field = |k: &str| v.get(k).and_then(JsonValue::as_str).unwrap().to_owned();
+        let tid = v.get("tid").and_then(JsonValue::as_u64).unwrap();
+        lines
+            .entry(tid)
+            .or_default()
+            .push((field("ev"), field("k")));
+    }
+    assert!(
+        lines.len() >= 2,
+        "the workers logged too: {:?}",
+        lines.keys()
+    );
+
+    let trace = read_json(&chrome);
+    let mut lanes = Lanes::new();
+    let mut labels = Vec::new();
+    for ev in trace
+        .get("traceEvents")
+        .and_then(JsonValue::as_arr)
+        .unwrap()
+    {
+        let field = |k: &str| ev.get(k).and_then(JsonValue::as_str).unwrap().to_owned();
+        let tid = ev.get("tid").and_then(JsonValue::as_u64).unwrap();
+        match field("ph").as_str() {
+            "M" => labels.push(
+                ev.get("args")
+                    .unwrap()
+                    .get("name")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+                    .to_owned(),
+            ),
+            ph => lanes
+                .entry(tid)
+                .or_default()
+                .push((ph.to_owned(), field("name"))),
+        }
+    }
+    assert!(
+        labels.iter().any(|l| l.starts_with("worker-")),
+        "{labels:?}"
+    );
+    for (tid, events) in &lines {
+        let expected: Vec<(String, String)> = events
+            .iter()
+            .filter_map(|(ev, k)| match ev.as_str() {
+                "time" => Some(("X".to_owned(), k.clone())),
+                "counter" | "record" => Some(("C".to_owned(), k.clone())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            lanes.get(tid).cloned().unwrap_or_default(),
+            expected,
+            "tid {tid}"
+        );
+    }
+
+    let dump = read_json(&dir.join("crash.json"));
+    let tail = dump
+        .get("capacity_per_thread")
+        .and_then(JsonValue::as_u64)
+        .unwrap() as usize;
+    let threads = dump.get("threads").and_then(JsonValue::as_arr).unwrap();
+    assert_eq!(threads.len(), lines.len(), "one ring per logging thread");
+    for t in threads {
+        let tid = t.get("tid").and_then(JsonValue::as_u64).unwrap();
+        let events = t.get("events").and_then(JsonValue::as_arr).unwrap();
+        let seqs: Vec<u64> = events
+            .iter()
+            .map(|e| e.get("seq").and_then(JsonValue::as_u64).unwrap())
+            .collect();
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "tid {tid}: {seqs:?}");
+        let recorded: Vec<(String, String)> = events
+            .iter()
+            .map(|e| {
+                let kind = e.get("kind").and_then(JsonValue::as_str).unwrap();
+                let kind = if kind == "count" { "counter" } else { kind };
+                (
+                    kind.to_owned(),
+                    e.get("k").and_then(JsonValue::as_str).unwrap().to_owned(),
+                )
+            })
+            .collect();
+        let all = &lines[&tid];
+        assert_eq!(recorded.len(), all.len().min(tail), "tid {tid}");
+        assert_eq!(recorded, all[all.len() - recorded.len()..], "tid {tid}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

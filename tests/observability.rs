@@ -161,13 +161,14 @@ fn chrome_trace_serialisation_matches_golden() {
 
 #[test]
 fn chrome_trace_of_probed_verify_partitions_the_wall() {
-    // A real dedup verify through a ChromeTraceProbe: every top-level
-    // phase must appear as a complete duration event, the per-phase
-    // durations must sum to at most the verify span, and the final
-    // `explore.runs` running total must agree with the verifier.
+    // A real dedup verify through an event log, rendered as a Chrome
+    // trace: every top-level phase must appear as a complete duration
+    // event, the per-phase durations must sum to at most the verify
+    // span, and the final `explore.runs` running total must agree with
+    // the verifier.
     use gem::lang::Explorer;
-    use gem::obs::ChromeTraceProbe;
-    let probe = Arc::new(ChromeTraceProbe::new());
+    use gem::obs::EventLog;
+    let probe = Arc::new(EventLog::new(1 << 20));
     let sys = rw_program(readers_writers_monitor(), 1, 1, false);
     let spec = rw_spec(2, false, RwVariant::MutexOnly);
     let corr = rw_correspondence(&sys, &spec, false);
@@ -190,7 +191,7 @@ fn chrome_trace_of_probed_verify_partitions_the_wall() {
     )
     .expect("projection");
     assert!(outcome.ok(), "{outcome}");
-    let events = probe.events();
+    let events = probe.chrome_events();
     assert_eq!(probe.dropped(), 0);
 
     let dur_of = |name: &str| -> u64 {
@@ -234,7 +235,7 @@ fn chrome_trace_of_probed_verify_partitions_the_wall() {
         .expect("explore.runs counter events");
     assert_eq!(final_runs, outcome.runs as u64);
 
-    let json = probe.to_json();
+    let json = probe.to_chrome_json();
     assert!(json.starts_with("{\"traceEvents\": [\n"));
     assert!(json.ends_with("\n]}\n"));
 }
@@ -426,14 +427,15 @@ fn openmetrics_serialisation_matches_golden() {
 
 #[test]
 fn probed_parallel_verify_feeds_a_lintable_series() {
-    // End-to-end: a SeriesProbe riding a parallel verify must yield an
-    // exposition that lints clean, with the worker-labelled families
-    // present and the final explore.runs total agreeing with the
-    // verifier.
+    // End-to-end: a series of snapshots of the stats report of a
+    // parallel verify must yield an exposition that lints clean, with
+    // the worker-labelled families present and the final explore.runs
+    // total agreeing with the verifier.
     use gem::lang::Explorer;
-    use gem::obs::{lint_openmetrics, render_openmetrics, SeriesProbe};
+    use gem::obs::{lint_openmetrics, render_openmetrics, Series};
     use std::time::Duration;
-    let probe = Arc::new(SeriesProbe::new(Duration::from_secs(3600)));
+    let probe = Arc::new(StatsProbe::new());
+    let mut series = Series::new(Duration::from_secs(3600));
     let sys = rw_program(readers_writers_monitor(), 1, 1, false);
     let spec = rw_spec(2, false, RwVariant::MutexOnly);
     let corr = rw_correspondence(&sys, &spec, false);
@@ -454,8 +456,8 @@ fn probed_parallel_verify_feeds_a_lintable_series() {
     )
     .expect("projection");
     assert!(outcome.ok(), "{outcome}");
-    probe.finish();
-    let snaps = probe.snapshots();
+    series.push(Duration::from_secs(1), probe.report());
+    let snaps = series.snapshots();
     assert!(snaps.len() >= 2, "baseline + final");
     let last = snaps.last().expect("final snapshot");
     assert_eq!(last.counters["explore.runs"], outcome.runs as u64);
