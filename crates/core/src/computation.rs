@@ -168,6 +168,20 @@ impl Clone for StampSource {
     }
 }
 
+/// Emptied parameter vectors of rolled-back events, waiting to be refilled
+/// by [`ComputationBuilder::add_event`]. [`ComputationBuilder::truncate_to`]
+/// pushes them in reverse event order, so regrowing the same suffix pops
+/// each event's own vector back and its capacity already fits. A clone
+/// starts with none: spares are capacity, not content.
+#[derive(Debug, Default)]
+struct SpareParams(Vec<Vec<Value>>);
+
+impl Clone for SpareParams {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
 /// Incremental constructor for [`Computation`].
 ///
 /// # Examples
@@ -220,6 +234,8 @@ pub struct ComputationBuilder {
     /// Events that received a *fresh* thread tag, in push order — the undo
     /// journal for [`ComputationBuilder::truncate_to`].
     tag_log: Vec<EventId>,
+    /// Parameter vectors of rolled-back events, kept for reuse.
+    spare_params: SpareParams,
     /// Rolling schedule-independent fingerprint: the wrapping sum of one
     /// well-mixed hash per event, enable edge, precedence, membership, and
     /// thread tag, each expressed in `(element, seq)` coordinates. Updated
@@ -279,6 +295,7 @@ impl ComputationBuilder {
             stamp_source: StampSource::new(),
             order: IncrementalOrder::new(),
             tag_log: Vec::new(),
+            spare_params: SpareParams::default(),
             fp: 0,
         }
     }
@@ -292,7 +309,10 @@ impl ComputationBuilder {
     ///
     /// The event receives the next occurrence number at its element; the
     /// element order between events at the same element follows insertion
-    /// order.
+    /// order. `params` is any iterator of values, an array as much as a
+    /// `Vec`: the builder fills a parameter vector recycled from a
+    /// rolled-back event when it has one, so a simulator that passes an
+    /// array allocates nothing once the branch has been grown before.
     ///
     /// # Errors
     ///
@@ -303,7 +323,7 @@ impl ComputationBuilder {
         &mut self,
         element: ElementId,
         class: ClassId,
-        params: Vec<Value>,
+        params: impl IntoIterator<Item = Value>,
     ) -> Result<EventId, BuildError> {
         if element.index() >= self.structure.element_count() {
             return Err(BuildError::UnknownElement(element));
@@ -311,6 +331,14 @@ impl ComputationBuilder {
         if class.index() >= self.structure.class_count() {
             return Err(BuildError::UnknownClass(class));
         }
+        // Without a spare, collecting takes over a passed `Vec`'s buffer.
+        let params: Vec<Value> = match self.spare_params.0.pop() {
+            Some(mut spare) => {
+                spare.extend(params);
+                spare
+            }
+            None => params.into_iter().collect(),
+        };
         let id = EventId::from_raw(self.events.len() as u32);
         let chain = &self.element_events[element.index()];
         let seq = chain.len() as u32;
@@ -609,9 +637,12 @@ impl ComputationBuilder {
                 self.events[ev.index()].threads.pop();
             }
         }
-        for ev in self.events[mark.events..].iter().rev() {
+        for ev in self.events[mark.events..].iter_mut().rev() {
             let popped = self.element_events[ev.element.index()].pop();
             debug_assert_eq!(popped, Some(ev.id), "element chains append-only");
+            let mut params = std::mem::take(&mut ev.params);
+            params.clear();
+            self.spare_params.0.push(params);
         }
         let fast = self.enables[mark.enables..]
             .iter()
@@ -669,7 +700,7 @@ impl ComputationBuilder {
     /// of the predecessor rows and one blocked transpose for the successor
     /// rows — no per-row union sweep.
     fn build_closure(&self) -> Result<Closure, BuildError> {
-        let started = gem_obs::ambient::active().then(std::time::Instant::now);
+        let started = gem_obs::ambient::timings_active().then(std::time::Instant::now);
         let n = self.events.len();
         let edges = self.order_edges();
         match topo_from_edges(n, &edges) {

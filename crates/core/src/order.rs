@@ -60,7 +60,7 @@ impl Closure {
     /// self-loop), since the temporal order must be irreflexive and
     /// transitive.
     pub fn from_edges(n: usize, edges: &[(EventId, EventId)]) -> Result<Self, CycleError> {
-        let started = gem_obs::ambient::active().then(std::time::Instant::now);
+        let started = gem_obs::ambient::timings_active().then(std::time::Instant::now);
         let (topo, out) = topo_from_edges(n, edges)?;
         // succ rows in reverse topological order: row(v) = ∪ (row(w) ∪ {w}).
         let mut succ = vec![DenseBitSet::new(n); n];

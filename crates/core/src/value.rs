@@ -6,12 +6,17 @@
 //! restriction of §5: `send ⊳ receive ⊃ send.par1 = receive.par2`).
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A parameter value attached to an event.
 ///
 /// The GEM paper leaves the value domain open ("VALUE"); this reproduction
 /// provides the domains its examples need: unit, booleans, integers, and
 /// strings, plus pairs for compound data such as `(location, value)`.
+///
+/// Strings are shared: cloning a [`Value::Str`] bumps a reference count
+/// instead of copying its bytes, so a simulator can stamp an entry, task
+/// or process name onto every event it emits without allocating.
 ///
 /// # Examples
 ///
@@ -29,8 +34,8 @@ pub enum Value {
     Bool(bool),
     /// A 64-bit signed integer.
     Int(i64),
-    /// A string.
-    Str(String),
+    /// A string, shared between its clones.
+    Str(Arc<str>),
     /// An ordered pair of values.
     Pair(Box<Value>, Box<Value>),
 }
@@ -117,13 +122,13 @@ impl From<usize> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_owned())
+        Value::Str(s.into())
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(s)
+        Value::Str(s.into())
     }
 }
 
@@ -182,5 +187,17 @@ mod tests {
     fn values_are_ordered() {
         assert!(Value::Unit < Value::Bool(false));
         assert!(Value::Int(1) < Value::Int(2));
+        assert!(Value::from("ab") < Value::from("b"));
+    }
+
+    #[test]
+    fn string_clones_share_their_bytes() {
+        let a = Value::from("entry");
+        let b = a.clone();
+        let (Value::Str(x), Value::Str(y)) = (&a, &b) else {
+            unreachable!("both are strings")
+        };
+        assert!(Arc::ptr_eq(x, y));
+        assert_eq!(format!("{b:?}"), "Str(\"entry\")");
     }
 }

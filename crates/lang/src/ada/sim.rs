@@ -24,13 +24,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use gem_core::{
-    BuildError, BuilderMark, ClassId, Computation, ComputationBuilder, ElementId, EventId, NodeRef,
-    Structure, Value,
+    BuildError, ClassId, Computation, ComputationBuilder, ElementId, EventId, NodeRef, Structure,
+    Value,
 };
 
 use crate::ada::def::{AcceptArm, AdaProgram, AdaStmt};
 use crate::code::{CodeStats, CondKind, ExprId, ExprPool, SlotLayout};
 use crate::explore::System;
+use crate::rewind::{Rewind, SimCheckpoint};
 use std::time::Instant;
 
 /// A compiled ADA program ready to execute.
@@ -83,7 +84,7 @@ struct AProg {
 /// the statement tree.
 #[derive(Clone, Debug)]
 struct ArmTpl {
-    entry: String,
+    entry: Arc<str>,
     entry_el: ElementId,
     /// Queue slot of `(this task, entry)`.
     slot: u32,
@@ -218,7 +219,7 @@ impl<'a> AdaCompiler<'a> {
             .map(|p| self.locals.get(p).expect("formals interned"))
             .collect();
         self.arms.push(ArmTpl {
-            entry: arm.entry.clone(),
+            entry: arm.entry.as_str().into(),
             entry_el: self.entry_els[self.tid][&arm.entry],
             slot: self.slot(self.tid, &arm.entry),
             param_slots,
@@ -289,7 +290,7 @@ impl<'a> AdaCompiler<'a> {
                         entry_el: self.entry_els[callee][entry],
                         slot: self.slot(callee, entry),
                         args,
-                        callee_params: [Value::Str(task.clone()), Value::Str(entry.clone())],
+                        callee_params: [Value::from(task.as_str()), Value::from(entry.as_str())],
                     });
                 }
                 AdaStmt::Accept(arm) => {
@@ -325,35 +326,70 @@ impl<'a> AdaCompiler<'a> {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum TStatus {
     /// Stopped at an [`AdaStmt::EntryCall`], waiting for the scheduler to
     /// issue it.
     ReadyToCall,
     /// Call issued; suspended in the callee's entry queue / rendezvous.
     InCall,
-    /// Blocked at accept/select with the given open arm indices into the
-    /// task's [`AProg::arms`].
-    AtAccept(Vec<u32>),
+    /// Blocked at accept/select with the open arms in
+    /// [`TaskState::open`].
+    AtAccept,
     /// Task body finished.
     Done,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct TaskState {
     /// Slot-indexed locals (unbound = `None`).
     lslots: Vec<Option<Value>>,
     /// Program counter into the task's [`AProg`].
     pc: u32,
     status: TStatus,
+    /// Open arm indices into the task's [`AProg::arms`] while
+    /// [`TStatus::AtAccept`]; stale otherwise.
+    open: Vec<u32>,
+    /// Arguments of the task's outstanding entry call, evaluated when it
+    /// was issued; stale once the call has returned. A task has at most
+    /// one call outstanding, so its queue entry needs no copy.
+    call_args: Vec<Value>,
     last: Option<EventId>,
 }
 
-/// A queued entry call.
-#[derive(Clone, Debug)]
+/// `clone_from` refills the vectors in place, which a derived impl would
+/// reallocate.
+impl Clone for TaskState {
+    fn clone(&self) -> Self {
+        Self {
+            lslots: self.lslots.clone(),
+            open: self.open.clone(),
+            call_args: self.call_args.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let mut lslots = std::mem::take(&mut self.lslots);
+        let mut open = std::mem::take(&mut self.open);
+        let mut call_args = std::mem::take(&mut self.call_args);
+        lslots.clone_from(&src.lslots);
+        open.clone_from(&src.open);
+        call_args.clone_from(&src.call_args);
+        *self = Self {
+            lslots,
+            open,
+            call_args,
+            ..*src
+        };
+    }
+}
+
+/// A queued entry call; its arguments are the caller's
+/// [`TaskState::call_args`].
+#[derive(Clone, Copy, Debug)]
 struct QueuedCall {
     caller: usize,
-    args: Vec<Value>,
     call_event: EventId,
 }
 
@@ -361,22 +397,37 @@ struct QueuedCall {
 #[derive(Clone, Debug)]
 pub struct AdaState {
     builder: ComputationBuilder,
-    tasks: Vec<TaskState>,
-    /// Entry queues: FIFO of queued calls per `(task, entry)` slot.
-    queues: Vec<VecDeque<QueuedCall>>,
+    ctl: AdaCtl,
+    /// Pre-images of the applies since the state was created or cloned,
+    /// for [`System::undo`].
+    rewind: Rewind<AdaCtl>,
     /// Shared handle to the compiled code, so accessors can translate
     /// names to slots without the system in hand.
     code: Arc<AdaCode>,
 }
 
-/// Rollback record for the exploration fast path: task control state and
-/// entry queues are snapshotted wholesale, while the accumulated trace rolls
-/// back through a [`BuilderMark`].
-#[derive(Clone, Debug)]
-pub struct AdaCheckpoint {
-    mark: BuilderMark,
+/// The control state of an ADA program: everything but the trace.
+#[derive(Debug)]
+struct AdaCtl {
     tasks: Vec<TaskState>,
+    /// Entry queues: FIFO of queued calls per `(task, entry)` slot.
     queues: Vec<VecDeque<QueuedCall>>,
+}
+
+/// `clone_from` refills every buffer in place, which a derived impl
+/// would reallocate.
+impl Clone for AdaCtl {
+    fn clone(&self) -> Self {
+        Self {
+            tasks: self.tasks.clone(),
+            queues: self.queues.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.tasks.clone_from(&src.tasks);
+        self.queues.clone_from(&src.queues);
+    }
 }
 
 /// A scheduler choice for an ADA program.
@@ -389,7 +440,7 @@ pub enum AdaAction {
         /// The accepting task.
         tid: usize,
         /// The entry accepted.
-        entry: String,
+        entry: Arc<str>,
     },
 }
 
@@ -545,7 +596,7 @@ impl AdaSystem {
         let name_values: Vec<Value> = program
             .tasks
             .iter()
-            .map(|t| Value::Str(t.name.clone()))
+            .map(|t| Value::from(t.name.as_str()))
             .collect();
         let stats = CodeStats {
             exprs: pool.expr_count() as u64,
@@ -659,18 +710,18 @@ impl AdaSystem {
         tid: usize,
         element: ElementId,
         class: ClassId,
-        params: Vec<Value>,
-        extra: &[EventId],
+        params: impl IntoIterator<Item = Value>,
+        extra: impl IntoIterator<Item = EventId>,
     ) -> EventId {
         let e = state
             .builder
             .add_event(element, class, params)
             .expect("ids are from this structure");
-        if let Some(last) = state.tasks[tid].last {
+        if let Some(last) = state.ctl.tasks[tid].last {
             state.builder.enable(last, e).expect("known events");
         }
-        state.tasks[tid].last = Some(e);
-        for &x in extra {
+        state.ctl.tasks[tid].last = Some(e);
+        for x in extra {
             state.builder.enable(x, e).expect("known events");
         }
         e
@@ -679,7 +730,7 @@ impl AdaSystem {
     fn eval(&self, state: &AdaState, tid: usize, id: ExprId) -> Value {
         self.code
             .pool
-            .eval(id, &[], &state.tasks[tid].lslots)
+            .eval(id, &[], &state.ctl.tasks[tid].lslots)
             .unwrap_or_else(|e| panic!("ADA runtime error: {e}"))
     }
 
@@ -689,13 +740,13 @@ impl AdaSystem {
     /// `Accept`/`Select`, or hits `End`.
     fn run(&self, state: &mut AdaState, tid: usize) {
         let prog = &self.code.progs[tid];
-        let mut pc = state.tasks[tid].pc as usize;
+        let mut pc = state.ctl.tasks[tid].pc as usize;
         loop {
             match &prog.ops[pc] {
                 AOp::Assign { slot, el, expr } => {
                     let v = self.eval(state, tid, *expr);
-                    state.tasks[tid].lslots[*slot as usize] = Some(v.clone());
-                    self.emit(state, tid, *el, self.assign, vec![v], &[]);
+                    state.ctl.tasks[tid].lslots[*slot as usize] = Some(v.clone());
+                    self.emit(state, tid, *el, self.assign, [v], []);
                     pc += 1;
                 }
                 AOp::AssignUnknown { name, expr } => {
@@ -713,17 +764,20 @@ impl AdaSystem {
                 }
                 AOp::Jump(t) => pc = *t as usize,
                 AOp::Call { .. } => {
-                    state.tasks[tid].pc = pc as u32;
-                    state.tasks[tid].status = TStatus::ReadyToCall;
+                    state.ctl.tasks[tid].pc = pc as u32;
+                    state.ctl.tasks[tid].status = TStatus::ReadyToCall;
                     return;
                 }
                 AOp::Accept(arm) => {
-                    state.tasks[tid].pc = pc as u32;
-                    state.tasks[tid].status = TStatus::AtAccept(vec![*arm]);
+                    let task = &mut state.ctl.tasks[tid];
+                    task.pc = pc as u32;
+                    task.status = TStatus::AtAccept;
+                    task.open.clear();
+                    task.open.push(*arm);
                     return;
                 }
                 AOp::Select(arms) => {
-                    let mut open = Vec::new();
+                    state.ctl.tasks[tid].open.clear();
                     for (guard, idx) in arms {
                         let is_open = match guard {
                             None => true,
@@ -733,22 +787,22 @@ impl AdaSystem {
                                 .expect("guard must be boolean"),
                         };
                         if is_open {
-                            open.push(*idx);
+                            state.ctl.tasks[tid].open.push(*idx);
                         }
                     }
                     assert!(
-                        !open.is_empty(),
+                        !state.ctl.tasks[tid].open.is_empty(),
                         "select with all guards closed (task {:?})",
                         self.program.tasks[tid].name
                     );
-                    state.tasks[tid].pc = pc as u32;
-                    state.tasks[tid].status = TStatus::AtAccept(open);
+                    state.ctl.tasks[tid].pc = pc as u32;
+                    state.ctl.tasks[tid].status = TStatus::AtAccept;
                     return;
                 }
                 AOp::EndBody => unreachable!("EndBody outside a rendezvous"),
                 AOp::End => {
-                    state.tasks[tid].pc = pc as u32;
-                    state.tasks[tid].status = TStatus::Done;
+                    state.ctl.tasks[tid].pc = pc as u32;
+                    state.ctl.tasks[tid].status = TStatus::Done;
                     return;
                 }
             }
@@ -764,8 +818,8 @@ impl AdaSystem {
             match &prog.ops[pc] {
                 AOp::Assign { slot, el, expr } => {
                     let v = self.eval(state, tid, *expr);
-                    state.tasks[tid].lslots[*slot as usize] = Some(v.clone());
-                    self.emit(state, tid, *el, self.assign, vec![v], &[]);
+                    state.ctl.tasks[tid].lslots[*slot as usize] = Some(v.clone());
+                    self.emit(state, tid, *el, self.assign, [v], []);
                     pc += 1;
                 }
                 AOp::AssignUnknown { name, expr } => {
@@ -792,11 +846,10 @@ impl AdaSystem {
 impl System for AdaSystem {
     type State = AdaState;
     type Action = AdaAction;
-    type Checkpoint = AdaCheckpoint;
+    type Checkpoint = SimCheckpoint;
 
     fn initial(&self) -> AdaState {
-        let mut state = AdaState {
-            builder: ComputationBuilder::new(self.structure_arc()),
+        let ctl = AdaCtl {
             tasks: self
                 .code
                 .progs
@@ -805,10 +858,17 @@ impl System for AdaSystem {
                     lslots: prog.init.clone(),
                     pc: 0,
                     status: TStatus::Done,
+                    open: Vec::new(),
+                    call_args: Vec::new(),
                     last: None,
                 })
                 .collect(),
             queues: vec![VecDeque::new(); self.code.queue_slots],
+        };
+        let mut state = AdaState {
+            builder: ComputationBuilder::new(self.structure_arc()),
+            ctl,
+            rewind: Rewind::default(),
             code: Arc::clone(&self.code),
         };
         for tid in 0..self.program.tasks.len() {
@@ -819,14 +879,14 @@ impl System for AdaSystem {
 
     fn enabled(&self, state: &AdaState) -> Vec<AdaAction> {
         let mut actions = Vec::new();
-        for (tid, t) in state.tasks.iter().enumerate() {
-            match &t.status {
+        for (tid, t) in state.ctl.tasks.iter().enumerate() {
+            match t.status {
                 TStatus::ReadyToCall => actions.push(AdaAction::IssueCall(tid)),
-                TStatus::AtAccept(open) => {
+                TStatus::AtAccept => {
                     let arms = &self.code.progs[tid].arms;
-                    for &i in open {
+                    for &i in &t.open {
                         let arm = &arms[i as usize];
-                        if !state.queues[arm.slot as usize].is_empty() {
+                        if !state.ctl.queues[arm.slot as usize].is_empty() {
                             actions.push(AdaAction::Rendezvous {
                                 tid,
                                 entry: arm.entry.clone(),
@@ -843,10 +903,11 @@ impl System for AdaSystem {
 
     fn apply(&self, state: &mut AdaState, action: &AdaAction) {
         let t0 = crate::explore::apply_timer();
+        state.rewind.save(&mut state.ctl);
         match action {
             AdaAction::IssueCall(tid) => {
                 let tid = *tid;
-                let pc = state.tasks[tid].pc as usize;
+                let pc = state.ctl.tasks[tid].pc as usize;
                 let AOp::Call {
                     entry_el,
                     slot,
@@ -857,46 +918,48 @@ impl System for AdaSystem {
                 else {
                     panic!("IssueCall on a non-call statement");
                 };
-                let arg_values: Vec<Value> =
-                    args.iter().map(|&a| self.eval(state, tid, a)).collect();
+                state.ctl.tasks[tid].call_args.clear();
+                for &a in args {
+                    let v = self.eval(state, tid, a);
+                    state.ctl.tasks[tid].call_args.push(v);
+                }
                 self.emit(
                     state,
                     tid,
                     self.flow_els[tid],
                     self.call_sent,
-                    callee_params.to_vec(),
-                    &[],
+                    callee_params.iter().cloned(),
+                    [],
                 );
                 let call_ev = self.emit(
                     state,
                     tid,
                     *entry_el,
                     self.call,
-                    vec![self.code.name_values[tid].clone()],
-                    &[],
+                    [self.code.name_values[tid].clone()],
+                    [],
                 );
-                state.queues[*slot as usize].push_back(QueuedCall {
+                state.ctl.queues[*slot as usize].push_back(QueuedCall {
                     caller: tid,
-                    args: arg_values,
                     call_event: call_ev,
                 });
                 // pc stays parked on the Call op until Returned.
-                state.tasks[tid].status = TStatus::InCall;
+                state.ctl.tasks[tid].status = TStatus::InCall;
             }
             AdaAction::Rendezvous { tid, entry } => {
                 let tid = *tid;
-                let TStatus::AtAccept(open) =
-                    std::mem::replace(&mut state.tasks[tid].status, TStatus::Done)
-                else {
+                let task = &mut state.ctl.tasks[tid];
+                let TStatus::AtAccept = std::mem::replace(&mut task.status, TStatus::Done) else {
                     panic!("Rendezvous on a non-accepting task");
                 };
                 let arms = &self.code.progs[tid].arms;
-                let arm = open
+                let arm = task
+                    .open
                     .iter()
                     .map(|&i| &arms[i as usize])
                     .find(|a| a.entry == *entry)
                     .expect("entry among open arms");
-                let queued = state.queues[arm.slot as usize]
+                let queued = state.ctl.queues[arm.slot as usize]
                     .pop_front()
                     .expect("queue non-empty");
                 let caller_param = self.code.name_values[queued.caller].clone();
@@ -906,27 +969,27 @@ impl System for AdaSystem {
                     tid,
                     arm.entry_el,
                     self.accept,
-                    vec![caller_param.clone()],
-                    &[queued.call_event],
+                    [caller_param.clone()],
+                    [queued.call_event],
                 );
                 // Bind formals into slots and run the body region inline:
-                // it may not block (validated).
-                for (&slot, v) in arm.param_slots.iter().zip(queued.args.iter()) {
-                    state.tasks[tid].lslots[slot as usize] = Some(v.clone());
+                // it may not block (validated). The caller is suspended in
+                // this call, so it is not the accepting task.
+                let n = arm
+                    .param_slots
+                    .len()
+                    .min(state.ctl.tasks[queued.caller].call_args.len());
+                for (i, &slot) in arm.param_slots[..n].iter().enumerate() {
+                    let v = state.ctl.tasks[queued.caller].call_args[i].clone();
+                    state.ctl.tasks[tid].lslots[slot as usize] = Some(v);
                 }
                 self.run_body(state, tid, arm.body_pc);
-                let complete_ev = self.emit(
-                    state,
-                    tid,
-                    arm.entry_el,
-                    self.complete,
-                    vec![caller_param],
-                    &[],
-                );
+                let complete_ev =
+                    self.emit(state, tid, arm.entry_el, self.complete, [caller_param], []);
                 // Caller resumes: Returned enabled by its Call (chain) and
                 // the Complete; params come off its parked Call op.
                 let caller = queued.caller;
-                let caller_pc = state.tasks[caller].pc as usize;
+                let caller_pc = state.ctl.tasks[caller].pc as usize;
                 let AOp::Call { callee_params, .. } = &self.code.progs[caller].ops[caller_pc]
                 else {
                     unreachable!("caller parked on its call op");
@@ -936,11 +999,11 @@ impl System for AdaSystem {
                     caller,
                     self.flow_els[caller],
                     self.returned,
-                    callee_params.to_vec(),
-                    &[complete_ev],
+                    callee_params.iter().cloned(),
+                    [complete_ev],
                 );
-                state.tasks[caller].pc += 1;
-                state.tasks[tid].pc = arm.cont_pc;
+                state.ctl.tasks[caller].pc += 1;
+                state.ctl.tasks[tid].pc = arm.cont_pc;
                 self.run(state, caller);
                 self.run(state, tid);
             }
@@ -950,6 +1013,7 @@ impl System for AdaSystem {
 
     fn is_complete(&self, state: &AdaState) -> bool {
         state
+            .ctl
             .tasks
             .iter()
             .all(|t| matches!(t.status, TStatus::Done))
@@ -957,13 +1021,13 @@ impl System for AdaSystem {
 
     fn control_key(&self, state: &AdaState) -> Option<u64> {
         let mut h = DefaultHasher::new();
-        for t in &state.tasks {
+        for t in &state.ctl.tasks {
             // Slot-indexed locals plus pc key control state exactly.
             t.lslots.hash(&mut h);
             t.pc.hash(&mut h);
             std::mem::discriminant(&t.status).hash(&mut h);
         }
-        for q in &state.queues {
+        for q in &state.ctl.queues {
             q.len().hash(&mut h);
             for c in q {
                 c.caller.hash(&mut h);
@@ -972,20 +1036,18 @@ impl System for AdaSystem {
         Some(h.finish())
     }
 
-    fn checkpoint(&self, state: &AdaState) -> Option<AdaCheckpoint> {
-        Some(AdaCheckpoint {
-            mark: state.builder.mark(),
-            tasks: state.tasks.clone(),
-            queues: state.queues.clone(),
-        })
+    fn checkpoint(&self, state: &AdaState) -> Option<SimCheckpoint> {
+        Some(state.rewind.checkpoint(&state.builder))
     }
 
-    fn undo(&self, state: &mut AdaState, cp: AdaCheckpoint) {
-        let before = state.builder.event_count();
-        state.builder.truncate_to(&cp.mark);
-        crate::explore::record_undo_depth(before - state.builder.event_count());
-        state.tasks = cp.tasks;
-        state.queues = cp.queues;
+    fn undo(&self, state: &mut AdaState, cp: SimCheckpoint) {
+        let AdaState {
+            builder,
+            ctl,
+            rewind,
+            ..
+        } = state;
+        crate::explore::record_undo_depth(rewind.undo(builder, ctl, cp));
     }
 
     /// Independence oracle for sleep-set POR.
@@ -1024,7 +1086,7 @@ impl System for AdaSystem {
             (AdaAction::IssueCall(t), AdaAction::Rendezvous { tid, entry })
             | (AdaAction::Rendezvous { tid, entry }, AdaAction::IssueCall(t)) => {
                 match self.pending_call_target(state, *t) {
-                    Some((callee, e)) => callee != *tid || e != entry.as_str(),
+                    Some((callee, e)) => callee != *tid || e != &**entry,
                     None => false,
                 }
             }
@@ -1039,7 +1101,7 @@ impl AdaSystem {
     /// The `(callee index, entry name)` a `ReadyToCall` task's pending
     /// call targets, read off the call op its pc is parked on.
     fn pending_call_target(&self, state: &AdaState, tid: usize) -> Option<(usize, &str)> {
-        match &self.code.progs[tid].ops[state.tasks[tid].pc as usize] {
+        match &self.code.progs[tid].ops[state.ctl.tasks[tid].pc as usize] {
             AOp::Call { callee, entry, .. } => Some((*callee, entry.as_str())),
             _ => None,
         }
@@ -1055,7 +1117,7 @@ impl AdaState {
     /// A local variable of task `tid`.
     pub fn local(&self, tid: usize, var: &str) -> Option<&Value> {
         let slot = self.code.progs[tid].locals.get(var)?;
-        self.tasks[tid].lslots[slot as usize].as_ref()
+        self.ctl.tasks[tid].lslots[slot as usize].as_ref()
     }
 }
 
@@ -1175,7 +1237,7 @@ mod tests {
             let rendezvous: Vec<String> = path
                 .iter()
                 .filter_map(|a| match a {
-                    AdaAction::Rendezvous { entry, .. } => Some(entry.clone()),
+                    AdaAction::Rendezvous { entry, .. } => Some(entry.to_string()),
                     AdaAction::IssueCall(_) => None,
                 })
                 .collect();

@@ -132,7 +132,8 @@ impl Expr {
 
     /// String literal.
     pub fn str(s: impl Into<String>) -> Self {
-        Expr::Lit(Value::Str(s.into()))
+        let s: String = s.into();
+        Expr::Lit(Value::from(s))
     }
 
     /// Variable reference.

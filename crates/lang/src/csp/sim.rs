@@ -28,13 +28,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use gem_core::{
-    BuildError, BuilderMark, ClassId, Computation, ComputationBuilder, ElementId, EventId, NodeRef,
-    Structure, Value,
+    BuildError, ClassId, Computation, ComputationBuilder, ElementId, EventId, NodeRef, Structure,
+    Value,
 };
 
 use crate::code::{CodeStats, CondKind, ExprId, ExprPool, SlotLayout};
 use crate::csp::def::{Comm, CspProgram, CspStmt};
 use crate::explore::System;
+use crate::rewind::{Rewind, SimCheckpoint};
 use std::time::Instant;
 
 /// A compiled CSP program ready to execute.
@@ -312,39 +313,54 @@ pub struct Offer {
     pub(crate) var_slot: Option<u32>,
 }
 
-#[derive(Clone, Debug)]
-enum PStatus {
-    Blocked(Vec<Offer>),
-    Done,
-}
-
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct ProcState {
     /// Slot-indexed locals (unbound = `None`).
     lslots: Vec<Option<Value>>,
     /// Program counter into the process's [`CProg`].
     pc: u32,
-    status: PStatus,
+    /// The offers published while blocked at a communication or an
+    /// alternative, never empty there; empty once the process is done.
+    offers: Vec<Offer>,
     last: Option<EventId>,
+}
+
+/// `clone_from` refills the vectors in place, which a derived impl would
+/// reallocate.
+impl Clone for ProcState {
+    fn clone(&self) -> Self {
+        Self {
+            lslots: self.lslots.clone(),
+            offers: self.offers.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let mut lslots = std::mem::take(&mut self.lslots);
+        let mut offers = std::mem::take(&mut self.offers);
+        lslots.clone_from(&src.lslots);
+        offers.clone_from(&src.offers);
+        *self = Self {
+            lslots,
+            offers,
+            ..*src
+        };
+    }
 }
 
 /// Execution state of a CSP program.
 #[derive(Clone, Debug)]
 pub struct CspState {
     builder: ComputationBuilder,
+    /// The control state: everything but the trace.
     procs: Vec<ProcState>,
+    /// Pre-images of the applies since the state was created or cloned,
+    /// for [`System::undo`].
+    rewind: Rewind<Vec<ProcState>>,
     /// Shared handle to the compiled code, so accessors can translate
     /// names to slots without the system in hand.
     code: Arc<CspCode>,
-}
-
-/// Rollback record for the exploration fast path: the per-process control
-/// state is snapshotted wholesale, while the accumulated trace rolls back
-/// through a [`BuilderMark`].
-#[derive(Clone, Debug)]
-pub struct CspCheckpoint {
-    mark: BuilderMark,
-    procs: Vec<ProcState>,
 }
 
 /// A scheduler choice: commit a matched exchange.
@@ -474,7 +490,7 @@ impl CspSystem {
         let name_values: Vec<Value> = program
             .processes
             .iter()
-            .map(|p| Value::Str(p.name.clone()))
+            .map(|p| Value::from(p.name.as_str()))
             .collect();
         let stats = CodeStats {
             exprs: pool.expr_count() as u64,
@@ -567,8 +583,8 @@ impl CspSystem {
         pid: usize,
         element: ElementId,
         class: ClassId,
-        params: Vec<Value>,
-        extra: &[EventId],
+        params: impl IntoIterator<Item = Value>,
+        extra: impl IntoIterator<Item = EventId>,
     ) -> EventId {
         let e = state
             .builder
@@ -578,7 +594,7 @@ impl CspSystem {
             state.builder.enable(last, e).expect("known events");
         }
         state.procs[pid].last = Some(e);
-        for &x in extra {
+        for x in extra {
             state.builder.enable(x, e).expect("known events");
         }
         e
@@ -602,7 +618,7 @@ impl CspSystem {
                 COp::Assign { slot, el, expr } => {
                     let v = self.eval(state, pid, *expr);
                     state.procs[pid].lslots[*slot as usize] = Some(v.clone());
-                    self.emit(state, pid, *el, self.assign, vec![v], &[]);
+                    self.emit(state, pid, *el, self.assign, [v], []);
                     pc += 1;
                 }
                 COp::AssignUnknown { name, expr } => {
@@ -622,11 +638,10 @@ impl CspSystem {
                 COp::Comm(tpl) => {
                     let offer = self.publish_offer(state, pid, tpl);
                     state.procs[pid].pc = pc as u32;
-                    state.procs[pid].status = PStatus::Blocked(vec![offer]);
+                    state.procs[pid].offers.push(offer);
                     return;
                 }
                 COp::Alt(arms) => {
-                    let mut offers = Vec::new();
                     for arm in arms {
                         let open = match arm.guard {
                             None => true,
@@ -636,21 +651,20 @@ impl CspSystem {
                                 .expect("guard must be boolean"),
                         };
                         if open {
-                            offers.push(self.publish_offer(state, pid, &arm.tpl));
+                            let offer = self.publish_offer(state, pid, &arm.tpl);
+                            state.procs[pid].offers.push(offer);
                         }
                     }
                     assert!(
-                        !offers.is_empty(),
+                        !state.procs[pid].offers.is_empty(),
                         "alternative with all guards closed (process {:?})",
                         self.program.processes[pid].name
                     );
                     state.procs[pid].pc = pc as u32;
-                    state.procs[pid].status = PStatus::Blocked(offers);
                     return;
                 }
                 COp::End => {
                     state.procs[pid].pc = pc as u32;
-                    state.procs[pid].status = PStatus::Done;
                     return;
                 }
             }
@@ -666,8 +680,8 @@ impl CspSystem {
                 pid,
                 self.out_els[pid],
                 self.out_req,
-                vec![self.code.name_values[tpl.partner].clone()],
-                &[],
+                [self.code.name_values[tpl.partner].clone()],
+                [],
             );
             Offer {
                 is_send: true,
@@ -683,8 +697,8 @@ impl CspSystem {
                 pid,
                 self.in_els[pid],
                 self.in_req,
-                vec![self.code.name_values[tpl.partner].clone()],
-                &[],
+                [self.code.name_values[tpl.partner].clone()],
+                [],
             );
             Offer {
                 is_send: false,
@@ -701,7 +715,7 @@ impl CspSystem {
 impl System for CspSystem {
     type State = CspState;
     type Action = CspAction;
-    type Checkpoint = CspCheckpoint;
+    type Checkpoint = SimCheckpoint;
 
     fn initial(&self) -> CspState {
         let mut state = CspState {
@@ -713,10 +727,11 @@ impl System for CspSystem {
                 .map(|prog| ProcState {
                     lslots: prog.init.clone(),
                     pc: 0,
-                    status: PStatus::Done, // set by run below
+                    offers: Vec::new(), // published by run below
                     last: None,
                 })
                 .collect(),
+            rewind: Rewind::default(),
             code: Arc::clone(&self.code),
         };
         for pid in 0..self.program.processes.len() {
@@ -728,10 +743,7 @@ impl System for CspSystem {
     fn enabled(&self, state: &CspState) -> Vec<CspAction> {
         let mut actions = Vec::new();
         for (p, ps) in state.procs.iter().enumerate() {
-            let PStatus::Blocked(p_offers) = &ps.status else {
-                continue;
-            };
-            for (si, so) in p_offers.iter().enumerate() {
+            for (si, so) in ps.offers.iter().enumerate() {
                 if !so.is_send {
                     continue;
                 }
@@ -740,10 +752,7 @@ impl System for CspSystem {
                     // Self-communication can never complete in CSP.
                     continue;
                 }
-                let PStatus::Blocked(q_offers) = &state.procs[q].status else {
-                    continue;
-                };
-                for (ri, ro) in q_offers.iter().enumerate() {
+                for (ri, ro) in state.procs[q].offers.iter().enumerate() {
                     if !ro.is_send && ro.partner == p {
                         actions.push(CspAction {
                             sender: p,
@@ -761,24 +770,22 @@ impl System for CspSystem {
 
     fn apply(&self, state: &mut CspState, action: &CspAction) {
         let t0 = crate::explore::apply_timer();
+        state.rewind.save(&mut state.procs);
         let (p, q) = (action.sender, action.receiver);
-        let PStatus::Blocked(p_offers) =
-            std::mem::replace(&mut state.procs[p].status, PStatus::Done)
-        else {
-            panic!("sender not blocked");
-        };
-        let PStatus::Blocked(q_offers) =
-            std::mem::replace(&mut state.procs[q].status, PStatus::Done)
-        else {
-            panic!("receiver not blocked");
-        };
-        // Take the committed offers by index — the rest of each vector
-        // (withdrawn offers) is dropped, never cloned.
-        let mut p_offers = p_offers;
-        let mut q_offers = q_offers;
-        let so = p_offers.swap_remove(action.send_offer);
-        let ro = q_offers.swap_remove(action.recv_offer);
-        let value = so.value.expect("send offer carries a value");
+        // Take what the committed offers carry; the withdrawn offers are
+        // dropped with the rest, and the emptied vectors wait for the
+        // offers `run` publishes next.
+        let sender = &mut state.procs[p].offers;
+        assert!(!sender.is_empty(), "sender not blocked");
+        let so = &mut sender[action.send_offer];
+        let value = so.value.take().expect("send offer carries a value");
+        let (s_req, s_cont) = (so.req_event, so.cont_pc);
+        sender.clear();
+        let receiver = &mut state.procs[q].offers;
+        assert!(!receiver.is_empty(), "receiver not blocked");
+        let ro = &receiver[action.recv_offer];
+        let (r_req, r_cont, r_slot) = (ro.req_event, ro.cont_pc, ro.var_slot);
+        receiver.clear();
 
         // The exchange: OutEnd enabled by {OutReq (chain), InReq}; InEnd
         // enabled by {InReq (chain), OutReq} — the paper's simultaneity.
@@ -787,32 +794,29 @@ impl System for CspSystem {
             p,
             self.out_els[p],
             self.out_end,
-            vec![value.clone(), self.code.name_values[q].clone()],
-            &[ro.req_event],
+            [value.clone(), self.code.name_values[q].clone()],
+            [r_req],
         );
         self.emit(
             state,
             q,
             self.in_els[q],
             self.in_end,
-            vec![value.clone(), self.code.name_values[p].clone()],
-            &[so.req_event],
+            [value.clone(), self.code.name_values[p].clone()],
+            [s_req],
         );
-        if let Some(slot) = ro.var_slot {
+        if let Some(slot) = r_slot {
             state.procs[q].lslots[slot as usize] = Some(value);
         }
-        state.procs[p].pc = so.cont_pc;
-        state.procs[q].pc = ro.cont_pc;
+        state.procs[p].pc = s_cont;
+        state.procs[q].pc = r_cont;
         self.run(state, p);
         self.run(state, q);
         crate::explore::record_apply_ns(t0);
     }
 
     fn is_complete(&self, state: &CspState) -> bool {
-        state
-            .procs
-            .iter()
-            .all(|p| matches!(p.status, PStatus::Done))
+        state.procs.iter().all(|p| p.offers.is_empty())
     }
 
     fn control_key(&self, state: &CspState) -> Option<u64> {
@@ -821,29 +825,28 @@ impl System for CspSystem {
             // Slot-indexed locals plus pc key control state exactly.
             p.lslots.hash(&mut h);
             p.pc.hash(&mut h);
-            match &p.status {
-                PStatus::Done => 0u8.hash(&mut h),
-                PStatus::Blocked(offers) => {
-                    1u8.hash(&mut h);
-                    offers.len().hash(&mut h);
-                }
+            if p.offers.is_empty() {
+                0u8.hash(&mut h);
+            } else {
+                1u8.hash(&mut h);
+                p.offers.len().hash(&mut h);
             }
         }
         Some(h.finish())
     }
 
-    fn checkpoint(&self, state: &CspState) -> Option<CspCheckpoint> {
-        Some(CspCheckpoint {
-            mark: state.builder.mark(),
-            procs: state.procs.clone(),
-        })
+    fn checkpoint(&self, state: &CspState) -> Option<SimCheckpoint> {
+        Some(state.rewind.checkpoint(&state.builder))
     }
 
-    fn undo(&self, state: &mut CspState, cp: CspCheckpoint) {
-        let before = state.builder.event_count();
-        state.builder.truncate_to(&cp.mark);
-        crate::explore::record_undo_depth(before - state.builder.event_count());
-        state.procs = cp.procs;
+    fn undo(&self, state: &mut CspState, cp: SimCheckpoint) {
+        let CspState {
+            builder,
+            procs,
+            rewind,
+            ..
+        } = state;
+        crate::explore::record_undo_depth(rewind.undo(builder, procs, cp));
     }
 
     /// Independence oracle for sleep-set POR: two exchanges commute iff
@@ -875,10 +878,7 @@ impl CspState {
     /// The offers currently published by process `pid` (empty when
     /// running or done).
     pub fn offers(&self, pid: usize) -> &[Offer] {
-        match &self.procs[pid].status {
-            PStatus::Blocked(o) => o,
-            PStatus::Done => &[],
-        }
+        &self.procs[pid].offers
     }
 
     /// A local variable of process `pid`.

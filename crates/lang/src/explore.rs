@@ -25,7 +25,13 @@
 //! giving up its guarantees. Systems that implement
 //! [`System::checkpoint`]/[`System::undo`] let the walk mutate one shared
 //! state along the schedule and roll it back on backtrack, instead of
-//! cloning the whole accumulated trace per edge. And
+//! cloning the whole accumulated trace per edge. The three substrate
+//! simulators do so without heap traffic: a step saves the control state
+//! it changes into a slot kept per depth, the trace builder rolls back to
+//! a mark and keeps the parameter vectors of the events it drops, and
+//! string parameters are shared, so once a depth has been reached the
+//! step, its checkpoint and its undo allocate nothing. What a sweep still
+//! allocates is about one `enabled` vector per node. And
 //! [`Explorer::dedup_computations`] lets *computation-aware* drivers (the
 //! verify layer, the CLI) skip re-checking a run whose sealed computation
 //! was already seen: unlike control-state pruning this is sound for trace
@@ -65,9 +71,10 @@ pub(crate) fn record_enabled_width(n: usize) {
 }
 
 /// Starts an apply-cost measurement, timestamping only when an ambient
-/// probe is installed somewhere (one relaxed atomic load otherwise).
+/// probe that wants timings is installed somewhere (one relaxed atomic
+/// load otherwise).
 pub(crate) fn apply_timer() -> Option<Instant> {
-    ambient::active().then(Instant::now)
+    ambient::timings_active().then(Instant::now)
 }
 
 /// Finishes an apply-cost measurement started by [`apply_timer`]: one
@@ -98,7 +105,7 @@ pub trait System {
     /// One scheduler choice. `PartialEq` is required so sleep sets can
     /// match actions across sibling branches of the DFS.
     type Action: Clone + PartialEq + std::fmt::Debug;
-    /// Undo journal entry for the opt-in apply/undo fast path: whatever
+    /// Rollback point for the opt-in apply/undo fast path: whatever
     /// [`System::undo`] needs to roll one [`System::apply`] back. Systems
     /// without the fast path use `()`.
     type Checkpoint;
@@ -125,16 +132,25 @@ pub trait System {
         None
     }
 
-    /// Snapshots whatever one [`System::apply`] is about to change, so
-    /// [`System::undo`] can restore it. Returning `Some` opts the system
-    /// into the exploration fast path that mutates a single shared state
-    /// along the schedule instead of cloning the accumulated trace per
-    /// DFS edge; `None` (the default) keeps the clone-per-edge path.
+    /// Marks the point that [`System::undo`] rolls the next
+    /// [`System::apply`] on `state` back to. Returning `Some` opts the
+    /// system into the exploration fast path that mutates a single shared
+    /// state along the schedule instead of cloning the accumulated trace
+    /// per DFS edge; `None` (the default) keeps the clone-per-edge path.
+    ///
+    /// A checkpoint need not carry the state it restores. The substrate
+    /// simulators return the trace builder's mark plus a depth and hold
+    /// no heap data: their `apply` saves the control state it is about to
+    /// change into a slot of the state kept for that depth, and `undo`
+    /// truncates the builder and swaps the slot back in.
     ///
     /// The contract: for every state `s` and enabled action `a`,
-    /// `checkpoint(s)` then `apply(s, a)` then `undo(s, cp)` must leave
-    /// `s` observably identical to the original (same `enabled`,
-    /// `is_complete`, `control_key`, and extracted computation).
+    /// `checkpoint(s)` then `apply(s, a)`, any balanced
+    /// checkpoint/apply/undo below it, then `undo(s, cp)` must leave `s`
+    /// observably identical to a clone taken before the checkpoint (same
+    /// `enabled`, `is_complete`, `control_key`, trace fingerprint and
+    /// extracted computation). A clone honours the contract on its own,
+    /// whatever happens to the state it was cloned from.
     fn checkpoint(&self, _state: &Self::State) -> Option<Self::Checkpoint> {
         None
     }
@@ -566,25 +582,22 @@ pub(crate) fn walk<S: System, W: Walk<S>>(
     // entries are filtered to the still-enabled actions first — a slept
     // action that got disabled on the way down can no longer occur and
     // keeping it would only slow the membership tests.
-    let (awake, mut cur_sleep) = if explorer.reduce {
-        let cur_sleep: Vec<S::Action> = sleep.into_iter().filter(|b| actions.contains(b)).collect();
-        let awake: Vec<S::Action> = actions
-            .iter()
-            .filter(|a| !cur_sleep.contains(a))
-            .cloned()
-            .collect();
-        if awake.len() < actions.len() {
-            w.skips(actions.len() - awake.len());
+    // Both filters work in place, so a node allocates no second vector.
+    // Without `reduce` every sleep set is empty.
+    let (mut awake, mut cur_sleep) = (actions, sleep);
+    if explorer.reduce {
+        cur_sleep.retain(|b| awake.contains(b));
+        let enabled = awake.len();
+        awake.retain(|a| !cur_sleep.contains(a));
+        if awake.len() < enabled {
+            w.skips(enabled - awake.len());
         }
         if awake.is_empty() {
             // Every continuation is covered elsewhere: prune the whole
             // node without counting a run.
             return ControlFlow::Continue(());
         }
-        (awake, cur_sleep)
-    } else {
-        (actions, Vec::new())
-    };
+    }
     for action in awake {
         w.step_cap()?;
         // The child's sleep set keeps only entries that commute with the

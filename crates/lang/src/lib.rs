@@ -22,6 +22,7 @@ mod explore;
 #[cfg(test)]
 mod golden;
 mod par;
+mod rewind;
 
 pub mod ada;
 pub mod code;

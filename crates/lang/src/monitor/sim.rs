@@ -34,13 +34,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gem_core::{
-    BuildError, BuilderMark, ClassId, Computation, ComputationBuilder, ElementId, EventId,
-    Structure, Value,
+    BuildError, ClassId, Computation, ComputationBuilder, ElementId, EventId, Structure, Value,
 };
 
 use crate::code::{CodeStats, CondKind, ExprId, ExprPool, SlotLayout};
 use crate::explore::System;
 use crate::monitor::def::{MonitorProgram, ScriptStep, SignalSemantics, Stmt};
+use crate::rewind::{Rewind, SimCheckpoint};
 
 /// Sentinel `pid` parameter for initialization events.
 const INIT_PID: i64 = -1;
@@ -176,10 +176,12 @@ enum MOp {
 }
 
 /// Compiled form of one script step. `Call`/`Event` carry pre-evaluated
-/// values in the program text and need no compilation.
+/// values in the program text; a call resolves its entry index.
 #[derive(Clone, Copy, Debug)]
 enum StepCode {
-    Call,
+    Call {
+        entry: usize,
+    },
     Event,
     Read {
         gslot: u32,
@@ -388,7 +390,7 @@ enum Status {
     Done,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct ProcRuntime {
     script_pos: usize,
     status: Status,
@@ -406,11 +408,44 @@ struct ProcRuntime {
     resume_cond: Option<u32>,
 }
 
+/// `clone_from` refills the slot vectors in place, which a derived impl
+/// would reallocate.
+impl Clone for ProcRuntime {
+    fn clone(&self) -> Self {
+        Self {
+            lslots: self.lslots.clone(),
+            pending_args: self.pending_args.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let mut lslots = std::mem::take(&mut self.lslots);
+        let mut pending_args = std::mem::take(&mut self.pending_args);
+        lslots.clone_from(&src.lslots);
+        pending_args.clone_from(&src.pending_args);
+        *self = Self {
+            lslots,
+            pending_args,
+            ..*src
+        };
+    }
+}
+
 /// Full execution state of a monitor program, including the computation
 /// built so far.
 #[derive(Clone, Debug)]
 pub struct MonitorState {
     builder: ComputationBuilder,
+    ctl: MonitorCtl,
+    /// Pre-images of the applies since the state was created or cloned,
+    /// for [`System::undo`].
+    rewind: Rewind<MonitorCtl>,
+}
+
+/// The control state of a monitor program: everything but the trace.
+#[derive(Debug)]
+struct MonitorCtl {
     /// Global scope (monitor and shared variables), read and written in
     /// place by slot.
     gslots: Vec<Value>,
@@ -424,20 +459,28 @@ pub struct MonitorState {
     queues: Vec<VecDeque<usize>>,
 }
 
-/// Rollback record for the exploration fast path
-/// ([`System::checkpoint`]/[`System::undo`]): the small control state is
-/// snapshotted wholesale, while the monotonically-growing computation
-/// trace — the expensive part of a [`MonitorState`] clone — rolls back
-/// through a [`BuilderMark`].
-#[derive(Clone, Debug)]
-pub struct MonitorCheckpoint {
-    mark: BuilderMark,
-    gslots: Vec<Value>,
-    procs: Vec<ProcRuntime>,
-    lock: Option<usize>,
-    init_done: Option<EventId>,
-    urgent: Vec<usize>,
-    queues: Vec<VecDeque<usize>>,
+/// `clone_from` refills every buffer in place, which a derived impl
+/// would reallocate.
+impl Clone for MonitorCtl {
+    fn clone(&self) -> Self {
+        Self {
+            gslots: self.gslots.clone(),
+            procs: self.procs.clone(),
+            lock: self.lock,
+            init_done: self.init_done,
+            urgent: self.urgent.clone(),
+            queues: self.queues.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.gslots.clone_from(&src.gslots);
+        self.procs.clone_from(&src.procs);
+        self.lock = src.lock;
+        self.init_done = src.init_done;
+        self.urgent.clone_from(&src.urgent);
+        self.queues.clone_from(&src.queues);
+    }
 }
 
 /// A scheduler choice for a monitor program.
@@ -664,7 +707,9 @@ impl MonitorSystem {
                 p.script
                     .iter()
                     .map(|step| match step {
-                        ScriptStep::Call { .. } => StepCode::Call,
+                        ScriptStep::Call { entry, .. } => StepCode::Call {
+                            entry: program.monitor.entry_index(entry).expect("validated above"),
+                        },
                         ScriptStep::Event { .. } => StepCode::Event,
                         ScriptStep::ReadShared { var } => StepCode::Read {
                             gslot: globals.get(var).expect("validated above"),
@@ -685,13 +730,15 @@ impl MonitorSystem {
             .entries
             .iter()
             .map(|e| {
+                let name = Value::from(e.name.as_str());
                 (0..n_procs)
-                    .map(|pid| [Value::Str(e.name.clone()), Value::Int(pid as i64)])
+                    .map(|pid| [name.clone(), Value::Int(pid as i64)])
                     .collect()
             })
             .collect();
+        let no_entry = Value::from("");
         let shared_params: Vec<[Value; 2]> = (0..n_procs)
-            .map(|pid| [Value::Str(String::new()), Value::Int(pid as i64)])
+            .map(|pid| [no_entry.clone(), Value::Int(pid as i64)])
             .collect();
         let stats = CodeStats {
             exprs: pool.expr_count() as u64,
@@ -742,7 +789,7 @@ impl MonitorSystem {
         self.code
             .globals
             .get(name)
-            .map(|s| &state.gslots[s as usize])
+            .map(|s| &state.ctl.gslots[s as usize])
     }
 
     /// The program being executed.
@@ -852,20 +899,20 @@ impl MonitorSystem {
         pid: Option<usize>,
         element: ElementId,
         class: ClassId,
-        params: Vec<Value>,
-        extra_enablers: &[EventId],
+        params: impl IntoIterator<Item = Value>,
+        extra_enablers: impl IntoIterator<Item = EventId>,
     ) -> EventId {
         let e = state
             .builder
             .add_event(element, class, params)
             .expect("ids are from this structure");
         if let Some(p) = pid {
-            if let Some(last) = state.procs[p].last {
+            if let Some(last) = state.ctl.procs[p].last {
                 state.builder.enable(last, e).expect("known events");
             }
-            state.procs[p].last = Some(e);
+            state.ctl.procs[p].last = Some(e);
         }
-        for &x in extra_enablers {
+        for x in extra_enablers {
             state.builder.enable(x, e).expect("known events");
         }
         e
@@ -877,7 +924,7 @@ impl MonitorSystem {
         match *action {
             MonitorAction::Enter(_) | MonitorAction::Resume(_) => ActionClass::Entry,
             MonitorAction::Step(pid) => {
-                ActionClass::Step(&self.step_class[pid][state.procs[pid].script_pos])
+                ActionClass::Step(&self.step_class[pid][state.ctl.procs[pid].script_pos])
             }
         }
     }
@@ -889,34 +936,31 @@ impl MonitorSystem {
     /// `Waiting` on a condition or parked `Urgent`). Under Mesa
     /// signal-and-continue, no other process's code runs within the
     /// action, so only the acting entry is involved.
-    fn involved_entries(&self, state: &MonitorState, action: &MonitorAction) -> Vec<usize> {
-        let mut entries = Vec::new();
-        match *action {
+    fn involved_entries<'a>(
+        &'a self,
+        state: &'a MonitorState,
+        action: &MonitorAction,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let acting = match *action {
+            // The entry index is not in `ProcRuntime::entry` yet (that is
+            // set by `apply`); resolve it from the call step.
             MonitorAction::Enter(pid) => {
-                // The entry index is not in `ProcRuntime::entry` yet (that
-                // is set by `apply`); resolve it from the call step.
-                if let ScriptStep::Call { ref entry, .. } =
-                    self.program.processes[pid].script[state.procs[pid].script_pos]
-                {
-                    entries.push(
-                        self.program
-                            .monitor
-                            .entry_index(entry)
-                            .expect("validated at construction"),
-                    );
+                match self.code.steps[pid][state.ctl.procs[pid].script_pos] {
+                    StepCode::Call { entry } => Some(entry),
+                    _ => None,
                 }
             }
-            MonitorAction::Resume(pid) => entries.extend(state.procs[pid].entry),
-            MonitorAction::Step(_) => {}
-        }
-        if self.program.semantics == SignalSemantics::Hoare {
-            for proc in &state.procs {
-                if matches!(proc.status, Status::Waiting | Status::Urgent) {
-                    entries.extend(proc.entry);
-                }
-            }
-        }
-        entries
+            MonitorAction::Resume(pid) => state.ctl.procs[pid].entry,
+            MonitorAction::Step(_) => None,
+        };
+        let hoare = self.program.semantics == SignalSemantics::Hoare;
+        let parked = state
+            .ctl
+            .procs
+            .iter()
+            .filter(move |p| hoare && matches!(p.status, Status::Waiting | Status::Urgent))
+            .filter_map(|p| p.entry);
+        acting.into_iter().chain(parked)
     }
 
     /// Whether monitor code (an entry execution, including any signal
@@ -943,16 +987,13 @@ impl MonitorSystem {
             // unless the entry can change the value it observes.
             StepClass::Read(v) => self
                 .involved_entries(state, action)
-                .iter()
-                .all(|&e| !self.entry_footprints[e].1.contains(v)),
-            StepClass::Write { var, reads } => {
-                self.involved_entries(state, action).iter().all(|&e| {
-                    let (entry_reads, entry_writes) = &self.entry_footprints[e];
-                    !entry_writes.contains(var)
-                        && !entry_reads.contains(var)
-                        && reads.iter().all(|r| !entry_writes.contains(r))
-                })
-            }
+                .all(|e| !self.entry_footprints[e].1.contains(v)),
+            StepClass::Write { var, reads } => self.involved_entries(state, action).all(|e| {
+                let (entry_reads, entry_writes) = &self.entry_footprints[e];
+                !entry_writes.contains(var)
+                    && !entry_reads.contains(var)
+                    && reads.iter().all(|r| !entry_writes.contains(r))
+            }),
         }
     }
 
@@ -982,27 +1023,27 @@ impl MonitorSystem {
     /// signal to a waiter, or finishes the entry.
     fn run(&self, state: &mut MonitorState, pid: usize) {
         loop {
-            let entry_idx = state.procs[pid].entry.expect("running inside an entry");
+            let entry_idx = state.ctl.procs[pid].entry.expect("running inside an entry");
             let prog = &self.code.entries[entry_idx];
-            let pc = state.procs[pid].pc as usize;
+            let pc = state.ctl.procs[pid].pc as usize;
             match &prog.ops[pc] {
                 MOp::Assign { gslot, el, expr } => {
                     let v = self
                         .code
                         .pool
-                        .eval(*expr, &state.gslots, &state.procs[pid].lslots)
+                        .eval(*expr, &state.ctl.gslots, &state.ctl.procs[pid].lslots)
                         .unwrap_or_else(|e| panic!("monitor runtime error: {e}"));
-                    state.gslots[*gslot as usize] = v.clone();
+                    state.ctl.gslots[*gslot as usize] = v.clone();
                     let pair = &self.code.entry_params[entry_idx][pid];
                     self.emit(
                         state,
                         Some(pid),
                         *el,
                         self.cls.assign,
-                        vec![v, pair[0].clone(), pair[1].clone()],
-                        &[],
+                        [v, pair[0].clone(), pair[1].clone()],
+                        [],
                     );
-                    state.procs[pid].pc = pc as u32 + 1;
+                    state.ctl.procs[pid].pc = pc as u32 + 1;
                 }
                 MOp::AssignUnknown { name, expr } => {
                     // The expression error (if any) surfaces before the
@@ -1010,7 +1051,7 @@ impl MonitorSystem {
                     let _ = self
                         .code
                         .pool
-                        .eval(*expr, &state.gslots, &state.procs[pid].lslots)
+                        .eval(*expr, &state.ctl.gslots, &state.ctl.procs[pid].lslots)
                         .unwrap_or_else(|e| panic!("monitor runtime error: {e}"));
                     panic!("unknown variable {name:?}");
                 }
@@ -1018,36 +1059,36 @@ impl MonitorSystem {
                     let b = self
                         .code
                         .pool
-                        .eval(*cond, &state.gslots, &state.procs[pid].lslots)
+                        .eval(*cond, &state.ctl.gslots, &state.ctl.procs[pid].lslots)
                         .unwrap_or_else(|e| panic!("monitor runtime error: {e}"))
                         .as_bool()
                         .unwrap_or_else(|| panic!("{}", kind.expect_msg()));
-                    state.procs[pid].pc = if b { pc as u32 + 1 } else { *target };
+                    state.ctl.procs[pid].pc = if b { pc as u32 + 1 } else { *target };
                 }
-                MOp::Jump(target) => state.procs[pid].pc = *target,
+                MOp::Jump(target) => state.ctl.procs[pid].pc = *target,
                 MOp::Wait { cond, el } => {
                     let wait_ev = self.emit(
                         state,
                         Some(pid),
                         *el,
                         self.cls.wait,
-                        vec![Value::Int(pid as i64)],
-                        &[],
+                        [Value::Int(pid as i64)],
+                        [],
                     );
-                    state.procs[pid].wait_event = Some(wait_ev);
+                    state.ctl.procs[pid].wait_event = Some(wait_ev);
                     self.emit(
                         state,
                         Some(pid),
                         self.lock_el,
                         self.cls.release,
-                        vec![Value::Int(pid as i64)],
-                        &[],
+                        [Value::Int(pid as i64)],
+                        [],
                     );
-                    state.queues[*cond as usize].push_back(pid);
-                    state.procs[pid].status = Status::Waiting;
+                    state.ctl.queues[*cond as usize].push_back(pid);
+                    state.ctl.procs[pid].status = Status::Waiting;
                     // Resume point: the op after the WAIT.
-                    state.procs[pid].pc = pc as u32 + 1;
-                    state.lock = None;
+                    state.ctl.procs[pid].pc = pc as u32 + 1;
+                    state.ctl.lock = None;
                     self.pop_urgent(state);
                     return;
                 }
@@ -1057,44 +1098,41 @@ impl MonitorSystem {
                         Some(pid),
                         *el,
                         self.cls.signal,
-                        vec![Value::Int(pid as i64)],
-                        &[],
+                        [Value::Int(pid as i64)],
+                        [],
                     );
-                    let waiter = state.queues[*cond as usize].pop_front();
-                    state.procs[pid].pc = pc as u32 + 1;
+                    let waiter = state.ctl.queues[*cond as usize].pop_front();
+                    state.ctl.procs[pid].pc = pc as u32 + 1;
                     if let Some(w) = waiter {
                         match self.program.semantics {
                             SignalSemantics::Hoare => {
-                                state.urgent.push(pid);
-                                state.procs[pid].status = Status::Urgent;
-                                state.lock = Some(w);
-                                state.procs[w].status = Status::Ready;
-                                let mut extra = vec![sig];
-                                if let Some(we) = state.procs[w].wait_event.take() {
-                                    extra.push(we);
-                                }
+                                state.ctl.urgent.push(pid);
+                                state.ctl.procs[pid].status = Status::Urgent;
+                                state.ctl.lock = Some(w);
+                                state.ctl.procs[w].status = Status::Ready;
+                                let we = state.ctl.procs[w].wait_event.take();
                                 self.emit(
                                     state,
                                     Some(w),
                                     *el,
                                     self.cls.resume,
-                                    vec![Value::Int(w as i64)],
-                                    &extra,
+                                    [Value::Int(w as i64)],
+                                    [Some(sig), we].into_iter().flatten(),
                                 );
                                 self.run(state, w);
                                 return;
                             }
                             SignalSemantics::Mesa => {
-                                state.procs[w].status = Status::ReAcquire;
-                                state.procs[w].pending_signal = Some(sig);
-                                state.procs[w].resume_cond = Some(*cond);
+                                state.ctl.procs[w].status = Status::ReAcquire;
+                                state.ctl.procs[w].pending_signal = Some(sig);
+                                state.ctl.procs[w].resume_cond = Some(*cond);
                             }
                         }
                     }
                 }
                 MOp::JumpIfQueueEmpty { cond, target } => {
-                    let nonempty = !state.queues[*cond as usize].is_empty();
-                    state.procs[pid].pc = if nonempty { pc as u32 + 1 } else { *target };
+                    let nonempty = !state.ctl.queues[*cond as usize].is_empty();
+                    state.ctl.procs[pid].pc = if nonempty { pc as u32 + 1 } else { *target };
                 }
                 MOp::UnknownCond { name, queue_probe } => {
                     if *queue_probe {
@@ -1112,33 +1150,35 @@ impl MonitorSystem {
     }
 
     fn finish_entry(&self, state: &mut MonitorState, pid: usize) {
-        let entry_idx = state.procs[pid].entry.expect("finishing inside an entry");
+        let entry_idx = state.ctl.procs[pid]
+            .entry
+            .expect("finishing inside an entry");
         let entry_name = self.code.entry_params[entry_idx][pid][0].clone();
         self.emit(
             state,
             Some(pid),
             self.entry_els[entry_idx],
             self.cls.end,
-            vec![Value::Int(pid as i64)],
-            &[],
+            [Value::Int(pid as i64)],
+            [],
         );
         let rel = self.emit(
             state,
             Some(pid),
             self.lock_el,
             self.cls.release,
-            vec![Value::Int(pid as i64)],
-            &[],
+            [Value::Int(pid as i64)],
+            [],
         );
         self.emit(
             state,
             Some(pid),
             self.user_els[pid],
             self.cls.ret,
-            vec![entry_name],
-            &[],
+            [entry_name],
+            [],
         );
-        let proc = &mut state.procs[pid];
+        let proc = &mut state.ctl.procs[pid];
         proc.entry = None;
         proc.lslots.clear();
         proc.pc = 0;
@@ -1149,12 +1189,12 @@ impl MonitorSystem {
             Status::Ready
         };
         let _ = rel;
-        state.lock = None;
+        state.ctl.lock = None;
         self.pop_urgent(state);
     }
 
     fn advance_script(&self, state: &mut MonitorState, pid: usize) {
-        let proc = &mut state.procs[pid];
+        let proc = &mut state.ctl.procs[pid];
         proc.script_pos += 1;
         if proc.script_pos >= self.program.processes[pid].script.len() {
             proc.status = Status::Done;
@@ -1162,16 +1202,16 @@ impl MonitorSystem {
     }
 
     fn pop_urgent(&self, state: &mut MonitorState) {
-        if let Some(s) = state.urgent.pop() {
-            state.lock = Some(s);
-            state.procs[s].status = Status::Ready;
+        if let Some(s) = state.ctl.urgent.pop() {
+            state.ctl.lock = Some(s);
+            state.ctl.procs[s].status = Status::Ready;
             self.emit(
                 state,
                 Some(s),
                 self.lock_el,
                 self.cls.acquire,
-                vec![Value::Int(s as i64)],
-                &[],
+                [Value::Int(s as i64)],
+                [],
             );
             self.run(state, s);
         }
@@ -1181,11 +1221,10 @@ impl MonitorSystem {
 impl System for MonitorSystem {
     type State = MonitorState;
     type Action = MonitorAction;
-    type Checkpoint = MonitorCheckpoint;
+    type Checkpoint = SimCheckpoint;
 
     fn initial(&self) -> MonitorState {
-        let mut state = MonitorState {
-            builder: ComputationBuilder::new(self.structure_arc()),
+        let ctl = MonitorCtl {
             gslots: self.code.init_gslots.clone(),
             procs: self
                 .program
@@ -1213,13 +1252,18 @@ impl System for MonitorSystem {
             urgent: Vec::new(),
             queues: vec![VecDeque::new(); self.code.cond_els.len()],
         };
+        let mut state = MonitorState {
+            builder: ComputationBuilder::new(self.structure_arc()),
+            ctl,
+            rewind: Rewind::default(),
+        };
         // Initialization code: an Init event followed by the initial
         // assignments. Monitor variables form one chain inside the
         // monitor (its tail enables the first acquisition); shared
         // variables form a separate chain off the Init event, since a
         // monitor-internal variable element may not enable events at a
         // top-level shared element's neighbours.
-        let init_ev = self.emit(&mut state, None, self.init_el, self.cls.init, vec![], &[]);
+        let init_ev = self.emit(&mut state, None, self.init_el, self.cls.init, [], []);
         let mut last_internal = init_ev;
         let monitor_vars: Vec<(String, Value)> = self.program.monitor.vars.clone();
         for (name, value) in monitor_vars {
@@ -1228,8 +1272,8 @@ impl System for MonitorSystem {
                 None,
                 self.var_element(&name),
                 self.cls.assign,
-                vec![value, Value::Str("init".into()), Value::Int(INIT_PID)],
-                &[last_internal],
+                [value, Value::from("init"), Value::Int(INIT_PID)],
+                [last_internal],
             );
         }
         let mut last_shared = init_ev;
@@ -1240,23 +1284,23 @@ impl System for MonitorSystem {
                 None,
                 self.var_element(&name),
                 self.cls.assign,
-                vec![value, Value::Str("init".into()), Value::Int(INIT_PID)],
-                &[last_shared],
+                [value, Value::from("init"), Value::Int(INIT_PID)],
+                [last_shared],
             );
         }
-        state.init_done = Some(last_internal);
+        state.ctl.init_done = Some(last_internal);
         state
     }
 
     fn enabled(&self, state: &MonitorState) -> Vec<MonitorAction> {
         let mut actions = Vec::new();
-        for (pid, proc) in state.procs.iter().enumerate() {
+        for (pid, proc) in state.ctl.procs.iter().enumerate() {
             match proc.status {
                 Status::Ready => actions.push(MonitorAction::Step(pid)),
-                Status::Pending if state.lock.is_none() => {
+                Status::Pending if state.ctl.lock.is_none() => {
                     actions.push(MonitorAction::Enter(pid));
                 }
-                Status::ReAcquire if state.lock.is_none() => {
+                Status::ReAcquire if state.ctl.lock.is_none() => {
                     actions.push(MonitorAction::Resume(pid));
                 }
                 _ => {}
@@ -1267,51 +1311,62 @@ impl System for MonitorSystem {
     }
 
     fn apply(&self, state: &mut MonitorState, action: &MonitorAction) {
-        debug_assert!(state.lock.is_none(), "lock is free between actions");
+        debug_assert!(state.ctl.lock.is_none(), "lock is free between actions");
         let t0 = crate::explore::apply_timer();
+        state.rewind.save(&mut state.ctl);
         match *action {
             MonitorAction::Step(pid) => {
-                let pos = state.procs[pid].script_pos;
+                let pos = state.ctl.procs[pid].script_pos;
                 match &self.program.processes[pid].script[pos] {
-                    ScriptStep::Call { entry, args } => {
+                    ScriptStep::Call { args, .. } => {
+                        let StepCode::Call { entry } = self.code.steps[pid][pos] else {
+                            unreachable!("step codes mirror the script");
+                        };
+                        let [name, p_pid] = &self.code.entry_params[entry][pid];
                         self.emit(
                             state,
                             Some(pid),
                             self.user_els[pid],
                             self.cls.call,
-                            vec![Value::Str(entry.clone())],
-                            &[],
+                            [name.clone()],
+                            [],
                         );
                         self.emit(
                             state,
                             Some(pid),
                             self.lock_el,
                             self.cls.req,
-                            vec![Value::Str(entry.clone()), Value::Int(pid as i64)],
-                            &[],
+                            [name.clone(), p_pid.clone()],
+                            [],
                         );
-                        state.procs[pid].pending_args = args.clone();
-                        state.procs[pid].status = Status::Pending;
+                        state.ctl.procs[pid].pending_args.clone_from(args);
+                        state.ctl.procs[pid].status = Status::Pending;
                     }
                     ScriptStep::Event { class, params } => {
                         let cid = self.class(class);
-                        let params = params.clone();
-                        self.emit(state, Some(pid), self.user_els[pid], cid, params, &[]);
+                        self.emit(
+                            state,
+                            Some(pid),
+                            self.user_els[pid],
+                            cid,
+                            params.iter().cloned(),
+                            [],
+                        );
                         self.advance_script(state, pid);
                     }
                     ScriptStep::ReadShared { .. } => {
                         let StepCode::Read { gslot, el } = self.code.steps[pid][pos] else {
                             unreachable!("step codes mirror the script");
                         };
-                        let value = state.gslots[gslot as usize].clone();
+                        let value = state.ctl.gslots[gslot as usize].clone();
                         let [p_empty, p_pid] = self.code.shared_params[pid].clone();
                         self.emit(
                             state,
                             Some(pid),
                             el,
                             self.cls.getval,
-                            vec![value, p_empty, p_pid],
-                            &[],
+                            [value, p_empty, p_pid],
+                            [],
                         );
                         self.advance_script(state, pid);
                     }
@@ -1322,66 +1377,60 @@ impl System for MonitorSystem {
                         let v = self
                             .code
                             .pool
-                            .eval(expr, &state.gslots, &[])
+                            .eval(expr, &state.ctl.gslots, &[])
                             .unwrap_or_else(|e| panic!("monitor runtime error: {e}"));
-                        state.gslots[gslot as usize] = v.clone();
+                        state.ctl.gslots[gslot as usize] = v.clone();
                         let [p_empty, p_pid] = self.code.shared_params[pid].clone();
                         self.emit(
                             state,
                             Some(pid),
                             el,
                             self.cls.assign,
-                            vec![v, p_empty, p_pid],
-                            &[],
+                            [v, p_empty, p_pid],
+                            [],
                         );
                         self.advance_script(state, pid);
                     }
                 }
             }
             MonitorAction::Enter(pid) => {
-                let ScriptStep::Call { entry, .. } =
-                    &self.program.processes[pid].script[state.procs[pid].script_pos]
+                let StepCode::Call { entry: entry_idx } =
+                    self.code.steps[pid][state.ctl.procs[pid].script_pos]
                 else {
                     panic!("Enter on a non-call step");
                 };
-                let entry_idx = self
-                    .program
-                    .monitor
-                    .entry_index(entry)
-                    .expect("validated at construction");
-                state.lock = Some(pid);
+                state.ctl.lock = Some(pid);
                 // Lock handoff is ordering, not causality: the acquire is
                 // ordered after the previous release by the lock element
                 // order; no enable edge is drawn across transactions. The
                 // one genuine cross edge is initialization enabling the
                 // very first acquisition.
-                let extra: Vec<EventId> = state.init_done.take().into_iter().collect();
+                let init_done = state.ctl.init_done.take();
                 self.emit(
                     state,
                     Some(pid),
                     self.lock_el,
                     self.cls.acquire,
-                    vec![Value::Int(pid as i64)],
-                    &extra,
+                    [Value::Int(pid as i64)],
+                    init_done,
                 );
                 self.emit(
                     state,
                     Some(pid),
                     self.entry_els[entry_idx],
                     self.cls.begin,
-                    vec![Value::Int(pid as i64)],
-                    &[],
+                    [Value::Int(pid as i64)],
+                    [],
                 );
-                let args = std::mem::take(&mut state.procs[pid].pending_args);
                 let prog = &self.code.entries[entry_idx];
-                let mut lslots = vec![None; prog.params.len()];
+                let proc = &mut state.ctl.procs[pid];
+                proc.lslots.clear();
+                proc.lslots.resize(prog.params.len(), None);
                 // Positional bind; a short args list leaves trailing
                 // params unbound (the global scope shows through).
-                for (&slot, arg) in prog.param_slots.iter().zip(args) {
-                    lslots[slot as usize] = Some(arg);
+                for (&slot, arg) in prog.param_slots.iter().zip(proc.pending_args.drain(..)) {
+                    proc.lslots[slot as usize] = Some(arg);
                 }
-                let proc = &mut state.procs[pid];
-                proc.lslots = lslots;
                 proc.pc = 0;
                 proc.entry = Some(entry_idx);
                 proc.status = Status::Ready; // running now
@@ -1392,34 +1441,29 @@ impl System for MonitorSystem {
                 // resumes after its WAIT (without re-checking anything —
                 // the program text must use WHILE for that).
                 debug_assert_eq!(self.program.semantics, SignalSemantics::Mesa);
-                state.lock = Some(pid);
+                state.ctl.lock = Some(pid);
                 self.emit(
                     state,
                     Some(pid),
                     self.lock_el,
                     self.cls.acquire,
-                    vec![Value::Int(pid as i64)],
-                    &[],
+                    [Value::Int(pid as i64)],
+                    [],
                 );
-                let cond = state.procs[pid]
+                let cond = state.ctl.procs[pid]
                     .resume_cond
                     .take()
                     .expect("resuming from a condition");
-                let mut extra = Vec::new();
-                if let Some(sig) = state.procs[pid].pending_signal.take() {
-                    extra.push(sig);
-                }
-                if let Some(we) = state.procs[pid].wait_event.take() {
-                    extra.push(we);
-                }
-                state.procs[pid].status = Status::Ready;
+                let sig = state.ctl.procs[pid].pending_signal.take();
+                let we = state.ctl.procs[pid].wait_event.take();
+                state.ctl.procs[pid].status = Status::Ready;
                 self.emit(
                     state,
                     Some(pid),
                     self.code.cond_els[cond as usize],
                     self.cls.resume,
-                    vec![Value::Int(pid as i64)],
-                    &extra,
+                    [Value::Int(pid as i64)],
+                    [sig, we].into_iter().flatten(),
                 );
                 self.run(state, pid);
             }
@@ -1428,49 +1472,38 @@ impl System for MonitorSystem {
     }
 
     fn is_complete(&self, state: &MonitorState) -> bool {
-        state.procs.iter().all(|p| p.status == Status::Done)
+        state.ctl.procs.iter().all(|p| p.status == Status::Done)
     }
 
     fn control_key(&self, state: &MonitorState) -> Option<u64> {
         let mut h = DefaultHasher::new();
         // Slot order is a fixed function of the program, so hashing
         // slots positionally is as stable as hashing names.
-        state.gslots.hash(&mut h);
-        for p in &state.procs {
+        state.ctl.gslots.hash(&mut h);
+        for p in &state.ctl.procs {
             p.script_pos.hash(&mut h);
             p.status.hash(&mut h);
             p.entry.hash(&mut h);
             p.pc.hash(&mut h);
             p.lslots.hash(&mut h);
         }
-        state.lock.hash(&mut h);
-        state.urgent.hash(&mut h);
-        state.queues.hash(&mut h);
+        state.ctl.lock.hash(&mut h);
+        state.ctl.urgent.hash(&mut h);
+        state.ctl.queues.hash(&mut h);
         Some(h.finish())
     }
 
-    fn checkpoint(&self, state: &MonitorState) -> Option<MonitorCheckpoint> {
-        Some(MonitorCheckpoint {
-            mark: state.builder.mark(),
-            gslots: state.gslots.clone(),
-            procs: state.procs.clone(),
-            lock: state.lock,
-            init_done: state.init_done,
-            urgent: state.urgent.clone(),
-            queues: state.queues.clone(),
-        })
+    fn checkpoint(&self, state: &MonitorState) -> Option<SimCheckpoint> {
+        Some(state.rewind.checkpoint(&state.builder))
     }
 
-    fn undo(&self, state: &mut MonitorState, cp: MonitorCheckpoint) {
-        let before = state.builder.event_count();
-        state.builder.truncate_to(&cp.mark);
-        crate::explore::record_undo_depth(before - state.builder.event_count());
-        state.gslots = cp.gslots;
-        state.procs = cp.procs;
-        state.lock = cp.lock;
-        state.init_done = cp.init_done;
-        state.urgent = cp.urgent;
-        state.queues = cp.queues;
+    fn undo(&self, state: &mut MonitorState, cp: SimCheckpoint) {
+        let MonitorState {
+            builder,
+            ctl,
+            rewind,
+        } = state;
+        crate::explore::record_undo_depth(rewind.undo(builder, ctl, cp));
     }
 
     /// Independence oracle for sleep-set POR. Each process contributes at

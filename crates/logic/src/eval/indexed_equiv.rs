@@ -119,7 +119,7 @@ fn computation(rng: &mut StdRng) -> Computation {
             let class = rng.gen_range(0..3u32);
             let params = (0..[1, 2, 0][class as usize])
                 .map(|_| Value::Int(rng.gen_range(0..3i64)))
-                .collect();
+                .collect::<Vec<_>>();
             let el = ElementId::from_raw(rng.gen_range(0..3u32));
             b.add_event(el, ClassId::from_raw(class), params).unwrap()
         })

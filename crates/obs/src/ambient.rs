@@ -19,6 +19,10 @@ use crate::probe::Probe;
 /// the thread-local lookup entirely when no probe exists anywhere.
 static INSTALLED: AtomicUsize = AtomicUsize::new(0);
 
+/// Count of installed guards whose probe wants timer and histogram
+/// samples ([`Probe::wants_timings`]).
+static TIMED: AtomicUsize = AtomicUsize::new(0);
+
 thread_local! {
     static CURRENT: RefCell<Vec<Arc<dyn Probe>>> = const { RefCell::new(Vec::new()) };
     /// Gauge writes this thread holds back (see [`defer_gauges`]);
@@ -38,6 +42,8 @@ pub enum GaugeWrite {
 /// Uninstalls on drop. Not `Send`: the probe must be uninstalled on the
 /// thread that installed it.
 pub struct AmbientGuard {
+    /// Whether the probe counted towards [`timings_active`].
+    timed: bool,
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
@@ -45,9 +51,14 @@ pub struct AmbientGuard {
 /// guard drops. Nested installs shadow (innermost wins), mirroring span
 /// nesting.
 pub fn install(probe: Arc<dyn Probe>) -> AmbientGuard {
+    let timed = probe.wants_timings();
     CURRENT.with(|c| c.borrow_mut().push(probe));
     INSTALLED.fetch_add(1, Ordering::Relaxed);
+    if timed {
+        TIMED.fetch_add(1, Ordering::Relaxed);
+    }
     AmbientGuard {
+        timed,
         _not_send: std::marker::PhantomData,
     }
 }
@@ -55,6 +66,9 @@ pub fn install(probe: Arc<dyn Probe>) -> AmbientGuard {
 impl Drop for AmbientGuard {
     fn drop(&mut self) {
         INSTALLED.fetch_sub(1, Ordering::Relaxed);
+        if self.timed {
+            TIMED.fetch_sub(1, Ordering::Relaxed);
+        }
         CURRENT.with(|c| {
             c.borrow_mut().pop();
         });
@@ -65,6 +79,15 @@ impl Drop for AmbientGuard {
 #[inline]
 pub fn active() -> bool {
     INSTALLED.load(Ordering::Relaxed) != 0
+}
+
+/// True if some thread has an ambient probe installed that wants timer
+/// and histogram samples ([`Probe::wants_timings`]). Instrumented code
+/// reads the clock for [`time_ns`] only then, and [`time_ns`] and
+/// [`record`] forward nothing otherwise.
+#[inline]
+pub fn timings_active() -> bool {
+    TIMED.load(Ordering::Relaxed) != 0
 }
 
 /// The probe currently installed on *this* thread, if any. Worker pools
@@ -152,13 +175,17 @@ fn held_back(write: impl FnOnce() -> GaugeWrite) -> bool {
 /// Records a duration on the ambient probe, if any.
 #[inline]
 pub fn time_ns(name: &str, nanos: u64) {
-    with_current(|p| p.time_ns(name, nanos));
+    if timings_active() {
+        with_current(|p| p.time_ns(name, nanos));
+    }
 }
 
 /// Folds one sample into histogram `name` on the ambient probe, if any.
 #[inline]
 pub fn record(name: &str, value: u64) {
-    with_current(|p| p.record(name, value));
+    if timings_active() {
+        with_current(|p| p.record(name, value));
+    }
 }
 
 #[cfg(test)]
@@ -186,6 +213,20 @@ mod tests {
         assert_eq!(r.gauges["depth"], 5);
         assert_eq!(r.timers["t"].count, 1);
         assert_eq!(r.hists["h"].count(), 1);
+    }
+
+    #[test]
+    fn timings_are_active_under_a_probe_that_wants_them() {
+        let all = Arc::new(StatsProbe::new());
+        {
+            let _g = install(all.clone());
+            assert!(timings_active());
+            record("h", 1);
+            time_ns("t", 5);
+        }
+        let r = all.report();
+        assert_eq!(r.hists["h"].count(), 1);
+        assert_eq!(r.timers["t"].total_ns, 5);
     }
 
     #[test]

@@ -23,6 +23,13 @@ pub trait Probe: Send + Sync {
         true
     }
 
+    /// False when timer and histogram samples ([`Probe::time_ns`],
+    /// [`Probe::record`]) are discarded; instrumented code may use this to
+    /// skip reading the clock for them. Defaults to [`Probe::enabled`].
+    fn wants_timings(&self) -> bool {
+        self.enabled()
+    }
+
     /// Increments the monotonic counter `name` by `delta`.
     fn add(&self, name: &str, delta: u64) {
         let _ = (name, delta);
@@ -189,6 +196,10 @@ fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(
 }
 
 impl Probe for StatsProbe {
+    fn wants_timings(&self) -> bool {
+        self.timings
+    }
+
     fn add(&self, name: &str, delta: u64) {
         let mut inner = self.inner.lock().expect("stats probe poisoned");
         update(&mut inner.counters, name, |v| *v = v.saturating_add(delta));
@@ -241,6 +252,10 @@ impl FanoutProbe {
 impl Probe for FanoutProbe {
     fn enabled(&self) -> bool {
         self.sinks.iter().any(|s| s.enabled())
+    }
+
+    fn wants_timings(&self) -> bool {
+        self.sinks.iter().any(|s| s.wants_timings())
     }
 
     fn add(&self, name: &str, delta: u64) {
@@ -330,6 +345,22 @@ mod tests {
         assert_eq!(r.hists["width"].max(), 3);
         assert_eq!(p.hist("apply_ns").count(), 2);
         assert!(p.hist("missing").is_empty());
+    }
+
+    #[test]
+    fn timings_are_wanted_by_the_probes_that_keep_them() {
+        let all: Arc<dyn Probe> = Arc::new(StatsProbe::new());
+        let counts: Arc<dyn Probe> = Arc::new(StatsProbe::counters_and_gauges());
+        let noop: Arc<dyn Probe> = Arc::new(NoopProbe);
+        assert!(all.wants_timings());
+        assert!(counts.enabled() && !counts.wants_timings());
+        assert!(!noop.wants_timings());
+        let fanout = |sinks: &[&Arc<dyn Probe>]| {
+            FanoutProbe::new(sinks.iter().map(|&s| s.clone()).collect()).wants_timings()
+        };
+        assert!(!fanout(&[&counts, &noop]));
+        assert!(fanout(&[&counts, &all]));
+        assert!(!fanout(&[]));
     }
 
     #[test]

@@ -399,16 +399,19 @@ impl IncrChecker {
             problem: &self.problem,
             b,
         };
-        let probing = gem_obs::ambient::active();
+        let counting = gem_obs::ambient::active();
+        let timing = gem_obs::ambient::timings_active();
         for r in &self.restrictions {
             let Some([evals, ns]) = &r.leaf_keys else {
                 continue;
             };
-            let started = probing.then(Instant::now);
+            let started = timing.then(Instant::now);
             let holds = holds_on_computation(&r.formula, &world) == Ok(true);
+            if counting {
+                gem_obs::ambient::add(evals, 1);
+            }
             if let Some(started) = started {
                 let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                gem_obs::ambient::add(evals, 1);
                 gem_obs::ambient::time_ns(ns, elapsed);
             }
             if !holds {

@@ -298,12 +298,12 @@ where
     let _total = Span::enter(probe, "verify");
 
     // Phase attribution (see `gem_obs::profile`): each per-run stage is
-    // timed with a manual clock read gated on `probe.enabled()`, and the
+    // timed with a manual clock read gated on `probe.wants_timings()`, and the
     // time the sweep spends *outside* those stages — schedule
     // enumeration, state stepping, backtracking — is emitted afterwards
     // as the `phase.explore` residual, so the phase timers partition the
     // `verify` span.
-    let probing = probe.enabled();
+    let probing = probe.wants_timings();
     let sweep_started = probing.then(Instant::now);
     let mut phased_ns = 0u64;
     let elapsed_ns =

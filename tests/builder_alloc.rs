@@ -11,16 +11,22 @@
 //! shape works in the rows and scratch buffers it kept, and judging the
 //! leaf restrictions binds variables on the stack and compares values in
 //! place. The stats probe, which backs the default heartbeat, looks a key
-//! up before it allocates one.
+//! up before it allocates one. The substrate simulators save each step's
+//! control state into reused slots and pass event parameters as arrays, so
+//! checkpoint, apply and undo along a path seen before allocate nothing,
+//! and a whole verification sweep stays within a small budget per step.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::ops::ControlFlow;
 
 use gem::core::{ClassId, ComputationBuilder, ElementId, EventId, Structure, Value};
+use gem::lang::{Explorer, System as Sim};
 use gem::logic::{CmpOp, Formula, ValueTerm};
 use gem::obs::{Probe, StatsProbe};
 use gem::spec::{prerequisite, ElementInstance, ElementType, SpecBuilder};
-use gem::verify::{Correspondence, IncrChecker, LeafStatus};
+use gem::verify::{verify_system, Correspondence, IncrChecker, LeafStatus, VerifyOptions};
+use gem_cli::{instance, Instance, Params, Program};
 
 /// Counts allocations per thread, so tests running in parallel on other
 /// threads cannot perturb a measurement.
@@ -258,4 +264,140 @@ fn recording_into_existing_keys_does_not_allocate() {
         "recording into existing keys allocated"
     );
     assert_eq!(stats.counter("k.count"), 1 + (0..100).sum::<u64>());
+}
+
+/// Builds `line` (`problem key=value…`) as the CLI does.
+fn build(line: &str) -> Instance {
+    let mut words = line.split_whitespace().map(str::to_owned);
+    let problem = words.next().expect("problem name");
+    let params = Params::parse(&words.collect::<Vec<_>>()).expect("key=value params");
+    instance(&problem, &params).expect("instance")
+}
+
+/// Evaluates `$body` with `$sys` bound to `$program`'s simulator and
+/// `$seal` to a function sealing its states.
+macro_rules! with_sim {
+    ($program:expr, |$sys:ident, $seal:ident| $body:expr) => {
+        match $program {
+            Program::Monitor($sys) => {
+                let $seal = |st: &_| $sys.computation(st).expect("acyclic");
+                $body
+            }
+            Program::Csp($sys) => {
+                let $seal = |st: &_| $sys.computation(st).expect("acyclic");
+                $body
+            }
+            Program::Ada($sys) => {
+                let $seal = |st: &_| $sys.computation(st).expect("acyclic");
+                $body
+            }
+        }
+    };
+}
+
+/// Descends to a leaf with checkpoint + apply, taking at each node the
+/// enabled action `pick(depth, n)` of `n`, rolls the whole path back with
+/// undo, repeats the round trip along the same path `warm_ups` more
+/// times, and returns the allocations of one further round trip.
+fn round_trip_allocations<S: Sim>(
+    sys: &S,
+    pick: impl Fn(usize, usize) -> usize,
+    warm_ups: usize,
+) -> u64 {
+    let mut state = sys.initial();
+    let mut path = Vec::new();
+    let mut cps = Vec::new();
+    loop {
+        let actions = sys.enabled(&state);
+        if actions.is_empty() {
+            break;
+        }
+        let action = actions[pick(path.len(), actions.len())].clone();
+        cps.push(sys.checkpoint(&state).expect("checkpoint fast path"));
+        sys.apply(&mut state, &action);
+        path.push(action);
+    }
+    assert!(path.len() > 5, "a path worth measuring");
+    let mut round_trip = |state: &mut S::State| {
+        while let Some(cp) = cps.pop() {
+            sys.undo(state, cp);
+        }
+        for action in &path {
+            cps.push(sys.checkpoint(state).expect("checkpoint fast path"));
+            sys.apply(state, action);
+        }
+    };
+    for _ in 0..warm_ups {
+        round_trip(&mut state);
+    }
+    let before = allocs();
+    round_trip(&mut state);
+    allocs() - before
+}
+
+#[test]
+fn stepping_a_path_seen_before_does_not_allocate() {
+    // The first enabled action runs the processes one after another; the
+    // second pick interleaves them two actions at a time, so monitor
+    // entries wait and are signalled (and, under Mesa, resume).
+    let picks: [(&str, fn(usize, usize) -> usize); 2] = [
+        ("first", |_, _| 0),
+        ("interleaved", |depth, n| (depth / 2) % n),
+    ];
+    for line in [
+        "bounded items=4 cap=2",
+        "rw readers=2 writers=1 monitor=writers variant=writers",
+        "rw readers=1 writers=2 variant=mutex semantics=mesa",
+        "bounded items=4 cap=2 substrate=ada",
+        "bounded items=5 cap=3 substrate=csp",
+    ] {
+        for (name, pick) in picks {
+            let during = with_sim!(&build(line).program, |sys, _seal| {
+                round_trip_allocations(sys, pick, 1)
+            });
+            assert_eq!(
+                during, 0,
+                "{line}, {name} path: checkpoint + apply + undo along a path seen before \
+                 allocated {during} time(s)"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_verification_sweep_allocates_at_most_twice_per_step() {
+    // The instances of the benchmark's `explore_bound` workload.
+    for line in [
+        "bounded items=4 cap=2",
+        "bounded items=4 cap=2 substrate=ada",
+        "bounded items=5 cap=3 substrate=csp",
+        "rw readers=2 writers=1 monitor=writers variant=writers",
+    ] {
+        let Instance {
+            program,
+            spec,
+            corr,
+            max_runs,
+        } = build(line);
+        let explorer = Explorer::with_max_runs(max_runs);
+        let options = VerifyOptions {
+            explorer,
+            ..VerifyOptions::default()
+        };
+        let (steps, during) = with_sim!(&program, |sys, seal| {
+            let steps = explorer
+                .for_each_run(sys, |_, _| ControlFlow::Continue(()))
+                .steps;
+            let before = allocs();
+            let outcome = verify_system(sys, &spec, &corr, seal, &options).expect("projects");
+            let during = allocs() - before;
+            assert!(outcome.ok() && outcome.exhaustive(), "{line}: {outcome:?}");
+            (steps, during)
+        });
+        let per_step = during as f64 / steps as f64;
+        assert!(
+            per_step <= 2.0,
+            "{line}: {during} allocation(s) over {steps} step(s), {per_step:.2} per step"
+        );
+    }
 }
