@@ -1403,8 +1403,9 @@ fn render_top(report: &gem_obs::Report, elapsed: Duration) -> String {
 /// incremental checker covered it or why it fell back to batch checking.
 /// With incremental checking active on a clean sweep the batch columns
 /// collapse to zero — that collapse *is* the speedup being attributed. A
-/// restriction the incremental checker judges once per leaf is tagged
-/// `[leaf]` and also shows those evaluations and their time
+/// restriction the incremental checker judges as a leaf restriction is
+/// tagged `[leaf]` and also shows the judgements it settled per event
+/// during replay, the conjuncts it evaluated at the leaf and their time
 /// (`logic.incr.leaf_eval.by_restriction.*`).
 fn restriction_breakdown(spec: &Specification, report: &gem_obs::Report) -> String {
     let wall = report
@@ -1420,6 +1421,7 @@ fn restriction_breakdown(spec: &Specification, report: &gem_obs::Report) -> Stri
     for (i, r) in spec.restrictions().iter().enumerate() {
         let evals = counter(format!("logic.check.by_restriction.{i}.evals"));
         let ns = timer(format!("logic.check.by_restriction.{i}.ns"));
+        let settled = counter(format!("logic.incr.leaf_eval.by_restriction.{i}.settled"));
         let leaf_evals = counter(format!("logic.incr.leaf_eval.by_restriction.{i}.evals"));
         let leaf_ns = timer(format!("logic.incr.leaf_eval.by_restriction.{i}.ns"));
         let incremental = counter(format!("logic.incr.restriction.{}.incremental", r.name)) > 0;
@@ -1446,7 +1448,10 @@ fn restriction_breakdown(spec: &Specification, report: &gem_obs::Report) -> Stri
             rendered = rendered.chars().take(63).collect::<String>() + "…";
         }
         let leaf_cost = if leaf {
-            format!("{leaf_evals} leaf eval(s), {}; ", human_ns(leaf_ns))
+            format!(
+                "{settled} settled per event, {leaf_evals} leaf eval(s), {}; ",
+                human_ns(leaf_ns)
+            )
         } else {
             String::new()
         };
@@ -2066,14 +2071,21 @@ mod tests {
     fn profile_with_incremental_collapses_check_phase() {
         // Default `--incr-check auto` on an in-fragment spec: the batch
         // check phase disappears, phase.check_incr takes over, and the
-        // breakdown tags every restriction leaf-judged, evaluated once on
-        // each of the 53 clean leaves, with zero batch evals — the
-        // collapse the speedup comes from.
+        // breakdown tags every restriction leaf-judged and settled per
+        // event during replay, so none is evaluated on any of the 53
+        // clean leaves, with zero batch evals — the collapse the speedup
+        // comes from.
         let out = runv(&["profile", "one-slot", "items=2", "--heartbeat", "0"]).unwrap();
         assert!(out.contains("HOLDS"), "{out}");
         assert!(out.contains("phase.check_incr"), "{out}");
         assert!(!out.contains("phase.seal"), "{out}");
-        assert_eq!(out.matches("[leaf] 53 leaf eval(s), ").count(), 3, "{out}");
+        for row in [
+            "#0 deposits-alternate [leaf] 165 settled per event, 0 leaf eval(s), ",
+            "#1 removals-alternate [leaf] 174 settled per event, 0 leaf eval(s), ",
+            "#2 remove-takes-last-deposit [leaf] 68 settled per event, 0 leaf eval(s), ",
+        ] {
+            assert!(out.contains(row), "{row}\n{out}");
+        }
         assert_eq!(out.matches("; 0 batch eval(s)").count(), 3, "{out}");
         assert!(out.contains("incremental check: "), "{out}");
         assert!(out.contains("proven clean"), "{out}");

@@ -305,6 +305,11 @@ impl ComputationBuilder {
         &self.structure
     }
 
+    /// Shared handle to that structure (cheap to clone).
+    pub fn structure_arc(&self) -> Arc<Structure> {
+        Arc::clone(&self.structure)
+    }
+
     /// Adds an event of `class` at `element` carrying `params`.
     ///
     /// The event receives the next occurrence number at its element; the

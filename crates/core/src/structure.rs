@@ -537,6 +537,63 @@ impl Structure {
     }
 }
 
+/// [`Structure::may_enable`] memoised by `(from element, to element,
+/// class)`: a dense table, filled as triples are first asked, so the
+/// group-scope walk runs once per triple instead of once per edge. It
+/// answers for the structure it was sized for; an id outside that
+/// structure, or a structure too large for the table, is asked directly.
+#[derive(Clone, Debug, Default)]
+pub struct MayEnableMemo {
+    elements: usize,
+    classes: usize,
+    /// Per triple: 0 not asked yet, 1 no, 2 yes.
+    table: Vec<u8>,
+}
+
+impl MayEnableMemo {
+    /// Largest table kept, in triples.
+    const MAX_TRIPLES: usize = 1 << 20;
+
+    /// An empty memo sized for `s`.
+    pub fn new(s: &Structure) -> Self {
+        let (elements, classes) = (s.element_count(), s.class_count());
+        let triples = elements.saturating_mul(elements).saturating_mul(classes);
+        Self {
+            elements,
+            classes,
+            table: if triples <= Self::MAX_TRIPLES {
+                vec![0; triples]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    /// `s.may_enable(from, to_element, to_class)`, for the `s` this memo
+    /// was sized for.
+    pub fn may_enable(
+        &mut self,
+        s: &Structure,
+        from: ElementId,
+        to_element: ElementId,
+        to_class: ClassId,
+    ) -> bool {
+        let (n_el, n_cl) = (self.elements, self.classes);
+        let slot = (from.index() < n_el && to_element.index() < n_el && to_class.index() < n_cl)
+            .then(|| (from.index() * n_el + to_element.index()) * n_cl + to_class.index())
+            .and_then(|i| self.table.get_mut(i));
+        match slot {
+            Some(known) if *known != 0 => *known == 2,
+            Some(unknown) => {
+                let answer = s.may_enable(from, to_element, to_class);
+                *unknown = 1 + u8::from(answer);
+                answer
+            }
+            None => s.may_enable(from, to_element, to_class),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,6 +634,25 @@ mod tests {
                     "access(EL{}, EL{j}) should be {expect}",
                     i + 1
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn memoised_may_enable_matches_the_structure() {
+        let (s, els) = paper_example();
+        let touch = s.class("Touch").unwrap();
+        let mut memo = MayEnableMemo::new(&s);
+        // Twice over: the first round fills the table, the second reads it.
+        for _ in 0..2 {
+            for &a in &els {
+                for &b in &els {
+                    assert_eq!(
+                        memo.may_enable(&s, a, b, touch),
+                        s.may_enable(a, b, touch),
+                        "{a:?} -> {b:?}"
+                    );
+                }
             }
         }
     }

@@ -423,7 +423,8 @@ impl Explorer {
             &mut serial,
             &mut sys.initial(),
             &mut Vec::new(),
-            Vec::new(),
+            &mut Vec::new(),
+            0,
         );
         serial.finish()
     }
@@ -552,18 +553,25 @@ pub(crate) trait Walk<S: System> {
 }
 
 /// The schedule walk: depth-first from `state`, whose path from the
-/// initial state is `path` and whose inherited sleep set is `sleep`.
-/// Every exploration — serial, the parallel frontier, each parallel
-/// worker — is this function with a different [`Walk`].
+/// initial state is `path` and whose inherited sleep set is
+/// `sleep[base..]`. Every exploration — serial, the parallel frontier,
+/// each parallel worker — is this function with a different [`Walk`].
+///
+/// All sleep sets of a walk live on the one `sleep` stack: a node's set is
+/// the slice from its `base` up, a child's set is pushed above it and
+/// truncated on return, and the action just explored is then pushed onto
+/// the node's own set. Once the stack has grown to the deepest sleep set,
+/// sleep-set bookkeeping allocates nothing.
 pub(crate) fn walk<S: System, W: Walk<S>>(
     explorer: &Explorer,
     sys: &S,
     w: &mut W,
     state: &mut S::State,
     path: &mut Vec<S::Action>,
-    sleep: Vec<S::Action>,
+    sleep: &mut Vec<S::Action>,
+    base: usize,
 ) -> ControlFlow<W::Stop> {
-    if !w.enter(state, path, &sleep)? {
+    if !w.enter(state, path, &sleep[base..])? {
         return ControlFlow::Continue(());
     }
     // The run cap is checked at node entry, but the step cap just before
@@ -572,9 +580,9 @@ pub(crate) fn walk<S: System, W: Walk<S>>(
     // fully-slept node yields no run, so an exact run budget may be
     // flagged as truncated spuriously — the safe direction.)
     w.run_cap()?;
-    let actions = sys.enabled(state);
-    if actions.is_empty() || path.len() >= explorer.max_depth {
-        return w.leaf(state, path, !actions.is_empty());
+    let mut awake = sys.enabled(state);
+    if awake.is_empty() || path.len() >= explorer.max_depth {
+        return w.leaf(state, path, !awake.is_empty());
     }
     // Sleep-set partition: actions in the sleep set were already
     // explored (up to independent commutations) by an earlier sibling
@@ -582,13 +590,19 @@ pub(crate) fn walk<S: System, W: Walk<S>>(
     // entries are filtered to the still-enabled actions first — a slept
     // action that got disabled on the way down can no longer occur and
     // keeping it would only slow the membership tests.
-    // Both filters work in place, so a node allocates no second vector.
+    // Both filters work in place and keep the order of what they keep.
     // Without `reduce` every sleep set is empty.
-    let (mut awake, mut cur_sleep) = (actions, sleep);
     if explorer.reduce {
-        cur_sleep.retain(|b| awake.contains(b));
+        let mut kept = base;
+        for i in base..sleep.len() {
+            if awake.contains(&sleep[i]) {
+                sleep.swap(kept, i);
+                kept += 1;
+            }
+        }
+        sleep.truncate(kept);
         let enabled = awake.len();
-        awake.retain(|a| !cur_sleep.contains(a));
+        awake.retain(|a| !sleep[base..].contains(a));
         if awake.len() < enabled {
             w.skips(enabled - awake.len());
         }
@@ -605,23 +619,22 @@ pub(crate) fn walk<S: System, W: Walk<S>>(
         // (the state where both are enabled), before the checkpoint fast
         // path mutates it in place. Each oracle answer is attributed so
         // reduction payoff is explainable per instance.
-        let mut child_sleep = Vec::new();
-        let mut denials = 0;
-        for b in &cur_sleep {
-            if sys.independent(state, &action, b) {
-                child_sleep.push(b.clone());
-            } else {
-                denials += 1;
+        let child = sleep.len();
+        for i in base..child {
+            if sys.independent(state, &action, &sleep[i]) {
+                let b = sleep[i].clone();
+                sleep.push(b);
             }
         }
-        let grants = child_sleep.len();
+        let grants = sleep.len() - child;
+        let denials = child - base - grants;
         let flow = if let Some(cp) = sys.checkpoint(state) {
             // Fast path: mutate the one shared state down the edge and
             // roll it back afterwards — no clone of the accumulated trace.
             sys.apply(state, &action);
             w.edge(grants, denials);
             path.push(action);
-            let flow = walk(explorer, sys, w, state, path, child_sleep);
+            let flow = walk(explorer, sys, w, state, path, sleep, child);
             sys.undo(state, cp);
             flow
         } else {
@@ -629,11 +642,12 @@ pub(crate) fn walk<S: System, W: Walk<S>>(
             sys.apply(&mut next, &action);
             w.edge(grants, denials);
             path.push(action);
-            walk(explorer, sys, w, &mut next, path, child_sleep)
+            walk(explorer, sys, w, &mut next, path, sleep, child)
         };
+        sleep.truncate(child);
         let action = path.pop().expect("path underflow");
         if explorer.reduce {
-            cur_sleep.push(action);
+            sleep.push(action);
         }
         flow?;
     }

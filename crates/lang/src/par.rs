@@ -194,7 +194,8 @@ fn build_frontier<S: System>(explorer: &Explorer, sys: &S) -> (Vec<WorkItem<S>>,
         &mut frontier,
         &mut sys.initial(),
         &mut Vec::new(),
-        Vec::new(),
+        &mut Vec::new(),
+        0,
     );
     (frontier.items, frontier.ops)
 }
@@ -293,7 +294,11 @@ impl<S: System> Worker<'_, S> {
         let mut path = item.prefix;
         let mut state = item.state;
         let (explorer, sys) = (self.explorer, self.sys);
-        let finished = match walk(explorer, sys, &mut self, &mut state, &mut path, item.sleep) {
+        // The item's inherited sleep set seeds the walk's sleep stack.
+        let mut sleep = item.sleep;
+        let finished = match walk(
+            explorer, sys, &mut self, &mut state, &mut path, &mut sleep, 0,
+        ) {
             ControlFlow::Continue(()) => true,
             ControlFlow::Break(Stop::Truncated) => false,
             ControlFlow::Break(Stop::Abort) => return,

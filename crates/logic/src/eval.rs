@@ -342,6 +342,17 @@ pub fn holds_on_computation(formula: &Formula, world: &impl World) -> Result<boo
     holds_on(formula, world, &[FullHistory], &mut 0)
 }
 
+/// [`holds_on_computation`] with the variables of `scope` already bound:
+/// how the incremental checker judges one binding of a restriction it
+/// settles event by event ([`crate::incr`]).
+pub(crate) fn holds_bound(
+    formula: &Formula,
+    world: &impl World,
+    scope: &Scope,
+) -> Result<bool, EvalError> {
+    eval(formula, world, &[FullHistory], scope, &mut 0)
+}
+
 /// Evaluates `formula` on `seq`, adding the formula nodes visited to
 /// `nodes`.
 pub(crate) fn holds_on(

@@ -16,11 +16,13 @@
 //! 1. **Leaf** — restrictions with one value on every history sequence
 //!    of a computation: non-temporal ones (immediate assertions,
 //!    `Strategy::Complete` semantics) and history-stable temporal ones
-//!    (below). Nothing per-prefix is needed: the caller runs the one
-//!    formula evaluator,
-//!    [`holds_on_computation`](crate::holds_on_computation), at the leaf
-//!    over a [`World`] backed by its incremental projection state,
-//!    skipping seal/projection entirely. Nothing is compiled for them.
+//!    (below). Their value is the one formula evaluator's,
+//!    [`holds_on_computation`](crate::holds_on_computation), on the
+//!    complete leaf computation, read over a [`World`] backed by the
+//!    caller's incremental projection state, skipping seal/projection
+//!    entirely. A [`LeafPlan`] splits the restriction into its top-level
+//!    conjuncts and settles most of them event by event (below), so the
+//!    leaf evaluates only the rest.
 //! 2. **Box** — `◻ ∀x̄ · body` with a quantifier-free (after rewriting)
 //!    body. The negated body is put in disjunctive normal form; each
 //!    conjunct is a set of *In* events (must have occurred), *Out*
@@ -56,6 +58,66 @@
 //! `occurred` at the empty first history and finds the formula vacuously
 //! true, while the full history would judge `◇φ` for every `r`.
 //!
+//! ## Settling leaf conjuncts per event
+//!
+//! A leaf restriction holds iff each of its top-level conjuncts evaluates
+//! to `Ok(true)` on the complete computation (a false or failing conjunct
+//! makes the whole `∧` false or failing). [`LeafPlan`] gives each conjunct
+//! a [`Settle`] rule, which says when its value on the complete leaf
+//! computation is already fixed by the prefix. Each rule rests on prefix
+//! finality: for simulation-grown computations every edge targets the
+//! newest event, so once an event has arrived (with its edges), its
+//! selector match, parameters, occurrence number, thread tags and the
+//! order relations among it and older events never change, and no later
+//! event can precede it. Every atom except `new`, `potential` and `at`
+//! therefore has its final full-history value as soon as the events it
+//! names exist. Quantifiers are the remaining danger: their domains grow.
+//!
+//! A quantifier `Q y:S β` is *past-anchored* when its filter (the body for
+//! `∃`, `∃!` and at-most-one, the antecedent of a `∀` body `α ⊃ φ`) is a
+//! conjunction with a *guard* `y ⊳ a`, `y ⇒ₑ a` or `y ⇒ a`, where `a` is
+//! an anchor (defined below), and every conjunct before the guard is
+//! free of parameter terms, so it cannot raise an [`EvalError`]. A guard
+//! is false, without an error, for every `y` that arrives after `a`, and
+//! the conjuncts ahead of it are also error-free for such a `y`. The
+//! events that can still arrive therefore leave the quantifier's value
+//! and its first error as they are. A formula is past-anchored to a set
+//! of anchors when its atoms are final (not `new`, `potential` or `at`),
+//! it has no `◻` or `◇`, every event term is an anchor, and every
+//! quantifier in it is past-anchored, with its variable joining the
+//! anchors inside it.
+//!
+//! - **(a) Ground** ([`Settle::Ground`]): a conjunct past-anchored to the
+//!   `EL^k` terms it names, such as every conjunct of the bounded buffer's
+//!   `fifo-values`, `remove-after-deposit` and `capacity`. Once all the
+//!   `(element, k)` events it names exist, its value is final. It is
+//!   judged at the arrival of the last of them. The positions come from
+//!   compilation, so the caller indexes them and pays O(1) per event. A
+//!   term that never resolves (a partial run) leaves the conjunct to the
+//!   leaf.
+//! - **(b, c) Per binding** ([`Settle::PerBinding`]): `∀x₁:S₁ … ∀xₙ:Sₙ ψ`
+//!   with `ψ` past-anchored to `x₁ … xₙ`. Examples are the `∃!` half of
+//!   `prerequisite` and `getval-yields-latest-write` for n = 1, and the
+//!   quantifier-free `reads-isolated-from-writes` and
+//!   `neighbour-exclusion` for n = 2. `ψ` of one binding only reads events
+//!   up to its newest one, so each binding is judged once, when its newest
+//!   event arrives. The variables other than the newest one walk their
+//!   indexed candidates.
+//! - **(d) Per enabler** ([`Settle::PerEnabler`]): `∀s:S ≤1 t:T (s ⊳ t ∧
+//!   χ)` with `χ` past-anchored to `s` and `t`. This is the other half of
+//!   `prerequisite`. The at-most-one for a fixed `s` only changes when a
+//!   `T` event that `s` enables arrives, and it can only turn false. So it
+//!   is re-judged for the enablers of each arriving `T` event, and the last
+//!   judgement for `s` is its final value.
+//!
+//! Everything else stays at the leaf ([`Settle::AtLeaf`]). That covers a
+//! future-anchored quantifier (`∀x ∃y (x ⊳ y)`), `◇` bodies, `new`, `at`,
+//! and an `EL^k` term inside a `∀` prefix. All judging calls the one
+//! evaluator with the bound variables pre-set. A conjunct whose judgement
+//! is false or fails stays false for every extension, so the caller keeps
+//! it as a sticky violation. The leaf then needs only the conjuncts that
+//! did not settle.
+//!
 //! ## Why once-per-event is enough
 //!
 //! For simulation-grown computations every edge targets the newest
@@ -66,7 +128,11 @@
 //! events can never precede existing ones, so they neither enter the
 //! witness downsets nor break them. Each binding is therefore checked
 //! exactly once — when its newest event arrives — and violations are
-//! sticky for the whole DFS subtree below that point.
+//! sticky for the whole DFS subtree below that point. An event that no
+//! quantified variable's selector matches completes no binding, and the
+//! last variable it matches is the last one that can take it, so the
+//! enumeration binds it there at the latest instead of walking every
+//! candidate tuple to find that out.
 //!
 //! Unsupported constructs inside a `◻` body (positive `∃`, inner
 //! `∀`/`◇`, `new`/`potential`, non-variable event terms, thread-instance
@@ -78,9 +144,9 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use gem_core::{ThreadTypeId, Value};
+use gem_core::{ElementId, ThreadTypeId, Value};
 
-use crate::eval::param_value;
+use crate::eval::{holds_bound, param_value, Scope};
 use crate::{Atom, CmpOp, EvalError, EventSel, EventTerm, Formula, ParamRef, ValueTerm, World};
 
 /// Why a restriction could not be compiled incrementally. Recorded per
@@ -132,11 +198,11 @@ impl fmt::Display for FallbackReason {
 /// A compiled restriction.
 #[derive(Clone, Debug)]
 pub enum Compiled {
-    /// Non-temporal or history-stable (see the module docs): evaluate the
-    /// original formula at the leaf with
-    /// [`holds_on_computation`](crate::holds_on_computation) over the
-    /// caller's [`World`].
-    Leaf,
+    /// Non-temporal or history-stable (see the module docs): its value is
+    /// [`holds_on_computation`](crate::holds_on_computation) of the
+    /// original formula on the complete computation, settled conjunct by
+    /// conjunct as the [`LeafPlan`] says.
+    Leaf(LeafPlan),
     /// `◻∀*` shape: check bindings incrementally with
     /// [`BoxShape::check_event`].
     Boxed(BoxShape),
@@ -145,7 +211,449 @@ pub enum Compiled {
 impl Compiled {
     /// True for the leaf shape.
     pub fn is_leaf(&self) -> bool {
-        matches!(self, Compiled::Leaf)
+        matches!(self, Compiled::Leaf(_))
+    }
+}
+
+/// The top-level conjuncts of a leaf restriction, each with the rule that
+/// settles it (see the module docs).
+#[derive(Clone, Debug)]
+pub struct LeafPlan {
+    conjuncts: Vec<LeafConjunct>,
+    /// Every ground conjunct's positions, the highest per element: once
+    /// they all exist, only the [`Settle::AtLeaf`] conjuncts are left.
+    needs: Vec<(ElementId, usize)>,
+}
+
+impl LeafPlan {
+    /// Splits `formula` at its top-level (nested) `∧`s, in evaluation
+    /// order, and picks each conjunct's settle rule.
+    fn new(formula: &Formula) -> Self {
+        let mut parts = Vec::new();
+        flatten_and(formula, &mut parts);
+        let conjuncts = parts
+            .into_iter()
+            .map(|f| LeafConjunct {
+                settle: settle_rule(f),
+                formula: f.clone(),
+            })
+            .collect::<Vec<_>>();
+        let mut needs = Vec::new();
+        for c in &conjuncts {
+            if let Settle::Ground(own) = &c.settle {
+                for &(el, k) in own {
+                    need(&mut needs, el, k);
+                }
+            }
+        }
+        Self { conjuncts, needs }
+    }
+
+    /// The conjuncts, in evaluation order.
+    pub fn conjuncts(&self) -> &[LeafConjunct] {
+        &self.conjuncts
+    }
+
+    /// The conjuncts the leaf `world` must still evaluate, in evaluation
+    /// order: those not [`settled`](LeafConjunct::settled) on it.
+    pub fn unsettled<'p, W: World>(
+        &'p self,
+        world: &'p W,
+    ) -> impl Iterator<Item = &'p LeafConjunct> + 'p {
+        let all_ground = self
+            .needs
+            .iter()
+            .all(|&(el, k)| world.nth_at(el, k).is_some());
+        self.conjuncts.iter().filter(move |c| match c.settle {
+            Settle::AtLeaf => true,
+            Settle::Ground(_) => !all_ground && !c.settled(world),
+            Settle::PerBinding(_) | Settle::PerEnabler => false,
+        })
+    }
+}
+
+/// One top-level conjunct of a leaf restriction.
+#[derive(Clone, Debug)]
+pub struct LeafConjunct {
+    formula: Formula,
+    settle: Settle,
+}
+
+/// When a leaf conjunct's value on the complete computation becomes
+/// final (the rules (a)–(d) of the module docs).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Settle {
+    /// Judged at the leaf.
+    AtLeaf,
+    /// (a) Judged once, when the last of the `EL^k` events it names has
+    /// arrived: for each element it names, the highest `k`.
+    Ground(Vec<(ElementId, usize)>),
+    /// (b, c) `∀x₁ … ∀xₙ ψ` with this `n`: each binding judged when its
+    /// newest event arrives.
+    PerBinding(usize),
+    /// (d) `∀s:S ≤1 t:T (s ⊳ t ∧ χ)`: re-judged for the `S` enablers of
+    /// each arriving `T` event.
+    PerEnabler,
+}
+
+impl LeafConjunct {
+    /// The conjunct.
+    pub fn formula(&self) -> &Formula {
+        &self.formula
+    }
+
+    /// Its settle rule.
+    pub fn settle(&self) -> &Settle {
+        &self.settle
+    }
+
+    /// The selectors of the events whose arrival can settle a judgement
+    /// of a per-binding or per-enabler conjunct (the `∀` prefix, the
+    /// at-most-one's target): [`judge_event`](Self::judge_event) judges
+    /// nothing at an event none of them matches. Empty for the other
+    /// rules.
+    pub fn triggers(&self) -> Vec<&EventSel> {
+        match (&self.settle, &self.formula) {
+            (Settle::PerBinding(_), f) => forall_prefix(f).collect(),
+            (Settle::PerEnabler, Formula::ForAll(_, _, inner)) => match &**inner {
+                Formula::AtMostOne(_, target, _) => vec![target],
+                _ => Vec::new(),
+            },
+            _ => Vec::new(),
+        }
+    }
+
+    /// True when every judgement [`judge_event`](Self::judge_event) made
+    /// on the prefixes of `world` together decide the conjunct, so the
+    /// leaf need not evaluate it: always for the per-binding and
+    /// per-enabler rules, once every named event exists for a ground one.
+    pub fn settled(&self, world: &impl World) -> bool {
+        match &self.settle {
+            Settle::AtLeaf => false,
+            Settle::Ground(needs) => needs.iter().all(|&(el, k)| world.nth_at(el, k).is_some()),
+            Settle::PerBinding(_) | Settle::PerEnabler => true,
+        }
+    }
+
+    /// Judges what the arrival of event `t`, the newest event of `world`
+    /// with all its incoming edges, settles. Returns `Ok(true)` when all
+    /// of it holds (or nothing settled). A `false` or an error is final
+    /// for every extension, so the caller keeps it as a sticky violation
+    /// and stops judging this conjunct below it. `judged` counts the
+    /// evaluator calls.
+    ///
+    /// Call once per event, in emission order. For a ground conjunct the
+    /// caller may skip every event whose position its
+    /// [`Settle::Ground`] list does not name.
+    ///
+    /// # Errors
+    ///
+    /// The [`EvalError`] the evaluator raises for a settled binding.
+    pub fn judge_event(
+        &self,
+        world: &impl World,
+        t: usize,
+        judged: &mut u64,
+    ) -> Result<bool, EvalError> {
+        match &self.settle {
+            Settle::AtLeaf => Ok(true),
+            Settle::Ground(needs) => {
+                let at = (world.element_of(t), world.seq_of(t) as usize);
+                if !needs.contains(&at) || !self.settled(world) {
+                    return Ok(true);
+                }
+                *judged += 1;
+                holds_bound(&self.formula, world, &Scope::Empty)
+            }
+            Settle::PerBinding(n) => {
+                // As in `BoxShape::check_event`: the last variable whose
+                // selector `t` matches bounds where `t` can be bound.
+                let Some(last) = forall_prefix(&self.formula)
+                    .enumerate()
+                    .filter_map(|(depth, sel)| world.matches(sel, t).then_some(depth))
+                    .last()
+                else {
+                    return Ok(true);
+                };
+                let newest = Newest {
+                    world,
+                    t,
+                    vars: *n,
+                    last,
+                };
+                newest.bind(&self.formula, 0, false, &Scope::Empty, judged)
+            }
+            Settle::PerEnabler => {
+                let Formula::ForAll(s, sel, body) = &self.formula else {
+                    unreachable!("a per-enabler conjunct is ∀s ≤1 t");
+                };
+                let Formula::AtMostOne(_, target, _) = &**body else {
+                    unreachable!("a per-enabler conjunct is ∀s ≤1 t");
+                };
+                if !world.matches(target, t) {
+                    return Ok(true);
+                }
+                for e in world.enablers_of(t) {
+                    if !world.matches(sel, e) {
+                        continue;
+                    }
+                    *judged += 1;
+                    let scope = Scope::Bound {
+                        var: s,
+                        event: e,
+                        outer: &Scope::Empty,
+                    };
+                    if !holds_bound(body, world, &scope)? {
+                        return Ok(false);
+                    }
+                }
+                Ok(true)
+            }
+        }
+    }
+}
+
+/// The bindings of a per-binding conjunct whose newest bound event is
+/// `t`: the variable at `last`, the last one `t` can bind, takes `t`
+/// unless an earlier one did, and every other variable walks its
+/// candidates up to `t`.
+struct Newest<'w, W> {
+    world: &'w W,
+    t: usize,
+    /// The length of the `∀` prefix.
+    vars: usize,
+    last: usize,
+}
+
+impl<W: World> Newest<'_, W> {
+    /// Judges the bindings of the `∀` prefix of `f` from variable `depth`
+    /// on (`used_t` once an earlier variable took `t`).
+    fn bind(
+        &self,
+        f: &Formula,
+        depth: usize,
+        used_t: bool,
+        scope: &Scope,
+        judged: &mut u64,
+    ) -> Result<bool, EvalError> {
+        if !used_t && depth > self.last {
+            return Ok(true);
+        }
+        if depth == self.vars {
+            *judged += 1;
+            return holds_bound(f, self.world, scope);
+        }
+        let Formula::ForAll(var, sel, body) = f else {
+            unreachable!("a per-binding conjunct has a ∀ prefix of its length");
+        };
+        let bind = |e: usize, judged: &mut u64| {
+            let inner = Scope::Bound {
+                var,
+                event: e,
+                outer: scope,
+            };
+            self.bind(body, depth + 1, used_t || e == self.t, &inner, judged)
+        };
+        if !used_t && depth == self.last {
+            return bind(self.t, judged);
+        }
+        for e in self.world.candidates(sel).take_while(|&e| e <= self.t) {
+            if self.world.matches(sel, e) && !bind(e, judged)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// Records that the `k`-th event at `el` must exist: `needs` keeps the
+/// highest `k` per element.
+fn need(needs: &mut Vec<(ElementId, usize)>, el: ElementId, k: usize) {
+    match needs.iter_mut().find(|(e, _)| *e == el) {
+        Some((_, top)) => *top = (*top).max(k),
+        None => needs.push((el, k)),
+    }
+}
+
+/// The selectors of the leading `∀`s of `f`, outermost first.
+fn forall_prefix(f: &Formula) -> impl Iterator<Item = &EventSel> {
+    std::iter::successors(Some(f), |f| match f {
+        Formula::ForAll(_, _, inner) => Some(&**inner),
+        _ => None,
+    })
+    .filter_map(|f| match f {
+        Formula::ForAll(_, sel, _) => Some(sel),
+        _ => None,
+    })
+}
+
+/// Appends the top-level conjuncts of `f` (nested `∧`s flattened) in
+/// evaluation order.
+fn flatten_and<'a>(f: &'a Formula, out: &mut Vec<&'a Formula>) {
+    match f {
+        Formula::And(fs) => fs.iter().for_each(|g| flatten_and(g, out)),
+        f => out.push(f),
+    }
+}
+
+/// The settle rule of one top-level leaf conjunct (module docs).
+fn settle_rule(f: &Formula) -> Settle {
+    let mut vars: Vec<&str> = Vec::new();
+    let mut body = f;
+    while let Formula::ForAll(v, _, inner) = body {
+        vars.push(v);
+        body = inner;
+    }
+    let n = vars.len();
+    if n == 0 {
+        let mut anchors = Anchors {
+            vars,
+            needs: Some(Vec::new()),
+        };
+        return match (anchors.past_anchored(f), anchors.needs) {
+            (true, Some(needs)) if !needs.is_empty() => Settle::Ground(needs),
+            _ => Settle::AtLeaf,
+        };
+    }
+    if (Anchors { vars, needs: None }).past_anchored(body) {
+        return Settle::PerBinding(n);
+    }
+    if let Formula::ForAll(s, _, inner) = f {
+        if let Formula::AtMostOne(t, _, filter) = &**inner {
+            let mut parts = Vec::new();
+            flatten_and(filter, &mut parts);
+            let anchored_edge = matches!(
+                parts.first(),
+                Some(Formula::Atom(Atom::Enables(EventTerm::Var(a), EventTerm::Var(b))))
+                    if a == s && b == t && s != t
+            );
+            let mut anchors = Anchors {
+                vars: vec![s.as_str(), t.as_str()],
+                needs: None,
+            };
+            if anchored_edge && anchors.past_anchored(filter) {
+                return Settle::PerEnabler;
+            }
+        }
+    }
+    Settle::AtLeaf
+}
+
+/// The anchors a formula is checked against: bound variables, and in a
+/// ground conjunct the `EL^k` terms, whose highest position per element is
+/// collected in `needs` (`None` where such terms are not anchors).
+struct Anchors<'a> {
+    vars: Vec<&'a str>,
+    needs: Option<Vec<(ElementId, usize)>>,
+}
+
+impl<'a> Anchors<'a> {
+    /// True if `t` is an anchor (recording an `EL^k` position).
+    fn anchor(&mut self, t: &EventTerm) -> bool {
+        match t {
+            EventTerm::Var(v) => self.vars.iter().any(|a| a == v),
+            EventTerm::NthAt(el, k) => match &mut self.needs {
+                Some(needs) => {
+                    need(needs, *el, *k);
+                    true
+                }
+                None => false,
+            },
+            EventTerm::Fixed(_) => false,
+        }
+    }
+
+    /// True if `f` is past-anchored to these anchors (module docs).
+    fn past_anchored(&mut self, f: &'a Formula) -> bool {
+        match f {
+            Formula::True | Formula::False => true,
+            Formula::Atom(a) => self.final_atom(a),
+            Formula::Not(g) => self.past_anchored(g),
+            Formula::And(fs) | Formula::Or(fs) => fs.iter().all(|g| self.past_anchored(g)),
+            Formula::Implies(a, b) | Formula::Iff(a, b) => {
+                self.past_anchored(a) && self.past_anchored(b)
+            }
+            Formula::Henceforth(_) | Formula::Eventually(_) => false,
+            Formula::Exists(y, _, body)
+            | Formula::ExistsUnique(y, _, body)
+            | Formula::AtMostOne(y, _, body) => self.guarded(y, body) && self.within(y, body),
+            Formula::ForAll(y, _, body) => match &**body {
+                Formula::Implies(filter, _) => self.guarded(y, filter) && self.within(y, body),
+                _ => false,
+            },
+        }
+    }
+
+    /// `body` is past-anchored with `y` joining the anchors.
+    fn within(&mut self, y: &'a str, body: &'a Formula) -> bool {
+        self.vars.push(y);
+        let ok = self.past_anchored(body);
+        self.vars.pop();
+        ok
+    }
+
+    /// True if a conjunct of `filter` is a guard `y ⊳ a`, `y ⇒ₑ a` or
+    /// `y ⇒ a` with `a` an anchor, and the conjuncts before it cannot
+    /// raise an evaluation error.
+    fn guarded(&mut self, y: &str, filter: &Formula) -> bool {
+        let mut parts = Vec::new();
+        flatten_and(filter, &mut parts);
+        for (i, part) in parts.iter().enumerate() {
+            let Formula::Atom(
+                Atom::Enables(EventTerm::Var(v), a)
+                | Atom::ElementPrecedes(EventTerm::Var(v), a)
+                | Atom::TemporallyPrecedes(EventTerm::Var(v), a),
+            ) = part
+            else {
+                continue;
+            };
+            if v == y && !matches!(a, EventTerm::Var(w) if w == y) && self.anchor(a) {
+                return parts[..i].iter().all(|p| !reads_params(p));
+            }
+        }
+        false
+    }
+
+    /// True if the atom's value is final once the events it names exist,
+    /// and each of them is an anchor.
+    fn final_atom(&mut self, a: &Atom) -> bool {
+        match a {
+            Atom::New(_) | Atom::Potential(_) | Atom::AtControlPoint(..) => false,
+            Atom::Occurred(t)
+            | Atom::AtElement(t, _)
+            | Atom::InClass(t, _)
+            | Atom::Matches(t, _) => self.anchor(t),
+            Atom::Enables(a, b)
+            | Atom::ElementPrecedes(a, b)
+            | Atom::TemporallyPrecedes(a, b)
+            | Atom::Concurrent(a, b)
+            | Atom::EventEq(a, b)
+            | Atom::SameThread(a, b, _)
+            | Atom::DistinctThreads(a, b, _) => self.anchor(a) && self.anchor(b),
+            Atom::ValueCmp(_, l, r) => [l, r].into_iter().all(|v| match v {
+                ValueTerm::Const(_) => true,
+                ValueTerm::Param(t, _) | ValueTerm::SeqOf(t) => self.anchor(t),
+            }),
+        }
+    }
+}
+
+/// True if `f` reads an event parameter anywhere: the only atom that can
+/// raise an [`EvalError`] on a formula without unbound variables.
+fn reads_params(f: &Formula) -> bool {
+    match f {
+        Formula::True | Formula::False => false,
+        Formula::Atom(Atom::ValueCmp(_, l, r)) => [l, r]
+            .into_iter()
+            .any(|v| matches!(v, ValueTerm::Param(..))),
+        Formula::Atom(_) => false,
+        Formula::Not(g) | Formula::Henceforth(g) | Formula::Eventually(g) => reads_params(g),
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().any(reads_params),
+        Formula::Implies(a, b) | Formula::Iff(a, b) => reads_params(a) || reads_params(b),
+        Formula::ForAll(_, _, g)
+        | Formula::Exists(_, _, g)
+        | Formula::ExistsUnique(_, _, g)
+        | Formula::AtMostOne(_, _, g) => reads_params(g),
     }
 }
 
@@ -269,7 +777,7 @@ pub fn compile(formula: &Formula) -> Result<Compiled, FallbackReason> {
         if formula.is_temporal() {
             history_stable(formula, false, None)?;
         }
-        return Ok(Compiled::Leaf);
+        return Ok(Compiled::Leaf(LeafPlan::new(formula)));
     };
     // Peel the ∀ prefix.
     let mut vars: Vec<QVar> = Vec::new();
@@ -880,7 +1388,13 @@ impl BoxShape {
                 Ok(false)
             };
         }
-        self.enumerate(world, n, 0, false, binding)
+        // A binding whose newest event is `n` binds some variable to `n`,
+        // so `n` must match that variable's selector: past the last such
+        // variable no binding is left to complete.
+        let Some(last) = self.vars.iter().rposition(|v| world.matches(&v.sel, n)) else {
+            return Ok(false);
+        };
+        self.enumerate(world, n, 0, false, last, binding)
     }
 
     fn enumerate(
@@ -889,30 +1403,27 @@ impl BoxShape {
         n: usize,
         depth: usize,
         used_n: bool,
+        last: usize,
         binding: &mut [usize],
     ) -> Result<bool, EvalError> {
+        if !used_n && depth > last {
+            return Ok(false);
+        }
         if depth == self.vars.len() {
-            return if used_n {
-                self.check_binding(world, binding)
-            } else {
-                Ok(false)
-            };
+            return self.check_binding(world, binding);
+        }
+        if !used_n && depth == last {
+            // No later variable can take `n`, so this one must.
+            binding[depth] = n;
+            return self.enumerate(world, n, depth + 1, true, last, binding);
         }
         let sel = &self.vars[depth].sel;
-        if !used_n && depth + 1 == self.vars.len() {
-            // The last variable must take `n` itself.
-            if !world.matches(sel, n) {
-                return Ok(false);
-            }
-            binding[depth] = n;
-            return self.enumerate(world, n, depth + 1, true, binding);
-        }
         for e in world.candidates(sel).take_while(|&e| e <= n) {
             if !world.matches(sel, e) {
                 continue;
             }
             binding[depth] = e;
-            if self.enumerate(world, n, depth + 1, used_n || e == n, binding)? {
+            if self.enumerate(world, n, depth + 1, used_n || e == n, last, binding)? {
                 return Ok(true);
             }
         }
@@ -1081,6 +1592,7 @@ fn vterm_value<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::holds_on_computation;
     use gem_core::{Computation, ComputationBuilder, EventId, Structure};
 
     /// Feed every event through a BoxShape in emission order; true if
@@ -1541,6 +2053,246 @@ mod tests {
             crate::check(&f, &c, crate::Strategy::Linearizations { limit: 100_000 }).unwrap();
         assert!(!batch.holds);
         assert!(replay(&shape, &c), "the incremental check must see it too");
+    }
+
+    /// The settle rule of `f`, a leaf restriction of one conjunct.
+    fn rule(f: &Formula) -> Settle {
+        let Ok(Compiled::Leaf(plan)) = compile(f) else {
+            panic!("a leaf restriction: {f:?}");
+        };
+        assert_eq!(plan.conjuncts().len(), 1, "{f:?}");
+        plan.conjuncts()[0].settle().clone()
+    }
+
+    /// Judges `f`'s single conjunct on every prefix of `c` (a
+    /// computation whose edges point forward in id order, as simulation
+    /// grows them), returning whether every judgement held and how many
+    /// evaluator calls were made.
+    fn settle_along(f: &Formula, c: &Computation) -> (bool, u64) {
+        let Ok(Compiled::Leaf(plan)) = compile(f) else {
+            panic!("a leaf restriction");
+        };
+        let conjunct = &plan.conjuncts()[0];
+        let (mut holds, mut judged) = (true, 0);
+        for n in 1..=c.event_count() {
+            let prefix = prefix_of(c, n);
+            holds &= conjunct.judge_event(&prefix, n - 1, &mut judged) == Ok(true);
+        }
+        (holds, judged)
+    }
+
+    /// The computation of the first `n` events of `c` and the edges among
+    /// them.
+    fn prefix_of(c: &Computation, n: usize) -> Computation {
+        let mut b = ComputationBuilder::new(c.structure_arc());
+        for e in &c.events()[..n] {
+            let id = b
+                .add_event(e.element(), e.class(), e.params().to_vec())
+                .unwrap();
+            for t in e.threads() {
+                b.tag_thread(id, *t).unwrap();
+            }
+        }
+        for from in (0..n).map(|i| EventId::from_raw(i as u32)) {
+            for &to in c.enabled_from(from) {
+                if to.index() < n {
+                    b.enable(from, to).unwrap();
+                }
+            }
+        }
+        b.seal().unwrap()
+    }
+
+    #[test]
+    fn leaf_plans_pick_the_settle_rule_of_each_shape() {
+        let c = two_user_comp(true);
+        let s = c.structure();
+        let (req, start, end) = (
+            s.class("Req").unwrap(),
+            s.class("Start").unwrap(),
+            s.class("End").unwrap(),
+        );
+        let (u1, u2) = (s.element("U1").unwrap(), s.element("U2").unwrap());
+        let ty = ThreadTypeId::from_raw(0);
+        let nth = |el, k| EventTerm::NthAt(el, k);
+        // (a) A ground conjunct needs the highest position per element.
+        let ground = Formula::occurred(nth(u1, 2))
+            .implies(Formula::precedes(nth(u1, 0), nth(u1, 2)).and(Formula::occurred(nth(u2, 1))));
+        assert_eq!(rule(&ground), Settle::Ground(vec![(u1, 2), (u2, 1)]));
+        // (b) The ∃! half of a prerequisite, and a ∃ guarded after a
+        // parameter-free conjunct with a nested guarded ¬∃.
+        let each_enabled = Formula::forall(
+            "t",
+            EventSel::of_class(start),
+            Formula::occurred("t").implies(Formula::exists_unique(
+                "s",
+                EventSel::of_class(req),
+                Formula::enables("s", "t"),
+            )),
+        );
+        assert_eq!(rule(&each_enabled), Settle::PerBinding(1));
+        let latest = Formula::forall(
+            "e",
+            EventSel::of_class(end),
+            Formula::exists(
+                "s",
+                EventSel::any(),
+                Formula::matches("s", EventSel::of_class(start))
+                    .and(Formula::precedes("s", "e"))
+                    .and(
+                        Formula::exists(
+                            "r",
+                            EventSel::any(),
+                            Formula::precedes("r", "e").and(Formula::precedes("s", "r")),
+                        )
+                        .not(),
+                    ),
+            ),
+        );
+        assert_eq!(rule(&latest), Settle::PerBinding(1));
+        // (c) Two variables, quantifier-free.
+        let isolated = Formula::forall(
+            "a",
+            EventSel::of_class(start),
+            Formula::forall(
+                "b",
+                EventSel::of_class(end),
+                Formula::same_thread("a", "b", ty)
+                    .not()
+                    .implies(Formula::concurrent("a", "b").not()),
+            ),
+        );
+        assert_eq!(rule(&isolated), Settle::PerBinding(2));
+        // (d) The at-most-one half of a prerequisite.
+        let at_most_one = Formula::forall(
+            "s",
+            EventSel::of_class(req),
+            Formula::at_most_one("t", EventSel::of_class(start), Formula::enables("s", "t")),
+        );
+        assert_eq!(rule(&at_most_one), Settle::PerEnabler);
+        // A restriction splits at every top-level ∧, nested ones too.
+        let Ok(Compiled::Leaf(plan)) = compile(&Formula::And(vec![
+            each_enabled.clone().and(at_most_one),
+            ground,
+        ])) else {
+            panic!("a leaf restriction");
+        };
+        let rules: Vec<_> = plan
+            .conjuncts()
+            .iter()
+            .map(|c| c.settle().clone())
+            .collect();
+        assert_eq!(
+            rules,
+            [
+                Settle::PerBinding(1),
+                Settle::PerEnabler,
+                Settle::Ground(vec![(u1, 2), (u2, 1)])
+            ]
+        );
+        // Every settled value equals the full-history evaluation.
+        for interleave in [false, true] {
+            let c = two_user_comp(interleave);
+            for f in [
+                &each_enabled,
+                &latest,
+                &isolated,
+                &plan.conjuncts()[1].formula,
+            ] {
+                let (settled, judged) = settle_along(f, &c);
+                assert!(judged > 0, "{f:?}");
+                assert_eq!(settled, holds_on_computation(f, &c) == Ok(true), "{f:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_at_most_one_is_rejudged_for_every_enabler_of_a_target() {
+        // `a1` enables both `Act` events, but at the second one's arrival
+        // it is the second of two enablers: only re-judging every enabler
+        // sees the violation.
+        let mut s = Structure::new();
+        let (src, act) = (
+            s.add_class("Src", &[]).unwrap(),
+            s.add_class("Act", &[]).unwrap(),
+        );
+        let p = s.add_element("P", &[src, act]).unwrap();
+        let mut b = ComputationBuilder::new(s);
+        let a0 = b.add_event(p, src, vec![]).unwrap();
+        let a1 = b.add_event(p, src, vec![]).unwrap();
+        let t1 = b.add_event(p, act, vec![]).unwrap();
+        b.enable(a1, t1).unwrap();
+        let t2 = b.add_event(p, act, vec![]).unwrap();
+        b.enable(a0, t2).unwrap();
+        b.enable(a1, t2).unwrap();
+        let c = b.seal().unwrap();
+        let f = Formula::forall(
+            "s",
+            EventSel::of_class(src),
+            Formula::at_most_one("t", EventSel::of_class(act), Formula::enables("s", "t")),
+        );
+        assert_eq!(rule(&f), Settle::PerEnabler);
+        assert_eq!(holds_on_computation(&f, &c), Ok(false));
+        assert_eq!(settle_along(&f, &c), (false, 3));
+    }
+
+    #[test]
+    fn shapes_that_must_stay_at_the_leaf() {
+        let all = |v: &str, f: Formula| Formula::forall(v, EventSel::any(), f);
+        let some = |v: &str, f: Formula| Formula::exists(v, EventSel::any(), f);
+        let el = ElementId::from_raw(0);
+        let cases = [
+            // A future-anchored ∃: y arrives after x.
+            all("x", some("y", Formula::enables("x", "y"))),
+            // No guard at all, and a guard on the wrong side.
+            all("x", some("y", Formula::concurrent("y", "x"))),
+            all("x", some("y", Formula::precedes("x", "y"))),
+            // A ∀ below the prefix whose antecedent is not a guard.
+            all(
+                "x",
+                Formula::occurred("x")
+                    .implies(all("y", Formula::occurred("y").implies(Formula::True))),
+            ),
+            // A parameter read ahead of the guard could fail for a later y.
+            all(
+                "x",
+                some(
+                    "y",
+                    Formula::value_eq(ValueTerm::param("y", 0usize), ValueTerm::lit(1i64))
+                        .and(Formula::enables("y", "x")),
+                ),
+            ),
+            // ◇ bodies.
+            all("x", some("y", Formula::enables("y", "x")).eventually()),
+            Formula::occurred(EventTerm::NthAt(el, 0)).eventually(),
+            // Atoms whose value moves with later events.
+            all("x", Formula::is_new("x").or(Formula::True)),
+            all("x", Formula::at_control("x", EventSel::any())),
+            // An EL^k term under a ∀ prefix.
+            all("x", Formula::precedes(EventTerm::NthAt(el, 0), "x")),
+            // Nothing to wait for.
+            Formula::False.not(),
+        ];
+        for f in cases {
+            assert_eq!(rule(&f), Settle::AtLeaf, "{f:?}");
+        }
+        // An `EL^k` that never resolves leaves its ground conjunct to the
+        // leaf: nothing is judged along the way and it never settles.
+        let c = two_user_comp(false);
+        let u1 = c.structure().element("U1").unwrap();
+        let f = Formula::occurred(EventTerm::NthAt(u1, 5))
+            .not()
+            .or(Formula::precedes(
+                EventTerm::NthAt(u1, 0),
+                EventTerm::NthAt(u1, 5),
+            ));
+        assert_eq!(rule(&f), Settle::Ground(vec![(u1, 5)]));
+        assert_eq!(settle_along(&f, &c), (true, 0));
+        let Ok(Compiled::Leaf(plan)) = compile(&f) else {
+            panic!("a leaf restriction");
+        };
+        assert!(!plan.conjuncts()[0].settled(&c));
+        assert_eq!(plan.unsettled(&c).count(), 1);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   computation with [`check_many`] (or [`check`] for one) under a
 //!   [`Strategy`]: one shared walk over the sequences.
 //! * [`incr`] compiles `◻∀*` restrictions into per-event evaluators for
-//!   prefix-sharing exploration, and marks the restrictions with one value
-//!   on every history sequence (non-temporal, or history-stable `◇`) for
-//!   a single evaluation at the leaf.
+//!   prefix-sharing exploration. The restrictions with one value on every
+//!   history sequence (non-temporal, or history-stable `◇`) get a
+//!   [`incr::LeafPlan`]: most of their conjuncts are settled event by
+//!   event, the rest are evaluated once at the leaf.
 //!
 //! ## Example: a safety restriction over all interleavings
 //!

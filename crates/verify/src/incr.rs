@@ -11,14 +11,20 @@
 //! to, or an event that gained an edge since — and replays the suffix
 //! from there, consuming the builder's edge journals from
 //! [`ComputationBuilder::journal_at`]. Replaying an event matches the
-//! correspondence, projects enable edges through insignificant events,
-//! assigns thread tags, and advances every compiled restriction
-//! ([`gem_logic::incr`]) by O(formula). The per-event rows rewound at an
-//! undo stay allocated as spares, so a replay without string parameters
-//! allocates nothing once the deepest leaf has been seen, and neither does
-//! judging the leaf restrictions ([`gem_logic`]'s evaluator binds
-//! variables on the stack and walks the per-class and per-element rows
-//! kept here).
+//! correspondence, projects enable edges through insignificant events
+//! (scope legality read from memoised `may_enable` tables), assigns
+//! thread tags, advances every compiled `◻∀*` restriction by O(formula),
+//! and settles the leaf-restriction conjuncts whose value the event makes
+//! final ([`gem_logic::incr::LeafPlan`]): the ground ones naming the
+//! event's position, found in an index by `(element, k)`, and the
+//! per-binding and per-enabler ones whose trigger selectors name its
+//! class. A settled conjunct that fails is a sticky violation of its
+//! restriction; the leaf evaluates only the conjuncts that did not settle.
+//! The per-event rows rewound at an undo stay allocated as spares, so a
+//! replay without string parameters allocates nothing once the deepest
+//! leaf has been seen, and neither does judging the leaf restrictions
+//! ([`gem_logic`]'s evaluator binds variables on the stack and walks the
+//! per-class and per-element rows kept here).
 //!
 //! A leaf that finishes **clean** — no incremental violation, no
 //! condition the incremental pipeline cannot reproduce — is guaranteed to
@@ -39,8 +45,11 @@
 //! binding over *any* downset falsifies, which implies the batch checker
 //! (which samples history sequences of the same computation) also finds
 //! no counterexample. Leaf restrictions have the same value on every
-//! history sequence ([`gem_logic::incr`]), so judging them once on the
-//! complete leaf computation is exact. Equal stamps mean the same event with the same
+//! history sequence ([`gem_logic::incr`]), so judging them on the
+//! complete leaf computation is exact; a conjunct settled during replay
+//! has its complete-computation value already, and a leaf under a
+//! settled violation evaluates the whole restriction before it falls back
+//! to batch. Equal stamps mean the same event with the same
 //! incoming edges, in any builder (clones draw their own stamps), so the
 //! state kept for the events before the first differing stamp is exactly
 //! the state a fresh replay would build. A journal whose targets run out
@@ -52,8 +61,10 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Instant;
 
-use gem_core::{ClassId, ComputationBuilder, ElementId, EventId, Structure, ThreadTypeId, Value};
-use gem_logic::incr::{compile, Compiled};
+use gem_core::{
+    ClassId, ComputationBuilder, ElementId, EventId, MayEnableMemo, Structure, ThreadTypeId, Value,
+};
+use gem_logic::incr::{compile, Compiled, Settle};
 use gem_logic::{holds_on_computation, EventSel, Formula, World};
 use gem_spec::{Specification, ThreadSpec};
 
@@ -90,11 +101,17 @@ pub enum LeafStatus {
 /// One restriction, compiled (or not) for incremental checking.
 struct CompiledRestriction {
     name: String,
-    formula: Formula,
     compiled: Option<Compiled>,
     /// For a leaf restriction, its `logic.incr.leaf_eval.by_restriction`
-    /// counter and timer keys, formatted once.
-    leaf_keys: Option<[String; 2]>,
+    /// keys, formatted once: conjuncts evaluated at the leaf, their time,
+    /// and judgements settled per event.
+    leaf_keys: Option<LeafKeys>,
+}
+
+struct LeafKeys {
+    evals: String,
+    ns: String,
+    settled: String,
 }
 
 /// One row per event. Rewinding keeps the dropped rows allocated (and
@@ -196,12 +213,28 @@ pub struct IncrChecker {
     threads: Vec<ThreadSpec>,
     check_program_legality: bool,
     restrictions: Vec<CompiledRestriction>,
+    /// `ground_at[element][k]`: the `(restriction, conjunct)` ground leaf
+    /// conjuncts that name the `k`-th event at `element`, whose arrival
+    /// may settle them.
+    ground_at: Vec<Vec<Vec<(usize, usize)>>>,
+    /// `by_class[class]`: the per-binding and per-enabler leaf conjuncts
+    /// an arriving event of `class` may settle (their trigger selectors
+    /// name it).
+    by_class: Vec<Vec<(usize, usize)>>,
+    /// The per-binding and per-enabler leaf conjuncts with a trigger
+    /// selector of no class, judged on every projected event.
+    any_class: Vec<(usize, usize)>,
     /// Set at construction when any restriction (or thread declaration)
     /// cannot be handled: the whole sweep uses batch checking.
     global_fallback: bool,
     /// Sticky runtime disable: an out-of-order journal entry broke the
     /// prefix-finality assumption, so no later leaf may trust the state.
     disabled: bool,
+
+    /// `may_enable` answers of the problem structure, and of the program
+    /// structure of the builders synced (with that structure), memoised.
+    problem_scope: MayEnableMemo,
+    program_scope: Option<(Arc<Structure>, MayEnableMemo)>,
 
     // Program-side synced state.
     /// The builder's change stamp of every synced program event.
@@ -213,8 +246,13 @@ pub struct IncrChecker {
 
     spec: SpecEvents,
     /// Per restriction: program-event indices where an incremental
-    /// violation was found (ascending; sticky below that point).
+    /// violation was found, or for a leaf restriction where a settled
+    /// conjunct was judged false (ascending; sticky below that point).
     violations: Vec<Vec<u32>>,
+    /// Per restriction: judgements settled since the last flush to the
+    /// ambient probe (`logic.incr.leaf_eval.*.settled`), which happens
+    /// once per sync rather than once per judgement.
+    settled: Vec<u64>,
     /// Program-event indices at which a condition arose that only the
     /// batch pipeline reproduces (legality/projection failures, ambiguous
     /// thread tags, evaluation errors). Ascending.
@@ -245,28 +283,37 @@ impl IncrChecker {
         let mut fallback_n = 0u64;
         let mut global_fallback = false;
         for (i, r) in problem.restrictions().iter().enumerate() {
+            let counting = gem_obs::ambient::active();
             let compiled = match compile(&r.formula) {
                 Ok(c) => {
                     compiled_n += 1;
-                    obs_add(&format!("logic.incr.restriction.{}.incremental", r.name), 1);
+                    if counting {
+                        obs_add(&format!("logic.incr.restriction.{}.incremental", r.name), 1);
+                    }
                     Some(c)
                 }
                 Err(reason) => {
                     fallback_n += 1;
                     global_fallback = true;
-                    obs_add(
-                        &format!("logic.incr.restriction.{}.fallback.{}", r.name, reason),
-                        1,
-                    );
+                    if counting {
+                        obs_add(
+                            &format!("logic.incr.restriction.{}.fallback.{}", r.name, reason),
+                            1,
+                        );
+                    }
                     None
                 }
             };
-            let leaf_keys = matches!(compiled, Some(Compiled::Leaf)).then(|| {
-                ["evals", "ns"].map(|k| format!("logic.incr.leaf_eval.by_restriction.{i}.{k}"))
+            let leaf_keys = matches!(compiled, Some(Compiled::Leaf(_))).then(|| {
+                let key = |k: &str| format!("logic.incr.leaf_eval.by_restriction.{i}.{k}");
+                LeafKeys {
+                    evals: key("evals"),
+                    ns: key("ns"),
+                    settled: key("settled"),
+                }
             });
             restrictions.push(CompiledRestriction {
                 name: r.name.clone(),
-                formula: r.formula.clone(),
                 compiled,
                 leaf_keys,
             });
@@ -284,13 +331,61 @@ impl IncrChecker {
         }
         obs_add("logic.incr.restrictions.compiled", compiled_n);
         obs_add("logic.incr.restrictions.fallback", fallback_n);
+        // Index the leaf settle plans: ground conjuncts under each position
+        // they name, the other settleable ones judged on every event.
+        let mut ground_at = vec![Vec::new(); problem.structure().element_count()];
+        let mut by_class = vec![Vec::new(); problem.structure().class_count()];
+        let mut any_class = Vec::new();
+        for (ri, r) in restrictions.iter().enumerate() {
+            let Some(Compiled::Leaf(plan)) = &r.compiled else {
+                continue;
+            };
+            for (ci, c) in plan.conjuncts().iter().enumerate() {
+                match c.settle() {
+                    Settle::AtLeaf => {}
+                    Settle::Ground(needs) => {
+                        for &(el, k) in needs {
+                            let Some(row) = ground_at.get_mut(el.index()) else {
+                                continue;
+                            };
+                            if row.len() <= k {
+                                row.resize(k + 1, Vec::new());
+                            }
+                            row[k].push((ri, ci));
+                        }
+                    }
+                    Settle::PerBinding(_) | Settle::PerEnabler => {
+                        let classes: Option<Vec<ClassId>> = c
+                            .triggers()
+                            .iter()
+                            .map(|sel| sel.class.filter(|cl| cl.index() < by_class.len()))
+                            .collect();
+                        match classes {
+                            Some(mut classes) => {
+                                classes.sort();
+                                classes.dedup();
+                                for cl in classes {
+                                    by_class[cl.index()].push((ri, ci));
+                                }
+                            }
+                            None => any_class.push((ri, ci)),
+                        }
+                    }
+                }
+            }
+        }
         let n_restrictions = restrictions.len();
         Self {
             problem: problem.structure_arc(),
+            problem_scope: MayEnableMemo::new(problem.structure()),
+            program_scope: None,
             pairs: corr.pairs().to_vec(),
             threads: problem.threads().to_vec(),
             check_program_legality,
             restrictions,
+            ground_at,
+            by_class,
+            any_class,
             global_fallback,
             disabled: false,
             stamps: Vec::new(),
@@ -302,6 +397,7 @@ impl IncrChecker {
                 ..SpecEvents::default()
             },
             violations: vec![Vec::new(); n_restrictions],
+            settled: vec![0; n_restrictions],
             batch_required: Vec::new(),
             tag_scratch: Vec::new(),
             binding: Vec::new(),
@@ -325,6 +421,12 @@ impl IncrChecker {
             return LeafStatus::Fallback;
         }
         obs_add("logic.incr.syncs", 1);
+
+        // The program-side scope memo belongs to one structure; the
+        // `Arc` kept with it pins that structure's address.
+        if !matches!(&self.program_scope, Some((s, _)) if std::ptr::eq(&**s, b.structure())) {
+            self.program_scope = Some((b.structure_arc(), MayEnableMemo::new(b.structure())));
+        }
 
         // A linear scan, not a binary search: a retroactive edge restamps
         // an older event, so stamp equality is not prefix-closed.
@@ -375,6 +477,7 @@ impl IncrChecker {
             }
             self.finalize_event(b, i);
         }
+        self.flush_settled();
         if epos < bej.len() || ppos < bpj.len() {
             // Entries targeting events that were already finalized:
             // retroactive edges break prefix finality.
@@ -386,13 +489,23 @@ impl IncrChecker {
             obs_add("logic.incr.leaf_fallback", 1);
             return LeafStatus::Fallback;
         }
-        if !self.batch_required.is_empty() || self.violations.iter().any(|v| !v.is_empty()) {
+        let boxed_violation = self
+            .restrictions
+            .iter()
+            .zip(&self.violations)
+            .any(|(r, v)| !v.is_empty() && matches!(r.compiled, Some(Compiled::Boxed(_))));
+        if !self.batch_required.is_empty() || boxed_violation {
             obs_add("logic.incr.leaf_fallback", 1);
             return LeafStatus::Fallback;
         }
         // Leaf restrictions (non-temporal or history-stable `◇`) have one
         // value on every history sequence: the one the batch evaluator
-        // gives on the full history, reading the synced projection.
+        // gives on the full history, reading the synced projection. The
+        // conjuncts settled during replay are known to hold; the leaf
+        // evaluates the rest. A restriction with a settled violation takes
+        // the full-history evaluation of all its conjuncts, in order, as
+        // every leaf restriction did before settling, so the verdict never
+        // rests on a settle alone.
         let world = SpecWorld {
             spec: &self.spec,
             threads: &self.threads,
@@ -401,19 +514,28 @@ impl IncrChecker {
         };
         let counting = gem_obs::ambient::active();
         let timing = gem_obs::ambient::timings_active();
-        for r in &self.restrictions {
-            let Some([evals, ns]) = &r.leaf_keys else {
-                continue;
-            };
+        let judge = |f: &Formula, keys: &LeafKeys| {
             let started = timing.then(Instant::now);
-            let holds = holds_on_computation(&r.formula, &world) == Ok(true);
+            let holds = holds_on_computation(f, &world) == Ok(true);
             if counting {
-                gem_obs::ambient::add(evals, 1);
+                gem_obs::ambient::add(&keys.evals, 1);
+                gem_obs::ambient::add("logic.incr.leaf_eval.at_leaf", 1);
             }
             if let Some(started) = started {
                 let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                gem_obs::ambient::time_ns(ns, elapsed);
+                gem_obs::ambient::time_ns(&keys.ns, elapsed);
             }
+            holds
+        };
+        for (r, violations) in self.restrictions.iter().zip(&self.violations) {
+            let (Some(Compiled::Leaf(plan)), Some(keys)) = (&r.compiled, &r.leaf_keys) else {
+                continue;
+            };
+            let holds = if violations.is_empty() {
+                plan.unsettled(&world).all(|c| judge(c.formula(), keys))
+            } else {
+                plan.conjuncts().iter().all(|c| judge(c.formula(), keys))
+            };
             if !holds {
                 obs_add("logic.incr.leaf_fallback", 1);
                 return LeafStatus::Fallback;
@@ -423,7 +545,22 @@ impl IncrChecker {
         LeafStatus::Clean
     }
 
+    /// Adds the judgements settled during the last replay to the ambient
+    /// probe's counters.
+    fn flush_settled(&mut self) {
+        let counting = gem_obs::ambient::active();
+        for (r, n) in self.restrictions.iter().zip(&mut self.settled) {
+            if counting && *n > 0 {
+                let keys = r.leaf_keys.as_ref().expect("only leaf restrictions settle");
+                gem_obs::ambient::add(&keys.settled, *n);
+                gem_obs::ambient::add("logic.incr.leaf_eval.settled", *n);
+            }
+            *n = 0;
+        }
+    }
+
     fn disable(&mut self) -> LeafStatus {
+        self.flush_settled();
         self.disabled = true;
         obs_add("logic.incr.disabled", 1);
         obs_add("logic.incr.leaf_fallback", 1);
@@ -545,7 +682,8 @@ impl IncrChecker {
         if self.check_program_legality {
             let ps = b.structure();
             let (ef, et) = (&b.events()[from], &b.events()[i]);
-            if !ps.may_enable(ef.element(), et.element(), et.class()) {
+            let scope = &mut self.program_scope.as_mut().expect("set by sync_to").1;
+            if !scope.may_enable(ps, ef.element(), et.element(), et.class()) {
                 self.push_batch(i);
             }
         }
@@ -562,7 +700,8 @@ impl IncrChecker {
                     if self.spec.enables_out[s as usize].contains(&t) {
                         continue;
                     }
-                    if !self.problem.may_enable(
+                    if !self.problem_scope.may_enable(
+                        &self.problem,
                         self.spec.element[s as usize],
                         self.spec.element[t as usize],
                         self.spec.class[t as usize],
@@ -679,6 +818,33 @@ impl IncrChecker {
         }
         if errored {
             self.push_batch(i);
+            return;
+        }
+
+        // Leaf conjuncts whose value the arrival of `t` makes final: the
+        // ground ones naming its position, and the per-binding and
+        // per-enabler ones with a trigger selector of its class. A false
+        // or failing judgement is a sticky violation of its restriction.
+        let ground = self
+            .ground_at
+            .get(self.spec.element[t].index())
+            .and_then(|row| row.get(self.spec.seq[t] as usize))
+            .map_or(&[][..], Vec::as_slice);
+        let of_class = &self.by_class[self.spec.class[t].index()];
+        for &(ri, ci) in ground.iter().chain(of_class).chain(&self.any_class) {
+            if !self.violations[ri].is_empty() {
+                continue;
+            }
+            let r = &self.restrictions[ri];
+            let Some(Compiled::Leaf(plan)) = &r.compiled else {
+                unreachable!("only leaf plans are indexed");
+            };
+            let holds =
+                plan.conjuncts()[ci].judge_event(&world, t, &mut self.settled[ri]) == Ok(true);
+            if !holds {
+                obs_add("logic.incr.leaf_eval.violations", 1);
+                self.violations[ri].push(i as u32);
+            }
         }
     }
 }
@@ -988,26 +1154,191 @@ mod tests {
 
     #[test]
     fn syncing_across_clones_equals_a_fresh_sync() {
-        let (spec, corr, p, q, act) = p_never_enables_q();
-        let fresh = |b: &ComputationBuilder| IncrChecker::new(&spec, &corr, false).sync_to(b);
-        let mut ancestor = ComputationBuilder::new(spec.structure_arc());
-        let p0 = ancestor.add_event(p, act, vec![]).unwrap();
-        // Both clones add one event and one edge into it, so they issue
-        // the same number of stamps: only their distinct stamp ranges
-        // tell the second events apart.
-        let mut violating = ancestor.clone();
-        let q1 = violating.add_event(q, act, vec![]).unwrap();
-        violating.enable(p0, q1).unwrap();
-        let mut clean = ancestor.clone();
-        let p1 = clean.add_event(p, act, vec![]).unwrap();
-        clean.enable(p0, p1).unwrap();
-        assert_eq!(fresh(&violating), LeafStatus::Fallback);
-        assert_eq!(fresh(&clean), LeafStatus::Clean);
-        for (first, second) in [(&clean, &violating), (&violating, &clean)] {
-            let mut chk = IncrChecker::new(&spec, &corr, false);
-            assert_eq!(chk.sync_to(first), fresh(first));
-            assert_eq!(chk.sync_to(second), fresh(second));
+        // The same rule as a `◻∀` restriction and as a leaf restriction
+        // settled per event: the violating clone's settle point lies
+        // past the common ancestor, so syncing from it to the clean clone
+        // rewinds below the point where the violation was settled.
+        let leaf = pair_spec("no-p-enables-q", |p, q| {
+            Formula::forall(
+                "b",
+                q,
+                Formula::occurred("b")
+                    .implies(Formula::exists("a", p, Formula::enables("a", "b")).not()),
+            )
+        });
+        for (spec, corr, p, q, act) in [p_never_enables_q(), leaf] {
+            let fresh = |b: &ComputationBuilder| IncrChecker::new(&spec, &corr, false).sync_to(b);
+            let mut ancestor = ComputationBuilder::new(spec.structure_arc());
+            let p0 = ancestor.add_event(p, act, vec![]).unwrap();
+            // Both clones add one event and one edge into it, so they issue
+            // the same number of stamps: only their distinct stamp ranges
+            // tell the second events apart.
+            let mut violating = ancestor.clone();
+            let q1 = violating.add_event(q, act, vec![]).unwrap();
+            violating.enable(p0, q1).unwrap();
+            let mut clean = ancestor.clone();
+            let p1 = clean.add_event(p, act, vec![]).unwrap();
+            clean.enable(p0, p1).unwrap();
+            assert_eq!(fresh(&violating), LeafStatus::Fallback);
+            assert_eq!(fresh(&clean), LeafStatus::Clean);
+            for (first, second) in [(&clean, &violating), (&violating, &clean)] {
+                let mut chk = IncrChecker::new(&spec, &corr, false);
+                assert_eq!(chk.sync_to(first), fresh(first));
+                assert_eq!(chk.sync_to(second), fresh(second));
+            }
         }
+    }
+
+    /// A bounded buffer of two `In.Dep(x)` and `Out.Rem(x)` elements
+    /// with the leaf restrictions of `gem_problems::bounded` for `items`
+    /// items through `cap` slots, the identity correspondence, and the
+    /// ids of `In`, `Out`, `Dep` and `Rem`.
+    fn buffer_spec(
+        items: usize,
+        cap: usize,
+    ) -> (Specification, Correspondence, [ElementId; 2], [ClassId; 2]) {
+        use gem_logic::{EventTerm, ValueTerm};
+        let mut sb = SpecBuilder::new("Buffer");
+        let inp = sb
+            .instantiate_element(&ElementType::new("In").event("Dep", &["x"]), "In")
+            .unwrap();
+        let out = sb
+            .instantiate_element(&ElementType::new("Out").event("Rem", &["x"]), "Out")
+            .unwrap();
+        let (mut fifo, mut capacity) = (Vec::new(), Vec::new());
+        for k in 0..items {
+            let (d, r) = (EventTerm::NthAt(inp.id(), k), EventTerm::NthAt(out.id(), k));
+            fifo.push(Formula::occurred(r.clone()).implies(
+                Formula::precedes(d.clone(), r.clone()).and(Formula::value_eq(
+                    ValueTerm::param(d.clone(), "x"),
+                    ValueTerm::param(r, "x"),
+                )),
+            ));
+            if k >= cap {
+                capacity.push(
+                    Formula::occurred(d.clone())
+                        .implies(Formula::precedes(EventTerm::NthAt(out.id(), k - cap), d)),
+                );
+            }
+        }
+        sb.add_restriction("fifo", Formula::And(fifo));
+        sb.add_restriction("capacity", Formula::And(capacity));
+        let spec = sb.finish();
+        let corr = Correspondence::new()
+            .map_with_params(inp.sel("Dep"), inp.id(), inp.class("Dep"), &[(0, 0)])
+            .map_with_params(out.sel("Rem"), out.id(), out.class("Rem"), &[(0, 0)]);
+        (
+            spec,
+            corr,
+            [inp.id(), out.id()],
+            [inp.class("Dep"), out.class("Rem")],
+        )
+    }
+
+    /// The batch verdict of the leaf `b`.
+    fn batch_holds(b: &ComputationBuilder, spec: &Specification, corr: &Correspondence) -> bool {
+        let sealed = b.seal_ref().unwrap();
+        let projected = crate::project(&sealed, spec.structure_arc(), corr).unwrap();
+        spec.check(&projected, Strategy::default())
+            .unwrap()
+            .is_legal()
+    }
+
+    /// Appends an event of `class` at `el` with parameter `x` to `b`,
+    /// enabled by `after` if given.
+    fn push(
+        b: &mut ComputationBuilder,
+        el: ElementId,
+        class: ClassId,
+        x: i64,
+        after: Option<EventId>,
+    ) -> EventId {
+        let e = b.add_event(el, class, [Value::Int(x)]).unwrap();
+        if let Some(a) = after {
+            b.enable(a, e).unwrap();
+        }
+        e
+    }
+
+    #[test]
+    fn a_ground_conjunct_that_never_resolves_is_judged_at_the_leaf() {
+        // A partial run: two deposits and one removal of a three-item
+        // buffer. The conjuncts naming `Out^1`, `Out^2` and `In^2` never
+        // settle, so the leaf evaluates them; the others settled on the
+        // way. Both agree with batch, holding and failing.
+        let (spec, corr, [inp, out], [dep, rem]) = buffer_spec(3, 1);
+        let stats = Arc::new(gem_obs::StatsProbe::new());
+        let _ambient = gem_obs::ambient::install(stats.clone());
+        let mut b = ComputationBuilder::new(spec.structure_arc());
+        let d0 = push(&mut b, inp, dep, 7, None);
+        let r0 = push(&mut b, out, rem, 7, Some(d0));
+        let d1 = push(&mut b, inp, dep, 8, Some(r0));
+        let mut chk = IncrChecker::new(&spec, &corr, false);
+        assert_eq!(chk.sync_to(&b), LeafStatus::Clean);
+        assert!(batch_holds(&b, &spec, &corr));
+        // fifo: Out^0 settled when it arrived, Out^1 and Out^2 at the
+        // leaf; capacity: `In^1 ⊃ Out^0 ⇒ In^1` settled at `In^1`,
+        // `In^2 ⊃ Out^1 ⇒ In^2` at the leaf.
+        assert_eq!(
+            stats.counter("logic.incr.leaf_eval.by_restriction.0.settled"),
+            1
+        );
+        assert_eq!(
+            stats.counter("logic.incr.leaf_eval.by_restriction.0.evals"),
+            2
+        );
+        assert_eq!(
+            stats.counter("logic.incr.leaf_eval.by_restriction.1.settled"),
+            1
+        );
+        assert_eq!(
+            stats.counter("logic.incr.leaf_eval.by_restriction.1.evals"),
+            1
+        );
+        assert_eq!(stats.counter("logic.incr.leaf_eval.at_leaf"), 3);
+        // A third deposit without the removal that frees its slot: the
+        // unresolved `Out^1` makes `Out^1 ⇒ In^2` false at the leaf.
+        push(&mut b, inp, dep, 9, Some(d1));
+        assert_eq!(chk.sync_to(&b), LeafStatus::Fallback);
+        assert!(!batch_holds(&b, &spec, &corr));
+        assert_eq!(stats.counter("logic.incr.leaf_eval.violations"), 0);
+    }
+
+    #[test]
+    fn a_settled_violation_is_sticky_until_the_replay_rewinds_below_it() {
+        // One slot: the second deposit must follow the first removal.
+        let (spec, corr, [inp, out], [dep, rem]) = buffer_spec(2, 1);
+        let stats = Arc::new(gem_obs::StatsProbe::new());
+        let _ambient = gem_obs::ambient::install(stats.clone());
+        let mut b = ComputationBuilder::new(spec.structure_arc());
+        let d0 = push(&mut b, inp, dep, 1, None);
+        let r0 = push(&mut b, out, rem, 1, Some(d0));
+        let mark = b.mark();
+        // `In^1` concurrent with `Out^0`: capacity settles false at `In^1`.
+        let d1 = push(&mut b, inp, dep, 2, Some(d0));
+        let mut chk = IncrChecker::new(&spec, &corr, false);
+        assert_eq!(chk.sync_to(&b), LeafStatus::Fallback);
+        assert_eq!(stats.counter("logic.incr.leaf_eval.violations"), 1);
+        // The leaf under the violation evaluates the whole restriction.
+        assert_eq!(
+            stats.counter("logic.incr.leaf_eval.by_restriction.1.evals"),
+            1
+        );
+        // Extending the violating prefix keeps it.
+        push(&mut b, out, rem, 2, Some(d1));
+        assert_eq!(chk.sync_to(&b), LeafStatus::Fallback);
+        assert!(!batch_holds(&b, &spec, &corr));
+        assert_eq!(stats.counter("logic.incr.leaf_eval.violations"), 1);
+        // Rewinding below the settle point drops it.
+        b.truncate_to(&mark);
+        let d1 = push(&mut b, inp, dep, 2, Some(r0));
+        push(&mut b, out, rem, 2, Some(d1));
+        assert_eq!(chk.sync_to(&b), LeafStatus::Clean);
+        assert!(batch_holds(&b, &spec, &corr));
+        assert_eq!(
+            chk.sync_to(&b),
+            IncrChecker::new(&spec, &corr, false).sync_to(&b)
+        );
     }
 
     #[test]

@@ -364,6 +364,36 @@ fn stepping_a_path_seen_before_does_not_allocate() {
     }
 }
 
+/// The allocations and the applied steps of one `verify_system` sweep of
+/// `line` with the CLI's run budget, sleep-set reduced when `reduce`.
+fn sweep_allocations(line: &str, reduce: bool) -> (u64, usize) {
+    let Instance {
+        program,
+        spec,
+        corr,
+        max_runs,
+    } = build(line);
+    let explorer = Explorer {
+        reduce,
+        ..Explorer::with_max_runs(max_runs)
+    };
+    let options = VerifyOptions {
+        explorer,
+        ..VerifyOptions::default()
+    };
+    let (steps, during) = with_sim!(&program, |sys, seal| {
+        let steps = explorer
+            .for_each_run(sys, |_, _| ControlFlow::Continue(()))
+            .steps;
+        let before = allocs();
+        let outcome = verify_system(sys, &spec, &corr, seal, &options).expect("projects");
+        let during = allocs() - before;
+        assert!(outcome.ok() && outcome.exhaustive(), "{line}: {outcome:?}");
+        (steps, during)
+    });
+    (during, steps)
+}
+
 #[test]
 fn a_verification_sweep_allocates_at_most_twice_per_step() {
     // The instances of the benchmark's `explore_bound` workload.
@@ -373,31 +403,38 @@ fn a_verification_sweep_allocates_at_most_twice_per_step() {
         "bounded items=5 cap=3 substrate=csp",
         "rw readers=2 writers=1 monitor=writers variant=writers",
     ] {
-        let Instance {
-            program,
-            spec,
-            corr,
-            max_runs,
-        } = build(line);
-        let explorer = Explorer::with_max_runs(max_runs);
-        let options = VerifyOptions {
-            explorer,
-            ..VerifyOptions::default()
-        };
-        let (steps, during) = with_sim!(&program, |sys, seal| {
-            let steps = explorer
-                .for_each_run(sys, |_, _| ControlFlow::Continue(()))
-                .steps;
-            let before = allocs();
-            let outcome = verify_system(sys, &spec, &corr, seal, &options).expect("projects");
-            let during = allocs() - before;
-            assert!(outcome.ok() && outcome.exhaustive(), "{line}: {outcome:?}");
-            (steps, during)
-        });
+        let (during, steps) = sweep_allocations(line, false);
         let per_step = during as f64 / steps as f64;
         assert!(
             per_step <= 2.0,
             "{line}: {during} allocation(s) over {steps} step(s), {per_step:.2} per step"
         );
     }
+}
+
+#[test]
+fn a_reduced_sweep_allocates_no_sleep_set_per_edge() {
+    // One pass of the benchmark's `por_reduced` workload: every sleep set
+    // of a sweep lives on one stack, so sleep-set bookkeeping adds no
+    // allocation per edge (1.98 per step when each edge built its own).
+    // What is left is 1.01 per step: 0.97 is the vector `System::enabled`
+    // returns at every inner node, 0.03 the simulators' and the builder's
+    // buffers growing the first time a depth is reached, and 0.02 the
+    // checker's set-up and leaves.
+    let (mut during, mut steps) = (0, 0);
+    for line in [
+        "rw readers=1 writers=2 variant=mutex data=true",
+        "bounded items=10 cap=2 substrate=ada",
+        "philosophers n=4",
+    ] {
+        let (d, s) = sweep_allocations(line, true);
+        eprintln!("{line}: {d} allocation(s) over {s} step(s)");
+        during += d;
+        steps += s;
+    }
+    let per_step = during as f64 / steps as f64;
+    assert!(
+        per_step <= 1.05,
+        "{during} allocation(s) over {steps} step(s), {per_step:.2} per step"
+    );
 }

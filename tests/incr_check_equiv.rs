@@ -375,6 +375,218 @@ fn forced_fallback_formula_agrees_and_is_reported() {
     assert_eq!(rep.counters.get("logic.incr.syncs").copied(), None);
 }
 
+/// The artifact files of a default-option sweep in mode `incr`, written
+/// under `dir`, by file name.
+fn artifact_files<S>(
+    sys: &S,
+    spec: &Specification,
+    corr: &Correspondence,
+    extract: impl Fn(&S::State) -> Computation,
+    incr: IncrCheck,
+    dir: &std::path::Path,
+) -> BTreeMap<String, String>
+where
+    S: System + Sync,
+    S::State: Send,
+    S::Action: Send,
+{
+    let art = dir.join(format!("{incr:?}"));
+    verify_system(
+        sys,
+        spec,
+        corr,
+        extract,
+        &VerifyOptions {
+            incr_check: incr,
+            artifacts: Some(ArtifactSink::new(&art)),
+            ..VerifyOptions::default()
+        },
+    )
+    .expect("projection");
+    std::fs::read_dir(&art)
+        .expect("artifact dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            let body = std::fs::read_to_string(entry.path()).expect("artifact file");
+            (entry.file_name().to_string_lossy().into_owned(), body)
+        })
+        .collect()
+}
+
+#[test]
+fn capacity_violation_settled_mid_replay_keeps_the_batch_verdict() {
+    // A three-slot buffer checked against a two-slot specification: the
+    // ground `capacity` conjunct `In^2 ⊃ Out^0 ⇒ In^2` settles false as
+    // soon as the third deposit arrives before the first removal. Leaves
+    // under that settled violation fall back to batch, whose outcome,
+    // failure details and artifacts must match `Off` in every mode.
+    let items: Vec<i64> = vec![1, 2, 3];
+    let spec = bounded::bounded_spec(items.len(), 2);
+    let sys = bounded::monitor_solution(&items, 3);
+    let corr = bounded::monitor_correspondence(&sys, &spec, 3);
+    let extract = |s: &_| sys.computation(s).expect("acyclic");
+    assert_modes_agree(&sys, &spec, &corr, extract, "bounded cap 3 on 2", &[1]);
+    let (outcome, rep) = sweep(
+        &sys,
+        &spec,
+        &corr,
+        extract,
+        1,
+        false,
+        false,
+        IncrCheck::Auto,
+    );
+    assert!(!outcome.failures.is_empty(), "{outcome}");
+    for failure in &outcome.failures {
+        assert_eq!(failure.violated, ["capacity"], "{failure:?}");
+    }
+    let counter = |name: &str| rep.counters.get(name).copied().unwrap_or(0);
+    assert!(
+        counter("logic.incr.leaf_eval.violations") > 0,
+        "{:?}",
+        rep.counters
+    );
+    assert!(counter("logic.incr.leaf_clean") > 0, "{:?}", rep.counters);
+
+    let dir = std::env::temp_dir().join(format!("gem-incr-capacity-{}", std::process::id()));
+    let artifacts = |incr| artifact_files(&sys, &spec, &corr, extract, incr, &dir);
+    let off = artifacts(IncrCheck::Off);
+    assert!(
+        off.get("blame.json")
+            .is_some_and(|b| b.contains("capacity")),
+        "{off:?}"
+    );
+    for incr in [IncrCheck::Auto, IncrCheck::On] {
+        assert_eq!(off, artifacts(incr), "artifacts diverge in mode {incr:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn explore_bound_leaf_restrictions_settle_per_event() {
+    // On the benchmark's `explore_bound` instances every leaf restriction
+    // is settled during replay: none is evaluated at a leaf.
+    let pinned = [
+        "fifo-values",
+        "remove-after-deposit",
+        "capacity",
+        "read-chain",
+        "write-chain",
+    ];
+    for line in [
+        "bounded items=4 cap=2",
+        "bounded items=4 cap=2 substrate=ada",
+        "bounded items=5 cap=3 substrate=csp",
+        "rw readers=2 writers=1 monitor=writers variant=writers",
+    ] {
+        let mut words = line.split_whitespace().map(str::to_owned);
+        let problem = words.next().expect("problem name");
+        let params = gem_cli::Params::parse(&words.collect::<Vec<_>>()).expect("params");
+        let inst = gem_cli::instance(&problem, &params).expect("instance");
+        let probe = Arc::new(StatsProbe::new());
+        let options = VerifyOptions {
+            probe: probe.clone(),
+            explorer: Explorer::with_max_runs(inst.max_runs),
+            ..VerifyOptions::default()
+        };
+        let outcome = match &inst.program {
+            gem_cli::Program::Monitor(sys) => {
+                let extract = |s: &_| sys.computation(s).expect("acyclic");
+                verify_system(sys, &inst.spec, &inst.corr, extract, &options)
+            }
+            gem_cli::Program::Csp(sys) => {
+                let extract = |s: &_| sys.computation(s).expect("acyclic");
+                verify_system(sys, &inst.spec, &inst.corr, extract, &options)
+            }
+            gem_cli::Program::Ada(sys) => {
+                let extract = |s: &_| sys.computation(s).expect("acyclic");
+                verify_system(sys, &inst.spec, &inst.corr, extract, &options)
+            }
+        }
+        .expect("projection");
+        assert!(outcome.ok(), "{line}: {outcome}");
+        let counter = |name: String| probe.counter(&name);
+        let mut seen = 0;
+        for (i, r) in inst.spec.restrictions().iter().enumerate() {
+            if !pinned.contains(&r.name.as_str()) {
+                continue;
+            }
+            seen += 1;
+            let key = |k: &str| format!("logic.incr.leaf_eval.by_restriction.{i}.{k}");
+            assert_eq!(counter(key("evals")), 0, "{line}: {} at the leaf", r.name);
+            assert!(
+                counter(key("settled")) > 0,
+                "{line}: {} never settled",
+                r.name
+            );
+        }
+        assert!(seen >= 2, "{line}: pinned restrictions present");
+        assert_eq!(probe.counter("logic.incr.leaf_eval.at_leaf"), 0, "{line}");
+    }
+}
+
+#[test]
+fn memoised_may_enable_matches_every_shipped_structure() {
+    // The checker's scope memo against `Structure::may_enable` on every
+    // (from, to, class) triple of the program and problem structures of
+    // every shipped problem, asked twice so the second round reads the
+    // filled table.
+    use gem::core::{MayEnableMemo, Structure};
+    let check = |s: &Structure, what: &str| {
+        let mut memo = MayEnableMemo::new(s);
+        for _ in 0..2 {
+            for from in s.elements() {
+                for to in s.elements() {
+                    for class in s.classes() {
+                        assert_eq!(
+                            memo.may_enable(s, from, to, class),
+                            s.may_enable(from, to, class),
+                            "{what}: {from:?} -> {to:?} {class:?}"
+                        );
+                    }
+                }
+            }
+        }
+    };
+    for line in [
+        "bounded items=2 cap=1",
+        "bounded items=2 cap=1 substrate=csp",
+        "bounded items=2 cap=1 substrate=ada",
+        "rw readers=1 writers=1 data=true",
+        "one-slot",
+        "one-slot substrate=ada",
+        "philosophers n=3",
+        "db-update",
+        "life",
+    ] {
+        let mut words = line.split_whitespace().map(str::to_owned);
+        let problem = words.next().expect("problem name");
+        let params = gem_cli::Params::parse(&words.collect::<Vec<_>>()).expect("params");
+        let inst = gem_cli::instance(&problem, &params).expect("instance");
+        check(inst.spec.structure(), line);
+        match &inst.program {
+            gem_cli::Program::Monitor(sys) => check(
+                sys.trace_builder(&sys.initial())
+                    .expect("builder")
+                    .structure(),
+                line,
+            ),
+            gem_cli::Program::Csp(sys) => check(
+                sys.trace_builder(&sys.initial())
+                    .expect("builder")
+                    .structure(),
+                line,
+            ),
+            gem_cli::Program::Ada(sys) => check(
+                sys.trace_builder(&sys.initial())
+                    .expect("builder")
+                    .structure(),
+                line,
+            ),
+        }
+    }
+}
+
 #[test]
 fn violated_eventually_restriction_falls_back_per_leaf() {
     // "Every read request is followed by a started write" is a
@@ -438,29 +650,7 @@ fn violated_eventually_restriction_falls_back_per_leaf() {
     );
 
     let dir = std::env::temp_dir().join(format!("gem-incr-eventually-{}", std::process::id()));
-    let artifacts = |incr: IncrCheck| -> BTreeMap<String, String> {
-        let art = dir.join(format!("{incr:?}"));
-        verify_system(
-            &sys,
-            &spec,
-            &corr,
-            extract,
-            &VerifyOptions {
-                incr_check: incr,
-                artifacts: Some(ArtifactSink::new(&art)),
-                ..VerifyOptions::default()
-            },
-        )
-        .expect("projection");
-        std::fs::read_dir(&art)
-            .expect("artifact dir")
-            .map(|entry| {
-                let entry = entry.expect("dir entry");
-                let body = std::fs::read_to_string(entry.path()).expect("artifact file");
-                (entry.file_name().to_string_lossy().into_owned(), body)
-            })
-            .collect()
-    };
+    let artifacts = |incr| artifact_files(&sys, &spec, &corr, extract, incr, &dir);
     let off = artifacts(IncrCheck::Off);
     assert!(
         off.get("blame.json")

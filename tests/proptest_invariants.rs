@@ -1366,3 +1366,227 @@ proptest! {
         );
     }
 }
+
+/// A computation grown as a simulation grows one: every edge points from
+/// an earlier event to a later one. Up to three elements `P0..P2` carry
+/// the classes `A(v)` and `B(v)`, with `v` in `0..3`.
+fn grown_computation(max_ev: usize) -> impl Strategy<Value = Computation> {
+    (1..=max_ev).prop_flat_map(|n_ev| {
+        let events = proptest::collection::vec((0..3usize, 0..2usize, 0..3i64), n_ev);
+        let edges = proptest::collection::vec((0..n_ev, 0..n_ev), 0..n_ev * 3);
+        (events, edges).prop_map(|(events, edges)| {
+            let mut s = Structure::new();
+            let classes = [
+                s.add_class("A", &["v"]).expect("class"),
+                s.add_class("B", &["v"]).expect("class"),
+            ];
+            let els: Vec<_> = (0..3)
+                .map(|i| s.add_element(format!("P{i}"), &classes).expect("element"))
+                .collect();
+            let mut b = ComputationBuilder::new(s);
+            let ids: Vec<_> = events
+                .iter()
+                .map(|&(el, cl, v)| {
+                    b.add_event(els[el], classes[cl], [gem::core::Value::Int(v)])
+                        .expect("event")
+                })
+                .collect();
+            for (x, y) in edges {
+                if x < y {
+                    b.enable(ids[x], ids[y]).expect("edge");
+                }
+            }
+            b.seal().expect("forward edges are acyclic")
+        })
+    })
+}
+
+/// The computation of the first `n` events of `c` and the edges among
+/// them: the prefix a simulation had built when event `n - 1` arrived.
+fn prefix_of(c: &Computation, n: usize) -> Computation {
+    let mut b = ComputationBuilder::new(c.structure_arc());
+    for e in &c.events()[..n] {
+        b.add_event(e.element(), e.class(), e.params().to_vec())
+            .expect("event");
+    }
+    for from in (0..n).map(|i| EventId::from_raw(i as u32)) {
+        for &to in c.enabled_from(from) {
+            if to.index() < n {
+                b.enable(from, to).expect("edge");
+            }
+        }
+    }
+    b.seal().expect("a prefix of an acyclic computation")
+}
+
+/// A selector of [`grown_computation`]'s events.
+fn grown_sel() -> BoxedStrategy<EventSel> {
+    let class = |i: u32| ClassId::from_raw(i);
+    prop_oneof![
+        Just(EventSel::any()),
+        (0..2u32).prop_map(move |c| EventSel::of_class(class(c))),
+        (0..3u32).prop_map(|e| EventSel::at_element(ElementId::from_raw(e))),
+        (0..2u32, 0..3u32)
+            .prop_map(move |(c, e)| EventSel::of_class(class(c)).at(ElementId::from_raw(e))),
+    ]
+    .boxed()
+}
+
+/// A leaf conjunct of one of the settleable shapes (a)–(d) of
+/// `gem_logic::incr` over [`grown_computation`]'s events.
+fn settleable_conjunct() -> BoxedStrategy<Formula> {
+    use gem::logic::{CmpOp, EventTerm, ValueTerm};
+    let nth = |el: u32, k: usize| EventTerm::NthAt(ElementId::from_raw(el), k);
+    let v = |t: EventTerm| ValueTerm::param(t, "v");
+    let ground = (0..4u8, 0..3u32, 0..3usize, 0..3u32, 0..3usize, grown_sel()).prop_map(
+        move |(shape, e1, k1, e2, k2, sel)| {
+            let (a, b) = (nth(e1, k1), nth(e2, k2));
+            match shape {
+                0 => Formula::occurred(a.clone()).implies(Formula::precedes(b, a)),
+                1 => Formula::occurred(a.clone())
+                    .implies(Formula::occurred(b.clone()).and(Formula::value_eq(v(b), v(a)))),
+                2 => Formula::occurred(a.clone()).implies(Formula::exists(
+                    "y",
+                    sel,
+                    Formula::enables("y", a),
+                )),
+                _ => Formula::concurrent(a, b).not(),
+            }
+        },
+    );
+    let per_binding = (0..5u8, grown_sel(), grown_sel()).prop_map(move |(shape, sx, sy)| {
+        let var = |s: &str| EventTerm::Var(s.to_owned());
+        match shape {
+            0 => Formula::forall(
+                "x",
+                sx,
+                Formula::occurred("x").implies(Formula::exists_unique(
+                    "y",
+                    sy,
+                    Formula::enables("y", "x"),
+                )),
+            ),
+            1 => Formula::forall(
+                "x",
+                sx,
+                Formula::exists(
+                    "y",
+                    sy,
+                    Formula::element_precedes("y", "x")
+                        .and(Formula::value_eq(v(var("y")), v(var("x")))),
+                ),
+            ),
+            2 => Formula::forall(
+                "x",
+                sx,
+                Formula::exists(
+                    "y",
+                    EventSel::any(),
+                    Formula::matches("y", sy)
+                        .and(Formula::precedes("y", "x"))
+                        .and(
+                            Formula::exists(
+                                "z",
+                                EventSel::any(),
+                                Formula::precedes("z", "x").and(Formula::precedes("y", "z")),
+                            )
+                            .not(),
+                        ),
+                ),
+            ),
+            3 => Formula::forall(
+                "x",
+                sx,
+                Formula::forall("y", sy, Formula::concurrent("x", "y").not()),
+            ),
+            _ => Formula::forall(
+                "x",
+                sx,
+                Formula::forall(
+                    "y",
+                    sy,
+                    Formula::enables("y", "x").implies(Formula::value_cmp(
+                        CmpOp::Le,
+                        v(var("y")),
+                        v(var("x")),
+                    )),
+                ),
+            ),
+        }
+    });
+    let per_enabler = (any::<bool>(), grown_sel(), grown_sel()).prop_map(move |(eq, ss, st)| {
+        let var = |s: &str| EventTerm::Var(s.to_owned());
+        let edge = Formula::enables("s", "t");
+        let body = if eq {
+            edge.and(Formula::value_eq(v(var("t")), v(var("s"))))
+        } else {
+            edge
+        };
+        Formula::forall("s", ss, Formula::at_most_one("t", st, body))
+    });
+    prop_oneof![ground, per_binding, per_enabler].boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Wherever the checker settles a leaf conjunct event by event, the
+    /// judgements made on the growing prefixes hold exactly when the
+    /// conjunct holds of the complete computation. A ground conjunct
+    /// whose events never all arrive is left to the leaf, unjudged.
+    #[test]
+    fn settled_leaf_conjuncts_match_the_complete_computation(
+        c in grown_computation(7),
+        f in settleable_conjunct(),
+    ) {
+        use gem::logic::incr::{compile, Compiled, Settle};
+        let compiled = compile(&f);
+        prop_assert!(matches!(compiled, Ok(Compiled::Leaf(_))), "{:?}", f);
+        let Ok(Compiled::Leaf(plan)) = compiled else { unreachable!() };
+        prop_assert_eq!(plan.conjuncts().len(), 1);
+        let conjunct = &plan.conjuncts()[0];
+        prop_assert!(conjunct.settle() != &Settle::AtLeaf, "{:?} stays at the leaf", f);
+        let (mut holds, mut judged) = (true, 0);
+        for n in 1..=c.event_count() {
+            let prefix = prefix_of(&c, n);
+            holds &= conjunct.judge_event(&prefix, n - 1, &mut judged) == Ok(true);
+        }
+        if conjunct.settled(&c) {
+            let full = holds_on_computation(&f, &c) == Ok(true);
+            prop_assert_eq!(holds, full, "{:?}", f);
+            prop_assert_eq!(plan.unsettled(&c).count(), 0);
+        } else {
+            prop_assert!(matches!(conjunct.settle(), Settle::Ground(_)), "{:?}", f);
+            prop_assert_eq!(judged, 0);
+            prop_assert_eq!(plan.unsettled(&c).count(), 1);
+        }
+    }
+
+    /// A quantifier whose witnesses can still arrive, and a `◇` body,
+    /// keep the conjunct at the leaf whatever the selectors.
+    #[test]
+    fn future_anchored_conjuncts_stay_at_the_leaf(
+        sx in grown_sel(),
+        sy in grown_sel(),
+        shape in 0..3u8,
+    ) {
+        use gem::logic::incr::{compile, Compiled, Settle};
+        let f = match shape {
+            0 => Formula::forall("x", sx, Formula::exists("y", sy, Formula::enables("x", "y"))),
+            1 => Formula::forall(
+                "x",
+                sx,
+                Formula::exists("y", sy, Formula::enables("y", "x")).eventually(),
+            ),
+            _ => Formula::forall(
+                "s",
+                sx,
+                Formula::at_most_one("t", sy, Formula::precedes("s", "t")),
+            ),
+        };
+        let compiled = compile(&f);
+        prop_assert!(matches!(compiled, Ok(Compiled::Leaf(_))), "{:?}", f);
+        let Ok(Compiled::Leaf(plan)) = compiled else { unreachable!() };
+        prop_assert_eq!(plan.conjuncts()[0].settle(), &Settle::AtLeaf);
+    }
+}
