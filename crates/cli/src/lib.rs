@@ -38,9 +38,9 @@
 //! * `--dedup` — deduplicate trace-equivalent computations in
 //!   `verify`/`explore` sweeps (same results, less checking work; see
 //!   `docs/PERFORMANCE.md`)
-//! * `--incr-check auto|on|off` — incremental restriction checking along
-//!   the DFS tree (default `auto`; same verdicts in every mode, see
-//!   `docs/PERFORMANCE.md` §6)
+//! * `--incr-check auto|off` — incremental restriction checking along
+//!   the DFS tree (default `auto`; same verdicts in both modes, see
+//!   `docs/PERFORMANCE.md` §5)
 //! * `--artifacts <dir>` — on `verify`, dump the first failing or
 //!   deadlocked run as a self-contained counterexample artifact directory
 //!   (schedule, computation, blame, highlighted dot), and arm a flight
@@ -52,8 +52,8 @@
 //!   second during the sweep and write an OpenMetrics text exposition
 //!   (plus a `<path>.json` time-series) when the command finishes
 //! * `--explain` — append reduction cost/benefit verdicts (dedup
-//!   measured/predicted, POR attribution, incremental-check coverage)
-//!   after the command output
+//!   measured, POR attribution, incremental-check coverage) after the
+//!   command output
 //!
 //! The command dispatch lives in this library so it can be tested; the
 //! `gem` binary is a thin wrapper.
@@ -79,8 +79,8 @@ use gem_lang::{CodeStats, Explorer, System};
 use gem_logic::incr::compile;
 use gem_obs::json::JsonValue;
 use gem_obs::{
-    heartbeat_line, install_crash_sink, write_atomic, EventLog, FanoutProbe, NoopProbe,
-    PhaseProfile, Probe, Series, Span, StatsProbe, CRASH_TAIL,
+    heartbeat_line, install_crash_sink, write_atomic, EventLog, FanoutProbe, KnuthEstimator,
+    NoopProbe, PhaseProfile, Probe, Series, Span, StatsProbe, CRASH_TAIL,
 };
 use gem_problems::readers_writers::{
     mesa_safe_readers_writers_monitor, rw_correspondence, rw_program_with_semantics,
@@ -88,10 +88,9 @@ use gem_problems::readers_writers::{
 };
 use gem_problems::{bounded, db_update, life, one_slot};
 use gem_spec::{render_specification, Specification};
-use gem_verify::auto::{self, StrategyDecision, StrategyEvidence};
 use gem_verify::{
-    check_computation, sample_evidence, verify_system, ArtifactSink, Correspondence, IncrCheck,
-    RunFailure, VerifyOptions, VerifyOutcome,
+    check_computation, verify_system, ArtifactSink, Correspondence, IncrCheck, RunFailure,
+    VerifyOptions, VerifyOutcome,
 };
 
 /// A CLI usage or execution error.
@@ -419,13 +418,9 @@ struct ObsFlags {
     jobs: Option<usize>,
     dedup: bool,
     por: bool,
-    auto: bool,
     incr_check: IncrCheck,
     explain: bool,
     artifacts: Option<String>,
-    /// Filled in by `verify --auto`: the sampled decision, carried back
-    /// so the stats report's config section can record it.
-    strategy: Option<StrategyDecision>,
 }
 
 /// Splits `--stats` / `--stats-json` / `--trace` / `--trace-out` /
@@ -479,12 +474,6 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, ObsFlags), CliError> {
                 }
                 flags.por = true;
             }
-            "--auto" => {
-                if inline.is_some() {
-                    return Err(err("--auto takes no value"));
-                }
-                flags.auto = true;
-            }
             "--explain" => {
                 if inline.is_some() {
                     return Err(err("--explain takes no value"));
@@ -495,12 +484,9 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, ObsFlags), CliError> {
                 let v = value("--incr-check")?;
                 flags.incr_check = match v.as_str() {
                     "auto" => IncrCheck::Auto,
-                    "on" => IncrCheck::On,
                     "off" => IncrCheck::Off,
                     other => {
-                        return Err(err(format!(
-                            "--incr-check must be auto, on, or off, got {other:?}"
-                        )))
+                        return Err(err(format!("--incr-check must be auto|off, got {other:?}")))
                     }
                 };
             }
@@ -787,12 +773,12 @@ fn format_outcome(outcome: &VerifyOutcome) -> String {
 /// Returns [`CliError`] for unknown commands/problems, bad parameters, or
 /// unwritable stats/trace files.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let (args, mut flags) = split_flags(args)?;
+    let (args, flags) = split_flags(args)?;
     let command = args.first().map_or("", String::as_str);
     let (obs, ticker) = obs_setup(&flags, command)?;
     let (mut result, series) = with_ticker(ticker, || {
         let _total = Span::enter(obs.probe.as_ref(), "total");
-        dispatch(&args, &obs, &mut flags)
+        dispatch(&args, &obs, &flags)
     });
     // Reports are emitted even when the command failed: a truncated or
     // failing sweep's counters are exactly what one wants to inspect.
@@ -820,62 +806,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             .insert("jobs".to_owned(), flags.jobs.unwrap_or(1).to_string());
         report.config.insert("dedup".to_owned(), flag(flags.dedup));
         report.config.insert("por".to_owned(), flag(flags.por));
-        report.config.insert("auto".to_owned(), flag(flags.auto));
         report.config.insert(
             "incr_check".to_owned(),
             match flags.incr_check {
                 IncrCheck::Auto => "auto",
-                IncrCheck::On => "on",
                 IncrCheck::Off => "off",
             }
             .to_owned(),
         );
-        // `verify --auto` records its decision and the full estimator
-        // evidence, so a strategy choice is always auditable from the
-        // stats report alone.
-        if let Some(d) = &flags.strategy {
-            let e = &d.evidence;
-            report
-                .config
-                .insert("strategy".to_owned(), d.strategy.name().to_owned());
-            report
-                .config
-                .insert("strategy.reason".to_owned(), d.reason.clone());
-            report
-                .config
-                .insert("strategy.samples".to_owned(), e.samples.to_string());
-            report
-                .config
-                .insert("strategy.est_runs".to_owned(), format!("{:.0}", e.est_runs));
-            report.config.insert(
-                "strategy.est_distinct".to_owned(),
-                e.est_distinct.to_string(),
-            );
-            report.config.insert(
-                "strategy.collapse_ratio".to_owned(),
-                format!("{:.2}", e.collapse_ratio),
-            );
-            report.config.insert(
-                "strategy.oracle_grants".to_owned(),
-                e.oracle_grants.to_string(),
-            );
-            report.config.insert(
-                "strategy.oracle_queries".to_owned(),
-                e.oracle_queries.to_string(),
-            );
-            // The measured per-run key/check costs are timing data, so
-            // they live in the `timers` section (`auto.key` /
-            // `auto.check`, recorded by `auto_decide`) rather than
-            // here: `config` stays byte-identical across runs.
-            report.config.insert(
-                "strategy.depth_limited".to_owned(),
-                e.depth_limited.to_string(),
-            );
-            report.config.insert(
-                "strategy.incr_supported".to_owned(),
-                e.incr_supported.to_string(),
-            );
-        }
         report.config.insert(
             "heartbeat_secs".to_owned(),
             flags.heartbeat.unwrap_or(5.0).to_string(),
@@ -894,10 +832,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 for line in gem_obs::explain(&report) {
                     out.push('\n');
                     out.push_str(&line);
-                }
-                if let Some(d) = &flags.strategy {
-                    out.push('\n');
-                    out.push_str(&format!("auto: chose {} — {}", d.strategy.name(), d.reason));
                 }
             }
         }
@@ -945,7 +879,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     result
 }
 
-fn dispatch(args: &[String], obs: &ObsSetup, flags: &mut ObsFlags) -> Result<String, CliError> {
+fn dispatch(args: &[String], obs: &ObsSetup, flags: &ObsFlags) -> Result<String, CliError> {
     let (cmd, rest) = args.split_first().ok_or_else(|| err(usage()))?;
     if let Some(command) = Command::named(cmd) {
         let (problem, params) = rest
@@ -1022,18 +956,17 @@ struct Ctx<'a> {
     problem: &'a str,
     params: &'a [String],
     obs: &'a ObsSetup,
-    flags: &'a mut ObsFlags,
+    flags: &'a ObsFlags,
 }
 
 impl Ctx<'_> {
     /// Hands the instance's concrete system to [`command`]: the one place
     /// the CLI tells the substrates apart.
-    fn exec(mut self, cmd: Command) -> Result<String, CliError> {
-        let inst = self.inst;
-        match &inst.program {
-            Program::Monitor(sys) => command(sys, cmd, &mut self),
-            Program::Csp(sys) => command(sys, cmd, &mut self),
-            Program::Ada(sys) => command(sys, cmd, &mut self),
+    fn exec(self, cmd: Command) -> Result<String, CliError> {
+        match &self.inst.program {
+            Program::Monitor(sys) => command(sys, cmd, &self),
+            Program::Csp(sys) => command(sys, cmd, &self),
+            Program::Ada(sys) => command(sys, cmd, &self),
         }
     }
 
@@ -1060,7 +993,7 @@ impl Ctx<'_> {
     }
 }
 
-fn command<S: Substrate>(sys: &S, cmd: Command, cx: &mut Ctx) -> Result<String, CliError> {
+fn command<S: Substrate>(sys: &S, cmd: Command, cx: &Ctx) -> Result<String, CliError> {
     // `replay` re-checks one recorded run; its report has no build
     // statistics.
     if !matches!(cmd, Command::Replay(_)) {
@@ -1088,18 +1021,8 @@ fn command<S: Substrate>(sys: &S, cmd: Command, cx: &mut Ctx) -> Result<String, 
     }
 }
 
-fn verify<S: Substrate>(sys: &S, cx: &mut Ctx) -> Result<String, CliError> {
-    // `--auto`: sample the instance first and pick the reduction strategy
-    // from the evidence, overriding any explicit `--dedup`/`--por`. The
-    // decision is carried back on `flags` so the stats report's config
-    // section records it.
-    if cx.flags.auto {
-        let decision = auto_decide(sys, cx.inst, cx.obs.probe.as_ref());
-        cx.flags.dedup = decision.strategy == auto::Strategy::Dedup;
-        cx.flags.por = decision.strategy == auto::Strategy::Por;
-        cx.flags.strategy = Some(decision);
-    }
-    let flags = &*cx.flags;
+fn verify<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
+    let flags = cx.flags;
     // `meta.json` records exactly what `gem replay` needs to rebuild this
     // instance. The recorded schedule is exact either way, but under
     // `--por` it is one sleep-set *representative* of its computation,
@@ -1118,17 +1041,11 @@ fn verify<S: Substrate>(sys: &S, cx: &mut Ctx) -> Result<String, CliError> {
         ..cx.verify_options()
     };
     // Under `--explain`, sample the run tree first so the report carries
-    // search-space estimates (and the heartbeat can show % explored /
-    // ETA); `--auto` has sampled it already.
-    let evidence = flags.explain.then(|| match &flags.strategy {
-        Some(decision) => decision.evidence.clone(),
-        None => sample(sys, cx.inst),
-    });
-    let outcome = sweep(sys, cx.inst, &options, evidence.as_ref())?;
+    // the run-count estimate (and the heartbeat can show % explored /
+    // ETA).
+    let estimate = flags.explain.then(|| sample(sys));
+    let outcome = sweep(sys, cx.inst, &options, estimate.as_ref())?;
     let mut out = format_outcome(&outcome);
-    if let Some(d) = &flags.strategy {
-        out.push_str(&format!("\nstrategy: {} (auto)", d.strategy.name()));
-    }
     if let Some(dir) = &flags.artifacts {
         out.push_str(&format!("\nartifacts: {dir}"));
     }
@@ -1146,12 +1063,7 @@ fn stats_report(cx: &Ctx) -> gem_obs::Report {
 }
 
 fn profile<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
-    let outcome = sweep(
-        sys,
-        cx.inst,
-        &cx.verify_options(),
-        Some(&sample(sys, cx.inst)),
-    )?;
+    let outcome = sweep(sys, cx.inst, &cx.verify_options(), Some(&sample(sys)))?;
     let report = stats_report(cx);
     let mut out = format_outcome(&outcome);
     out.push_str("\n\n");
@@ -1186,12 +1098,7 @@ fn profile<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
 /// scriptable.
 fn top<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
     let started = Instant::now();
-    let outcome = sweep(
-        sys,
-        cx.inst,
-        &cx.verify_options(),
-        Some(&sample(sys, cx.inst)),
-    )?;
+    let outcome = sweep(sys, cx.inst, &cx.verify_options(), Some(&sample(sys)))?;
     let mut out = render_top(&stats_report(cx), started.elapsed());
     out.push('\n');
     out.push_str(&format_outcome(&outcome));
@@ -1464,70 +1371,25 @@ fn restriction_breakdown(spec: &Specification, report: &gem_obs::Report) -> Stri
     out
 }
 
-/// Samples random runs of `sys` with the shared sampler
-/// ([`sample_evidence`]): the evidence both `verify --auto` decides on and
-/// the `estimate.*` keys report.
-fn sample<S: Substrate>(sys: &S, inst: &Instance) -> StrategyEvidence {
-    let defaults = VerifyOptions::default();
-    sample_evidence(
-        &defaults.explorer,
-        sys,
-        |s| sys.seal(s),
-        |comp| {
-            let _ = check_computation(
-                comp,
-                &inst.spec,
-                &inst.corr,
-                defaults.strategy,
-                defaults.check_program_legality,
-            );
-        },
-        auto::AUTO_SAMPLES,
-        auto::AUTO_CHECKS,
-    )
+/// Knuth probes [`sample`] takes before a sweep.
+const SAMPLES: u64 = 128;
+
+/// Walks [`SAMPLES`] random schedules of `sys` ([`Explorer::sample_run`],
+/// deterministic and probe-silent) into a Knuth estimate of its run
+/// count.
+fn sample<S: Substrate>(sys: &S) -> KnuthEstimator {
+    let explorer = VerifyOptions::default().explorer;
+    let mut knuth = KnuthEstimator::new();
+    for seed in 0..SAMPLES {
+        knuth.record(explorer.sample_run(sys, seed).tree_product);
+    }
+    knuth
 }
 
-/// Samples the instance and picks the exploration strategy for
-/// `verify --auto` ([`gem_verify::auto`]), posting the evidence on the
-/// probe (`auto.*` counters, gauges, and the `auto.key` / `auto.check`
-/// cost timers) so heartbeats and stats reports see what the decision
-/// was based on. Sampling happens before the `verify` span opens and
-/// emits nothing into the phase timers.
-fn auto_decide<S: Substrate>(sys: &S, inst: &Instance, probe: &dyn Probe) -> StrategyDecision {
-    let mut evidence = sample(sys, inst);
-    // When the spec compiles for incremental checking, the sweep's clean
-    // leaves skip batch checks entirely — the chooser must not credit
-    // dedup with savings the incremental path already banks.
-    evidence.incr_supported = !gem_verify::IncrChecker::new(
-        &inst.spec,
-        &inst.corr,
-        VerifyOptions::default().check_program_legality,
-    )
-    .global_fallback();
-    probe.add("auto.incr_supported", u64::from(evidence.incr_supported));
-    probe.add("auto.samples", evidence.samples as u64);
-    probe.add("auto.oracle_grants", evidence.oracle_grants);
-    probe.add("auto.oracle_queries", evidence.oracle_queries);
-    probe.gauge_set("auto.est_runs", evidence.est_runs.round() as u64);
-    probe.gauge_set("auto.est_distinct", evidence.est_distinct);
-    // Measured costs go to the timer section (the one section report
-    // determinism is defined modulo), not to gauges or config.
-    probe.time_ns("auto.key", evidence.key_ns);
-    probe.time_ns("auto.check", evidence.check_ns);
-    auto::choose(evidence)
-}
-
-/// Runs the verification sweep, first posting the search-space estimates
-/// of `evidence` when given:
-///
-/// * `estimate.total_runs` (gauge) — Knuth weighted-backtrack estimate of
-///   the number of maximal runs; the heartbeat turns it into
-///   `% explored` / ETA.
-/// * `estimate.distinct_computations` (gauge) — capture-recapture
-///   estimate of the distinct computations (the collapse ratio).
-/// * `estimate.key` / `estimate.check` (timers) — sampled per-run keying
-///   and checking costs, which price the predicted dedup verdict in
-///   `--explain` when dedup is off.
+/// Runs the verification sweep, first posting the run-count estimate
+/// when given: `estimate.samples` (counter) and `estimate.total_runs`
+/// (gauge), which the heartbeat turns into `% explored` / ETA and
+/// `gem top` into its progress line.
 ///
 /// Sampling happens *before* the `verify` span opens, so the phase table
 /// still partitions the sweep's wall time.
@@ -1535,15 +1397,12 @@ fn sweep<S: Substrate>(
     sys: &S,
     inst: &Instance,
     options: &VerifyOptions,
-    evidence: Option<&StrategyEvidence>,
+    estimate: Option<&KnuthEstimator>,
 ) -> Result<VerifyOutcome, CliError> {
-    if let Some(e) = evidence {
+    if let Some(runs) = estimate.and_then(KnuthEstimator::estimate_runs) {
         let probe = options.probe.as_ref();
-        probe.add("estimate.samples", e.samples as u64);
-        probe.gauge_set("estimate.total_runs", (e.est_runs.round() as u64).max(1));
-        probe.gauge_set("estimate.distinct_computations", e.est_distinct);
-        probe.time_ns("estimate.key", e.key_ns);
-        probe.time_ns("estimate.check", e.check_ns);
+        probe.add("estimate.samples", SAMPLES);
+        probe.gauge_set("estimate.total_runs", runs);
     }
     verify_system(sys, &inst.spec, &inst.corr, |s| sys.seal(s), options)
         .map_err(|e| err(format!("projection failed: {e}")))
@@ -1633,7 +1492,7 @@ struct Recorded {
     por: bool,
 }
 
-fn replay_cmd(dir: &Path, obs: &ObsSetup, flags: &mut ObsFlags) -> Result<String, CliError> {
+fn replay_cmd(dir: &Path, obs: &ObsSetup, flags: &ObsFlags) -> Result<String, CliError> {
     let meta = artifact_json(dir, "meta.json")?;
     let problem = meta
         .get("problem")
@@ -1744,8 +1603,8 @@ pub fn usage() -> String {
      \x20 render <problem> [params]  print the GEM specification\n\
      \x20 verify <problem> [params]  check PROG sat P over all schedules\n\
      \x20 explore <problem> [params] count schedules and deadlocks\n\
-     \x20 profile <problem> [params] verify + phase-attribution table, search-\n\
-     \x20                            space estimates, reduction verdicts\n\
+     \x20 profile <problem> [params] verify + phase-attribution table, run-count\n\
+     \x20                            estimate, reduction verdicts\n\
      \x20 top <problem> [params]     verify with a live dashboard on stderr:\n\
      \x20                            run/step rates, progress + ETA, worker\n\
      \x20                            utilization, phase shares\n\
@@ -1765,7 +1624,7 @@ pub fn usage() -> String {
      \x20                            write an OpenMetrics exposition (plus a\n\
      \x20                            <path>.json time-series) at the end\n\
      \x20 --explain                  append reduction cost/benefit verdicts\n\
-     \x20                            (dedup measured/predicted, POR attribution,\n\
+     \x20                            (dedup measured, POR attribution,\n\
      \x20                            incremental-check coverage)\n\
      \x20 --heartbeat <secs>         progress line interval (default 5, 0 = off)\n\
      \x20 --jobs <n>                 explorer worker threads (default 1, 0 = auto);\n\
@@ -1776,14 +1635,10 @@ pub fn usage() -> String {
      \x20 --por                      sleep-set partial-order reduction: explore\n\
      \x20                            roughly one schedule per computation; the\n\
      \x20                            verify/explore verdict is unchanged\n\
-     \x20 --incr-check <mode>        incremental restriction checking along the\n\
+     \x20 --incr-check auto|off      incremental restriction checking along the\n\
      \x20                            DFS tree: auto (default; on when the spec\n\
-     \x20                            is in the supported fragment), on, off;\n\
-     \x20                            verdicts identical in every mode\n\
-     \x20 --auto                     on verify: sample the instance and pick\n\
-     \x20                            plain/dedup/por from the estimated collapse\n\
-     \x20                            ratio and oracle grant rate (overrides\n\
-     \x20                            --dedup/--por; decision in --stats-json)\n\
+     \x20                            is in the supported fragment) or off;\n\
+     \x20                            verdicts identical in both modes\n\
      \x20 --artifacts <dir>          dump the first failing/deadlocked run as a\n\
      \x20                            self-contained counterexample directory and\n\
      \x20                            arm a crash-dump flight recorder\n\
@@ -2010,7 +1865,6 @@ mod tests {
         assert!(runv(&["verify", "one-slot", "--heartbeat", "1e300"]).is_err());
         assert!(runv(&["verify", "one-slot", "--stats=yes"]).is_err());
         assert!(runv(&["verify", "one-slot", "--dedup=yes"]).is_err());
-        assert!(runv(&["verify", "one-slot", "--auto=yes"]).is_err());
     }
 
     #[test]
@@ -2033,7 +1887,7 @@ mod tests {
     }
 
     #[test]
-    fn explore_dedup_counts_distinct_computations() {
+    fn explore_dedup_counts_computations() {
         let out = runv(&["explore", "rw", "readers=1", "writers=1", "--dedup"]).unwrap();
         assert!(out.contains("distinct computations:"), "{out}");
     }
@@ -2062,9 +1916,8 @@ mod tests {
         assert!(out.contains("check breakdown by restriction:"), "{out}");
         assert!(out.contains("#0 "), "{out}");
         assert!(out.contains("[batch]"), "{out}");
-        // No dedup: the sampler's collapse ratio yields a *predicted*
-        // dedup verdict.
-        assert!(out.contains("dedup predicted"), "{out}");
+        // No dedup ran, so there is no dedup verdict to give.
+        assert!(!out.contains("dedup"), "{out}");
     }
 
     #[test]
@@ -2151,6 +2004,8 @@ mod tests {
     fn incr_check_flag_validated_and_recorded() {
         assert!(runv(&["verify", "one-slot", "--incr-check", "bogus"]).is_err());
         assert!(runv(&["verify", "one-slot", "--incr-check"]).is_err());
+        let e = runv(&["verify", "one-slot", "--incr-check", "on"]).unwrap_err();
+        assert!(e.to_string().contains("auto|off"), "{e}");
         let dir = std::env::temp_dir().join("gem-cli-test-incr-flag");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stats.json");
@@ -2173,14 +2028,13 @@ mod tests {
             report.config.get("incr_check").cloned()
         };
         assert_eq!(with_mode("off").as_deref(), Some("off"));
-        assert_eq!(with_mode("on").as_deref(), Some("on"));
         assert_eq!(with_mode("auto").as_deref(), Some("auto"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn incr_check_modes_agree_on_verdicts() {
-        // The stdout contract: every mode prints byte-identical output,
+        // The stdout contract: both modes print byte-identical output,
         // on holding and failing instances alike.
         for problem in [
             vec!["verify", "one-slot", "items=2"],
@@ -2191,9 +2045,7 @@ mod tests {
                 args.extend(["--incr-check", mode]);
                 runv(&args).unwrap()
             };
-            let auto = run_mode("auto");
-            assert_eq!(auto, run_mode("on"), "{problem:?}");
-            assert_eq!(auto, run_mode("off"), "{problem:?}");
+            assert_eq!(run_mode("auto"), run_mode("off"), "{problem:?}");
         }
     }
 
@@ -2278,6 +2130,42 @@ mod tests {
     }
 
     #[test]
+    fn auto_flag_is_gone() {
+        // The strategy picker is gone: `--auto` is an ordinary unknown
+        // flag, and the stats report records no strategy.
+        for flag in ["--auto", "--auto=yes"] {
+            let e = runv(&["verify", "one-slot", "items=2", flag]).unwrap_err();
+            assert!(e.to_string().starts_with("unknown flag \"--auto\""), "{e}");
+        }
+        let dir = std::env::temp_dir().join("gem-cli-test-auto-gone");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stats.json");
+        let path_s = path.to_str().unwrap().to_owned();
+        let out = runv(&[
+            "verify",
+            "one-slot",
+            "items=2",
+            "--stats-json",
+            &path_s,
+            "--heartbeat",
+            "0",
+        ])
+        .unwrap();
+        assert!(!out.contains("strategy"), "{out}");
+        let json = std::fs::read_to_string(&path).unwrap();
+        let report = gem_obs::Report::from_json(&json).unwrap();
+        assert!(
+            report
+                .config
+                .keys()
+                .all(|k| k != "auto" && !k.starts_with("strategy")),
+            "{:?}",
+            report.config
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn recorder_cap_flag_is_gone() {
         let e = runv(&["verify", "one-slot", "--recorder-cap", "256"]).unwrap_err();
         assert!(e.to_string().contains("unknown flag"), "{e}");
@@ -2316,67 +2204,6 @@ mod tests {
             report.wall_time_ns().unwrap_or(0) > 0,
             "total span recorded"
         );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn auto_records_strategy_and_matches_explicit_flags() {
-        let dir = std::env::temp_dir().join("gem-cli-test-auto");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("auto-stats.json");
-        let path_s = path.to_str().unwrap().to_owned();
-        let out = runv(&[
-            "verify",
-            "bounded",
-            "items=3",
-            "cap=2",
-            "--auto",
-            "--stats-json",
-            &path_s,
-            "--heartbeat",
-            "0",
-        ])
-        .unwrap();
-        assert!(out.contains("strategy:"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        let report = gem_obs::Report::from_json(&json).unwrap();
-        // The decision and its estimator evidence are recorded.
-        let strategy = report.config.get("strategy").expect("config.strategy");
-        assert!(["plain", "dedup", "por"].contains(&strategy.as_str()));
-        for key in [
-            "strategy.reason",
-            "strategy.samples",
-            "strategy.est_runs",
-            "strategy.est_distinct",
-            "strategy.collapse_ratio",
-            "strategy.oracle_grants",
-            "strategy.oracle_queries",
-        ] {
-            assert!(report.config.contains_key(key), "missing {key}");
-        }
-        // Measured sampling costs are timing data: timers, not config.
-        for timer in ["auto.key", "auto.check"] {
-            assert!(report.timers.contains_key(timer), "missing timer {timer}");
-        }
-        // The bounded monitor is the known dedup-LOSS instance (every
-        // run a distinct computation, BENCH: dedup 3.4× slower): auto
-        // must not pick dedup here.
-        assert_ne!(
-            strategy,
-            "dedup",
-            "{:?}",
-            report.config.get("strategy.reason")
-        );
-        assert_eq!(
-            report.config.get("dedup").map(String::as_str),
-            Some("false")
-        );
-        // The chosen flag set reproduces the exact explicit-flag verdict.
-        let explicit = match strategy.as_str() {
-            "por" => runv(&["verify", "bounded", "items=3", "cap=2", "--por"]).unwrap(),
-            _ => runv(&["verify", "bounded", "items=3", "cap=2"]).unwrap(),
-        };
-        assert!(out.starts_with(&explicit), "{out}\nvs\n{explicit}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -2529,31 +2356,14 @@ mod tests {
     }
 
     #[test]
-    fn auto_with_explain_shows_decision_reason() {
-        let out = runv(&[
-            "verify",
-            "one-slot",
-            "items=2",
-            "--auto",
-            "--stats",
-            "--explain",
-            "--heartbeat",
-            "0",
-        ])
-        .unwrap();
-        assert!(out.contains("auto: chose "), "{out}");
-    }
-
-    #[test]
-    fn explain_estimate_sees_no_collapse_on_bounded_monitor() {
-        // Every run of the bounded monitor seals a distinct computation
-        // (`explore --dedup` counts 6297 of 6297): random walks that
-        // resample one path must not pass for runs that collapse.
+    fn explain_posts_only_the_run_estimate() {
+        // The pre-sweep sampler feeds the Knuth run estimate and nothing
+        // else: no collapse estimate, no sampled key or check costs.
         let dir = std::env::temp_dir().join("gem-cli-test-estimate");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stats.json");
         let path_s = path.to_str().unwrap().to_owned();
-        runv(&[
+        let out = runv(&[
             "verify",
             "bounded",
             "items=4",
@@ -2565,13 +2375,29 @@ mod tests {
             "0",
         ])
         .unwrap();
+        assert!(!out.contains("dedup"), "{out}");
         let json = std::fs::read_to_string(&path).unwrap();
         let report = gem_obs::Report::from_json(&json).unwrap();
-        let gauge = |k: &str| report.gauges.get(k).copied().expect(k);
-        let runs = gauge("estimate.total_runs");
-        let distinct = gauge("estimate.distinct_computations");
-        assert!(2 * distinct >= runs, "{distinct} distinct of {runs} runs");
-        assert!(report.timers.contains_key("estimate.key"));
+        assert_eq!(report.counters.get("estimate.samples"), Some(&SAMPLES));
+        assert!(
+            report
+                .gauges
+                .get("estimate.total_runs")
+                .copied()
+                .unwrap_or(0)
+                > 0
+        );
+        let estimate_keys = |keys: Vec<&String>| -> Vec<String> {
+            keys.into_iter()
+                .filter(|k| k.starts_with("estimate."))
+                .cloned()
+                .collect()
+        };
+        assert_eq!(
+            estimate_keys(report.gauges.keys().collect()),
+            ["estimate.total_runs"]
+        );
+        assert!(estimate_keys(report.timers.keys().collect()).is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

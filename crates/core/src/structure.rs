@@ -522,7 +522,12 @@ impl Structure {
     /// True if an event at `from` may enable an event of `to_class` at
     /// `to_element` under the group scope rules (footnote 4):
     /// `access(EL1, EL2) ∨ ∃G [ e2 is a port of G ∧ access(EL1, G) ]`.
+    /// False when either element is not one this structure holds.
     pub fn may_enable(&self, from: ElementId, to_element: ElementId, to_class: ClassId) -> bool {
+        let held = self.element_count();
+        if from.index() >= held || to_element.index() >= held {
+            return false;
+        }
         if self.access(from, NodeRef::Element(to_element)) {
             return true;
         }
@@ -609,6 +614,18 @@ mod tests {
         s.add_group("G3", &[els[2].into(), els[3].into()]).unwrap();
         s.add_group("G4", &[els[0].into()]).unwrap();
         (s, els)
+    }
+
+    #[test]
+    fn may_enable_is_false_for_an_element_not_held() {
+        let (s, els) = paper_example();
+        let touch = s.class("Touch").unwrap();
+        let stranger = ElementId::from_raw(99);
+        let mut memo = MayEnableMemo::new(&s);
+        for (from, to) in [(stranger, els[5]), (els[0], stranger), (stranger, stranger)] {
+            assert!(!s.may_enable(from, to, touch), "{from:?} -> {to:?}");
+            assert!(!memo.may_enable(&s, from, to, touch), "{from:?} -> {to:?}");
+        }
     }
 
     /// Reproduces the full allowed-communication table of §4.

@@ -442,8 +442,7 @@ impl Explorer {
     /// descents the expectation of that product is exactly the number of
     /// maximal runs, so feeding `tree_product` from repeated samples
     /// into `gem_obs::KnuthEstimator` estimates the run-tree size
-    /// without enumerating it; the terminal state and path feed the
-    /// capture-recapture computation-collapse estimator.
+    /// without enumerating it.
     ///
     /// Deterministic in `seed` (a private SplitMix64 stream, independent
     /// of the `rand` shim), and emits nothing through any probe: callers
@@ -489,8 +488,8 @@ impl Explorer {
     }
 }
 
-/// One sampled schedule ([`Explorer::sample_run`]) with the data the
-/// search-space estimators need.
+/// One sampled schedule ([`Explorer::sample_run`]): where it ended, how
+/// it got there, and its Knuth sample of the run count.
 pub struct RunSample<S: System> {
     /// Terminal (or depth-capped) state of the sampled schedule.
     pub state: S::State,

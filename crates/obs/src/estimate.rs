@@ -1,30 +1,18 @@
-//! Search-space estimators fed by sampled runs.
+//! Search-space estimation fed by sampled runs.
 //!
-//! Exhaustive sweeps give exact counts only *after* they finish; these
-//! estimators answer "how big is this instance?" from a handful of
-//! random schedules *before* (or while) the sweep runs:
+//! An exhaustive sweep gives an exact run count only *after* it
+//! finishes. [`KnuthEstimator`] answers "how big is this instance?" from
+//! a handful of random schedules *before* the sweep runs: Knuth's
+//! weighted-backtrack estimator of the run-tree leaf count. One probe
+//! walks a uniformly random root-to-leaf path and reports the product of
+//! the branching factors it saw; the expectation of that product over
+//! random paths is exactly the number of leaves (maximal runs), so the
+//! sample mean is an unbiased estimate. `tests/proptest_invariants.rs`
+//! pins the unbiasedness on fully-enumerable trees.
 //!
-//! * [`KnuthEstimator`] — Knuth's weighted-backtrack estimator of the
-//!   run-tree leaf count. One probe walks a uniformly random
-//!   root-to-leaf path and reports the product of the branching factors
-//!   it saw; the expectation of that product over random paths is
-//!   exactly the number of leaves (maximal runs), so the sample mean is
-//!   an unbiased estimate. `tests/proptest_invariants.rs` pins the
-//!   unbiasedness on fully-enumerable trees.
-//! * [`CollapseEstimator`] — a Chapman capture-recapture estimate of the
-//!   number of *distinct computations* (distinct `canonical_key`s) among
-//!   the runs. Sampled keys are split into two "occasions"; the overlap
-//!   between occasions estimates the population size the way ringed
-//!   birds estimate a flock: `N̂ = (n₁+1)(n₂+1)/(m+1) − 1`. Dividing the
-//!   estimated run count by the estimated computation count gives the
-//!   *collapse ratio* — the signal that decides whether `--dedup` can
-//!   possibly pay for its hashing.
-//!
-//! Both estimators are pure accumulators: exploration hands them samples
-//! and they never touch a clock or a probe, so they cannot perturb the
-//! sweep they describe.
-
-use std::collections::HashSet;
+//! The estimator is a pure accumulator: exploration hands it samples and
+//! it never touches a clock or a probe, so it cannot perturb the sweep
+//! it describes.
 
 /// Knuth weighted-backtrack estimator of a tree's leaf count.
 ///
@@ -70,85 +58,6 @@ impl KnuthEstimator {
     pub fn estimate_runs(&self) -> Option<u64> {
         self.estimate().map(|e| (e.round() as u64).max(1))
     }
-}
-
-/// Chapman's (bias-corrected Lincoln–Petersen) capture-recapture
-/// estimate of a population size from two sampling occasions.
-///
-/// `n1` and `n2` are the occasion sizes (counted with multiplicity) and
-/// `m` the number of occasion-2 captures already seen in occasion 1.
-/// Returns `N̂ = (n1+1)(n2+1)/(m+1) − 1`, an (almost) unbiased estimate
-/// of the number of distinct individuals when captures are uniform.
-pub fn chapman_estimate(n1: u64, n2: u64, m: u64) -> f64 {
-    ((n1 + 1) as f64) * ((n2 + 1) as f64) / ((m + 1) as f64) - 1.0
-}
-
-/// Capture-recapture estimator of the number of distinct computations
-/// (distinct canonical keys) in a run population.
-///
-/// Record one fingerprint per sampled run. At estimate time the sample
-/// sequence is split in half: the first half is the *marking* occasion
-/// (its distinct fingerprints are the marked individuals), the second
-/// half the *recapture* occasion; the recapture rate feeds
-/// [`chapman_estimate`]. The fingerprint is any collision-poor digest
-/// of the canonical key — the caller hashes the exact key down to a
-/// `u64` (see [`fingerprint_words`]).
-#[derive(Clone, Debug, Default)]
-pub struct CollapseEstimator {
-    samples: Vec<u64>,
-}
-
-impl CollapseEstimator {
-    /// An empty estimator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sampled run's computation fingerprint.
-    pub fn record(&mut self, fingerprint: u64) {
-        self.samples.push(fingerprint);
-    }
-
-    /// Total samples recorded.
-    pub fn samples(&self) -> u64 {
-        self.samples.len() as u64
-    }
-
-    /// Number of distinct fingerprints actually seen — a hard lower
-    /// bound on the population.
-    pub fn distinct_seen(&self) -> u64 {
-        self.samples.iter().collect::<HashSet<_>>().len() as u64
-    }
-
-    /// The Chapman estimate of the number of distinct computations,
-    /// clamped below by [`CollapseEstimator::distinct_seen`] (an
-    /// estimate can never undercut what was observed). `None` until both
-    /// occasions have at least one sample (two samples total).
-    pub fn estimate(&self) -> Option<u64> {
-        let split = self.samples.len() / 2;
-        if split == 0 {
-            return None;
-        }
-        let marked: HashSet<&u64> = self.samples[..split].iter().collect();
-        let recaptures = &self.samples[split..];
-        let m = recaptures.iter().filter(|fp| marked.contains(fp)).count() as u64;
-        let est = chapman_estimate(marked.len() as u64, recaptures.len() as u64, m);
-        Some((est.round() as u64).max(self.distinct_seen()))
-    }
-}
-
-/// Digests a canonical key (or any word sequence) into a single `u64`
-/// fingerprint via an FNV-1a fold — stable across platforms and runs,
-/// collision-poor at sample-population scale.
-pub fn fingerprint_words(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in words {
-        for shift in [0u32, 32] {
-            h ^= u64::from((w >> shift) as u32);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// A tiny deterministic RNG (SplitMix64) for sampling probes where
@@ -206,54 +115,6 @@ mod tests {
     fn knuth_empty_is_none() {
         assert_eq!(KnuthEstimator::new().estimate(), None);
         assert_eq!(KnuthEstimator::new().estimate_runs(), None);
-    }
-
-    #[test]
-    fn chapman_matches_hand_computation() {
-        // n1=4, n2=4, m=3: (5*5)/4 - 1 = 5.25
-        assert!((chapman_estimate(4, 4, 3) - 5.25).abs() < 1e-9);
-        // No overlap: estimate blows up toward n1*n2 scale.
-        assert!(chapman_estimate(10, 10, 0) > 100.0);
-    }
-
-    #[test]
-    fn collapse_estimator_on_small_population() {
-        // Population of 3 distinct keys sampled uniformly; with heavy
-        // overlap the estimate lands on the true count.
-        let mut est = CollapseEstimator::new();
-        for fp in [1u64, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3] {
-            est.record(fp);
-        }
-        assert_eq!(est.distinct_seen(), 3);
-        let n = est.estimate().unwrap();
-        assert!((3..=4).contains(&n), "estimate {n} for population 3");
-    }
-
-    #[test]
-    fn collapse_estimate_never_undercuts_observed() {
-        let mut est = CollapseEstimator::new();
-        for fp in 0..10u64 {
-            est.record(fp); // all distinct, zero recapture
-        }
-        assert!(est.estimate().unwrap() >= est.distinct_seen());
-    }
-
-    #[test]
-    fn collapse_needs_both_occasions() {
-        let mut est = CollapseEstimator::new();
-        assert_eq!(est.estimate(), None);
-        est.record(7);
-        assert_eq!(est.estimate(), None, "only occasion 1 sampled");
-        est.record(7);
-        assert!(est.estimate().is_some());
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_separating() {
-        let a = fingerprint_words(&[1, 2, 3]);
-        assert_eq!(a, fingerprint_words(&[1, 2, 3]));
-        assert_ne!(a, fingerprint_words(&[1, 2, 4]));
-        assert_ne!(a, fingerprint_words(&[1, 2]));
     }
 
     #[test]

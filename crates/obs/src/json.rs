@@ -311,9 +311,32 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Digests a word sequence into one `u64` by an FNV-1a fold over its
+/// 32-bit halves: stable across platforms and runs, so a JSON document
+/// can pin it (the `digest` of each `tests/golden/step_semantics.json`
+/// row folds a sweep's computation fingerprints).
+pub fn fingerprint_words(words: &[u64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &w in words {
+        for shift in [0u32, 32] {
+            h ^= u64::from((w >> shift) as u32);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprint_is_stable_and_separating() {
+        let a = fingerprint_words(&[1, 2, 3]);
+        assert_eq!(a, fingerprint_words(&[1, 2, 3]));
+        assert_ne!(a, fingerprint_words(&[1, 2, 4]));
+        assert_ne!(a, fingerprint_words(&[1, 2]));
+    }
 
     #[test]
     fn escapes() {

@@ -33,9 +33,8 @@
 //!   exported as a `metrics.json` time-series and an OpenMetrics text
 //!   endpoint-file ([`render_openmetrics`] / [`lint_openmetrics`], CLI
 //!   `--metrics-out`).
-//! * [`estimate`] — search-space estimators: Knuth weighted-backtrack
-//!   run-tree size and Chapman capture-recapture distinct-computation
-//!   counts, fed by sampled runs.
+//! * [`estimate`] — the Knuth weighted-backtrack estimate of the
+//!   run-tree size, fed by sampled runs.
 //! * [`profile`] — per-phase wall-time attribution ([`PhaseProfile`])
 //!   and reduction cost/benefit verdicts ([`explain`]) over a report.
 //! * [`ambient`] — a thread-local probe slot for layers too deep to
@@ -43,7 +42,8 @@
 //!   construction, history materialization). Inactive cost is one atomic
 //!   load.
 //! * [`json`] — serde-free JSON emission + parsing used by reports and
-//!   forensic artifacts.
+//!   forensic artifacts, and the stable word digest golden rows pin
+//!   ([`fingerprint_words`]).
 //! * [`write_atomic`] — temp-file + rename emission so CI never reads a
 //!   half-written report.
 //!
@@ -70,13 +70,14 @@ mod series;
 mod tid;
 
 pub use chrome::{chrome_trace_json, ChromeEvent};
-pub use estimate::{chapman_estimate, fingerprint_words, CollapseEstimator, KnuthEstimator};
+pub use estimate::KnuthEstimator;
 pub use event_log::{
     clear_crash_sink, install_crash_sink, EventKind, EventLog, LogEvent, ThreadDump, CRASH_TAIL,
 };
 pub use fsio::write_atomic;
 pub use heartbeat::heartbeat_line;
 pub use hist::{Histogram, HIST_BUCKETS};
+pub use json::fingerprint_words;
 pub use openmetrics::{lint_openmetrics, render_openmetrics, OpenMetricsSummary};
 pub use probe::{FanoutProbe, NoopProbe, Probe, Span, StatsProbe};
 pub use profile::{explain, PhaseProfile, PhaseRow};

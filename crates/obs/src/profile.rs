@@ -155,14 +155,11 @@ impl PhaseProfile {
     }
 }
 
-/// Cost/benefit verdict lines for the reductions that were (or could
-/// be) applied, derived purely from the report's counters and timers:
+/// Cost/benefit verdict lines for the reductions a sweep applied,
+/// derived purely from the report's counters and timers:
 ///
 /// * **dedup measured** — when `verify.dedup.*` counters exist: hashing
 ///   plus lookup cost versus checking time saved (`hits ×` mean check).
-/// * **dedup predicted** — when dedup was off but the sampling
-///   estimators ran: predicted hit-rate from the collapse ratio, costed
-///   with the sampled per-run key/check times.
 /// * **incremental check** — when `logic.incr.*` counters exist: how
 ///   many leaves the prefix-sharing checker proved clean (skipping the
 ///   seal/check pipeline entirely), replay/reuse volume, and its cost.
@@ -205,31 +202,6 @@ pub fn explain(report: &Report) -> Vec<String> {
             pct_of_wall(cost),
             format_ns(saved),
         ));
-    } else if report.gauges.contains_key("estimate.distinct_computations") {
-        // Dedup off, but the sampler measured the collapse ratio and
-        // per-run key/check costs — predict.
-        let est_runs = report
-            .gauges
-            .get("estimate.total_runs")
-            .copied()
-            .unwrap_or(0);
-        let est_distinct = report.gauges["estimate.distinct_computations"].max(1);
-        if est_runs > 0 {
-            let hit_rate = 1.0 - (est_distinct.min(est_runs) as f64 / est_runs as f64);
-            let key_ns = t_mean("estimate.key");
-            let check_ns = t_mean("estimate.check");
-            let cost = (est_runs as f64) * (key_ns as f64);
-            let saved = (est_runs as f64) * hit_rate * (check_ns as f64);
-            let verdict = if saved > cost { "WIN" } else { "LOSS" };
-            out.push(format!(
-                "dedup predicted {verdict}: est. {est_runs} run(s) collapse to \
-                 ~{est_distinct} computation(s) (hit-rate {:.0}%), est. hashing \
-                 cost {} vs. checking saved {}",
-                hit_rate * 100.0,
-                format_ns(cost as u64),
-                format_ns(saved as u64),
-            ));
-        }
     }
 
     let inc_clean = c("logic.incr.leaf_clean");
@@ -378,18 +350,13 @@ mod tests {
     }
 
     #[test]
-    fn explain_predicted_dedup_from_estimates() {
+    fn explain_judges_dedup_only_from_measured_counters() {
+        // A pre-sweep run estimate says nothing about how runs collapse
+        // into computations: without dedup counters there is no dedup line.
         let mut r = phased_report();
         r.gauges.insert("estimate.total_runs".into(), 800);
-        r.gauges.insert("estimate.distinct_computations".into(), 25);
-        r.timers.insert("estimate.key".into(), timer(16, 16_000));
-        r.timers
-            .insert("estimate.check".into(), timer(16, 1_600_000));
         let lines = explain(&r);
-        assert!(
-            lines.iter().any(|l| l.contains("dedup predicted WIN")),
-            "{lines:?}"
-        );
+        assert!(lines.iter().all(|l| !l.contains("dedup")), "{lines:?}");
     }
 
     #[test]

@@ -80,9 +80,6 @@ pub enum IncrCheck {
     /// whole specification fell back. (Default.)
     #[default]
     Auto,
-    /// Attempt synchronisation on every leaf even under a global
-    /// fallback, so the `logic.incr.*` per-leaf counters are reported.
-    On,
     /// Never use the incremental checker.
     Off,
 }

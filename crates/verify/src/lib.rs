@@ -55,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod auto;
 mod correspondence;
 pub mod dedup;
 pub mod forensics;
@@ -63,7 +62,6 @@ pub mod incr;
 mod progress;
 mod sat;
 
-pub use auto::{sample_evidence, StrategyDecision, StrategyEvidence};
 pub use correspondence::{project, Correspondence, Pair, ProjectError};
 pub use dedup::{canonical_key, confirm_key, CanonicalKey};
 pub use forensics::{computation_json, derive_schedule, outcome_path, ArtifactSink};

@@ -180,7 +180,7 @@ pub struct VerifyOptions {
     /// Prefix-sharing incremental restriction checking along the DFS
     /// tree (see [`crate::incr`]): leaves proven clean skip the whole
     /// seal → project → check pipeline. Verdicts, failures, and
-    /// artifacts are identical in every mode; only the `logic.*`,
+    /// artifacts are identical in both modes; only the `logic.*`,
     /// `restriction.*`, `project.*`, phase-timer, and dedup counters
     /// reflect the skipped work.
     pub incr_check: IncrCheck,
@@ -311,12 +311,11 @@ where
 
     // Prefix-sharing incremental checker (see `crate::incr`): compiled
     // once per sweep (after the ambient install, so the per-restriction
-    // fallback decisions land in the stats), synchronised per leaf. In
-    // `Auto` mode a globally-fallen-back compilation drops the per-leaf
-    // work entirely.
-    let mut incr_checker = (options.incr_check != IncrCheck::Off)
+    // fallback decisions land in the stats), synchronised per leaf. A
+    // globally-fallen-back compilation drops the per-leaf work entirely.
+    let mut incr_checker = (options.incr_check == IncrCheck::Auto)
         .then(|| IncrChecker::new(problem, corr, options.check_program_legality))
-        .filter(|c| options.incr_check == IncrCheck::On || !c.global_fallback());
+        .filter(|c| !c.global_fallback());
 
     let stats = options
         .explorer

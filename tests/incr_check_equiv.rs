@@ -1,7 +1,7 @@
 //! Differential harness: incremental restriction checking must be
 //! observationally invisible.
 //!
-//! `--incr-check on|auto` replaces the per-leaf seal→project→check
+//! `--incr-check auto` replaces the per-leaf seal→project→check
 //! pipeline with a prefix-sharing incremental evaluator for leaves it
 //! can prove clean — but verdicts, failure details, deadlock counts,
 //! blame artifacts, and the exploration-level counters of `--stats-json`
@@ -82,16 +82,9 @@ fn curated(report: &gem::obs::Report) -> BTreeMap<String, u64> {
         .collect()
 }
 
-/// True when CI widens this suite's matrix (`GEM_TEST_INCR=1`): the
-/// strategy grid gains the combined dedup+por mode and the worker sweep
-/// gains jobs=2. Mirrors `GEM_TEST_DEDUP` / `GEM_TEST_POR` /
-/// `GEM_TEST_AUTO`.
-fn incr_env() -> bool {
-    std::env::var("GEM_TEST_INCR").is_ok_and(|v| v.trim() == "1")
-}
-
-/// Asserts every incr mode agrees with `Off` on outcome and curated
-/// counters, across the reduction strategies and worker counts given.
+/// Asserts `Auto` agrees with `Off` on outcome and curated counters,
+/// across every reduction strategy (dedup and POR, alone and combined)
+/// and the worker counts given, plus two workers when several are given.
 fn assert_modes_agree<S>(
     sys: &S,
     spec: &Specification,
@@ -104,30 +97,24 @@ fn assert_modes_agree<S>(
     S::State: Send,
     S::Action: Send,
 {
-    let mut strategies = vec![(false, false), (true, false), (false, true)];
     let mut jobs_sweep = jobs_list.to_vec();
-    if incr_env() {
-        strategies.push((true, true));
-        if jobs_list.len() > 1 && !jobs_sweep.contains(&2) {
-            jobs_sweep.push(2);
-        }
+    if jobs_list.len() > 1 && !jobs_sweep.contains(&2) {
+        jobs_sweep.push(2);
     }
-    for (dedup, por) in strategies {
+    for (dedup, por) in [(false, false), (true, false), (false, true), (true, true)] {
         for &jobs in &jobs_sweep {
             let (base_out, base_rep) =
                 sweep(sys, spec, corr, extract, jobs, dedup, por, IncrCheck::Off);
-            for incr in [IncrCheck::Auto, IncrCheck::On] {
-                let (out, rep) = sweep(sys, spec, corr, extract, jobs, dedup, por, incr);
-                assert_eq!(
-                    base_out, out,
-                    "{what}: outcome diverges at jobs={jobs} dedup={dedup} por={por} {incr:?}"
-                );
-                assert_eq!(
-                    curated(&base_rep),
-                    curated(&rep),
-                    "{what}: counters diverge at jobs={jobs} dedup={dedup} por={por} {incr:?}"
-                );
-            }
+            let (out, rep) = sweep(sys, spec, corr, extract, jobs, dedup, por, IncrCheck::Auto);
+            assert_eq!(
+                base_out, out,
+                "{what}: outcome diverges at jobs={jobs} dedup={dedup} por={por}"
+            );
+            assert_eq!(
+                curated(&base_rep),
+                curated(&rep),
+                "{what}: counters diverge at jobs={jobs} dedup={dedup} por={por}"
+            );
         }
     }
 }
@@ -164,8 +151,8 @@ fn monitor_holding_instance_agrees() {
 fn monitor_failing_instance_agrees() {
     // Readers-priority monitor checked against the writers-priority spec:
     // the sweep FAILS, and the failure list (run indices, violated
-    // restriction names, rendered details) must be identical in every
-    // mode — incr-flagged leaves adopt the batch verdict wholesale.
+    // restriction names, rendered details) must be identical in both
+    // modes — incr-flagged leaves adopt the batch verdict wholesale.
     let sys = rw_program(readers_writers_monitor(), 1, 2, false);
     let spec = rw_spec(3, false, RwVariant::WritersPriority);
     let corr = rw_correspondence(&sys, &spec, false);
@@ -341,9 +328,18 @@ fn forced_fallback_formula_agrees_and_is_reported() {
         "rw positive-exists (fallback)",
         &[1],
     );
-    // `On` forces per-leaf accounting even under global fallback, so the
-    // fallback decision is visible per restriction.
-    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, 1, false, false, IncrCheck::On);
+    // The fallback is decided when the checker compiles, so it is visible
+    // per restriction; the sweep then skips the per-leaf machinery.
+    let (outcome, rep) = sweep(
+        &sys,
+        &spec,
+        &corr,
+        extract,
+        1,
+        false,
+        false,
+        IncrCheck::Auto,
+    );
     assert!(outcome.ok(), "{outcome}");
     let fallbacks: Vec<_> = rep
         .counters
@@ -356,23 +352,18 @@ fn forced_fallback_formula_agrees_and_is_reported() {
         "expected exactly the one per-restriction fallback reason: {:?}",
         rep.counters
     );
-    assert_eq!(
-        rep.counters.get("logic.incr.leaf_clean").copied(),
-        None,
-        "global fallback must not prove any leaf clean"
-    );
-    // Auto skips the per-leaf machinery entirely under global fallback.
-    let (_, rep) = sweep(
-        &sys,
-        &spec,
-        &corr,
-        extract,
-        1,
-        false,
-        false,
-        IncrCheck::Auto,
-    );
-    assert_eq!(rep.counters.get("logic.incr.syncs").copied(), None);
+    for leaf_counter in [
+        "logic.incr.syncs",
+        "logic.incr.leaf_clean",
+        "logic.incr.leaf_fallback",
+    ] {
+        assert_eq!(
+            rep.counters.get(leaf_counter).copied(),
+            None,
+            "global fallback syncs no leaf: {:?}",
+            rep.counters
+        );
+    }
 }
 
 /// The artifact files of a default-option sweep in mode `incr`, written
@@ -419,7 +410,7 @@ fn capacity_violation_settled_mid_replay_keeps_the_batch_verdict() {
     // ground `capacity` conjunct `In^2 ⊃ Out^0 ⇒ In^2` settles false as
     // soon as the third deposit arrives before the first removal. Leaves
     // under that settled violation fall back to batch, whose outcome,
-    // failure details and artifacts must match `Off` in every mode.
+    // failure details and artifacts must match `Off`.
     let items: Vec<i64> = vec![1, 2, 3];
     let spec = bounded::bounded_spec(items.len(), 2);
     let sys = bounded::monitor_solution(&items, 3);
@@ -456,9 +447,7 @@ fn capacity_violation_settled_mid_replay_keeps_the_batch_verdict() {
             .is_some_and(|b| b.contains("capacity")),
         "{off:?}"
     );
-    for incr in [IncrCheck::Auto, IncrCheck::On] {
-        assert_eq!(off, artifacts(incr), "artifacts diverge in mode {incr:?}");
-    }
+    assert_eq!(off, artifacts(IncrCheck::Auto), "artifacts diverge");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -594,7 +583,7 @@ fn violated_eventually_restriction_falls_back_per_leaf() {
     // start before the reader asks, so it fails on some complete,
     // deadlock-free leaves and holds on others: the failing leaves fall
     // back to batch, whose outcome, failure details and artifacts (blame
-    // included) must match `Off` in every mode.
+    // included) must match `Off`.
     let sys = rw_program(readers_writers_monitor(), 1, 1, false);
     let spec = rw_control_spec(|control| {
         vec![(
@@ -657,9 +646,7 @@ fn violated_eventually_restriction_falls_back_per_leaf() {
             .is_some_and(|b| b.contains("write-follows-read")),
         "{off:?}"
     );
-    for incr in [IncrCheck::Auto, IncrCheck::On] {
-        assert_eq!(off, artifacts(incr), "artifacts diverge in mode {incr:?}");
-    }
+    assert_eq!(off, artifacts(IncrCheck::Auto), "artifacts diverge");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -682,7 +669,7 @@ fn incr_counters_identical_across_jobs() {
             jobs,
             false,
             false,
-            IncrCheck::On,
+            IncrCheck::Auto,
         );
         assert!(outcome.ok(), "{outcome}");
         rep.counters
@@ -757,21 +744,16 @@ fn cli_artifacts_and_stats_agree_across_modes() {
         (stdout, format!("{kept:?}"), files)
     };
     let (off_out, off_counters, off_files) = run_mode("off");
-    for mode in ["auto", "on"] {
-        let (out, counters, files) = run_mode(mode);
-        assert_eq!(off_out, out, "stdout diverges in mode {mode}");
-        assert_eq!(off_counters, counters, "counters diverge in mode {mode}");
-        assert_eq!(
-            off_files.keys().collect::<Vec<_>>(),
-            files.keys().collect::<Vec<_>>(),
-            "artifact file set diverges in mode {mode}"
-        );
-        for (name, body) in &off_files {
-            assert_eq!(
-                body, &files[name],
-                "artifact {name} diverges in mode {mode}"
-            );
-        }
+    let (out, counters, files) = run_mode("auto");
+    assert_eq!(off_out, out, "stdout diverges");
+    assert_eq!(off_counters, counters, "counters diverge");
+    assert_eq!(
+        off_files.keys().collect::<Vec<_>>(),
+        files.keys().collect::<Vec<_>>(),
+        "artifact file set diverges"
+    );
+    for (name, body) in &off_files {
+        assert_eq!(body, &files[name], "artifact {name} diverges");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -827,26 +809,4 @@ fn cli_incremental_checker_proves_every_leaf_clean() {
         assert_eq!(counter("logic.incr.leaf_fallback"), None, "{instance:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn cli_auto_strategy_agrees_across_modes() {
-    // `--auto` picks the strategy before the sweep; whatever it picks,
-    // the verdict line must not depend on the incr mode.
-    let base = [
-        "verify",
-        "one-slot",
-        "items=2",
-        "--auto",
-        "--heartbeat",
-        "0",
-    ];
-    let run_mode = |mode: &str| {
-        let mut args: Vec<String> = base.iter().map(|s| (*s).to_owned()).collect();
-        args.extend(["--incr-check".to_owned(), mode.to_owned()]);
-        gem_cli::run(&args).expect("cli run")
-    };
-    let off = run_mode("off");
-    assert_eq!(off, run_mode("auto"));
-    assert_eq!(off, run_mode("on"));
 }

@@ -325,7 +325,7 @@ fn phase_partition_holds_with_incremental_checking_on() {
         |state| sys.computation(state).expect("acyclic"),
         &VerifyOptions {
             probe: probe.clone(),
-            incr_check: gem::verify::IncrCheck::On,
+            incr_check: gem::verify::IncrCheck::Auto,
             ..VerifyOptions::default()
         },
     )
