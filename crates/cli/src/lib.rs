@@ -1112,8 +1112,9 @@ fn explore<S: Substrate>(sys: &S, cx: &Ctx) -> String {
         .enabled()
         .then(|| gem_obs::ambient::install(probe.clone()));
     let mut deadlocks = 0usize;
-    // Fingerprint-bucketed exact dedup, mirroring verify_system: the free
-    // rolling hash indexes, the closure-free confirmation key decides.
+    // Fingerprint-bucketed exact dedup, mirroring verify_system: the
+    // fingerprint hashed at seal indexes, the closure-free confirmation
+    // key decides.
     let mut seen: std::collections::HashMap<u64, Vec<gem_verify::CanonicalKey>> =
         std::collections::HashMap::new();
     let (mut hits, mut misses) = (0u64, 0u64);

@@ -58,7 +58,7 @@ const FP_MEMBERSHIP: u64 = 4;
 const FP_THREAD: u64 = 5;
 
 /// SplitMix64 finalizer: spreads one word over all 64 bits so the
-/// commutative sum in [`ComputationBuilder`] keeps distinct item
+/// commutative sum in [`Computation::fingerprint`] keeps distinct item
 /// multisets apart.
 fn fp_mix(z: u64) -> u64 {
     let z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -69,9 +69,8 @@ fn fp_mix(z: u64) -> u64 {
 
 /// The hash of one fingerprint item — a short, domain-tagged word
 /// sequence — folded word by word into a single well-mixed word. Items
-/// combine by wrapping addition, which is what makes the rolling
-/// fingerprint schedule-independent: two schedules produce the same *set*
-/// of items in different orders.
+/// combine by wrapping addition, so the fingerprint does not depend on
+/// the order in which a schedule emitted them.
 struct FpItem(u64);
 
 impl FpItem {
@@ -221,8 +220,7 @@ pub struct ComputationBuilder {
     precedences: Vec<(EventId, EventId)>,
     memberships: Vec<Membership>,
     /// Per event, the `enables` and `precedences` journal lengths when it
-    /// was added: an edge into the event can only sit past those indices,
-    /// so the duplicate scans in `enable`/`add_precedence` start there.
+    /// was added: an edge into the event can only sit past those indices.
     journal_at: Vec<(usize, usize)>,
     /// Per event, its change stamp; see
     /// [`ComputationBuilder::event_stamps`].
@@ -236,14 +234,6 @@ pub struct ComputationBuilder {
     tag_log: Vec<EventId>,
     /// Parameter vectors of rolled-back events, kept for reuse.
     spare_params: SpareParams,
-    /// Rolling schedule-independent fingerprint: the wrapping sum of one
-    /// well-mixed hash per event, enable edge, precedence, membership, and
-    /// thread tag, each expressed in `(element, seq)` coordinates. Updated
-    /// in O(item) on insertion and restored exactly by
-    /// [`ComputationBuilder::truncate_to`], so the explore→seal hot path
-    /// gets a computation digest for free; see
-    /// [`Computation::fingerprint`] for the contract.
-    fp: u64,
 }
 
 /// A snapshot of a builder's growth point, taken with
@@ -261,7 +251,6 @@ pub struct BuilderMark {
     memberships: usize,
     tags: usize,
     cycle: Option<CycleError>,
-    fp: u64,
 }
 
 /// A dynamic group-structure change (§5): the event `event` adds `member`
@@ -296,7 +285,6 @@ impl ComputationBuilder {
             order: IncrementalOrder::new(),
             tag_log: Vec::new(),
             spare_params: SpareParams::default(),
-            fp: 0,
         }
     }
 
@@ -348,15 +336,6 @@ impl ComputationBuilder {
         let chain = &self.element_events[element.index()];
         let seq = chain.len() as u32;
         let prev = chain.last().copied();
-        let mut item = FpItem::new();
-        item.word(FP_EVENT);
-        item.word(fp_coord(element, seq));
-        item.word(u64::from(class.as_raw()));
-        item.word(params.len() as u64);
-        for p in &params {
-            item.value(p);
-        }
-        self.fp = self.fp.wrapping_add(item.0);
         self.element_events[element.index()].push(id);
         self.journal_at
             .push((self.enables.len(), self.precedences.len()));
@@ -390,29 +369,10 @@ impl ComputationBuilder {
         if to.index() >= self.events.len() {
             return Err(BuildError::UnknownEvent(to));
         }
-        // Duplicate edges collapse at assembly, so only the first sighting
-        // may contribute to the fingerprint — otherwise two schedules
-        // emitting the same edge set with different multiplicities would
-        // fingerprint the same computation differently.
-        let since = self.journal_at[to.index()].0;
-        if !self.enables[since..].contains(&(from, to)) {
-            self.fp = self.fp.wrapping_add(fp_item(&[
-                FP_ENABLE,
-                self.event_fp_coord(from),
-                self.event_fp_coord(to),
-            ]));
-        }
         self.enables.push((from, to));
         self.stamps[to.index()] = self.stamp_source.fresh();
         self.order.add_edge(from, to);
         Ok(())
-    }
-
-    /// The `(element, seq)` fingerprint coordinate of an already-added
-    /// event.
-    fn event_fp_coord(&self, e: EventId) -> u64 {
-        let ev = &self.events[e.index()];
-        fp_coord(ev.element, ev.seq)
     }
 
     /// Records a pure temporal-precedence constraint `before ⇒ after`
@@ -437,14 +397,6 @@ impl ComputationBuilder {
         }
         if after.index() >= self.events.len() {
             return Err(BuildError::UnknownEvent(after));
-        }
-        let since = self.journal_at[after.index()].1;
-        if !self.precedences[since..].contains(&(before, after)) {
-            self.fp = self.fp.wrapping_add(fp_item(&[
-                FP_PRECEDENCE,
-                self.event_fp_coord(before),
-                self.event_fp_coord(after),
-            ]));
         }
         self.precedences.push((before, after));
         self.stamps[after.index()] = self.stamp_source.fresh();
@@ -474,17 +426,6 @@ impl ComputationBuilder {
         if event.index() >= self.events.len() {
             return Err(BuildError::UnknownEvent(event));
         }
-        let (kind, raw) = match member {
-            crate::NodeRef::Element(el) => (0u64, el.as_raw()),
-            crate::NodeRef::Group(g) => (1u64, g.as_raw()),
-        };
-        self.fp = self.fp.wrapping_add(fp_item(&[
-            FP_MEMBERSHIP,
-            self.event_fp_coord(event),
-            u64::from(group.as_raw()),
-            kind,
-            u64::from(raw),
-        ]));
         self.memberships.push(Membership {
             event,
             group,
@@ -505,14 +446,7 @@ impl ComputationBuilder {
             .ok_or(BuildError::UnknownEvent(event))?;
         if !ev.threads.contains(&tag) {
             ev.threads.push(tag);
-            let item = fp_item(&[
-                FP_THREAD,
-                fp_coord(ev.element, ev.seq),
-                u64::from(tag.thread_type().as_raw()),
-                u64::from(tag.instance()),
-            ]);
             self.tag_log.push(event);
-            self.fp = self.fp.wrapping_add(item);
         }
         Ok(())
     }
@@ -600,15 +534,7 @@ impl ComputationBuilder {
             memberships: self.memberships.len(),
             tags: self.tag_log.len(),
             cycle: self.order.cycle().cloned(),
-            fp: self.fp,
         }
-    }
-
-    /// The rolling schedule-independent fingerprint of the computation
-    /// built so far — the value [`Computation::fingerprint`] will carry
-    /// after sealing. Maintained incrementally, so reading it is free.
-    pub fn fingerprint(&self) -> u64 {
-        self.fp
     }
 
     /// Rolls the builder back to `mark`, undoing every event, edge,
@@ -670,7 +596,6 @@ impl ComputationBuilder {
         self.enables.truncate(mark.enables);
         self.precedences.truncate(mark.precedences);
         self.memberships.truncate(mark.memberships);
-        self.fp = mark.fp;
         if fast {
             self.order.truncate_to(mark.events, mark.cycle.clone());
         } else {
@@ -734,7 +659,6 @@ impl ComputationBuilder {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // internal seal plumbing, one caller
     fn assemble(
         structure: Arc<Structure>,
         events: Vec<Event>,
@@ -743,7 +667,6 @@ impl ComputationBuilder {
         precedences: &[(EventId, EventId)],
         memberships: Vec<Membership>,
         closure: Closure,
-        fp: u64,
     ) -> Computation {
         let n = events.len();
         let mut enables_out: Vec<Vec<EventId>> = vec![Vec::new(); n];
@@ -760,7 +683,7 @@ impl ComputationBuilder {
                 precedences_out.push(p);
             }
         }
-        Computation {
+        let mut c = Computation {
             structure,
             events,
             enables_out,
@@ -769,8 +692,10 @@ impl ComputationBuilder {
             precedences: precedences_out,
             closure,
             memberships,
-            fp,
-        }
+            fp: 0,
+        };
+        c.fp = c.hash_generators();
+        c
     }
 
     /// Seals the builder: computes the temporal order and checks that it is
@@ -790,7 +715,6 @@ impl ComputationBuilder {
             &self.precedences,
             self.memberships,
             closure,
-            self.fp,
         ))
     }
 
@@ -813,7 +737,6 @@ impl ComputationBuilder {
             &self.precedences,
             self.memberships.clone(),
             closure,
-            self.fp,
         ))
     }
 }
@@ -953,17 +876,71 @@ impl Computation {
     }
 
     /// A schedule-independent 64-bit fingerprint of this computation,
-    /// maintained incrementally during construction (so reading it costs
-    /// nothing). It hashes exactly the generators the canonical key
-    /// serialises — events with classes, parameters, and thread tags in
-    /// `(element, seq)` coordinates, the enable-edge set, the
-    /// precedence-edge set, and the memberships — so two schedules
-    /// sealing to the same computation always agree on it. Distinct
-    /// computations collide only with hash probability; callers needing
-    /// exactness must confirm a fingerprint match with an exact key
-    /// comparison (see `gem_verify`'s dedup module).
+    /// hashed once when it is sealed (so reading it is O(1)). It hashes
+    /// exactly the generators the canonical key serialises — events with
+    /// classes, parameters, and thread tags in `(element, seq)`
+    /// coordinates, the enable-edge set, the precedence-edge set, and the
+    /// memberships — so two schedules sealing to the same computation
+    /// always agree on it. Distinct computations collide only with hash
+    /// probability; callers needing exactness must confirm a fingerprint
+    /// match with an exact key comparison (see `gem_verify`'s dedup
+    /// module).
     pub fn fingerprint(&self) -> u64 {
         self.fp
+    }
+
+    /// Hashes the generators behind [`Computation::fingerprint`]: the
+    /// wrapping sum of one well-mixed item per event (with its class and
+    /// parameters), thread tag, distinct enable edge, distinct precedence,
+    /// and membership, each in `(element, seq)` coordinates. Event *ids*
+    /// are insertion-ordered (schedule-dependent), so no item mentions
+    /// them.
+    fn hash_generators(&self) -> u64 {
+        let coord = |e: EventId| {
+            let ev = &self.events[e.index()];
+            fp_coord(ev.element, ev.seq)
+        };
+        let mut fp = 0u64;
+        for ev in &self.events {
+            let at = fp_coord(ev.element, ev.seq);
+            let mut item = FpItem::new();
+            item.word(FP_EVENT);
+            item.word(at);
+            item.word(u64::from(ev.class.as_raw()));
+            item.word(ev.params.len() as u64);
+            for p in &ev.params {
+                item.value(p);
+            }
+            fp = fp.wrapping_add(item.0);
+            for t in &ev.threads {
+                fp = fp.wrapping_add(fp_item(&[
+                    FP_THREAD,
+                    at,
+                    u64::from(t.thread_type().as_raw()),
+                    u64::from(t.instance()),
+                ]));
+            }
+        }
+        for (from, to) in self.enable_edges() {
+            fp = fp.wrapping_add(fp_item(&[FP_ENABLE, coord(from), coord(to)]));
+        }
+        for &(before, after) in &self.precedences {
+            fp = fp.wrapping_add(fp_item(&[FP_PRECEDENCE, coord(before), coord(after)]));
+        }
+        for m in &self.memberships {
+            let (kind, raw) = match m.member {
+                crate::NodeRef::Element(el) => (0u64, el.as_raw()),
+                crate::NodeRef::Group(g) => (1u64, g.as_raw()),
+            };
+            fp = fp.wrapping_add(fp_item(&[
+                FP_MEMBERSHIP,
+                coord(m.event),
+                u64::from(m.group.as_raw()),
+                kind,
+                u64::from(raw),
+            ]));
+        }
+        fp
     }
 
     /// True if `a ⇒ₑ b`: same element and `a` occurs earlier (§5 — partial,
@@ -1045,26 +1022,10 @@ impl Computation {
     /// by tags.
     pub fn retagged(&self, mut tags: impl FnMut(EventId) -> Vec<ThreadTag>) -> Computation {
         let mut copy = self.clone();
-        let mut fp_delta = 0u64;
         for ev in &mut copy.events {
-            let coord = fp_coord(ev.element, ev.seq);
-            let tag_item = |t: &ThreadTag| {
-                fp_item(&[
-                    FP_THREAD,
-                    coord,
-                    u64::from(t.thread_type().as_raw()),
-                    u64::from(t.instance()),
-                ])
-            };
-            for t in &ev.threads {
-                fp_delta = fp_delta.wrapping_sub(tag_item(t));
-            }
             ev.threads = tags(ev.id);
-            for t in &ev.threads {
-                fp_delta = fp_delta.wrapping_add(tag_item(t));
-            }
         }
-        copy.fp = copy.fp.wrapping_add(fp_delta);
+        copy.fp = copy.hash_generators();
         copy
     }
 
@@ -1391,7 +1352,6 @@ mod tests {
         let _p1 = b2.add_event(p, step, vec![Value::Int(3)]).unwrap();
         let q0 = b2.add_event(q, step, vec![Value::Int(2)]).unwrap();
         b2.enable(p0, q0).unwrap();
-        assert_eq!(b1.fingerprint(), b2.fingerprint());
         assert_eq!(
             b1.seal().unwrap().fingerprint(),
             b2.seal().unwrap().fingerprint()
@@ -1399,30 +1359,12 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_duplicate_edges() {
-        let (s, p, q, step) = two_element_structure();
-        let s = Arc::new(s);
-        let build = |dup: bool| {
-            let mut b = ComputationBuilder::new(Arc::clone(&s));
-            let p0 = b.add_event(p, step, vec![]).unwrap();
-            let q0 = b.add_event(q, step, vec![]).unwrap();
-            b.enable(p0, q0).unwrap();
-            if dup {
-                b.enable(p0, q0).unwrap();
-            }
-            b.seal().unwrap().fingerprint()
-        };
-        // Duplicate edges collapse in the sealed computation, so the
-        // fingerprint must not see the multiplicity.
-        assert_eq!(build(false), build(true));
-    }
-
-    #[test]
     fn fingerprint_restored_by_truncate() {
         let (s, p, q, step) = two_element_structure();
         let mut b = ComputationBuilder::new(s);
+        let fp = |b: &ComputationBuilder| b.seal_ref().unwrap().fingerprint();
         let p0 = b.add_event(p, step, vec![Value::Int(1)]).unwrap();
-        let before = b.fingerprint();
+        let before = fp(&b);
         let mark = b.mark();
         let q0 = b.add_event(q, step, vec![Value::Int(2)]).unwrap();
         b.enable(p0, q0).unwrap();
@@ -1432,16 +1374,52 @@ mod tests {
             crate::ThreadTag::new(crate::ThreadTypeId::from_raw(0), 1),
         )
         .unwrap();
-        assert_ne!(b.fingerprint(), before);
+        assert_ne!(fp(&b), before);
         b.truncate_to(&mark);
-        assert_eq!(b.fingerprint(), before);
+        assert_eq!(fp(&b), before);
         // Regrowing the same suffix reproduces the same fingerprint.
         let q0 = b.add_event(q, step, vec![Value::Int(2)]).unwrap();
         b.enable(p0, q0).unwrap();
-        let fp1 = b.fingerprint();
+        let fp1 = fp(&b);
         let mark2 = b.mark();
         b.truncate_to(&mark2);
-        assert_eq!(b.fingerprint(), fp1);
+        assert_eq!(fp(&b), fp1);
+    }
+
+    #[test]
+    fn fingerprint_counts_each_surviving_item_once() {
+        let (mut s, p, q, step) = two_element_structure();
+        let g = s.add_group("G", &[]).unwrap();
+        let s = Arc::new(s);
+        let tag = crate::ThreadTag::new(crate::ThreadTypeId::from_raw(0), 1);
+        let build = |noisy: bool, member: bool| {
+            let mut b = ComputationBuilder::new(Arc::clone(&s));
+            let p0 = b.add_event(p, step, vec![Value::Int(1)]).unwrap();
+            let q0 = b.add_event(q, step, vec![Value::Int(2)]).unwrap();
+            b.enable(p0, q0).unwrap();
+            b.add_precedence(p0, q0).unwrap();
+            b.tag_thread(q0, tag).unwrap();
+            if member {
+                b.add_membership_event(q0, g, crate::NodeRef::Element(p))
+                    .unwrap();
+            }
+            if noisy {
+                // Duplicates collapse in the sealed computation; a tag on
+                // a surviving event and a whole event are rolled back.
+                b.enable(p0, q0).unwrap();
+                b.add_precedence(p0, q0).unwrap();
+                b.tag_thread(q0, tag).unwrap();
+                let mark = b.mark();
+                b.tag_thread(p0, tag).unwrap();
+                let p1 = b.add_event(p, step, vec![Value::Int(3)]).unwrap();
+                b.enable(q0, p1).unwrap();
+                b.truncate_to(&mark);
+                assert_eq!(b.enable_journal().len(), 2);
+            }
+            b.seal().unwrap().fingerprint()
+        };
+        assert_eq!(build(true, true), build(false, true));
+        assert_ne!(build(false, false), build(false, true), "membership");
     }
 
     #[test]

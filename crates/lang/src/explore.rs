@@ -148,7 +148,7 @@ pub trait System {
     /// `checkpoint(s)` then `apply(s, a)`, any balanced
     /// checkpoint/apply/undo below it, then `undo(s, cp)` must leave `s`
     /// observably identical to a clone taken before the checkpoint (same
-    /// `enabled`, `is_complete`, `control_key`, trace fingerprint and
+    /// `enabled`, `is_complete`, `control_key`, trace builder and
     /// extracted computation). A clone honours the contract on its own,
     /// whatever happens to the state it was cloned from.
     fn checkpoint(&self, _state: &Self::State) -> Option<Self::Checkpoint> {

@@ -19,8 +19,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::sync::OnceLock;
 
-use gem_core::{ClassId, Computation, ComputationBuilder, ElementId, EventId, Structure, Value};
+use gem_core::{
+    ClassId, Computation, ComputationBuilder, ElementId, Event, EventId, Structure, Value,
+};
 use gem_logic::EventSel;
 
 /// One correspondence pair: program events matching `program` are the
@@ -47,9 +50,91 @@ pub struct Pair {
 /// The §9 Readers/Writers correspondence maps, e.g., the `Begin` event of
 /// entry `StartRead` to the problem's `ReqRead`, and the `readernum`
 /// assignment inside `StartRead` to the problem's `StartRead`.
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Correspondence {
     pairs: Vec<Pair>,
+    /// The pairs indexed by the program (element, class) they can match,
+    /// built on the first lookup after the last pair was added.
+    index: OnceLock<PairIndex>,
+}
+
+impl PartialEq for Correspondence {
+    fn eq(&self, other: &Self) -> bool {
+        self.pairs == other.pairs
+    }
+}
+
+/// The candidate pairs of each program (element, class), in pair order.
+///
+/// A pair's selector names at most one element and one class, so an event
+/// can only match the pairs whose named element and class are its own or
+/// absent. Rows and columns run over the element and class ids the pairs
+/// name, plus one last row (column) for every id no pair names; the
+/// table is as large as the part of the program structure the pairs
+/// mention, whatever structure the events come from.
+#[derive(Clone, Debug)]
+pub(crate) struct PairIndex {
+    /// One past the largest element id a pair names: the row of every
+    /// other element.
+    elements: usize,
+    /// One past the largest class id a pair names: the column of every
+    /// other class.
+    classes: usize,
+    /// `candidates[starts[cell]..starts[cell + 1]]` are the pair indices
+    /// of `cell = row * (classes + 1) + column`, ascending.
+    starts: Vec<u32>,
+    candidates: Vec<u32>,
+}
+
+impl PairIndex {
+    fn new(pairs: &[Pair]) -> Self {
+        let bound = |id: Option<usize>| id.map_or(0, |i| i + 1);
+        let elements = pairs
+            .iter()
+            .map(|p| bound(p.program.element.map(ElementId::index)))
+            .max()
+            .unwrap_or(0);
+        let classes = pairs
+            .iter()
+            .map(|p| bound(p.program.class.map(ClassId::index)))
+            .max()
+            .unwrap_or(0);
+        let mut starts = Vec::with_capacity((elements + 1) * (classes + 1) + 1);
+        let mut candidates = Vec::new();
+        starts.push(0);
+        for row in 0..=elements {
+            for column in 0..=classes {
+                candidates.extend(
+                    (0u32..)
+                        .zip(pairs)
+                        .filter(|(_, p)| {
+                            p.program.element.is_none_or(|el| el.index() == row)
+                                && p.program.class.is_none_or(|cl| cl.index() == column)
+                        })
+                        .map(|(i, _)| i),
+                );
+                starts.push(candidates.len() as u32);
+            }
+        }
+        Self {
+            elements,
+            classes,
+            starts,
+            candidates,
+        }
+    }
+
+    /// The index of the first of `pairs` (the pairs this index was built
+    /// from) whose selector matches `event`, trying only the candidates
+    /// of the event's element and class.
+    pub(crate) fn first_match(&self, pairs: &[Pair], event: &Event) -> Option<usize> {
+        let row = event.element().index().min(self.elements);
+        let cell = row * (self.classes + 1) + event.class().index().min(self.classes);
+        self.candidates[self.starts[cell] as usize..self.starts[cell + 1] as usize]
+            .iter()
+            .map(|&i| i as usize)
+            .find(|&i| pairs[i].program.matches(event))
+    }
 }
 
 impl Correspondence {
@@ -66,6 +151,7 @@ impl Correspondence {
         problem_element: ElementId,
         problem_class: ClassId,
     ) -> Self {
+        self.index = OnceLock::new();
         self.pairs.push(Pair {
             program,
             problem_element,
@@ -83,6 +169,7 @@ impl Correspondence {
         problem_class: ClassId,
         params: &[(usize, usize)],
     ) -> Self {
+        self.index = OnceLock::new();
         self.pairs.push(Pair {
             program,
             problem_element,
@@ -97,10 +184,17 @@ impl Correspondence {
         &self.pairs
     }
 
-    /// The first pair whose selector matches the event, if any.
-    fn match_event(&self, computation: &Computation, e: EventId) -> Option<&Pair> {
-        let ev = computation.event(e);
-        self.pairs.iter().find(|p| p.program.matches(ev))
+    /// The index of the first pair whose selector matches `event`, if
+    /// any: the pair that makes `event` significant. Only the pairs whose
+    /// selector admits the event's element and class are tried, in pair
+    /// order.
+    pub fn first_match(&self, event: &Event) -> Option<usize> {
+        self.pair_index().first_match(&self.pairs, event)
+    }
+
+    /// The pair index, built on first use.
+    pub(crate) fn pair_index(&self) -> &PairIndex {
+        self.index.get_or_init(|| PairIndex::new(&self.pairs))
     }
 }
 
@@ -194,7 +288,7 @@ pub fn project(
     // projection numbers events as the incremental checker does.
     let significant: Vec<(EventId, &Pair)> = least_id_topological(program)
         .into_iter()
-        .filter_map(|e| Some((e, corr.match_event(program, e)?)))
+        .filter_map(|e| Some((e, &corr.pairs[corr.first_match(program.event(e))?])))
         .collect();
 
     if gem_obs::ambient::active() {
@@ -402,6 +496,49 @@ mod tests {
         let projected = project(&prog, problem, &corr).unwrap();
         assert_eq!(projected.event_count(), 1);
         assert_eq!(projected.events()[0].class(), start);
+    }
+
+    #[test]
+    fn first_match_looks_up_by_element_and_class() {
+        let (prog, e) = program();
+        let ps = prog.structure();
+        let (_, ctl, start, finish, _) = problem_structure();
+        let (p, q) = (ps.element("P").unwrap(), ps.element("Q").unwrap());
+        let (a, mid) = (ps.class("A").unwrap(), ps.class("Mid").unwrap());
+        let pairs = [
+            // 0: a parameter selector, matching A^0 (v = 7) only.
+            EventSel::of_class(a).with_param(0, 8),
+            EventSel::of_class(a).at(p).with_param(0, 7),
+            // 2 and 3 overlap on Mid at P: 2 must win.
+            EventSel::of_class(mid),
+            EventSel::at_element(p),
+            // 4: a wildcard, matching what nothing before it does.
+            EventSel::any(),
+        ];
+        let corr = pairs.iter().fold(Correspondence::new(), |c, sel| {
+            c.map(sel.clone(), ctl, start)
+        });
+        let want = [Some(1), Some(2), Some(2), Some(3), Some(4)];
+        for (&id, want) in e.iter().zip(want) {
+            let ev = prog.event(id);
+            assert_eq!(corr.first_match(ev), want, "{}", prog.event_label(id));
+            assert_eq!(
+                corr.pairs().iter().position(|p| p.program.matches(ev)),
+                want
+            );
+        }
+        // `C` sits at `Q`: a named element has a row of its own, an
+        // unnamed one shares the last row with every other.
+        let corr = Correspondence::new()
+            .map(EventSel::at_element(p), ctl, start)
+            .map(EventSel::at_element(q), ctl, finish);
+        assert_eq!(corr.first_match(prog.event(e[4])), Some(1));
+        let corr = Correspondence::new().map(EventSel::at_element(p), ctl, start);
+        assert_eq!(corr.first_match(prog.event(e[4])), None);
+        assert_eq!(corr.first_match(prog.event(e[0])), Some(0));
+        // Adding a pair drops the index the lookups above built.
+        let corr = corr.map(EventSel::any(), ctl, finish);
+        assert_eq!(corr.first_match(prog.event(e[4])), Some(1));
     }
 
     #[test]

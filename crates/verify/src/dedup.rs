@@ -63,8 +63,8 @@ fn push_value(key: &mut Vec<u64>, v: &Value) {
 /// serialised from the closure's bitset rows), far below one projection +
 /// restriction check — the work a cache hit saves.
 ///
-/// No sweep calls it: they key their caches by the builder's rolling
-/// fingerprint plus [`confirm_key`]. It stays as the reference those keys
+/// No sweep calls it: they key their caches by
+/// [`Computation::fingerprint`] plus [`confirm_key`]. It stays as the reference those keys
 /// are tested against.
 pub fn canonical_key(comp: &Computation) -> CanonicalKey {
     // Rank events by (element, seq): unique per event, and invariant under

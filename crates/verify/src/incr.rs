@@ -10,15 +10,16 @@
 //! first event whose stamp differs — the point the last undo went back
 //! to, or an event that gained an edge since — and replays the suffix
 //! from there, consuming the builder's edge journals from
-//! [`ComputationBuilder::journal_at`]. Replaying an event matches the
-//! correspondence, projects enable edges through insignificant events
-//! (scope legality read from memoised `may_enable` tables), assigns
-//! thread tags, advances every compiled `◻∀*` restriction by O(formula),
-//! and settles the leaf-restriction conjuncts whose value the event makes
-//! final ([`gem_logic::incr::LeafPlan`]): the ground ones naming the
-//! event's position, found in an index by `(element, k)`, and the
-//! per-binding and per-enabler ones whose trigger selectors name its
-//! class. A settled conjunct that fails is a sticky violation of its
+//! [`ComputationBuilder::journal_at`]. Replaying an event looks up its
+//! correspondence pair by `(element, class)`
+//! ([`Correspondence::first_match`]), projects enable edges through
+//! insignificant events (scope legality read from memoised `may_enable`
+//! tables), assigns thread tags, advances every compiled `◻∀*`
+//! restriction by O(formula), and settles the leaf-restriction conjuncts
+//! whose value the event makes final ([`gem_logic::incr::LeafPlan`]): the
+//! ground ones naming the event's position, found in an index by
+//! `(element, k)`, and the per-binding and per-enabler ones whose trigger
+//! selectors name its class. A settled conjunct that fails is a sticky violation of its
 //! restriction; the leaf evaluates only the conjuncts that did not settle.
 //! The per-event rows rewound at an undo stay allocated as spares, so a
 //! replay without string parameters allocates nothing once the deepest
@@ -68,7 +69,7 @@ use gem_logic::incr::{compile, Compiled, Settle};
 use gem_logic::{holds_on_computation, EventSel, Formula, World};
 use gem_spec::{Specification, ThreadSpec};
 
-use crate::correspondence::{Correspondence, Pair};
+use crate::correspondence::{Correspondence, Pair, PairIndex};
 
 /// When [`verify_system`](crate::verify_system) uses the incremental
 /// checker. The checker is always safe — it proves cleanliness or falls
@@ -207,6 +208,8 @@ impl SpecEvents {
 pub struct IncrChecker {
     problem: Arc<Structure>,
     pairs: Vec<Pair>,
+    /// `pairs` indexed by program (element, class).
+    pair_index: PairIndex,
     threads: Vec<ThreadSpec>,
     check_program_legality: bool,
     restrictions: Vec<CompiledRestriction>,
@@ -377,6 +380,7 @@ impl IncrChecker {
             problem_scope: MayEnableMemo::new(problem.structure()),
             program_scope: None,
             pairs: corr.pairs().to_vec(),
+            pair_index: corr.pair_index().clone(),
             threads: problem.threads().to_vec(),
             check_program_legality,
             restrictions,
@@ -630,7 +634,11 @@ impl IncrChecker {
                 self.push_batch(i);
             }
         }
-        let Some(pair) = self.pairs.iter().find(|p| p.program.matches(ev)) else {
+        let Some(pair) = self
+            .pair_index
+            .first_match(&self.pairs, ev)
+            .map(|k| &self.pairs[k])
+        else {
             self.spec_of.push(None);
             self.bridge.push();
             return;

@@ -68,8 +68,8 @@ where
     let mut runs = 0usize;
     let mut failing_runs = Vec::new();
     let dedup = explorer.dedup_computations;
-    // Keyed like `verify_system`'s cache: the builder's rolling
-    // fingerprint plus the closure-free confirmation key.
+    // Keyed like `verify_system`'s cache: the computation's fingerprint
+    // plus the closure-free confirmation key.
     let mut verdicts: HashMap<(u64, CanonicalKey), bool> = HashMap::new();
     let (mut dedup_hits, mut dedup_misses) = (0u64, 0u64);
     let stats = explorer.par_for_each_run(sys, |state, _| {

@@ -267,8 +267,8 @@ where
     let mut project_error: Option<ProjectError> = None;
 
     let dedup = options.explorer.dedup_computations;
-    // Verdict cache indexed by the builder-maintained incremental
-    // fingerprint (free to read per run). Each bucket holds the exact
+    // Verdict cache indexed by the computation's fingerprint (hashed
+    // once at seal, O(1) to read). Each bucket holds the exact
     // closure-free confirmation keys that hashed there, so a fingerprint
     // collision degrades to a linear exact compare — dedup stays exact,
     // never probabilistic.
@@ -354,10 +354,10 @@ where
                 phased_ns += ns;
                 probe.time_ns("phase.seal", ns);
             }
-            // The rolling fingerprint is maintained by the builder during
-            // exploration, so reading it here is free; the exact
-            // confirmation key (closure-free, O(events + edges)) is what
-            // the per-run `phase.canonical_key` timer now measures.
+            // The fingerprint was hashed when the computation was sealed
+            // (so `phase.seal` pays for it) and reading it here is O(1);
+            // the exact confirmation key (closure-free, O(events + edges))
+            // is what the per-run `phase.canonical_key` timer measures.
             let key = if dedup {
                 let key_started = probing.then(Instant::now);
                 let k = (program_comp.fingerprint(), confirm_key(&program_comp));

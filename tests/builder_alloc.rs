@@ -102,13 +102,14 @@ fn regrowing_a_rolled_back_suffix_does_not_allocate() {
     let mut b = ComputationBuilder::new(s);
     grow(&mut b, &els, act, 20);
     let mark = b.mark();
-    let prefix_fp = b.fingerprint();
+    let fingerprint = |b: &ComputationBuilder| b.seal_ref().expect("acyclic").fingerprint();
+    let prefix_fp = fingerprint(&b);
 
     // First branch: allocates the rows and journal capacity.
     grow(&mut b, &els, act, 100);
-    let grown_fp = b.fingerprint();
+    let grown_fp = fingerprint(&b);
     b.truncate_to(&mark);
-    assert_eq!(b.fingerprint(), prefix_fp);
+    assert_eq!(fingerprint(&b), prefix_fp);
 
     // Sibling branch of the same shape: nothing left to allocate.
     let before = allocs();
@@ -118,7 +119,7 @@ fn regrowing_a_rolled_back_suffix_does_not_allocate() {
         during, 0,
         "regrowing a 100-event suffix allocated {during} time(s)"
     );
-    assert_eq!(b.fingerprint(), grown_fp);
+    assert_eq!(fingerprint(&b), grown_fp);
     assert_eq!(b.event_count(), 120);
 }
 
@@ -335,12 +336,15 @@ fn round_trip_allocations<S: Sim>(
     allocs() - before
 }
 
+/// Chooses the enabled action `pick(depth, n)` of `n` at each node.
+type Pick = fn(usize, usize) -> usize;
+
 #[test]
 fn stepping_a_path_seen_before_does_not_allocate() {
     // The first enabled action runs the processes one after another; the
     // second pick interleaves them two actions at a time, so monitor
     // entries wait and are signalled (and, under Mesa, resume).
-    let picks: [(&str, fn(usize, usize) -> usize); 2] = [
+    let picks: [(&str, Pick); 2] = [
         ("first", |_, _| 0),
         ("interleaved", |depth, n| (depth / 2) % n),
     ];

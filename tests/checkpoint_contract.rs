@@ -1,8 +1,8 @@
 //! The `System::checkpoint` contract on every substrate: at every node of
 //! a full sweep, checkpoint → apply → (the child's whole subtree) → undo
 //! leaves the state observably equal to a clone taken before the edge —
-//! the same control key, enabled actions and completion, the same builder
-//! fingerprint and the same sealed computation. A clone taken mid-path
+//! the same control key, enabled actions and completion, the same
+//! fingerprint of the sealed builder and the same sealed computation. A clone taken mid-path
 //! starts with no saved steps of its own and must honour the contract on
 //! its subtree without disturbing the state it was cloned from.
 
@@ -41,6 +41,8 @@ fn observe<S: System>(
         sys.is_complete(state),
         sys.trace_builder(state)
             .expect("grows a builder")
+            .seal_ref()
+            .expect("acyclic")
             .fingerprint(),
         sealed,
     )

@@ -1,8 +1,8 @@
-//! Differential soundness suite for incremental-fingerprint dedup.
+//! Differential soundness suite for fingerprint dedup.
 //!
-//! PR 3's computation dedup serialised the exact O(n²) `canonical_key`
-//! for *every* run. The current pipeline reads the builder-maintained
-//! rolling fingerprint (free) and confirms candidate hits with the
+//! The first computation dedup serialised the exact O(n²) `canonical_key`
+//! for *every* run. The current pipeline reads the fingerprint hashed
+//! when each computation is sealed and confirms candidate hits with the
 //! closure-free exact `confirm_key`. The contract is that this is a pure
 //! performance change: this suite reimplements the serialise-every-run
 //! reference from public APIs and checks the new path against it —
