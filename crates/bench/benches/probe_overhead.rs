@@ -92,14 +92,14 @@ fn bench_probe_overhead(c: &mut Criterion) {
     group.bench_function("sweep_noop", |b| {
         b.iter(|| {
             Explorer::default()
-                .par_for_each_run_probed(&sys, &NoopProbe, |_, _| ControlFlow::Continue(()))
+                .for_each_run_probed(&sys, &NoopProbe, |_, _| ControlFlow::Continue(()))
         });
     });
     let sweep_log = EventLog::new(CRASH_TAIL);
     group.bench_function("sweep_event_log", |b| {
         b.iter(|| {
             Explorer::default()
-                .par_for_each_run_probed(&sys, &sweep_log, |_, _| ControlFlow::Continue(()))
+                .for_each_run_probed(&sys, &sweep_log, |_, _| ControlFlow::Continue(()))
         });
     });
 

@@ -32,7 +32,6 @@
 //!   command finishes
 //! * `--heartbeat <secs>` — progress line cadence on stderr (default 5;
 //!   0 disables)
-//! * `--jobs <n>` — explorer worker threads (default 1, 0 = auto)
 //! * `--por` — sleep-set partial-order reduction (one schedule per
 //!   computation, same verdict)
 //! * `--dedup` — deduplicate trace-equivalent computations in
@@ -223,7 +222,7 @@ const MAX_RUNS: usize = 1_000_000;
 
 /// A substrate simulator as the commands drive it. Implemented once for
 /// each of the three simulators, so every command is written once.
-trait Substrate: System<State: Send, Action: Send> + Sync {
+trait Substrate: System {
     /// Seals the computation accumulated in `state`.
     fn seal(&self, state: &Self::State) -> Computation;
     /// What compiling the program at system build produced.
@@ -415,7 +414,6 @@ struct ObsFlags {
     trace_out: Option<String>,
     metrics_out: Option<String>,
     heartbeat: Option<f64>,
-    jobs: Option<usize>,
     dedup: bool,
     por: bool,
     incr_check: IncrCheck,
@@ -424,7 +422,7 @@ struct ObsFlags {
 }
 
 /// Splits `--stats` / `--stats-json` / `--trace` / `--trace-out` /
-/// `--heartbeat` / `--jobs` / `--dedup` / `--por` / `--incr-check` /
+/// `--heartbeat` / `--dedup` / `--por` / `--incr-check` /
 /// `--explain` / `--artifacts` (either
 /// `--flag value` or `--flag=value`) out of `args`, leaving positional
 /// arguments and `key=value` parameters untouched.
@@ -455,13 +453,6 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, ObsFlags), CliError> {
                 flags.stats = true;
             }
             "--stats-json" => flags.stats_json = Some(value("--stats-json")?),
-            "--jobs" => {
-                let v = value("--jobs")?;
-                let jobs: usize = v
-                    .parse()
-                    .map_err(|_| err(format!("--jobs must be a thread count, got {v:?}")))?;
-                flags.jobs = Some(jobs);
-            }
             "--dedup" => {
                 if inline.is_some() {
                     return Err(err("--dedup takes no value"));
@@ -801,9 +792,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         // The config section makes the report self-describing: which
         // exploration/reduction switches produced these numbers.
         let flag = |b: bool| if b { "true" } else { "false" }.to_owned();
-        report
-            .config
-            .insert("jobs".to_owned(), flags.jobs.unwrap_or(1).to_string());
         report.config.insert("dedup".to_owned(), flag(flags.dedup));
         report.config.insert("por".to_owned(), flag(flags.por));
         report.config.insert(
@@ -971,10 +959,9 @@ impl Ctx<'_> {
     }
 
     /// The explorer of a full sweep: the instance's run bound and the
-    /// command line's `--jobs`/`--por`/`--dedup`.
+    /// command line's `--por`/`--dedup`.
     fn explorer(&self) -> Explorer {
         Explorer {
-            jobs: self.flags.jobs.unwrap_or(1),
             reduce: self.flags.por,
             dedup_computations: self.flags.dedup,
             ..Explorer::with_max_runs(self.inst.max_runs)
@@ -1073,12 +1060,6 @@ fn profile<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
     }
     out.push('\n');
     out.push_str(&restriction_breakdown(&cx.inst.spec, &report));
-    // Only present when the parallel explorer actually ran with
-    // telemetry, i.e. `--jobs > 1` split work beyond the frontier.
-    if let Some(table) = worker_table(&report) {
-        out.push('\n');
-        out.push_str(&table);
-    }
     let verdicts = gem_obs::explain(&report);
     if !verdicts.is_empty() {
         out.push('\n');
@@ -1091,11 +1072,10 @@ fn profile<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
 }
 
 /// Live single-screen dashboard: the command's ticker thread repaints
-/// runs/steps rates, progress toward the sampled search-space estimate,
-/// worker utilization and phase shares on stderr (every `--heartbeat`
-/// seconds, default 1) while the verify sweep runs on this thread. The
-/// final frame plus the verdict is the stdout result, so `gem top` stays
-/// scriptable.
+/// runs/steps rates, progress toward the sampled search-space estimate
+/// and phase shares on stderr (every `--heartbeat` seconds, default 1)
+/// while the verify sweep runs on this thread. The final frame plus the
+/// verdict is the stdout result, so `gem top` stays scriptable.
 fn top<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
     let started = Instant::now();
     let outcome = sweep(sys, cx.inst, &cx.verify_options(), Some(&sample(sys)))?;
@@ -1120,7 +1100,7 @@ fn explore<S: Substrate>(sys: &S, cx: &Ctx) -> String {
     let (mut hits, mut misses) = (0u64, 0u64);
     let mut stats = cx
         .explorer()
-        .par_for_each_run_probed(sys, probe.as_ref(), |state, _| {
+        .for_each_run_probed(sys, probe.as_ref(), |state, _| {
             if !sys.is_complete(state) {
                 deadlocks += 1;
             }
@@ -1166,8 +1146,6 @@ fn explore<S: Substrate>(sys: &S, cx: &Ctx) -> String {
 /// Deadlock is a state property, so control-state pruning is sound — and
 /// necessary, since DFS order visits near-sequential schedules first.
 fn deadlock<S: Substrate>(sys: &S) -> String {
-    // The parallel explorer falls back to this serial path for pruned
-    // searches, so `jobs` is moot.
     let explorer = Explorer {
         prune: true,
         ..Explorer::default()
@@ -1200,79 +1178,9 @@ fn human_ns(ns: u64) -> String {
     }
 }
 
-/// One worker's attribution totals, parsed back out of the
-/// `worker.<k>.*` counters the ordered-commit pool emits.
-#[derive(Clone, Copy, Debug, Default)]
-struct WorkerRow {
-    items: u64,
-    leaves: u64,
-    steps: u64,
-    busy_ns: u64,
-    idle_ns: u64,
-}
-
-fn worker_rows(report: &gem_obs::Report) -> BTreeMap<usize, WorkerRow> {
-    let mut rows: BTreeMap<usize, WorkerRow> = BTreeMap::new();
-    for (name, &v) in &report.counters {
-        let Some(rest) = name.strip_prefix("worker.") else {
-            continue;
-        };
-        let Some((ordinal, field)) = rest.split_once('.') else {
-            continue;
-        };
-        let Ok(k) = ordinal.parse::<usize>() else {
-            continue;
-        };
-        let row = rows.entry(k).or_default();
-        match field {
-            "items" => row.items = v,
-            "leaves" => row.leaves = v,
-            "steps" => row.steps = v,
-            "busy_ns" => row.busy_ns = v,
-            "idle_ns" => row.idle_ns = v,
-            _ => {}
-        }
-    }
-    rows
-}
-
-/// Renders the per-worker utilization table (`gem profile` / `gem top`
-/// with `--jobs > 1`). Utilization is busy / (busy + idle); a worker's
-/// idle time is commit lag — blocked sends while the in-order committer
-/// drains earlier work items.
-fn worker_table(report: &gem_obs::Report) -> Option<String> {
-    let rows = worker_rows(report);
-    if rows.is_empty() {
-        return None;
-    }
-    let mut out = format!(
-        "{:<8} {:>7} {:>9} {:>9} {:>11} {:>11} {:>5}\n",
-        "worker", "items", "leaves", "steps", "busy", "idle", "util"
-    );
-    for (k, r) in &rows {
-        let denom = r.busy_ns + r.idle_ns;
-        let util = if denom > 0 {
-            r.busy_ns as f64 / denom as f64 * 100.0
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "{:<8} {:>7} {:>9} {:>9} {:>11} {:>11} {util:>4.0}%\n",
-            format!("w{k}"),
-            r.items,
-            r.leaves,
-            r.steps,
-            human_ns(r.busy_ns),
-            human_ns(r.idle_ns)
-        ));
-    }
-    Some(out)
-}
-
 /// Renders one `gem top` frame: sweep totals with rates, progress toward
-/// the sampled search-space estimate (the `estimate.total_runs` gauge),
-/// the per-worker utilization table, and phase shares — all pure
-/// functions of the live stats report.
+/// the sampled search-space estimate (the `estimate.total_runs` gauge)
+/// and phase shares — all pure functions of the live stats report.
 fn render_top(report: &gem_obs::Report, elapsed: Duration) -> String {
     let runs = report.counters.get("explore.runs").copied().unwrap_or(0);
     let steps = report.counters.get("explore.steps").copied().unwrap_or(0);
@@ -1293,10 +1201,6 @@ fn render_top(report: &gem_obs::Report, elapsed: Duration) -> String {
             }
             out.push('\n');
         }
-    }
-    if let Some(table) = worker_table(report) {
-        out.push('\n');
-        out.push_str(&table);
     }
     if let Some(profile) = PhaseProfile::from_report(report) {
         out.push('\n');
@@ -1607,8 +1511,8 @@ pub fn usage() -> String {
      \x20 profile <problem> [params] verify + phase-attribution table, run-count\n\
      \x20                            estimate, reduction verdicts\n\
      \x20 top <problem> [params]     verify with a live dashboard on stderr:\n\
-     \x20                            run/step rates, progress + ETA, worker\n\
-     \x20                            utilization, phase shares\n\
+     \x20                            run/step rates, progress + ETA, phase\n\
+     \x20                            shares\n\
      \x20 deadlock <problem> [params] hunt for a deadlock (pruned search)\n\
      \x20 dot <problem> [params]     emit one computation as Graphviz dot\n\
      \x20 replay <dir>               re-run a counterexample artifact's schedule\n\
@@ -1628,8 +1532,6 @@ pub fn usage() -> String {
      \x20                            (dedup measured, POR attribution,\n\
      \x20                            incremental-check coverage)\n\
      \x20 --heartbeat <secs>         progress line interval (default 5, 0 = off)\n\
-     \x20 --jobs <n>                 explorer worker threads (default 1, 0 = auto);\n\
-     \x20                            results are identical for every n\n\
      \x20 --dedup                    check each distinct computation once and\n\
      \x20                            replay the verdict on trace-equivalent runs;\n\
      \x20                            results are identical with or without it\n\
@@ -1646,7 +1548,7 @@ pub fn usage() -> String {
      problems: one-slot, bounded, rw, db-update, life, philosophers\n\
      examples:\n\
      \x20 gem verify rw readers=1 writers=2 variant=readers\n\
-     \x20 gem explore rw readers=2 writers=2 rounds=2 --jobs 4\n\
+     \x20 gem explore rw readers=1 writers=2 --por\n\
      \x20 gem verify bounded items=4 cap=2 substrate=csp --stats\n\
      \x20 gem render rw data=true"
         .to_owned()
@@ -2184,8 +2086,6 @@ mod tests {
             "one-slot",
             "items=2",
             "--dedup",
-            "--jobs",
-            "2",
             "--stats-json",
             &path_s,
             "--heartbeat",
@@ -2195,7 +2095,7 @@ mod tests {
         let json = std::fs::read_to_string(&path).unwrap();
         let report = gem_obs::Report::from_json(&json).unwrap();
         assert_eq!(report.config.get("dedup").map(String::as_str), Some("true"));
-        assert_eq!(report.config.get("jobs").map(String::as_str), Some("2"));
+        assert_eq!(report.config.get("jobs"), None, "{:?}", report.config);
         assert_eq!(report.config.get("por").map(String::as_str), Some("false"));
         assert_eq!(
             report.meta.get("gem_version").map(String::as_str),
@@ -2218,8 +2118,6 @@ mod tests {
             "verify",
             "one-slot",
             "items=2",
-            "--jobs",
-            "2",
             "--metrics-out",
             &path_s,
             "--heartbeat",
@@ -2315,45 +2213,11 @@ mod tests {
     }
 
     #[test]
-    fn top_renders_dashboard_with_worker_table() {
-        let out = runv(&[
-            "top",
-            "one-slot",
-            "items=2",
-            "--jobs",
-            "2",
-            "--heartbeat",
-            "0",
-        ])
-        .unwrap();
+    fn top_renders_dashboard() {
+        let out = runv(&["top", "one-slot", "items=2", "--heartbeat", "0"]).unwrap();
         assert!(out.contains("gem top"), "{out}");
         assert!(out.contains("runs: "), "{out}");
         assert!(out.contains("HOLDS"), "{out}");
-        // --jobs 2 split work beyond the frontier, so the worker
-        // utilization table is present.
-        assert!(out.contains("worker"), "{out}");
-        assert!(out.contains("util"), "{out}");
-        assert!(out.contains("w0"), "{out}");
-    }
-
-    #[test]
-    fn profile_with_jobs_appends_worker_table() {
-        let out = runv(&[
-            "profile",
-            "one-slot",
-            "items=2",
-            "--jobs",
-            "2",
-            "--heartbeat",
-            "0",
-        ])
-        .unwrap();
-        assert!(out.contains("phase."), "{out}");
-        assert!(out.contains("util"), "{out}");
-        assert!(out.contains("w0"), "{out}");
-        // Serial profile has no worker attribution, hence no table.
-        let serial = runv(&["profile", "one-slot", "items=2", "--heartbeat", "0"]).unwrap();
-        assert!(!serial.contains("util"), "{serial}");
     }
 
     #[test]

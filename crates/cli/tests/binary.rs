@@ -1,0 +1,47 @@
+//! Drives the `gem` binary itself: exit codes and stdout handling that
+//! the library-level tests of `gem_cli::run` cannot see.
+
+use std::process::{Command, Output, Stdio};
+
+fn gem(args: &[&str], stdout: Stdio) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_gem"))
+        .args(args)
+        .stdout(stdout)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn gem")
+        .wait_with_output()
+        .expect("wait for gem")
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // `gem render … | true`: the reader is gone before the first write.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = gem(&["render", "bounded", "items=2"], writer.into());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
+#[test]
+fn jobs_flag_is_gone() {
+    // Every sweep is serial: `--jobs` is an ordinary unknown flag, a
+    // usage error before any sweep starts.
+    for args in [
+        &["verify", "one-slot", "--jobs", "2"][..],
+        &["verify", "one-slot", "--jobs=1"][..],
+    ] {
+        let out = gem(args, Stdio::piped());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: unknown flag \"--jobs\"\nusage: gem "),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}

@@ -8,14 +8,11 @@
 //!
 //! A [`System`] exposes its nondeterminism as a set of enabled actions per
 //! state; [`Explorer::for_each_run`] drives a depth-first search over all
-//! maximal action sequences. That search is written once, as the private
-//! `walk`: run cap at node entry, the `enabled` scan, the leaf and
-//! depth-limit decision, the sleep-set partition, the step cap before each
-//! edge, the child-sleep filter and the checkpoint-or-clone edge. What a
-//! search does with budgets and leaves is a `Walk` impl — the serial
-//! sweep here, the parallel frontier and workers in `par` — so serial and
-//! parallel sweeps take the same decisions in the same order by
-//! construction. No state pruning is performed by default:
+//! maximal action sequences on the calling thread, one node at a time:
+//! the control-key prune check and run cap at node entry, the `enabled`
+//! scan, the leaf and depth-limit decision, the sleep-set partition, the
+//! step cap before each edge, the child-sleep filter and the
+//! checkpoint-or-clone edge. No state pruning is performed by default:
 //! restrictions depend on the *computation* (the full event past), so two
 //! schedules reaching the same control state must still both be checked.
 //! A state-hash pruning mode is available for pure state properties such
@@ -61,9 +58,7 @@ use rand::Rng;
 /// Records one `enabled`-scan width sample (`explore.step.enabled_width`)
 /// on the ambient probe. Substrate simulators call this from
 /// [`System::enabled`] for non-empty scans only, so the histogram counts
-/// exactly one sample per branching node regardless of `jobs` (a worker
-/// re-scans the dead-end nodes the parallel frontier hands it as one-leaf
-/// items; skipping empty scans keeps those from double-counting).
+/// the nodes that branch and leaves out the dead ends.
 pub(crate) fn record_enabled_width(n: usize) {
     if n > 0 {
         ambient::record("explore.step.enabled_width", n as u64);
@@ -90,10 +85,8 @@ pub(crate) fn record_apply_ns(t0: Option<Instant>) {
 
 /// Records one checkpoint-rewind depth sample
 /// (`explore.step.undo_depth`): how many trace events a [`System::undo`]
-/// rolled back. Every sweep undoes every edge it applies on the
-/// checkpoint fast path — the parallel frontier above the split depth,
-/// each worker inside its subtree — so the sample count is the same at
-/// every `jobs`.
+/// rolled back. A sweep undoes every edge it applies on the checkpoint
+/// fast path, so there is one sample per such edge.
 pub(crate) fn record_undo_depth(events_truncated: usize) {
     ambient::record("explore.step.undo_depth", events_truncated as u64);
 }
@@ -341,16 +334,11 @@ pub struct Explorer {
     /// If true, prune states already seen (by [`System::control_key`]);
     /// sound only for state properties, not trace properties.
     pub prune: bool,
-    /// Worker threads for [`Explorer::par_for_each_run`]: `1` explores
-    /// serially on the calling thread, `0` uses the machine's available
-    /// parallelism. Ignored by the always-serial [`Explorer::for_each_run`].
+    /// Read by nothing: every sweep runs serially on the calling thread.
+    /// The field is left over from the removed parallel explorer (`gem
+    /// --jobs`) and stays only so struct literals that still set it
+    /// compile; it goes once none do.
     pub jobs: usize,
-    /// Depth at which [`Explorer::par_for_each_run`] splits the DFS
-    /// frontier into subtree work items. Larger values produce more,
-    /// smaller work items (better load balance, more splitting overhead);
-    /// `0` makes the whole trie one work item, which one worker explores
-    /// while the calling thread commits its runs.
-    pub split_depth: usize,
     /// If true, computation-aware drivers (the verify layer, the CLI)
     /// skip the per-run property check when the run's sealed computation
     /// has already been seen under another schedule. Sound for trace
@@ -378,7 +366,6 @@ impl Default for Explorer {
             max_depth: 10_000,
             prune: false,
             jobs: 1,
-            split_depth: 3,
             dedup_computations: false,
             reduce: false,
         }
@@ -416,17 +403,17 @@ impl Explorer {
         probe: &dyn Probe,
         visit: impl FnMut(&S::State, &[S::Action]) -> ControlFlow<()>,
     ) -> ExploreStats {
-        let mut serial = Serial::new(self, sys, probe, visit);
-        let _ = walk(
-            self,
+        let mut sweep = Sweep {
+            explorer: self,
             sys,
-            &mut serial,
-            &mut sys.initial(),
-            &mut Vec::new(),
-            &mut Vec::new(),
-            0,
-        );
-        serial.finish()
+            probe,
+            visit,
+            stats: ExploreStats::default(),
+            seen: HashSet::new(),
+            flushed_steps: 0,
+        };
+        let _ = sweep.walk(&mut sys.initial(), &mut Vec::new(), &mut Vec::new(), 0);
+        sweep.finish()
     }
 
     /// Runs one random schedule to completion (or the depth bound),
@@ -503,160 +490,9 @@ pub struct RunSample<S: System> {
     pub depth_limited: bool,
 }
 
-/// What one schedule walk does at the points where the serial sweep, the
-/// parallel frontier and a parallel worker differ: node entry, budgets,
-/// leaves, and the accounting of skips and edges. [`walk`] owns the node
-/// discipline itself, so all three take the same decisions in the same
-/// order.
-pub(crate) trait Walk<S: System> {
-    /// Why the walk stopped early.
-    type Stop;
-
-    /// Node entry, before the run cap: `Continue(false)` skips the node
-    /// (a prune hit, a frontier cut), `Break` stops the walk. `sleep` is
-    /// the node's inherited sleep set, not yet filtered by `enabled`.
-    fn enter(
-        &mut self,
-        state: &S::State,
-        path: &[S::Action],
-        sleep: &[S::Action],
-    ) -> ControlFlow<Self::Stop, bool>;
-
-    /// The run cap, checked at node entry (every node leads to at least
-    /// one more maximal run). Uncapped by default.
-    fn run_cap(&mut self) -> ControlFlow<Self::Stop> {
-        ControlFlow::Continue(())
-    }
-
-    /// The step cap, checked just before each edge application.
-    /// Uncapped by default.
-    fn step_cap(&mut self) -> ControlFlow<Self::Stop> {
-        ControlFlow::Continue(())
-    }
-
-    /// A maximal run ends at `state`; `depth_limited` if it was cut at
-    /// [`Explorer::max_depth`] with actions still enabled.
-    fn leaf(
-        &mut self,
-        state: &S::State,
-        path: &[S::Action],
-        depth_limited: bool,
-    ) -> ControlFlow<Self::Stop>;
-
-    /// `n > 0` enabled actions were skipped by the sleep set at one node.
-    fn skips(&mut self, n: usize);
-
-    /// One edge was applied; its child-sleep filter got `grants`
-    /// "independent" and `denials` "dependent" oracle answers.
-    fn edge(&mut self, grants: usize, denials: usize);
-}
-
-/// The schedule walk: depth-first from `state`, whose path from the
-/// initial state is `path` and whose inherited sleep set is
-/// `sleep[base..]`. Every exploration — serial, the parallel frontier,
-/// each parallel worker — is this function with a different [`Walk`].
-///
-/// All sleep sets of a walk live on the one `sleep` stack: a node's set is
-/// the slice from its `base` up, a child's set is pushed above it and
-/// truncated on return, and the action just explored is then pushed onto
-/// the node's own set. Once the stack has grown to the deepest sleep set,
-/// sleep-set bookkeeping allocates nothing.
-pub(crate) fn walk<S: System, W: Walk<S>>(
-    explorer: &Explorer,
-    sys: &S,
-    w: &mut W,
-    state: &mut S::State,
-    path: &mut Vec<S::Action>,
-    sleep: &mut Vec<S::Action>,
-    base: usize,
-) -> ControlFlow<W::Stop> {
-    if !w.enter(state, path, &sleep[base..])? {
-        return ControlFlow::Continue(());
-    }
-    // The run cap is checked at node entry, but the step cap just before
-    // each edge application below: a space with exactly `max_runs` runs
-    // or `max_steps` steps is exhausted, not truncated. (Under `reduce` a
-    // fully-slept node yields no run, so an exact run budget may be
-    // flagged as truncated spuriously — the safe direction.)
-    w.run_cap()?;
-    let mut awake = sys.enabled(state);
-    if awake.is_empty() || path.len() >= explorer.max_depth {
-        return w.leaf(state, path, !awake.is_empty());
-    }
-    // Sleep-set partition: actions in the sleep set were already
-    // explored (up to independent commutations) by an earlier sibling
-    // branch, so skipping them here loses no computation. Incoming
-    // entries are filtered to the still-enabled actions first — a slept
-    // action that got disabled on the way down can no longer occur and
-    // keeping it would only slow the membership tests.
-    // Both filters work in place and keep the order of what they keep.
-    // Without `reduce` every sleep set is empty.
-    if explorer.reduce {
-        let mut kept = base;
-        for i in base..sleep.len() {
-            if awake.contains(&sleep[i]) {
-                sleep.swap(kept, i);
-                kept += 1;
-            }
-        }
-        sleep.truncate(kept);
-        let enabled = awake.len();
-        awake.retain(|a| !sleep[base..].contains(a));
-        if awake.len() < enabled {
-            w.skips(enabled - awake.len());
-        }
-        if awake.is_empty() {
-            // Every continuation is covered elsewhere: prune the whole
-            // node without counting a run.
-            return ControlFlow::Continue(());
-        }
-    }
-    for action in awake {
-        w.step_cap()?;
-        // The child's sleep set keeps only entries that commute with the
-        // action being taken — computed against the *pre-apply* state
-        // (the state where both are enabled), before the checkpoint fast
-        // path mutates it in place. Each oracle answer is attributed so
-        // reduction payoff is explainable per instance.
-        let child = sleep.len();
-        for i in base..child {
-            if sys.independent(state, &action, &sleep[i]) {
-                let b = sleep[i].clone();
-                sleep.push(b);
-            }
-        }
-        let grants = sleep.len() - child;
-        let denials = child - base - grants;
-        let flow = if let Some(cp) = sys.checkpoint(state) {
-            // Fast path: mutate the one shared state down the edge and
-            // roll it back afterwards — no clone of the accumulated trace.
-            sys.apply(state, &action);
-            w.edge(grants, denials);
-            path.push(action);
-            let flow = walk(explorer, sys, w, state, path, sleep, child);
-            sys.undo(state, cp);
-            flow
-        } else {
-            let mut next = state.clone();
-            sys.apply(&mut next, &action);
-            w.edge(grants, denials);
-            path.push(action);
-            walk(explorer, sys, w, &mut next, path, sleep, child)
-        };
-        sleep.truncate(child);
-        let action = path.pop().expect("path underflow");
-        if explorer.reduce {
-            sleep.push(action);
-        }
-        flow?;
-    }
-    ControlFlow::Continue(())
-}
-
-/// The serial sweep's [`Walk`]: [`ExploreStats`] accounting, control-key
-/// pruning, per-run probe flushes and the visitor. The parallel committer
-/// replays worker streams through the same hooks, so both report alike.
-pub(crate) struct Serial<'a, S: System, V> {
+/// One sweep in progress: [`ExploreStats`] accounting, control-key
+/// pruning, per-run probe flushes and the visitor.
+struct Sweep<'a, S: System, V> {
     explorer: &'a Explorer,
     sys: &'a S,
     probe: &'a dyn Probe,
@@ -667,84 +503,125 @@ pub(crate) struct Serial<'a, S: System, V> {
     flushed_steps: usize,
 }
 
-impl<'a, S: System, V> Serial<'a, S, V>
+impl<S: System, V> Sweep<'_, S, V>
 where
     V: FnMut(&S::State, &[S::Action]) -> ControlFlow<()>,
 {
-    pub(crate) fn new(explorer: &'a Explorer, sys: &'a S, probe: &'a dyn Probe, visit: V) -> Self {
-        Self {
-            explorer,
-            sys,
-            probe,
-            visit,
-            stats: ExploreStats::default(),
-            seen: HashSet::new(),
-            flushed_steps: 0,
-        }
-    }
-
-    /// Final flush: steps of a truncated tail run, pruning totals
-    /// (emitted even when zero so reports are comparable), the depth
-    /// high-water mark, and the truncation cause.
-    pub(crate) fn finish(self) -> ExploreStats {
-        let (probe, stats) = (self.probe, self.stats);
-        if probe.enabled() {
-            probe.add("explore.steps", (stats.steps - self.flushed_steps) as u64);
-            probe.add("explore.prune.hits", stats.prune_hits as u64);
-            probe.add("explore.prune.misses", stats.prune_misses as u64);
-            probe.add("explore.sleep_skipped", stats.sleep_skipped as u64);
-            probe.add("explore.por_runs", stats.por_runs as u64);
-            probe.add("explore.oracle.grants", stats.oracle_grants as u64);
-            probe.add("explore.oracle.denials", stats.oracle_denials as u64);
-            probe.gauge_max("explore.depth_high_water", stats.max_depth_seen as u64);
-            if let Some(reason) = stats.truncation {
-                probe.add(&format!("explore.truncation.{}", reason.key()), 1);
-            }
-        }
-        stats
-    }
-}
-
-impl<S: System, V> Walk<S> for Serial<'_, S, V>
-where
-    V: FnMut(&S::State, &[S::Action]) -> ControlFlow<()>,
-{
-    type Stop = ();
-
-    fn enter(
+    /// The schedule walk: depth-first from `state`, whose path from the
+    /// initial state is `path` and whose inherited sleep set is
+    /// `sleep[base..]`. `Break` stops the whole sweep (a budget ran out or
+    /// the visitor asked).
+    ///
+    /// All sleep sets of a walk live on the one `sleep` stack: a node's
+    /// set is the slice from its `base` up, a child's set is pushed above
+    /// it and truncated on return, and the action just explored is then
+    /// pushed onto the node's own set. Once the stack has grown to the
+    /// deepest sleep set, sleep-set bookkeeping allocates nothing.
+    fn walk(
         &mut self,
-        state: &S::State,
-        _: &[S::Action],
-        _: &[S::Action],
-    ) -> ControlFlow<(), bool> {
+        state: &mut S::State,
+        path: &mut Vec<S::Action>,
+        sleep: &mut Vec<S::Action>,
+        base: usize,
+    ) -> ControlFlow<()> {
         if self.explorer.prune {
             if let Some(key) = self.sys.control_key(state) {
                 if !self.seen.insert(key) {
                     self.stats.prune_hits += 1;
-                    return ControlFlow::Continue(false);
+                    return ControlFlow::Continue(());
                 }
                 self.stats.prune_misses += 1;
             }
         }
-        ControlFlow::Continue(true)
-    }
-
-    fn run_cap(&mut self) -> ControlFlow<()> {
+        // The run cap is checked at node entry (every node leads to at
+        // least one more maximal run), but the step cap just before each
+        // edge application below: a space with exactly `max_runs` runs or
+        // `max_steps` steps is exhausted, not truncated. (Under `reduce` a
+        // fully-slept node yields no run, so an exact run budget may be
+        // flagged as truncated spuriously — the safe direction.)
         if self.stats.runs >= self.explorer.max_runs {
             self.stats.truncation = Some(TruncationReason::RunLimit);
             return ControlFlow::Break(());
         }
-        ControlFlow::Continue(())
-    }
-
-    fn step_cap(&mut self) -> ControlFlow<()> {
-        if self.stats.steps >= self.explorer.max_steps {
-            self.stats.truncation = Some(TruncationReason::StepLimit);
-            return ControlFlow::Break(());
+        let mut awake = self.sys.enabled(state);
+        if awake.is_empty() || path.len() >= self.explorer.max_depth {
+            return self.leaf(state, path, !awake.is_empty());
+        }
+        // Sleep-set partition: actions in the sleep set were already
+        // explored (up to independent commutations) by an earlier sibling
+        // branch, so skipping them here loses no computation. Incoming
+        // entries are filtered to the still-enabled actions first — a slept
+        // action that got disabled on the way down can no longer occur and
+        // keeping it would only slow the membership tests.
+        // Both filters work in place and keep the order of what they keep.
+        // Without `reduce` every sleep set is empty.
+        if self.explorer.reduce {
+            let mut kept = base;
+            for i in base..sleep.len() {
+                if awake.contains(&sleep[i]) {
+                    sleep.swap(kept, i);
+                    kept += 1;
+                }
+            }
+            sleep.truncate(kept);
+            let enabled = awake.len();
+            awake.retain(|a| !sleep[base..].contains(a));
+            if awake.len() < enabled {
+                self.stats.sleep_skipped += enabled - awake.len();
+            }
+            if awake.is_empty() {
+                // Every continuation is covered elsewhere: prune the whole
+                // node without counting a run.
+                return ControlFlow::Continue(());
+            }
+        }
+        for action in awake {
+            if self.stats.steps >= self.explorer.max_steps {
+                self.stats.truncation = Some(TruncationReason::StepLimit);
+                return ControlFlow::Break(());
+            }
+            // The child's sleep set keeps only entries that commute with the
+            // action being taken — computed against the *pre-apply* state
+            // (the state where both are enabled), before the checkpoint fast
+            // path mutates it in place. Each oracle answer is attributed so
+            // reduction payoff is explainable per instance.
+            let child = sleep.len();
+            for i in base..child {
+                if self.sys.independent(state, &action, &sleep[i]) {
+                    let b = sleep[i].clone();
+                    sleep.push(b);
+                }
+            }
+            let grants = sleep.len() - child;
+            let denials = child - base - grants;
+            let flow = if let Some(cp) = self.sys.checkpoint(state) {
+                // Fast path: mutate the one shared state down the edge and
+                // roll it back afterwards — no clone of the accumulated trace.
+                self.sys.apply(state, &action);
+                self.edge(grants, denials);
+                path.push(action);
+                let flow = self.walk(state, path, sleep, child);
+                self.sys.undo(state, cp);
+                flow
+            } else {
+                let mut next = state.clone();
+                self.sys.apply(&mut next, &action);
+                self.edge(grants, denials);
+                path.push(action);
+                self.walk(&mut next, path, sleep, child)
+            };
+            sleep.truncate(child);
+            let action = path.pop().expect("path underflow");
+            if self.explorer.reduce {
+                sleep.push(action);
+            }
+            flow?;
         }
         ControlFlow::Continue(())
     }
 
+    /// A maximal run ends at `state`; `depth_limited` if it was cut at
+    /// [`Explorer::max_depth`] with actions still enabled.
     fn leaf(
         &mut self,
         state: &S::State,
@@ -774,31 +651,43 @@ where
         (self.visit)(state, path)
     }
 
-    fn skips(&mut self, n: usize) {
-        self.stats.sleep_skipped += n;
-    }
-
+    /// One edge was applied; its child-sleep filter got `grants`
+    /// "independent" and `denials` "dependent" oracle answers.
     fn edge(&mut self, grants: usize, denials: usize) {
         self.stats.oracle_grants += grants;
         self.stats.oracle_denials += denials;
         self.stats.steps += 1;
     }
+
+    /// Final flush: steps of a truncated tail run, pruning totals
+    /// (emitted even when zero so reports are comparable), the depth
+    /// high-water mark, and the truncation cause.
+    fn finish(self) -> ExploreStats {
+        let (probe, stats) = (self.probe, self.stats);
+        if probe.enabled() {
+            probe.add("explore.steps", (stats.steps - self.flushed_steps) as u64);
+            probe.add("explore.prune.hits", stats.prune_hits as u64);
+            probe.add("explore.prune.misses", stats.prune_misses as u64);
+            probe.add("explore.sleep_skipped", stats.sleep_skipped as u64);
+            probe.add("explore.por_runs", stats.por_runs as u64);
+            probe.add("explore.oracle.grants", stats.oracle_grants as u64);
+            probe.add("explore.oracle.denials", stats.oracle_denials as u64);
+            probe.gauge_max("explore.depth_high_water", stats.max_depth_seen as u64);
+            if let Some(reason) = stats.truncation {
+                probe.add(&format!("explore.truncation.{}", reason.key()), 1);
+            }
+        }
+        stats
+    }
 }
 
 /// Searches all runs for a deadlock: a terminal state that is not
 /// complete. Returns the action sequence leading to the first deadlock
-/// found, or `None` if every explored run completes. Honours
-/// [`Explorer::jobs`]: with more than one job the parallel explorer is
-/// used, and the witness is identical to the serial one (first deadlock
-/// in DFS order).
-pub fn find_deadlock<S>(sys: &S, explorer: &Explorer) -> Option<Vec<S::Action>>
-where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
+/// found (the first in DFS order), or `None` if every explored run
+/// completes.
+pub fn find_deadlock<S: System>(sys: &S, explorer: &Explorer) -> Option<Vec<S::Action>> {
     let mut witness = None;
-    explorer.par_for_each_run(sys, |state, path| {
+    explorer.for_each_run(sys, |state, path| {
         if !sys.is_complete(state) {
             witness = Some(path.to_vec());
             ControlFlow::Break(())

@@ -21,7 +21,6 @@ mod ast;
 mod explore;
 #[cfg(test)]
 mod golden;
-mod par;
 mod rewind;
 
 pub mod ada;

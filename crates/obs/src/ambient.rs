@@ -25,18 +25,6 @@ static TIMED: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static CURRENT: RefCell<Vec<Arc<dyn Probe>>> = const { RefCell::new(Vec::new()) };
-    /// Gauge writes this thread holds back (see [`defer_gauges`]);
-    /// `None` while it forwards them.
-    static DEFERRED: RefCell<Option<Vec<GaugeWrite>>> = const { RefCell::new(None) };
-}
-
-/// One gauge write held back by [`defer_gauges`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GaugeWrite {
-    /// `gauge_set(name, value)`.
-    Set(String, u64),
-    /// `gauge_max(name, value)`.
-    Max(String, u64),
 }
 
 /// Uninstalls on drop. Not `Send`: the probe must be uninstalled on the
@@ -90,17 +78,6 @@ pub fn timings_active() -> bool {
     TIMED.load(Ordering::Relaxed) != 0
 }
 
-/// The probe currently installed on *this* thread, if any. Worker pools
-/// capture this on the coordinating thread and re-[`install`] it on each
-/// worker, so deep-layer emissions fan into the same sink regardless of
-/// which thread runs the work.
-pub fn snapshot() -> Option<Arc<dyn Probe>> {
-    if !active() {
-        return None;
-    }
-    CURRENT.with(|c| c.borrow().last().cloned())
-}
-
 #[inline]
 fn with_current(f: impl FnOnce(&dyn Probe)) {
     if !active() {
@@ -122,54 +99,13 @@ pub fn add(name: &str, delta: u64) {
 /// Raises gauge `name` on the ambient probe, if any.
 #[inline]
 pub fn gauge_max(name: &str, value: u64) {
-    if !held_back(|| GaugeWrite::Max(name.to_owned(), value)) {
-        with_current(|p| p.gauge_max(name, value));
-    }
+    with_current(|p| p.gauge_max(name, value));
 }
 
 /// Sets gauge `name` on the ambient probe, if any.
 #[inline]
 pub fn gauge_set(name: &str, value: u64) {
-    if !held_back(|| GaugeWrite::Set(name.to_owned(), value)) {
-        with_current(|p| p.gauge_set(name, value));
-    }
-}
-
-/// Holds back this thread's ambient gauge writes until
-/// [`take_deferred_gauges`] instead of forwarding them.
-///
-/// Gauge writes are order-dependent (`gauge_set` is last-write-wins), so
-/// racing them from concurrently-exploring workers would make the final
-/// value depend on thread scheduling. A worker pool defers them on each
-/// worker and replays them on the committing thread in a deterministic
-/// order. Counters, timers and histogram samples are commutative totals
-/// and keep flowing straight through. The deferral dies with the thread.
-pub fn defer_gauges() {
-    DEFERRED.with(|d| *d.borrow_mut() = Some(Vec::new()));
-}
-
-/// The gauge writes this thread held back since the last call (empty
-/// unless [`defer_gauges`] is in force).
-pub fn take_deferred_gauges() -> Vec<GaugeWrite> {
-    DEFERRED.with(|d| {
-        d.borrow_mut()
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
-    })
-}
-
-/// Queues `write()` when this thread defers gauges and a probe would see
-/// it; true when the write is taken care of that way.
-fn held_back(write: impl FnOnce() -> GaugeWrite) -> bool {
-    active()
-        && DEFERRED.with(|d| match d.borrow_mut().as_mut() {
-            Some(queue) => {
-                queue.push(write());
-                true
-            }
-            None => false,
-        })
+    with_current(|p| p.gauge_set(name, value));
 }
 
 /// Records a duration on the ambient probe, if any.
@@ -227,41 +163,6 @@ mod tests {
         let r = all.report();
         assert_eq!(r.hists["h"].count(), 1);
         assert_eq!(r.timers["t"].total_ns, 5);
-    }
-
-    #[test]
-    fn snapshot_sees_innermost_install() {
-        assert!(snapshot().is_none());
-        let outer = Arc::new(StatsProbe::new());
-        let _g = install(outer.clone());
-        let snap = snapshot().expect("installed");
-        snap.add("via-snapshot", 7);
-        assert_eq!(outer.counter("via-snapshot"), 7);
-    }
-
-    #[test]
-    fn deferred_gauges_wait_for_the_taker() {
-        let stats = Arc::new(StatsProbe::new());
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _g = install(stats.clone());
-                defer_gauges();
-                gauge_set("last", 3);
-                gauge_max("high", 5);
-                add("n", 1);
-                assert_eq!(stats.report().gauges.len(), 0, "gauges held back");
-                assert_eq!(stats.counter("n"), 1, "counters flow through");
-                assert_eq!(
-                    take_deferred_gauges(),
-                    vec![
-                        GaugeWrite::Set("last".into(), 3),
-                        GaugeWrite::Max("high".into(), 5)
-                    ]
-                );
-                assert!(take_deferred_gauges().is_empty());
-            });
-        });
-        assert!(take_deferred_gauges().is_empty(), "deferral is per thread");
     }
 
     #[test]

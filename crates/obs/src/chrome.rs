@@ -11,8 +11,6 @@
 //! per line, so the export of a fixed event list is byte-stable and can
 //! be golden-file tested (`tests/observability.rs`).
 
-use std::collections::BTreeMap;
-
 use crate::json::push_json_str;
 
 /// One event in a Chrome trace: a completed duration (`dur_us > 0` or
@@ -37,32 +35,9 @@ pub struct ChromeEvent {
 /// Serialises `events` in Chrome Trace Event Format with a fixed field
 /// order — a pure function of its input, so goldens are stable.
 pub fn chrome_trace_json(events: &[ChromeEvent]) -> String {
-    chrome_trace_json_with_labels(events, &BTreeMap::new())
-}
-
-/// [`chrome_trace_json`] plus `"ph": "M"` thread-name metadata events
-/// for the labelled tids, so worker lanes render as `worker-<k>` (the
-/// stable pool ordinal) instead of raw thread ordinals. With no labels
-/// the output is byte-identical to [`chrome_trace_json`].
-pub fn chrome_trace_json_with_labels(
-    events: &[ChromeEvent],
-    labels: &BTreeMap<u64, String>,
-) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + labels.len() * 80 + 64);
+    let mut out = String::with_capacity(events.len() * 96 + 64);
     out.push_str("{\"traceEvents\": [\n");
     let mut first = true;
-    for (tid, label) in labels {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&format!(
-            "  {{\"name\": \"thread_name\", \"cat\": \"__metadata\", \"ph\": \"M\", \
-             \"ts\": 0, \"pid\": 1, \"tid\": {tid}, \"args\": {{\"name\": "
-        ));
-        push_json_str(&mut out, label);
-        out.push_str("}}");
-    }
     for ev in events.iter() {
         if !first {
             out.push_str(",\n");

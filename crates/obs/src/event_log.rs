@@ -3,12 +3,11 @@
 //! a Chrome trace (`--trace-out`) and a flight-recorder crash dump
 //! (`--artifacts`).
 //!
-//! A sweep that dies at run 40 000 under `--jobs 8` is otherwise
-//! undiagnosable: stats are aggregated away. The log keeps each thread's
-//! most recent events plus its open span stack, so the crash dump shows
-//! what every worker was doing at the moment of death, and the same
-//! buffers, merged by sequence number, are the timeline the two trace
-//! formats export.
+//! A sweep that dies at run 40 000 is otherwise undiagnosable: stats are
+//! aggregated away. The log keeps each thread's most recent events plus its
+//! open span stack, so the crash dump shows what every thread was doing at
+//! the moment of death, and the same buffers, merged by sequence number,
+//! are the timeline the two trace formats export.
 //!
 //! ## Contention model
 //!
@@ -29,10 +28,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once};
 use std::time::Instant;
 
-use crate::chrome::{chrome_trace_json_with_labels, ChromeEvent};
+use crate::chrome::{chrome_trace_json, ChromeEvent};
 use crate::json::push_json_str;
 use crate::probe::Probe;
-use crate::tid::{thread_label, thread_ordinal};
+use crate::tid::thread_ordinal;
 
 /// Events per thread a crash dump shows: the flight-recorder tail.
 pub const CRASH_TAIL: usize = 256;
@@ -106,7 +105,6 @@ struct BufferState {
 #[derive(Debug)]
 struct ThreadBuffer {
     tid: u64,
-    label: Option<String>,
     state: Mutex<BufferState>,
 }
 
@@ -115,8 +113,6 @@ struct ThreadBuffer {
 pub struct ThreadDump {
     /// The thread's [`thread_ordinal`].
     pub tid: u64,
-    /// The thread's [`thread_label`] when it first logged, if any.
-    pub label: Option<String>,
     /// Currently open spans, outermost first.
     pub spans: Vec<String>,
     /// The thread's retained events, oldest first.
@@ -167,7 +163,6 @@ impl EventLog {
             }
             let buffer = Arc::new(ThreadBuffer {
                 tid: thread_ordinal(),
-                label: thread_label(),
                 state: Mutex::new(BufferState::default()),
             });
             self.registry
@@ -220,7 +215,6 @@ impl EventLog {
                 let state = buffer.state.lock().expect("event log buffer poisoned");
                 ThreadDump {
                     tid: buffer.tid,
-                    label: buffer.label.clone(),
                     spans: state.spans.clone(),
                     events: state.events.iter().cloned().collect(),
                     dropped: state.dropped,
@@ -314,20 +308,9 @@ impl EventLog {
         out
     }
 
-    /// Lane labels of the threads that had a [`thread_label`] when they
-    /// first logged (`tid -> label`).
-    pub fn labels(&self) -> BTreeMap<u64, String> {
-        let registry = self.registry.lock().expect("event log registry poisoned");
-        registry
-            .iter()
-            .filter_map(|b| Some((b.tid, b.label.clone()?)))
-            .collect()
-    }
-
-    /// The `--trace-out` rendering: [`EventLog::chrome_events`] with
-    /// `thread_name` metadata for the labelled lanes.
+    /// The `--trace-out` rendering of [`EventLog::chrome_events`].
     pub fn to_chrome_json(&self) -> String {
-        chrome_trace_json_with_labels(&self.chrome_events(), &self.labels())
+        chrome_trace_json(&self.chrome_events())
     }
 
     /// The crash-dump rendering: each thread's span stack and its last
@@ -570,29 +553,6 @@ mod tests {
         assert_eq!(events[2].counter, Some(3), "running total");
         assert_eq!(events[2].cat, "explore");
         assert_eq!(events[3].name, "verify");
-    }
-
-    #[test]
-    fn labelled_threads_render_thread_name_metadata() {
-        let log = Arc::new(EventLog::new(16));
-        let worker = log.clone();
-        let tid = std::thread::spawn(move || {
-            crate::tid::set_thread_label("worker-0");
-            worker.time_ns("phase.explore", 2_000);
-            thread_ordinal()
-        })
-        .join()
-        .unwrap();
-        assert_eq!(log.labels().get(&tid).map(String::as_str), Some("worker-0"));
-        let json = log.to_chrome_json();
-        assert!(json.contains("\"ph\": \"M\""), "{json}");
-        assert!(
-            json.contains(&format!(
-                "\"tid\": {tid}, \"args\": {{\"name\": \"worker-0\"}}"
-            )),
-            "{json}"
-        );
-        crate::json::parse(&json).expect("valid JSON");
     }
 
     #[test]

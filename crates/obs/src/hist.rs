@@ -4,7 +4,7 @@
 //! bucket 0 holds the value 0 and bucket `i` (1..=64) holds values whose
 //! bit length is `i`, i.e. the range `[2^(i-1), 2^i - 1]`. Recording is
 //! a `leading_zeros` plus two adds — cheap enough for per-step hot
-//! paths — and the fixed shape makes merging across workers a
+//! paths — and the fixed shape makes merging across threads a
 //! bucket-wise sum. Quantiles are read back at bucket granularity
 //! (the bucket's upper bound, clamped to the observed maximum), which
 //! is exact to within 2x — plenty for the "where does explore time go"

@@ -83,4 +83,4 @@ pub use probe::{FanoutProbe, NoopProbe, Probe, Span, StatsProbe};
 pub use profile::{explain, PhaseProfile, PhaseRow};
 pub use report::{Report, TimerStat};
 pub use series::{series_json, Series, SeriesSnapshot};
-pub use tid::{set_thread_label, thread_label, thread_ordinal};
+pub use tid::thread_ordinal;

@@ -8,9 +8,7 @@
 //! holds the whole time-series, not just the final totals.
 //!
 //! Dot-path probe names map to metric families: `explore.runs` becomes
-//! `gem_explore_runs` (counters expose `_total` samples), and the
-//! per-worker `worker.<k>.*` keys fold into one family per suffix with a
-//! `{worker="k"}` label so fleets of workers chart as one series family.
+//! `gem_explore_runs` (counters expose `_total` samples).
 //!
 //! [`lint_openmetrics`] is the format's own acceptance test (used by the
 //! CI metrics-smoke leg and `gem metrics-lint`): `# TYPE`/`# HELP` pairs
@@ -22,42 +20,18 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::series::SeriesSnapshot;
 
-/// Mapped metric identity: family name plus an optional worker label.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct MetricId {
-    family: String,
-    worker: Option<String>,
-}
-
-/// Sanitizes one dot-path into an OpenMetrics family name; pulls the
-/// ordinal out of `worker.<k>.<suffix>` keys into a label.
-fn metric_id(name: &str) -> MetricId {
-    let sanitize = |s: &str| -> String {
-        let mut out = String::with_capacity(s.len() + 4);
-        out.push_str("gem_");
-        for c in s.chars() {
-            if c.is_ascii_alphanumeric() {
-                out.push(c);
-            } else {
-                out.push('_');
-            }
-        }
-        out
-    };
-    if let Some(rest) = name.strip_prefix("worker.") {
-        if let Some((ordinal, suffix)) = rest.split_once('.') {
-            if !suffix.is_empty() && ordinal.bytes().all(|b| b.is_ascii_digit()) {
-                return MetricId {
-                    family: sanitize(&format!("worker.{suffix}")),
-                    worker: Some(ordinal.to_owned()),
-                };
-            }
+/// Sanitizes one dot-path into an OpenMetrics family name.
+fn family(name: &str) -> String {
+    let mut out = String::with_capacity(name.len() + 4);
+    out.push_str("gem_");
+    for c in name.chars() {
+        if c.is_ascii_alphanumeric() {
+            out.push(c);
+        } else {
+            out.push('_');
         }
     }
-    MetricId {
-        family: sanitize(name),
-        worker: None,
-    }
+    out
 }
 
 /// Renders `at_ms` as an exposition timestamp (seconds, millisecond
@@ -69,23 +43,18 @@ fn timestamp(at_ms: u64) -> String {
 /// Renders the snapshot series as an OpenMetrics text exposition.
 /// Deterministic: a pure function of the snapshots.
 pub fn render_openmetrics(snaps: &[SeriesSnapshot]) -> String {
-    // family -> original key -> worker label, split by section.
-    let mut counter_families: BTreeMap<String, BTreeMap<String, MetricId>> = BTreeMap::new();
-    let mut gauge_families: BTreeMap<String, BTreeMap<String, MetricId>> = BTreeMap::new();
+    // family -> original keys, split by section.
+    let mut counter_families: BTreeMap<String, BTreeSet<&str>> = BTreeMap::new();
+    let mut gauge_families: BTreeMap<String, BTreeSet<&str>> = BTreeMap::new();
     for snap in snaps {
         for name in snap.counters.keys() {
-            let id = metric_id(name);
             counter_families
-                .entry(id.family.clone())
+                .entry(family(name))
                 .or_default()
-                .insert(name.clone(), id);
+                .insert(name);
         }
         for name in snap.gauges.keys() {
-            let id = metric_id(name);
-            gauge_families
-                .entry(id.family.clone())
-                .or_default()
-                .insert(name.clone(), id);
+            gauge_families.entry(family(name)).or_default().insert(name);
         }
     }
     let mut out = String::with_capacity(4096);
@@ -93,23 +62,15 @@ pub fn render_openmetrics(snaps: &[SeriesSnapshot]) -> String {
         out.push_str(&format!("# TYPE {family} counter\n"));
         out.push_str(&format!(
             "# HELP {family} Cumulative sweep counter ({}).\n",
-            members.keys().next().map(String::as_str).unwrap_or("")
+            members.first().copied().unwrap_or("")
         ));
-        for (name, id) in members {
-            let labels = id
-                .worker
-                .as_ref()
-                .map(|w| format!("{{worker=\"{w}\"}}"))
-                .unwrap_or_default();
+        for &name in members {
             // Cumulative totals: a key missing from an early snapshot
             // simply had not been incremented yet, so it reads 0 — the
             // monotone-from-zero shape the linter checks.
             for snap in snaps {
                 let v = snap.counters.get(name).copied().unwrap_or(0);
-                out.push_str(&format!(
-                    "{family}_total{labels} {v} {}\n",
-                    timestamp(snap.at_ms)
-                ));
+                out.push_str(&format!("{family}_total {v} {}\n", timestamp(snap.at_ms)));
             }
         }
     }
@@ -117,18 +78,13 @@ pub fn render_openmetrics(snaps: &[SeriesSnapshot]) -> String {
         out.push_str(&format!("# TYPE {family} gauge\n"));
         out.push_str(&format!(
             "# HELP {family} Sweep gauge ({}).\n",
-            members.keys().next().map(String::as_str).unwrap_or("")
+            members.first().copied().unwrap_or("")
         ));
-        for (name, id) in members {
-            let labels = id
-                .worker
-                .as_ref()
-                .map(|w| format!("{{worker=\"{w}\"}}"))
-                .unwrap_or_default();
+        for &name in members {
             // Gauges only exist once set; no zero-backfill.
             for snap in snaps {
                 if let Some(v) = snap.gauges.get(name) {
-                    out.push_str(&format!("{family}{labels} {v} {}\n", timestamp(snap.at_ms)));
+                    out.push_str(&format!("{family} {v} {}\n", timestamp(snap.at_ms)));
                 }
             }
         }
@@ -285,8 +241,7 @@ mod tests {
                 at_ms: 1500,
                 counters: BTreeMap::from([
                     ("explore.runs".to_owned(), 7),
-                    ("worker.0.steps".to_owned(), 12),
-                    ("worker.1.steps".to_owned(), 9),
+                    ("explore.steps".to_owned(), 12),
                 ]),
                 gauges: BTreeMap::from([("estimate.total_runs".to_owned(), 40)]),
             },
@@ -294,28 +249,20 @@ mod tests {
     }
 
     #[test]
-    fn renders_families_labels_and_timestamps() {
+    fn renders_families_and_timestamps() {
         let text = render_openmetrics(&snaps());
         assert!(text.contains("# TYPE gem_explore_runs counter"), "{text}");
         assert!(text.contains("# HELP gem_explore_runs "), "{text}");
         assert!(text.contains("gem_explore_runs_total 0 0.000"), "{text}");
         assert!(text.contains("gem_explore_runs_total 7 1.500"), "{text}");
-        assert!(
-            text.contains("gem_worker_steps_total{worker=\"0\"} 12 1.500"),
-            "{text}"
-        );
-        assert!(
-            text.contains("gem_worker_steps_total{worker=\"1\"} 9 1.500"),
-            "{text}"
-        );
+        assert!(text.contains("gem_explore_steps_total 12 1.500"), "{text}");
         assert!(
             text.contains("# TYPE gem_estimate_total_runs gauge"),
             "{text}"
         );
         assert!(text.contains("gem_estimate_total_runs 40 1.500"), "{text}");
         assert!(text.ends_with("# EOF\n"), "{text}");
-        // One TYPE line per family, even with several worker members.
-        assert_eq!(text.matches("# TYPE gem_worker_steps ").count(), 1);
+        assert!(!text.contains('{'), "no labels: {text}");
     }
 
     #[test]
@@ -323,7 +270,7 @@ mod tests {
         let summary = lint_openmetrics(&render_openmetrics(&snaps())).unwrap();
         assert_eq!(summary.snapshots, 2);
         assert!(summary.families >= 3);
-        assert!(summary.samples >= 7);
+        assert!(summary.samples >= 5);
     }
 
     #[test]
@@ -358,32 +305,12 @@ mod tests {
     #[test]
     fn lint_accepts_distinct_label_sets_independently() {
         let text = "# TYPE gem_w counter\n# HELP gem_w w.\n\
-                    gem_w_total{worker=\"0\"} 9 0.000\n\
-                    gem_w_total{worker=\"1\"} 2 0.000\n\
-                    gem_w_total{worker=\"0\"} 9 1.000\n# EOF\n";
+                    gem_w_total{lane=\"0\"} 9 0.000\n\
+                    gem_w_total{lane=\"1\"} 2 0.000\n\
+                    gem_w_total{lane=\"0\"} 9 1.000\n# EOF\n";
         let summary = lint_openmetrics(text).unwrap();
         assert_eq!(summary.families, 1);
         assert_eq!(summary.samples, 3);
         assert_eq!(summary.snapshots, 2);
-    }
-
-    #[test]
-    fn metric_id_mapping() {
-        assert_eq!(
-            metric_id("explore.step.apply_ns"),
-            MetricId {
-                family: "gem_explore_step_apply_ns".to_owned(),
-                worker: None
-            }
-        );
-        assert_eq!(
-            metric_id("worker.12.busy_ns"),
-            MetricId {
-                family: "gem_worker_busy_ns".to_owned(),
-                worker: Some("12".to_owned())
-            }
-        );
-        // Non-numeric second segment stays a plain family.
-        assert_eq!(metric_id("worker.pool.size").worker, None);
     }
 }

@@ -61,7 +61,7 @@ pub struct Report {
     pub hists: BTreeMap<String, Histogram>,
     /// Free-form context (command line, problem name, parameters).
     pub meta: BTreeMap<String, String>,
-    /// The run's effective configuration (problem id, jobs/dedup/por
+    /// The run's effective configuration (problem id, dedup/por
     /// flags, bounds) — makes the report self-describing so artifacts
     /// need no filename conventions. Serialized only when non-empty,
     /// so configuration-free reports keep their historical shape.
@@ -497,7 +497,7 @@ mod tests {
         for v in [10, 10, 900] {
             lag.record(v);
         }
-        r.hists.insert("worker.0.commit_lag_ns".into(), lag);
+        r.hists.insert("explore.step.undo_depth".into(), lag);
         let mut width = Histogram::new();
         width.record(2);
         r.hists.insert("explore.step.enabled_width".into(), width);

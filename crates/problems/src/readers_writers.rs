@@ -536,9 +536,8 @@ pub fn rw_program_with_semantics(
 /// `rounds` complete transactions (`StartRead;EndRead` or
 /// `StartWrite;EndWrite` pairs) instead of one. The schedule space grows
 /// roughly as the multinomial of `2 × rounds × processes` actions —
-/// the workload knob for the parallel-exploration scaling bench (F5) and
-/// for any experiment that needs a deep, wide schedule trie from a small
-/// process count.
+/// the workload knob (`gem … rw rounds=<n>`) for any experiment that
+/// needs a deep, wide schedule trie from a small process count.
 pub fn rw_rounds_program(
     monitor: MonitorDef,
     readers: usize,

@@ -46,25 +46,20 @@ impl LivenessOutcome {
 
 /// Checks a (typically `◇…`) formula against every run's computation
 /// under the given strategy. Runs are enumerated with
-/// [`Explorer::par_for_each_run`], so `explorer.jobs > 1` parallelises
-/// the sweep without changing the reported run indices.
+/// [`Explorer::for_each_run`], and a failing run is reported by its index
+/// in that order.
 ///
 /// With [`Explorer::dedup_computations`] set, trace-equivalent runs are
 /// checked once and the verdict replayed (see [`crate::dedup`]); the
 /// outcome is unchanged, and hits/misses are reported on the ambient
 /// probe as `progress.dedup.hits` / `progress.dedup.misses`.
-pub fn eventually_on_all_runs<S>(
+pub fn eventually_on_all_runs<S: System>(
     sys: &S,
     formula: &Formula,
     extract: impl Fn(&S::State) -> Computation,
     explorer: &Explorer,
     strategy: Strategy,
-) -> LivenessOutcome
-where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
+) -> LivenessOutcome {
     let mut runs = 0usize;
     let mut failing_runs = Vec::new();
     let dedup = explorer.dedup_computations;
@@ -72,7 +67,7 @@ where
     // plus the closure-free confirmation key.
     let mut verdicts: HashMap<(u64, CanonicalKey), bool> = HashMap::new();
     let (mut dedup_hits, mut dedup_misses) = (0u64, 0u64);
-    let stats = explorer.par_for_each_run(sys, |state, _| {
+    let stats = explorer.for_each_run(sys, |state, _| {
         let c = extract(state);
         let key = dedup.then(|| (c.fingerprint(), confirm_key(&c)));
         let holds = match key.as_ref().and_then(|k| verdicts.get(k)) {
@@ -113,22 +108,17 @@ where
 /// Asserts the system is deadlock-free within the explorer's bounds.
 ///
 /// Returns `Ok(runs_explored)` or the action trace of the first deadlock
-/// rendered with `Debug`. The witness is the first deadlock in serial
-/// DFS order regardless of `explorer.jobs`.
+/// rendered with `Debug`. The witness is the first deadlock in DFS
+/// order.
 ///
 /// Deadlock is a property of the terminal *state* (incomplete with no
 /// enabled action), not of the sealed computation, so this sweep ignores
 /// [`Explorer::dedup_computations`] — there is no computation-level check
 /// to deduplicate.
-pub fn assert_no_deadlock<S>(sys: &S, explorer: &Explorer) -> Result<usize, String>
-where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
+pub fn assert_no_deadlock<S: System>(sys: &S, explorer: &Explorer) -> Result<usize, String> {
     let mut runs = 0usize;
     let mut witness: Option<String> = None;
-    explorer.par_for_each_run(sys, |state, path| {
+    explorer.for_each_run(sys, |state, path| {
         runs += 1;
         if sys.is_complete(state) {
             ControlFlow::Continue(())

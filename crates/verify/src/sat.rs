@@ -228,11 +228,8 @@ impl Default for VerifyOptions {
 /// run's computation with `extract`, projects through `corr`, and checks
 /// `problem`'s restrictions.
 ///
-/// Schedules are explored with [`Explorer::par_for_each_run_probed`]:
-/// serial on the calling thread for `explorer.jobs == 1` (the default),
-/// otherwise a worker pool whose ordered-commit protocol guarantees the
-/// outcome — run order, first failure, counterexample schedules, and
-/// probe totals — is identical to the serial sweep.
+/// Schedules are explored with [`Explorer::for_each_run_probed`] on the
+/// calling thread, in DFS order.
 ///
 /// With [`Explorer::dedup_computations`] set, trace-equivalent runs (runs
 /// sealing to the same computation, see [`crate::dedup`]) are checked once
@@ -249,18 +246,13 @@ impl Default for VerifyOptions {
 /// verdict). Malformed restriction formulas also surface as an error
 /// string via the panic-free path: they are reported as failures with the
 /// evaluation error in `detail`.
-pub fn verify_system<S>(
+pub fn verify_system<S: System>(
     sys: &S,
     problem: &Specification,
     corr: &Correspondence,
     extract: impl Fn(&S::State) -> Computation,
     options: &VerifyOptions,
-) -> Result<VerifyOutcome, ProjectError>
-where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
+) -> Result<VerifyOutcome, ProjectError> {
     let mut runs = 0usize;
     let mut deadlocks = 0usize;
     let mut failures: Vec<RunFailure> = Vec::new();
@@ -319,7 +311,7 @@ where
 
     let stats = options
         .explorer
-        .par_for_each_run_probed(sys, probe, |state, path| {
+        .for_each_run_probed(sys, probe, |state, path| {
             runs += 1;
             let deadlocked = !sys.is_complete(state);
             if deadlocked {

@@ -57,19 +57,14 @@ fn num(n: usize) -> JsonValue {
 
 /// The library-level fields of a row: one `verify_system` sweep for the
 /// verdict, one explorer sweep for the computation digest.
-fn sweep<S>(
+fn sweep<S: System>(
     sys: &S,
     spec: &Specification,
     corr: &Correspondence,
     max_runs: usize,
     por: bool,
     computation: impl Fn(&S::State) -> Computation,
-) -> Vec<(String, JsonValue)>
-where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
+) -> Vec<(String, JsonValue)> {
     let explorer = Explorer {
         reduce: por,
         ..Explorer::with_max_runs(max_runs)
@@ -131,7 +126,7 @@ fn cli(line: &str, por: bool) -> Vec<(String, JsonValue)> {
     let stats_s = stats.to_str().expect("utf-8").to_owned();
     let mut args: Vec<String> = std::iter::once("verify")
         .chain(line.split_whitespace())
-        .chain(["--jobs", "1", "--heartbeat", "0", "--artifacts", &art_s])
+        .chain(["--heartbeat", "0", "--artifacts", &art_s])
         .chain(["--stats-json", &stats_s])
         .map(str::to_owned)
         .collect();

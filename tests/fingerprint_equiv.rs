@@ -8,8 +8,9 @@
 //! reference from public APIs and checks the new path against it —
 //!
 //! * byte-identical [`VerifyOutcome`]s and identical hit/miss counters,
-//!   across Monitor/CSP/ADA substrates × `jobs ∈ {1, 4}` × POR on/off,
-//!   including a genuinely failing and a deadlocking instance;
+//!   across Monitor/CSP/ADA substrates × POR on/off,
+//!   including a genuinely failing and a deadlocking instance, and the
+//!   same outcome as a sweep without dedup;
 //! * the run partition induced by `(fingerprint, confirm_key)` coincides
 //!   exactly with the partition induced by `canonical_key` — the
 //!   fingerprint never merges distinct computations (soundness) and the
@@ -36,32 +37,24 @@ use gem::verify::{
     Correspondence, RunFailure, VerifyOptions, VerifyOutcome,
 };
 
-/// Worker counts for the differential matrix.
-const JOBS: [usize; 2] = [1, 4];
-
 /// PR 3's dedup, reimplemented verbatim from public APIs: serialise the
 /// exact canonical key of every run, cache the check verdict per key.
 /// Deadlocks are judged per run on the state and never deduplicated;
 /// the failure cap breaks the sweep exactly like `verify_system`.
-fn reference_dedup_sweep<S>(
+fn reference_dedup_sweep<S: System>(
     sys: &S,
     spec: &Specification,
     corr: &Correspondence,
     extract: impl Fn(&S::State) -> Computation,
     explorer: &Explorer,
-) -> (VerifyOutcome, u64, u64)
-where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
+) -> (VerifyOutcome, u64, u64) {
     let defaults = VerifyOptions::default();
     let mut runs = 0usize;
     let mut deadlocks = 0usize;
     let mut failures: Vec<RunFailure> = Vec::new();
     let mut verdicts: HashMap<CanonicalKey, Option<(Vec<String>, String)>> = HashMap::new();
     let (mut hits, mut misses) = (0u64, 0u64);
-    let stats = explorer.par_for_each_run(sys, |state, _| {
+    let stats = explorer.for_each_run(sys, |state, _| {
         runs += 1;
         if !sys.is_complete(state) {
             deadlocks += 1;
@@ -113,18 +106,13 @@ where
 
 /// The new pipeline: `verify_system` with `dedup_computations`, hit and
 /// miss counters read back off a stats probe.
-fn fingerprint_dedup_sweep<S>(
+fn fingerprint_dedup_sweep<S: System>(
     sys: &S,
     spec: &Specification,
     corr: &Correspondence,
     extract: impl Fn(&S::State) -> Computation,
     explorer: &Explorer,
-) -> (VerifyOutcome, u64, u64)
-where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
+) -> (VerifyOutcome, u64, u64) {
     let stats = Arc::new(StatsProbe::new());
     let outcome = verify_system(
         sys,
@@ -152,53 +140,64 @@ where
 }
 
 /// The core differential on one instance: reference and fingerprint
-/// dedup agree byte-for-byte across the jobs × POR matrix.
-fn assert_fingerprint_equiv<S>(
+/// dedup agree byte-for-byte with POR off and on, and both report the
+/// outcome of the same sweep without dedup — dedup skips redundant
+/// checking, never a run, a failure index or a detail string.
+fn assert_fingerprint_equiv<S: System>(
     sys: &S,
     spec: &Specification,
     corr: &Correspondence,
     extract: impl Fn(&S::State) -> Computation + Copy,
     what: &str,
-) where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
-    for jobs in JOBS {
-        for reduce in [false, true] {
-            let explorer = Explorer {
-                jobs,
-                reduce,
-                split_depth: 3,
-                dedup_computations: true,
-                ..Explorer::default()
-            };
-            let (want, want_hits, want_misses) =
-                reference_dedup_sweep(sys, spec, corr, extract, &explorer);
-            let (got, got_hits, got_misses) =
-                fingerprint_dedup_sweep(sys, spec, corr, extract, &explorer);
-            assert_eq!(
-                want, got,
-                "{what}: outcome diverges from reference dedup at jobs={jobs} por={reduce}"
-            );
-            assert_eq!(
-                (want_hits, want_misses),
-                (got_hits, got_misses),
-                "{what}: dedup hit/miss counters diverge at jobs={jobs} por={reduce}"
-            );
-        }
+) {
+    for reduce in [false, true] {
+        let explorer = Explorer {
+            reduce,
+            dedup_computations: true,
+            ..Explorer::default()
+        };
+        let (want, want_hits, want_misses) =
+            reference_dedup_sweep(sys, spec, corr, extract, &explorer);
+        let (got, got_hits, got_misses) =
+            fingerprint_dedup_sweep(sys, spec, corr, extract, &explorer);
+        assert_eq!(
+            want, got,
+            "{what}: outcome diverges from reference dedup at por={reduce}"
+        );
+        assert_eq!(
+            (want_hits, want_misses),
+            (got_hits, got_misses),
+            "{what}: dedup hit/miss counters diverge at por={reduce}"
+        );
+        let plain = verify_system(
+            sys,
+            spec,
+            corr,
+            extract,
+            &VerifyOptions {
+                explorer: Explorer {
+                    dedup_computations: false,
+                    ..explorer
+                },
+                ..VerifyOptions::default()
+            },
+        )
+        .expect("correspondence consistent");
+        assert_eq!(
+            plain, got,
+            "{what}: dedup changes the outcome at por={reduce}"
+        );
     }
 }
 
 /// On one instance, the run partition by `(fingerprint, confirm_key)`
 /// must coincide with the partition by `canonical_key`: same classes,
 /// same members.
-fn assert_partitions_coincide<S>(sys: &S, extract: impl Fn(&S::State) -> Computation, what: &str)
-where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
+fn assert_partitions_coincide<S: System>(
+    sys: &S,
+    extract: impl Fn(&S::State) -> Computation,
+    what: &str,
+) {
     let mut by_canonical: BTreeMap<CanonicalKey, BTreeSet<usize>> = BTreeMap::new();
     let mut by_fingerprint: BTreeMap<(u64, CanonicalKey), BTreeSet<usize>> = BTreeMap::new();
     let mut run = 0usize;

@@ -308,8 +308,6 @@ fn trace_lines_partition_by_thread_id() {
         "rw",
         "readers=1",
         "writers=1",
-        "--jobs",
-        "2",
         "--trace",
         &path_s,
         "--heartbeat",
@@ -348,8 +346,8 @@ fn trace_lines_partition_by_thread_id() {
 type Lanes = std::collections::BTreeMap<u64, Vec<(String, String)>>;
 
 /// `--trace`, `--trace-out` and the `--artifacts` crash dump render one
-/// event log, so on a `--jobs 2` run they agree on every thread's event
-/// order: the Chrome trace is the JSON lines' timer, counter and
+/// event log, so they agree on every thread's event order: the Chrome
+/// trace is the JSON lines' timer, counter and
 /// histogram events, and the crash dump is each thread's last events.
 #[test]
 fn trace_chrome_and_crash_dump_agree_per_thread() {
@@ -362,8 +360,6 @@ fn trace_chrome_and_crash_dump_agree_per_thread() {
         "rw",
         "readers=1",
         "writers=1",
-        "--jobs",
-        "2",
         "--trace",
         jsonl_s,
         "--trace-out",
@@ -391,15 +387,10 @@ fn trace_chrome_and_crash_dump_agree_per_thread() {
             .or_default()
             .push((field("ev"), field("k")));
     }
-    assert!(
-        lines.len() >= 2,
-        "the workers logged too: {:?}",
-        lines.keys()
-    );
+    assert!(!lines.is_empty(), "the sweep logged");
 
     let trace = read_json(&chrome);
     let mut lanes = Lanes::new();
-    let mut labels = Vec::new();
     for ev in trace
         .get("traceEvents")
         .and_then(JsonValue::as_arr)
@@ -407,26 +398,11 @@ fn trace_chrome_and_crash_dump_agree_per_thread() {
     {
         let field = |k: &str| ev.get(k).and_then(JsonValue::as_str).unwrap().to_owned();
         let tid = ev.get("tid").and_then(JsonValue::as_u64).unwrap();
-        match field("ph").as_str() {
-            "M" => labels.push(
-                ev.get("args")
-                    .unwrap()
-                    .get("name")
-                    .unwrap()
-                    .as_str()
-                    .unwrap()
-                    .to_owned(),
-            ),
-            ph => lanes
-                .entry(tid)
-                .or_default()
-                .push((ph.to_owned(), field("name"))),
-        }
+        lanes
+            .entry(tid)
+            .or_default()
+            .push((field("ph"), field("name")));
     }
-    assert!(
-        labels.iter().any(|l| l.starts_with("worker-")),
-        "{labels:?}"
-    );
     for (tid, events) in &lines {
         let expected: Vec<(String, String)> = events
             .iter()

@@ -6,7 +6,7 @@
 //! can prove clean — but verdicts, failure details, deadlock counts,
 //! blame artifacts, and the exploration-level counters of `--stats-json`
 //! must be byte-identical to `--incr-check off` across every substrate
-//! (monitor, CSP, ADA), worker count, and reduction strategy, on holding,
+//! (monitor, CSP, ADA) and reduction strategy, on holding,
 //! failing, and deadlocking instances alike. Only the work-reflecting
 //! namespaces (`logic.*`, `restriction.*`, `project.*`, `core.*`,
 //! `verify.dedup.*`, phase timers) may differ: that skipped work *is*
@@ -30,22 +30,15 @@ use gem::verify::{
 };
 
 /// One probed sweep with the given knobs.
-#[allow(clippy::too_many_arguments)] // differential-matrix row, not an API
-fn sweep<S>(
+fn sweep<S: System>(
     sys: &S,
     spec: &Specification,
     corr: &Correspondence,
     extract: impl Fn(&S::State) -> Computation,
-    jobs: usize,
     dedup: bool,
     por: bool,
     incr: IncrCheck,
-) -> (VerifyOutcome, gem::obs::Report)
-where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
+) -> (VerifyOutcome, gem::obs::Report) {
     let probe = Arc::new(StatsProbe::new());
     let outcome = verify_system(
         sys,
@@ -55,8 +48,6 @@ where
         &VerifyOptions {
             probe: probe.clone(),
             explorer: Explorer {
-                jobs,
-                split_depth: 3,
                 reduce: por,
                 dedup_computations: dedup,
                 ..Explorer::default()
@@ -83,39 +74,26 @@ fn curated(report: &gem::obs::Report) -> BTreeMap<String, u64> {
 }
 
 /// Asserts `Auto` agrees with `Off` on outcome and curated counters,
-/// across every reduction strategy (dedup and POR, alone and combined)
-/// and the worker counts given, plus two workers when several are given.
-fn assert_modes_agree<S>(
+/// across every reduction strategy (dedup and POR, alone and combined).
+fn assert_modes_agree<S: System>(
     sys: &S,
     spec: &Specification,
     corr: &Correspondence,
     extract: impl Fn(&S::State) -> Computation + Copy,
     what: &str,
-    jobs_list: &[usize],
-) where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
-    let mut jobs_sweep = jobs_list.to_vec();
-    if jobs_list.len() > 1 && !jobs_sweep.contains(&2) {
-        jobs_sweep.push(2);
-    }
+) {
     for (dedup, por) in [(false, false), (true, false), (false, true), (true, true)] {
-        for &jobs in &jobs_sweep {
-            let (base_out, base_rep) =
-                sweep(sys, spec, corr, extract, jobs, dedup, por, IncrCheck::Off);
-            let (out, rep) = sweep(sys, spec, corr, extract, jobs, dedup, por, IncrCheck::Auto);
-            assert_eq!(
-                base_out, out,
-                "{what}: outcome diverges at jobs={jobs} dedup={dedup} por={por}"
-            );
-            assert_eq!(
-                curated(&base_rep),
-                curated(&rep),
-                "{what}: counters diverge at jobs={jobs} dedup={dedup} por={por}"
-            );
-        }
+        let (base_out, base_rep) = sweep(sys, spec, corr, extract, dedup, por, IncrCheck::Off);
+        let (out, rep) = sweep(sys, spec, corr, extract, dedup, por, IncrCheck::Auto);
+        assert_eq!(
+            base_out, out,
+            "{what}: outcome diverges at dedup={dedup} por={por}"
+        );
+        assert_eq!(
+            curated(&base_rep),
+            curated(&rep),
+            "{what}: counters diverge at dedup={dedup} por={por}"
+        );
     }
 }
 
@@ -125,19 +103,10 @@ fn monitor_holding_instance_agrees() {
     let spec = rw_spec(2, false, RwVariant::MutexOnly);
     let corr = rw_correspondence(&sys, &spec, false);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "rw 1r1w mutex", &[1, 4]);
+    assert_modes_agree(&sys, &spec, &corr, extract, "rw 1r1w mutex");
     // Sanity: the instance really is in the incremental fragment, so the
     // equivalence above exercised the fast path, not a silent fallback.
-    let (outcome, rep) = sweep(
-        &sys,
-        &spec,
-        &corr,
-        extract,
-        1,
-        false,
-        false,
-        IncrCheck::Auto,
-    );
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, false, IncrCheck::Auto);
     assert!(outcome.ok());
     assert_eq!(
         rep.counters.get("logic.incr.leaf_clean").copied(),
@@ -157,17 +126,8 @@ fn monitor_failing_instance_agrees() {
     let spec = rw_spec(3, false, RwVariant::WritersPriority);
     let corr = rw_correspondence(&sys, &spec, false);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "rw 1r2w writers", &[1, 4]);
-    let (outcome, _) = sweep(
-        &sys,
-        &spec,
-        &corr,
-        extract,
-        1,
-        false,
-        false,
-        IncrCheck::Auto,
-    );
+    assert_modes_agree(&sys, &spec, &corr, extract, "rw 1r2w writers");
+    let (outcome, _) = sweep(&sys, &spec, &corr, extract, false, false, IncrCheck::Auto);
     assert!(!outcome.ok(), "{outcome}");
     assert!(!outcome.failures.is_empty());
 }
@@ -182,14 +142,7 @@ fn monitor_violation_detected_incrementally_still_matches_batch() {
     let spec = rw_spec(3, false, RwVariant::ReadersPriority);
     let corr = rw_correspondence(&sys, &spec, false);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(
-        &sys,
-        &spec,
-        &corr,
-        extract,
-        "rw 2r1w readers-on-writers",
-        &[1, 4],
-    );
+    assert_modes_agree(&sys, &spec, &corr, extract, "rw 2r1w readers-on-writers");
 }
 
 #[test]
@@ -199,7 +152,7 @@ fn csp_substrate_agrees() {
     let sys = bounded::csp_solution(&items, 1);
     let corr = bounded::csp_correspondence(&sys, &spec, 1);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "bounded csp", &[1, 4]);
+    assert_modes_agree(&sys, &spec, &corr, extract, "bounded csp");
 }
 
 #[test]
@@ -209,7 +162,7 @@ fn ada_substrate_agrees() {
     let sys = one_slot::ada_solution(&items);
     let corr = one_slot::ada_correspondence(&sys, &spec);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "one-slot ada", &[1, 4]);
+    assert_modes_agree(&sys, &spec, &corr, extract, "one-slot ada");
 }
 
 #[test]
@@ -221,17 +174,8 @@ fn deadlocking_instance_agrees() {
     let spec = philosophers::philosophers_spec(2);
     let corr = philosophers::philosophers_correspondence(&sys, &spec, 2);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "philosophers naive", &[1, 4]);
-    let (outcome, rep) = sweep(
-        &sys,
-        &spec,
-        &corr,
-        extract,
-        1,
-        false,
-        false,
-        IncrCheck::Auto,
-    );
+    assert_modes_agree(&sys, &spec, &corr, extract, "philosophers naive");
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, false, IncrCheck::Auto);
     assert!(outcome.deadlocks > 0, "{outcome}");
     assert!(
         rep.counters
@@ -320,26 +264,10 @@ fn forced_fallback_formula_agrees_and_is_reported() {
     });
     let corr = rw_correspondence(&sys, &spec, false);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(
-        &sys,
-        &spec,
-        &corr,
-        extract,
-        "rw positive-exists (fallback)",
-        &[1],
-    );
+    assert_modes_agree(&sys, &spec, &corr, extract, "rw positive-exists (fallback)");
     // The fallback is decided when the checker compiles, so it is visible
     // per restriction; the sweep then skips the per-leaf machinery.
-    let (outcome, rep) = sweep(
-        &sys,
-        &spec,
-        &corr,
-        extract,
-        1,
-        false,
-        false,
-        IncrCheck::Auto,
-    );
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, false, IncrCheck::Auto);
     assert!(outcome.ok(), "{outcome}");
     let fallbacks: Vec<_> = rep
         .counters
@@ -368,19 +296,14 @@ fn forced_fallback_formula_agrees_and_is_reported() {
 
 /// The artifact files of a default-option sweep in mode `incr`, written
 /// under `dir`, by file name.
-fn artifact_files<S>(
+fn artifact_files<S: System>(
     sys: &S,
     spec: &Specification,
     corr: &Correspondence,
     extract: impl Fn(&S::State) -> Computation,
     incr: IncrCheck,
     dir: &std::path::Path,
-) -> BTreeMap<String, String>
-where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
+) -> BTreeMap<String, String> {
     let art = dir.join(format!("{incr:?}"));
     verify_system(
         sys,
@@ -416,17 +339,8 @@ fn capacity_violation_settled_mid_replay_keeps_the_batch_verdict() {
     let sys = bounded::monitor_solution(&items, 3);
     let corr = bounded::monitor_correspondence(&sys, &spec, 3);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "bounded cap 3 on 2", &[1]);
-    let (outcome, rep) = sweep(
-        &sys,
-        &spec,
-        &corr,
-        extract,
-        1,
-        false,
-        false,
-        IncrCheck::Auto,
-    );
+    assert_modes_agree(&sys, &spec, &corr, extract, "bounded cap 3 on 2");
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, false, IncrCheck::Auto);
     assert!(!outcome.failures.is_empty(), "{outcome}");
     for failure in &outcome.failures {
         assert_eq!(failure.violated, ["capacity"], "{failure:?}");
@@ -602,24 +516,8 @@ fn violated_eventually_restriction_falls_back_per_leaf() {
     });
     let corr = rw_correspondence(&sys, &spec, false);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(
-        &sys,
-        &spec,
-        &corr,
-        extract,
-        "rw write-follows-read",
-        &[1, 4],
-    );
-    let (outcome, rep) = sweep(
-        &sys,
-        &spec,
-        &corr,
-        extract,
-        1,
-        false,
-        false,
-        IncrCheck::Auto,
-    );
+    assert_modes_agree(&sys, &spec, &corr, extract, "rw write-follows-read");
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, false, IncrCheck::Auto);
     assert_eq!(outcome.deadlocks, 0, "{outcome}");
     assert!(!outcome.failures.is_empty(), "{outcome}");
     for failure in &outcome.failures {
@@ -648,41 +546,6 @@ fn violated_eventually_restriction_falls_back_per_leaf() {
     );
     assert_eq!(off, artifacts(IncrCheck::Auto), "artifacts diverge");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn incr_counters_identical_across_jobs() {
-    // The committer delivers worker leaf states to the single checker in
-    // serial DFS index order, so not just the verdict but the incremental
-    // counters themselves (syncs, replay/reuse volume, per-restriction
-    // tallies) must be byte-identical at every worker count.
-    let sys = rw_program(readers_writers_monitor(), 1, 2, false);
-    let spec = rw_spec(3, false, RwVariant::MutexOnly);
-    let corr = rw_correspondence(&sys, &spec, false);
-    let extract = |s: &_| sys.computation(s).expect("acyclic");
-    let incr_counters = |jobs: usize| -> BTreeMap<String, u64> {
-        let (outcome, rep) = sweep(
-            &sys,
-            &spec,
-            &corr,
-            extract,
-            jobs,
-            false,
-            false,
-            IncrCheck::Auto,
-        );
-        assert!(outcome.ok(), "{outcome}");
-        rep.counters
-            .iter()
-            .filter(|(k, _)| k.starts_with("logic.incr."))
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
-    };
-    let serial = incr_counters(1);
-    assert!(serial.get("logic.incr.syncs").copied().unwrap_or(0) > 0);
-    for jobs in [2, 4] {
-        assert_eq!(serial, incr_counters(jobs), "diverges at jobs={jobs}");
-    }
 }
 
 #[test]

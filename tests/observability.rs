@@ -377,8 +377,8 @@ fn phase_partition_holds_with_incremental_checking_on() {
 #[test]
 fn openmetrics_serialisation_matches_golden() {
     // `render_openmetrics` is a pure function of the snapshot series
-    // with rigid family/sample ordering; a fixed mix — a plain counter,
-    // a worker-labelled family, a gauge, a key appearing mid-series —
+    // with rigid family/sample ordering; a fixed mix — counters, gauges,
+    // a counter and a gauge appearing mid-series —
     // must serialise byte-for-byte to the checked-in golden, and that
     // golden must pass the format's own linter.
     use gem::obs::{lint_openmetrics, render_openmetrics, SeriesSnapshot};
@@ -393,8 +393,7 @@ fn openmetrics_serialisation_matches_golden() {
             at_ms: 1000,
             counters: BTreeMap::from([
                 ("explore.runs".to_owned(), 7),
-                ("worker.0.steps".to_owned(), 12),
-                ("worker.1.steps".to_owned(), 9),
+                ("explore.steps".to_owned(), 12),
             ]),
             gauges: BTreeMap::from([("estimate.total_runs".to_owned(), 40)]),
         },
@@ -402,9 +401,8 @@ fn openmetrics_serialisation_matches_golden() {
             at_ms: 2500,
             counters: BTreeMap::from([
                 ("explore.runs".to_owned(), 21),
+                ("explore.steps".to_owned(), 30),
                 ("verify.deadlocks".to_owned(), 1),
-                ("worker.0.steps".to_owned(), 30),
-                ("worker.1.steps".to_owned(), 28),
             ]),
             gauges: BTreeMap::from([
                 ("estimate.total_runs".to_owned(), 40),
@@ -426,12 +424,10 @@ fn openmetrics_serialisation_matches_golden() {
 }
 
 #[test]
-fn probed_parallel_verify_feeds_a_lintable_series() {
-    // End-to-end: a series of snapshots of the stats report of a
-    // parallel verify must yield an exposition that lints clean, with
-    // the worker-labelled families present and the final explore.runs
-    // total agreeing with the verifier.
-    use gem::lang::Explorer;
+fn probed_verify_feeds_a_lintable_series() {
+    // End-to-end: a series of snapshots of the stats report of a verify
+    // must yield an exposition that lints clean, with the final
+    // explore.runs total agreeing with the verifier.
     use gem::obs::{lint_openmetrics, render_openmetrics, Series};
     use std::time::Duration;
     let probe = Arc::new(StatsProbe::new());
@@ -446,11 +442,6 @@ fn probed_parallel_verify_feeds_a_lintable_series() {
         |state| sys.computation(state).expect("acyclic"),
         &VerifyOptions {
             probe: probe.clone(),
-            explorer: Explorer {
-                jobs: 4,
-                split_depth: 3,
-                ..Explorer::default()
-            },
             ..VerifyOptions::default()
         },
     )
@@ -464,18 +455,23 @@ fn probed_parallel_verify_feeds_a_lintable_series() {
     let text = render_openmetrics(&snaps);
     let summary = lint_openmetrics(&text).expect("exposition must lint clean");
     assert!(summary.snapshots >= 2, "{summary:?}");
-    // Workers pull items, so under load any one worker (worker 0
-    // included) may finish without leaves; some worker always has them.
     assert!(
-        text.contains("gem_worker_leaves_total{worker=\""),
-        "worker-labelled families missing:\n{text}"
+        text.contains(&format!("gem_explore_runs_total {} ", outcome.runs)),
+        "{text}"
     );
 }
 
 #[test]
 fn noop_probe_leaves_ambient_inactive() {
-    // The default options use a NoopProbe; the ambient layer must stay
-    // uninstalled so deep layers keep their fast path.
+    // The default options use a NoopProbe; the verifier must install
+    // nothing in the ambient slot for it, so deep layers keep their fast
+    // path. Observed through this thread's slot, not the process-wide
+    // `ambient::active()` (sibling tests install probes while this one
+    // runs): with an outer probe installed here, an install by the
+    // verifier would shadow it and the deep-layer counters of the
+    // incremental checker would never reach it.
+    let outer = Arc::new(StatsProbe::new());
+    let _guard = gem::obs::ambient::install(outer.clone());
     let sys = rw_program(readers_writers_monitor(), 1, 1, false);
     let spec = rw_spec(2, false, RwVariant::MutexOnly);
     let corr = rw_correspondence(&sys, &spec, false);
@@ -488,8 +484,6 @@ fn noop_probe_leaves_ambient_inactive() {
     )
     .expect("projection");
     assert!(outcome.ok());
-    // This thread's slot, not the process-wide `ambient::active()`:
-    // sibling tests install probes while this one runs.
-    assert!(gem::obs::ambient::snapshot().is_none());
+    assert_eq!(outer.counter("logic.incr.syncs"), outcome.runs as u64);
     assert!(!VerifyOptions::default().probe.enabled());
 }

@@ -2,13 +2,13 @@
 //! (`Explorer::reduce`).
 //!
 //! POR deliberately changes *which* and *how many* schedules are explored,
-//! so unlike `tests/par_explore_equiv.rs` the comparison is not run-by-run
-//! but computation-level, matching the property POR actually promises:
+//! so the comparison is not run-by-run but computation-level, matching
+//! the property POR actually promises:
 //!
 //! * `verify_system` reports the same verdict (pass / fail / deadlock)
-//!   with reduction on and off, across `jobs ∈ {1, 4}` and computation
-//!   dedup on/off — on Monitor, CSP, and ADA instances, including a
-//!   genuinely failing one and a deadlocking one;
+//!   with reduction on and off, with computation dedup on and off — on
+//!   Monitor, CSP, and ADA instances, including a genuinely failing one
+//!   and a deadlocking one;
 //! * the *set* of canonical computations reached (via
 //!   [`gem::verify::canonical_key`]) is identical — sleep sets drop
 //!   redundant linearizations of a trace, never whole traces;
@@ -37,11 +37,6 @@ use gem::verify::{
     VerifyOptions,
 };
 
-/// Worker counts for the POR differential matrix. Narrower than the
-/// par_explore sweep — POR × parallel interaction is about the ordered
-/// commit protocol, which two points (serial, contended) already pin down.
-const JOBS: [usize; 2] = [1, 4];
-
 /// True when CI forces partial-order reduction across the whole tier-1
 /// suite (`GEM_TEST_POR=1`). Mirrors `GEM_TEST_DEDUP`.
 /// This suite compares reduce-on against reduce-off directly, so the hook
@@ -53,18 +48,13 @@ fn por_env() -> bool {
 
 /// Sweeps every maximal run and collects the canonical key of each sealed
 /// computation, plus the exploration stats.
-fn computation_keys<S>(
+fn computation_keys<S: System>(
     sys: &S,
     explorer: &Explorer,
     extract: impl Fn(&S::State) -> Computation,
-) -> (BTreeSet<CanonicalKey>, ExploreStats)
-where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
+) -> (BTreeSet<CanonicalKey>, ExploreStats) {
     let mut keys = BTreeSet::new();
-    let stats = explorer.par_for_each_run(sys, |state, _| {
+    let stats = explorer.for_each_run(sys, |state, _| {
         keys.insert(canonical_key(&extract(state)));
         ControlFlow::Continue(())
     });
@@ -83,56 +73,43 @@ fn verdict(outcome: &gem::verify::VerifyOutcome) -> (bool, bool, bool) {
 }
 
 /// The core differential: on one instance, reduction must preserve the
-/// verify verdict (jobs × dedup matrix) and the exact set of canonical
+/// verify verdict (with dedup on and off) and the exact set of canonical
 /// computations, while never exploring *more* runs. Returns
-/// `(full, reduced)` serial stats so callers can assert the reduction
-/// actually bites where it should.
-fn assert_por_equiv<S>(
+/// `(full, reduced)` stats so callers can assert the reduction actually
+/// bites where it should.
+fn assert_por_equiv<S: System>(
     sys: &S,
     spec: &Specification,
     corr: &Correspondence,
     extract: impl Fn(&S::State) -> Computation + Copy,
     what: &str,
-) -> (ExploreStats, ExploreStats)
-where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
+) -> (ExploreStats, ExploreStats) {
     let base = Explorer {
         reduce: por_env(),
         ..Explorer::default()
     };
     let (full_keys, full_stats) = computation_keys(sys, &base, extract);
-    let mut reduced_stats = full_stats;
-    for jobs in JOBS {
-        let reduced = Explorer {
-            reduce: true,
-            jobs,
-            split_depth: 3,
-            ..Explorer::default()
-        };
-        let (keys, stats) = computation_keys(sys, &reduced, extract);
-        assert_eq!(
-            full_keys, keys,
-            "{what}: POR changed the set of canonical computations at jobs={jobs}"
-        );
-        assert!(
-            stats.runs <= full_stats.runs,
-            "{what}: POR explored more runs ({}) than the full sweep ({}) at jobs={jobs}",
-            stats.runs,
-            full_stats.runs
-        );
-        assert_eq!(
-            stats.por_runs, stats.runs,
-            "{what}: every run under reduce must be counted as a representative"
-        );
-        if jobs == 1 {
-            reduced_stats = stats;
-        }
-    }
+    let reduced = Explorer {
+        reduce: true,
+        ..Explorer::default()
+    };
+    let (keys, reduced_stats) = computation_keys(sys, &reduced, extract);
+    assert_eq!(
+        full_keys, keys,
+        "{what}: POR changed the set of canonical computations"
+    );
+    assert!(
+        reduced_stats.runs <= full_stats.runs,
+        "{what}: POR explored more runs ({}) than the full sweep ({})",
+        reduced_stats.runs,
+        full_stats.runs
+    );
+    assert_eq!(
+        reduced_stats.por_runs, reduced_stats.runs,
+        "{what}: every run under reduce must be counted as a representative"
+    );
 
-    let outcome_at = |reduce: bool, jobs: usize, dedup: bool| {
+    let outcome_at = |reduce: bool, dedup: bool| {
         verify_system(
             sys,
             spec,
@@ -141,8 +118,6 @@ where
             &VerifyOptions {
                 explorer: Explorer {
                     reduce,
-                    jobs,
-                    split_depth: 3,
                     dedup_computations: dedup,
                     ..Explorer::default()
                 },
@@ -151,37 +126,29 @@ where
         )
         .expect("correspondence consistent")
     };
-    let baseline = outcome_at(por_env(), 1, false);
-    for jobs in JOBS {
-        for dedup in [false, true] {
-            let reduced = outcome_at(true, jobs, dedup);
-            assert_eq!(
-                verdict(&baseline),
-                verdict(&reduced),
-                "{what}: verdict diverges under POR at jobs={jobs} dedup={dedup}\n\
-                 full: {baseline}\nreduced: {reduced}"
-            );
-        }
+    let baseline = outcome_at(por_env(), false);
+    for dedup in [false, true] {
+        let reduced = outcome_at(true, dedup);
+        assert_eq!(
+            verdict(&baseline),
+            verdict(&reduced),
+            "{what}: verdict diverges under POR at dedup={dedup}\n\
+             full: {baseline}\nreduced: {reduced}"
+        );
     }
     (full_stats, reduced_stats)
 }
 
 /// Canonical key of the computation behind the first reported failure:
-/// re-enumerates runs with the same explorer (run indices are stable and
-/// serial-ordered at any job count) and seals the one `verify_system`
-/// pointed at.
-fn first_failure_key<S>(
+/// re-enumerates runs with the same explorer (run indices are stable in
+/// DFS order) and seals the one `verify_system` pointed at.
+fn first_failure_key<S: System>(
     sys: &S,
     spec: &Specification,
     corr: &Correspondence,
     extract: impl Fn(&S::State) -> Computation + Copy,
     explorer: Explorer,
-) -> Option<CanonicalKey>
-where
-    S: System + Sync,
-    S::State: Send,
-    S::Action: Send,
-{
+) -> Option<CanonicalKey> {
     let outcome = verify_system(
         sys,
         spec,
@@ -322,25 +289,21 @@ fn failing_instance_verdict_and_counterexample_preserved() {
         },
     )
     .expect("instance fails");
-    for jobs in JOBS {
-        let por_key = first_failure_key(
-            &sys,
-            &spec,
-            &corr,
-            extract,
-            Explorer {
-                reduce: true,
-                jobs,
-                split_depth: 3,
-                ..Explorer::default()
-            },
-        )
-        .expect("still fails under POR");
-        assert_eq!(
-            full_key, por_key,
-            "POR counterexample is not canonical-key-equivalent at jobs={jobs}"
-        );
-    }
+    let por_key = first_failure_key(
+        &sys,
+        &spec,
+        &corr,
+        extract,
+        Explorer {
+            reduce: true,
+            ..Explorer::default()
+        },
+    )
+    .expect("still fails under POR");
+    assert_eq!(
+        full_key, por_key,
+        "POR counterexample is not canonical-key-equivalent"
+    );
 }
 
 #[test]
@@ -364,40 +327,33 @@ fn deadlock_preserved_under_por() {
         },
     )
     .expect("naive philosophers deadlock");
-    for jobs in JOBS {
-        let reduced = find_deadlock(
-            &sys,
-            &Explorer {
-                reduce: true,
-                jobs,
-                split_depth: 3,
-                ..Explorer::default()
-            },
-        )
-        .expect("deadlock must survive POR");
-        assert_eq!(
-            key_of(&full),
-            key_of(&reduced),
-            "deadlock witness computation diverges under POR at jobs={jobs}"
-        );
-    }
+    let reduced = find_deadlock(
+        &sys,
+        &Explorer {
+            reduce: true,
+            ..Explorer::default()
+        },
+    )
+    .expect("deadlock must survive POR");
+    assert_eq!(
+        key_of(&full),
+        key_of(&reduced),
+        "deadlock witness computation diverges under POR"
+    );
 
     // And the deadlock-free bounded buffer must stay deadlock-free.
     let clean = bounded::monitor_solution(&[1, 2], 2);
-    for jobs in JOBS {
-        assert!(
-            find_deadlock(
-                &clean,
-                &Explorer {
-                    reduce: true,
-                    jobs,
-                    ..Explorer::default()
-                }
-            )
-            .is_none(),
-            "POR invented a deadlock at jobs={jobs}"
-        );
-    }
+    assert!(
+        find_deadlock(
+            &clean,
+            &Explorer {
+                reduce: true,
+                ..Explorer::default()
+            }
+        )
+        .is_none(),
+        "POR invented a deadlock"
+    );
 }
 
 #[test]
@@ -429,26 +385,22 @@ fn liveness_verdict_preserved_under_por() {
             strategy,
         );
         assert_eq!(base.ok(), expect_ok, "baseline liveness verdict");
-        for jobs in JOBS {
-            let reduced = eventually_on_all_runs(
-                &sys,
-                formula,
-                extract,
-                &Explorer {
-                    reduce: true,
-                    jobs,
-                    split_depth: 3,
-                    ..Explorer::default()
-                },
-                strategy,
-            );
-            assert_eq!(
-                base.ok(),
-                reduced.ok(),
-                "liveness verdict diverges under POR at jobs={jobs}"
-            );
-            assert!(reduced.runs <= base.runs);
-        }
+        let reduced = eventually_on_all_runs(
+            &sys,
+            formula,
+            extract,
+            &Explorer {
+                reduce: true,
+                ..Explorer::default()
+            },
+            strategy,
+        );
+        assert_eq!(
+            base.ok(),
+            reduced.ok(),
+            "liveness verdict diverges under POR"
+        );
+        assert!(reduced.runs <= base.runs);
     }
 }
 

@@ -690,201 +690,6 @@ proptest! {
     }
 }
 
-/// A deterministic scheduler tree driven by a generated branching table:
-/// the state is the path of branch indices taken so far, and the fanout
-/// at each node is looked up by depth plus a mix of the path, so trees
-/// are irregular (ragged, with dead branches) yet fully reproducible.
-/// This is the random-`System` generator for the differential properties
-/// pitting `Explorer::par_for_each_run` against the serial DFS oracle.
-#[derive(Clone, Debug)]
-struct TableSystem {
-    /// `fanout[d]` lists candidate branch counts at depth `d` (0 allowed:
-    /// an interior node with no children ends its run early).
-    fanout: Vec<Vec<u8>>,
-}
-
-// POR: conservative — branch labels are arbitrary table indices with no
-// commutation structure, so the default never-independent oracle stands.
-impl gem::lang::System for TableSystem {
-    type State = Vec<u8>;
-    type Action = u8;
-    type Checkpoint = ();
-
-    fn initial(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    fn enabled(&self, state: &Vec<u8>) -> Vec<u8> {
-        let depth = state.len();
-        let Some(row) = self.fanout.get(depth) else {
-            return Vec::new();
-        };
-        let mix = state.iter().fold(depth, |acc, &b| {
-            acc.wrapping_mul(131).wrapping_add(b as usize + 1)
-        });
-        (0..row[mix % row.len()]).collect()
-    }
-
-    fn apply(&self, state: &mut Vec<u8>, action: &u8) {
-        state.push(*action);
-    }
-
-    /// Every leaf counts as a completed run: `TableSystem` models a pure
-    /// scheduling tree, not a process program, so there is no deadlock
-    /// distinction to draw.
-    fn is_complete(&self, _state: &Vec<u8>) -> bool {
-        true
-    }
-}
-
-/// Strategy: tables up to 5 levels deep with fanout ≤ 3, so the largest
-/// tree has ≤ 3⁵ = 243 runs — big enough to split across workers, small
-/// enough to sweep many cases.
-fn table_system_strategy() -> impl Strategy<Value = TableSystem> {
-    proptest::collection::vec(proptest::collection::vec(0u8..4, 1..4), 1..6)
-        .prop_map(|fanout| TableSystem { fanout })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// On random branching-table systems, the parallel explorer is
-    /// observationally identical to serial DFS: the same run sequence
-    /// and the same `ExploreStats` (runs, steps, depth high-water,
-    /// truncation) at every worker count and split depth.
-    #[test]
-    fn par_explore_matches_serial_on_random_trees(
-        sys in table_system_strategy(),
-        jobs in 2usize..6,
-        split_depth in 0usize..5,
-    ) {
-        use gem::lang::Explorer;
-        let explorer = Explorer::default();
-        let mut serial_runs = Vec::new();
-        let serial = explorer.for_each_run(&sys, |_, path| {
-            serial_runs.push(path.to_vec());
-            ControlFlow::Continue(())
-        });
-        let mut par_runs = Vec::new();
-        let par = Explorer { jobs, split_depth, ..explorer }.par_for_each_run(
-            &sys,
-            |_, path| {
-                par_runs.push(path.to_vec());
-                ControlFlow::Continue(())
-            },
-        );
-        prop_assert_eq!(serial, par, "stats diverge at jobs={} split={}", jobs, split_depth);
-        prop_assert_eq!(serial_runs, par_runs);
-    }
-
-    /// The same differential check under random run/step/depth budgets:
-    /// the counts and the truncation verdict (or its absence) must agree
-    /// exactly, however the budget lands relative to the split frontier.
-    #[test]
-    fn par_explore_truncation_agrees_on_random_trees(
-        sys in table_system_strategy(),
-        jobs in 2usize..6,
-        split_depth in 0usize..5,
-        max_runs in prop_oneof![Just(usize::MAX), 1usize..40],
-        max_steps in prop_oneof![Just(usize::MAX), 1usize..120],
-        max_depth in prop_oneof![Just(usize::MAX), 0usize..6],
-    ) {
-        use gem::lang::Explorer;
-        let explorer = Explorer {
-            max_runs,
-            max_steps,
-            max_depth,
-            ..Explorer::default()
-        };
-        let mut serial_runs = Vec::new();
-        let serial = explorer.for_each_run(&sys, |_, path| {
-            serial_runs.push(path.to_vec());
-            ControlFlow::Continue(())
-        });
-        let mut par_runs = Vec::new();
-        let par = Explorer { jobs, split_depth, ..explorer }.par_for_each_run(
-            &sys,
-            |_, path| {
-                par_runs.push(path.to_vec());
-                ControlFlow::Continue(())
-            },
-        );
-        prop_assert_eq!(
-            serial.truncation, par.truncation,
-            "truncation verdict diverges at jobs={} split={}", jobs, split_depth
-        );
-        prop_assert_eq!(serial, par);
-        prop_assert_eq!(serial_runs, par_runs);
-    }
-
-    /// Worker probes fan into the caller's sink and are committed on the
-    /// caller thread, so counter totals — `explore.runs`, `explore.steps`
-    /// — and the whole stats report outside the per-worker attribution
-    /// section match serial byte for byte; the attribution itself sums
-    /// back to the serial totals.
-    #[test]
-    fn par_explore_probe_totals_match_serial(
-        sys in table_system_strategy(),
-        jobs in 2usize..6,
-        split_depth in 0usize..5,
-        max_steps in prop_oneof![Just(usize::MAX), 1usize..120],
-    ) {
-        use gem::lang::Explorer;
-        use gem::obs::StatsProbe;
-        let explorer = Explorer { max_steps, ..Explorer::default() };
-        let serial_probe = StatsProbe::new();
-        let serial =
-            explorer.for_each_run_probed(&sys, &serial_probe, |_, _| ControlFlow::Continue(()));
-        let par_probe = StatsProbe::new();
-        let par = Explorer { jobs, split_depth, ..explorer }.par_for_each_run_probed(
-            &sys,
-            &par_probe,
-            |_, _| ControlFlow::Continue(()),
-        );
-        prop_assert_eq!(serial_probe.counter("explore.runs"), serial.runs as u64);
-        prop_assert_eq!(serial_probe.counter("explore.steps"), serial.steps as u64);
-        prop_assert_eq!(
-            par_probe.counter("explore.runs"),
-            serial_probe.counter("explore.runs")
-        );
-        prop_assert_eq!(
-            par_probe.counter("explore.steps"),
-            serial_probe.counter("explore.steps")
-        );
-        let mut par_report = par_probe.report();
-        // Attribution sum identities hold on every exhaustive sweep that
-        // dispatched work items (a frontier covering the whole tree emits
-        // no worker keys; a truncated sweep discards uncommitted worker
-        // steps, so the identities only bind when nothing was cut short).
-        let worker_sum = |report: &gem::obs::Report, suffix: &str| -> u64 {
-            report
-                .counters
-                .iter()
-                .filter(|(k, _)| k.starts_with("worker.") && k.ends_with(suffix))
-                .map(|(_, v)| *v)
-                .sum()
-        };
-        if par.truncation.is_none()
-            && par_report.counters.keys().any(|k| k.starts_with("worker."))
-        {
-            prop_assert_eq!(worker_sum(&par_report, ".leaves"), par.runs as u64);
-            prop_assert_eq!(
-                par_report.counters.get("explore.frontier.steps").copied().unwrap_or(0)
-                    + worker_sum(&par_report, ".steps"),
-                par.steps as u64
-            );
-        }
-        // Outside the jobs-dependent attribution keys the reports are
-        // byte-identical.
-        par_report
-            .counters
-            .retain(|k, _| !k.starts_with("worker.") && !k.starts_with("explore.frontier."));
-        par_report.hists.retain(|k, _| !k.starts_with("worker."));
-        par_report.timers.retain(|k, _| !k.starts_with("worker."));
-        prop_assert_eq!(par_report.to_json(), serial_probe.report().to_json());
-    }
-}
-
 /// Sanity check of a substrate's independence oracle at one reachable
 /// state: every pair of enabled actions the oracle claims independent
 /// must actually commute there — symmetrically, without disabling each
