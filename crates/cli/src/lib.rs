@@ -34,9 +34,6 @@
 //!   0 disables)
 //! * `--por` — sleep-set partial-order reduction (one schedule per
 //!   computation, same verdict)
-//! * `--dedup` — deduplicate trace-equivalent computations in
-//!   `verify`/`explore` sweeps (same results, less checking work; see
-//!   `docs/PERFORMANCE.md`)
 //! * `--incr-check auto|off` — incremental restriction checking along
 //!   the DFS tree (default `auto`; same verdicts in both modes, see
 //!   `docs/PERFORMANCE.md` §5)
@@ -50,9 +47,8 @@
 //! * `--metrics-out <path>` — sample cumulative counters/gauges once a
 //!   second during the sweep and write an OpenMetrics text exposition
 //!   (plus a `<path>.json` time-series) when the command finishes
-//! * `--explain` — append reduction cost/benefit verdicts (dedup
-//!   measured, POR attribution, incremental-check coverage) after the
-//!   command output
+//! * `--explain` — append reduction cost/benefit verdicts (POR
+//!   attribution, incremental-check coverage) after the command output
 //!
 //! The command dispatch lives in this library so it can be tested; the
 //! `gem` binary is a thin wrapper.
@@ -414,7 +410,6 @@ struct ObsFlags {
     trace_out: Option<String>,
     metrics_out: Option<String>,
     heartbeat: Option<f64>,
-    dedup: bool,
     por: bool,
     incr_check: IncrCheck,
     explain: bool,
@@ -422,7 +417,7 @@ struct ObsFlags {
 }
 
 /// Splits `--stats` / `--stats-json` / `--trace` / `--trace-out` /
-/// `--heartbeat` / `--dedup` / `--por` / `--incr-check` /
+/// `--heartbeat` / `--por` / `--incr-check` /
 /// `--explain` / `--artifacts` (either
 /// `--flag value` or `--flag=value`) out of `args`, leaving positional
 /// arguments and `key=value` parameters untouched.
@@ -453,12 +448,6 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, ObsFlags), CliError> {
                 flags.stats = true;
             }
             "--stats-json" => flags.stats_json = Some(value("--stats-json")?),
-            "--dedup" => {
-                if inline.is_some() {
-                    return Err(err("--dedup takes no value"));
-                }
-                flags.dedup = true;
-            }
             "--por" => {
                 if inline.is_some() {
                     return Err(err("--por takes no value"));
@@ -792,7 +781,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         // The config section makes the report self-describing: which
         // exploration/reduction switches produced these numbers.
         let flag = |b: bool| if b { "true" } else { "false" }.to_owned();
-        report.config.insert("dedup".to_owned(), flag(flags.dedup));
         report.config.insert("por".to_owned(), flag(flags.por));
         report.config.insert(
             "incr_check".to_owned(),
@@ -959,11 +947,10 @@ impl Ctx<'_> {
     }
 
     /// The explorer of a full sweep: the instance's run bound and the
-    /// command line's `--por`/`--dedup`.
+    /// command line's `--por`.
     fn explorer(&self) -> Explorer {
         Explorer {
             reduce: self.flags.por,
-            dedup_computations: self.flags.dedup,
             ..Explorer::with_max_runs(self.inst.max_runs)
         }
     }
@@ -1023,7 +1010,6 @@ fn verify<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
                 .meta("problem", cx.problem)
                 .meta("params", cx.params.join(" "))
                 .meta("por", bool_str(flags.por))
-                .meta("dedup", bool_str(flags.dedup))
         }),
         ..cx.verify_options()
     };
@@ -1087,52 +1073,26 @@ fn top<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
 
 fn explore<S: Substrate>(sys: &S, cx: &Ctx) -> String {
     let probe = &cx.obs.probe;
-    let dedup = cx.flags.dedup;
     let _ambient = probe
         .enabled()
         .then(|| gem_obs::ambient::install(probe.clone()));
     let mut deadlocks = 0usize;
-    // Fingerprint-bucketed exact dedup, mirroring verify_system: the
-    // fingerprint hashed at seal indexes, the closure-free confirmation
-    // key decides.
-    let mut seen: std::collections::HashMap<u64, Vec<gem_verify::CanonicalKey>> =
-        std::collections::HashMap::new();
-    let (mut hits, mut misses) = (0u64, 0u64);
-    let mut stats = cx
+    let stats = cx
         .explorer()
         .for_each_run_probed(sys, probe.as_ref(), |state, _| {
             if !sys.is_complete(state) {
                 deadlocks += 1;
             }
-            if dedup {
-                let comp = sys.seal(state);
-                let bucket = seen.entry(comp.fingerprint()).or_default();
-                let key = gem_verify::confirm_key(&comp);
-                if bucket.contains(&key) {
-                    hits += 1;
-                } else {
-                    bucket.push(key);
-                    misses += 1;
-                }
-            }
             ControlFlow::Continue(())
         });
     probe.add("verify.deadlocks", deadlocks as u64);
-    let mut dedup_note = String::new();
-    if dedup {
-        stats.dedup_hits = hits as usize;
-        stats.dedup_misses = misses as usize;
-        probe.add("explore.dedup.hits", hits);
-        probe.add("explore.dedup.misses", misses);
-        dedup_note = format!("  distinct computations: {misses}");
-    }
     let por_note = if cx.flags.por {
         format!("  slept branches: {}", stats.sleep_skipped)
     } else {
         String::new()
     };
     format!(
-        "schedules: {}{}  steps: {}  deadlocks: {deadlocks}{dedup_note}{por_note}",
+        "schedules: {}{}  steps: {}  deadlocks: {deadlocks}{por_note}",
         stats.runs,
         if stats.truncated() {
             "+ (truncated)"
@@ -1529,12 +1489,9 @@ pub fn usage() -> String {
      \x20                            write an OpenMetrics exposition (plus a\n\
      \x20                            <path>.json time-series) at the end\n\
      \x20 --explain                  append reduction cost/benefit verdicts\n\
-     \x20                            (dedup measured, POR attribution,\n\
-     \x20                            incremental-check coverage)\n\
+     \x20                            (POR attribution, incremental-check\n\
+     \x20                            coverage)\n\
      \x20 --heartbeat <secs>         progress line interval (default 5, 0 = off)\n\
-     \x20 --dedup                    check each distinct computation once and\n\
-     \x20                            replay the verdict on trace-equivalent runs;\n\
-     \x20                            results are identical with or without it\n\
      \x20 --por                      sleep-set partial-order reduction: explore\n\
      \x20                            roughly one schedule per computation; the\n\
      \x20                            verify/explore verdict is unchanged\n\
@@ -1767,32 +1724,7 @@ mod tests {
         assert!(runv(&["verify", "one-slot", "--heartbeat", "inf"]).is_err());
         assert!(runv(&["verify", "one-slot", "--heartbeat", "1e300"]).is_err());
         assert!(runv(&["verify", "one-slot", "--stats=yes"]).is_err());
-        assert!(runv(&["verify", "one-slot", "--dedup=yes"]).is_err());
-    }
-
-    #[test]
-    fn dedup_flag_preserves_verdicts() {
-        let plain = runv(&["verify", "one-slot", "items=2"]).unwrap();
-        let deduped = runv(&["verify", "one-slot", "items=2", "--dedup"]).unwrap();
-        assert_eq!(plain, deduped);
-        let plain = runv(&["verify", "rw", "readers=1", "writers=2", "variant=writers"]).unwrap();
-        let deduped = runv(&[
-            "verify",
-            "rw",
-            "readers=1",
-            "writers=2",
-            "variant=writers",
-            "--dedup",
-        ])
-        .unwrap();
-        assert_eq!(plain, deduped);
-        assert!(deduped.contains("FAILS"), "{deduped}");
-    }
-
-    #[test]
-    fn explore_dedup_counts_computations() {
-        let out = runv(&["explore", "rw", "readers=1", "writers=1", "--dedup"]).unwrap();
-        assert!(out.contains("distinct computations:"), "{out}");
+        assert!(runv(&["verify", "one-slot", "--por=yes"]).is_err());
     }
 
     #[test]
@@ -1819,8 +1751,6 @@ mod tests {
         assert!(out.contains("check breakdown by restriction:"), "{out}");
         assert!(out.contains("#0 "), "{out}");
         assert!(out.contains("[batch]"), "{out}");
-        // No dedup ran, so there is no dedup verdict to give.
-        assert!(!out.contains("dedup"), "{out}");
     }
 
     #[test]
@@ -1848,43 +1778,19 @@ mod tests {
     }
 
     #[test]
-    fn profile_with_dedup_reports_measured_verdict() {
-        let out = runv(&[
-            "profile",
-            "one-slot",
-            "items=2",
-            "--dedup",
-            // Clean leaves bypass the dedup cache entirely, so measuring
-            // the cache requires the batch pipeline.
-            "--incr-check",
-            "off",
-            "--heartbeat",
-            "0",
-        ])
-        .unwrap();
-        assert!(out.contains("phase.canonical_key"), "{out}");
-        assert!(out.contains("phase.dedup_lookup"), "{out}");
-        assert!(out.contains("dedup measured"), "{out}");
-    }
-
-    #[test]
     fn explain_flag_appends_verdicts_to_verify() {
         let out = runv(&[
             "verify",
             "one-slot",
             "items=2",
-            "--dedup",
+            "--por",
             "--explain",
-            // Dedup-cache traffic (the measured verdict's input) only
-            // exists when leaves reach the batch pipeline.
-            "--incr-check",
-            "off",
             "--heartbeat",
             "0",
         ])
         .unwrap();
         assert!(out.contains("HOLDS"), "{out}");
-        assert!(out.contains("dedup measured"), "{out}");
+        assert!(out.contains("\nPOR: "), "{out}");
     }
 
     #[test]
@@ -2085,7 +1991,6 @@ mod tests {
             "verify",
             "one-slot",
             "items=2",
-            "--dedup",
             "--stats-json",
             &path_s,
             "--heartbeat",
@@ -2094,7 +1999,7 @@ mod tests {
         .unwrap();
         let json = std::fs::read_to_string(&path).unwrap();
         let report = gem_obs::Report::from_json(&json).unwrap();
-        assert_eq!(report.config.get("dedup").map(String::as_str), Some("true"));
+        assert_eq!(report.config.get("dedup"), None, "{:?}", report.config);
         assert_eq!(report.config.get("jobs"), None, "{:?}", report.config);
         assert_eq!(report.config.get("por").map(String::as_str), Some("false"));
         assert_eq!(
@@ -2240,7 +2145,7 @@ mod tests {
             "0",
         ])
         .unwrap();
-        assert!(!out.contains("dedup"), "{out}");
+        assert!(out.contains("HOLDS"), "{out}");
         let json = std::fs::read_to_string(&path).unwrap();
         let report = gem_obs::Report::from_json(&json).unwrap();
         assert_eq!(report.counters.get("estimate.samples"), Some(&SAMPLES));

@@ -28,18 +28,20 @@ fn closed_stdout_ends_quietly() {
 }
 
 #[test]
-fn jobs_flag_is_gone() {
-    // Every sweep is serial: `--jobs` is an ordinary unknown flag, a
-    // usage error before any sweep starts.
-    for args in [
-        &["verify", "one-slot", "--jobs", "2"][..],
-        &["verify", "one-slot", "--jobs=1"][..],
+fn removed_flags_are_unknown() {
+    // `--jobs` left with the parallel explorer and `--dedup` with
+    // computation dedup: each is an ordinary unknown flag, a usage error
+    // before any sweep starts.
+    for (args, flag) in [
+        (&["verify", "one-slot", "--jobs", "2"][..], "--jobs"),
+        (&["verify", "one-slot", "--jobs=1"][..], "--jobs"),
+        (&["verify", "one-slot", "--dedup"][..], "--dedup"),
     ] {
         let out = gem(args, Stdio::piped());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(
-            stderr.starts_with("error: unknown flag \"--jobs\"\nusage: gem "),
+            stderr.starts_with(&format!("error: unknown flag \"{flag}\"\nusage: gem ")),
             "{args:?}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{args:?}");

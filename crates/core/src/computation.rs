@@ -683,7 +683,7 @@ impl ComputationBuilder {
                 precedences_out.push(p);
             }
         }
-        let mut c = Computation {
+        Computation {
             structure,
             events,
             enables_out,
@@ -692,10 +692,7 @@ impl ComputationBuilder {
             precedences: precedences_out,
             closure,
             memberships,
-            fp: 0,
-        };
-        c.fp = c.hash_generators();
-        c
+        }
     }
 
     /// Seals the builder: computes the temporal order and checks that it is
@@ -758,7 +755,6 @@ pub struct Computation {
     precedences: Vec<(EventId, EventId)>,
     closure: Closure,
     memberships: Vec<Membership>,
-    fp: u64,
 }
 
 impl Computation {
@@ -866,27 +862,17 @@ impl Computation {
             .flat_map(|(i, outs)| outs.iter().map(move |&b| (EventId::from_raw(i as u32), b)))
     }
 
-    /// The explicit temporal-precedence pairs recorded with
-    /// [`ComputationBuilder::add_precedence`], deduplicated, in insertion
-    /// order. They are already folded into [`Computation::closure`];
-    /// exposing them lets schedule-independent keys serialise the
-    /// computation's *generators* exactly without walking the closure.
-    pub fn precedence_edges(&self) -> &[(EventId, EventId)] {
-        &self.precedences
-    }
-
     /// A schedule-independent 64-bit fingerprint of this computation,
-    /// hashed once when it is sealed (so reading it is O(1)). It hashes
-    /// exactly the generators the canonical key serialises — events with
-    /// classes, parameters, and thread tags in `(element, seq)`
-    /// coordinates, the enable-edge set, the precedence-edge set, and the
-    /// memberships — so two schedules sealing to the same computation
-    /// always agree on it. Distinct computations collide only with hash
-    /// probability; callers needing exactness must confirm a fingerprint
-    /// match with an exact key comparison (see `gem_verify`'s dedup
-    /// module).
+    /// hashed on each call in O(events + edges). It hashes the generators
+    /// of the computation — events with classes, parameters, and thread
+    /// tags in `(element, seq)` coordinates, the enable-edge set, the
+    /// precedence-edge set, and the memberships — so two schedules sealing
+    /// to the same computation always agree on it. Distinct computations
+    /// collide only with hash probability; the exact identity is
+    /// `gem_verify::canonical_key`. No sweep reads it: the golden step
+    /// semantics digest it to pin each run's computation in one word.
     pub fn fingerprint(&self) -> u64 {
-        self.fp
+        self.hash_generators()
     }
 
     /// Hashes the generators behind [`Computation::fingerprint`]: the
@@ -1025,7 +1011,6 @@ impl Computation {
         for ev in &mut copy.events {
             ev.threads = tags(ev.id);
         }
-        copy.fp = copy.hash_generators();
         copy
     }
 
@@ -1520,18 +1505,6 @@ mod tests {
             tagged.retagged(|_| Vec::new()).fingerprint(),
             untagged.fingerprint()
         );
-    }
-
-    #[test]
-    fn precedence_edges_exposed_and_deduplicated() {
-        let (s, p, q, step) = two_element_structure();
-        let mut b = ComputationBuilder::new(s);
-        let p0 = b.add_event(p, step, vec![]).unwrap();
-        let q0 = b.add_event(q, step, vec![]).unwrap();
-        b.add_precedence(p0, q0).unwrap();
-        b.add_precedence(p0, q0).unwrap();
-        let c = b.seal().unwrap();
-        assert_eq!(c.precedence_edges(), &[(p0, q0)]);
     }
 
     #[test]

@@ -28,24 +28,17 @@
 //! a mark and keeps the parameter vectors of the events it drops, and
 //! string parameters are shared, so once a depth has been reached the
 //! step, its checkpoint and its undo allocate nothing. What a sweep still
-//! allocates is about one `enabled` vector per node. And
-//! [`Explorer::dedup_computations`] lets *computation-aware* drivers (the
-//! verify layer, the CLI) skip re-checking a run whose sealed computation
-//! was already seen: unlike control-state pruning this is sound for trace
-//! properties, because two schedules sealing to the same computation
-//! satisfy exactly the same restrictions (the Mazurkiewicz-trace view —
-//! see docs/PERFORMANCE.md). Every run is still *enumerated* (run counts
-//! and probe reports are unchanged); only the per-run check is skipped.
+//! allocates is about one `enabled` vector per node.
 //!
-//! A third opt-in, [`Explorer::reduce`], goes further than dedup: instead
-//! of enumerating every schedule and skipping the check for repeats, it
-//! uses classic *sleep sets* (Godefroid) over the substrate's
-//! [`System::independent`] oracle to avoid *exploring* redundant
-//! interleavings at all — roughly one representative schedule per sealed
-//! computation. Sound for the same reason dedup is (equal computations
-//! satisfy equal restrictions), but run counts shrink: [`ExploreStats`]
-//! reports the representatives explored (`por_runs`) and the branches
-//! pruned (`sleep_skipped`).
+//! The other opt-in, [`Explorer::reduce`], uses classic *sleep sets*
+//! (Godefroid) over the substrate's [`System::independent`] oracle to
+//! avoid *exploring* redundant interleavings at all — roughly one
+//! representative schedule per sealed computation. Unlike control-state
+//! pruning this is sound for trace properties, because two schedules
+//! sealing to the same computation satisfy exactly the same restrictions
+//! (the Mazurkiewicz-trace view — see docs/PERFORMANCE.md), but run
+//! counts shrink: [`ExploreStats`] reports the representatives explored
+//! (`por_runs`) and the branches pruned (`sleep_skipped`).
 
 use std::collections::HashSet;
 use std::fmt;
@@ -240,12 +233,6 @@ pub struct ExploreStats {
     pub prune_hits: usize,
     /// States admitted by control-key pruning (seen for the first time).
     pub prune_misses: usize,
-    /// Runs whose sealed computation was already seen, so the per-run
-    /// check was skipped (computation-level deduplication; filled in by
-    /// computation-aware drivers such as the verify layer and the CLI).
-    pub dedup_hits: usize,
-    /// Runs whose sealed computation was seen for the first time.
-    pub dedup_misses: usize,
     /// Enabled actions skipped because they were in the sleep set
     /// (branches pruned by partial-order reduction; always zero unless
     /// [`Explorer::reduce`] is on and the system's oracle claims some
@@ -285,14 +272,6 @@ impl fmt::Display for ExploreStats {
                 ", pruned {}/{}",
                 self.prune_hits,
                 self.prune_hits + self.prune_misses
-            )?;
-        }
-        if self.dedup_hits > 0 || self.dedup_misses > 0 {
-            write!(
-                f,
-                ", {} of {} computation(s) deduped",
-                self.dedup_hits,
-                self.dedup_hits + self.dedup_misses
             )?;
         }
         if self.sleep_skipped > 0 || self.por_runs > 0 {
@@ -339,13 +318,10 @@ pub struct Explorer {
     /// --jobs`) and stays only so struct literals that still set it
     /// compile; it goes once none do.
     pub jobs: usize,
-    /// If true, computation-aware drivers (the verify layer, the CLI)
-    /// skip the per-run property check when the run's sealed computation
-    /// has already been seen under another schedule. Sound for trace
-    /// properties — equal computations satisfy equal restrictions — where
-    /// [`Explorer::prune`] is not. Runs are still enumerated; only the
-    /// check is skipped. Ignored by the raw `for_each_run` family, which
-    /// never extracts computations.
+    /// Read by nothing: every leaf is judged by the incremental checker or
+    /// by seal → project → check. The field is left over from the removed
+    /// computation-level deduplication and stays only so struct literals
+    /// that still set it compile; it goes once none do.
     pub dedup_computations: bool,
     /// If true, apply sleep-set partial-order reduction: branches whose
     /// action is in the sleep set (already covered, up to commutations

@@ -8,23 +8,14 @@ use crate::report::Report;
 /// time and run rate. A periodic line (`done == false`) adds progress
 /// and an ETA when the report carries a pre-sweep Knuth estimate (the
 /// `estimate.total_runs` gauge). The final line (`done == true`) adds
-/// the computation-dedup hit-rate when dedup counters
-/// (`*.dedup.hits` / `*.dedup.misses`) are present, the share of leaves
-/// the incremental checker proved clean when it proved any, and the
-/// sleep-set reduction summary when `explore.sleep_skipped` is nonzero.
+/// the share of leaves the incremental checker proved clean when it
+/// proved any, and the sleep-set reduction summary when
+/// `explore.sleep_skipped` is nonzero.
 ///
 /// `None` while nothing was counted, so heartbeat-enabled commands that
 /// don't sweep stay quiet.
 pub fn heartbeat_line(report: &Report, elapsed: Duration, done: bool) -> Option<String> {
     let counter = |name: &str| report.counters.get(name).copied().unwrap_or(0);
-    let summed = |suffix: &str| -> u64 {
-        report
-            .counters
-            .iter()
-            .filter(|(k, _)| k.ends_with(suffix))
-            .map(|(_, v)| v)
-            .sum()
-    };
     let runs = counter("explore.runs");
     let steps = counter("explore.steps");
     if runs == 0 && steps == 0 {
@@ -60,17 +51,9 @@ pub fn heartbeat_line(report: &Report, elapsed: Duration, done: bool) -> Option<
     if !done {
         return Some(line);
     }
-    let dedup_hits = summed(".dedup.hits");
-    let dedup_total = dedup_hits + summed(".dedup.misses");
-    if dedup_total > 0 {
-        line.push_str(&format!(
-            ", dedup hit-rate {:.0}% ({dedup_hits}/{dedup_total})",
-            dedup_hits as f64 * 100.0 / dedup_total as f64,
-        ));
-    }
-    // Incremental checking's fast path mirrors dedup's: the share of
-    // leaves proven clean along the DFS (skipping seal/project/check
-    // entirely), over the runs the sweep completed.
+    // The incremental checker's fast path: the share of leaves proven
+    // clean along the DFS (skipping seal/project/check entirely), over
+    // the runs the sweep completed.
     let leaf_clean = counter("logic.incr.leaf_clean");
     if leaf_clean > 0 && runs > 0 {
         line.push_str(&format!(
@@ -130,38 +113,11 @@ mod tests {
     }
 
     #[test]
-    fn final_line_reports_dedup_hit_rate() {
-        let r = report(&[
-            ("explore.runs", 8),
-            ("verify.dedup.hits", 6),
-            ("verify.dedup.misses", 2),
-        ]);
-        assert_eq!(
-            heartbeat_line(&r, TWO_SECONDS, true).unwrap(),
-            "[gem] done: 8 run(s), 0 step(s), 2.0s elapsed (4 runs/s), dedup hit-rate 75% (6/8)"
-        );
-        assert!(!heartbeat_line(&r, TWO_SECONDS, false)
-            .unwrap()
-            .contains("dedup"));
-    }
-
-    #[test]
     fn final_line_reports_incr_clean_leaf_rate() {
         let r = report(&[("explore.runs", 8), ("logic.incr.leaf_clean", 6)]);
         assert!(heartbeat_line(&r, TWO_SECONDS, true)
             .unwrap()
             .ends_with(", incr clean-leaf rate 75% (6/8)"));
-        // Both fast paths report side by side when both are active, and
-        // dedup counters of every layer are summed.
-        let r = report(&[
-            ("explore.runs", 4),
-            ("verify.dedup.hits", 1),
-            ("progress.dedup.misses", 3),
-            ("logic.incr.leaf_clean", 4),
-        ]);
-        assert!(heartbeat_line(&r, TWO_SECONDS, true)
-            .unwrap()
-            .ends_with(", dedup hit-rate 25% (1/4), incr clean-leaf rate 100% (4/4)"));
         let r = report(&[("explore.runs", 4), ("logic.incr.leaf_clean", 0)]);
         assert!(!heartbeat_line(&r, TWO_SECONDS, true)
             .unwrap()

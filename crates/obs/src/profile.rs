@@ -2,25 +2,22 @@
 //!
 //! `verify_system` times each pipeline phase into `phase.*` timers
 //! (exploration residual, incremental leaf checking, computation
-//! sealing, canonical-key hashing, dedup cache lookup, restriction
-//! checking). [`PhaseProfile`] folds a
+//! sealing, restriction checking). [`PhaseProfile`] folds a
 //! [`Report`] into a table whose top-level rows partition the `verify`
 //! span — they sum to (approximately) wall time by construction, because
 //! `phase.explore` is computed as the sweep residual — and [`explain`]
-//! turns the same counters into cost/benefit verdicts: was `--dedup`
-//! worth its hashing? what did the independence oracle grant? what did
-//! sleep sets actually skip?
+//! turns the same counters into cost/benefit verdicts: how many leaves
+//! did the incremental checker prove clean? what did the independence
+//! oracle grant? what did sleep sets actually skip?
 
 use crate::report::Report;
 
 /// Timer keys that partition the `verify` span. Order is presentation
 /// order (pipeline order, not alphabetical).
-pub const TOP_PHASES: [&str; 6] = [
+pub const TOP_PHASES: [&str; 4] = [
     "phase.explore",
     "phase.check_incr",
     "phase.seal",
-    "phase.canonical_key",
-    "phase.dedup_lookup",
     "phase.check",
 ];
 
@@ -158,8 +155,6 @@ impl PhaseProfile {
 /// Cost/benefit verdict lines for the reductions a sweep applied,
 /// derived purely from the report's counters and timers:
 ///
-/// * **dedup measured** — when `verify.dedup.*` counters exist: hashing
-///   plus lookup cost versus checking time saved (`hits ×` mean check).
 /// * **incremental check** — when `logic.incr.*` counters exist: how
 ///   many leaves the prefix-sharing checker proved clean (skipping the
 ///   seal/check pipeline entirely), replay/reuse volume, and its cost.
@@ -169,7 +164,6 @@ pub fn explain(report: &Report) -> Vec<String> {
     let mut out = Vec::new();
     let c = |name: &str| report.counters.get(name).copied().unwrap_or(0);
     let t_total = |name: &str| report.timers.get(name).map(|t| t.total_ns).unwrap_or(0);
-    let t_mean = |name: &str| report.timers.get(name).map(|t| t.mean_ns()).unwrap_or(0);
     let wall = report
         .timers
         .get("verify")
@@ -183,26 +177,6 @@ pub fn explain(report: &Report) -> Vec<String> {
             ns as f64 * 100.0 / wall as f64
         }
     };
-
-    let hits = c("verify.dedup.hits");
-    let misses = c("verify.dedup.misses");
-    if hits + misses > 0 {
-        // Dedup ran: measured verdict. Cost is everything dedup added
-        // (hashing + lookups); benefit is the checks the hits skipped,
-        // priced at the mean cost of the checks that did run.
-        let cost = t_total("phase.canonical_key") + t_total("phase.dedup_lookup");
-        let saved = hits.saturating_mul(t_mean("phase.check"));
-        let total = hits + misses;
-        let verdict = if saved > cost { "WIN" } else { "LOSS" };
-        out.push(format!(
-            "dedup measured {verdict}: hit-rate {:.0}% ({hits}/{total}), \
-             hash+lookup cost {} ({:.0}% of wall), est. checking saved {}",
-            hits as f64 * 100.0 / total as f64,
-            format_ns(cost),
-            pct_of_wall(cost),
-            format_ns(saved),
-        ));
-    }
 
     let inc_clean = c("logic.incr.leaf_clean");
     let inc_fallback = c("logic.incr.leaf_fallback");
@@ -284,10 +258,6 @@ mod tests {
         r.timers.insert("phase.explore".into(), timer(1, 400_000));
         r.timers.insert("phase.seal".into(), timer(10, 200_000));
         r.timers.insert("phase.closure".into(), timer(10, 50_000));
-        r.timers
-            .insert("phase.canonical_key".into(), timer(10, 100_000));
-        r.timers
-            .insert("phase.dedup_lookup".into(), timer(10, 20_000));
         r.timers.insert("phase.check".into(), timer(4, 250_000));
         r
     }
@@ -298,7 +268,7 @@ mod tests {
         assert_eq!(p.wall_ns, 1_000_000);
         assert_eq!(p.wall_source, "verify");
         // Top-level rows sum, sub-phase excluded from the sum.
-        assert_eq!(p.accounted_ns, 970_000);
+        assert_eq!(p.accounted_ns, 850_000);
         let closure = p.rows.iter().find(|r| r.name == "phase.closure").unwrap();
         assert!(closure.nested);
         // Sub-phase renders right after its parent.
@@ -316,47 +286,6 @@ mod tests {
         let mut r = Report::new();
         r.timers.insert("verify".into(), timer(1, 10));
         assert!(PhaseProfile::from_report(&r).is_none(), "no phase timers");
-    }
-
-    #[test]
-    fn explain_measured_dedup_win_and_loss() {
-        // WIN: many hits, cheap hashing, expensive checks.
-        let mut r = phased_report();
-        r.counters.insert("verify.dedup.hits".into(), 788);
-        r.counters.insert("verify.dedup.misses".into(), 24);
-        r.timers.insert("phase.check".into(), timer(24, 240_000));
-        let lines = explain(&r);
-        assert!(
-            lines.iter().any(|l| l.contains("dedup measured WIN")),
-            "{lines:?}"
-        );
-        assert!(
-            lines.iter().any(|l| l.contains("hit-rate 97%")),
-            "{lines:?}"
-        );
-
-        // LOSS: low hit-rate, hashing dwarfs the skipped checks.
-        let mut r = phased_report();
-        r.counters.insert("verify.dedup.hits".into(), 10);
-        r.counters.insert("verify.dedup.misses".into(), 990);
-        r.timers
-            .insert("phase.canonical_key".into(), timer(1000, 500_000));
-        r.timers.insert("phase.check".into(), timer(990, 99_000));
-        let lines = explain(&r);
-        assert!(
-            lines.iter().any(|l| l.contains("dedup measured LOSS")),
-            "{lines:?}"
-        );
-    }
-
-    #[test]
-    fn explain_judges_dedup_only_from_measured_counters() {
-        // A pre-sweep run estimate says nothing about how runs collapse
-        // into computations: without dedup counters there is no dedup line.
-        let mut r = phased_report();
-        r.gauges.insert("estimate.total_runs".into(), 800);
-        let lines = explain(&r);
-        assert!(lines.iter().all(|l| !l.contains("dedup")), "{lines:?}");
     }
 
     #[test]

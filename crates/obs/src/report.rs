@@ -61,8 +61,8 @@ pub struct Report {
     pub hists: BTreeMap<String, Histogram>,
     /// Free-form context (command line, problem name, parameters).
     pub meta: BTreeMap<String, String>,
-    /// The run's effective configuration (problem id, dedup/por
-    /// flags, bounds) — makes the report self-describing so artifacts
+    /// The run's effective configuration (problem id, por and
+    /// incr-check flags, bounds) — makes the report self-describing so artifacts
     /// need no filename conventions. Serialized only when non-empty,
     /// so configuration-free reports keep their historical shape.
     pub config: BTreeMap<String, String>,
@@ -466,14 +466,14 @@ mod tests {
         );
         let mut r = sample();
         r.config.insert("problem".into(), "rw".into());
-        r.config.insert("dedup".into(), "true".into());
+        r.config.insert("por".into(), "true".into());
         let json = r.to_json();
         assert!(json.contains("\"config\""), "{json}");
         assert!(
             json.find("\"config\"").unwrap() < json.find("\"counters\"").unwrap(),
             "config leads the document: {json}"
         );
-        assert!(json.contains("\"dedup\""), "{json}");
+        assert!(json.contains("\"por\""), "{json}");
         let parsed = Report::from_json(&json).unwrap();
         assert_eq!(parsed, r);
         assert_eq!(parsed.to_json(), json);

@@ -55,15 +55,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod canon;
 mod correspondence;
-pub mod dedup;
 pub mod forensics;
 pub mod incr;
 mod progress;
 mod sat;
 
+pub use canon::{canonical_key, CanonicalKey};
 pub use correspondence::{project, Correspondence, Pair, ProjectError};
-pub use dedup::{canonical_key, confirm_key, CanonicalKey};
 pub use forensics::{computation_json, derive_schedule, outcome_path, ArtifactSink};
 pub use incr::{IncrCheck, IncrChecker, LeafStatus};
 pub use progress::{assert_no_deadlock, eventually_on_all_runs, LivenessOutcome};

@@ -12,14 +12,11 @@
 //!   names do occur ([`eventually_on_all_runs`]): the `◇`-check of a
 //!   formula over each run's computation.
 
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 use gem_core::Computation;
 use gem_lang::{Explorer, System, TruncationReason};
 use gem_logic::{check, Formula, Strategy};
-
-use crate::dedup::{confirm_key, CanonicalKey};
 
 /// Result of a liveness sweep over all runs.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -48,11 +45,6 @@ impl LivenessOutcome {
 /// under the given strategy. Runs are enumerated with
 /// [`Explorer::for_each_run`], and a failing run is reported by its index
 /// in that order.
-///
-/// With [`Explorer::dedup_computations`] set, trace-equivalent runs are
-/// checked once and the verdict replayed (see [`crate::dedup`]); the
-/// outcome is unchanged, and hits/misses are reported on the ambient
-/// probe as `progress.dedup.hits` / `progress.dedup.misses`.
 pub fn eventually_on_all_runs<S: System>(
     sys: &S,
     formula: &Formula,
@@ -62,30 +54,9 @@ pub fn eventually_on_all_runs<S: System>(
 ) -> LivenessOutcome {
     let mut runs = 0usize;
     let mut failing_runs = Vec::new();
-    let dedup = explorer.dedup_computations;
-    // Keyed like `verify_system`'s cache: the computation's fingerprint
-    // plus the closure-free confirmation key.
-    let mut verdicts: HashMap<(u64, CanonicalKey), bool> = HashMap::new();
-    let (mut dedup_hits, mut dedup_misses) = (0u64, 0u64);
     let stats = explorer.for_each_run(sys, |state, _| {
         let c = extract(state);
-        let key = dedup.then(|| (c.fingerprint(), confirm_key(&c)));
-        let holds = match key.as_ref().and_then(|k| verdicts.get(k)) {
-            Some(&cached) => {
-                dedup_hits += 1;
-                cached
-            }
-            None => {
-                if dedup {
-                    dedup_misses += 1;
-                }
-                let fresh = matches!(check(formula, &c, strategy), Ok(report) if report.holds);
-                if let Some(k) = key {
-                    verdicts.insert(k, fresh);
-                }
-                fresh
-            }
-        };
+        let holds = matches!(check(formula, &c, strategy), Ok(report) if report.holds);
         if !holds {
             gem_obs::ambient::add("progress.failing_runs", 1);
             failing_runs.push(runs);
@@ -94,10 +65,6 @@ pub fn eventually_on_all_runs<S: System>(
         ControlFlow::Continue(())
     });
     gem_obs::ambient::add("progress.liveness_sweeps", 1);
-    if dedup {
-        gem_obs::ambient::add("progress.dedup.hits", dedup_hits);
-        gem_obs::ambient::add("progress.dedup.misses", dedup_misses);
-    }
     LivenessOutcome {
         runs,
         failing_runs,
@@ -112,9 +79,7 @@ pub fn eventually_on_all_runs<S: System>(
 /// order.
 ///
 /// Deadlock is a property of the terminal *state* (incomplete with no
-/// enabled action), not of the sealed computation, so this sweep ignores
-/// [`Explorer::dedup_computations`] — there is no computation-level check
-/// to deduplicate.
+/// enabled action), not of the sealed computation, so no run is sealed.
 pub fn assert_no_deadlock<S: System>(sys: &S, explorer: &Explorer) -> Result<usize, String> {
     let mut runs = 0usize;
     let mut witness: Option<String> = None;

@@ -8,7 +8,6 @@
 //! problem specification. Deadlocked runs (terminal but incomplete) are
 //! reported separately — the paper's "lack of deadlock" claims.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -21,14 +20,11 @@ use gem_obs::{NoopProbe, Probe, Span};
 use gem_spec::{SpecReport, Specification};
 
 use crate::correspondence::{project, Correspondence, ProjectError};
-use crate::dedup::{confirm_key, CanonicalKey};
 use crate::forensics::{self, ArtifactRecord, ArtifactSink};
 use crate::incr::{IncrCheck, IncrChecker, LeafStatus};
 
 /// Verdict of checking one computation: `None` if it satisfies the
 /// specification, otherwise the violated names plus the failure detail.
-/// A pure function of the computation, which is what makes caching it per
-/// canonical key sound.
 type CheckVerdict = Option<(Vec<String>, String)>;
 
 /// Full result of checking one program computation against a problem —
@@ -49,9 +45,8 @@ pub struct RunCheck {
 
 /// Checks one program computation against `problem`: optional program
 /// legality, projection through `corr`, then every restriction. Pure in
-/// the computation — [`verify_system`] caches the verdict per canonical
-/// key under deduplication, and `gem replay` re-runs it on a recorded
-/// schedule to reproduce a verdict.
+/// the computation — `gem replay` re-runs it on a recorded schedule to
+/// reproduce a verdict.
 ///
 /// # Errors
 ///
@@ -181,8 +176,8 @@ pub struct VerifyOptions {
     /// tree (see [`crate::incr`]): leaves proven clean skip the whole
     /// seal → project → check pipeline. Verdicts, failures, and
     /// artifacts are identical in both modes; only the `logic.*`,
-    /// `restriction.*`, `project.*`, phase-timer, and dedup counters
-    /// reflect the skipped work.
+    /// `restriction.*`, `project.*` and phase-timer counters reflect the
+    /// skipped work.
     pub incr_check: IncrCheck,
     /// Instrumentation sink. The default [`NoopProbe`] costs one enabled
     /// check per run; see `gem_obs::StatsProbe` for aggregation. The probe
@@ -229,15 +224,9 @@ impl Default for VerifyOptions {
 /// `problem`'s restrictions.
 ///
 /// Schedules are explored with [`Explorer::for_each_run_probed`] on the
-/// calling thread, in DFS order.
-///
-/// With [`Explorer::dedup_computations`] set, trace-equivalent runs (runs
-/// sealing to the same computation, see [`crate::dedup`]) are checked once
-/// and their verdict replayed on later sightings. Every run is still
-/// enumerated and counted, so the returned [`VerifyOutcome`] is identical
-/// with deduplication on or off; only the redundant projection and
-/// restriction-checking work is skipped. Cache hits/misses are reported on
-/// the probe as `verify.dedup.hits` / `verify.dedup.misses`.
+/// calling thread, in DFS order. Each leaf is judged one of two ways: the
+/// incremental checker proves it clean, or it is sealed, projected and
+/// checked by [`check_computation`].
 ///
 /// # Errors
 ///
@@ -257,28 +246,7 @@ pub fn verify_system<S: System>(
     let mut deadlocks = 0usize;
     let mut failures: Vec<RunFailure> = Vec::new();
     let mut project_error: Option<ProjectError> = None;
-
-    let dedup = options.explorer.dedup_computations;
-    // Verdict cache indexed by the computation's fingerprint (hashed
-    // once at seal, O(1) to read). Each bucket holds the exact
-    // closure-free confirmation keys that hashed there, so a fingerprint
-    // collision degrades to a linear exact compare — dedup stays exact,
-    // never probabilistic.
-    let mut verdicts: HashMap<u64, Vec<(CanonicalKey, CheckVerdict)>> = HashMap::new();
-    let (mut dedup_hits, mut dedup_misses) = (0u64, 0u64);
     let mut artifact_record: Option<ArtifactRecord> = None;
-
-    // Checks one computation against the specification. Pure in the
-    // computation, so the verdict is cacheable per canonical key.
-    let evaluate = |program_comp: &Computation| -> Result<RunCheck, ProjectError> {
-        check_computation(
-            program_comp,
-            problem,
-            corr,
-            options.strategy,
-            options.check_program_legality,
-        )
-    };
 
     let probe = options.probe.as_ref();
     // Deep layers (restriction checking, formula evaluation, closure and
@@ -316,8 +284,7 @@ pub fn verify_system<S: System>(
             let deadlocked = !sys.is_complete(state);
             if deadlocked {
                 // Deadlock is judged on the *state* (terminal but
-                // incomplete), not the computation, so it is counted per
-                // run and never deduplicated.
+                // incomplete), not the computation.
                 deadlocks += 1;
             }
             // A leaf the incremental checker proves clean needs no seal,
@@ -346,126 +313,60 @@ pub fn verify_system<S: System>(
                 phased_ns += ns;
                 probe.time_ns("phase.seal", ns);
             }
-            // The fingerprint was hashed when the computation was sealed
-            // (so `phase.seal` pays for it) and reading it here is O(1);
-            // the exact confirmation key (closure-free, O(events + edges))
-            // is what the per-run `phase.canonical_key` timer measures.
-            let key = if dedup {
-                let key_started = probing.then(Instant::now);
-                let k = (program_comp.fingerprint(), confirm_key(&program_comp));
-                if let Some(t) = key_started {
-                    let ns = elapsed_ns(t);
-                    phased_ns += ns;
-                    probe.time_ns("phase.canonical_key", ns);
-                }
-                Some(k)
-            } else {
-                None
-            };
-            let cached = if dedup {
-                let lookup_started = probing.then(Instant::now);
-                let c = key.as_ref().and_then(|(fp, k)| {
-                    verdicts
-                        .get(fp)?
-                        .iter()
-                        .find(|(existing, _)| existing == k)
-                        .map(|(_, v)| v.clone())
-                });
-                if let Some(t) = lookup_started {
-                    let ns = elapsed_ns(t);
-                    phased_ns += ns;
-                    probe.time_ns("phase.dedup_lookup", ns);
-                }
-                c
-            } else {
-                None
-            };
-            let mut fresh_check: Option<RunCheck> = None;
-            let verdict = match cached {
-                Some(cached) => {
-                    dedup_hits += 1;
-                    cached
-                }
-                None => {
-                    if dedup {
-                        dedup_misses += 1;
-                    }
-                    let check_started = probing.then(Instant::now);
-                    let check = match evaluate(&program_comp) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            project_error = Some(e);
-                            return ControlFlow::Break(());
-                        }
-                    };
-                    if let Some(t) = check_started {
-                        let ns = elapsed_ns(t);
-                        phased_ns += ns;
-                        probe.time_ns("phase.check", ns);
-                    }
-                    let fresh = check.verdict.clone();
-                    if let Some((fp, k)) = key {
-                        verdicts.entry(fp).or_default().push((k, fresh.clone()));
-                    }
-                    fresh_check = Some(check);
-                    fresh
+            let check_started = probing.then(Instant::now);
+            let check = match check_computation(
+                &program_comp,
+                problem,
+                corr,
+                options.strategy,
+                options.check_program_legality,
+            ) {
+                Ok(v) => v,
+                Err(e) => {
+                    project_error = Some(e);
+                    return ControlFlow::Break(());
                 }
             };
+            if let Some(t) = check_started {
+                let ns = elapsed_ns(t);
+                phased_ns += ns;
+                probe.time_ns("phase.check", ns);
+            }
             // First failing or deadlocked run with a sink configured:
-            // dump the counterexample artifact. A dedup cache hit has no
-            // RunCheck in hand, so recompute it — this happens at most
-            // once per sweep and only on the failure path.
+            // dump the counterexample artifact.
             if let Some(sink) = &options.artifacts {
-                if artifact_record.is_none() && (deadlocked || verdict.is_some()) {
-                    let check = match fresh_check.take() {
-                        Some(c) => Some(c),
-                        None => {
-                            // Re-check under the `phase.check` timer: the
-                            // restriction-level timers inside `evaluate`
-                            // accumulate either way, so leaving this call
-                            // unattributed would let the per-restriction
-                            // breakdown exceed its parent phase.
-                            let recheck_started = probing.then(Instant::now);
-                            let c = evaluate(&program_comp).ok();
-                            if let Some(t) = recheck_started {
-                                let ns = elapsed_ns(t);
-                                phased_ns += ns;
-                                probe.time_ns("phase.check", ns);
-                            }
-                            c
-                        }
-                    };
-                    if let Some(check) = check {
-                        let run = runs - 1;
-                        let written = forensics::write_run_artifact(
-                            sink,
-                            sys,
-                            path,
-                            run,
-                            deadlocked,
-                            &program_comp,
-                            &check,
-                            problem,
-                        );
-                        match written {
-                            Ok(()) => {
-                                probe.add("verify.artifacts.written", 1);
-                                artifact_record = Some(ArtifactRecord {
-                                    run,
-                                    deadlock: deadlocked,
-                                    failure: verdict.clone().map(|(violated, detail)| RunFailure {
+                if artifact_record.is_none() && (deadlocked || check.verdict.is_some()) {
+                    let run = runs - 1;
+                    let written = forensics::write_run_artifact(
+                        sink,
+                        sys,
+                        path,
+                        run,
+                        deadlocked,
+                        &program_comp,
+                        &check,
+                        problem,
+                    );
+                    match written {
+                        Ok(()) => {
+                            probe.add("verify.artifacts.written", 1);
+                            artifact_record = Some(ArtifactRecord {
+                                run,
+                                deadlock: deadlocked,
+                                failure: check.verdict.clone().map(|(violated, detail)| {
+                                    RunFailure {
                                         run,
                                         violated,
                                         detail,
-                                    }),
-                                });
-                            }
-                            Err(_) => probe.add("verify.artifacts.errors", 1),
+                                    }
+                                }),
+                            });
                         }
+                        Err(_) => probe.add("verify.artifacts.errors", 1),
                     }
                 }
             }
-            if let Some((violated, detail)) = verdict {
+            if let Some((violated, detail)) = check.verdict {
                 if failures.is_empty() {
                     probe.gauge_set("verify.first_failure_run", (runs - 1) as u64);
                 }
@@ -494,12 +395,6 @@ pub fn verify_system<S: System>(
     // One post-sweep flush so the counter is present (possibly zero) in
     // every report.
     probe.add("verify.deadlocks", deadlocks as u64);
-    // Dedup counters are emitted only when the feature is on, so reports
-    // from non-dedup sweeps are unchanged.
-    if dedup {
-        probe.add("verify.dedup.hits", dedup_hits);
-        probe.add("verify.dedup.misses", dedup_misses);
-    }
 
     if let Some(e) = project_error {
         return Err(e);

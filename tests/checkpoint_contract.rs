@@ -8,6 +8,7 @@
 
 use gem::core::Computation;
 use gem::lang::System;
+use gem::verify::canonical_key;
 use gem_cli::{instance, Instance, Params, Program};
 
 /// Depth at which the walk continues on a clone instead of in place.
@@ -32,7 +33,7 @@ fn observe<S: System>(
         "{:?} {:?} {:?} {}",
         c.events(),
         c.enable_edges().collect::<Vec<_>>(),
-        c.precedence_edges(),
+        canonical_key(&c),
         c.fingerprint()
     );
     (

@@ -21,8 +21,8 @@
 //!   telemetry of the incremental checker added after the capture;
 //! * under `commands`, a digest of the stdout bytes of `render`, `dot`,
 //!   `deadlock` (not for `life`, whose unbounded state search does not
-//!   finish in useful time), and `explore` plain and with `--dedup`, both
-//!   with `--por` in the `por` rows. These were captured later, from the
+//!   finish in useful time), and `explore`, with `--por` in the `por`
+//!   rows. These were captured later, from the
 //!   compiled simulators at the commit that deleted the interpreters,
 //!   before the CLI's per-substrate dispatch was folded into one generic
 //!   path.
@@ -169,14 +169,13 @@ fn cli(line: &str, por: bool) -> Vec<(String, JsonValue)> {
 }
 
 /// Digests of the other commands' stdout on the row's instance:
-/// `explore` and `explore --dedup` under the row's mode, and `render`,
+/// `explore` under the row's mode, and `render`,
 /// `dot` and `deadlock`, which have no mode.
 fn commands(line: &str, por: bool) -> Vec<(String, JsonValue)> {
-    let digest = |cmd: &str, flags: &[&str]| {
+    let digest = |cmd: &str| {
         let mut args: Vec<String> = std::iter::once(cmd)
             .chain(line.split_whitespace())
             .chain(["--heartbeat", "0"])
-            .chain(flags.iter().copied())
             .map(str::to_owned)
             .collect();
         if por && cmd == "explore" {
@@ -187,15 +186,14 @@ fn commands(line: &str, por: bool) -> Vec<(String, JsonValue)> {
         hex(fingerprint_words(&words))
     };
     let mut digests = vec![
-        ("render".into(), digest("render", &[])),
-        ("explore".into(), digest("explore", &[])),
-        ("explore --dedup".into(), digest("explore", &["--dedup"])),
-        ("dot".into(), digest("dot", &[])),
+        ("render".into(), digest("render")),
+        ("explore".into(), digest("explore")),
+        ("dot".into(), digest("dot")),
     ];
     // `deadlock` searches the whole state space with no run bound, which
     // `life` does not finish in useful time.
     if !line.starts_with("life") {
-        digests.push(("deadlock".into(), digest("deadlock", &[])));
+        digests.push(("deadlock".into(), digest("deadlock")));
     }
     vec![("commands".into(), JsonValue::Obj(digests))]
 }

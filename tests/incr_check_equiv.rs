@@ -9,8 +9,7 @@
 //! (monitor, CSP, ADA) and reduction strategy, on holding,
 //! failing, and deadlocking instances alike. Only the work-reflecting
 //! namespaces (`logic.*`, `restriction.*`, `project.*`, `core.*`,
-//! `verify.dedup.*`, phase timers) may differ: that skipped work *is*
-//! the optimisation.
+//! phase timers) may differ: that skipped work *is* the optimisation.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -35,7 +34,6 @@ fn sweep<S: System>(
     spec: &Specification,
     corr: &Correspondence,
     extract: impl Fn(&S::State) -> Computation,
-    dedup: bool,
     por: bool,
     incr: IncrCheck,
 ) -> (VerifyOutcome, gem::obs::Report) {
@@ -49,7 +47,6 @@ fn sweep<S: System>(
             probe: probe.clone(),
             explorer: Explorer {
                 reduce: por,
-                dedup_computations: dedup,
                 ..Explorer::default()
             },
             incr_check: incr,
@@ -74,7 +71,7 @@ fn curated(report: &gem::obs::Report) -> BTreeMap<String, u64> {
 }
 
 /// Asserts `Auto` agrees with `Off` on outcome and curated counters,
-/// across every reduction strategy (dedup and POR, alone and combined).
+/// with sleep-set POR off and on.
 fn assert_modes_agree<S: System>(
     sys: &S,
     spec: &Specification,
@@ -82,17 +79,14 @@ fn assert_modes_agree<S: System>(
     extract: impl Fn(&S::State) -> Computation + Copy,
     what: &str,
 ) {
-    for (dedup, por) in [(false, false), (true, false), (false, true), (true, true)] {
-        let (base_out, base_rep) = sweep(sys, spec, corr, extract, dedup, por, IncrCheck::Off);
-        let (out, rep) = sweep(sys, spec, corr, extract, dedup, por, IncrCheck::Auto);
-        assert_eq!(
-            base_out, out,
-            "{what}: outcome diverges at dedup={dedup} por={por}"
-        );
+    for por in [false, true] {
+        let (base_out, base_rep) = sweep(sys, spec, corr, extract, por, IncrCheck::Off);
+        let (out, rep) = sweep(sys, spec, corr, extract, por, IncrCheck::Auto);
+        assert_eq!(base_out, out, "{what}: outcome diverges at por={por}");
         assert_eq!(
             curated(&base_rep),
             curated(&rep),
-            "{what}: counters diverge at dedup={dedup} por={por}"
+            "{what}: counters diverge at por={por}"
         );
     }
 }
@@ -106,7 +100,7 @@ fn monitor_holding_instance_agrees() {
     assert_modes_agree(&sys, &spec, &corr, extract, "rw 1r1w mutex");
     // Sanity: the instance really is in the incremental fragment, so the
     // equivalence above exercised the fast path, not a silent fallback.
-    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, false, IncrCheck::Auto);
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, IncrCheck::Auto);
     assert!(outcome.ok());
     assert_eq!(
         rep.counters.get("logic.incr.leaf_clean").copied(),
@@ -127,7 +121,7 @@ fn monitor_failing_instance_agrees() {
     let corr = rw_correspondence(&sys, &spec, false);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
     assert_modes_agree(&sys, &spec, &corr, extract, "rw 1r2w writers");
-    let (outcome, _) = sweep(&sys, &spec, &corr, extract, false, false, IncrCheck::Auto);
+    let (outcome, _) = sweep(&sys, &spec, &corr, extract, false, IncrCheck::Auto);
     assert!(!outcome.ok(), "{outcome}");
     assert!(!outcome.failures.is_empty());
 }
@@ -175,7 +169,7 @@ fn deadlocking_instance_agrees() {
     let corr = philosophers::philosophers_correspondence(&sys, &spec, 2);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
     assert_modes_agree(&sys, &spec, &corr, extract, "philosophers naive");
-    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, false, IncrCheck::Auto);
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, IncrCheck::Auto);
     assert!(outcome.deadlocks > 0, "{outcome}");
     assert!(
         rep.counters
@@ -267,7 +261,7 @@ fn forced_fallback_formula_agrees_and_is_reported() {
     assert_modes_agree(&sys, &spec, &corr, extract, "rw positive-exists (fallback)");
     // The fallback is decided when the checker compiles, so it is visible
     // per restriction; the sweep then skips the per-leaf machinery.
-    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, false, IncrCheck::Auto);
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, IncrCheck::Auto);
     assert!(outcome.ok(), "{outcome}");
     let fallbacks: Vec<_> = rep
         .counters
@@ -340,7 +334,7 @@ fn capacity_violation_settled_mid_replay_keeps_the_batch_verdict() {
     let corr = bounded::monitor_correspondence(&sys, &spec, 3);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
     assert_modes_agree(&sys, &spec, &corr, extract, "bounded cap 3 on 2");
-    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, false, IncrCheck::Auto);
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, IncrCheck::Auto);
     assert!(!outcome.failures.is_empty(), "{outcome}");
     for failure in &outcome.failures {
         assert_eq!(failure.violated, ["capacity"], "{failure:?}");
@@ -517,7 +511,7 @@ fn violated_eventually_restriction_falls_back_per_leaf() {
     let corr = rw_correspondence(&sys, &spec, false);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
     assert_modes_agree(&sys, &spec, &corr, extract, "rw write-follows-read");
-    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, false, IncrCheck::Auto);
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, IncrCheck::Auto);
     assert_eq!(outcome.deadlocks, 0, "{outcome}");
     assert!(!outcome.failures.is_empty(), "{outcome}");
     for failure in &outcome.failures {
@@ -591,7 +585,6 @@ fn cli_artifacts_and_stats_agree_across_modes() {
                     && !k.starts_with("restriction.")
                     && !k.starts_with("project.")
                     && !k.starts_with("core.")
-                    && !k.starts_with("verify.dedup.")
             })
             .map(|(k, v)| (k.clone(), *v))
             .collect();

@@ -161,12 +161,11 @@ fn chrome_trace_serialisation_matches_golden() {
 
 #[test]
 fn chrome_trace_of_probed_verify_partitions_the_wall() {
-    // A real dedup verify through an event log, rendered as a Chrome
+    // A real verify through an event log, rendered as a Chrome
     // trace: every top-level phase must appear as a complete duration
     // event, the per-phase durations must sum to at most the verify
     // span, and the final `explore.runs` running total must agree with
     // the verifier.
-    use gem::lang::Explorer;
     use gem::obs::EventLog;
     let probe = Arc::new(EventLog::new(1 << 20));
     let sys = rw_program(readers_writers_monitor(), 1, 1, false);
@@ -179,12 +178,8 @@ fn chrome_trace_of_probed_verify_partitions_the_wall() {
         |state| sys.computation(state).expect("acyclic"),
         &VerifyOptions {
             probe: probe.clone(),
-            explorer: Explorer {
-                dedup_computations: true,
-                ..Explorer::default()
-            },
-            // Batch phases (seal/key/lookup/check) must all fire; the
-            // incremental fast path would skip them for clean leaves.
+            // Batch phases (seal/check) must all fire; the incremental
+            // fast path would skip them for clean leaves.
             incr_check: gem::verify::IncrCheck::Off,
             ..VerifyOptions::default()
         },
@@ -241,12 +236,10 @@ fn chrome_trace_of_probed_verify_partitions_the_wall() {
 }
 
 #[test]
-fn phase_profile_accounts_for_the_wall_and_explains_dedup() {
-    // The §9 Readers/Writers monitor under dedup: the aggregated phase
-    // profile must attribute (almost) the whole verify span to the
-    // top-level phases, and the explain pass must produce a *measured*
-    // dedup verdict from the hit counters.
-    use gem::lang::Explorer;
+fn phase_profile_accounts_for_the_wall() {
+    // The §9 Readers/Writers monitor on the batch pipeline: the
+    // aggregated phase profile must attribute (almost) the whole verify
+    // span to the top-level phases.
     use gem::obs::PhaseProfile;
     let probe = Arc::new(StatsProbe::new());
     let sys = rw_program(readers_writers_monitor(), 1, 1, false);
@@ -259,12 +252,7 @@ fn phase_profile_accounts_for_the_wall_and_explains_dedup() {
         |state| sys.computation(state).expect("acyclic"),
         &VerifyOptions {
             probe: probe.clone(),
-            explorer: Explorer {
-                dedup_computations: true,
-                ..Explorer::default()
-            },
-            // The dedup verdict needs real cache traffic and the render
-            // check wants every batch phase present.
+            // The render check wants every batch phase present.
             incr_check: gem::verify::IncrCheck::Off,
             ..VerifyOptions::default()
         },
@@ -281,7 +269,7 @@ fn phase_profile_accounts_for_the_wall_and_explains_dedup() {
         profile.wall_ns
     );
     // The residual-attribution design makes the partition tight: the
-    // five phases cover the sweep, so well over half the wall must be
+    // phases cover the sweep, so well over half the wall must be
     // accounted for even on a tiny instance.
     assert!(
         profile.accounted_ns * 2 > profile.wall_ns,
@@ -299,17 +287,12 @@ fn phase_profile_accounts_for_the_wall_and_explains_dedup() {
             "render missing {phase}:\n{rendered}"
         );
     }
-    let verdicts = gem::obs::explain(&report);
-    assert!(
-        verdicts.iter().any(|v| v.contains("dedup measured")),
-        "expected a measured dedup verdict, got {verdicts:?}"
-    );
 }
 
 #[test]
 fn phase_partition_holds_with_incremental_checking_on() {
     // With the incremental checker active every clean leaf skips the
-    // seal/key/check pipeline, so `phase.check_incr` takes over as the
+    // seal/check pipeline, so `phase.check_incr` takes over as the
     // dominant per-leaf phase. The timer-partition invariant must still
     // hold (accounted <= wall), the new phase must join the profile,
     // and the explain pass must report the incremental verdict.

@@ -6,12 +6,12 @@
 //! the property POR actually promises:
 //!
 //! * `verify_system` reports the same verdict (pass / fail / deadlock)
-//!   with reduction on and off, with computation dedup on and off — on
-//!   Monitor, CSP, and ADA instances, including a genuinely failing one
-//!   and a deadlocking one;
+//!   with reduction on and off — on Monitor, CSP, and ADA instances,
+//!   including a genuinely failing one and a deadlocking one;
 //! * the *set* of canonical computations reached (via
 //!   [`gem::verify::canonical_key`]) is identical — sleep sets drop
-//!   redundant linearizations of a trace, never whole traces;
+//!   redundant linearizations of a trace, never whole traces — and the
+//!   reduced sweep reaches each of them exactly once;
 //! * the counterexample surfaced on a failing instance is
 //!   canonical-key-equivalent to the unreduced one;
 //! * a proptest: swapping two adjacent actions the oracle claims
@@ -38,7 +38,7 @@ use gem::verify::{
 };
 
 /// True when CI forces partial-order reduction across the whole tier-1
-/// suite (`GEM_TEST_POR=1`). Mirrors `GEM_TEST_DEDUP`.
+/// suite (`GEM_TEST_POR=1`).
 /// This suite compares reduce-on against reduce-off directly, so the hook
 /// only widens the baseline: under it the "full" sweeps also run reduced,
 /// which must be a fixed point (reducing twice changes nothing).
@@ -72,9 +72,35 @@ fn verdict(outcome: &gem::verify::VerifyOutcome) -> (bool, bool, bool) {
     )
 }
 
+/// Sweeps `sys` reduced and asserts that no two runs seal to the same
+/// computation: sleep sets keep one representative per computation, so
+/// the number of distinct canonical keys equals the run count. Returns the
+/// keys and the stats.
+fn assert_each_computation_once<S: System>(
+    sys: &S,
+    extract: impl Fn(&S::State) -> Computation,
+    what: &str,
+) -> (BTreeSet<CanonicalKey>, ExploreStats) {
+    let reduced = Explorer {
+        reduce: true,
+        ..Explorer::default()
+    };
+    let (keys, stats) = computation_keys(sys, &reduced, extract);
+    assert!(
+        !stats.truncated(),
+        "{what}: reduced sweep truncated: {stats}"
+    );
+    assert_eq!(
+        keys.len(),
+        stats.runs,
+        "{what}: POR reached some computation more than once"
+    );
+    (keys, stats)
+}
+
 /// The core differential: on one instance, reduction must preserve the
-/// verify verdict (with dedup on and off) and the exact set of canonical
-/// computations, while never exploring *more* runs. Returns
+/// verify verdict and the exact set of canonical computations, reach each
+/// computation once, and never explore *more* runs. Returns
 /// `(full, reduced)` stats so callers can assert the reduction actually
 /// bites where it should.
 fn assert_por_equiv<S: System>(
@@ -89,11 +115,7 @@ fn assert_por_equiv<S: System>(
         ..Explorer::default()
     };
     let (full_keys, full_stats) = computation_keys(sys, &base, extract);
-    let reduced = Explorer {
-        reduce: true,
-        ..Explorer::default()
-    };
-    let (keys, reduced_stats) = computation_keys(sys, &reduced, extract);
+    let (keys, reduced_stats) = assert_each_computation_once(sys, extract, what);
     assert_eq!(
         full_keys, keys,
         "{what}: POR changed the set of canonical computations"
@@ -109,34 +131,39 @@ fn assert_por_equiv<S: System>(
         "{what}: every run under reduce must be counted as a representative"
     );
 
-    let outcome_at = |reduce: bool, dedup: bool| {
-        verify_system(
-            sys,
-            spec,
-            corr,
-            extract,
-            &VerifyOptions {
-                explorer: Explorer {
-                    reduce,
-                    dedup_computations: dedup,
-                    ..Explorer::default()
-                },
-                ..VerifyOptions::default()
-            },
-        )
-        .expect("correspondence consistent")
-    };
-    let baseline = outcome_at(por_env(), false);
-    for dedup in [false, true] {
-        let reduced = outcome_at(true, dedup);
-        assert_eq!(
-            verdict(&baseline),
-            verdict(&reduced),
-            "{what}: verdict diverges under POR at dedup={dedup}\n\
-             full: {baseline}\nreduced: {reduced}"
-        );
-    }
+    let baseline = outcome_at(sys, spec, corr, extract, por_env());
+    let reduced = outcome_at(sys, spec, corr, extract, true);
+    assert_eq!(
+        verdict(&baseline),
+        verdict(&reduced),
+        "{what}: verdict diverges under POR\n\
+         full: {baseline}\nreduced: {reduced}"
+    );
     (full_stats, reduced_stats)
+}
+
+/// `verify_system` with default options, reduced or not.
+fn outcome_at<S: System>(
+    sys: &S,
+    spec: &Specification,
+    corr: &Correspondence,
+    extract: impl Fn(&S::State) -> Computation,
+    reduce: bool,
+) -> gem::verify::VerifyOutcome {
+    verify_system(
+        sys,
+        spec,
+        corr,
+        extract,
+        &VerifyOptions {
+            explorer: Explorer {
+                reduce,
+                ..Explorer::default()
+            },
+            ..VerifyOptions::default()
+        },
+    )
+    .expect("correspondence consistent")
 }
 
 /// Canonical key of the computation behind the first reported failure:
@@ -222,6 +249,40 @@ fn ada_bounded_buffer_por_equiv() {
         |s| sys.computation(s).expect("acyclic"),
         "ada bounded buffer",
     );
+}
+
+#[test]
+fn ada_bounded_buffer_four_items_por_equiv() {
+    // `gem verify bounded items=4 cap=2 substrate=ada`: 2 008 schedules
+    // collapse to 8 representatives, one per computation.
+    let sys = bounded::ada_solution(&[1, 2, 3, 4], 2);
+    let spec = bounded::bounded_spec(4, 2);
+    let corr = bounded::ada_correspondence(&sys, &spec, 2);
+    let (_, reduced) = assert_por_equiv(
+        &sys,
+        &spec,
+        &corr,
+        |s| sys.computation(s).expect("acyclic"),
+        "ada bounded buffer 4 items",
+    );
+    assert_eq!(reduced.runs, 8, "{reduced}");
+}
+
+#[test]
+fn monitor_rw_1r2w_with_data_por_reaches_each_computation_once() {
+    // `gem verify rw readers=1 writers=2 variant=mutex data=true`. The
+    // unreduced sweep exceeds the default run cap, so only the reduced
+    // side is swept: every representative is a distinct computation, and
+    // the verdict holds.
+    let sys = rw_program(readers_writers_monitor(), 1, 2, true);
+    let spec = rw_spec(3, true, RwVariant::MutexOnly);
+    let corr = rw_correspondence(&sys, &spec, true);
+    let extract = |s: &_| sys.computation(s).expect("acyclic");
+    let (_, reduced) = assert_each_computation_once(&sys, extract, "monitor rw 1r2w with data");
+    assert_eq!(reduced.runs, 2_070, "{reduced}");
+    let outcome = outcome_at(&sys, &spec, &corr, extract, true);
+    assert!(outcome.ok() && outcome.exhaustive(), "{outcome}");
+    assert_eq!(outcome.runs, reduced.runs);
 }
 
 #[test]
