@@ -34,9 +34,6 @@
 //!   0 disables)
 //! * `--por` — sleep-set partial-order reduction (one schedule per
 //!   computation, same verdict)
-//! * `--incr-check auto|off` — incremental restriction checking along
-//!   the DFS tree (default `auto`; same verdicts in both modes, see
-//!   `docs/PERFORMANCE.md` §5)
 //! * `--artifacts <dir>` — on `verify`, dump the first failing or
 //!   deadlocked run as a self-contained counterexample artifact directory
 //!   (schedule, computation, blame, highlighted dot), and arm a flight
@@ -84,8 +81,8 @@ use gem_problems::readers_writers::{
 use gem_problems::{bounded, db_update, life, one_slot};
 use gem_spec::{render_specification, Specification};
 use gem_verify::{
-    check_computation, verify_system, ArtifactSink, Correspondence, IncrCheck, RunFailure,
-    VerifyOptions, VerifyOutcome,
+    check_computation, verify_system, ArtifactSink, Correspondence, RunFailure, VerifyOptions,
+    VerifyOutcome,
 };
 
 /// A CLI usage or execution error.
@@ -411,14 +408,12 @@ struct ObsFlags {
     metrics_out: Option<String>,
     heartbeat: Option<f64>,
     por: bool,
-    incr_check: IncrCheck,
     explain: bool,
     artifacts: Option<String>,
 }
 
 /// Splits `--stats` / `--stats-json` / `--trace` / `--trace-out` /
-/// `--heartbeat` / `--por` / `--incr-check` /
-/// `--explain` / `--artifacts` (either
+/// `--heartbeat` / `--por` / `--explain` / `--artifacts` (either
 /// `--flag value` or `--flag=value`) out of `args`, leaving positional
 /// arguments and `key=value` parameters untouched.
 fn split_flags(args: &[String]) -> Result<(Vec<String>, ObsFlags), CliError> {
@@ -459,16 +454,6 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, ObsFlags), CliError> {
                     return Err(err("--explain takes no value"));
                 }
                 flags.explain = true;
-            }
-            "--incr-check" => {
-                let v = value("--incr-check")?;
-                flags.incr_check = match v.as_str() {
-                    "auto" => IncrCheck::Auto,
-                    "off" => IncrCheck::Off,
-                    other => {
-                        return Err(err(format!("--incr-check must be auto|off, got {other:?}")))
-                    }
-                };
             }
             "--trace" => flags.trace = Some(value("--trace")?),
             "--trace-out" => flags.trace_out = Some(value("--trace-out")?),
@@ -783,14 +768,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         let flag = |b: bool| if b { "true" } else { "false" }.to_owned();
         report.config.insert("por".to_owned(), flag(flags.por));
         report.config.insert(
-            "incr_check".to_owned(),
-            match flags.incr_check {
-                IncrCheck::Auto => "auto",
-                IncrCheck::Off => "off",
-            }
-            .to_owned(),
-        );
-        report.config.insert(
             "heartbeat_secs".to_owned(),
             flags.heartbeat.unwrap_or(5.0).to_string(),
         );
@@ -961,7 +938,6 @@ impl Ctx<'_> {
         VerifyOptions {
             explorer: self.explorer(),
             probe: self.obs.probe.clone(),
-            incr_check: self.flags.incr_check,
             ..VerifyOptions::default()
         }
     }
@@ -989,7 +965,7 @@ fn command<S: Substrate>(sys: &S, cmd: Command, cx: &Ctx) -> Result<String, CliE
         Command::Profile => profile(sys, cx),
         Command::Top => top(sys, cx),
         Command::Explore => Ok(explore(sys, cx)),
-        Command::Deadlock => Ok(deadlock(sys)),
+        Command::Deadlock => Ok(deadlock(sys, cx.obs.probe.as_ref())),
         Command::Dot => Ok(first_dot(sys)),
         Command::Replay(recorded) => replay(sys, cx.inst, recorded),
     }
@@ -1105,12 +1081,12 @@ fn explore<S: Substrate>(sys: &S, cx: &Ctx) -> String {
 
 /// Deadlock is a state property, so control-state pruning is sound — and
 /// necessary, since DFS order visits near-sequential schedules first.
-fn deadlock<S: Substrate>(sys: &S) -> String {
+fn deadlock<S: Substrate>(sys: &S, probe: &dyn Probe) -> String {
     let explorer = Explorer {
         prune: true,
         ..Explorer::default()
     };
-    match gem_lang::find_deadlock(sys, &explorer) {
+    match gem_lang::find_deadlock(sys, &explorer, probe) {
         Some(path) => format!("DEADLOCK after {} action(s):\n{path:#?}", path.len()),
         None => "no deadlock (pruned state search)".to_owned(),
     }
@@ -1495,10 +1471,6 @@ pub fn usage() -> String {
      \x20 --por                      sleep-set partial-order reduction: explore\n\
      \x20                            roughly one schedule per computation; the\n\
      \x20                            verify/explore verdict is unchanged\n\
-     \x20 --incr-check auto|off      incremental restriction checking along the\n\
-     \x20                            DFS tree: auto (default; on when the spec\n\
-     \x20                            is in the supported fragment) or off;\n\
-     \x20                            verdicts identical in both modes\n\
      \x20 --artifacts <dir>          dump the first failing/deadlocked run as a\n\
      \x20                            self-contained counterexample directory and\n\
      \x20                            arm a crash-dump flight recorder\n\
@@ -1642,6 +1614,34 @@ mod tests {
     }
 
     #[test]
+    fn deadlock_stats_report_the_search() {
+        let dir = std::env::temp_dir().join("gem-cli-test-deadlock-stats");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stats.json");
+        let path_s = path.to_str().unwrap().to_owned();
+        let out = runv(&[
+            "deadlock",
+            "philosophers",
+            "n=3",
+            "order=naive",
+            "--stats-json",
+            &path_s,
+            "--heartbeat",
+            "0",
+        ])
+        .unwrap();
+        assert!(out.contains("DEADLOCK"), "{out}");
+        let json = std::fs::read_to_string(&path).unwrap();
+        let report = gem_obs::Report::from_json(&json).unwrap();
+        assert!(
+            report.counters.get("explore.runs").copied() > Some(0),
+            "{json}"
+        );
+        assert!(report.counters.contains_key("explore.prune.hits"), "{json}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn csp_substrate_selectable() {
         let out = runv(&["verify", "bounded", "items=2", "cap=1", "substrate=csp"]).unwrap();
         assert!(out.contains("HOLDS"), "{out}");
@@ -1679,8 +1679,8 @@ mod tests {
         assert!(json.contains("\"explore.prune.hits\""), "{json}");
         assert!(json.contains("\"verify.deadlocks\""), "{json}");
         // One-slot's restrictions are all in the incremental fragment, so
-        // the default `--incr-check auto` sweep reports incremental
-        // counters instead of batch `restriction.evals`.
+        // the sweep reports incremental counters instead of batch
+        // `restriction.evals`.
         assert!(
             json.contains("\"logic.incr.restrictions.compiled\""),
             "{json}"
@@ -1729,38 +1729,38 @@ mod tests {
 
     #[test]
     fn profile_renders_phase_table_and_verdicts() {
-        // `--incr-check off` keeps the whole batch pipeline live so every
-        // batch phase shows up in the table.
+        // A failing instance sends its violating leaves down the batch
+        // pipeline, so every batch phase shows up in the table.
         let out = runv(&[
             "profile",
-            "one-slot",
-            "items=2",
-            "--incr-check",
-            "off",
+            "rw",
+            "readers=1",
+            "writers=2",
+            "variant=writers",
             "--heartbeat",
             "0",
         ])
         .unwrap();
-        assert!(out.contains("HOLDS"), "{out}");
+        assert!(out.contains("FAILS"), "{out}");
         assert!(out.contains("phase.explore"), "{out}");
         assert!(out.contains("phase.seal"), "{out}");
-        assert!(out.contains("phase.check"), "{out}");
+        assert!(out.contains("\nphase.check "), "{out}");
         assert!(out.contains("accounted"), "{out}");
         assert!(out.contains("wall (verify)"), "{out}");
-        // The per-restriction breakdown attributes the batch evals.
+        // The per-restriction breakdown attributes the batch evals of
+        // the three failing leaves to each of the five restrictions.
         assert!(out.contains("check breakdown by restriction:"), "{out}");
         assert!(out.contains("#0 "), "{out}");
-        assert!(out.contains("[batch]"), "{out}");
+        assert_eq!(out.matches(" 3 batch eval(s), ").count(), 5, "{out}");
     }
 
     #[test]
     fn profile_with_incremental_collapses_check_phase() {
-        // Default `--incr-check auto` on an in-fragment spec: the batch
-        // check phase disappears, phase.check_incr takes over, and the
-        // breakdown tags every restriction leaf-judged and settled per
-        // event during replay, so none is evaluated on any of the 53
-        // clean leaves, with zero batch evals — the collapse the speedup
-        // comes from.
+        // An in-fragment spec: the batch check phase disappears,
+        // phase.check_incr takes over, and the breakdown tags every
+        // restriction leaf-judged and settled per event during replay,
+        // so none is evaluated on any of the 53 clean leaves, with zero
+        // batch evals — the collapse the speedup comes from.
         let out = runv(&["profile", "one-slot", "items=2", "--heartbeat", "0"]).unwrap();
         assert!(out.contains("HOLDS"), "{out}");
         assert!(out.contains("phase.check_incr"), "{out}");
@@ -1807,55 +1807,6 @@ mod tests {
         assert!(out.contains("HOLDS"), "{out}");
         assert!(out.contains("incremental check: "), "{out}");
         assert!(out.contains("proven clean"), "{out}");
-    }
-
-    #[test]
-    fn incr_check_flag_validated_and_recorded() {
-        assert!(runv(&["verify", "one-slot", "--incr-check", "bogus"]).is_err());
-        assert!(runv(&["verify", "one-slot", "--incr-check"]).is_err());
-        let e = runv(&["verify", "one-slot", "--incr-check", "on"]).unwrap_err();
-        assert!(e.to_string().contains("auto|off"), "{e}");
-        let dir = std::env::temp_dir().join("gem-cli-test-incr-flag");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stats.json");
-        let path_s = path.to_str().unwrap().to_owned();
-        let with_mode = |mode: &str| {
-            runv(&[
-                "verify",
-                "one-slot",
-                "items=2",
-                "--incr-check",
-                mode,
-                "--stats-json",
-                &path_s,
-                "--heartbeat",
-                "0",
-            ])
-            .unwrap();
-            let json = std::fs::read_to_string(&path).unwrap();
-            let report = gem_obs::Report::from_json(&json).unwrap();
-            report.config.get("incr_check").cloned()
-        };
-        assert_eq!(with_mode("off").as_deref(), Some("off"));
-        assert_eq!(with_mode("auto").as_deref(), Some("auto"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn incr_check_modes_agree_on_verdicts() {
-        // The stdout contract: both modes print byte-identical output,
-        // on holding and failing instances alike.
-        for problem in [
-            vec!["verify", "one-slot", "items=2"],
-            vec!["verify", "rw", "readers=1", "writers=2", "variant=writers"],
-        ] {
-            let run_mode = |mode: &str| {
-                let mut args = problem.clone();
-                args.extend(["--incr-check", mode]);
-                runv(&args).unwrap()
-            };
-            assert_eq!(run_mode("auto"), run_mode("off"), "{problem:?}");
-        }
     }
 
     #[test]

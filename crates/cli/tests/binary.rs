@@ -29,13 +29,22 @@ fn closed_stdout_ends_quietly() {
 
 #[test]
 fn removed_flags_are_unknown() {
-    // `--jobs` left with the parallel explorer and `--dedup` with
-    // computation dedup: each is an ordinary unknown flag, a usage error
-    // before any sweep starts.
+    // `--jobs` left with the parallel explorer, `--dedup` with
+    // computation dedup and `--incr-check` with the batch-only sweep:
+    // each is an ordinary unknown flag, a usage error before any sweep
+    // starts.
     for (args, flag) in [
         (&["verify", "one-slot", "--jobs", "2"][..], "--jobs"),
         (&["verify", "one-slot", "--jobs=1"][..], "--jobs"),
         (&["verify", "one-slot", "--dedup"][..], "--dedup"),
+        (
+            &["verify", "one-slot", "--incr-check", "off"][..],
+            "--incr-check",
+        ),
+        (
+            &["verify", "one-slot", "--incr-check=auto"][..],
+            "--incr-check",
+        ),
     ] {
         let out = gem(args, Stdio::piped());
         let stderr = String::from_utf8_lossy(&out.stderr);

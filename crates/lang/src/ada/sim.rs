@@ -1128,6 +1128,7 @@ mod tests {
     use crate::explore::{find_deadlock, Explorer};
     use crate::Expr;
     use gem_core::is_legal;
+    use gem_obs::NoopProbe;
     use std::ops::ControlFlow;
 
     fn put_get_server() -> AdaProgram {
@@ -1275,7 +1276,7 @@ mod tests {
         .entry("B");
         let client = AdaTask::new("client", vec![AdaStmt::call("server", "B", vec![])]);
         let sys = AdaSystem::new(AdaProgram::new().task(server).task(client));
-        assert!(find_deadlock(&sys, &Explorer::default()).is_none());
+        assert!(find_deadlock(&sys, &Explorer::default(), &NoopProbe).is_none());
     }
 
     #[test]
@@ -1283,7 +1284,7 @@ mod tests {
         let server = AdaTask::new("server", vec![]).entry("E");
         let client = AdaTask::new("client", vec![AdaStmt::call("server", "E", vec![])]);
         let sys = AdaSystem::new(AdaProgram::new().task(server).task(client));
-        assert!(find_deadlock(&sys, &Explorer::default()).is_some());
+        assert!(find_deadlock(&sys, &Explorer::default(), &NoopProbe).is_some());
     }
 
     #[test]

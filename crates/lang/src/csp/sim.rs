@@ -895,6 +895,7 @@ mod tests {
     use crate::explore::{find_deadlock, Explorer};
     use crate::Expr;
     use gem_core::is_legal;
+    use gem_obs::NoopProbe;
     use std::ops::ControlFlow;
 
     fn ping_pong() -> CspProgram {
@@ -969,7 +970,7 @@ mod tests {
             )
             .process(CspProcess::new("b", vec![CspStmt::recv("a", "y")]).local("y", 0i64));
         let sys = CspSystem::new(prog);
-        assert!(find_deadlock(&sys, &Explorer::default()).is_some());
+        assert!(find_deadlock(&sys, &Explorer::default(), &NoopProbe).is_some());
     }
 
     #[test]

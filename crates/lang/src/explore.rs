@@ -660,10 +660,15 @@ where
 /// Searches all runs for a deadlock: a terminal state that is not
 /// complete. Returns the action sequence leading to the first deadlock
 /// found (the first in DFS order), or `None` if every explored run
-/// completes.
-pub fn find_deadlock<S: System>(sys: &S, explorer: &Explorer) -> Option<Vec<S::Action>> {
+/// completes. `probe` receives the search's `explore.*` counters, as in
+/// [`Explorer::for_each_run_probed`].
+pub fn find_deadlock<S: System>(
+    sys: &S,
+    explorer: &Explorer,
+    probe: &dyn Probe,
+) -> Option<Vec<S::Action>> {
     let mut witness = None;
-    explorer.for_each_run(sys, |state, path| {
+    explorer.for_each_run_probed(sys, probe, |state, path| {
         if !sys.is_complete(state) {
             witness = Some(path.to_vec());
             ControlFlow::Break(())
@@ -813,10 +818,10 @@ mod tests {
     #[test]
     fn deadlock_found() {
         let sys = Counters { n: 2, stuck: true };
-        let witness = find_deadlock(&sys, &Explorer::default());
+        let witness = find_deadlock(&sys, &Explorer::default(), &NoopProbe);
         assert!(witness.is_some());
         let sys_ok = Counters { n: 2, stuck: false };
-        assert!(find_deadlock(&sys_ok, &Explorer::default()).is_none());
+        assert!(find_deadlock(&sys_ok, &Explorer::default(), &NoopProbe).is_none());
     }
 
     #[test]
@@ -908,7 +913,7 @@ mod tests {
             prune: true,
             ..Explorer::default()
         };
-        assert!(find_deadlock(&sys, &pruned).is_some());
+        assert!(find_deadlock(&sys, &pruned, &NoopProbe).is_some());
         let full_steps = Explorer::default()
             .for_each_run(&sys, |_, _| ControlFlow::Continue(()))
             .steps;

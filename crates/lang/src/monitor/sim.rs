@@ -1549,6 +1549,7 @@ mod tests {
     use crate::monitor::def::{readers_writers_monitor, MonitorDef, ProcessDef};
     use crate::Expr;
     use gem_core::{check_legality, is_legal};
+    use gem_obs::NoopProbe;
     use std::ops::ControlFlow;
 
     fn call(entry: &str) -> ScriptStep {
@@ -1692,7 +1693,7 @@ mod tests {
         let prog =
             MonitorProgram::new(monitor).process(ProcessDef::new("consumer", vec![call("Pass")]));
         let sys = MonitorSystem::new(prog);
-        let witness = find_deadlock(&sys, &Explorer::default());
+        let witness = find_deadlock(&sys, &Explorer::default(), &NoopProbe);
         assert!(witness.is_some(), "waiting with no signaller deadlocks");
     }
 

@@ -52,7 +52,6 @@ mod blame;
 mod eval;
 mod formula;
 pub mod incr;
-mod simplify;
 mod strategy;
 mod term;
 
@@ -61,7 +60,6 @@ pub use eval::{
     holds_on_computation, holds_on_history, holds_on_sequence, EvalError, Occurred, World,
 };
 pub use formula::{Atom, Formula};
-pub use simplify::{formula_size, simplify};
 pub use strategy::{
     check, check_many, random_linearization, CheckReport, Counterexample, MultiCheck, Strategy,
 };

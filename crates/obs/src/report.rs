@@ -61,8 +61,8 @@ pub struct Report {
     pub hists: BTreeMap<String, Histogram>,
     /// Free-form context (command line, problem name, parameters).
     pub meta: BTreeMap<String, String>,
-    /// The run's effective configuration (problem id, por and
-    /// incr-check flags, bounds) — makes the report self-describing so artifacts
+    /// The run's effective configuration (problem id, por flag,
+    /// heartbeat, bounds) — makes the report self-describing so artifacts
     /// need no filename conventions. Serialized only when non-empty,
     /// so configuration-free reports keep their historical shape.
     pub config: BTreeMap<String, String>,

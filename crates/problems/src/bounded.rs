@@ -404,8 +404,9 @@ pub fn ada_correspondence(sys: &AdaSystem, problem: &Specification, cap: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gem_lang::Explorer;
-    use gem_verify::{assert_no_deadlock, verify_system, VerifyOptions};
+    use gem_lang::{find_deadlock, Explorer};
+    use gem_obs::NoopProbe;
+    use gem_verify::{verify_system, VerifyOptions};
 
     const ITEMS: &[i64] = &[1, 2, 3, 4];
     const CAP: usize = 2;
@@ -476,9 +477,18 @@ mod tests {
 
     #[test]
     fn solutions_deadlock_free() {
-        assert!(assert_no_deadlock(&monitor_solution(ITEMS, CAP), &Explorer::default()).is_ok());
-        assert!(assert_no_deadlock(&csp_solution(ITEMS, CAP), &Explorer::default()).is_ok());
-        assert!(assert_no_deadlock(&ada_solution(ITEMS, CAP), &Explorer::default()).is_ok());
+        assert!(find_deadlock(
+            &monitor_solution(ITEMS, CAP),
+            &Explorer::default(),
+            &NoopProbe
+        )
+        .is_none());
+        assert!(
+            find_deadlock(&csp_solution(ITEMS, CAP), &Explorer::default(), &NoopProbe).is_none()
+        );
+        assert!(
+            find_deadlock(&ada_solution(ITEMS, CAP), &Explorer::default(), &NoopProbe).is_none()
+        );
     }
 
     #[test]

@@ -164,8 +164,9 @@ pub fn db_update_correspondence(
 mod tests {
     use super::*;
     use gem_core::Value;
-    use gem_lang::{Explorer, System};
-    use gem_verify::{assert_no_deadlock, verify_system, VerifyOptions};
+    use gem_lang::{find_deadlock, Explorer, System};
+    use gem_obs::NoopProbe;
+    use gem_verify::{verify_system, VerifyOptions};
     use std::ops::ControlFlow;
 
     const CLIENTS: usize = 3;
@@ -199,7 +200,7 @@ mod tests {
     fn no_deadlock() {
         // The paper's claim: lack of deadlock, over every schedule.
         let sys = db_update_program(CLIENTS, SITES);
-        assert!(assert_no_deadlock(&sys, &Explorer::default()).is_ok());
+        assert!(find_deadlock(&sys, &Explorer::default(), &NoopProbe).is_none());
     }
 
     #[test]

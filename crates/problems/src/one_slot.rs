@@ -305,8 +305,9 @@ pub fn ada_correspondence(sys: &AdaSystem, problem: &Specification) -> Correspon
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gem_lang::Explorer;
-    use gem_verify::{assert_no_deadlock, verify_system, VerifyOptions};
+    use gem_lang::{find_deadlock, Explorer};
+    use gem_obs::NoopProbe;
+    use gem_verify::{verify_system, VerifyOptions};
 
     const ITEMS: &[i64] = &[10, 20, 30];
 
@@ -371,9 +372,11 @@ mod tests {
 
     #[test]
     fn solutions_deadlock_free() {
-        assert!(assert_no_deadlock(&monitor_solution(ITEMS), &Explorer::default()).is_ok());
-        assert!(assert_no_deadlock(&csp_solution(ITEMS), &Explorer::default()).is_ok());
-        assert!(assert_no_deadlock(&ada_solution(ITEMS), &Explorer::default()).is_ok());
+        assert!(
+            find_deadlock(&monitor_solution(ITEMS), &Explorer::default(), &NoopProbe).is_none()
+        );
+        assert!(find_deadlock(&csp_solution(ITEMS), &Explorer::default(), &NoopProbe).is_none());
+        assert!(find_deadlock(&ada_solution(ITEMS), &Explorer::default(), &NoopProbe).is_none());
     }
 
     #[test]

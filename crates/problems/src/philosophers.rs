@@ -137,9 +137,9 @@ pub fn philosophers_correspondence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gem_lang::find_deadlock;
-    use gem_lang::Explorer;
-    use gem_verify::{assert_no_deadlock, verify_system, VerifyOptions};
+    use gem_lang::{find_deadlock, Explorer};
+    use gem_obs::NoopProbe;
+    use gem_verify::{verify_system, VerifyOptions};
 
     const N: usize = 3;
 
@@ -155,14 +155,14 @@ mod tests {
     #[test]
     fn naive_order_deadlocks() {
         let sys = philosophers_program(N, 1, ForkOrder::Naive);
-        let witness = find_deadlock(&sys, &pruned());
+        let witness = find_deadlock(&sys, &pruned(), &NoopProbe);
         assert!(witness.is_some(), "circular wait must be found");
     }
 
     #[test]
     fn asymmetric_order_deadlock_free() {
         let sys = philosophers_program(N, 1, ForkOrder::Asymmetric);
-        assert!(assert_no_deadlock(&sys, &pruned()).is_ok());
+        assert!(find_deadlock(&sys, &pruned(), &NoopProbe).is_none());
     }
 
     #[test]

@@ -672,8 +672,9 @@ pub fn rw_correspondence(
 mod tests {
     use super::*;
     use gem_lang::monitor::readers_writers_monitor;
-    use gem_lang::Explorer;
-    use gem_verify::{assert_no_deadlock, verify_system, VerifyOptions};
+    use gem_lang::{find_deadlock, Explorer};
+    use gem_obs::NoopProbe;
+    use gem_verify::{verify_system, VerifyOptions};
 
     fn verify(
         monitor: MonitorDef,
@@ -791,7 +792,7 @@ mod tests {
     fn no_deadlock_either_monitor() {
         for monitor in [readers_writers_monitor(), writers_priority_monitor()] {
             let sys = rw_program(monitor, 2, 1, false);
-            assert!(assert_no_deadlock(&sys, &Explorer::default()).is_ok());
+            assert!(find_deadlock(&sys, &Explorer::default(), &NoopProbe).is_none());
         }
     }
 
@@ -873,7 +874,7 @@ mod tests {
             false,
             SignalSemantics::Mesa,
         );
-        assert!(assert_no_deadlock(&sys, &Explorer::default()).is_ok());
+        assert!(find_deadlock(&sys, &Explorer::default(), &NoopProbe).is_none());
     }
 
     #[test]

@@ -71,20 +71,6 @@ use gem_spec::{Specification, ThreadSpec};
 
 use crate::correspondence::{Correspondence, Pair, PairIndex};
 
-/// When [`verify_system`](crate::verify_system) uses the incremental
-/// checker. The checker is always safe — it proves cleanliness or falls
-/// back to batch — so the modes only control whether the attempt is made.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum IncrCheck {
-    /// Use it when the system exposes a trace builder and every
-    /// restriction compiled; skip the per-leaf work entirely when the
-    /// whole specification fell back. (Default.)
-    #[default]
-    Auto,
-    /// Never use the incremental checker.
-    Off,
-}
-
 /// Verdict of synchronising to one leaf.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LeafStatus {

@@ -4,8 +4,9 @@
 //! program specification via a [`Correspondence`], [`project`] each of
 //! the program's computations onto them, and check every restriction of
 //! the problem specification — over *all* schedules of the program, via
-//! [`verify_system`]. Deadlock-freedom and liveness sweeps live in the
-//! progress module ([`assert_no_deadlock`], [`eventually_on_all_runs`]).
+//! [`verify_system`]. Deadlock-freedom is a property of terminal states,
+//! searched by [`gem_lang::find_deadlock`]; a liveness claim is a `◇`
+//! restriction that [`verify_system`] judges like any other.
 //!
 //! This replaces the paper's hand proofs with exhaustive bounded
 //! verification (see DESIGN.md, "Substitutions"): the judgement is the
@@ -59,14 +60,12 @@ pub mod canon;
 mod correspondence;
 pub mod forensics;
 pub mod incr;
-mod progress;
 mod sat;
 
 pub use canon::{canonical_key, CanonicalKey};
 pub use correspondence::{project, Correspondence, Pair, ProjectError};
 pub use forensics::{computation_json, derive_schedule, outcome_path, ArtifactSink};
-pub use incr::{IncrCheck, IncrChecker, LeafStatus};
-pub use progress::{assert_no_deadlock, eventually_on_all_runs, LivenessOutcome};
+pub use incr::{IncrChecker, LeafStatus};
 pub use sat::{
     check_computation, verify_system, RunCheck, RunFailure, VerifyOptions, VerifyOutcome,
 };

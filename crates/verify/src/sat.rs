@@ -21,7 +21,7 @@ use gem_spec::{SpecReport, Specification};
 
 use crate::correspondence::{project, Correspondence, ProjectError};
 use crate::forensics::{self, ArtifactRecord, ArtifactSink};
-use crate::incr::{IncrCheck, IncrChecker, LeafStatus};
+use crate::incr::{IncrChecker, LeafStatus};
 
 /// Verdict of checking one computation: `None` if it satisfies the
 /// specification, otherwise the violated names plus the failure detail.
@@ -172,13 +172,6 @@ pub struct VerifyOptions {
     pub max_failures: usize,
     /// Also require the *program* computation itself to be GEM-legal.
     pub check_program_legality: bool,
-    /// Prefix-sharing incremental restriction checking along the DFS
-    /// tree (see [`crate::incr`]): leaves proven clean skip the whole
-    /// seal → project → check pipeline. Verdicts, failures, and
-    /// artifacts are identical in both modes; only the `logic.*`,
-    /// `restriction.*`, `project.*` and phase-timer counters reflect the
-    /// skipped work.
-    pub incr_check: IncrCheck,
     /// Instrumentation sink. The default [`NoopProbe`] costs one enabled
     /// check per run; see `gem_obs::StatsProbe` for aggregation. The probe
     /// is also installed as the ambient probe for the duration of the
@@ -198,7 +191,6 @@ impl fmt::Debug for VerifyOptions {
             .field("strategy", &self.strategy)
             .field("max_failures", &self.max_failures)
             .field("check_program_legality", &self.check_program_legality)
-            .field("incr_check", &self.incr_check)
             .field("probe_enabled", &self.probe.enabled())
             .field("artifacts", &self.artifacts.as_ref().map(|s| &s.dir))
             .finish()
@@ -212,7 +204,6 @@ impl Default for VerifyOptions {
             strategy: Strategy::Linearizations { limit: 20_000 },
             max_failures: 3,
             check_program_legality: true,
-            incr_check: IncrCheck::default(),
             probe: Arc::new(NoopProbe),
             artifacts: None,
         }
@@ -272,10 +263,14 @@ pub fn verify_system<S: System>(
     // Prefix-sharing incremental checker (see `crate::incr`): compiled
     // once per sweep (after the ambient install, so the per-restriction
     // fallback decisions land in the stats), synchronised per leaf. A
-    // globally-fallen-back compilation drops the per-leaf work entirely.
-    let mut incr_checker = (options.incr_check == IncrCheck::Auto)
-        .then(|| IncrChecker::new(problem, corr, options.check_program_legality))
-        .filter(|c| !c.global_fallback());
+    // spec it cannot compile falls back as a whole, and every leaf takes
+    // the batch path.
+    let mut checker = Some(IncrChecker::new(
+        problem,
+        corr,
+        options.check_program_legality,
+    ))
+    .filter(|c| !c.global_fallback());
 
     let stats = options
         .explorer
@@ -292,7 +287,7 @@ pub fn verify_system<S: System>(
             // take the batch path so deadlock artifacts and forensics are
             // untouched; violating or unsupported leaves fall back and
             // the batch verdict is adopted wholesale.
-            if let Some(chk) = incr_checker.as_mut() {
+            if let Some(chk) = checker.as_mut() {
                 if let Some(builder) = sys.trace_builder(state) {
                     let incr_started = probing.then(Instant::now);
                     let status = chk.sync_to(builder);

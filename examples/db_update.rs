@@ -5,9 +5,10 @@
 //!
 //! Run with `cargo run --release --example db_update`.
 
-use gem_lang::Explorer;
+use gem_lang::{find_deadlock, Explorer};
+use gem_obs::NoopProbe;
 use gem_problems::db_update::{db_update_correspondence, db_update_program, db_update_spec};
-use gem_verify::{assert_no_deadlock, verify_system, VerifyOptions};
+use gem_verify::{verify_system, VerifyOptions};
 use std::ops::ControlFlow;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,9 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("distributed update: {clients} clients, 1 coordinator, {sites} replicas\n");
 
-    match assert_no_deadlock(&sys, &Explorer::default()) {
-        Ok(runs) => println!("deadlock-free across all {runs} schedules"),
-        Err(trace) => println!("DEADLOCK after {trace}"),
+    match find_deadlock(&sys, &Explorer::default(), &NoopProbe) {
+        None => println!("deadlock-free across all schedules"),
+        Some(path) => println!("DEADLOCK after {path:?}"),
     }
 
     // Show the distinct serialization orders replicas converge to.

@@ -6,10 +6,11 @@
 //! Run with `cargo run --release --example philosophers`.
 
 use gem_lang::{find_deadlock, Explorer};
+use gem_obs::NoopProbe;
 use gem_problems::philosophers::{
     philosophers_correspondence, philosophers_program, philosophers_spec, ForkOrder,
 };
-use gem_verify::{assert_no_deadlock, verify_system, VerifyOptions};
+use gem_verify::{verify_system, VerifyOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 3;
@@ -20,7 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     println!("{n} philosophers, naive left-first forks:");
-    match find_deadlock(&philosophers_program(n, 1, ForkOrder::Naive), &pruned) {
+    match find_deadlock(
+        &philosophers_program(n, 1, ForkOrder::Naive),
+        &pruned,
+        &NoopProbe,
+    ) {
         Some(path) => {
             println!("  DEADLOCK after {} actions:", path.len());
             for a in &path {
@@ -31,9 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n{n} philosophers, asymmetric forks (last picks right first):");
-    match assert_no_deadlock(&philosophers_program(n, 1, ForkOrder::Asymmetric), &pruned) {
-        Ok(runs) => println!("  deadlock-free ({runs} pruned runs)"),
-        Err(w) => println!("  DEADLOCK: {w}"),
+    match find_deadlock(
+        &philosophers_program(n, 1, ForkOrder::Asymmetric),
+        &pruned,
+        &NoopProbe,
+    ) {
+        None => println!("  deadlock-free (pruned state search)"),
+        Some(path) => println!("  DEADLOCK: {path:?}"),
     }
 
     let sys = philosophers_program(n, 1, ForkOrder::Asymmetric);

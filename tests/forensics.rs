@@ -2,13 +2,16 @@
 //! directories, `gem replay` reproduction, formula blame and the
 //! crash-safe flight recorder.
 
+#[path = "support/specs.rs"]
+mod specs;
+
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gem::lang::monitor::readers_writers_monitor;
 use gem::obs::json::{parse, JsonValue};
 use gem::obs::{clear_crash_sink, install_crash_sink, EventLog};
-use gem::problems::readers_writers::{rw_correspondence, rw_program, rw_spec, RwVariant};
+use gem::problems::readers_writers::{rw_correspondence, rw_program};
 use gem::verify::{verify_system, VerifyOptions};
 
 /// The crash sink is process-wide and `--artifacts` retargets it, so a
@@ -233,7 +236,10 @@ fn panic_mid_sweep_dumps_flight_recorder() {
     install_crash_sink(recorder.clone(), crash.clone());
 
     let sys = rw_program(readers_writers_monitor(), 1, 1, false);
-    let spec = rw_spec(2, false, RwVariant::MutexOnly);
+    // The induced panic lives in `extract`, which the incremental checker
+    // would legitimately skip on clean leaves: this spec sends every run
+    // to it.
+    let spec = specs::batch_only_spec();
     let corr = rw_correspondence(&sys, &spec, false);
     let runs = std::cell::Cell::new(0u32);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -250,10 +256,6 @@ fn panic_mid_sweep_dumps_flight_recorder() {
             },
             &VerifyOptions {
                 probe: recorder.clone(),
-                // The induced panic lives in `extract`, which the
-                // incremental checker would legitimately skip on clean
-                // leaves — this test needs every run to reach it.
-                incr_check: gem::verify::IncrCheck::Off,
                 ..VerifyOptions::default()
             },
         )

@@ -1,41 +1,57 @@
 //! Differential harness: incremental restriction checking must be
 //! observationally invisible.
 //!
-//! `--incr-check auto` replaces the per-leaf seal→project→check
-//! pipeline with a prefix-sharing incremental evaluator for leaves it
-//! can prove clean — but verdicts, failure details, deadlock counts,
-//! blame artifacts, and the exploration-level counters of `--stats-json`
-//! must be byte-identical to `--incr-check off` across every substrate
-//! (monitor, CSP, ADA) and reduction strategy, on holding,
-//! failing, and deadlocking instances alike. Only the work-reflecting
-//! namespaces (`logic.*`, `restriction.*`, `project.*`, `core.*`,
-//! phase timers) may differ: that skipped work *is* the optimisation.
+//! `verify_system` proves leaves clean with a prefix-sharing incremental
+//! evaluator and sends only the rest down the seal→project→check
+//! pipeline — but verdicts, failure details, deadlock counts, blame
+//! artifacts, and the exploration-level counters must equal those of
+//! the plain batch sweep in `support` that checks every leaf, across
+//! every substrate (monitor, CSP, ADA), with and without sleep-set POR,
+//! on holding, failing, and deadlocking instances alike. Only the
+//! work-reflecting namespaces (`logic.*`, `restriction.*`, `project.*`,
+//! `core.*`, phase timers) may differ: that skipped work *is* the
+//! optimisation.
 
-use std::collections::BTreeMap;
+mod support;
+
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use gem::core::Computation;
 use gem::lang::monitor::readers_writers_monitor;
 use gem::lang::{Explorer, System};
 use gem::logic::Formula;
+use gem::obs::json::{self, JsonValue};
 use gem::obs::StatsProbe;
 use gem::problems::readers_writers::{
-    rw_correspondence, rw_program, rw_spec, writers_priority_monitor, RwVariant, PI_RW,
+    rw_correspondence, rw_program, rw_spec, writers_priority_monitor, RwVariant,
 };
 use gem::problems::{bounded, one_slot, philosophers};
-use gem::spec::{ElementInstance, ElementType, SpecBuilder, Specification};
+use gem::spec::Specification;
 use gem::verify::{
-    verify_system, ArtifactSink, Correspondence, IncrCheck, VerifyOptions, VerifyOutcome,
+    computation_json, verify_system, ArtifactSink, Correspondence, VerifyOptions, VerifyOutcome,
 };
+use support::batch_sweep;
+use support::specs::{batch_only_spec, rw_control_spec};
 
-/// One probed sweep with the given knobs.
+/// The default options, with sleep-set POR on or off.
+fn options(por: bool) -> VerifyOptions {
+    VerifyOptions {
+        explorer: Explorer {
+            reduce: por,
+            ..Explorer::default()
+        },
+        ..VerifyOptions::default()
+    }
+}
+
+/// One probed `verify_system` sweep.
 fn sweep<S: System>(
     sys: &S,
     spec: &Specification,
     corr: &Correspondence,
     extract: impl Fn(&S::State) -> Computation,
     por: bool,
-    incr: IncrCheck,
 ) -> (VerifyOutcome, gem::obs::Report) {
     let probe = Arc::new(StatsProbe::new());
     let outcome = verify_system(
@@ -45,34 +61,16 @@ fn sweep<S: System>(
         extract,
         &VerifyOptions {
             probe: probe.clone(),
-            explorer: Explorer {
-                reduce: por,
-                ..Explorer::default()
-            },
-            incr_check: incr,
-            ..VerifyOptions::default()
+            ..options(por)
         },
     )
     .expect("projection");
     (outcome, probe.report())
 }
 
-/// The counters that must be invariant under the incremental fast path:
-/// everything the explorer reports, plus the deadlock tally. The
-/// checking-layer namespaces legitimately shrink when leaves are proven
-/// clean without batch work.
-fn curated(report: &gem::obs::Report) -> BTreeMap<String, u64> {
-    report
-        .counters
-        .iter()
-        .filter(|(k, _)| k.starts_with("explore.") || *k == "verify.deadlocks")
-        .map(|(k, v)| (k.clone(), *v))
-        .collect()
-}
-
-/// Asserts `Auto` agrees with `Off` on outcome and curated counters,
-/// with sleep-set POR off and on.
-fn assert_modes_agree<S: System>(
+/// Asserts `verify_system` agrees with the batch sweep on the outcome and
+/// on every `explore.*` counter, with sleep-set POR off and on.
+fn assert_matches_batch<S: System>(
     sys: &S,
     spec: &Specification,
     corr: &Correspondence,
@@ -80,12 +78,13 @@ fn assert_modes_agree<S: System>(
     what: &str,
 ) {
     for por in [false, true] {
-        let (base_out, base_rep) = sweep(sys, spec, corr, extract, por, IncrCheck::Off);
-        let (out, rep) = sweep(sys, spec, corr, extract, por, IncrCheck::Auto);
+        let (base_out, base_counters) = batch_sweep(sys, spec, corr, extract, &options(por));
+        let (out, rep) = sweep(sys, spec, corr, extract, por);
         assert_eq!(base_out, out, "{what}: outcome diverges at por={por}");
+        let mut counters = rep.counters;
+        counters.retain(|k, _| k.starts_with("explore."));
         assert_eq!(
-            curated(&base_rep),
-            curated(&rep),
+            base_counters, counters,
             "{what}: counters diverge at por={por}"
         );
     }
@@ -97,10 +96,10 @@ fn monitor_holding_instance_agrees() {
     let spec = rw_spec(2, false, RwVariant::MutexOnly);
     let corr = rw_correspondence(&sys, &spec, false);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "rw 1r1w mutex");
+    assert_matches_batch(&sys, &spec, &corr, extract, "rw 1r1w mutex");
     // Sanity: the instance really is in the incremental fragment, so the
     // equivalence above exercised the fast path, not a silent fallback.
-    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, IncrCheck::Auto);
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false);
     assert!(outcome.ok());
     assert_eq!(
         rep.counters.get("logic.incr.leaf_clean").copied(),
@@ -114,14 +113,14 @@ fn monitor_holding_instance_agrees() {
 fn monitor_failing_instance_agrees() {
     // Readers-priority monitor checked against the writers-priority spec:
     // the sweep FAILS, and the failure list (run indices, violated
-    // restriction names, rendered details) must be identical in both
-    // modes — incr-flagged leaves adopt the batch verdict wholesale.
+    // restriction names, rendered details) must be the batch sweep's —
+    // incr-flagged leaves adopt the batch verdict wholesale.
     let sys = rw_program(readers_writers_monitor(), 1, 2, false);
     let spec = rw_spec(3, false, RwVariant::WritersPriority);
     let corr = rw_correspondence(&sys, &spec, false);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "rw 1r2w writers");
-    let (outcome, _) = sweep(&sys, &spec, &corr, extract, false, IncrCheck::Auto);
+    assert_matches_batch(&sys, &spec, &corr, extract, "rw 1r2w writers");
+    let (outcome, _) = sweep(&sys, &spec, &corr, extract, false);
     assert!(!outcome.ok(), "{outcome}");
     assert!(!outcome.failures.is_empty());
 }
@@ -136,7 +135,7 @@ fn monitor_violation_detected_incrementally_still_matches_batch() {
     let spec = rw_spec(3, false, RwVariant::ReadersPriority);
     let corr = rw_correspondence(&sys, &spec, false);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "rw 2r1w readers-on-writers");
+    assert_matches_batch(&sys, &spec, &corr, extract, "rw 2r1w readers-on-writers");
 }
 
 #[test]
@@ -146,7 +145,7 @@ fn csp_substrate_agrees() {
     let sys = bounded::csp_solution(&items, 1);
     let corr = bounded::csp_correspondence(&sys, &spec, 1);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "bounded csp");
+    assert_matches_batch(&sys, &spec, &corr, extract, "bounded csp");
 }
 
 #[test]
@@ -156,7 +155,7 @@ fn ada_substrate_agrees() {
     let sys = one_slot::ada_solution(&items);
     let corr = one_slot::ada_correspondence(&sys, &spec);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "one-slot ada");
+    assert_matches_batch(&sys, &spec, &corr, extract, "one-slot ada");
 }
 
 #[test]
@@ -168,8 +167,8 @@ fn deadlocking_instance_agrees() {
     let spec = philosophers::philosophers_spec(2);
     let corr = philosophers::philosophers_correspondence(&sys, &spec, 2);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "philosophers naive");
-    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, IncrCheck::Auto);
+    assert_matches_batch(&sys, &spec, &corr, extract, "philosophers naive");
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false);
     assert!(outcome.deadlocks > 0, "{outcome}");
     assert!(
         rep.counters
@@ -182,38 +181,6 @@ fn deadlocking_instance_agrees() {
     );
 }
 
-/// The control-only readers/writers structure and `πRW` thread type of
-/// `rw_spec`, with `restrictions` over the control element in place of
-/// the variant's, so that `rw_correspondence` maps the monitor onto it.
-fn rw_control_spec(
-    restrictions: impl FnOnce(&ElementInstance) -> Vec<(&'static str, Formula)>,
-) -> Specification {
-    let control_t = ElementType::new("RWControl")
-        .event("ReqRead", &[])
-        .event("StartRead", &[])
-        .event("EndRead", &[])
-        .event("ReqWrite", &[])
-        .event("StartWrite", &[])
-        .event("EndWrite", &[]);
-    let mut sb = SpecBuilder::new("RWControl");
-    let control = sb
-        .instantiate_element(&control_t, "control")
-        .expect("fresh spec");
-    let path = |events: [&str; 3]| events.map(|e| control.sel(e)).to_vec();
-    let pi_rw = sb.declare_thread(
-        "pi_RW",
-        vec![
-            path(["ReqRead", "StartRead", "EndRead"]),
-            path(["ReqWrite", "StartWrite", "EndWrite"]),
-        ],
-    );
-    assert_eq!(pi_rw, PI_RW);
-    for (name, formula) in restrictions(&control) {
-        sb.add_restriction(name, formula);
-    }
-    sb.finish()
-}
-
 #[test]
 fn forced_fallback_formula_agrees_and_is_reported() {
     // "No read transaction starts twice" as `◻∀s ¬∃t (…)`: the `∃` is
@@ -221,47 +188,15 @@ fn forced_fallback_formula_agrees_and_is_reported() {
     // fragment excludes. One such restriction makes the whole sweep fall
     // back globally, the history-stable progress restrictions beside it
     // included; the reason lands in the report, and the outcome still
-    // matches `Off` exactly.
+    // matches the batch sweep exactly.
     let sys = rw_program(readers_writers_monitor(), 1, 1, false);
-    let spec = rw_control_spec(|control| {
-        let start = control.sel("StartRead");
-        let serviced = |r: &str, s: &str| {
-            Formula::forall(
-                "r",
-                control.sel(r),
-                Formula::exists(
-                    "s",
-                    control.sel(s),
-                    Formula::same_thread("r", "s", PI_RW).and(Formula::occurred("s")),
-                )
-                .eventually(),
-            )
-        };
-        let starts_once = Formula::forall(
-            "s",
-            start.clone(),
-            Formula::exists(
-                "t",
-                start,
-                Formula::occurred("t")
-                    .and(Formula::event_eq("s", "t").not())
-                    .and(Formula::same_thread("s", "t", PI_RW)),
-            )
-            .not(),
-        )
-        .henceforth();
-        vec![
-            ("every-read-serviced", serviced("ReqRead", "StartRead")),
-            ("every-write-serviced", serviced("ReqWrite", "StartWrite")),
-            ("read-starts-once", starts_once),
-        ]
-    });
+    let spec = batch_only_spec();
     let corr = rw_correspondence(&sys, &spec, false);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "rw positive-exists (fallback)");
+    assert_matches_batch(&sys, &spec, &corr, extract, "rw positive-exists (fallback)");
     // The fallback is decided when the checker compiles, so it is visible
     // per restriction; the sweep then skips the per-leaf machinery.
-    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, IncrCheck::Auto);
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false);
     assert!(outcome.ok(), "{outcome}");
     let fallbacks: Vec<_> = rep
         .counters
@@ -288,37 +223,59 @@ fn forced_fallback_formula_agrees_and_is_reported() {
     }
 }
 
-/// The artifact files of a default-option sweep in mode `incr`, written
-/// under `dir`, by file name.
-fn artifact_files<S: System>(
+/// Sweeps with an artifact sink under `dir` and checks the dump against
+/// the batch sweep: the outcome is the batch outcome, `outcome.json`
+/// names its first failing run, `computation.json` is that run's
+/// computation, and the blame names `restriction`.
+fn assert_artifacts_match_batch<S: System>(
     sys: &S,
     spec: &Specification,
     corr: &Correspondence,
-    extract: impl Fn(&S::State) -> Computation,
-    incr: IncrCheck,
+    extract: impl Fn(&S::State) -> Computation + Copy,
     dir: &std::path::Path,
-) -> BTreeMap<String, String> {
-    let art = dir.join(format!("{incr:?}"));
-    verify_system(
-        sys,
-        spec,
-        corr,
-        extract,
-        &VerifyOptions {
-            incr_check: incr,
-            artifacts: Some(ArtifactSink::new(&art)),
-            ..VerifyOptions::default()
-        },
-    )
-    .expect("projection");
-    std::fs::read_dir(&art)
-        .expect("artifact dir")
-        .map(|entry| {
-            let entry = entry.expect("dir entry");
-            let body = std::fs::read_to_string(entry.path()).expect("artifact file");
-            (entry.file_name().to_string_lossy().into_owned(), body)
-        })
-        .collect()
+    restriction: &str,
+) {
+    let options = VerifyOptions {
+        artifacts: Some(ArtifactSink::new(dir)),
+        ..VerifyOptions::default()
+    };
+    let outcome = verify_system(sys, spec, corr, extract, &options).expect("projection");
+    let (batch, _) = batch_sweep(sys, spec, corr, extract, &options);
+    assert_eq!(outcome, batch);
+    let first = batch.failures.first().expect("batch sweep fails").run;
+
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect("artifact file");
+    let recorded = json::parse(&read("outcome.json")).expect("outcome JSON");
+    let artifact_run = recorded
+        .get("artifact")
+        .and_then(|a| a.get("run"))
+        .and_then(JsonValue::as_u64);
+    assert_eq!(artifact_run, Some(first as u64));
+    assert_eq!(
+        Some(read("computation.json")),
+        nth_computation_json(sys, extract, first)
+    );
+    assert!(read("blame.json").contains(restriction));
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// The `computation.json` rendering of run `n` of the default sweep.
+fn nth_computation_json<S: System>(
+    sys: &S,
+    extract: impl Fn(&S::State) -> Computation,
+    n: usize,
+) -> Option<String> {
+    let mut run = 0;
+    let mut computation = None;
+    Explorer::default().for_each_run(sys, |state, _| {
+        if run == n {
+            computation = Some(computation_json(&extract(state)));
+            return ControlFlow::Break(());
+        }
+        run += 1;
+        ControlFlow::Continue(())
+    });
+    computation
 }
 
 #[test]
@@ -327,14 +284,14 @@ fn capacity_violation_settled_mid_replay_keeps_the_batch_verdict() {
     // ground `capacity` conjunct `In^2 ⊃ Out^0 ⇒ In^2` settles false as
     // soon as the third deposit arrives before the first removal. Leaves
     // under that settled violation fall back to batch, whose outcome,
-    // failure details and artifacts must match `Off`.
+    // failure details and artifacts must match the batch sweep.
     let items: Vec<i64> = vec![1, 2, 3];
     let spec = bounded::bounded_spec(items.len(), 2);
     let sys = bounded::monitor_solution(&items, 3);
     let corr = bounded::monitor_correspondence(&sys, &spec, 3);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "bounded cap 3 on 2");
-    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, IncrCheck::Auto);
+    assert_matches_batch(&sys, &spec, &corr, extract, "bounded cap 3 on 2");
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false);
     assert!(!outcome.failures.is_empty(), "{outcome}");
     for failure in &outcome.failures {
         assert_eq!(failure.violated, ["capacity"], "{failure:?}");
@@ -348,15 +305,7 @@ fn capacity_violation_settled_mid_replay_keeps_the_batch_verdict() {
     assert!(counter("logic.incr.leaf_clean") > 0, "{:?}", rep.counters);
 
     let dir = std::env::temp_dir().join(format!("gem-incr-capacity-{}", std::process::id()));
-    let artifacts = |incr| artifact_files(&sys, &spec, &corr, extract, incr, &dir);
-    let off = artifacts(IncrCheck::Off);
-    assert!(
-        off.get("blame.json")
-            .is_some_and(|b| b.contains("capacity")),
-        "{off:?}"
-    );
-    assert_eq!(off, artifacts(IncrCheck::Auto), "artifacts diverge");
-    std::fs::remove_dir_all(&dir).ok();
+    assert_artifacts_match_batch(&sys, &spec, &corr, extract, &dir, "capacity");
 }
 
 #[test]
@@ -491,7 +440,7 @@ fn violated_eventually_restriction_falls_back_per_leaf() {
     // start before the reader asks, so it fails on some complete,
     // deadlock-free leaves and holds on others: the failing leaves fall
     // back to batch, whose outcome, failure details and artifacts (blame
-    // included) must match `Off`.
+    // included) must match the batch sweep.
     let sys = rw_program(readers_writers_monitor(), 1, 1, false);
     let spec = rw_control_spec(|control| {
         vec![(
@@ -510,8 +459,8 @@ fn violated_eventually_restriction_falls_back_per_leaf() {
     });
     let corr = rw_correspondence(&sys, &spec, false);
     let extract = |s: &_| sys.computation(s).expect("acyclic");
-    assert_modes_agree(&sys, &spec, &corr, extract, "rw write-follows-read");
-    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false, IncrCheck::Auto);
+    assert_matches_batch(&sys, &spec, &corr, extract, "rw write-follows-read");
+    let (outcome, rep) = sweep(&sys, &spec, &corr, extract, false);
     assert_eq!(outcome.deadlocks, 0, "{outcome}");
     assert!(!outcome.failures.is_empty(), "{outcome}");
     for failure in &outcome.failures {
@@ -531,85 +480,65 @@ fn violated_eventually_restriction_falls_back_per_leaf() {
     );
 
     let dir = std::env::temp_dir().join(format!("gem-incr-eventually-{}", std::process::id()));
-    let artifacts = |incr| artifact_files(&sys, &spec, &corr, extract, incr, &dir);
-    let off = artifacts(IncrCheck::Off);
-    assert!(
-        off.get("blame.json")
-            .is_some_and(|b| b.contains("write-follows-read")),
-        "{off:?}"
-    );
-    assert_eq!(off, artifacts(IncrCheck::Auto), "artifacts diverge");
-    std::fs::remove_dir_all(&dir).ok();
+    assert_artifacts_match_batch(&sys, &spec, &corr, extract, &dir, "write-follows-read");
 }
 
 #[test]
 fn cli_artifacts_and_stats_agree_across_modes() {
-    // Full CLI path on the failing instance with artifacts: stdout, every
-    // counterexample artifact file, and the stats report (minus timers
-    // and the work-reflecting namespaces) must match `--incr-check off`.
+    // Full CLI path on the failing instance with artifacts: the stdout
+    // outcome, the counterexample artifacts and the `explore.*` counters
+    // of the stats report must agree with the batch sweep of the same
+    // instance, built as the CLI builds it.
+    let line = ["rw", "readers=1", "writers=2", "variant=writers"];
     let dir = std::env::temp_dir().join(format!("gem-incr-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let run_mode = |mode: &str| -> (String, String, BTreeMap<String, String>) {
-        let art = dir.join(format!("artifacts-{mode}"));
-        let stats = dir.join(format!("stats-{mode}.json"));
-        let args: Vec<String> = [
-            "verify",
-            "rw",
-            "readers=1",
-            "writers=2",
-            "variant=writers",
-            "--incr-check",
-            mode,
-            "--artifacts",
-            art.to_str().expect("utf-8"),
-            "--stats-json",
-            stats.to_str().expect("utf-8"),
-            "--heartbeat",
-            "0",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        // Artifact paths differ per mode; normalise them out of stdout.
-        let stdout = gem_cli::run(&args)
-            .expect("cli run")
-            .replace(art.to_str().expect("utf-8"), "<artifacts>");
-        let report =
-            gem::obs::Report::from_json(&std::fs::read_to_string(&stats).expect("stats written"))
-                .expect("valid report");
-        let kept: BTreeMap<String, u64> = report
-            .counters
-            .iter()
-            .filter(|(k, _)| {
-                !k.starts_with("logic.")
-                    && !k.starts_with("restriction.")
-                    && !k.starts_with("project.")
-                    && !k.starts_with("core.")
-            })
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        let mut files = BTreeMap::new();
-        for entry in std::fs::read_dir(&art).expect("artifact dir") {
-            let entry = entry.expect("dir entry");
-            let name = entry.file_name().to_string_lossy().into_owned();
-            files.insert(
-                name,
-                std::fs::read_to_string(entry.path()).expect("artifact file"),
-            );
-        }
-        (stdout, format!("{kept:?}"), files)
+    let art = dir.join("artifacts");
+    let stats = dir.join("stats.json");
+    let mut args = vec!["verify"];
+    args.extend(line);
+    args.extend(["--artifacts", art.to_str().expect("utf-8")]);
+    args.extend(["--stats-json", stats.to_str().expect("utf-8")]);
+    args.extend(["--heartbeat", "0"]);
+    let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+    let stdout = gem_cli::run(&args).expect("cli run");
+
+    let params: Vec<String> = line[1..].iter().map(|s| (*s).to_owned()).collect();
+    let params = gem_cli::Params::parse(&params).expect("params");
+    let inst = gem_cli::instance(line[0], &params).expect("instance");
+    let gem_cli::Program::Monitor(sys) = &inst.program else {
+        panic!("rw runs on the monitor substrate");
     };
-    let (off_out, off_counters, off_files) = run_mode("off");
-    let (out, counters, files) = run_mode("auto");
-    assert_eq!(off_out, out, "stdout diverges");
-    assert_eq!(off_counters, counters, "counters diverge");
+    let extract = |s: &_| sys.computation(s).expect("acyclic");
+    let options = VerifyOptions {
+        explorer: Explorer::with_max_runs(inst.max_runs),
+        ..VerifyOptions::default()
+    };
+    let (batch, batch_counters) = batch_sweep(sys, &inst.spec, &inst.corr, extract, &options);
+    let first = batch.failures.first().expect("batch sweep fails");
+
+    let verdict = format!("{batch}\nverdict: PROG sat P FAILS");
+    assert!(stdout.starts_with(&verdict), "{stdout}\n--- want ---\n{verdict}");
+    let report =
+        gem::obs::Report::from_json(&std::fs::read_to_string(&stats).expect("stats written"))
+            .expect("valid report");
+    let mut counters = report.counters;
+    counters.retain(|k, _| k.starts_with("explore."));
+    assert_eq!(batch_counters, counters, "counters diverge");
+
+    let read = |name: &str| std::fs::read_to_string(art.join(name)).expect("artifact file");
+    let recorded = json::parse(&read("outcome.json")).expect("outcome JSON");
+    let artifact_run = recorded
+        .get("artifact")
+        .and_then(|a| a.get("run"))
+        .and_then(JsonValue::as_u64);
+    assert_eq!(artifact_run, Some(first.run as u64));
     assert_eq!(
-        off_files.keys().collect::<Vec<_>>(),
-        files.keys().collect::<Vec<_>>(),
-        "artifact file set diverges"
+        Some(read("computation.json")),
+        nth_computation_json(sys, extract, first.run)
     );
-    for (name, body) in &off_files {
-        assert_eq!(body, &files[name], "artifact {name} diverges");
+    let blame = read("blame.json");
+    for restriction in &first.violated {
+        assert!(blame.contains(restriction.as_str()), "{restriction}: {blame}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,6 +4,9 @@
 //! the deep layers, and — because exploration is deterministic — a report
 //! that is byte-identical across runs once timing fields are zeroed.
 
+#[path = "support/specs.rs"]
+mod specs;
+
 use std::sync::Arc;
 
 use gem::lang::monitor::readers_writers_monitor;
@@ -11,9 +14,14 @@ use gem::obs::StatsProbe;
 use gem::problems::readers_writers::{rw_correspondence, rw_program, rw_spec, RwVariant};
 use gem::verify::{verify_system, VerifyOptions};
 
+/// Verifies the readers-priority monitor against
+/// [`specs::batch_only_spec`]. This suite pins down the *batch*
+/// pipeline's counters (restriction.evals, per-restriction timers,
+/// projections, the seal and check phases), which the incremental
+/// checker skips for clean leaves; that spec sends every leaf to batch.
 fn verify_rw_with_probe(probe: Arc<StatsProbe>) -> gem::verify::VerifyOutcome {
     let sys = rw_program(readers_writers_monitor(), 1, 1, false);
-    let spec = rw_spec(2, false, RwVariant::MutexOnly);
+    let spec = specs::batch_only_spec();
     let corr = rw_correspondence(&sys, &spec, false);
     verify_system(
         &sys,
@@ -22,11 +30,6 @@ fn verify_rw_with_probe(probe: Arc<StatsProbe>) -> gem::verify::VerifyOutcome {
         |state| sys.computation(state).expect("acyclic"),
         &VerifyOptions {
             probe,
-            // This suite pins down the *batch* pipeline's counters
-            // (restriction.evals, per-restriction timers, projections);
-            // the incremental checker legitimately skips all of that
-            // for clean leaves, so keep it out of the way here.
-            incr_check: gem::verify::IncrCheck::Off,
             ..VerifyOptions::default()
         },
     )
@@ -45,7 +48,7 @@ fn readers_writers_probe_reports_exact_counts() {
     assert!(probe.counter("explore.steps") > 0);
 
     // Deep layers report through the ambient probe: every run checks
-    // every restriction of the mutual-exclusion spec at least once.
+    // every restriction of the spec at least once.
     let report = probe.report();
     let restriction_evals = probe.counter("restriction.evals");
     assert!(
@@ -169,7 +172,9 @@ fn chrome_trace_of_probed_verify_partitions_the_wall() {
     use gem::obs::EventLog;
     let probe = Arc::new(EventLog::new(1 << 20));
     let sys = rw_program(readers_writers_monitor(), 1, 1, false);
-    let spec = rw_spec(2, false, RwVariant::MutexOnly);
+    // Batch phases (seal/check) must all fire; the incremental fast
+    // path would skip them for clean leaves of an in-fragment spec.
+    let spec = specs::batch_only_spec();
     let corr = rw_correspondence(&sys, &spec, false);
     let outcome = verify_system(
         &sys,
@@ -178,9 +183,6 @@ fn chrome_trace_of_probed_verify_partitions_the_wall() {
         |state| sys.computation(state).expect("acyclic"),
         &VerifyOptions {
             probe: probe.clone(),
-            // Batch phases (seal/check) must all fire; the incremental
-            // fast path would skip them for clean leaves.
-            incr_check: gem::verify::IncrCheck::Off,
             ..VerifyOptions::default()
         },
     )
@@ -243,7 +245,8 @@ fn phase_profile_accounts_for_the_wall() {
     use gem::obs::PhaseProfile;
     let probe = Arc::new(StatsProbe::new());
     let sys = rw_program(readers_writers_monitor(), 1, 1, false);
-    let spec = rw_spec(2, false, RwVariant::MutexOnly);
+    // The render check wants every batch phase present.
+    let spec = specs::batch_only_spec();
     let corr = rw_correspondence(&sys, &spec, false);
     let outcome = verify_system(
         &sys,
@@ -252,8 +255,6 @@ fn phase_profile_accounts_for_the_wall() {
         |state| sys.computation(state).expect("acyclic"),
         &VerifyOptions {
             probe: probe.clone(),
-            // The render check wants every batch phase present.
-            incr_check: gem::verify::IncrCheck::Off,
             ..VerifyOptions::default()
         },
     )
@@ -308,7 +309,6 @@ fn phase_partition_holds_with_incremental_checking_on() {
         |state| sys.computation(state).expect("acyclic"),
         &VerifyOptions {
             probe: probe.clone(),
-            incr_check: gem::verify::IncrCheck::Auto,
             ..VerifyOptions::default()
         },
     )

@@ -6,13 +6,14 @@
 use std::ops::ControlFlow;
 
 use gem::lang::monitor::{entries_sequential, monitor_restrictions, readers_writers_monitor};
-use gem::lang::{csp::csp_restrictions, Explorer};
+use gem::lang::{csp::csp_restrictions, find_deadlock, Explorer};
 use gem::logic::{holds_on_computation, Strategy};
+use gem::obs::NoopProbe;
 use gem::problems::readers_writers::{
     rw_correspondence, rw_program, rw_spec, writers_priority_monitor, RwVariant,
 };
 use gem::problems::{bounded, db_update, life, one_slot};
-use gem::verify::{assert_no_deadlock, verify_system, VerifyOptions};
+use gem::verify::{verify_system, VerifyOptions};
 
 /// E1 — "sequential execution of monitor entries" (§11): all
 /// monitor-internal events are totally ordered, plus the Monitor-primitive
@@ -194,7 +195,7 @@ fn e6_variants_distinguish_schedulers() {
 #[test]
 fn e7_db_update() {
     let sys = db_update::db_update_program(2, 2);
-    assert!(assert_no_deadlock(&sys, &Explorer::default()).is_ok());
+    assert!(find_deadlock(&sys, &Explorer::default(), &NoopProbe).is_none());
     let problem = db_update::db_update_spec(2, 2);
     let corr = db_update::db_update_correspondence(&sys, &problem, 2);
     let outcome = verify_system(

@@ -27,24 +27,13 @@ use proptest::test_runner::TestCaseError;
 use gem::core::Computation;
 use gem::lang::monitor::readers_writers_monitor;
 use gem::lang::{find_deadlock, ExploreStats, Explorer, System};
-use gem::logic::{EventSel, Formula, Strategy};
+use gem::logic::{check, EventSel, Formula, Strategy};
+use gem::obs::NoopProbe;
 use gem::problems::bounded;
 use gem::problems::philosophers::{philosophers_program, ForkOrder};
 use gem::problems::readers_writers::{rw_correspondence, rw_program, rw_spec, RwVariant};
 use gem::spec::Specification;
-use gem::verify::{
-    canonical_key, eventually_on_all_runs, verify_system, CanonicalKey, Correspondence,
-    VerifyOptions,
-};
-
-/// True when CI forces partial-order reduction across the whole tier-1
-/// suite (`GEM_TEST_POR=1`).
-/// This suite compares reduce-on against reduce-off directly, so the hook
-/// only widens the baseline: under it the "full" sweeps also run reduced,
-/// which must be a fixed point (reducing twice changes nothing).
-fn por_env() -> bool {
-    std::env::var("GEM_TEST_POR").is_ok_and(|v| v.trim() == "1")
-}
+use gem::verify::{canonical_key, verify_system, CanonicalKey, Correspondence, VerifyOptions};
 
 /// Sweeps every maximal run and collects the canonical key of each sealed
 /// computation, plus the exploration stats.
@@ -110,11 +99,7 @@ fn assert_por_equiv<S: System>(
     extract: impl Fn(&S::State) -> Computation + Copy,
     what: &str,
 ) -> (ExploreStats, ExploreStats) {
-    let base = Explorer {
-        reduce: por_env(),
-        ..Explorer::default()
-    };
-    let (full_keys, full_stats) = computation_keys(sys, &base, extract);
+    let (full_keys, full_stats) = computation_keys(sys, &Explorer::default(), extract);
     let (keys, reduced_stats) = assert_each_computation_once(sys, extract, what);
     assert_eq!(
         full_keys, keys,
@@ -131,7 +116,7 @@ fn assert_por_equiv<S: System>(
         "{what}: every run under reduce must be counted as a representative"
     );
 
-    let baseline = outcome_at(sys, spec, corr, extract, por_env());
+    let baseline = outcome_at(sys, spec, corr, extract, false);
     let reduced = outcome_at(sys, spec, corr, extract, true);
     assert_eq!(
         verdict(&baseline),
@@ -302,28 +287,8 @@ fn monitor_rw_with_data_por_reduces_and_preserves_verdict() {
         "monitor rw 1r1w with data",
     );
     assert!(
-        reduced.sleep_skipped > 0,
+        reduced.sleep_skipped > 0 && reduced.runs < full.runs,
         "monitor rw 1r1w with data: expected a real reduction, got full={full} reduced={reduced}"
-    );
-    // Under GEM_TEST_POR=1 the baseline sweep above is itself reduced,
-    // so size the reduction against an explicitly unreduced sweep.
-    let (unreduced_keys, unreduced) = computation_keys(&sys, &Explorer::default(), |s| {
-        sys.computation(s).expect("acyclic")
-    });
-    let (reduced_keys, _) = computation_keys(
-        &sys,
-        &Explorer {
-            reduce: true,
-            ..Explorer::default()
-        },
-        |s| sys.computation(s).expect("acyclic"),
-    );
-    assert_eq!(unreduced_keys, reduced_keys);
-    assert!(
-        reduced.runs < unreduced.runs,
-        "monitor rw 1r1w with data: {} reduced run(s) vs {} unreduced",
-        reduced.runs,
-        unreduced.runs
     );
 }
 
@@ -339,17 +304,8 @@ fn failing_instance_verdict_and_counterexample_preserved() {
     let extract = |s: &_| sys.computation(s).expect("acyclic");
     assert_por_equiv(&sys, &spec, &corr, extract, "monitor rw 1r2w failing");
 
-    let full_key = first_failure_key(
-        &sys,
-        &spec,
-        &corr,
-        extract,
-        Explorer {
-            reduce: por_env(),
-            ..Explorer::default()
-        },
-    )
-    .expect("instance fails");
+    let full_key = first_failure_key(&sys, &spec, &corr, extract, Explorer::default())
+        .expect("instance fails");
     let por_key = first_failure_key(
         &sys,
         &spec,
@@ -380,39 +336,24 @@ fn deadlock_preserved_under_por() {
         }
         canonical_key(&sys.computation(&state).expect("acyclic"))
     };
-    let full = find_deadlock(
-        &sys,
-        &Explorer {
-            reduce: por_env(),
-            ..Explorer::default()
-        },
-    )
-    .expect("naive philosophers deadlock");
-    let reduced = find_deadlock(
-        &sys,
-        &Explorer {
-            reduce: true,
-            ..Explorer::default()
-        },
-    )
-    .expect("deadlock must survive POR");
+    let reduced = Explorer {
+        reduce: true,
+        ..Explorer::default()
+    };
+    let full =
+        find_deadlock(&sys, &Explorer::default(), &NoopProbe).expect("naive philosophers deadlock");
+    let reduced_witness =
+        find_deadlock(&sys, &reduced, &NoopProbe).expect("deadlock must survive POR");
     assert_eq!(
         key_of(&full),
-        key_of(&reduced),
+        key_of(&reduced_witness),
         "deadlock witness computation diverges under POR"
     );
 
     // And the deadlock-free bounded buffer must stay deadlock-free.
     let clean = bounded::monitor_solution(&[1, 2], 2);
     assert!(
-        find_deadlock(
-            &clean,
-            &Explorer {
-                reduce: true,
-                ..Explorer::default()
-            }
-        )
-        .is_none(),
+        find_deadlock(&clean, &reduced, &NoopProbe).is_none(),
         "POR invented a deadlock"
     );
 }
@@ -433,35 +374,27 @@ fn liveness_verdict_preserved_under_por() {
         Formula::occurred("x"),
     )
     .eventually();
-    let strategy = Strategy::Linearizations { limit: 1_000 };
+    // Each run's computation is judged with `check`; the sweep reports
+    // its run count and whether the formula held on every run.
+    let judge = |formula: &Formula, reduce: bool| {
+        let mut all_hold = true;
+        let explorer = Explorer {
+            reduce,
+            ..Explorer::default()
+        };
+        let stats = explorer.for_each_run(&sys, |state, _| {
+            let strategy = Strategy::Linearizations { limit: 1_000 };
+            all_hold &= check(formula, &extract(state), strategy).is_ok_and(|r| r.holds);
+            ControlFlow::Continue(())
+        });
+        (stats.runs, all_hold)
+    };
     for (formula, expect_ok) in [(&holds, true), (&fails, false)] {
-        let base = eventually_on_all_runs(
-            &sys,
-            formula,
-            extract,
-            &Explorer {
-                reduce: por_env(),
-                ..Explorer::default()
-            },
-            strategy,
-        );
-        assert_eq!(base.ok(), expect_ok, "baseline liveness verdict");
-        let reduced = eventually_on_all_runs(
-            &sys,
-            formula,
-            extract,
-            &Explorer {
-                reduce: true,
-                ..Explorer::default()
-            },
-            strategy,
-        );
-        assert_eq!(
-            base.ok(),
-            reduced.ok(),
-            "liveness verdict diverges under POR"
-        );
-        assert!(reduced.runs <= base.runs);
+        let (base_runs, base_ok) = judge(formula, false);
+        assert_eq!(base_ok, expect_ok, "baseline liveness verdict");
+        let (reduced_runs, reduced_ok) = judge(formula, true);
+        assert_eq!(base_ok, reduced_ok, "liveness verdict diverges under POR");
+        assert!(reduced_runs <= base_runs);
     }
 }
 

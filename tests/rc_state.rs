@@ -8,6 +8,7 @@ use std::rc::Rc;
 
 use gem::core::ComputationBuilder;
 use gem::lang::{find_deadlock, Explorer, System};
+use gem::obs::NoopProbe;
 use gem::problems::{one_slot, philosophers};
 use gem::verify::{verify_system, VerifyOptions};
 
@@ -111,10 +112,15 @@ fn a_state_holding_an_rc_can_be_searched_for_deadlocks() {
         ..Explorer::default()
     };
     for explorer in [Explorer::default(), pruned] {
-        let want = find_deadlock(&philosophers::philosophers_program(2, 1, order), &explorer);
+        let want = find_deadlock(
+            &philosophers::philosophers_program(2, 1, order),
+            &explorer,
+            &NoopProbe,
+        );
         let got = find_deadlock(
             &Counted(philosophers::philosophers_program(2, 1, order)),
             &explorer,
+            &NoopProbe,
         );
         assert!(want.is_some(), "naive philosophers deadlock");
         assert_eq!(want, got);
