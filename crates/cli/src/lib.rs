@@ -725,8 +725,28 @@ fn format_outcome(outcome: &VerifyOutcome) -> String {
     )
 }
 
+/// What a command line printed, and whether it found what it searched
+/// for: a `FAILS` verdict from `verify`, a deadlock from `deadlock`.
+#[derive(Debug)]
+pub struct Output {
+    /// The text to print on stdout.
+    pub stdout: String,
+    /// True when `verify` judged the program to fail its specification or
+    /// `deadlock` found a deadlock; the `gem` binary then exits 1.
+    pub found: bool,
+}
+
+impl From<String> for Output {
+    fn from(stdout: String) -> Self {
+        Output {
+            stdout,
+            found: false,
+        }
+    }
+}
+
 /// Executes a command line (without the leading program name), returning
-/// the text to print.
+/// the text to print and whether the command found a violation.
 ///
 /// Observability flags (`--stats`, `--stats-json <path>`,
 /// `--trace <path>`, `--heartbeat <secs>`) are accepted anywhere among
@@ -737,7 +757,7 @@ fn format_outcome(outcome: &VerifyOutcome) -> String {
 ///
 /// Returns [`CliError`] for unknown commands/problems, bad parameters, or
 /// unwritable stats/trace files.
-pub fn run(args: &[String]) -> Result<String, CliError> {
+pub fn run(args: &[String]) -> Result<Output, CliError> {
     let (args, flags) = split_flags(args)?;
     let command = args.first().map_or("", String::as_str);
     let (obs, ticker) = obs_setup(&flags, command)?;
@@ -783,8 +803,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         if flags.explain {
             if let Ok(out) = &mut result {
                 for line in gem_obs::explain(&report) {
-                    out.push('\n');
-                    out.push_str(&line);
+                    out.stdout.push('\n');
+                    out.stdout.push_str(&line);
                 }
             }
         }
@@ -832,7 +852,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     result
 }
 
-fn dispatch(args: &[String], obs: &ObsSetup, flags: &ObsFlags) -> Result<String, CliError> {
+fn dispatch(args: &[String], obs: &ObsSetup, flags: &ObsFlags) -> Result<Output, CliError> {
     let (cmd, rest) = args.split_first().ok_or_else(|| err(usage()))?;
     if let Some(command) = Command::named(cmd) {
         let (problem, params) = rest
@@ -849,7 +869,7 @@ fn dispatch(args: &[String], obs: &ObsSetup, flags: &ObsFlags) -> Result<String,
         .exec(command);
     }
     match cmd.as_str() {
-        "list" => Ok(PROBLEMS.join("\n")),
+        "list" => Ok(PROBLEMS.join("\n").into()),
         "replay" => {
             let dir = rest
                 .first()
@@ -866,9 +886,10 @@ fn dispatch(args: &[String], obs: &ObsSetup, flags: &ObsFlags) -> Result<String,
             Ok(format!(
                 "{path}: OK — {} family(ies), {} sample(s), {} snapshot(s)",
                 s.families, s.samples, s.snapshots
-            ))
+            )
+            .into())
         }
-        "help" | "--help" | "-h" => Ok(usage()),
+        "help" | "--help" | "-h" => Ok(usage().into()),
         other => Err(err(format!("unknown command {other:?}\n{}", usage()))),
     }
 }
@@ -915,7 +936,7 @@ struct Ctx<'a> {
 impl Ctx<'_> {
     /// Hands the instance's concrete system to [`command`]: the one place
     /// the CLI tells the substrates apart.
-    fn exec(self, cmd: Command) -> Result<String, CliError> {
+    fn exec(self, cmd: Command) -> Result<Output, CliError> {
         match &self.inst.program {
             Program::Monitor(sys) => command(sys, cmd, &self),
             Program::Csp(sys) => command(sys, cmd, &self),
@@ -943,7 +964,7 @@ impl Ctx<'_> {
     }
 }
 
-fn command<S: Substrate>(sys: &S, cmd: Command, cx: &Ctx) -> Result<String, CliError> {
+fn command<S: Substrate>(sys: &S, cmd: Command, cx: &Ctx) -> Result<Output, CliError> {
     // `replay` re-checks one recorded run; its report has no build
     // statistics.
     if !matches!(cmd, Command::Replay(_)) {
@@ -959,19 +980,19 @@ fn command<S: Substrate>(sys: &S, cmd: Command, cx: &Ctx) -> Result<String, CliE
         // `without_timings()`.
         probe.record("explore.compile_ns", code.compile_ns);
     }
-    match cmd {
-        Command::Render => Ok(render_specification(&cx.inst.spec)),
-        Command::Verify => verify(sys, cx),
-        Command::Profile => profile(sys, cx),
-        Command::Top => top(sys, cx),
-        Command::Explore => Ok(explore(sys, cx)),
-        Command::Deadlock => Ok(deadlock(sys, cx.obs.probe.as_ref())),
-        Command::Dot => Ok(first_dot(sys)),
-        Command::Replay(recorded) => replay(sys, cx.inst, recorded),
-    }
+    Ok(match cmd {
+        Command::Render => render_specification(&cx.inst.spec).into(),
+        Command::Verify => verify(sys, cx)?,
+        Command::Profile => profile(sys, cx)?.into(),
+        Command::Top => top(sys, cx)?.into(),
+        Command::Explore => explore(sys, cx).into(),
+        Command::Deadlock => deadlock(sys, cx.obs.probe.as_ref()),
+        Command::Dot => first_dot(sys).into(),
+        Command::Replay(recorded) => replay(sys, cx.inst, recorded)?.into(),
+    })
 }
 
-fn verify<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
+fn verify<S: Substrate>(sys: &S, cx: &Ctx) -> Result<Output, CliError> {
     let flags = cx.flags;
     // `meta.json` records exactly what `gem replay` needs to rebuild this
     // instance. The recorded schedule is exact either way, but under
@@ -998,7 +1019,10 @@ fn verify<S: Substrate>(sys: &S, cx: &Ctx) -> Result<String, CliError> {
     if let Some(dir) = &flags.artifacts {
         out.push_str(&format!("\nartifacts: {dir}"));
     }
-    Ok(out)
+    Ok(Output {
+        stdout: out,
+        found: !outcome.ok(),
+    })
 }
 
 /// The command's stats report so far; `obs_setup` always aggregates for
@@ -1081,14 +1105,17 @@ fn explore<S: Substrate>(sys: &S, cx: &Ctx) -> String {
 
 /// Deadlock is a state property, so control-state pruning is sound — and
 /// necessary, since DFS order visits near-sequential schedules first.
-fn deadlock<S: Substrate>(sys: &S, probe: &dyn Probe) -> String {
+fn deadlock<S: Substrate>(sys: &S, probe: &dyn Probe) -> Output {
     let explorer = Explorer {
         prune: true,
         ..Explorer::default()
     };
     match gem_lang::find_deadlock(sys, &explorer, probe) {
-        Some(path) => format!("DEADLOCK after {} action(s):\n{path:#?}", path.len()),
-        None => "no deadlock (pruned state search)".to_owned(),
+        Some(path) => Output {
+            stdout: format!("DEADLOCK after {} action(s):\n{path:#?}", path.len()),
+            found: true,
+        },
+        None => "no deadlock (pruned state search)".to_owned().into(),
     }
 }
 
@@ -1333,7 +1360,7 @@ struct Recorded {
     por: bool,
 }
 
-fn replay_cmd(dir: &Path, obs: &ObsSetup, flags: &ObsFlags) -> Result<String, CliError> {
+fn replay_cmd(dir: &Path, obs: &ObsSetup, flags: &ObsFlags) -> Result<Output, CliError> {
     let meta = artifact_json(dir, "meta.json")?;
     let problem = meta
         .get("problem")
@@ -1474,6 +1501,7 @@ pub fn usage() -> String {
      \x20 --artifacts <dir>          dump the first failing/deadlocked run as a\n\
      \x20                            self-contained counterexample directory and\n\
      \x20                            arm a crash-dump flight recorder\n\
+     exit status: 0 done, 1 verify FAILS or deadlock found, 2 usage or I/O error\n\
      problems: one-slot, bounded, rw, db-update, life, philosophers\n\
      examples:\n\
      \x20 gem verify rw readers=1 writers=2 variant=readers\n\
@@ -1489,7 +1517,7 @@ mod tests {
 
     fn runv(args: &[&str]) -> Result<String, CliError> {
         let owned: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-        run(&owned)
+        run(&owned).map(|out| out.stdout)
     }
 
     #[test]
@@ -1671,7 +1699,8 @@ mod tests {
             format!("--stats-json={path_s}"),
             "--heartbeat=0".to_owned(),
         ])
-        .unwrap();
+        .unwrap()
+        .stdout;
         assert!(out.contains("HOLDS"), "{out}");
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"explore.runs\""), "{json}");

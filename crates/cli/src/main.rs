@@ -1,4 +1,8 @@
 //! The `gem` binary: thin wrapper over [`gem_cli::run`].
+//!
+//! Exit status: 0 when the command succeeded and found nothing, 1 when
+//! `verify` judged the program to fail its specification or `deadlock`
+//! found a deadlock, 2 on a usage or I/O error.
 
 use std::io::{self, Write};
 use std::process::ExitCode;
@@ -12,11 +16,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let verdict = if out.found {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
+    };
     let mut stdout = io::stdout().lock();
-    match writeln!(stdout, "{out}").and_then(|()| stdout.flush()) {
-        Ok(()) => ExitCode::SUCCESS,
+    match writeln!(stdout, "{}", out.stdout).and_then(|()| stdout.flush()) {
+        Ok(()) => verdict,
         // The reader went away (`gem … | head`): nothing left to tell it.
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => verdict,
         Err(e) => {
             eprintln!("error: cannot write to stdout: {e}");
             ExitCode::from(2)

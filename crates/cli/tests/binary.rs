@@ -56,3 +56,34 @@ fn removed_flags_are_unknown() {
         assert!(out.stdout.is_empty(), "{args:?}");
     }
 }
+
+#[test]
+fn exit_status_reports_the_result() {
+    // 0: nothing found; 1: `verify` judged FAILS or `deadlock` found one;
+    // 2: a usage error, before any sweep.
+    for (args, code, stdout_has) in [
+        (
+            &["verify", "rw", "readers=1", "writers=2", "variant=fcfs"][..],
+            1,
+            "verdict: PROG sat P FAILS",
+        ),
+        (
+            &["deadlock", "philosophers", "n=3", "order=naive"][..],
+            1,
+            "DEADLOCK after",
+        ),
+        (
+            &["verify", "one-slot", "items=2"][..],
+            0,
+            "verdict: PROG sat P HOLDS",
+        ),
+        (&["deadlock", "philosophers", "n=3"][..], 0, "no deadlock"),
+        (&["verify", "one-slot", "itmes=2"][..], 2, ""),
+    ] {
+        let out = gem(args, Stdio::piped());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(stdout.contains(stdout_has), "{args:?}: {stdout}");
+    }
+}

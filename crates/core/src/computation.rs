@@ -102,11 +102,6 @@ impl FpItem {
                     self.word(u64::from(b));
                 }
             }
-            Value::Pair(a, b) => {
-                self.word(4);
-                self.value(a);
-                self.value(b);
-            }
         }
     }
 }

@@ -81,4 +81,4 @@ pub use order::{Closure, CycleError, DfsReachability, IncrementalOrder};
 pub use structure::{
     ClassInfo, ElementInfo, GroupInfo, MayEnableMemo, NodeRef, Structure, StructureError,
 };
-pub use value::Value;
+pub use value::{Sym, Value};

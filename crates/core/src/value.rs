@@ -4,28 +4,91 @@
 //! value assigned, a `Send` event the message contents, and so on.
 //! Restrictions may compare parameters for equality (e.g. the message-passing
 //! restriction of §5: `send ⊳ receive ⊃ send.par1 = receive.par2`).
+//!
+//! A restriction only copies a parameter or compares it, so a value's
+//! identity is all a verdict reads. [`Value`] is therefore `Copy`: strings
+//! are interned [`Sym`]s, and copying or dropping a parameter touches no
+//! reference count and no heap.
 
+use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Mutex, PoisonError};
+
+/// Every distinct string ever interned, each leaked exactly once.
+static INTERNER: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+
+/// An interned string: a `&'static str` issued once per distinct content.
+///
+/// Two `Sym`s with the same content share the same bytes. Equality, order
+/// and hashing compare the content, so sorted output and fingerprints do
+/// not depend on the order in which strings were interned. The interner
+/// keeps each distinct string for the life of the process; intern names
+/// when a program or specification is built, not per event.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Sym(&'static str);
+
+impl Deref for Sym {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.0
+    }
+}
+
+/// Interns `s`, leaking its bytes the first time this content is seen.
+impl From<&str> for Sym {
+    fn from(s: &str) -> Self {
+        let mut set = INTERNER.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&interned) = set.get(s) {
+            return Sym(interned);
+        }
+        let interned: &'static str = Box::leak(s.into());
+        set.insert(interned);
+        Sym(interned)
+    }
+}
+
+impl From<String> for Sym {
+    fn from(s: String) -> Self {
+        Sym::from(s.as_str())
+    }
+}
+
+impl fmt::Display for Sym {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.0, f)
+    }
+}
+
+/// Prints exactly like the `str` it interns.
+impl fmt::Debug for Sym {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0, f)
+    }
+}
 
 /// A parameter value attached to an event.
 ///
 /// The GEM paper leaves the value domain open ("VALUE"); this reproduction
-/// provides the domains its examples need: unit, booleans, integers, and
-/// strings, plus pairs for compound data such as `(location, value)`.
+/// provides the domains its examples need: unit, booleans, integers and
+/// strings.
 ///
-/// Strings are shared: cloning a [`Value::Str`] bumps a reference count
-/// instead of copying its bytes, so a simulator can stamp an entry, task
-/// or process name onto every event it emits without allocating.
+/// Values are copies, not reference counts: a [`Value::Str`] holds an
+/// interned [`Sym`], so a simulator can stamp an entry, task or process
+/// name onto every event it emits without allocating or touching an
+/// atomic.
 ///
 /// # Examples
 ///
 /// ```
 /// use gem_core::Value;
-/// let v = Value::pair(Value::Int(3), Value::from("hello"));
-/// assert_eq!(v.to_string(), "(3, \"hello\")");
+/// let v = Value::from("hello");
+/// let w = v;
+/// assert_eq!(v, w);
+/// assert_eq!(w.to_string(), "\"hello\"");
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub enum Value {
     /// The unit value, for events without meaningful data.
     #[default]
@@ -34,18 +97,11 @@ pub enum Value {
     Bool(bool),
     /// A 64-bit signed integer.
     Int(i64),
-    /// A string, shared between its clones.
-    Str(Arc<str>),
-    /// An ordered pair of values.
-    Pair(Box<Value>, Box<Value>),
+    /// An interned string.
+    Str(Sym),
 }
 
 impl Value {
-    /// Builds a [`Value::Pair`] from two values.
-    pub fn pair(first: Value, second: Value) -> Self {
-        Value::Pair(Box::new(first), Box::new(second))
-    }
-
     /// Returns the integer if this value is an [`Value::Int`].
     pub fn as_int(&self) -> Option<i64> {
         match self {
@@ -70,14 +126,6 @@ impl Value {
         }
     }
 
-    /// Returns the components if this value is a [`Value::Pair`].
-    pub fn as_pair(&self) -> Option<(&Value, &Value)> {
-        match self {
-            Value::Pair(a, b) => Some((a, b)),
-            _ => None,
-        }
-    }
-
     /// True if this value is [`Value::Unit`].
     pub fn is_unit(&self) -> bool {
         matches!(self, Value::Unit)
@@ -91,7 +139,6 @@ impl fmt::Display for Value {
             Value::Bool(b) => write!(f, "{b}"),
             Value::Int(i) => write!(f, "{i}"),
             Value::Str(s) => write!(f, "{s:?}"),
-            Value::Pair(a, b) => write!(f, "({a}, {b})"),
         }
     }
 }
@@ -142,6 +189,12 @@ impl From<()> for Value {
 mod tests {
     use super::*;
 
+    const _: () = {
+        const fn assert_copy<T: Copy>() {}
+        assert_copy::<Value>();
+        assert!(std::mem::size_of::<Value>() <= 24);
+    };
+
     #[test]
     fn accessors_match_variants() {
         assert_eq!(Value::Int(4).as_int(), Some(4));
@@ -153,19 +206,12 @@ mod tests {
     }
 
     #[test]
-    fn pair_roundtrip() {
-        let p = Value::pair(Value::Int(1), Value::Int(2));
-        let (a, b) = p.as_pair().expect("is a pair");
-        assert_eq!(a.as_int(), Some(1));
-        assert_eq!(b.as_int(), Some(2));
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(Value::Unit.to_string(), "()");
         assert_eq!(Value::Int(-3).to_string(), "-3");
         assert_eq!(Value::Bool(false).to_string(), "false");
         assert_eq!(Value::from("hi").to_string(), "\"hi\"");
+        assert_eq!(Sym::from("hi").to_string(), "hi");
     }
 
     #[test]
@@ -191,13 +237,23 @@ mod tests {
     }
 
     #[test]
-    fn string_clones_share_their_bytes() {
-        let a = Value::from("entry");
-        let b = a.clone();
-        let (Value::Str(x), Value::Str(y)) = (&a, &b) else {
-            unreachable!("both are strings")
-        };
-        assert!(Arc::ptr_eq(x, y));
-        assert_eq!(format!("{b:?}"), "Str(\"entry\")");
+    fn strings_order_by_content_not_intern_order() {
+        let zz = Value::from("zz");
+        let aa = Value::from("aa");
+        assert!(aa < zz);
+    }
+
+    #[test]
+    fn equal_strings_intern_to_the_same_bytes() {
+        let a = Sym::from("x");
+        let b = Sym::from(String::from("x"));
+        assert!(std::ptr::eq(a.as_ptr(), b.as_ptr()));
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn debug_prints_like_a_str() {
+        assert_eq!(format!("{:?}", Value::from("x")), "Str(\"x\")");
+        assert_eq!(format!("{:?}", Sym::from("a\"b")), format!("{:?}", "a\"b"));
     }
 }

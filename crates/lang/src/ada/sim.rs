@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use gem_core::{
     BuildError, ClassId, Computation, ComputationBuilder, ElementId, EventId, NodeRef, Structure,
-    Value,
+    Sym, Value,
 };
 
 use crate::ada::def::{AcceptArm, AdaProgram, AdaStmt};
@@ -58,8 +58,8 @@ pub struct AdaSystem {
 struct AdaCode {
     pool: ExprPool,
     progs: Vec<AProg>,
-    /// `Value::Str(task_name)` per task, cloned into `Call` / `Accept` /
-    /// `Complete` params instead of re-allocating the name per emit.
+    /// `Value::Str(task_name)` per task, copied into `Call` / `Accept` /
+    /// `Complete` params; the name is interned once here.
     name_values: Vec<Value>,
     /// Number of `(task, entry)` queue slots (every task's entries, in
     /// task then declaration order).
@@ -84,7 +84,7 @@ struct AProg {
 /// the statement tree.
 #[derive(Clone, Debug)]
 struct ArmTpl {
-    entry: Arc<str>,
+    entry: Sym,
     entry_el: ElementId,
     /// Queue slot of `(this task, entry)`.
     slot: u32,
@@ -431,7 +431,7 @@ impl Clone for AdaCtl {
 }
 
 /// A scheduler choice for an ADA program.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AdaAction {
     /// Task `tid` issues its pending entry call (joins the callee queue).
     IssueCall(usize),
@@ -440,7 +440,7 @@ pub enum AdaAction {
         /// The accepting task.
         tid: usize,
         /// The entry accepted.
-        entry: Arc<str>,
+        entry: Sym,
     },
 }
 
@@ -569,7 +569,7 @@ impl AdaSystem {
             collect_arm_params(&t.body, &mut locals);
             let mut init = vec![None; locals.len()];
             for (n, v) in &t.locals {
-                init[locals.get(n).expect("interned") as usize] = Some(v.clone());
+                init[locals.get(n).expect("interned") as usize] = Some(*v);
             }
             let mut c = AdaCompiler {
                 pool: &mut pool,
@@ -745,7 +745,7 @@ impl AdaSystem {
             match &prog.ops[pc] {
                 AOp::Assign { slot, el, expr } => {
                     let v = self.eval(state, tid, *expr);
-                    state.ctl.tasks[tid].lslots[*slot as usize] = Some(v.clone());
+                    state.ctl.tasks[tid].lslots[*slot as usize] = Some(v);
                     self.emit(state, tid, *el, self.assign, [v], []);
                     pc += 1;
                 }
@@ -818,7 +818,7 @@ impl AdaSystem {
             match &prog.ops[pc] {
                 AOp::Assign { slot, el, expr } => {
                     let v = self.eval(state, tid, *expr);
-                    state.ctl.tasks[tid].lslots[*slot as usize] = Some(v.clone());
+                    state.ctl.tasks[tid].lslots[*slot as usize] = Some(v);
                     self.emit(state, tid, *el, self.assign, [v], []);
                     pc += 1;
                 }
@@ -889,7 +889,7 @@ impl System for AdaSystem {
                         if !state.ctl.queues[arm.slot as usize].is_empty() {
                             actions.push(AdaAction::Rendezvous {
                                 tid,
-                                entry: arm.entry.clone(),
+                                entry: arm.entry,
                             });
                         }
                     }
@@ -928,7 +928,7 @@ impl System for AdaSystem {
                     tid,
                     self.flow_els[tid],
                     self.call_sent,
-                    callee_params.iter().cloned(),
+                    *callee_params,
                     [],
                 );
                 let call_ev = self.emit(
@@ -936,7 +936,7 @@ impl System for AdaSystem {
                     tid,
                     *entry_el,
                     self.call,
-                    [self.code.name_values[tid].clone()],
+                    [self.code.name_values[tid]],
                     [],
                 );
                 state.ctl.queues[*slot as usize].push_back(QueuedCall {
@@ -962,14 +962,14 @@ impl System for AdaSystem {
                 let queued = state.ctl.queues[arm.slot as usize]
                     .pop_front()
                     .expect("queue non-empty");
-                let caller_param = self.code.name_values[queued.caller].clone();
+                let caller_param = self.code.name_values[queued.caller];
                 // Accept: enabled by the call and the callee's chain.
                 self.emit(
                     state,
                     tid,
                     arm.entry_el,
                     self.accept,
-                    [caller_param.clone()],
+                    [caller_param],
                     [queued.call_event],
                 );
                 // Bind formals into slots and run the body region inline:
@@ -980,7 +980,7 @@ impl System for AdaSystem {
                     .len()
                     .min(state.ctl.tasks[queued.caller].call_args.len());
                 for (i, &slot) in arm.param_slots[..n].iter().enumerate() {
-                    let v = state.ctl.tasks[queued.caller].call_args[i].clone();
+                    let v = state.ctl.tasks[queued.caller].call_args[i];
                     state.ctl.tasks[tid].lslots[slot as usize] = Some(v);
                 }
                 self.run_body(state, tid, arm.body_pc);
@@ -999,7 +999,7 @@ impl System for AdaSystem {
                     caller,
                     self.flow_els[caller],
                     self.returned,
-                    callee_params.iter().cloned(),
+                    *callee_params,
                     [complete_ev],
                 );
                 state.ctl.tasks[caller].pc += 1;

@@ -252,10 +252,10 @@ impl Expr {
     /// or division by zero.
     pub fn eval(&self, env: &VarStore) -> Result<Value, RuntimeError> {
         match self {
-            Expr::Lit(v) => Ok(v.clone()),
+            Expr::Lit(v) => Ok(*v),
             Expr::Var(name) => env
                 .get(name)
-                .cloned()
+                .copied()
                 .ok_or_else(|| RuntimeError::UndefinedVariable(name.clone())),
             Expr::Not(e) => match e.eval(env)? {
                 Value::Bool(b) => Ok(Value::Bool(!b)),
@@ -489,7 +489,7 @@ mod tests {
         let collected: VarStore = vec![("b".to_owned(), Value::Unit)].into_iter().collect();
         assert_eq!(collected.get("b"), Some(&Value::Unit));
         let mut ext = VarStore::new();
-        ext.extend(collected.iter().map(|(n, v)| (n.to_owned(), v.clone())));
+        ext.extend(collected.iter().map(|(n, v)| (n.to_owned(), *v)));
         assert_eq!(ext.len(), 1);
     }
 

@@ -188,7 +188,7 @@ impl ExprPool {
         match expr {
             Expr::Lit(v) => {
                 let c = u32::try_from(self.consts.len()).expect("const count fits u32");
-                self.consts.push(v.clone());
+                self.consts.push(*v);
                 self.code.push(Op::Const(c));
             }
             Expr::Var(name) => {
@@ -262,7 +262,7 @@ impl ExprPool {
         let (start, end) = self.spans[id.0 as usize];
         for op in &self.code[start as usize..end as usize] {
             match op {
-                Op::Const(c) => stack.push(self.consts[*c as usize].clone()),
+                Op::Const(c) => stack.push(self.consts[*c as usize]),
                 Op::Load {
                     local,
                     global,
@@ -274,9 +274,9 @@ impl ExprPool {
                         locals[*local as usize].as_ref()
                     };
                     match bound {
-                        Some(v) => stack.push(v.clone()),
+                        Some(v) => stack.push(*v),
                         None if *global != SLOT_NONE => {
-                            stack.push(globals[*global as usize].clone());
+                            stack.push(globals[*global as usize]);
                         }
                         None => {
                             return Err(RuntimeError::UndefinedVariable(

@@ -61,9 +61,9 @@ pub struct CspSystem {
 struct CspCode {
     pool: ExprPool,
     progs: Vec<CProg>,
-    /// `Value::Str(process_name)` per process, cloned into `OutReq` /
-    /// `InReq` / `OutEnd` / `InEnd` params instead of re-allocating the
-    /// name on every emit.
+    /// `Value::Str(process_name)` per process, copied into `OutReq` /
+    /// `InReq` / `OutEnd` / `InEnd` params; the name is interned once
+    /// here.
     name_values: Vec<Value>,
     stats: CodeStats,
 }
@@ -472,7 +472,7 @@ impl CspSystem {
             collect_recv_targets(&p.body, &mut locals);
             let mut init = vec![None; locals.len()];
             for (n, v) in &p.locals {
-                init[locals.get(n).expect("interned") as usize] = Some(v.clone());
+                init[locals.get(n).expect("interned") as usize] = Some(*v);
             }
             let mut c = CspCompiler {
                 pool: &mut pool,
@@ -617,7 +617,7 @@ impl CspSystem {
             match &prog.ops[pc] {
                 COp::Assign { slot, el, expr } => {
                     let v = self.eval(state, pid, *expr);
-                    state.procs[pid].lslots[*slot as usize] = Some(v.clone());
+                    state.procs[pid].lslots[*slot as usize] = Some(v);
                     self.emit(state, pid, *el, self.assign, [v], []);
                     pc += 1;
                 }
@@ -680,7 +680,7 @@ impl CspSystem {
                 pid,
                 self.out_els[pid],
                 self.out_req,
-                [self.code.name_values[tpl.partner].clone()],
+                [self.code.name_values[tpl.partner]],
                 [],
             );
             Offer {
@@ -697,7 +697,7 @@ impl CspSystem {
                 pid,
                 self.in_els[pid],
                 self.in_req,
-                [self.code.name_values[tpl.partner].clone()],
+                [self.code.name_values[tpl.partner]],
                 [],
             );
             Offer {
@@ -794,7 +794,7 @@ impl System for CspSystem {
             p,
             self.out_els[p],
             self.out_end,
-            [value.clone(), self.code.name_values[q].clone()],
+            [value, self.code.name_values[q]],
             [r_req],
         );
         self.emit(
@@ -802,7 +802,7 @@ impl System for CspSystem {
             q,
             self.in_els[q],
             self.in_end,
-            [value.clone(), self.code.name_values[p].clone()],
+            [value, self.code.name_values[p]],
             [s_req],
         );
         if let Some(slot) = r_slot {

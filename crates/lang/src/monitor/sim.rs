@@ -113,6 +113,11 @@ struct MonitorCode {
     /// `[pid]` → `[Str(""), Int(pid)]` for shared-variable accesses
     /// outside any entry.
     shared_params: Vec<[Value; 2]>,
+    /// Initial assignments to monitor variables, in declaration order:
+    /// `(element, [value, Str("init"), Int(INIT_PID)])`.
+    init_monitor: Vec<(ElementId, [Value; 3])>,
+    /// Initial assignments to shared variables, in the same form.
+    init_shared: Vec<(ElementId, [Value; 3])>,
     stats: CodeStats,
 }
 
@@ -670,7 +675,7 @@ impl MonitorSystem {
         }
         let mut init_gslots = vec![Value::Int(0); globals.len()];
         for (v, value) in program.monitor.vars.iter().chain(&program.shared_vars) {
-            init_gslots[globals.get(v).expect("interned above") as usize] = value.clone();
+            init_gslots[globals.get(v).expect("interned above") as usize] = *value;
         }
         let conds = &program.monitor.conditions;
         let entries: Vec<EntryProg> = program
@@ -732,14 +737,22 @@ impl MonitorSystem {
             .map(|e| {
                 let name = Value::from(e.name.as_str());
                 (0..n_procs)
-                    .map(|pid| [name.clone(), Value::Int(pid as i64)])
+                    .map(|pid| [name, Value::Int(pid as i64)])
                     .collect()
             })
             .collect();
         let no_entry = Value::from("");
         let shared_params: Vec<[Value; 2]> = (0..n_procs)
-            .map(|pid| [no_entry.clone(), Value::Int(pid as i64)])
+            .map(|pid| [no_entry, Value::Int(pid as i64)])
             .collect();
+        let init_tag = Value::from("init");
+        let init_assigns = |vars: &[(String, Value)]| -> Vec<(ElementId, [Value; 3])> {
+            vars.iter()
+                .map(|(name, value)| (var_els[name], [*value, init_tag, Value::Int(INIT_PID)]))
+                .collect()
+        };
+        let init_monitor = init_assigns(&program.monitor.vars);
+        let init_shared = init_assigns(&program.shared_vars);
         let stats = CodeStats {
             exprs: pool.expr_count() as u64,
             ops: pool.op_count() as u64 + entries.iter().map(|e| e.ops.len() as u64).sum::<u64>(),
@@ -758,6 +771,8 @@ impl MonitorSystem {
             steps,
             entry_params,
             shared_params,
+            init_monitor,
+            init_shared,
             stats,
         });
 
@@ -1033,14 +1048,14 @@ impl MonitorSystem {
                         .pool
                         .eval(*expr, &state.ctl.gslots, &state.ctl.procs[pid].lslots)
                         .unwrap_or_else(|e| panic!("monitor runtime error: {e}"));
-                    state.ctl.gslots[*gslot as usize] = v.clone();
+                    state.ctl.gslots[*gslot as usize] = v;
                     let pair = &self.code.entry_params[entry_idx][pid];
                     self.emit(
                         state,
                         Some(pid),
                         *el,
                         self.cls.assign,
-                        [v, pair[0].clone(), pair[1].clone()],
+                        [v, pair[0], pair[1]],
                         [],
                     );
                     state.ctl.procs[pid].pc = pc as u32 + 1;
@@ -1153,7 +1168,7 @@ impl MonitorSystem {
         let entry_idx = state.ctl.procs[pid]
             .entry
             .expect("finishing inside an entry");
-        let entry_name = self.code.entry_params[entry_idx][pid][0].clone();
+        let entry_name = self.code.entry_params[entry_idx][pid][0];
         self.emit(
             state,
             Some(pid),
@@ -1265,28 +1280,19 @@ impl System for MonitorSystem {
         // top-level shared element's neighbours.
         let init_ev = self.emit(&mut state, None, self.init_el, self.cls.init, [], []);
         let mut last_internal = init_ev;
-        let monitor_vars: Vec<(String, Value)> = self.program.monitor.vars.clone();
-        for (name, value) in monitor_vars {
+        for &(el, params) in &self.code.init_monitor {
             last_internal = self.emit(
                 &mut state,
                 None,
-                self.var_element(&name),
+                el,
                 self.cls.assign,
-                [value, Value::from("init"), Value::Int(INIT_PID)],
+                params,
                 [last_internal],
             );
         }
         let mut last_shared = init_ev;
-        let shared_vars: Vec<(String, Value)> = self.program.shared_vars.clone();
-        for (name, value) in shared_vars {
-            last_shared = self.emit(
-                &mut state,
-                None,
-                self.var_element(&name),
-                self.cls.assign,
-                [value, Value::from("init"), Value::Int(INIT_PID)],
-                [last_shared],
-            );
+        for &(el, params) in &self.code.init_shared {
+            last_shared = self.emit(&mut state, None, el, self.cls.assign, params, [last_shared]);
         }
         state.ctl.init_done = Some(last_internal);
         state
@@ -1328,7 +1334,7 @@ impl System for MonitorSystem {
                             Some(pid),
                             self.user_els[pid],
                             self.cls.call,
-                            [name.clone()],
+                            [*name],
                             [],
                         );
                         self.emit(
@@ -1336,7 +1342,7 @@ impl System for MonitorSystem {
                             Some(pid),
                             self.lock_el,
                             self.cls.req,
-                            [name.clone(), p_pid.clone()],
+                            [*name, *p_pid],
                             [],
                         );
                         state.ctl.procs[pid].pending_args.clone_from(args);
@@ -1349,7 +1355,7 @@ impl System for MonitorSystem {
                             Some(pid),
                             self.user_els[pid],
                             cid,
-                            params.iter().cloned(),
+                            params.iter().copied(),
                             [],
                         );
                         self.advance_script(state, pid);
@@ -1358,8 +1364,8 @@ impl System for MonitorSystem {
                         let StepCode::Read { gslot, el } = self.code.steps[pid][pos] else {
                             unreachable!("step codes mirror the script");
                         };
-                        let value = state.ctl.gslots[gslot as usize].clone();
-                        let [p_empty, p_pid] = self.code.shared_params[pid].clone();
+                        let value = state.ctl.gslots[gslot as usize];
+                        let [p_empty, p_pid] = self.code.shared_params[pid];
                         self.emit(
                             state,
                             Some(pid),
@@ -1379,8 +1385,8 @@ impl System for MonitorSystem {
                             .pool
                             .eval(expr, &state.ctl.gslots, &[])
                             .unwrap_or_else(|e| panic!("monitor runtime error: {e}"));
-                        state.ctl.gslots[gslot as usize] = v.clone();
-                        let [p_empty, p_pid] = self.code.shared_params[pid].clone();
+                        state.ctl.gslots[gslot as usize] = v;
+                        let [p_empty, p_pid] = self.code.shared_params[pid];
                         self.emit(
                             state,
                             Some(pid),

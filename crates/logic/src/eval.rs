@@ -31,7 +31,6 @@
 //! call stack and values are compared in place, so evaluation allocates
 //! nothing.
 
-use std::borrow::Cow;
 use std::fmt;
 
 use gem_core::{ClassId, Computation, ElementId, EventId, History, Structure, ThreadTypeId, Value};
@@ -411,20 +410,19 @@ pub(crate) fn param_value<'w>(
     })
 }
 
-/// The value of `term`, borrowed from the formula or the world where it
-/// is stored there, so comparing values never copies a string.
-fn resolve_value<'a>(
-    term: &'a ValueTerm,
-    world: &'a impl World,
+/// The value of `term`, or `None` when an event variable in it is unbound.
+fn resolve_value(
+    term: &ValueTerm,
+    world: &impl World,
     scope: &Scope,
-) -> Result<Option<Cow<'a, Value>>, EvalError> {
+) -> Result<Option<Value>, EvalError> {
     Ok(match term {
-        ValueTerm::Const(v) => Some(Cow::Borrowed(v)),
+        ValueTerm::Const(v) => Some(*v),
         ValueTerm::SeqOf(e) => {
-            resolve(e, world, scope)?.map(|id| Cow::Owned(Value::Int(i64::from(world.seq_of(id)))))
+            resolve(e, world, scope)?.map(|id| Value::Int(i64::from(world.seq_of(id))))
         }
         ValueTerm::Param(e, p) => match resolve(e, world, scope)? {
-            Some(id) => Some(Cow::Borrowed(param_value(world, id, p)?)),
+            Some(id) => Some(*param_value(world, id, p)?),
             None => None,
         },
     })

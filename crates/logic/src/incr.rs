@@ -141,7 +141,6 @@
 //! rejects them with a [`FallbackReason`] and the caller keeps using the
 //! batch checker for that restriction.
 
-use std::borrow::Cow;
 use std::fmt;
 
 use gem_core::{ElementId, ThreadTypeId, Value};
@@ -1187,7 +1186,7 @@ fn static_atom(
         Atom::ValueCmp(op, l, r) => {
             let conv = |t: &ValueTerm| -> Result<VTerm, FallbackReason> {
                 Ok(match t {
-                    ValueTerm::Const(v) => VTerm::Const(v.clone()),
+                    ValueTerm::Const(v) => VTerm::Const(*v),
                     ValueTerm::Param(e, p) => VTerm::Param(ix(e)?, p.clone()),
                     ValueTerm::SeqOf(e) => VTerm::SeqOf(ix(e)?),
                 })
@@ -1575,17 +1574,16 @@ fn eval_static(
     Ok(raw)
 }
 
-/// The value of `t` under the binding `ev` reads, borrowed where it is
-/// stored.
-fn vterm_value<'a>(
-    world: &'a impl World,
-    t: &'a VTerm,
+/// The value of `t` under the binding `ev` reads.
+fn vterm_value(
+    world: &impl World,
+    t: &VTerm,
     ev: impl Fn(VarIx) -> usize,
-) -> Result<Cow<'a, Value>, EvalError> {
+) -> Result<Value, EvalError> {
     Ok(match t {
-        VTerm::Const(v) => Cow::Borrowed(v),
-        VTerm::SeqOf(v) => Cow::Owned(Value::Int(i64::from(world.seq_of(ev(*v))))),
-        VTerm::Param(v, p) => Cow::Borrowed(param_value(world, ev(*v), p)?),
+        VTerm::Const(v) => *v,
+        VTerm::SeqOf(v) => Value::Int(i64::from(world.seq_of(ev(*v)))),
+        VTerm::Param(v, p) => *param_value(world, ev(*v), p)?,
     })
 }
 

@@ -218,7 +218,7 @@ mod tests {
             assert!(sys.is_complete(state));
             let logs: Vec<Value> = replicas
                 .iter()
-                .map(|&r| state.local(r, "log").cloned().expect("log var"))
+                .map(|&r| state.local(r, "log").copied().expect("log var"))
                 .collect();
             assert!(
                 logs.windows(2).all(|w| w[0] == w[1]),
@@ -233,7 +233,7 @@ mod tests {
             }
             seen.sort_unstable();
             assert_eq!(seen, vec![100, 101, 102]);
-            final_logs.insert(logs[0].clone());
+            final_logs.insert(logs[0]);
             ControlFlow::Continue(())
         });
         assert_eq!(

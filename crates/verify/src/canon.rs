@@ -33,7 +33,7 @@ fn pair(a: u32, b: u32) -> u64 {
 }
 
 /// Serialises a parameter value exactly (variant tag + length-prefixed
-/// content, recursing through pairs).
+/// content).
 fn push_value(key: &mut Vec<u64>, v: &Value) {
     match v {
         Value::Unit => key.push(0),
@@ -42,11 +42,6 @@ fn push_value(key: &mut Vec<u64>, v: &Value) {
         Value::Str(s) => {
             key.extend([3, s.len() as u64]);
             key.extend(s.bytes().map(u64::from));
-        }
-        Value::Pair(a, b) => {
-            key.push(4);
-            push_value(key, a);
-            push_value(key, b);
         }
     }
 }

@@ -316,13 +316,10 @@ pub fn project(
         let arity = problem_structure.class_info(pair.problem_class).arity();
         let mut params = vec![Value::Unit; arity];
         for &(prog_idx, prob_idx) in &pair.params {
-            let v = ev
-                .param(prog_idx)
-                .ok_or(ProjectError::BadParam {
-                    event: e,
-                    index: prog_idx,
-                })?
-                .clone();
+            let v = *ev.param(prog_idx).ok_or(ProjectError::BadParam {
+                event: e,
+                index: prog_idx,
+            })?;
             if prob_idx < arity {
                 params[prob_idx] = v;
             }

@@ -639,7 +639,7 @@ impl IncrChecker {
             match ev.param(prog_idx) {
                 Some(v) => {
                     if prob_idx < arity {
-                        params[prob_idx] = v.clone();
+                        params[prob_idx] = *v;
                     }
                 }
                 None => bad_param = true,

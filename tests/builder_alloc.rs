@@ -137,7 +137,7 @@ fn hand_off(
         let value = Value::Int(v + i as i64);
         let mut prev = None;
         for (el, class) in [(p, put), (r, put), (q, get)] {
-            let e = b.add_event(el, class, vec![value.clone()]).expect("event");
+            let e = b.add_event(el, class, vec![value]).expect("event");
             if let Some(prev) = prev {
                 b.enable(prev, e).expect("edge");
             }

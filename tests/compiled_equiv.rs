@@ -135,6 +135,7 @@ fn cli(line: &str, por: bool) -> Vec<(String, JsonValue)> {
     }
     let stdout = gem_cli::run(&args)
         .expect("cli run")
+        .stdout
         .replace(&art_s, "<artifacts>");
     let text = std::fs::read_to_string(&stats).expect("stats written");
     let mut report = gem::obs::Report::from_json(&text)
@@ -181,7 +182,7 @@ fn commands(line: &str, por: bool) -> Vec<(String, JsonValue)> {
         if por && cmd == "explore" {
             args.push("--por".to_owned());
         }
-        let stdout = gem_cli::run(&args).expect("cli run");
+        let stdout = gem_cli::run(&args).expect("cli run").stdout;
         let words: Vec<u64> = stdout.bytes().map(u64::from).collect();
         hex(fingerprint_words(&words))
     };

@@ -31,7 +31,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn runv(args: &[&str]) -> Result<String, gem_cli::CliError> {
     let owned: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-    gem_cli::run(&owned)
+    gem_cli::run(&owned).map(|out| out.stdout)
 }
 
 fn read_json(path: &Path) -> JsonValue {

@@ -500,7 +500,7 @@ fn cli_artifacts_and_stats_agree_across_modes() {
     args.extend(["--stats-json", stats.to_str().expect("utf-8")]);
     args.extend(["--heartbeat", "0"]);
     let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-    let stdout = gem_cli::run(&args).expect("cli run");
+    let stdout = gem_cli::run(&args).expect("cli run").stdout;
 
     let params: Vec<String> = line[1..].iter().map(|s| (*s).to_owned()).collect();
     let params = gem_cli::Params::parse(&params).expect("params");
@@ -517,7 +517,10 @@ fn cli_artifacts_and_stats_agree_across_modes() {
     let first = batch.failures.first().expect("batch sweep fails");
 
     let verdict = format!("{batch}\nverdict: PROG sat P FAILS");
-    assert!(stdout.starts_with(&verdict), "{stdout}\n--- want ---\n{verdict}");
+    assert!(
+        stdout.starts_with(&verdict),
+        "{stdout}\n--- want ---\n{verdict}"
+    );
     let report =
         gem::obs::Report::from_json(&std::fs::read_to_string(&stats).expect("stats written"))
             .expect("valid report");
@@ -538,7 +541,10 @@ fn cli_artifacts_and_stats_agree_across_modes() {
     );
     let blame = read("blame.json");
     for restriction in &first.violated {
-        assert!(blame.contains(restriction.as_str()), "{restriction}: {blame}");
+        assert!(
+            blame.contains(restriction.as_str()),
+            "{restriction}: {blame}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -583,7 +589,7 @@ fn cli_incremental_checker_proves_every_leaf_clean() {
         args.extend(["--stats-json", stats.to_str().expect("utf-8")]);
         args.extend(["--heartbeat", "0"]);
         let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-        let out = gem_cli::run(&args).expect("cli run");
+        let out = gem_cli::run(&args).expect("cli run").stdout;
         assert!(out.contains("HOLDS"), "{instance:?}: {out}");
         let report =
             gem::obs::Report::from_json(&std::fs::read_to_string(&stats).expect("stats written"))

@@ -508,7 +508,7 @@ proptest! {
 fn cli_por_flag_verdict_artifacts_and_replay() {
     let runv = |args: &[&str]| {
         let owned: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-        gem_cli::run(&owned)
+        gem_cli::run(&owned).map(|out| out.stdout)
     };
     let verdict_line = |out: &str| {
         out.lines()
