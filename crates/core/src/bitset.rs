@@ -41,23 +41,6 @@ impl DenseBitSet {
         }
     }
 
-    /// Wraps an existing word buffer as a set over `0..capacity`.
-    ///
-    /// The buffer must have exactly `capacity.div_ceil(64)` words and no
-    /// bits set at or above `capacity`. Used by the incremental order to
-    /// hand its rows to [`Closure`](crate::Closure) without re-copying.
-    pub(crate) fn from_words(words: Vec<u64>, capacity: usize) -> Self {
-        debug_assert_eq!(words.len(), capacity.div_ceil(WORD_BITS));
-        debug_assert!(
-            capacity.is_multiple_of(WORD_BITS)
-                || words
-                    .last()
-                    .is_none_or(|w| w >> (capacity % WORD_BITS) == 0),
-            "bits set beyond capacity"
-        );
-        Self { words, capacity }
-    }
-
     /// The backing words, `capacity.div_ceil(64)` of them.
     pub(crate) fn words(&self) -> &[u64] {
         &self.words

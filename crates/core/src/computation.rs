@@ -13,7 +13,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::order::{topo_from_edges, Closure, CycleError, IncrementalOrder};
+use crate::order::{Closure, CycleError};
 use crate::{ClassId, ElementId, Event, EventId, Structure, ThreadTag, Value};
 
 /// Errors arising while building a computation.
@@ -221,9 +221,6 @@ pub struct ComputationBuilder {
     /// [`ComputationBuilder::event_stamps`].
     stamps: Vec<u64>,
     stamp_source: StampSource,
-    /// Reachability maintained edge-by-edge so sealing needs no O(n·m)
-    /// closure rebuild (the explore→seal hot path, DESIGN.md §4).
-    order: IncrementalOrder,
     /// Events that received a *fresh* thread tag, in push order — the undo
     /// journal for [`ComputationBuilder::truncate_to`].
     tag_log: Vec<EventId>,
@@ -245,7 +242,6 @@ pub struct BuilderMark {
     precedences: usize,
     memberships: usize,
     tags: usize,
-    cycle: Option<CycleError>,
 }
 
 /// A dynamic group-structure change (§5): the event `event` adds `member`
@@ -277,7 +273,6 @@ impl ComputationBuilder {
             journal_at: Vec::new(),
             stamps: Vec::new(),
             stamp_source: StampSource::new(),
-            order: IncrementalOrder::new(),
             tag_log: Vec::new(),
             spare_params: SpareParams::default(),
         }
@@ -328,10 +323,9 @@ impl ComputationBuilder {
             None => params.into_iter().collect(),
         };
         let id = EventId::from_raw(self.events.len() as u32);
-        let chain = &self.element_events[element.index()];
+        let chain = &mut self.element_events[element.index()];
         let seq = chain.len() as u32;
-        let prev = chain.last().copied();
-        self.element_events[element.index()].push(id);
+        chain.push(id);
         self.journal_at
             .push((self.enables.len(), self.precedences.len()));
         self.stamps.push(self.stamp_source.fresh());
@@ -343,11 +337,6 @@ impl ComputationBuilder {
             params,
             threads: Vec::new(),
         });
-        self.order.push_node();
-        if let Some(prev) = prev {
-            // Consecutive occurrences at one element are ordered (§5).
-            self.order.add_edge(prev, id);
-        }
         Ok(id)
     }
 
@@ -366,7 +355,6 @@ impl ComputationBuilder {
         }
         self.enables.push((from, to));
         self.stamps[to.index()] = self.stamp_source.fresh();
-        self.order.add_edge(from, to);
         Ok(())
     }
 
@@ -395,7 +383,6 @@ impl ComputationBuilder {
         }
         self.precedences.push((before, after));
         self.stamps[after.index()] = self.stamp_source.fresh();
-        self.order.add_edge(before, after);
         Ok(())
     }
 
@@ -455,11 +442,22 @@ impl ComputationBuilder {
     ///
     /// Together with [`ComputationBuilder::event_stamps`],
     /// [`ComputationBuilder::journal_at`], the edge journals and
-    /// [`ComputationBuilder::order_precedes`] this lets incremental
-    /// observers (e.g. prefix-sharing restriction checkers) read the
-    /// computation-under-construction without sealing it.
+    /// [`ComputationBuilder::events_at`] this lets incremental observers
+    /// (e.g. prefix-sharing restriction checkers) read the
+    /// computation-under-construction without sealing it. The builder
+    /// derives no order while it grows: such an observer keeps the part
+    /// of the temporal order it reads, from those same edges.
     pub fn events(&self) -> &[Event] {
         &self.events
+    }
+
+    /// Events at `element` so far, in element order (which is id order):
+    /// the `k`-th is the event with occurrence number `k`. Empty for an
+    /// element outside the structure.
+    pub fn events_at(&self, element: ElementId) -> &[EventId] {
+        self.element_events
+            .get(element.index())
+            .map_or(&[], Vec::as_slice)
     }
 
     /// One change stamp per event, in emission order. An event gets a
@@ -507,18 +505,6 @@ impl ComputationBuilder {
         self.tag_log.len()
     }
 
-    /// True if `a` temporally precedes `b` in the computation built so
-    /// far (transitive closure of enables ∪ explicit precedences ∪ the
-    /// per-element order), per the incrementally maintained reachability.
-    ///
-    /// For simulation-grown computations — where every edge targets the
-    /// newest event — the order between two already-added events never
-    /// changes as the builder grows, so this answer is final as soon as
-    /// both events exist.
-    pub fn order_precedes(&self, a: EventId, b: EventId) -> bool {
-        self.order.precedes(a, b)
-    }
-
     /// Snapshots the current growth point for a later
     /// [`ComputationBuilder::truncate_to`].
     pub fn mark(&self) -> BuilderMark {
@@ -528,20 +514,16 @@ impl ComputationBuilder {
             precedences: self.precedences.len(),
             memberships: self.memberships.len(),
             tags: self.tag_log.len(),
-            cycle: self.order.cycle().cloned(),
         }
     }
 
     /// Rolls the builder back to `mark`, undoing every event, edge,
     /// membership, and thread tag added since.
     ///
-    /// The incremental order rolls back by column masking when every edge
-    /// added since the mark points *at* a post-mark event — which is always
-    /// the case for simulation-grown computations, where each step's edges
-    /// all target the event it just emitted. Retroactive edges between
-    /// pre-mark events trigger a full rebuild from the surviving edges
-    /// instead, so the rollback is correct for arbitrary builders; the
-    /// pre-mark events those edges pointed at get fresh change stamps.
+    /// Every journal is cut back to its length at the mark, so the cost is
+    /// the rolled-back suffix. A rolled-back edge that pointed at a
+    /// pre-mark event (a retroactive edge; simulation-grown builders draw
+    /// none) gives that event a fresh change stamp.
     ///
     /// # Panics
     ///
@@ -570,20 +552,14 @@ impl ComputationBuilder {
             params.clear();
             self.spare_params.0.push(params);
         }
-        let fast = self.enables[mark.enables..]
+        self.stamps.truncate(mark.events);
+        // Surviving events that lose an incoming edge change.
+        for &(_, to) in self.enables[mark.enables..]
             .iter()
             .chain(&self.precedences[mark.precedences..])
-            .all(|&(_, to)| to.index() >= mark.events);
-        self.stamps.truncate(mark.events);
-        if !fast {
-            // Surviving events that lose an incoming edge change.
-            for &(_, to) in self.enables[mark.enables..]
-                .iter()
-                .chain(&self.precedences[mark.precedences..])
-            {
-                if to.index() < mark.events {
-                    self.stamps[to.index()] = self.stamp_source.fresh();
-                }
+        {
+            if to.index() < mark.events {
+                self.stamps[to.index()] = self.stamp_source.fresh();
             }
         }
         self.events.truncate(mark.events);
@@ -591,19 +567,6 @@ impl ComputationBuilder {
         self.enables.truncate(mark.enables);
         self.precedences.truncate(mark.precedences);
         self.memberships.truncate(mark.memberships);
-        if fast {
-            self.order.truncate_to(mark.events, mark.cycle.clone());
-        } else {
-            let mut edges = self.enables.clone();
-            edges.extend_from_slice(&self.precedences);
-            for evs in &self.element_events {
-                for pair in evs.windows(2) {
-                    edges.push((pair[0], pair[1]));
-                }
-            }
-            self.order = IncrementalOrder::from_edges(mark.events, &edges);
-            self.order.set_cycle(mark.cycle.clone());
-        }
     }
 
     /// The direct edge set feeding the temporal order, in the canonical
@@ -620,38 +583,11 @@ impl ComputationBuilder {
         edges
     }
 
-    /// Computes the temporal order from the incrementally-maintained rows:
-    /// one Kahn pass for the topological order / cycle report, then a copy
-    /// of the predecessor rows and one blocked transpose for the successor
-    /// rows — no per-row union sweep.
+    /// Computes the temporal order once, from the recorded edges: the
+    /// Kahn pass of [`Closure::from_edges`] picks the topological order or
+    /// the cycle witness.
     fn build_closure(&self) -> Result<Closure, BuildError> {
-        let started = gem_obs::ambient::timings_active().then(std::time::Instant::now);
-        let n = self.events.len();
-        let edges = self.order_edges();
-        match topo_from_edges(n, &edges) {
-            Ok((topo, _)) => {
-                debug_assert!(
-                    self.order.cycle().is_none(),
-                    "incremental order latched a cycle on an acyclic edge set"
-                );
-                let (succ, pred) = self.order.closure_rows();
-                let closure = Closure::from_parts(succ, pred, topo);
-                if let Some(started) = started {
-                    gem_obs::ambient::time_ns(
-                        "phase.closure",
-                        u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    );
-                }
-                Ok(closure)
-            }
-            Err(cycle) => {
-                debug_assert!(
-                    self.order.cycle().is_some(),
-                    "incremental order missed a cycle"
-                );
-                Err(cycle.into())
-            }
-        }
+        Ok(Closure::from_edges(self.events.len(), &self.order_edges())?)
     }
 
     fn assemble(

@@ -65,7 +65,7 @@ impl Closure {
         // succ rows in reverse topological order: row(v) = ∪ (row(w) ∪ {w}).
         let mut succ = vec![DenseBitSet::new(n); n];
         for &v in topo.iter().rev() {
-            let mut row = DenseBitSet::new(n);
+            let mut row = std::mem::take(&mut succ[v.index()]);
             for &w in out.targets_of(v.index()) {
                 row.insert(w as usize);
                 row.union_with(&succ[w as usize]);
@@ -73,7 +73,11 @@ impl Closure {
             succ[v.index()] = row;
         }
         let pred = transpose(&succ);
-        let closure = Self::from_parts(succ, pred, topo);
+        let closure = Self { succ, pred, topo };
+        if gem_obs::ambient::active() {
+            gem_obs::ambient::add("core.closure.built", 1);
+            gem_obs::ambient::add("core.closure.edges", closure.pair_count() as u64);
+        }
         if let Some(started) = started {
             gem_obs::ambient::time_ns(
                 "phase.closure",
@@ -81,24 +85,6 @@ impl Closure {
             );
         }
         Ok(closure)
-    }
-
-    /// Assembles a closure from already-computed reachability rows and a
-    /// topological order, emitting the same probes as [`Closure::from_edges`].
-    /// Rows come either from the reverse-topo sweep above or from the
-    /// predecessor rows of an [`IncrementalOrder`] maintained while the
-    /// computation was built.
-    pub(crate) fn from_parts(
-        succ: Vec<DenseBitSet>,
-        pred: Vec<DenseBitSet>,
-        topo: Vec<EventId>,
-    ) -> Self {
-        let closure = Self { succ, pred, topo };
-        if gem_obs::ambient::active() {
-            gem_obs::ambient::add("core.closure.built", 1);
-            gem_obs::ambient::add("core.closure.edges", closure.pair_count() as u64);
-        }
-        closure
     }
 
     /// Number of events covered by this closure.
@@ -148,7 +134,7 @@ impl Closure {
 /// instead of one list per event keep a seal's allocations independent of
 /// the event count.
 #[derive(Clone, Debug)]
-pub(crate) struct Adjacency {
+struct Adjacency {
     start: Vec<usize>,
     targets: Vec<u32>,
 }
@@ -180,7 +166,7 @@ impl Adjacency {
 
 /// Kahn's algorithm over `edges`: a topological order of `0..n` plus the
 /// adjacency, or the same [`CycleError`] the closure build reports.
-pub(crate) fn topo_from_edges(
+fn topo_from_edges(
     n: usize,
     edges: &[(EventId, EventId)],
 ) -> Result<(Vec<EventId>, Adjacency), CycleError> {
@@ -236,7 +222,7 @@ fn transpose64(a: &mut [u64; WORD_BITS]) {
 /// The transpose of the square relation whose row `i` is `rows[i]`:
 /// `j ∈ out[i]` iff `i ∈ rows[j]`. Turns predecessor rows into successor
 /// rows and back, one 64×64 block at a time, skipping all-zero blocks.
-pub(crate) fn transpose(rows: &[DenseBitSet]) -> Vec<DenseBitSet> {
+fn transpose(rows: &[DenseBitSet]) -> Vec<DenseBitSet> {
     let n = rows.len();
     let words = n.div_ceil(WORD_BITS);
     let mut out: Vec<DenseBitSet> = (0..n).map(|_| DenseBitSet::new(n)).collect();
@@ -259,203 +245,6 @@ pub(crate) fn transpose(rows: &[DenseBitSet]) -> Vec<DenseBitSet> {
         }
     }
     out
-}
-
-/// Incrementally-maintained reachability over a growing event set.
-///
-/// The [`ComputationBuilder`](crate::ComputationBuilder) keeps one of these
-/// alive across the whole run: every `add_event`/`enable`/`add_precedence`
-/// updates the rows in place, so sealing no longer pays a from-scratch
-/// O(n·m) closure rebuild. Only predecessor rows are stored. A simulator
-/// grows a computation by adding maximal events, so every edge it draws
-/// points at the newest event, which has no successors yet: such an edge
-/// is one OR of `{a} ∪ pred(a)` into `pred(b)`. The `has_succ` bitset marks
-/// every event that may have a successor; only an edge into a marked event
-/// (a retroactive edge, or a projection builder's) scans the live rows for
-/// the descendants of `b`. Successor rows are built once, at seal, by a
-/// blocked bit transpose. Cycle detection is preserved: an edge closing a
-/// cycle is *not* applied; instead the order latches a [`CycleError`] and
-/// ignores all further edges, which `seal` reports.
-///
-/// Rows are raw `u64` word vectors (not [`DenseBitSet`]) so capacity can
-/// grow geometrically without per-event reallocation. Rows `[..len]` are
-/// live; rows past `len` are zeroed spares left by
-/// [`IncrementalOrder::truncate_to`], which [`IncrementalOrder::push_node`]
-/// reuses before it allocates. Together with the scratch row
-/// [`IncrementalOrder::add_edge`] copies its source set into, this makes
-/// the grow/roll-back/regrow cycle of exploration allocation-free once the
-/// deepest schedule has been seen.
-#[derive(Clone, Debug, Default)]
-pub struct IncrementalOrder {
-    len: usize,
-    /// Allocated words per row (`≥ len.div_ceil(64)`, grows by doubling).
-    words: usize,
-    /// `pred[j]` = set of `i` with `i ⇒ j`.
-    pred: Vec<Vec<u64>>,
-    /// A superset of the events with at least one successor.
-    has_succ: Vec<u64>,
-    /// `add_edge` scratch: P = {a} ∪ pred(a).
-    p_scratch: Vec<u64>,
-    cycle: Option<CycleError>,
-}
-
-impl IncrementalOrder {
-    /// An empty order over zero events.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rebuilds from scratch: `n` nodes, then `edges` in order. Used as the
-    /// rollback fallback when a truncation would remove edges between
-    /// surviving events.
-    pub fn from_edges<'a, I>(n: usize, edges: I) -> Self
-    where
-        I: IntoIterator<Item = &'a (EventId, EventId)>,
-    {
-        let mut order = Self::new();
-        for _ in 0..n {
-            order.push_node();
-        }
-        for &(a, b) in edges {
-            order.add_edge(a, b);
-        }
-        order
-    }
-
-    /// Number of nodes (events) tracked.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no events are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The latched cycle, if any edge so far closed one.
-    pub fn cycle(&self) -> Option<&CycleError> {
-        self.cycle.as_ref()
-    }
-
-    /// Appends a new node with no edges; its id is the previous `len()`.
-    /// Reuses a zeroed spare row when one is left from a truncation.
-    pub fn push_node(&mut self) {
-        let needed = (self.len + 1).div_ceil(WORD_BITS);
-        if needed > self.words {
-            let new_words = needed.max(self.words * 2);
-            for row in self.pred.iter_mut() {
-                row.resize(new_words, 0);
-            }
-            self.has_succ.resize(new_words, 0);
-            self.words = new_words;
-        }
-        if self.len == self.pred.len() {
-            self.pred.push(vec![0; self.words]);
-        }
-        self.len += 1;
-    }
-
-    #[inline]
-    fn row_contains(row: &[u64], i: usize) -> bool {
-        row[i / WORD_BITS] & (1u64 << (i % WORD_BITS)) != 0
-    }
-
-    #[inline]
-    fn union_into(dst: &mut [u64], src: &[u64]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d |= s;
-        }
-    }
-
-    /// Adds the edge `a → b`, updating all reachability rows.
-    ///
-    /// A self-loop or back edge latches a [`CycleError`] (returned from
-    /// [`IncrementalOrder::cycle`]) and freezes the rows: once cyclic, later
-    /// edges are ignored, mirroring how `Closure::from_edges` rejects the
-    /// whole edge set.
-    pub fn add_edge(&mut self, a: EventId, b: EventId) {
-        if self.cycle.is_some() {
-            return;
-        }
-        let (ai, bi) = (a.index(), b.index());
-        debug_assert!(ai < self.len && bi < self.len, "edge endpoint out of range");
-        if a == b || Self::row_contains(&self.pred[ai], bi) {
-            self.cycle = Some(CycleError { on_cycle: a });
-            return;
-        }
-        if Self::row_contains(&self.pred[bi], ai) {
-            return; // already implied
-        }
-        // P = {a} ∪ pred(a) now precedes b and everything b precedes.
-        // Columns past `len` are zero, so only the live words are touched.
-        let live = self.len.div_ceil(WORD_BITS);
-        self.p_scratch.clear();
-        self.p_scratch.extend_from_slice(&self.pred[ai][..live]);
-        self.p_scratch[ai / WORD_BITS] |= 1u64 << (ai % WORD_BITS);
-        if Self::row_contains(&self.has_succ, bi) {
-            // b may have successors: every row holding b gains P. The row
-            // of a is not among them, since b ⇒ a would be a cycle.
-            for row in &mut self.pred[..self.len] {
-                if Self::row_contains(row, bi) {
-                    Self::union_into(&mut row[..live], &self.p_scratch);
-                }
-            }
-        }
-        Self::union_into(&mut self.has_succ[..live], &self.p_scratch);
-        Self::union_into(&mut self.pred[bi][..live], &self.p_scratch);
-    }
-
-    /// True if `a ⇒ b` under the edges applied so far. Meaningless once
-    /// [`IncrementalOrder::cycle`] is latched (rows are frozen).
-    pub fn precedes(&self, a: EventId, b: EventId) -> bool {
-        Self::row_contains(&self.pred[b.index()], a.index())
-    }
-
-    /// Rolls back to the first `n` nodes. The rolled-back rows are zeroed
-    /// and kept as spares for [`IncrementalOrder::push_node`], and the
-    /// successor marks of the rolled-back nodes are cleared.
-    ///
-    /// Sound only if every edge added since node `n` existed pointed *at* a
-    /// node `≥ n`. Then no surviving row holds a rolled-back node, and no
-    /// rolled-back edge changed a surviving row. The builder checks that
-    /// invariant and falls back to [`IncrementalOrder::from_edges`] when it
-    /// fails; `cycle` is restored by the caller from its mark. A surviving
-    /// node whose only successors were rolled back stays marked in
-    /// `has_succ`: the stale mark costs one row scan on a later edge into
-    /// it, never a wrong answer.
-    pub fn truncate_to(&mut self, n: usize, cycle: Option<CycleError>) {
-        debug_assert!(n <= self.len);
-        let live = self.len.div_ceil(WORD_BITS);
-        for row in &mut self.pred[n..self.len] {
-            row[..live].fill(0);
-        }
-        let full_words = n / WORD_BITS;
-        if full_words < live {
-            self.has_succ[full_words] &= (1u64 << (n % WORD_BITS)) - 1;
-            self.has_succ[full_words + 1..live].fill(0);
-        }
-        self.len = n;
-        self.cycle = cycle;
-    }
-
-    /// Overrides the latched cycle (used by the builder's rollback rebuild
-    /// to restore the exact witness its mark recorded).
-    pub(crate) fn set_cycle(&mut self, cycle: Option<CycleError>) {
-        self.cycle = cycle;
-    }
-
-    /// The successor and predecessor rows for [`Closure`], each trimmed to
-    /// exactly `len` capacity: a copy of the live predecessor rows, and
-    /// their [`transpose`].
-    pub(crate) fn closure_rows(&self) -> (Vec<DenseBitSet>, Vec<DenseBitSet>) {
-        let n = self.len;
-        let exact = n.div_ceil(WORD_BITS);
-        let pred: Vec<DenseBitSet> = self.pred[..n]
-            .iter()
-            .map(|row| DenseBitSet::from_words(row[..exact].to_vec(), n))
-            .collect();
-        (transpose(&pred), pred)
-    }
 }
 
 /// On-demand reachability by DFS over direct edges — the ablation
@@ -632,122 +421,6 @@ mod tests {
         }
     }
 
-    fn incremental_from(n: usize, edges: &[(EventId, EventId)]) -> IncrementalOrder {
-        IncrementalOrder::from_edges(n, edges)
-    }
-
-    #[test]
-    fn incremental_matches_closure_on_random_dags() {
-        let n = 40;
-        let mut edges = Vec::new();
-        let mut seed = 0xdeadbeefdeadbeefu64;
-        for i in 0..n as u32 {
-            for j in (i + 1)..n as u32 {
-                seed = seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                if seed >> 61 == 0 {
-                    edges.push((e(i), e(j)));
-                }
-            }
-        }
-        let inc = incremental_from(n, &edges);
-        assert!(inc.cycle().is_none());
-        assert_same_order(&inc, n, &edges);
-    }
-
-    #[test]
-    fn incremental_latches_cycle() {
-        let inc = incremental_from(3, &[(e(0), e(1)), (e(1), e(2)), (e(2), e(0))]);
-        assert!(inc.cycle().is_some());
-        let inc = incremental_from(1, &[(e(0), e(0))]);
-        assert_eq!(inc.cycle().unwrap().on_cycle, e(0));
-        // Interleaved push/add keeps detecting cycles across growth.
-        let mut inc = IncrementalOrder::new();
-        for _ in 0..70 {
-            inc.push_node();
-        }
-        inc.add_edge(e(0), e(65));
-        inc.add_edge(e(65), e(69));
-        assert!(inc.precedes(e(0), e(69)));
-        inc.add_edge(e(69), e(0));
-        assert!(inc.cycle().is_some());
-        // Frozen: further edges are ignored.
-        inc.add_edge(e(1), e(2));
-        assert!(!inc.precedes(e(1), e(2)));
-    }
-
-    #[test]
-    fn incremental_truncate_rolls_back_suffix_edges() {
-        // Edges into the suffix only — the fast-rollback shape exploration
-        // produces (every new edge targets the newest event).
-        let mut inc = IncrementalOrder::new();
-        for _ in 0..3 {
-            inc.push_node();
-        }
-        inc.add_edge(e(0), e(1));
-        inc.add_edge(e(1), e(2));
-        let mark = inc.len();
-        for _ in 0..130 {
-            inc.push_node();
-        }
-        inc.add_edge(e(2), e(100));
-        inc.add_edge(e(0), e(132));
-        assert!(inc.precedes(e(0), e(100)));
-        inc.truncate_to(mark, None);
-        assert_eq!(inc.len(), 3);
-        assert!(inc.precedes(e(0), e(2)));
-        assert!(inc.precedes(e(1), e(2)));
-        let c = Closure::from_edges(3, &[(e(0), e(1)), (e(1), e(2))]).unwrap();
-        for i in 0..3u32 {
-            for j in 0..3u32 {
-                assert_eq!(c.precedes(e(i), e(j)), inc.precedes(e(i), e(j)));
-            }
-        }
-        // Regrowing after a truncate works on the masked rows.
-        inc.push_node();
-        inc.add_edge(e(2), e(3));
-        assert!(inc.precedes(e(0), e(3)));
-    }
-
-    #[test]
-    fn incremental_truncate_restores_cycle_mark() {
-        let mut inc = incremental_from(2, &[(e(0), e(1))]);
-        let mark = inc.len();
-        inc.push_node();
-        inc.add_edge(e(1), e(2));
-        inc.add_edge(e(2), e(0)); // closes a cycle through the suffix
-        assert!(inc.cycle().is_some());
-        inc.truncate_to(mark, None);
-        assert!(inc.cycle().is_none());
-        assert!(inc.precedes(e(0), e(1)));
-        assert!(!inc.precedes(e(1), e(0)));
-    }
-
-    #[test]
-    fn incremental_closure_rows_roundtrip() {
-        let edges = [(e(0), e(1)), (e(0), e(2)), (e(1), e(3)), (e(2), e(3))];
-        assert_same_order(&incremental_from(4, &edges), 4, &edges);
-    }
-
-    fn assert_same_order(inc: &IncrementalOrder, n: usize, edges: &[(EventId, EventId)]) {
-        let c = Closure::from_edges(n, edges).unwrap();
-        for i in 0..n as u32 {
-            for j in 0..n as u32 {
-                assert_eq!(
-                    c.precedes(e(i), e(j)),
-                    inc.precedes(e(i), e(j)),
-                    "mismatch at ({i}, {j})"
-                );
-            }
-        }
-        let (succ, pred) = inc.closure_rows();
-        for i in 0..n {
-            assert_eq!(&succ[i], c.successors(e(i as u32)), "successors of {i}");
-            assert_eq!(&pred[i], c.predecessors(e(i as u32)), "predecessors of {i}");
-        }
-    }
-
     #[test]
     fn transpose_matches_bitwise_transpose() {
         let mut seed = 0x2545f4914f6cdd1du64;
@@ -778,35 +451,6 @@ mod tests {
             }
             assert_eq!(transpose(&t), rows, "n={n}: transposing twice is identity");
         }
-    }
-
-    #[test]
-    fn stale_successor_mark_keeps_the_order_exact() {
-        // Grow a → b → c, roll c back: b keeps a stale successor mark.
-        let (a, b, c) = (e(0), e(1), e(2));
-        let mut inc = IncrementalOrder::new();
-        inc.push_node();
-        inc.push_node();
-        inc.add_edge(a, b);
-        inc.push_node();
-        inc.add_edge(b, c);
-        inc.truncate_to(2, None);
-        assert!(
-            IncrementalOrder::row_contains(&inc.has_succ, 1),
-            "mark is stale"
-        );
-        assert!(!IncrementalOrder::row_contains(&inc.has_succ, 2));
-        // A retroactive edge into b takes the scan path over the stale mark.
-        inc.push_node();
-        inc.push_node();
-        inc.add_edge(e(2), e(3));
-        inc.add_edge(e(3), b);
-        assert_same_order(&inc, 4, &[(a, b), (e(2), e(3)), (e(3), b)]);
-        // The rollback kept the mark of a, whose successor b survived: an
-        // edge into a still reaches b.
-        inc.push_node();
-        inc.add_edge(e(4), a);
-        assert_same_order(&inc, 5, &[(a, b), (e(2), e(3)), (e(3), b), (e(4), a)]);
     }
 
     #[test]

@@ -14,13 +14,16 @@
 //! correspondence pair by `(element, class)`
 //! ([`Correspondence::first_match`]), projects enable edges through
 //! insignificant events (scope legality read from memoised `may_enable`
-//! tables), assigns thread tags, advances every compiled `◻∀*`
-//! restriction by O(formula), and settles the leaf-restriction conjuncts
-//! whose value the event makes final ([`gem_logic::incr::LeafPlan`]): the
-//! ground ones naming the event's position, found in an index by
-//! `(element, k)`, and the per-binding and per-enabler ones whose trigger
-//! selectors name its class. A settled conjunct that fails is a sticky violation of its
-//! restriction; the leaf evaluates only the conjuncts that did not settle.
+//! tables), ORs the rows of its direct predecessors into its row of the
+//! projected events that precede it (the only temporal order a verdict
+//! reads; the builder keeps none), assigns thread tags, advances every
+//! compiled `◻∀*` restriction by O(formula), and settles the
+//! leaf-restriction conjuncts whose value the event makes final
+//! ([`gem_logic::incr::LeafPlan`]): the ground ones naming the event's
+//! position, found in an index by `(element, k)`, and the per-binding and
+//! per-enabler ones whose trigger selectors name its class. A settled
+//! conjunct that fails is a sticky violation of its restriction; the leaf
+//! evaluates only the conjuncts that did not settle.
 //! The per-event rows rewound at an undo stay allocated as spares, so a
 //! replay without string parameters allocates nothing once the deepest
 //! leaf has been seen, and neither does judging the leaf restrictions
@@ -38,10 +41,11 @@
 //!
 //! ## Soundness in one paragraph
 //!
-//! For simulation-grown builders every enable edge targets the newest
-//! event, so the temporal order between existing events is final and the
-//! downsets of a prefix remain downsets of every extension. The compiled
-//! `◻∀*` shapes check each variable binding exactly once — when its
+//! For simulation-grown builders every edge targets the newest event, so
+//! the temporal order between existing events is final, an event's row
+//! of preceding projected events is complete once its own edges are
+//! replayed, and the downsets of a prefix remain downsets of every
+//! extension. The compiled `◻∀*` shapes check each variable binding exactly once — when its
 //! newest event arrives — and a clean verdict at the leaf means *no*
 //! binding over *any* downset falsifies, which implies the batch checker
 //! (which samples history sequences of the same computation) also finds
@@ -63,7 +67,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gem_core::{
-    ClassId, ComputationBuilder, ElementId, EventId, MayEnableMemo, Structure, ThreadTypeId, Value,
+    ClassId, ComputationBuilder, ElementId, MayEnableMemo, Structure, ThreadTypeId, Value,
 };
 use gem_logic::incr::{compile, Compiled, Settle};
 use gem_logic::{holds_on_computation, EventSel, Formula, World};
@@ -143,6 +147,77 @@ impl<T> Deref for Rows<T> {
 impl<T> DerefMut for Rows<T> {
     fn deref_mut(&mut self) -> &mut [Vec<T>] {
         &mut self.rows[..self.len]
+    }
+}
+
+/// Per synced program event, the projected events that strictly precede
+/// it: a bitset over spec ids, row `i` at `words[i * stride..][..stride]`.
+///
+/// A simulator adds maximal events, so every edge into event `i` comes
+/// from an earlier event whose row is final: row `i` is the OR of
+/// `row(p) ∪ {spec(p)}` over its direct predecessors `p`. The stride
+/// doubles when the spec events outgrow it. Rewound rows stay allocated,
+/// so a replay allocates nothing once the deepest leaf has been seen.
+struct PastTable {
+    words: Vec<u64>,
+    stride: usize,
+    len: usize,
+}
+
+impl PastTable {
+    fn new() -> Self {
+        Self {
+            words: Vec::new(),
+            stride: 1,
+            len: 0,
+        }
+    }
+
+    /// Appends an empty row.
+    fn push(&mut self) {
+        let end = (self.len + 1) * self.stride;
+        if self.words.len() < end {
+            self.words.resize(end, 0);
+        }
+        self.words[end - self.stride..end].fill(0);
+        self.len += 1;
+    }
+
+    fn truncate(&mut self, n: usize) {
+        self.len = self.len.min(n);
+    }
+
+    /// Widens the rows to hold spec id `sid`, moving them from the last
+    /// to the first so that no row overwrites one not yet moved.
+    fn fit(&mut self, sid: usize) {
+        if sid < 64 * self.stride {
+            return;
+        }
+        let (old, new) = (self.stride, self.stride * 2);
+        if self.words.len() < self.len * new {
+            self.words.resize(self.len * new, 0);
+        }
+        for i in (0..self.len).rev() {
+            self.words.copy_within(i * old..(i + 1) * old, i * new);
+            self.words[i * new + old..(i + 1) * new].fill(0);
+        }
+        self.stride = new;
+    }
+
+    /// Row `i` gains row `p` and, when `p` is significant, its spec id.
+    fn join(&mut self, i: usize, p: usize, spec: Option<u32>) {
+        let w = self.stride;
+        for k in 0..w {
+            self.words[i * w + k] |= self.words[p * w + k];
+        }
+        if let Some(s) = spec {
+            self.words[i * w + s as usize / 64] |= 1 << (s % 64);
+        }
+    }
+
+    /// True if spec event `s` strictly precedes program event `i`.
+    fn contains(&self, i: usize, s: u32) -> bool {
+        self.words[i * self.stride + s as usize / 64] & (1 << (s % 64)) != 0
     }
 }
 
@@ -229,6 +304,8 @@ pub struct IncrChecker {
     /// For insignificant events: the significant spec events that reach
     /// them through insignificant-only enable paths.
     bridge: Rows<u32>,
+    /// The projected temporal order, read by every verdict.
+    past: PastTable,
 
     spec: SpecEvents,
     /// Per restriction: program-event indices where an incremental
@@ -378,6 +455,7 @@ impl IncrChecker {
             stamps: Vec::new(),
             spec_of: Vec::new(),
             bridge: Rows::default(),
+            past: PastTable::new(),
             spec: SpecEvents {
                 by_element: vec![Vec::new(); problem.structure().element_count()],
                 by_class: vec![Vec::new(); problem.structure().class_count()],
@@ -441,12 +519,20 @@ impl IncrChecker {
         };
         for i in estar..stamps.len() {
             self.process_event(b, i);
-            // Enable edges landing on the event just emitted.
+            // The event's direct predecessors: the previous event at its
+            // element, then the sources of the edges landing on it.
+            self.past.push();
+            let ev = &b.events()[i];
+            if let Some(k) = ev.seq().checked_sub(1) {
+                let prev = b.events_at(ev.element())[k as usize].index();
+                self.past.join(i, prev, self.spec_of[prev]);
+            }
             while epos < bej.len() && bej[epos].1.index() == i {
                 let from = bej[epos].0.index();
                 if from >= i {
                     return self.disable();
                 }
+                self.past.join(i, from, self.spec_of[from]);
                 self.consume_enable(b, from, i);
                 epos += 1;
             }
@@ -454,15 +540,17 @@ impl IncrChecker {
                 return self.disable();
             }
             while ppos < bpj.len() && bpj[ppos].1.index() == i {
-                if bpj[ppos].0.index() >= i {
+                let from = bpj[ppos].0.index();
+                if from >= i {
                     return self.disable();
                 }
+                self.past.join(i, from, self.spec_of[from]);
                 ppos += 1;
             }
             if ppos < bpj.len() && bpj[ppos].1.index() < i {
                 return self.disable();
             }
-            self.finalize_event(b, i);
+            self.finalize_event(i);
         }
         self.flush_settled();
         if epos < bej.len() || ppos < bpj.len() {
@@ -497,7 +585,7 @@ impl IncrChecker {
             spec: &self.spec,
             threads: &self.threads,
             problem: &self.problem,
-            b,
+            past: &self.past,
         };
         let counting = gem_obs::ambient::active();
         let timing = gem_obs::ambient::timings_active();
@@ -600,6 +688,7 @@ impl IncrChecker {
         self.stamps.truncate(estar);
         self.spec_of.truncate(estar);
         self.bridge.truncate(estar);
+        self.past.truncate(estar);
     }
 
     fn push_batch(&mut self, i: usize) {
@@ -660,6 +749,7 @@ impl IncrChecker {
         self.spec.by_class[cl.index()].push(sid);
         self.spec_of.push(Some(sid));
         self.bridge.push();
+        self.past.fit(sid as usize);
         if bad_param || !legal {
             self.push_batch(i);
         }
@@ -718,7 +808,7 @@ impl IncrChecker {
     /// After all of event `i`'s edges are in: element-order consistency,
     /// thread tags, and the per-event binding check of every compiled
     /// `◻∀*` restriction.
-    fn finalize_event(&mut self, b: &ComputationBuilder, i: usize) {
+    fn finalize_event(&mut self, i: usize) {
         let Some(t) = self.spec_of[i] else { return };
         let t = t as usize;
 
@@ -726,12 +816,8 @@ impl IncrChecker {
         // consecutive-pair order suffices by transitivity (emission order
         // is consistent with temporal order for monotone builders).
         let chain = &self.spec.by_element[self.spec.element[t].index()];
-        if chain.len() >= 2 {
-            let prev = chain[chain.len() - 2] as usize;
-            let prev_prog = EventId::from_raw(self.spec.prog_of[prev]);
-            if !b.order_precedes(prev_prog, EventId::from_raw(i as u32)) {
-                self.push_batch(i);
-            }
+        if chain.len() >= 2 && !self.past.contains(i, chain[chain.len() - 2]) {
+            self.push_batch(i);
         }
 
         // Thread tags, mirroring `infer_threads`: one instance per head
@@ -788,7 +874,7 @@ impl IncrChecker {
             spec: &self.spec,
             threads: &self.threads,
             problem: &self.problem,
-            b,
+            past: &self.past,
         };
         let mut errored = false;
         for (ri, r) in self.restrictions.iter().enumerate() {
@@ -840,15 +926,14 @@ impl IncrChecker {
     }
 }
 
-/// [`World`] view over the synced projection, with order queries
-/// delegated to the program builder's incrementally maintained
-/// reachability (the projected temporal order *is* the program order
-/// restricted to significant events).
+/// [`World`] view over the synced projection. Order queries read the
+/// checker's [`PastTable`]: the projected temporal order *is* the program
+/// order restricted to significant events.
 struct SpecWorld<'a> {
     spec: &'a SpecEvents,
     threads: &'a [ThreadSpec],
     problem: &'a Structure,
-    b: &'a ComputationBuilder,
+    past: &'a PastTable,
 }
 
 impl World for SpecWorld<'_> {
@@ -877,10 +962,7 @@ impl World for SpecWorld<'_> {
         self.spec.matches(sel, e)
     }
     fn precedes(&self, a: usize, b: usize) -> bool {
-        self.b.order_precedes(
-            EventId::from_raw(self.spec.prog_of[a]),
-            EventId::from_raw(self.spec.prog_of[b]),
-        )
+        self.past.contains(self.spec.prog_of[b] as usize, a as u32)
     }
     fn enables(&self, a: usize, b: usize) -> bool {
         self.spec.enables_out[a].contains(&(b as u32))
@@ -919,6 +1001,7 @@ impl World for SpecWorld<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gem_core::EventId;
     use gem_logic::Strategy;
     use gem_spec::{ElementType, SpecBuilder};
 
@@ -1016,12 +1099,12 @@ mod tests {
     }
 
     /// The leaf-evaluation world of `chk` synced to `b`.
-    fn spec_world<'a>(chk: &'a IncrChecker, b: &'a ComputationBuilder) -> SpecWorld<'a> {
+    fn spec_world(chk: &IncrChecker) -> SpecWorld<'_> {
         SpecWorld {
             spec: &chk.spec,
             threads: &chk.threads,
             problem: &chk.problem,
-            b,
+            past: &chk.past,
         }
     }
 
@@ -1038,7 +1121,7 @@ mod tests {
         chk.sync_to(b);
         let sealed = b.seal_ref().unwrap();
         let projected = crate::project(&sealed, spec.structure_arc(), corr).unwrap();
-        let world = spec_world(chk, b);
+        let world = spec_world(chk);
         for f in fs {
             assert_eq!(
                 holds_on_computation(f, &world),
@@ -1063,7 +1146,7 @@ mod tests {
         ];
         let mut chk = IncrChecker::new(&spec, &corr, false);
         assert_worlds_agree(&mut chk, &b, &spec, &corr, &fs);
-        let world = spec_world(&chk, &b);
+        let world = spec_world(&chk);
         for f in &fs {
             assert_eq!(holds_on_computation(f, &world), Ok(false), "{f:?}");
         }
@@ -1115,7 +1198,7 @@ mod tests {
         b.enable(a0, v2).unwrap();
         b.enable(v1, v2).unwrap();
         assert_worlds_agree(&mut chk, &b, &spec, &corr, &fs);
-        assert!(holds_on_computation(&fs[2], &spec_world(&chk, &b)).is_err());
+        assert!(holds_on_computation(&fs[2], &spec_world(&chk)).is_err());
         // Totally ordered leaves, across rewinds.
         let mut chk = IncrChecker::new(&spec, &corr, false);
         let mut b = ComputationBuilder::new(spec.structure_arc());
@@ -1141,6 +1224,100 @@ mod tests {
         b.enable(a2, v3).unwrap();
         b.enable(a1, v3).unwrap();
         assert_worlds_agree(&mut chk, &b, &spec, &corr, &fs);
+    }
+
+    /// Grows `b` by `n` events from `seed` over `els`, of which the first
+    /// two are significant: each event has an enable edge from a random
+    /// earlier event with probability 1/2, a second one with 1/4 and a
+    /// precedence edge with 1/5, all forward.
+    fn grow_random(b: &mut ComputationBuilder, els: &[ElementId], mut seed: u64, n: usize) {
+        let mut next = move |bound: usize| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as usize % bound.max(1)
+        };
+        for _ in 0..n {
+            let el = els[[0, 0, 0, 1, 1, 1, 2, 2, 3, 3][next(10)]];
+            let before = b.event_count();
+            let e = b.add_event(el, ClassId::from_raw(0), []).unwrap();
+            if before == 0 {
+                continue;
+            }
+            let from = |k: usize| EventId::from_raw(k as u32);
+            if next(2) == 0 {
+                b.enable(from(next(before)), e).unwrap();
+            }
+            if next(4) == 0 {
+                b.enable(from(next(before)), e).unwrap();
+            }
+            if next(5) == 0 {
+                b.add_precedence(from(next(before)), e).unwrap();
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// The checker's projected order is the sealed projection's, on
+        /// random forward builders over two significant and two
+        /// insignificant elements. Order reaches a significant event
+        /// through enable edges, precedence edges and element chains,
+        /// often only through insignificant events. Up to 240 events give
+        /// more than 64 significant ones, so rows take a second word, and
+        /// rounds roll back to marks on either side of that boundary.
+        #[test]
+        fn projected_order_matches_the_sealed_projection(
+            rounds in proptest::collection::vec(
+                (1usize..90, proptest::prelude::any::<u64>(), 0u8..2, 0usize..4),
+                2..8,
+            )
+        ) {
+            let ty = ElementType::new("Proc").event("Act", &[]);
+            let mut sb = SpecBuilder::new("Order");
+            let els: Vec<_> = (0..4)
+                .map(|i| sb.instantiate_element(&ty, format!("P{i}")).unwrap())
+                .collect();
+            let spec = sb.finish();
+            let corr = Correspondence::new()
+                .map(els[0].sel("Act"), els[0].id(), els[0].class("Act"))
+                .map(els[1].sel("Act"), els[1].id(), els[1].class("Act"));
+            let ids: Vec<_> = els.iter().map(|el| el.id()).collect();
+            let mut b = ComputationBuilder::new(spec.structure_arc());
+            let mut chk = IncrChecker::new(&spec, &corr, false);
+            let mut marks = Vec::new();
+            for (grow, seed, mark, target) in rounds {
+                if mark > 0 {
+                    marks.push(b.mark());
+                }
+                let room = 240usize.saturating_sub(b.event_count());
+                grow_random(&mut b, &ids, seed, grow.min(room));
+                if target < marks.len() {
+                    b.truncate_to(&marks[target]);
+                    marks.truncate(target + 1);
+                }
+                chk.sync_to(&b);
+                let sealed = b.seal_ref().unwrap();
+                let projected = crate::project(&sealed, spec.structure_arc(), &corr).unwrap();
+                let world = spec_world(&chk);
+                let n = projected.event_count();
+                proptest::prop_assert_eq!(world.event_count(), n);
+                for x in 0..n {
+                    proptest::prop_assert_eq!(
+                        world.element_of(x),
+                        projected.event(EventId::from_raw(x as u32)).element()
+                    );
+                    for y in 0..n {
+                        let (ex, ey) = (EventId::from_raw(x as u32), EventId::from_raw(y as u32));
+                        proptest::prop_assert_eq!(
+                            world.precedes(x, y),
+                            projected.closure().precedes(ex, ey)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -235,6 +235,9 @@ pub fn verify_system<S: System>(
 ) -> Result<VerifyOutcome, ProjectError> {
     let mut runs = 0usize;
     let mut deadlocks = 0usize;
+    // Leaves the incremental checker proved clean; every other leaf took
+    // the batch path.
+    let mut incremental_leaves = 0usize;
     let mut failures: Vec<RunFailure> = Vec::new();
     let mut project_error: Option<ProjectError> = None;
     let mut artifact_record: Option<ArtifactRecord> = None;
@@ -297,6 +300,7 @@ pub fn verify_system<S: System>(
                         probe.time_ns("phase.check_incr", ns);
                     }
                     if status == LeafStatus::Clean && !deadlocked {
+                        incremental_leaves += 1;
                         return ControlFlow::Continue(());
                     }
                 }
@@ -390,6 +394,11 @@ pub fn verify_system<S: System>(
     // One post-sweep flush so the counter is present (possibly zero) in
     // every report.
     probe.add("verify.deadlocks", deadlocks as u64);
+    // Leaf provenance: how each explored leaf was judged.
+    if probe.enabled() {
+        probe.add("verify.leaf.incremental", incremental_leaves as u64);
+        probe.add("verify.leaf.batch", (runs - incremental_leaves) as u64);
+    }
 
     if let Some(e) = project_error {
         return Err(e);

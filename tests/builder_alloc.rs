@@ -4,13 +4,12 @@
 //! Exploration grows one computation along a schedule, rolls it back to a
 //! mark and regrows the next sibling branch. Once the deepest branch has
 //! been grown, regrowing a suffix of the same shape must not touch the
-//! heap: the builder's journals keep their capacity, the reachability rows
-//! rolled back stay allocated as spares and the edge update works in
-//! scratch buffers the order owns. Likewise, once the incremental checker
-//! has synced to the deepest leaf, replaying a regrown suffix of the same
-//! shape works in the rows and scratch buffers it kept, and judging the
-//! leaf restrictions binds variables on the stack and compares values in
-//! place. The stats probe, which backs the default heartbeat, looks a key
+//! heap: the builder only appends to journals that keep their capacity,
+//! and refills the parameter vectors of rolled-back events. Likewise, once
+//! the incremental checker has synced to the deepest leaf, replaying a
+//! regrown suffix of the same shape works in the rows it kept, its
+//! projected-order table included, and judging the leaf restrictions binds
+//! variables on the stack and compares values in place. The stats probe, which backs the default heartbeat, looks a key
 //! up before it allocates one. The substrate simulators save each step's
 //! control state into reused slots and pass event parameters as arrays, so
 //! checkpoint, apply and undo along a path seen before allocate nothing,

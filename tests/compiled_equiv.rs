@@ -18,7 +18,9 @@
 //!   and `explore.compile_ns` describe the compiled programs themselves,
 //!   which the interpreters did not have, so they are not pinned; nor are
 //!   the `logic.incr.leaf_eval.*` counters and timers, per-restriction
-//!   telemetry of the incremental checker added after the capture;
+//!   telemetry of the incremental checker added after the capture, nor
+//!   the `verify.leaf.*` provenance counters added later still (their sum
+//!   is pinned to `explore.runs` in `tests/observability.rs`);
 //! * under `commands`, a digest of the stdout bytes of `render`, `dot`,
 //!   `deadlock` (not for `life`, whose unbounded state search does not
 //!   finish in useful time), and `explore`, with `--por` in the `por`
@@ -44,8 +46,9 @@ use gem_cli::{instance, Instance, Params, Program};
 
 const GOLDEN: &str = include_str!("golden/step_semantics.json");
 
-/// Prefix of the keys the golden reports do not pin.
+/// Prefixes of the keys the golden reports do not pin.
 const LEAF_EVAL: &str = "logic.incr.leaf_eval.";
+const LEAF_PATH: &str = "verify.leaf.";
 
 fn hex(word: u64) -> JsonValue {
     JsonValue::Str(format!("{word:#018x}"))
@@ -141,9 +144,11 @@ fn cli(line: &str, por: bool) -> Vec<(String, JsonValue)> {
     let mut report = gem::obs::Report::from_json(&text)
         .expect("valid report")
         .without_timings();
-    report
-        .counters
-        .retain(|k, _| !k.starts_with("code.") && !k.starts_with(LEAF_EVAL));
+    report.counters.retain(|k, _| {
+        !["code.", LEAF_EVAL, LEAF_PATH]
+            .iter()
+            .any(|p| k.starts_with(p))
+    });
     report.timers.retain(|k, _| !k.starts_with(LEAF_EVAL));
     report.hists.remove("explore.compile_ns");
     let mut artifacts = Vec::new();

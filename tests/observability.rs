@@ -470,3 +470,70 @@ fn noop_probe_leaves_ambient_inactive() {
     assert_eq!(outer.counter("logic.incr.syncs"), outcome.runs as u64);
     assert!(!VerifyOptions::default().probe.enabled());
 }
+
+/// Verifies `line` (`problem key=value…`) as the CLI builds it, under a
+/// stats probe, sleep-set reduced when `reduce`.
+fn verify_line(line: &str, reduce: bool) -> (gem::verify::VerifyOutcome, Arc<StatsProbe>) {
+    let mut words = line.split_whitespace().map(str::to_owned);
+    let problem = words.next().expect("problem name");
+    let params = gem_cli::Params::parse(&words.collect::<Vec<_>>()).expect("params");
+    let inst = gem_cli::instance(&problem, &params).expect("instance");
+    let probe = Arc::new(StatsProbe::new());
+    let options = VerifyOptions {
+        probe: probe.clone(),
+        explorer: gem::lang::Explorer {
+            reduce,
+            ..gem::lang::Explorer::with_max_runs(inst.max_runs)
+        },
+        ..VerifyOptions::default()
+    };
+    let outcome = match &inst.program {
+        gem_cli::Program::Monitor(sys) => {
+            let extract = |s: &_| sys.computation(s).expect("acyclic");
+            verify_system(sys, &inst.spec, &inst.corr, extract, &options)
+        }
+        gem_cli::Program::Csp(sys) => {
+            let extract = |s: &_| sys.computation(s).expect("acyclic");
+            verify_system(sys, &inst.spec, &inst.corr, extract, &options)
+        }
+        gem_cli::Program::Ada(sys) => {
+            let extract = |s: &_| sys.computation(s).expect("acyclic");
+            verify_system(sys, &inst.spec, &inst.corr, extract, &options)
+        }
+    }
+    .expect("projection");
+    (outcome, probe)
+}
+
+#[test]
+fn every_explored_leaf_is_judged_incrementally_or_by_batch() {
+    let leaves = |probe: &StatsProbe| {
+        let (incremental, batch) = (
+            probe.counter("verify.leaf.incremental"),
+            probe.counter("verify.leaf.batch"),
+        );
+        assert_eq!(incremental + batch, probe.counter("explore.runs"));
+        (incremental, batch)
+    };
+    // Passing: every leaf is proven clean.
+    let (outcome, probe) = verify_line("bounded items=2 cap=1", false);
+    assert!(outcome.ok() && outcome.exhaustive(), "{outcome}");
+    assert_eq!(leaves(&probe), (outcome.runs as u64, 0));
+    // Failing: the sweep stops at the third failing leaf, and each
+    // failing leaf was judged by batch.
+    let (outcome, probe) = verify_line("rw readers=1 writers=2 variant=writers", false);
+    assert_eq!(outcome.failures.len(), 3, "{outcome}");
+    let (incremental, batch) = leaves(&probe);
+    assert!(incremental > 0 && batch >= 3, "{incremental} + {batch}");
+    // Deadlocking (a reduced sweep reaches the deadlocks): deadlocked
+    // leaves always take the batch path.
+    let (outcome, probe) = verify_line("philosophers n=3 order=naive", true);
+    assert!(outcome.deadlocks > 0, "{outcome}");
+    let (incremental, batch) = leaves(&probe);
+    assert!(incremental > 0 && batch >= outcome.deadlocks as u64);
+    // Global fallback: a spec outside the incremental fragment sends
+    // every leaf to batch.
+    let probe = Arc::new(StatsProbe::new());
+    let outcome = verify_rw_with_probe(probe.clone());
+    assert_eq!(leaves(&probe), (0, outcome.runs as u64));
+}

@@ -9,9 +9,8 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use gem::core::{
-    check_legality, for_each_history, for_each_linearization, BuilderMark, ClassId, Closure,
-    Computation, ComputationBuilder, DenseBitSet, ElementId, EventId, History, HistorySequence,
-    IncrementalOrder, Structure,
+    check_legality, for_each_history, for_each_linearization, BuilderMark, ClassId, Computation,
+    ComputationBuilder, DenseBitSet, ElementId, EventId, History, HistorySequence, Structure,
 };
 use gem::logic::{holds_on_computation, EventSel, Formula};
 use gem::obs::StatsProbe;
@@ -108,19 +107,6 @@ fn assert_same_as_replayed(
                 prop_assert_eq!(ca.closure().predecessors(x), cb.closure().predecessors(x));
             }
             prop_assert_eq!(ca.fingerprint(), cb.fingerprint());
-            let n = a.event_count() as u32;
-            for x in 0..n {
-                for y in 0..n {
-                    let (x, y) = (EventId::from_raw(x), EventId::from_raw(y));
-                    prop_assert_eq!(
-                        a.order_precedes(x, y),
-                        b.order_precedes(x, y),
-                        "order_precedes diverges at ({}, {})",
-                        x,
-                        y
-                    );
-                }
-            }
         }
         (Err(ea), Err(eb)) => prop_assert_eq!(format!("{ea}"), format!("{eb}")),
         (ra, rb) => prop_assert!(
@@ -196,8 +182,8 @@ fn play_rollback_script(
             let (x, y) = (next(n), next(n));
             // Forward edges, a repeat of any earlier operation (a duplicate
             // edge far from its first sighting, or one more event), and a
-            // retroactive or cycle-closing edge (the rebuild path and the
-            // latched-cycle rollback).
+            // retroactive or cycle-closing edge (a rollback that restamps
+            // its target, and a cycle the rollback must forget).
             let op = match k % 4 {
                 0 if x != y => BuildOp::Enable(x.min(y), x.max(y)),
                 1 if x != y => BuildOp::Precede(x.min(y), x.max(y)),
@@ -288,75 +274,6 @@ proptest! {
         }
     }
 
-    /// The incremental reachability index agrees with the batch closure
-    /// build on arbitrary edge sets: same pairwise reachability when the
-    /// edges are acyclic, and cycle rejection in exactly the same cases
-    /// (including self-loops). Rows span up to three words, and edges
-    /// arrive in arbitrary order, so an edge into an event that already
-    /// has successors takes the row-scan path. A builder fed the same
-    /// edges seals to the batch closure's successor and predecessor rows.
-    #[test]
-    fn incremental_order_matches_batch_closure(
-        (n, edges, forward) in (1usize..=150).prop_flat_map(|n| {
-            (Just(n), proptest::collection::vec((0..n, 0..n), 0..n * 3), any::<bool>())
-        })
-    ) {
-        let e = |i: usize| EventId::from_raw(i as u32);
-        // Half the cases point every edge at the higher id, which keeps
-        // them acyclic in any arrival order; the rest keep the raw pairs.
-        let edge_ids: Vec<(EventId, EventId)> = edges
-            .iter()
-            .filter(|&&(a, b)| !forward || a != b)
-            .map(|&(a, b)| if forward { (e(a.min(b)), e(a.max(b))) } else { (e(a), e(b)) })
-            .collect();
-        let mut inc = IncrementalOrder::new();
-        for _ in 0..n {
-            inc.push_node();
-        }
-        for &(a, b) in &edge_ids {
-            inc.add_edge(a, b);
-        }
-        // One event per element, so the builder adds no element order.
-        let mut s = Structure::new();
-        let act = s.add_class("Act", &[]).expect("class");
-        let els: Vec<_> = (0..n)
-            .map(|i| s.add_element(format!("P{i}"), &[act]).expect("element"))
-            .collect();
-        let mut builder = ComputationBuilder::new(s);
-        for &el in &els {
-            builder.add_event(el, act, vec![]).expect("event");
-        }
-        for &(x, y) in &edge_ids {
-            builder.add_precedence(x, y).expect("edge");
-        }
-        match Closure::from_edges(n, &edge_ids) {
-            Ok(closure) => {
-                prop_assert!(inc.cycle().is_none(),
-                    "incremental latched a cycle on an acyclic edge set");
-                for a in 0..n {
-                    for b in 0..n {
-                        prop_assert_eq!(
-                            inc.precedes(e(a), e(b)),
-                            closure.precedes(e(a), e(b)),
-                            "reachability diverges at ({}, {})", a, b
-                        );
-                    }
-                }
-                let sealed = builder.seal().expect("acyclic edges seal");
-                for i in 0..n {
-                    prop_assert_eq!(sealed.closure().successors(e(i)), closure.successors(e(i)),
-                        "sealed successors of {} diverge", i);
-                    prop_assert_eq!(sealed.closure().predecessors(e(i)), closure.predecessors(e(i)),
-                        "sealed predecessors of {} diverge", i);
-                }
-            }
-            Err(_) => {
-                prop_assert!(inc.cycle().is_some(),
-                    "batch build rejected a cycle the incremental path missed");
-                prop_assert!(builder.seal().is_err(), "the builder sealed a cyclic edge set");
-            }
-        }
-    }
 
     /// Rolling a builder back to a mark erases the rolled-back suffix
     /// completely: sealing afterwards gives exactly what a builder that
@@ -369,8 +286,8 @@ proptest! {
             (1usize..=10).prop_flat_map(move |n_ev| {
                 let assignments = proptest::collection::vec(0..n_el, n_ev);
                 // Unconstrained direction: suffix edges may point backwards
-                // (exercising the rebuild path) or even create cycles the
-                // rollback must forget.
+                // (a rollback that restamps their targets) or even create
+                // cycles the rollback must forget.
                 let edges = proptest::collection::vec((0..n_ev, 0..n_ev), 0..n_ev * 2);
                 (Just(n_el), assignments, edges, 0..=n_ev * 2)
             })
@@ -429,11 +346,12 @@ proptest! {
     }
 
     /// Rolling back whole events, not just edges: random scripts grow up
-    /// to 150 events in rounds (crossing the 64- and 128-event row-word
-    /// boundaries), add forward, duplicate, retroactive and cycle-closing
+    /// to 150 events in rounds (sealed closures of up to three row
+    /// words), add forward, duplicate, retroactive and cycle-closing
     /// edges, take marks and truncate to any of them, then regrow over the
-    /// rows the rollback left behind. Twice a round the builder must
-    /// match one that saw only the surviving operations.
+    /// buffers the rollback left behind. Twice a round the builder must
+    /// seal to the closure rows of one that saw only the surviving
+    /// operations.
     #[test]
     fn builder_rollback_of_events_equals_replay((n_el, rounds) in rollback_scripts()) {
         let mut s = Structure::new();
