@@ -1103,14 +1103,11 @@ fn explore<S: Substrate>(sys: &S, cx: &Ctx) -> String {
     )
 }
 
-/// Deadlock is a state property, so control-state pruning is sound — and
-/// necessary, since DFS order visits near-sequential schedules first.
+/// `find_deadlock` prunes on control state, which is sound for deadlock
+/// (a state property) and necessary, since DFS order visits
+/// near-sequential schedules first.
 fn deadlock<S: Substrate>(sys: &S, probe: &dyn Probe) -> Output {
-    let explorer = Explorer {
-        prune: true,
-        ..Explorer::default()
-    };
-    match gem_lang::find_deadlock(sys, &explorer, probe) {
+    match gem_lang::find_deadlock(sys, &Explorer::default(), probe) {
         Some(path) => Output {
             stdout: format!("DEADLOCK after {} action(s):\n{path:#?}", path.len()),
             found: true,
@@ -1836,6 +1833,26 @@ mod tests {
         assert!(out.contains("HOLDS"), "{out}");
         assert!(out.contains("incremental check: "), "{out}");
         assert!(out.contains("proven clean"), "{out}");
+    }
+
+    #[test]
+    fn explain_counts_deadlocked_leaves_as_batch_judged() {
+        // The checker proves all 37 leaves clean, but the 7 deadlocked
+        // ones are judged by batch, and the leaf split says so.
+        for command in ["verify", "profile"] {
+            let mut args = vec![command, "philosophers", "n=3", "order=naive", "--por"];
+            if command == "verify" {
+                args.push("--explain");
+            }
+            args.extend(["--heartbeat", "0"]);
+            let out = runv(&args).unwrap();
+            assert!(out.contains("7 deadlock(s)"), "{out}");
+            assert!(
+                out.contains("incremental check: 30/37 leaf(s) proven clean (81%)"),
+                "{out}"
+            );
+            assert!(out.contains("; 7 fell back to batch checking"), "{out}");
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub use history::{
 };
 pub use ids::{ClassId, ElementId, EventId, GroupId, ThreadTag, ThreadTypeId};
 pub use legality::{check_legality, is_legal, Violation};
-pub use order::{Closure, CycleError, DfsReachability};
+pub use order::{Closure, CycleError};
 pub use structure::{
     ClassInfo, ElementInfo, GroupInfo, MayEnableMemo, NodeRef, Structure, StructureError,
 };

@@ -8,10 +8,6 @@
 //! O(1) `precedes`/`concurrent` queries and O(n/64) predecessor-set
 //! retrieval — the operations history enumeration and restriction
 //! evaluation perform constantly.
-//!
-//! An alternative on-demand DFS implementation ([`DfsReachability`]) is
-//! provided for the closure-representation ablation (DESIGN.md §4,
-//! bench `closure_scaling`).
 
 use crate::{DenseBitSet, EventId};
 
@@ -247,85 +243,28 @@ fn transpose(rows: &[DenseBitSet]) -> Vec<DenseBitSet> {
     out
 }
 
-/// On-demand reachability by DFS over direct edges — the ablation
-/// counterpart of [`Closure`] (no precomputation, O(V+E) per query).
-#[derive(Clone, Debug)]
-pub struct DfsReachability {
-    out: Adjacency,
-    /// Epoch-stamped visited marks + DFS stack, reused across queries so a
-    /// query allocates nothing after the first (`RefCell`: queries take
-    /// `&self`).
-    scratch: std::cell::RefCell<DfsScratch>,
-}
-
-#[derive(Clone, Debug, Default)]
-struct DfsScratch {
-    stamp: Vec<u32>,
-    epoch: u32,
-    stack: Vec<u32>,
-}
-
-impl DfsReachability {
-    /// Builds the adjacency representation from direct edges over `0..n`.
-    ///
-    /// Unlike [`Closure::from_edges`], this performs no cycle check; pair
-    /// it with `Closure` when legality matters.
-    pub fn from_edges(n: usize, edges: &[(EventId, EventId)]) -> Self {
-        Self {
-            out: Adjacency::new(n, edges),
-            scratch: std::cell::RefCell::new(DfsScratch {
-                stamp: vec![0; n],
-                epoch: 0,
-                stack: Vec::new(),
-            }),
-        }
-    }
-
-    /// True if `b` is reachable from `a` by one or more direct edges.
-    ///
-    /// Direct edges short-circuit without touching the scratch state; longer
-    /// paths run an iterative DFS over the reusable stamp buffer.
-    pub fn precedes(&self, a: EventId, b: EventId) -> bool {
-        let target = b.as_raw();
-        let direct = self.out.targets_of(a.index());
-        if direct.contains(&target) {
-            return true;
-        }
-        if direct.is_empty() {
-            return false;
-        }
-        let scratch = &mut *self.scratch.borrow_mut();
-        scratch.epoch = scratch.epoch.wrapping_add(1);
-        if scratch.epoch == 0 {
-            scratch.stamp.fill(0);
-            scratch.epoch = 1;
-        }
-        let epoch = scratch.epoch;
-        scratch.stack.clear();
-        scratch.stack.push(a.as_raw());
-        scratch.stamp[a.index()] = epoch;
-        while let Some(v) = scratch.stack.pop() {
-            for &w in self.out.targets_of(v as usize) {
-                if w == target {
-                    scratch.stack.clear();
-                    return true;
-                }
-                if scratch.stamp[w as usize] != epoch {
-                    scratch.stamp[w as usize] = epoch;
-                    scratch.stack.push(w);
-                }
-            }
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn e(i: u32) -> EventId {
         EventId::from_raw(i)
+    }
+
+    /// Reference for `Closure`: true if `b` is reachable from `a` by one
+    /// or more of the direct edges over `0..n`.
+    fn reaches(n: usize, edges: &[(EventId, EventId)], a: EventId, b: EventId) -> bool {
+        let mut seen = vec![false; n];
+        let mut stack = vec![a];
+        while let Some(v) = stack.pop() {
+            for &(from, to) in edges {
+                if from == v && !seen[to.index()] {
+                    seen[to.index()] = true;
+                    stack.push(to);
+                }
+            }
+        }
+        seen[b.index()]
     }
 
     #[test]
@@ -409,12 +348,11 @@ mod tests {
             }
         }
         let c = Closure::from_edges(n, &edges).unwrap();
-        let d = DfsReachability::from_edges(n, &edges);
         for i in 0..n as u32 {
             for j in 0..n as u32 {
                 assert_eq!(
                     c.precedes(e(i), e(j)),
-                    d.precedes(e(i), e(j)),
+                    reaches(n, &edges, e(i), e(j)),
                     "mismatch at ({i}, {j})"
                 );
             }
@@ -450,19 +388,6 @@ mod tests {
                 }
             }
             assert_eq!(transpose(&t), rows, "n={n}: transposing twice is identity");
-        }
-    }
-
-    #[test]
-    fn dfs_reuses_scratch_across_queries() {
-        let edges = [(e(0), e(1)), (e(1), e(2)), (e(3), e(4))];
-        let d = DfsReachability::from_edges(5, &edges);
-        for _ in 0..3 {
-            assert!(d.precedes(e(0), e(2)));
-            assert!(d.precedes(e(0), e(1)), "direct edge fast path");
-            assert!(!d.precedes(e(2), e(0)));
-            assert!(!d.precedes(e(0), e(4)));
-            assert!(d.precedes(e(3), e(4)));
         }
     }
 

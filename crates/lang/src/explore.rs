@@ -11,12 +11,12 @@
 //! maximal action sequences on the calling thread, one node at a time:
 //! the control-key prune check and run cap at node entry, the `enabled`
 //! scan, the leaf and depth-limit decision, the sleep-set partition, the
-//! step cap before each edge, the child-sleep filter and the
-//! checkpoint-or-clone edge. No state pruning is performed by default:
-//! restrictions depend on the *computation* (the full event past), so two
-//! schedules reaching the same control state must still both be checked.
-//! A state-hash pruning mode is available for pure state properties such
-//! as deadlock-freedom (the ablation of DESIGN.md §4).
+//! child-sleep filter and the checkpoint-or-clone edge. A sweep over runs
+//! prunes no state: restrictions depend on the *computation* (the full
+//! event past), so two schedules reaching the same control state must
+//! still both be checked. Only [`find_deadlock`], whose property is a
+//! pure state property, prunes states already seen by
+//! [`System::control_key`] (DESIGN.md §4).
 //!
 //! Two opt-in fast paths cut the cost of the default full sweep without
 //! giving up its guarantees. Systems that implement
@@ -187,8 +187,6 @@ pub trait System {
 pub enum TruncationReason {
     /// The [`Explorer::max_runs`] cap stopped the search.
     RunLimit,
-    /// The [`Explorer::max_steps`] cap stopped the search.
-    StepLimit,
     /// At least one run was cut off at [`Explorer::max_depth`]; the
     /// search itself ran to completion but those runs are not maximal.
     DepthLimit,
@@ -198,7 +196,6 @@ impl fmt::Display for TruncationReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Self::RunLimit => "run limit",
-            Self::StepLimit => "step limit",
             Self::DepthLimit => "depth limit",
         })
     }
@@ -209,7 +206,6 @@ impl TruncationReason {
     pub fn key(self) -> &'static str {
         match self {
             Self::RunLimit => "run_limit",
-            Self::StepLimit => "step_limit",
             Self::DepthLimit => "depth_limit",
         }
     }
@@ -223,13 +219,14 @@ pub struct ExploreStats {
     /// Total actions applied across all runs.
     pub steps: usize,
     /// Why the search was cut short, or `None` if it was exhaustive.
-    /// A run-limit or step-limit stop supersedes a depth-limit flag.
+    /// A run-limit stop supersedes a depth-limit flag.
     pub truncation: Option<TruncationReason>,
     /// Runs reported at the depth limit while actions were still enabled.
     pub depth_limited_runs: usize,
     /// Longest run prefix reached (the DFS depth high-water mark).
     pub max_depth_seen: usize,
-    /// States skipped by control-key pruning (already seen).
+    /// States skipped by control-key pruning (already seen; only
+    /// [`find_deadlock`] prunes).
     pub prune_hits: usize,
     /// States admitted by control-key pruning (seen for the first time).
     pub prune_misses: usize,
@@ -304,15 +301,8 @@ impl fmt::Display for ExploreStats {
 pub struct Explorer {
     /// Maximum number of maximal runs to visit.
     pub max_runs: usize,
-    /// Maximum total actions across the whole search (a wall against
-    /// exponential blowup that `max_runs` alone cannot bound, since one
-    /// run may be arbitrarily long). `usize::MAX` disables the cap.
-    pub max_steps: usize,
     /// Maximum actions per run (a safety net against unbounded systems).
     pub max_depth: usize,
-    /// If true, prune states already seen (by [`System::control_key`]);
-    /// sound only for state properties, not trace properties.
-    pub prune: bool,
     /// Read by nothing: every sweep runs serially on the calling thread.
     /// The field is left over from the removed parallel explorer (`gem
     /// --jobs`) and stays only so struct literals that still set it
@@ -338,9 +328,7 @@ impl Default for Explorer {
     fn default() -> Self {
         Self {
             max_runs: 1_000_000,
-            max_steps: usize::MAX,
             max_depth: 10_000,
-            prune: false,
             jobs: 1,
             dedup_computations: false,
             reduce: false,
@@ -370,13 +358,27 @@ impl Explorer {
 
     /// [`Explorer::for_each_run`] with instrumentation: `probe` receives
     /// `explore.runs` / `explore.steps` counters batched once per maximal
-    /// run (never per step), pruning hit/miss counts, the DFS depth
-    /// high-water mark, and the truncation cause. With [`NoopProbe`] the
-    /// overhead is one virtual call per run.
+    /// run (never per step), pruning hit/miss counts (zero: a sweep over
+    /// runs prunes no state), the DFS depth high-water mark, and the
+    /// truncation cause. With [`NoopProbe`] the overhead is one virtual
+    /// call per run.
     pub fn for_each_run_probed<S: System>(
         &self,
         sys: &S,
         probe: &dyn Probe,
+        visit: impl FnMut(&S::State, &[S::Action]) -> ControlFlow<()>,
+    ) -> ExploreStats {
+        self.sweep(sys, probe, false, visit)
+    }
+
+    /// The sweep behind [`Explorer::for_each_run_probed`]; `prune` skips
+    /// every state whose [`System::control_key`] was seen before, which
+    /// is sound for state properties only.
+    fn sweep<S: System>(
+        &self,
+        sys: &S,
+        probe: &dyn Probe,
+        prune: bool,
         visit: impl FnMut(&S::State, &[S::Action]) -> ControlFlow<()>,
     ) -> ExploreStats {
         let mut sweep = Sweep {
@@ -385,7 +387,7 @@ impl Explorer {
             probe,
             visit,
             stats: ExploreStats::default(),
-            seen: HashSet::new(),
+            seen: prune.then(HashSet::new),
             flushed_steps: 0,
         };
         let _ = sweep.walk(&mut sys.initial(), &mut Vec::new(), &mut Vec::new(), 0);
@@ -474,7 +476,8 @@ struct Sweep<'a, S: System, V> {
     probe: &'a dyn Probe,
     visit: V,
     stats: ExploreStats,
-    seen: HashSet<u64>,
+    /// Control keys seen so far, or `None` if the sweep does not prune.
+    seen: Option<HashSet<u64>>,
     /// `stats.steps` at the last per-run probe flush.
     flushed_steps: usize,
 }
@@ -500,9 +503,9 @@ where
         sleep: &mut Vec<S::Action>,
         base: usize,
     ) -> ControlFlow<()> {
-        if self.explorer.prune {
+        if let Some(seen) = &mut self.seen {
             if let Some(key) = self.sys.control_key(state) {
-                if !self.seen.insert(key) {
+                if !seen.insert(key) {
                     self.stats.prune_hits += 1;
                     return ControlFlow::Continue(());
                 }
@@ -510,11 +513,10 @@ where
             }
         }
         // The run cap is checked at node entry (every node leads to at
-        // least one more maximal run), but the step cap just before each
-        // edge application below: a space with exactly `max_runs` runs or
-        // `max_steps` steps is exhausted, not truncated. (Under `reduce` a
-        // fully-slept node yields no run, so an exact run budget may be
-        // flagged as truncated spuriously — the safe direction.)
+        // least one more maximal run), so a space with exactly `max_runs`
+        // runs is exhausted, not truncated. (Under `reduce` a fully-slept
+        // node yields no run, so an exact run budget may be flagged as
+        // truncated spuriously — the safe direction.)
         if self.stats.runs >= self.explorer.max_runs {
             self.stats.truncation = Some(TruncationReason::RunLimit);
             return ControlFlow::Break(());
@@ -552,10 +554,6 @@ where
             }
         }
         for action in awake {
-            if self.stats.steps >= self.explorer.max_steps {
-                self.stats.truncation = Some(TruncationReason::StepLimit);
-                return ControlFlow::Break(());
-            }
             // The child's sleep set keeps only entries that commute with the
             // action being taken — computed against the *pre-apply* state
             // (the state where both are enabled), before the checkpoint fast
@@ -662,13 +660,16 @@ where
 /// found (the first in DFS order), or `None` if every explored run
 /// completes. `probe` receives the search's `explore.*` counters, as in
 /// [`Explorer::for_each_run_probed`].
+///
+/// Deadlock depends on the state alone, so the search skips every state
+/// whose [`System::control_key`] it has seen before (`explore.prune.*`).
 pub fn find_deadlock<S: System>(
     sys: &S,
     explorer: &Explorer,
     probe: &dyn Probe,
 ) -> Option<Vec<S::Action>> {
     let mut witness = None;
-    explorer.for_each_run_probed(sys, probe, |state, path| {
+    explorer.sweep(sys, probe, true, |state, path| {
         if !sys.is_complete(state) {
             witness = Some(path.to_vec());
             ControlFlow::Break(())
@@ -751,20 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn step_limit_truncates() {
-        let sys = Counters { n: 3, stuck: false };
-        let stats = Explorer {
-            max_steps: 40,
-            ..Explorer::default()
-        }
-        .for_each_run(&sys, |_, _| ControlFlow::Continue(()));
-        assert_eq!(stats.truncation, Some(TruncationReason::StepLimit));
-        assert!(stats.steps >= 40, "{stats}");
-        // Full space is 90 runs; the cap must have cut it short.
-        assert!(stats.runs < 90);
-    }
-
-    #[test]
     fn exact_run_budget_is_exhaustive() {
         // A space with exactly `max_runs` maximal runs is exhausted, not
         // truncated: the bound never bites.
@@ -779,40 +766,20 @@ mod tests {
     }
 
     #[test]
-    fn exact_step_budget_is_exhaustive() {
-        let sys = Counters { n: 2, stuck: false };
-        let total = Explorer::default()
-            .for_each_run(&sys, |_, _| ControlFlow::Continue(()))
-            .steps;
-        let exact = Explorer {
-            max_steps: total,
-            ..Explorer::default()
-        }
-        .for_each_run(&sys, |_, _| ControlFlow::Continue(()));
-        assert_eq!(exact.steps, total);
-        assert_eq!(exact.runs, 6);
-        assert_eq!(exact.truncation, None, "{exact}");
-        let short = Explorer {
-            max_steps: total - 1,
-            ..Explorer::default()
-        }
-        .for_each_run(&sys, |_, _| ControlFlow::Continue(()));
-        assert_eq!(short.steps, total - 1);
-        assert_eq!(short.truncation, Some(TruncationReason::StepLimit));
-        assert!(short.runs < 6);
-    }
-
-    #[test]
     fn pruning_visits_fewer_paths() {
+        use gem_obs::StatsProbe;
         let sys = Counters { n: 3, stuck: false };
         let full = Explorer::default().for_each_run(&sys, |_, _| ControlFlow::Continue(()));
-        let pruned = Explorer {
-            prune: true,
-            ..Explorer::default()
-        }
-        .for_each_run(&sys, |_, _| ControlFlow::Continue(()));
-        assert!(pruned.steps < full.steps, "{pruned:?} vs {full:?}");
         assert_eq!(full.runs, 90); // multinomial 6!/(2!2!2!)
+        assert_eq!((full.prune_hits, full.prune_misses), (0, 0));
+        let probe = StatsProbe::new();
+        assert!(find_deadlock(&sys, &Explorer::default(), &probe).is_none());
+        let report = probe.report();
+        assert!(report.counters["explore.prune.hits"] > 0, "{report:?}");
+        assert!(
+            report.counters["explore.steps"] < full.steps as u64,
+            "{report:?} vs {full:?}"
+        );
     }
 
     #[test]
@@ -852,11 +819,8 @@ mod tests {
         use gem_obs::StatsProbe;
         let sys = Counters { n: 3, stuck: false };
         let probe = StatsProbe::new();
-        let stats = Explorer {
-            prune: true,
-            ..Explorer::default()
-        }
-        .for_each_run_probed(&sys, &probe, |_, _| ControlFlow::Continue(()));
+        let stats = Explorer::default().sweep(&sys, &probe, true, |_, _| ControlFlow::Continue(()));
+        assert!(stats.prune_hits > 0, "{stats:?}");
         let report = probe.report();
         assert_eq!(report.counters["explore.runs"], stats.runs as u64);
         assert_eq!(report.counters["explore.steps"], stats.steps as u64);
@@ -906,21 +870,16 @@ mod tests {
 
     #[test]
     fn pruned_search_still_finds_deadlock() {
-        // Pruning is sound for state properties: the deadlock is found
-        // with fewer steps.
+        // Pruning is sound for state properties: the pruned search still
+        // returns a schedule that ends in a deadlock.
         let sys = Counters { n: 3, stuck: true };
-        let pruned = Explorer {
-            prune: true,
-            ..Explorer::default()
-        };
-        assert!(find_deadlock(&sys, &pruned, &NoopProbe).is_some());
-        let full_steps = Explorer::default()
-            .for_each_run(&sys, |_, _| ControlFlow::Continue(()))
-            .steps;
-        let pruned_steps = pruned
-            .for_each_run(&sys, |_, _| ControlFlow::Continue(()))
-            .steps;
-        assert!(pruned_steps <= full_steps);
+        let witness = find_deadlock(&sys, &Explorer::default(), &NoopProbe).unwrap();
+        let mut state = sys.initial();
+        for action in &witness {
+            sys.apply(&mut state, action);
+        }
+        assert!(sys.enabled(&state).is_empty());
+        assert!(!sys.is_complete(&state));
     }
 
     /// `Counters` with the apply/undo fast path enabled: the checkpoint
@@ -961,34 +920,30 @@ mod tests {
     fn undo_fast_path_enumerates_identically() {
         let plain = Counters { n: 3, stuck: false };
         let undo = UndoCounters(Counters { n: 3, stuck: false });
-        for explorer in [
-            Explorer::default(),
-            Explorer::with_max_runs(7),
-            Explorer {
-                max_steps: 40,
-                ..Explorer::default()
-            },
-            Explorer {
-                max_depth: 3,
-                ..Explorer::default()
-            },
-            Explorer {
-                prune: true,
-                ..Explorer::default()
-            },
+        for (explorer, prune) in [
+            (Explorer::default(), false),
+            (Explorer::with_max_runs(7), false),
+            (
+                Explorer {
+                    max_depth: 3,
+                    ..Explorer::default()
+                },
+                false,
+            ),
+            (Explorer::default(), true),
         ] {
             let mut a = Vec::new();
-            let sa = explorer.for_each_run(&plain, |state, path| {
+            let sa = explorer.sweep(&plain, &NoopProbe, prune, |state, path| {
                 a.push((state.clone(), path.to_vec()));
                 ControlFlow::Continue(())
             });
             let mut b = Vec::new();
-            let sb = explorer.for_each_run(&undo, |state, path| {
+            let sb = explorer.sweep(&undo, &NoopProbe, prune, |state, path| {
                 b.push((state.clone(), path.to_vec()));
                 ControlFlow::Continue(())
             });
-            assert_eq!(a, b, "{explorer:?}");
-            assert_eq!(sa, sb, "{explorer:?}");
+            assert_eq!(a, b, "{explorer:?}, prune {prune}");
+            assert_eq!(sa, sb, "{explorer:?}, prune {prune}");
         }
     }
 

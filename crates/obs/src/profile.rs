@@ -155,9 +155,12 @@ impl PhaseProfile {
 /// Cost/benefit verdict lines for the reductions a sweep applied,
 /// derived purely from the report's counters and timers:
 ///
-/// * **incremental check** — when `logic.incr.*` counters exist: how
-///   many leaves the prefix-sharing checker proved clean (skipping the
-///   seal/check pipeline entirely), replay/reuse volume, and its cost.
+/// * **incremental check** — when the sweep posted its leaf provenance
+///   (`verify.leaf.incremental` / `verify.leaf.batch`): how many leaves
+///   the prefix-sharing checker proved clean (skipping the seal/check
+///   pipeline entirely) and how many batch checking judged, replay/reuse
+///   volume, and its cost; or, for a spec outside the supported
+///   fragment, why every leaf was judged by batch.
 /// * **POR** — sleep-set skip attribution and independence-oracle
 ///   grant rate.
 pub fn explain(report: &Report) -> Vec<String> {
@@ -178,29 +181,37 @@ pub fn explain(report: &Report) -> Vec<String> {
         }
     };
 
-    let inc_clean = c("logic.incr.leaf_clean");
-    let inc_fallback = c("logic.incr.leaf_fallback");
-    if inc_clean + inc_fallback > 0 {
-        let total = inc_clean + inc_fallback;
+    // Leaf provenance as the sweep judged it: a deadlocked leaf is judged
+    // by batch even when the checker proved it clean.
+    let proven = c("verify.leaf.incremental");
+    let batch = c("verify.leaf.batch");
+    let leaves = proven + batch;
+    let unsupported = c("logic.incr.restrictions.fallback");
+    if unsupported > 0 {
+        let mut line = format!(
+            "incremental check disabled: {unsupported} restriction(s) outside the supported fragment"
+        );
+        if leaves > 0 {
+            line.push_str(&format!(
+                "; 0/{leaves} leaf(s) proven clean, {batch} fell back to batch checking"
+            ));
+        }
+        out.push(line);
+    } else if leaves > 0 {
         let cost = t_total("phase.check_incr");
         let mut line = format!(
-            "incremental check: {inc_clean}/{total} leaf(s) proven clean \
+            "incremental check: {proven}/{leaves} leaf(s) proven clean \
              ({:.0}%), {} event(s) replayed, {} reused, cost {} ({:.0}% of wall)",
-            inc_clean as f64 * 100.0 / total as f64,
+            proven as f64 * 100.0 / leaves as f64,
             c("logic.incr.events_replayed"),
             c("logic.incr.events_reused"),
             format_ns(cost),
             pct_of_wall(cost),
         );
-        if inc_fallback > 0 {
-            line.push_str(&format!("; {inc_fallback} fell back to batch checking"));
+        if batch > 0 {
+            line.push_str(&format!("; {batch} fell back to batch checking"));
         }
         out.push(line);
-    } else if c("logic.incr.restrictions.fallback") > 0 {
-        out.push(format!(
-            "incremental check disabled: {} restriction(s) outside the supported fragment",
-            c("logic.incr.restrictions.fallback")
-        ));
     }
 
     let grants = c("explore.oracle.grants");
@@ -313,8 +324,12 @@ mod tests {
     #[test]
     fn explain_incremental_check_verdicts() {
         let mut r = phased_report();
-        r.counters.insert("logic.incr.leaf_clean".into(), 22);
-        r.counters.insert("logic.incr.leaf_fallback".into(), 2);
+        r.counters.insert("verify.leaf.incremental".into(), 22);
+        r.counters.insert("verify.leaf.batch".into(), 2);
+        // The checker's own tally disagrees where the sweep overrides it
+        // (a deadlocked leaf proven clean is still judged by batch):
+        // provenance comes from `verify.leaf.*`.
+        r.counters.insert("logic.incr.leaf_clean".into(), 24);
         r.counters.insert("logic.incr.events_replayed".into(), 685);
         r.counters.insert("logic.incr.events_reused".into(), 259);
         r.timers
@@ -328,16 +343,20 @@ mod tests {
         assert!(line.contains("685 event(s) replayed, 259 reused"), "{line}");
         assert!(line.contains("2 fell back to batch checking"), "{line}");
 
-        // Globally unsupported spec: no per-leaf counters, but the
-        // construction-time fallback tally still explains the absence.
+        // Globally unsupported spec: no checker counters, but the
+        // construction-time fallback tally explains why every leaf went
+        // to batch.
         let mut r = phased_report();
         r.counters
             .insert("logic.incr.restrictions.fallback".into(), 3);
+        r.counters.insert("verify.leaf.incremental".into(), 0);
+        r.counters.insert("verify.leaf.batch".into(), 40);
         let lines = explain(&r);
         assert!(
-            lines
-                .iter()
-                .any(|l| l.contains("incremental check disabled: 3 restriction(s)")),
+            lines.iter().any(|l| l.contains(
+                "incremental check disabled: 3 restriction(s) outside the supported fragment; \
+                 0/40 leaf(s) proven clean, 40 fell back to batch checking"
+            )),
             "{lines:?}"
         );
     }

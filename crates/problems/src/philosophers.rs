@@ -143,26 +143,17 @@ mod tests {
 
     const N: usize = 3;
 
-    /// Deadlock is a state property, so control-state pruning is sound
-    /// and keeps the sweeps fast.
-    fn pruned() -> Explorer {
-        Explorer {
-            prune: true,
-            ..Explorer::default()
-        }
-    }
-
     #[test]
     fn naive_order_deadlocks() {
         let sys = philosophers_program(N, 1, ForkOrder::Naive);
-        let witness = find_deadlock(&sys, &pruned(), &NoopProbe);
+        let witness = find_deadlock(&sys, &Explorer::default(), &NoopProbe);
         assert!(witness.is_some(), "circular wait must be found");
     }
 
     #[test]
     fn asymmetric_order_deadlock_free() {
         let sys = philosophers_program(N, 1, ForkOrder::Asymmetric);
-        assert!(find_deadlock(&sys, &pruned(), &NoopProbe).is_none());
+        assert!(find_deadlock(&sys, &Explorer::default(), &NoopProbe).is_none());
     }
 
     #[test]

@@ -14,16 +14,14 @@ use gem_verify::{verify_system, VerifyOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 3;
-    // Deadlock is a state property — pruned search is sound and fast.
-    let pruned = Explorer {
-        prune: true,
-        ..Explorer::default()
-    };
+    // Deadlock is a state property, so `find_deadlock` prunes states
+    // already seen: sound and fast.
+    let explorer = Explorer::default();
 
     println!("{n} philosophers, naive left-first forks:");
     match find_deadlock(
         &philosophers_program(n, 1, ForkOrder::Naive),
-        &pruned,
+        &explorer,
         &NoopProbe,
     ) {
         Some(path) => {
@@ -38,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n{n} philosophers, asymmetric forks (last picks right first):");
     match find_deadlock(
         &philosophers_program(n, 1, ForkOrder::Asymmetric),
-        &pruned,
+        &explorer,
         &NoopProbe,
     ) {
         None => println!("  deadlock-free (pruned state search)"),

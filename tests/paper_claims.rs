@@ -1,7 +1,7 @@
 //! The paper's claims (§1, §9, §11) as one integration suite — the
 //! executable index behind EXPERIMENTS.md. Each test is a compact version
 //! of an experiment E1–E10; the heavyweight variants live in the
-//! per-crate test suites and the bench harness.
+//! per-crate test suites.
 
 use std::ops::ControlFlow;
 

@@ -107,22 +107,17 @@ fn a_state_holding_an_rc_can_be_verified() {
 #[test]
 fn a_state_holding_an_rc_can_be_searched_for_deadlocks() {
     let order = philosophers::ForkOrder::Naive;
-    let pruned = Explorer {
-        prune: true,
-        ..Explorer::default()
-    };
-    for explorer in [Explorer::default(), pruned] {
-        let want = find_deadlock(
-            &philosophers::philosophers_program(2, 1, order),
-            &explorer,
-            &NoopProbe,
-        );
-        let got = find_deadlock(
-            &Counted(philosophers::philosophers_program(2, 1, order)),
-            &explorer,
-            &NoopProbe,
-        );
-        assert!(want.is_some(), "naive philosophers deadlock");
-        assert_eq!(want, got);
-    }
+    let explorer = Explorer::default();
+    let want = find_deadlock(
+        &philosophers::philosophers_program(2, 1, order),
+        &explorer,
+        &NoopProbe,
+    );
+    let got = find_deadlock(
+        &Counted(philosophers::philosophers_program(2, 1, order)),
+        &explorer,
+        &NoopProbe,
+    );
+    assert!(want.is_some(), "naive philosophers deadlock");
+    assert_eq!(want, got);
 }
